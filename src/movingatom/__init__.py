@@ -11,6 +11,7 @@ only by an explicit formfactor) from the velocity-independent one
 (logarithmic growth).
 """
 
+from . import rates
 from .amplitudes import (DiscreteModeSystem, compare_to_pole, detuning,
                          discrete_mode_evolution, flat_band_system,
                          perpendicular_kernel, spectral_kernel, transient_factor)
@@ -49,5 +50,3 @@ __all__ = [
     "resonance_frequency", "rotate_basis", "shifted_velocity",
     "spectral_kernel", "to_dimensionless", "transient_factor",
 ]
-
-from . import rates  # noqa: E402  (re-exported as a namespace for the demo table)

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingModel, polarization_sum
+from .coupling import (CouplingModel, doppler_projection, polarization_sum,
+                       recoil_coefficient)
 from .units import DimensionlessParams
 
 
@@ -38,6 +39,17 @@ def detuning(x, delta, epsilon):
     """Pole detuning D = 1 - x*(1 - delta) - eps*x^2 (vectorized)."""
     x = np.asarray(x, dtype=float)
     return 1.0 - x * (1.0 - delta) - epsilon * (x * x)
+
+
+def resonance_root(delta, epsilon):
+    """Positive root x* of D(x, delta) = 0, i.e. eps*x^2 + (1 - delta)*x - 1 = 0 (vectorized),
+    as 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)): exact as eps -> 0 and free of
+    cancellation for small eps. Requires eps > 0 or a sub-luminal delta < 1."""
+    om = 1.0 - np.asarray(delta, dtype=float)
+    root = om + np.sqrt(om * om + 4.0 * epsilon)
+    if np.any(root <= 0.0):
+        raise ValueError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
+    return 2.0 / root
 
 
 def lorentzian_denominator(x, delta, params: DimensionlessParams):
@@ -58,45 +70,20 @@ def spectral_kernel(model: CouplingModel, x, n, beta, params: DimensionlessParam
     Broadcasts over beta (..., 3) and x like the coupling module.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    n = np.asarray(n, dtype=float)
-    delta = beta[..., 0] * n[0] + beta[..., 1] * n[1] + beta[..., 2] * n[2]
+    delta = doppler_projection(beta, n)
     x = np.asarray(x, dtype=float)
     gsq = polarization_sum(model, beta, x, n, e_d, params.epsilon)
-    d = 1.0 - x * (1.0 - delta) - params.epsilon * (x * x)
-    denom = d * d + 0.25 * params.gamma_tilde * params.gamma_tilde
-    return x * gsq / denom
-
-
-def perpendicular_polarization_sum(model: CouplingModel, x, delta, epsilon):
-    """Closed form of sum G^2 when n is perpendicular to the dipole axis
-    and beta has projection delta on n.
-
-    The cross term vanishes (e_d . n = 0), leaving the squared bracket:
-
-        standard dipole:              1
-        roentgen, shift+recoil:       (1 - delta - eps*x)^2
-        roentgen, shift, no recoil:   (1 - delta - 2*eps*x)^2
-        roentgen, no shift, recoil:   (1 - delta + eps*x)^2
-        roentgen, neither:            (1 - delta)^2
-    """
-    x = np.asarray(x, dtype=float)
-    if model.kind == "standard_dipole":
-        return np.ones_like(x)
-    coeff = 0.0
-    if model.apply_momentum_shift:
-        coeff -= 2.0
-    if model.include_recoil_term:
-        coeff += 1.0
-    a = 1.0 - delta + coeff * epsilon * x
-    return a * a
+    return x * gsq / lorentzian_denominator(x, delta, params)
 
 
 def perpendicular_kernel(x, delta, params: DimensionlessParams,
                          model: CouplingModel | None = None):
     """rho for emission perpendicular to the dipole axis.
 
-    For the full velocity-dependent model (momentum shift and recoil term on,
-    the default) this is
+    The cross term vanishes (e_d . n = 0), so sum G^2 is the squared bracket
+    (1 - delta + k*eps*x)^2 with k from `recoil_coefficient` (1 for the
+    standard dipole). For the full velocity-dependent model (momentum shift
+    and recoil term on, the default) this is
 
         rho = x * (1 - delta - eps*x)^2 / ((1 - x(1-delta) - eps*x^2)^2 + gt^2/4),
 
@@ -106,7 +93,10 @@ def perpendicular_kernel(x, delta, params: DimensionlessParams,
     if model is None:
         model = CouplingModel.roentgen()
     x = np.asarray(x, dtype=float)
-    gsq = perpendicular_polarization_sum(model, x, delta, params.epsilon)
+    gsq = 1.0
+    if model.kind == "roentgen":
+        bracket = 1.0 - delta + recoil_coefficient(model, params.epsilon) * params.epsilon * x
+        gsq = bracket * bracket
     return x * gsq / lorentzian_denominator(x, delta, params)
 
 
@@ -194,9 +184,7 @@ def flat_band_system(n_modes: int, half_width: float, gamma_eff: float,
     if n_modes < 2:
         raise ValueError("need at least two modes for a band")
     if center is None:
-        # positive root of eps*x^2 + (1-delta)*x - 1 = 0, stable form
-        om = 1.0 - delta
-        center = 2.0 / (om + np.sqrt(om * om + 4.0 * epsilon))
+        center = float(resonance_root(delta, epsilon))
     x = np.linspace(center - half_width, center + half_width, n_modes)
     dx = x[1] - x[0]
     g = np.full(n_modes, np.sqrt(gamma_eff * dx / (2.0 * np.pi)))

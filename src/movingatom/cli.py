@@ -84,7 +84,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg: ScenarioConfig,
-                    config_path: str, args, outputs: list[Path]) -> Path:
+                    config_path: str, outputs: list[Path]) -> Path:
     manifest = {
         "tool": "movingatom",
         "version": __version__,
@@ -94,7 +94,6 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: ScenarioConfig,
         "resolved": cfg.resolved,
         "options": {
             "tol": cfg.tol,
-            "threads": args.threads,
             "seed": cfg.seed,
         },
         "outputs": {p.name: _sha256(p) for p in outputs},
@@ -104,7 +103,7 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: ScenarioConfig,
     return path
 
 
-def _cmd_spectrum(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
+def _cmd_spectrum(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     result = directional_spectrum(cfg.scenario, cfg.direction, cfg.x_grid, tol=cfg.tol)
     for warning in result.metadata["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
@@ -121,7 +120,7 @@ def _resolved_upper(cfg: ScenarioConfig) -> float:
     return cfg.formfactor.suggested_upper_limit()
 
 
-def _cmd_probability(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
+def _cmd_probability(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     upper = _resolved_upper(cfg)
     res = directional_probability(cfg.scenario, cfg.direction, cfg.formfactor,
                                   upper, tol=cfg.tol, max_panels=cfg.max_panels)
@@ -143,10 +142,9 @@ def _cmd_probability(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
     return [_write_json(out_dir / "probability.json", payload)]
 
 
-def _cmd_divergence(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
+def _cmd_divergence(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     report = divergence_comparison(cfg.scenario, cfg.direction, lambdas=cfg.lambdas,
-                                   tol=cfg.tol, max_panels=cfg.max_panels,
-                                   threads=args.threads)
+                                   tol=cfg.tol, max_panels=cfg.max_panels)
     rows = []
     for label, entry in report.entries.items():
         scan = entry.scan
@@ -162,7 +160,7 @@ def _cmd_divergence(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _cmd_rates(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
+def _cmd_rates(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     lo = cfg.limit_ordering
     table = limit_ordering_demo(
         lo["epsilons"], gamma_tilde=cfg.scenario.params.gamma_tilde,
@@ -192,6 +190,7 @@ def _cmd_rates(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
                 "window_lambdas": row.window_lambdas,
                 "window_cumulative": row.window_cumulative,
                 "fixed_cumulative": row.fixed_cumulative,
+                "converged": row.converged,
             }
             for row in table.rows
         ],
@@ -205,21 +204,20 @@ def _cmd_rates(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _cmd_pattern(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
+def _cmd_pattern(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     pat = cfg.pattern
     theta = np.linspace(0.0, math.pi, pat["theta_points"])
     formfactor = cfg.formfactor if pat["mode"] == "integrated" else None
     result = angular_pattern(cfg.scenario, theta, formfactor,
                              mode=pat["mode"], variant=pat["variant"],
                              phi=math.radians(pat["phi_deg"]),
-                             upper_limit=cfg.upper_limit, tol=cfg.tol,
-                             threads=args.threads)
+                             upper_limit=cfg.upper_limit, tol=cfg.tol)
     path = _write_csv(out_dir / "pattern.csv", ["theta_rad", "density"],
                       zip(result.theta, result.values))
     return [path]
 
 
-def _cmd_oracle(cfg: ScenarioConfig, args, out_dir: Path) -> list[Path]:
+def _cmd_oracle(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     o = cfg.oracle
     system = flat_band_system(o["modes"], o["half_width"], o["gamma_eff"],
                               delta=o["delta"], epsilon=o["epsilon"])
@@ -273,8 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario file (YAML or JSON)")
         p.add_argument("--out", default=None,
                        help="output directory (default: scenario's output.directory, else ./out)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent directions/models (default 1)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the quadrature tolerance from the scenario file")
         p.add_argument("--seed", type=int, default=None,
@@ -295,8 +291,8 @@ def main(argv=None) -> int:
             cfg = _override(cfg, seed=args.seed)
         out_dir = Path(args.out or cfg.output_dir or "out")
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _DISPATCH[args.command](cfg, args, out_dir)
-        manifest = _write_manifest(out_dir, args.command, cfg, args.config, args, outputs)
+        outputs = _DISPATCH[args.command](cfg, out_dir)
+        manifest = _write_manifest(out_dir, args.command, cfg, args.config, outputs)
         names = ", ".join(p.name for p in outputs + [manifest])
         print(f"wrote {names} in {out_dir}")
         return 0

@@ -279,6 +279,10 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     direction, geometry_resolved = _build_direction(raw, e_d)
+    if isinstance(distribution, TabulatedProjection) and not np.allclose(
+            distribution.direction, direction, atol=1e-12, rtol=0.0):
+        raise ConfigError("'distribution': a tabulated delta = n.beta holds only for its own "
+                          "'direction', which must equal the geometry's emission direction")
 
     grid = _section(raw, "grid")
     start = _float(grid, "start", 0.8, "grid", nonnegative=True)

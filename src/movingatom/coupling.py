@@ -104,6 +104,21 @@ def _as_beta(beta) -> np.ndarray:
     return arr
 
 
+def doppler_projection(beta, n):
+    """delta = n . beta over the trailing axis of beta, with `_dot3`'s arithmetic."""
+    beta = _as_beta(beta)
+    return _dot3(beta, np.broadcast_to(np.asarray(n, dtype=float), beta.shape))
+
+
+def recoil_coefficient(model: CouplingModel, epsilon: float) -> float:
+    """k in the bracket 1 - delta + k*eps*x, delta = n.beta before emission:
+    +1 from the recoil term, -2 from the momentum shift (skipped at eps = 0)."""
+    k = 1.0 if model.include_recoil_term else 0.0
+    if model.apply_momentum_shift and epsilon != 0.0:
+        k -= 2.0
+    return k
+
+
 def shifted_velocity(beta, x, n, epsilon):
     """beta + 2*eps*x*n: the photon recoil in velocity units.
 
@@ -124,7 +139,7 @@ def _effective_velocity(model: CouplingModel, beta, x, n, epsilon):
 
 def _bracket(model: CouplingModel, beta_eff, x, n, epsilon):
     """Doppler-plus-recoil factor multiplying e_d . e_lambda (roentgen only)."""
-    doppler = _dot3(beta_eff, np.broadcast_to(np.asarray(n, dtype=float), beta_eff.shape))
+    doppler = doppler_projection(beta_eff, n)
     if model.include_recoil_term:
         return 1.0 - doppler + epsilon * np.asarray(x, dtype=float)
     return 1.0 - doppler
@@ -186,3 +201,31 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
     nb = np.broadcast_to(np.asarray(n, dtype=float), v.shape)
     nv = _dot3(nb, v)
     return _dot3(v, v) - nv * nv
+
+
+def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj):
+    """E[sum_lambda G^2 | n.beta = delta] = q0 + q1*u + q2*u^2 with u = delta - proj.mean.
+
+    With c = e_d.n and e_perp = e_d - c*n, the transverse part of v gives
+    sum G^2 = b^2 |e_perp|^2 + 2 b c (e_perp.beta) + c^2 |beta_perp|^2, with
+    the bracket b = 1 - delta + k*eps*x linear in delta, so the conditional
+    transverse moments of `proj` (wavepacket.project) make it exactly this
+    quadratic. Returns (q0, q1, q2), each with the shape of x.
+    """
+    n = check_unit(n, "n")
+    e_d = check_unit(e_d, "e_d")
+    x = np.asarray(x, dtype=float)
+    c = float(np.dot(e_d, n))
+    a = 1.0 - c * c
+    if model.kind == "standard_dipole":
+        return np.full_like(x, a), np.zeros_like(x), np.zeros_like(x)
+    e_perp = e_d - c * n
+    m, k = proj.perp_mean, proj.perp_gain
+    b0, b1 = float(np.dot(e_perp, m)), float(np.dot(e_perp, k))
+    c0 = float(np.dot(m, m)) + proj.perp_var
+    c1, c2 = float(np.dot(m, k)), float(np.dot(k, k))
+    bracket = 1.0 - proj.mean + recoil_coefficient(model, epsilon) * epsilon * x  # b at u = 0
+    q0 = bracket * (a * bracket + 2.0 * c * b0) + c * c * c0
+    q1 = 2.0 * (c * (bracket * b1 - b0) - a * bracket + c * c * c1)
+    q2 = np.full_like(x, a - 2.0 * c * b1 + c * c * c2)
+    return q0, q1, q2

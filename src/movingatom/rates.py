@@ -39,10 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .amplitudes import perpendicular_kernel
-from .coupling import CouplingModel, polarization_sum, shifted_velocity
+from .amplitudes import perpendicular_kernel, resonance_root
+from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
+                       polarization_sum)
 from .geometry import check_unit
 from .units import DimensionlessParams, Normalization
+from .wavepacket import ProjectedDistribution, weighted_sum
 
 VARIANTS = ("unshifted", "shifted")
 
@@ -60,22 +62,12 @@ class ResonanceRoot:
 
 
 def resonance_frequency(delta: float, epsilon: float) -> ResonanceRoot:
-    """Positive root of eps*x^2 + (1 - delta)*x - 1 = 0.
-
-    Uses the cancellation-free form x* = 2 / ((1-delta) + sqrt((1-delta)^2
-    + 4 eps)), which is exact in the eps -> 0 limit (x* = 1/(1-delta)) and
-    loses no significance for small eps. Requires either eps > 0 or a
-    sub-luminal projection delta < 1.
-    """
+    """Positive root of eps*x^2 + (1 - delta)*x - 1 = 0 (amplitudes.resonance_root)
+    with its back-substitution residual."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    om = 1.0 - delta
-    disc = om * om + 4.0 * epsilon
-    root = om + math.sqrt(disc)
-    if root <= 0.0:
-        raise ValueError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
-    x_star = 2.0 / root
-    residual = abs(x_star * (om + epsilon * x_star) - 1.0)
+    x_star = float(resonance_root(delta, epsilon))
+    residual = abs(x_star * ((1.0 - delta) + epsilon * x_star) - 1.0)
     return ResonanceRoot(x_star=x_star, residual=residual)
 
 
@@ -88,41 +80,56 @@ class RateResult:
     model_label: str
 
 
-def golden_rule_rates(variant: str, beta, n, e_d, params: DimensionlessParams,
-                      model: CouplingModel | None = None) -> np.ndarray:
-    """Vectorized normalized rate over a batch of velocities, shape (..., 3).
-
-    The workhorse behind `golden_rule_rate` and the angular-pattern average;
-    the resonance root, shift, coupling, and Jacobian are all evaluated
-    elementwise with the same stable formulas as the scalar path.
-    """
+def _variant_model(variant: str, model: CouplingModel | None) -> CouplingModel:
+    """`model` with the momentum shift that `variant` asks for."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if model is None:
         model = CouplingModel.roentgen()
+    return CouplingModel(kind=model.kind, include_recoil_term=model.include_recoil_term,
+                         apply_momentum_shift=variant == "shifted")
+
+
+def _rate(delta, x_star, gsq, epsilon: float):
+    """x*^3 sum G^2 over the delta-function Jacobian 1 - delta + 2 eps x*."""
+    jacobian = (1.0 - delta) + 2.0 * epsilon * x_star
+    if np.any(jacobian <= 0.0):
+        raise ValueError("vanishing delta-function Jacobian; no isolated emission frequency")
+    return x_star**3 * gsq / jacobian
+
+
+def golden_rule_rates(variant: str, beta, n, e_d, params: DimensionlessParams,
+                      model: CouplingModel | None = None) -> np.ndarray:
+    """Vectorized normalized rate over a batch of velocities, shape (..., 3).
+
+    The workhorse behind `golden_rule_rate`; the resonance root, shift,
+    coupling, and Jacobian are all evaluated elementwise with the same stable
+    formulas as the scalar path.
+    """
+    eval_model = _variant_model(variant, model)
     n = check_unit(n, "n")
     e_d = check_unit(e_d, "e_d")
     beta = np.asarray(beta, dtype=float)
     if beta.shape[-1] != 3:
         raise ValueError("beta must have 3 components along the trailing axis")
-    delta = beta[..., 0] * n[0] + beta[..., 1] * n[1] + beta[..., 2] * n[2]
-    om = 1.0 - delta
-    root = om + np.sqrt(om * om + 4.0 * params.epsilon)
-    if np.any(root <= 0.0):
-        raise ValueError("no positive emission frequency for some velocity node")
-    x_star = 2.0 / root
+    delta = doppler_projection(beta, n)
+    x_star = resonance_root(delta, params.epsilon)
+    gsq = polarization_sum(eval_model, beta, x_star, n, e_d, params.epsilon)
+    return _rate(delta, x_star, gsq, params.epsilon)
 
-    beta_eff = beta
-    if variant == "shifted" and params.epsilon != 0.0:
-        beta_eff = shifted_velocity(beta, x_star, n, params.epsilon)
-    eval_model = CouplingModel(kind=model.kind,
-                               include_recoil_term=model.include_recoil_term,
-                               apply_momentum_shift=False)
-    gsq = polarization_sum(eval_model, beta_eff, x_star, n, e_d, params.epsilon)
-    jacobian = om + 2.0 * params.epsilon * x_star
-    if np.any(jacobian <= 0.0):
-        raise ValueError("vanishing delta-function Jacobian; no isolated emission frequency")
-    return x_star**3 * gsq / jacobian
+
+def golden_rule_mean_rate(variant: str, proj: ProjectedDistribution, n, e_d,
+                          params: DimensionlessParams,
+                          model: CouplingModel | None = None) -> float:
+    """Normalized rate averaged over a wavepacket seen along n (wavepacket.project):
+    exact given delta (coupling.conditional_polarization_sum), then summed over
+    the projection's delta nodes (Gauss-Hermite for a Gaussian)."""
+    eval_model = _variant_model(variant, model)
+    x_star = resonance_root(proj.nodes, params.epsilon)
+    q0, q1, q2 = conditional_polarization_sum(eval_model, x_star, n, e_d, params.epsilon, proj)
+    u = proj.nodes - proj.mean
+    rates = _rate(proj.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
+    return weighted_sum(proj.weights, rates)
 
 
 def golden_rule_rate(variant: str, beta, n, e_d, params: DimensionlessParams,
@@ -141,7 +148,7 @@ def golden_rule_rate(variant: str, beta, n, e_d, params: DimensionlessParams,
         model = CouplingModel.roentgen()
     n = check_unit(n, "n")
     value = float(golden_rule_rates(variant, beta[None, :], n, e_d, params, model)[0])
-    delta = beta[0] * n[0] + beta[1] * n[1] + beta[2] * n[2]
+    delta = float(doppler_projection(beta, n))
     root = resonance_frequency(delta, params.epsilon)
     return RateResult(variant=variant, value=value, x_star=root.x_star, delta=delta,
                       model_label=model.label)
@@ -165,6 +172,7 @@ class LimitOrderingRow:
     growth_exponent: float | None
     growth_kind: str
     fixed_cumulative: np.ndarray
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -254,6 +262,7 @@ def limit_ordering_demo(epsilons, params_template: DimensionlessParams | None = 
             growth_exponent=cls.exponent,
             growth_kind=cls.kind,
             fixed_cumulative=fixed_scan.values,
+            converged=scan.converged and fixed_scan.converged,
         ))
 
     return LimitOrderingTable(

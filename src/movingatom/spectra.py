@@ -9,7 +9,10 @@ averaged over the atomic momentum wavepacket:
 with rho the spectral kernel (pole solution), x^2 the mode density, and
 kappa the normalization constant (units module; reference convention makes
 the rest-atom, infinite-mass, velocity-independent case integrate to 1 over
-the sphere).
+the sphere). The average < . > is exact in every direction: a Faddeeva
+closed form for Gaussian packets and weighted sums over delta = n.beta for
+point masses and tables; `directional_spectrum(method="full3d")` keeps a
+tensor Gauss-Hermite rule over the full velocity as the independent oracle.
 
 The frequency integral of w decides everything interesting: for the
 velocity-dependent coupling evaluated at the recoil-shifted momentum the
@@ -25,22 +28,22 @@ which is the honest state of affairs, reported as such.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import quadrature
-from .amplitudes import perpendicular_kernel, spectral_kernel
-from .coupling import CouplingModel
+from .amplitudes import detuning, lorentzian_denominator, spectral_kernel
+from .coupling import CouplingModel, conditional_polarization_sum
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
-from .rates import golden_rule_rates, resonance_frequency, sphere_pattern_value
+from .rates import golden_rule_mean_rate, resonance_frequency, sphere_pattern_value
 from .units import DimensionlessParams, Normalization
-from .wavepacket import (GaussianPacket, MomentumDistribution, PointMass,
-                         TabulatedProjection, expectation, project, weighted_sum)
+from .wavepacket import MomentumDistribution, ProjectedDistribution, expectation, project
 
-_PERP_TOL = 1e-12
+# Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
+# ~ |zeta|^2 eps_mach); there no Gauss-Hermite delta node nears the pole.
+_FAR_WING = 20.0
 
 
 class PhysicsRejection(RuntimeError):
@@ -128,63 +131,45 @@ class SpectralResult:
     metadata: dict
 
 
-def _is_perpendicular(n: np.ndarray, e_d: np.ndarray) -> bool:
-    return abs(float(np.dot(n, e_d))) <= _PERP_TOL
+def _doppler_w(scenario: EmissionScenario, n: np.ndarray, proj: ProjectedDistribution,
+               x_values) -> np.ndarray:
+    """w(x) = x^3 E[sum G^2 / (D^2 + gt^2/4)], exact over the packet seen along n.
 
+    Given delta, sum G^2 averages to a quadratic Q(u), u = delta - mean
+    (coupling.conditional_polarization_sum), and D = x (u - u0) with
+    u0 = -D(x, mean)/x. For a Gaussian, with r = sqrt(2) sigma, h = gt/(2x)
+    and zeta = (u0 + i h)/r, expanding Q about u0 gives
 
-def _resonance_delta(x, epsilon: float):
-    """delta at which the pole detuning vanishes for given x: D(x, delta) = 0."""
-    x = np.asarray(x, dtype=float)
-    return (x - 1.0 + epsilon * x * x) / x
+        w = x [q2 + sqrt(pi) ((Q(u0) - q2 h^2) Re W(zeta) / (h r) - Q'(u0) Im W(zeta) / r)]
 
-
-def _projected_w(scenario: EmissionScenario, n: np.ndarray, x_values: np.ndarray,
-                 tol: float, max_panels: int = 512,
-                 order: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """w(x) on the perpendicular fast path: 1D average over delta.
-
-    Point and tabulated distributions reduce to exact weighted sums. The
-    Gaussian case integrates the projected density against the kernel with
-    the resonance location seeded, because the kernel's Lorentzian in delta
-    (half-width gamma_tilde/2x) can be far narrower than the Doppler width.
+    with W the Faddeeva function (Poppe & Wijers, ACM TOMS 16, 1990). Point
+    masses, tables and the far wing are weighted sums over the delta nodes.
     """
     params = scenario.params
-    model = scenario.coupling
-    proj = project(scenario.distribution, n, order=order)
-    x_values = np.asarray(x_values, dtype=float)
+    eps = params.epsilon
+    x = np.asarray(x_values, dtype=float)
+    q0, q1, q2 = conditional_polarization_sum(scenario.coupling, x, n, scenario.dipole_axis,
+                                              eps, proj)
+    u = (proj.nodes - proj.mean)[:, None]
+    w = proj.weights @ (x**3 * (q0 + u * (q1 + u * q2))
+                        / lorentzian_denominator(x, proj.nodes[:, None], params))
+    if proj.kind == "gaussian":
+        from scipy.special import wofz  # deferred: the import costs more than most runs
 
-    if proj.kind in ("point", "tabulated"):
-        rows = np.empty((proj.nodes.size, x_values.size))
-        for i, d in enumerate(proj.nodes):
-            rows[i] = (x_values * x_values) * perpendicular_kernel(x_values, float(d), params, model)
-        w = np.array([weighted_sum(proj.weights, rows[:, j]) for j in range(x_values.size)])
-        return w, np.zeros_like(w)
-
-    # Gaussian: adaptive integral over delta for each x.
-    sigma, mean = proj.sigma, proj.mean
-    lo, hi = mean - 8.0 * sigma, mean + 8.0 * sigma
-    w = np.empty(x_values.size)
-    err = np.empty(x_values.size)
-    for j, x in enumerate(x_values):
-        x = float(x)
-        res_delta = float(_resonance_delta(x, params.epsilon)) if x > 0 else None
-        feats = []
-        if res_delta is not None and lo < res_delta < hi:
-            half = 0.5 * params.gamma_tilde / x
-            feats = [res_delta, res_delta - 5.0 * half, res_delta + 5.0 * half]
-
-        def integrand(delta, _x=x):
-            return proj.density(delta) * (_x * _x) * perpendicular_kernel(_x, delta, params, model)
-
-        res = quadrature.integrate_adaptive(integrand, lo, hi, tol,
-                                            features=feats, max_panels=max_panels)
-        if not res.converged:
-            raise NumericalError(
-                f"Doppler average did not converge at x = {x:.9g} "
-                f"(error {res.error_estimate:.3g} after {res.evaluations} evaluations)")
-        w[j] = res.value
-        err[j] = res.error_estimate
-    return w, err
+        r = math.sqrt(2.0) * proj.sigma
+        near = np.flatnonzero(x > 0.0)
+        xn = x[near]
+        u0 = -detuning(xn, proj.mean, eps) / xn
+        h = 0.5 * params.gamma_tilde / xn
+        zeta = (u0 + 1j * h) / r
+        keep = np.abs(zeta) <= _FAR_WING
+        near, xn, u0, h, zeta = near[keep], xn[keep], u0[keep], h[keep], zeta[keep]
+        a0, a1, a2 = q0[near], q1[near], q2[near]
+        faddeeva = wofz(zeta)
+        w[near] = xn * (a2 + math.sqrt(math.pi) * (
+            (a0 + u0 * (a1 + u0 * a2) - a2 * h * h) * faddeeva.real / (h * r)
+            - (a1 + 2.0 * a2 * u0) * faddeeva.imag / r))
+    return w
 
 
 def _full_w(scenario: EmissionScenario, n: np.ndarray, x_values: np.ndarray,
@@ -219,11 +204,13 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
                          tol: float = 1e-10) -> SpectralResult:
     """Momentum-averaged emission density w(x) along direction n.
 
-    method: "auto" uses the projected 1D fast path when n is perpendicular
-    to the dipole axis (where the kernel depends on beta only through
-    delta = n.beta), and the full 3D expectation otherwise; "projected" and
-    "full3d" force the respective paths. Multiply w by scenario.kappa (in
-    the metadata) for probability per steradian per unit x.
+    method: "auto" averages exactly over the wavepacket in every direction
+    (a Faddeeva closed form for Gaussians, weighted sums over delta for
+    point masses and tables; metadata method "exact", error 0). "full3d"
+    is the independent oracle path: a tensor Gauss-Hermite rule of `order`
+    over the full velocity, with an order-doubling error that must stay
+    within tol*|w| (NumericalError otherwise). Multiply w by scenario.kappa
+    (in the metadata) for probability per steradian per unit x.
     """
     n = check_unit(n, "n")
     x_grid = np.asarray(x_grid, dtype=float)
@@ -234,23 +221,22 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     if np.any(x_grid < 0):
         raise ValueError("reduced frequencies must be non-negative")
 
-    perpendicular = _is_perpendicular(n, scenario.dipole_axis)
+    proj = project(scenario.distribution, n, order=order)
     if method == "auto":
-        method = "projected" if perpendicular else "full3d"
-    if method == "projected" and not perpendicular:
-        raise ValueError("projected fast path is exact only for n perpendicular to the dipole axis")
-    if method not in ("projected", "full3d"):
+        method = "exact"
+        w = _doppler_w(scenario, n, proj, x_grid)
+        err = np.zeros_like(w)
+    elif method == "full3d":
+        w, err = _full_w(scenario, n, x_grid, order=order)
+        bad = np.flatnonzero(err > tol * np.abs(w))
+        if bad.size:
+            raise NumericalError(f"full3d Gauss-Hermite rule of order {order} misses tol {tol:g} "
+                                 f"at x = {x_grid[bad[0]]:.9g} (error {err[bad[0]]:.3g})")
+    else:
         raise ValueError(f"unknown method {method!r}")
 
-    if method == "projected":
-        w, err = _projected_w(scenario, n, x_grid, tol)
-    else:
-        w, err = _full_w(scenario, n, x_grid, order=order)
-
-    proj = project(scenario.distribution, n) if perpendicular else None
-    mean_delta = proj.mean if proj is not None else 0.0
-    root = resonance_frequency(mean_delta, scenario.params.epsilon)
-    doppler_width = (root.x_star**2) * (proj.sigma if proj is not None else 0.0)
+    root = resonance_frequency(proj.mean, scenario.params.epsilon)
+    doppler_width = (root.x_star**2) * proj.sigma
     window = 10.0 * max(scenario.params.gamma_tilde, doppler_width)
     warnings = []
     if not np.any(np.abs(x_grid - root.x_star) <= window):
@@ -267,29 +253,11 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     return SpectralResult(direction=n, x=x_grid, w=w, error=err, metadata=metadata)
 
 
-def _w_function(scenario: EmissionScenario, n: np.ndarray, tol: float,
-                order: int = 40):
-    """Vectorized x -> w(x) for integration, choosing the fastest exact path."""
-    if _is_perpendicular(n, scenario.dipole_axis):
-        def w_of_x(x):
-            w, _ = _projected_w(scenario, n, np.atleast_1d(np.asarray(x, dtype=float)), tol)
-            return w
-        return w_of_x
-
-    def w_of_x_general(x):
-        w, _ = _full_w(scenario, n, np.atleast_1d(np.asarray(x, dtype=float)), order=order)
-        return w
-    return w_of_x_general
-
-
-def _resonance_features(scenario: EmissionScenario, n: np.ndarray) -> tuple[float, ...]:
-    if _is_perpendicular(n, scenario.dipole_axis):
-        mean_delta = project(scenario.distribution, n).mean
-    else:
-        mean_delta = 0.0
-    x_star = resonance_frequency(mean_delta, scenario.params.epsilon).x_star
+def _resonance_features(scenario: EmissionScenario, proj: ProjectedDistribution) -> list[float]:
+    """The resonance at the packet's mean Doppler shift and the line's flanks."""
+    x_star = resonance_frequency(proj.mean, scenario.params.epsilon).x_star
     gt = scenario.params.gamma_tilde
-    return (x_star, x_star - 5.0 * gt, x_star + 5.0 * gt)
+    return [x_star, x_star - 5.0 * gt, x_star + 5.0 * gt]
 
 
 def directional_probability(scenario: EmissionScenario, n, formfactor: Formfactor,
@@ -303,17 +271,16 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     with upper_limit is the subject of `divergence_comparison`.
     """
     n = check_unit(n, "n")
-    x_star = _resonance_features(scenario, n)[0]
-    if upper_limit <= x_star:
-        raise ValueError(f"upper_limit {upper_limit!r} must exceed the resonance at x = {x_star:.6g}")
+    proj = project(scenario.distribution, n)
+    feats = _resonance_features(scenario, proj)
+    if upper_limit <= feats[0]:
+        raise ValueError(f"upper_limit {upper_limit!r} must exceed the resonance at x = {feats[0]:.6g}")
     kappa = scenario.kappa
-    w_of_x = _w_function(scenario, n, tol)
     ff = formfactor
 
     def integrand(x):
-        return kappa * ff(x) * w_of_x(x)
+        return kappa * ff(x) * _doppler_w(scenario, n, proj, x)
 
-    feats = list(_resonance_features(scenario, n))
     if ff.kind == "sharp" and ff.cutoff < upper_limit:
         feats.append(float(ff.cutoff))
     return quadrature.integrate_adaptive(integrand, 0.0, float(upper_limit), tol,
@@ -346,6 +313,8 @@ class DivergenceReport:
                 "lambdas": entry.scan.lambdas.tolist(),
                 "cumulative": entry.scan.values.tolist(),
                 "errors": entry.scan.errors.tolist(),
+                "converged": entry.scan.converged,
+                "evaluations": entry.scan.evaluations,
             }
         return out
 
@@ -366,7 +335,7 @@ _DIVERGENCE_MODELS: tuple[tuple[str, CouplingModel], ...] = (
 
 def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
                           tol: float = 1e-9, fit_points: int = 5,
-                          max_panels: int = 4096, threads: int = 1) -> DivergenceReport:
+                          max_panels: int = 4096) -> DivergenceReport:
     """Cutoff scans and growth-law fits for three coupling variants.
 
     (a) the full velocity-dependent model (momentum shift and recoil term),
@@ -375,7 +344,8 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     recoil term deleted but the momentum shift kept -- the would-be cure
     that fails, because the shift feeds the recoil back through the Doppler
     term. The kinematics (epsilon in the resonance denominator) are shared;
-    only the coupling differs.
+    only the coupling differs. The verdict is withheld when a scan missed
+    its tolerance or a fit was ambiguous.
     """
     n = check_unit(n, "n")
     if not scenario.params.epsilon > 0:
@@ -384,28 +354,29 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
         lambdas = quadrature.geometric_cutoffs()
     lambdas = np.asarray(lambdas, dtype=float)
     kappa = scenario.kappa
-    feats = _resonance_features(scenario, n)
+    proj = project(scenario.distribution, n)
+    feats = _resonance_features(scenario, proj)
 
-    def run_model(item: tuple[str, CouplingModel]) -> tuple[str, ModelDivergence]:
-        label, model = item
+    entries = {}
+    for label, model in _DIVERGENCE_MODELS:
         variant = scenario.with_coupling(model)
-        w_of_x = _w_function(variant, n, tol)
 
-        def integrand(x):
-            return kappa * w_of_x(x)
+        def integrand(x, _variant=variant):
+            return kappa * _doppler_w(_variant, n, proj, x)
 
         scan = quadrature.cutoff_scan(integrand, lambdas, tol=tol, features=feats,
                                       max_panels=max_panels)
         cls = quadrature.classify_tail(scan, fit_points=fit_points)
-        return label, ModelDivergence(scan=scan, classification=cls)
-
-    results = _ordered_map(run_model, _DIVERGENCE_MODELS, threads)
-    entries = dict(results)
+        entries[label] = ModelDivergence(scan=scan, classification=cls)
 
     r = entries["roentgen"].classification
     s = entries["standard"].classification
     note = ""
-    if r.kind == "ambiguous" or s.kind == "ambiguous":
+    if not all(entry.scan.converged for entry in entries.values()):
+        verdict = None
+        note = ("verdict withheld: at least one cutoff scan missed its tolerance; "
+                "raise max_panels or loosen the tolerance")
+    elif r.kind == "ambiguous" or s.kind == "ambiguous":
         verdict = None
         note = "verdict withheld: at least one growth-law fit was ambiguous"
     else:
@@ -430,24 +401,17 @@ class PatternResult:
     metadata: dict
 
 
-def _ordered_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
-
-
 def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfactor | None = None,
                     *, mode: str = "golden_rule", variant: str = "shifted",
                     phi: float = 0.0, upper_limit: float | None = None,
-                    tol: float = 1e-9, order: int = 40,
-                    threads: int = 1) -> PatternResult:
+                    tol: float = 1e-9, order: int = 40) -> PatternResult:
     """Emission density per steradian vs polar angle theta from the dipole axis.
 
     mode "golden_rule": the energy constraint is applied before the mode sum
     (finite for every epsilon); values are (3/8pi) times the normalized rate,
-    so the reference configuration integrates to 1 over the sphere.
+    so the reference configuration integrates to 1 over the sphere. The
+    average over the wavepacket is exact given delta = n.beta, with an
+    `order`-point Gauss-Hermite rule over delta for a Gaussian.
 
     mode "integrated": the frequency integral of the spectrum, which is only
     defined with a formfactor -- an unregularized request is rejected rather
@@ -461,15 +425,10 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     directions = [direction_from_angles(float(t), phi, axis=e_d) for t in theta]
 
     if mode == "golden_rule":
-        def value_at(n: np.ndarray) -> float:
-            def rate_nodes(beta):
-                return golden_rule_rates(variant, beta, n, e_d, scenario.params,
-                                         scenario.coupling)
-            res = expectation(scenario.distribution, rate_nodes, order=order,
-                              with_error=False)
-            return sphere_pattern_value(res.value)
-
-        values = _ordered_map(value_at, directions, threads)
+        values = [sphere_pattern_value(golden_rule_mean_rate(
+                      variant, project(scenario.distribution, n, order=order), n, e_d,
+                      scenario.params, scenario.coupling))
+                  for n in directions]
         meta = {"mode": mode, "variant": variant, "phi": phi,
                 "normalization": "reference sphere integral = 1"}
         return PatternResult(theta=theta, values=np.asarray(values), mode=mode, metadata=meta)
@@ -487,14 +446,13 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
             "cutoff-dependent without a formfactor; supply one (or use golden_rule mode)")
     upper = float(upper_limit) if upper_limit is not None else formfactor.suggested_upper_limit()
 
-    def prob_at(n: np.ndarray) -> float:
+    values = []
+    for n in directions:
         res = directional_probability(scenario, n, formfactor, upper, tol=tol)
         if not res.converged:
             raise NumericalError("angular pattern integration did not converge; "
                                  "raise the panel budget or loosen the tolerance")
-        return res.value
-
-    values = _ordered_map(prob_at, directions, threads)
+        values.append(res.value)
     meta = {"mode": mode, "formfactor": formfactor.kind, "cutoff": formfactor.cutoff,
             "upper_limit": upper, "phi": phi,
             "normalization": "kappa-scaled probability per steradian"}

@@ -14,14 +14,16 @@ Three variants cover the use cases:
   distribution of Doppler shifts delta = n . beta for one fixed direction,
   e.g. read from a measured table.
 
-Because the perpendicular-geometry kernels depend on beta only through
-delta, the 1D projection of a distribution onto the emission direction is
-the workhorse object; `project` produces it exactly for the analytic
-variants.
+The emission kernels depend on beta through delta and otherwise at most
+quadratically through beta_perp = beta - delta*n, so `project` reduces a
+distribution seen from n to the law of delta plus the conditional moments
+of beta_perp given delta. Every Doppler average in the package runs on it.
 
-Averages use tensorized Gauss-Hermite quadrature for Gaussians (exact for
-polynomial integrands, spectrally accurate for smooth kernels) with an
-error estimate obtained by doubling the order. The reduction is always
+`expectation` averages any function of the full velocity, with tensorized
+Gauss-Hermite quadrature for Gaussians (exact for polynomial integrands,
+spectrally accurate for smooth kernels) and an error estimate obtained by
+doubling the order; it backs the spectra module's `full3d` oracle path.
+The reduction is always
 `weighted_sum`, i.e. np.sum(weights * values): a mixture of point-mass
 results over the same nodes with the same weights is therefore *bitwise*
 equal to the expectation -- pure-state averaging and mixed-state averaging
@@ -31,7 +33,7 @@ coincide identically, not just approximately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -121,12 +123,13 @@ MomentumDistribution = Union[PointMass, GaussianPacket, TabulatedProjection]
 
 @dataclass(frozen=True, eq=False)
 class ProjectedDistribution:
-    """1D distribution of the Doppler projection delta = n . beta.
+    """A distribution seen from n: the law of delta = n . beta ("gaussian",
+    "point" with sigma = 0, or "tabulated"; nodes/weights average functions
+    of delta, exactly except for the Gauss-Hermite "gaussian" rule) and,
+    with u = delta - mean, the conditional transverse moments
 
-    nodes/weights form a quadrature for averaging functions of delta
-    (weights sum to 1); `density` is the analytic pdf when one exists
-    (Gaussian case), used by adaptive line-shape integration. sigma = 0
-    marks a point mass.
+        E[beta_perp | delta]     = perp_mean + u * perp_gain
+        E[|beta_perp|^2 | delta] = |E[beta_perp | delta]|^2 + perp_var
     """
 
     kind: str
@@ -134,7 +137,9 @@ class ProjectedDistribution:
     sigma: float
     nodes: np.ndarray
     weights: np.ndarray
-    density: Callable[[np.ndarray], np.ndarray] | None = None
+    perp_mean: np.ndarray
+    perp_gain: np.ndarray
+    perp_var: float
 
     def __post_init__(self) -> None:
         total = float(np.sum(self.weights))
@@ -149,38 +154,42 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribution:
-    """Exact 1D marginal of `dist` along the unit vector n."""
+    """Exact law of delta = n . beta for `dist`, with its conditional transverse
+    moments; a Gaussian's delta nodes are an `order`-point Gauss-Hermite rule.
+
+    Given delta, a Gaussian N(m, S) is N(m + u g, S - s^2 g g^T) with
+    s^2 = n.S.n and gain g = S n / s^2 (0 when s = 0); a point mass is the
+    case S = 0. Tabulated rows lie along n: they have no transverse part.
+    """
     n = check_unit(n, "n")
-    if isinstance(dist, PointMass):
-        mean = float(np.dot(n, dist.beta))
-        return ProjectedDistribution(kind="point", mean=mean, sigma=0.0,
-                                     nodes=np.array([mean]), weights=np.array([1.0]))
-    if isinstance(dist, GaussianPacket):
-        mean = float(np.dot(n, dist.mean))
-        var = float(n @ dist.covariance @ n)
-        var = max(var, 0.0)
-        sigma = np.sqrt(var)
-        if sigma == 0.0:
-            return ProjectedDistribution(kind="point", mean=mean, sigma=0.0,
-                                         nodes=np.array([mean]), weights=np.array([1.0]))
-        t, w = _hermite_rule(order)
-        nodes = mean + np.sqrt(2.0) * sigma * t
-        weights = w / np.sqrt(np.pi)
-
-        def density(delta, _mean=mean, _sigma=sigma):
-            z = (np.asarray(delta, dtype=float) - _mean) / _sigma
-            return np.exp(-0.5 * z * z) / (_sigma * np.sqrt(2.0 * np.pi))
-
-        return ProjectedDistribution(kind="gaussian", mean=mean, sigma=sigma,
-                                     nodes=nodes, weights=weights, density=density)
     if isinstance(dist, TabulatedProjection):
         if not np.allclose(dist.direction, n, atol=1e-12, rtol=0.0):
             raise ValueError("tabulated distribution was measured along a different direction")
         mean = weighted_sum(dist.weights, dist.delta)
         var = weighted_sum(dist.weights, (dist.delta - mean) ** 2)
         return ProjectedDistribution(kind="tabulated", mean=mean, sigma=float(np.sqrt(max(var, 0.0))),
-                                     nodes=dist.delta, weights=dist.weights)
-    raise TypeError(f"unknown distribution type {type(dist).__name__}")
+                                     nodes=dist.delta, weights=dist.weights,
+                                     perp_mean=np.zeros(3), perp_gain=np.zeros(3), perp_var=0.0)
+    if isinstance(dist, PointMass):
+        center, cov = dist.beta, np.zeros((3, 3))
+    elif isinstance(dist, GaussianPacket):
+        center, cov = dist.mean, dist.covariance
+    else:
+        raise TypeError(f"unknown distribution type {type(dist).__name__}")
+    mean = float(np.dot(n, center))
+    var = max(float(n @ cov @ n), 0.0)
+    gain = cov @ n / var if var > 0.0 else np.zeros(3)
+    perp = np.eye(3) - np.outer(n, n)
+    cond_cov = cov - var * np.outer(gain, gain)
+    moments = dict(mean=mean, perp_mean=perp @ center, perp_gain=perp @ gain,
+                   perp_var=max(float(np.trace(perp @ cond_cov @ perp)), 0.0))
+    if var == 0.0:
+        return ProjectedDistribution(kind="point", sigma=0.0, nodes=np.array([mean]),
+                                     weights=np.array([1.0]), **moments)
+    sigma = float(np.sqrt(var))
+    t, w = _hermite_rule(order)
+    return ProjectedDistribution(kind="gaussian", sigma=sigma, nodes=mean + np.sqrt(2.0) * sigma * t,
+                                 weights=w / np.sqrt(np.pi), **moments)
 
 
 def gaussian_nodes(dist: GaussianPacket, order: int = 40) -> tuple[np.ndarray, np.ndarray]:
@@ -226,31 +235,23 @@ def _checked_eval(f, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def expectation(dist: MomentumDistribution, f, order: int = 40,
-                with_error: bool = True) -> ExpectationResult:
+def expectation(dist: MomentumDistribution, f, order: int = 40) -> ExpectationResult:
     """E[f(beta)] over the distribution, with an order-doubling error bar.
 
     f must be vectorized over velocity nodes: f((N, 3) array) -> (N,).
     For PointMass the value is exact; for TabulatedProjection it is the
     weighted sum over the table (also exact given the table).
     """
-    if isinstance(dist, PointMass):
-        value = float(np.asarray(f(dist.beta[None, :]))[0])
-        if not np.isfinite(value):
-            raise NumericalError(f"integrand not finite at velocity {dist.beta.tolist()}")
-        return ExpectationResult(value=value, error=0.0)
-    if isinstance(dist, TabulatedProjection):
-        nodes = dist.delta[:, None] * dist.direction
-        values = _checked_eval(f, nodes)
-        return ExpectationResult(value=weighted_sum(dist.weights, values), error=0.0)
     if isinstance(dist, GaussianPacket):
         nodes, weights = gaussian_nodes(dist, order)
-        values = _checked_eval(f, nodes)
-        value = weighted_sum(weights, values)
-        error = 0.0
-        if with_error:
-            nodes2, weights2 = gaussian_nodes(dist, 2 * order)
-            values2 = _checked_eval(f, nodes2)
-            error = abs(weighted_sum(weights2, values2) - value)
+        value = weighted_sum(weights, _checked_eval(f, nodes))
+        nodes2, weights2 = gaussian_nodes(dist, 2 * order)
+        error = abs(weighted_sum(weights2, _checked_eval(f, nodes2)) - value)
         return ExpectationResult(value=value, error=error)
-    raise TypeError(f"unknown distribution type {type(dist).__name__}")
+    if isinstance(dist, PointMass):
+        nodes, weights = dist.beta[None, :], np.ones(1)
+    elif isinstance(dist, TabulatedProjection):
+        nodes, weights = dist.delta[:, None] * dist.direction, dist.weights
+    else:
+        raise TypeError(f"unknown distribution type {type(dist).__name__}")
+    return ExpectationResult(value=weighted_sum(weights, _checked_eval(f, nodes)), error=0.0)

@@ -125,6 +125,14 @@ def test_tabulated_negative_weights(tmp_path):
                      base_dir=tmp_path)
 
 
+def test_tabulated_direction_must_be_the_emission_direction(tmp_path):
+    (tmp_path / "deltas.csv").write_text("-0.01,1.0\n0.01,1.0\n")
+    with pytest.raises(ConfigError, match="direction"):
+        build_config({"distribution": {"kind": "tabulated", "file": "deltas.csv"},
+                      "geometry": {"mode": "angles", "theta": 45.0}},
+                     base_dir=tmp_path)
+
+
 def test_geometry_angles_mode():
     cfg = build_config({"geometry": {"mode": "angles", "theta": 90.0, "phi": 0.0}})
     assert abs(float(np.dot(cfg.direction, cfg.scenario.dipole_axis))) < 1e-12

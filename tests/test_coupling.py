@@ -9,9 +9,10 @@ geometries is the main structural check on the coupling layer.
 import numpy as np
 import pytest
 
-from movingatom.coupling import (CouplingModel, polarization_sum,
-                                 reduced_coupling, shifted_velocity)
+from movingatom.coupling import (CouplingModel, conditional_polarization_sum,
+                                 polarization_sum, reduced_coupling, shifted_velocity)
 from movingatom.geometry import polarization_basis, rotate_basis
+from movingatom.wavepacket import GaussianPacket, PointMass, expectation, project
 
 rng = np.random.default_rng(771)
 
@@ -175,3 +176,33 @@ def test_epsilon_zero_is_bitwise_shift_free():
     a = polarization_sum(model, beta, 1.1, n, e_d, 0.0)
     b = polarization_sum(no_shift, beta, 1.1, n, e_d, 0.0)
     assert float(a) == float(b)
+
+
+@pytest.mark.parametrize("model", [CouplingModel.roentgen(), CouplingModel.standard(),
+                                   CouplingModel(kind="roentgen", include_recoil_term=False),
+                                   CouplingModel(kind="roentgen", apply_momentum_shift=False)],
+                         ids=lambda m: m.label)
+def test_conditional_polarization_sum_matches_full_average(model):
+    # E[delta^k sum G^2] for k = 0, 1, 2 pins down all three conditional
+    # coefficients; both sides are exact quadratures of polynomials
+    a = rng.normal(size=(3, 3))
+    dist = GaussianPacket(mean=rng.normal(scale=0.01, size=3), covariance=1e-4 * (a @ a.T))
+    n, e_d, eps = random_direction(), random_direction(), 0.02
+    proj = project(dist, n, order=8)
+    u = proj.nodes - proj.mean
+    for x in (0.7, 1.0, 40.0):
+        q0, q1, q2 = conditional_polarization_sum(model, x, n, e_d, eps, proj)
+        for k in range(3):
+            full = expectation(dist, lambda b: (b @ n) ** k * polarization_sum(
+                model, b, x, n, e_d, eps, method="basis_sum"), order=8).value
+            mixed = float(np.sum(proj.weights * proj.nodes**k * (q0 + u * (q1 + u * q2))))
+            assert mixed == pytest.approx(full, rel=1e-11, abs=1e-15)
+
+
+def test_conditional_polarization_sum_of_point_mass_is_the_sum():
+    beta = np.array([0.03, -0.02, 0.05])
+    n, e_d = random_direction(), random_direction()
+    q0, q1, q2 = conditional_polarization_sum(CouplingModel.roentgen(), np.array([0.5, 2.0]),
+                                              n, e_d, 0.01, project(PointMass(beta), n))
+    direct = polarization_sum(CouplingModel.roentgen(), beta, np.array([0.5, 2.0]), n, e_d, 0.01)
+    assert np.allclose(q0, direct, rtol=1e-13, atol=0.0)

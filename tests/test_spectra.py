@@ -1,18 +1,26 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import voigt_profile
 
-from movingatom.coupling import CouplingModel
-from movingatom.rates import resonance_frequency
+from movingatom.coupling import CouplingModel, polarization_sum
+from movingatom.geometry import direction_from_angles
+from movingatom.quadrature import NumericalError
+from movingatom.rates import golden_rule_rates, resonance_frequency, sphere_pattern_value
 from movingatom.spectra import (EmissionScenario, Formfactor, PhysicsRejection,
                                 angular_pattern, directional_probability,
                                 directional_spectrum, divergence_comparison)
 from movingatom.units import DimensionlessParams
-from movingatom.wavepacket import GaussianPacket, PointMass, TabulatedProjection
+from movingatom.wavepacket import GaussianPacket, PointMass, TabulatedProjection, expectation
 
 N_PERP = np.array([1.0, 0.0, 0.0])
+N_45 = direction_from_angles(math.pi / 4, 0.0, axis=np.array([0.0, 0.0, 1.0]))
 E_D = np.array([0.0, 0.0, 1.0])
+NO_RECOIL_TERM = CouplingModel(kind="roentgen", include_recoil_term=False)
 
 
 def make_scenario(eps=0.01, gt=0.01, dist=None, model=None):
@@ -61,10 +69,10 @@ def test_no_formfactor_has_no_upper_limit():
 def test_projected_and_full3d_agree_for_point_mass():
     sc = make_scenario(dist=PointMass(np.array([0.02, 0.015, 0.0])))
     x = np.linspace(0.9, 1.15, 41)
-    fast = directional_spectrum(sc, N_PERP, x, method="projected")
+    fast = directional_spectrum(sc, N_PERP, x)
     slow = directional_spectrum(sc, N_PERP, x, method="full3d")
     assert np.max(np.abs(fast.w - slow.w) / np.abs(slow.w)) < 1e-8
-    assert fast.metadata["method"] == "projected"
+    assert fast.metadata["method"] == "exact"
     assert slow.metadata["method"] == "full3d"
 
 
@@ -72,10 +80,10 @@ def test_auto_method_selection():
     sc = make_scenario()
     x = np.linspace(0.95, 1.05, 11)
     res = directional_spectrum(sc, N_PERP, x)
-    assert res.metadata["method"] == "projected"
+    assert res.metadata["method"] == "exact"
     tilted = np.array([0.6, 0.0, 0.8])
     res2 = directional_spectrum(sc, tilted, x)
-    assert res2.metadata["method"] == "full3d"
+    assert res2.metadata["method"] == "exact"
     with pytest.raises(ValueError):
         directional_spectrum(sc, tilted, x, method="projected")
 
@@ -132,6 +140,108 @@ def test_gaussian_doppler_average_converges():
     assert res.w[1] > 5 * res.w[0]
 
 
+def quad_reference_w(model, dist, n, eps, gt, x_values):
+    """w(x) for a Gaussian packet by adaptive quad over delta = n.beta.
+
+    Independent of the package's Doppler path: given delta, beta is Gaussian
+    with mean m + (delta - mu) S n / s^2, and the transverse average of the
+    quadratic sum G^2 is taken with a symmetric six-point rule (exact for
+    quadratics) over the explicit two-polarization sum.
+    """
+    mu, cov = float(n @ dist.mean), dist.covariance
+    s2 = max(float(n @ cov @ n), 0.0)
+    gain = cov @ n / s2 if s2 > 0 else np.zeros(3)
+    evals, evecs = np.linalg.eigh(cov - s2 * np.outer(gain, gain))
+    spread = [sign * math.sqrt(3.0 * max(ev, 0.0)) * evecs[:, i]
+              for i, ev in enumerate(evals) for sign in (1.0, -1.0)]
+
+    def point_w(x, delta):
+        betas = dist.mean + (delta - mu) * gain + np.array(spread)
+        gsq = np.mean(polarization_sum(model, betas, x, n, E_D, eps, method="basis_sum"))
+        d = 1.0 - x * (1.0 - delta) - eps * x * x
+        return x**3 * gsq / (d * d + 0.25 * gt * gt)
+
+    if s2 == 0.0:
+        return np.array([point_w(x, mu) for x in x_values])
+    s = math.sqrt(s2)
+    lo, hi = mu - 12.0 * s, mu + 12.0 * s
+    out = []
+    for x in x_values:
+        d0 = (x - 1.0 + eps * x * x) / x
+        width = gt / (2.0 * x)
+        points = [p for p in (d0 - 10.0 * width, d0, d0 + 10.0 * width) if lo < p < hi]
+
+        def f(delta, x=x):
+            z = (delta - mu) / s
+            return math.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi)) * point_w(x, delta)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            out.append(integrate.quad(f, lo, hi, points=points or None, limit=2000,
+                                      epsabs=0.0, epsrel=1e-13)[0])
+    return np.array(out)
+
+
+# line centre, the numerator zeros 1 - delta - eps x = 0 (x ~ 100) and
+# 1 - delta - 2 eps x = 0 (x ~ 50), and the far tail
+X_WIDE = np.array([0.97, 0.98, 0.99, 0.995, 1.0, 1.005, 1.01, 1.5, 3.0, 10.0,
+                   49.9, 50.0, 50.05, 99.95, 100.0, 100.05, 1e3, 1e4])
+
+
+@pytest.mark.parametrize("model", [CouplingModel.roentgen(), NO_RECOIL_TERM],
+                         ids=["roentgen", "no_recoil_term"])
+@pytest.mark.parametrize("n", [N_PERP, N_45], ids=["perpendicular", "theta45"])
+def test_gaussian_spectrum_matches_quad_reference(model, n):
+    dist = GaussianPacket.isotropic(np.array([3e-4, -2e-4, 1e-4]), 1e-3)
+    sc = make_scenario(eps=0.01, gt=1e-3, dist=dist, model=model)
+    w = directional_spectrum(sc, n, X_WIDE).w
+    ref = quad_reference_w(model, dist, n, 0.01, 1e-3, X_WIDE)
+    assert np.max(np.abs(w - ref) / ref) <= 1e-10
+
+
+def test_packet_without_spread_along_n_keeps_transverse_moments():
+    d = np.cross(N_45, [0.0, 1.0, 0.0])
+    d /= np.linalg.norm(d)
+    cov = 1e-6 * (np.outer(d, d) + 0.5 * np.diag([0.0, 1.0, 0.0]))
+    dist = GaussianPacket(mean=np.array([2e-3, 1e-3, -1e-3]), covariance=cov)
+    sc = make_scenario(eps=0.01, gt=1e-3, dist=dist)
+    x = np.array([0.99, 1.0, 1.001, 3.0, 1e3])
+    w = directional_spectrum(sc, N_45, x).w
+    ref = quad_reference_w(sc.coupling, dist, N_45, 0.01, 1e-3, x)
+    assert np.max(np.abs(w - ref) / ref) <= 1e-10
+
+
+def test_oblique_narrow_line_is_voigt():
+    sigma, gt = 1e-5, 1e-6
+    dist = GaussianPacket.isotropic(np.zeros(3), sigma)
+    sc = make_scenario(eps=0.0, gt=gt, dist=dist, model=CouplingModel.standard())
+    x = 1.0 + np.linspace(-2.5 * sigma, 2.5 * sigma, 11)
+    w = directional_spectrum(sc, N_45, x).w
+    sin2 = 1.0 - float(N_45 @ E_D) ** 2
+    oracle = (2.0 * np.pi * x * x / gt) * sin2 * voigt_profile((x - 1.0) / x, sigma, gt / (2.0 * x))
+    assert np.max(np.abs(w - oracle) / oracle) <= 1e-10
+
+
+def test_narrow_line_at_tight_tolerance():
+    # ACC-07's scenario; the adaptive Doppler average this replaced ran out of panels here
+    sigma, gt = 1e-5, 1e-6
+    dist = GaussianPacket.along_direction(np.zeros(3), sigma, N_PERP)
+    sc = make_scenario(eps=0.0, gt=gt, dist=dist)
+    x = 1.0 + np.linspace(-2.5 * sigma, 2.5 * sigma, 51)
+    res = directional_spectrum(sc, N_PERP, x, tol=1e-12)
+    oracle = x**3 * (2.0 * np.pi / gt) * voigt_profile(1.0 - x, x * sigma, gt / 2.0)
+    assert np.max(np.abs(res.w - oracle) / oracle) <= 1e-4  # G^2 = (1 - delta)^2 vs 1
+
+
+def test_full3d_reports_unresolved_narrow_line():
+    sigma, gt = 1e-5, 1e-6
+    dist = GaussianPacket.along_direction(np.zeros(3), sigma, N_PERP)
+    sc = make_scenario(eps=0.0, gt=gt, dist=dist)
+    x = 1.0 + np.linspace(-2.5 * sigma, 2.5 * sigma, 11)
+    with pytest.raises(NumericalError, match="full3d"):
+        directional_spectrum(sc, N_PERP, x, method="full3d")
+
+
 # ---------------------------------------------------------------------------
 # probability
 # ---------------------------------------------------------------------------
@@ -151,6 +261,17 @@ def test_probability_monotone_in_formfactor_scale():
         assert res.converged
         values.append(res.value)
     assert values[0] < values[1] < values[2]
+
+
+def test_oblique_point_mass_resonance_is_seeded_at_its_doppler_shift():
+    # the line (width 1e-9) sits at x* = 1/(1 - 0.1), not at the rest-frame
+    # resonance; reference: 40-digit quadrature of kappa * x * sin^2 / (D^2 + gt^2/4)
+    sc = make_scenario(eps=0.0, gt=1e-9, dist=PointMass(0.1 * N_45),
+                       model=CouplingModel.standard())
+    res = directional_probability(sc, N_45, Formfactor(kind="sharp", cutoff=50.0), 50.0,
+                                  tol=1e-9)
+    assert res.converged
+    assert res.value == pytest.approx(0.0909664902, abs=2e-9)
 
 
 def test_probability_sharp_cutoff_feature_is_seeded():
@@ -183,16 +304,6 @@ def test_divergence_requires_finite_mass():
         divergence_comparison(sc, N_PERP)
 
 
-def test_divergence_threading_is_deterministic():
-    sc = make_scenario()
-    lam = np.geomspace(1e2, 1e4, 8)
-    seq = divergence_comparison(sc, N_PERP, lambdas=lam, threads=1)
-    par = divergence_comparison(sc, N_PERP, lambdas=lam, threads=3)
-    for label in seq.entries:
-        assert np.array_equal(seq.entries[label].scan.values,
-                              par.entries[label].scan.values)
-
-
 # ---------------------------------------------------------------------------
 # angular pattern
 # ---------------------------------------------------------------------------
@@ -203,6 +314,21 @@ def test_pattern_reference_is_sin_squared():
     pat = angular_pattern(sc, theta, mode="golden_rule")
     expected = 3.0 / (8.0 * np.pi) * np.sin(theta) ** 2
     assert np.allclose(pat.values, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["shifted", "unshifted"])
+def test_golden_pattern_matches_tensor_rule(variant):
+    dist = GaussianPacket(mean=np.array([1e-3, -5e-4, 2e-3]),
+                          covariance=np.diag([4e-6, 1e-6, 2.25e-6]))
+    sc = make_scenario(eps=0.01, dist=dist)
+    theta = np.linspace(0.0, np.pi, 13)
+    pat = angular_pattern(sc, theta, variant=variant, phi=0.4)
+    ref = []
+    for t in theta:
+        n = direction_from_angles(float(t), 0.4, axis=E_D)
+        rates = lambda b, n=n: golden_rule_rates(variant, b, n, E_D, sc.params, sc.coupling)
+        ref.append(sphere_pattern_value(expectation(dist, rates, order=40).value))
+    assert np.max(np.abs(pat.values - ref)) <= 1e-12 * max(ref)
 
 
 def test_pattern_integrated_requires_formfactor():
@@ -234,14 +360,6 @@ def test_pattern_mode_and_variant_plumbing():
     assert not np.allclose(a.values, b.values)
     with pytest.raises(ValueError):
         angular_pattern(sc, theta, mode="modal")
-
-
-def test_pattern_threads_match_sequential():
-    sc = make_scenario()
-    theta = np.linspace(0.0, np.pi, 9)
-    seq = angular_pattern(sc, theta, mode="golden_rule", threads=1)
-    par = angular_pattern(sc, theta, mode="golden_rule", threads=4)
-    assert np.array_equal(seq.values, par.values)
 
 
 def test_scenario_kappa():
