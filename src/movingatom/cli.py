@@ -8,7 +8,8 @@ timestamps on purpose: rerunning the same scenario must produce the same
 bytes.
 
 Exit codes: 0 success; 2 configuration error (bad file, bad flags);
-3 numerical failure (quadrature did not converge, non-finite integrand);
+3 numerical failure (quadrature did not converge, non-finite integrand,
+oracle norm drift above 1e-6);
 4 request rejected on physical grounds (an unregularized quantity that has
 no finite value, e.g. an integrated angular pattern without a formfactor).
 """
@@ -227,8 +228,9 @@ def _cmd_oracle(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     summary = compare_to_pole(system, evolution, o["gamma_eff"])
     if not evolution.norm_ok:
         raise NumericalError(
-            f"oracle evolution lost norm ({evolution.max_norm_drift:.3e}); "
-            "reduce oracle.time_step")
+            f"oracle eigen-solution lost norm: drift {evolution.max_norm_drift:.3e} > 1e-6 "
+            f"after {evolution.extras['secular_iterations']} secular iterations "
+            f"on {evolution.extras['poles']} poles")
     final = np.abs(evolution.final_state[1:]) ** 2
     pole = pole_mode_populations(system, o["gamma_eff"])
     pole_scaled = pole * (final.sum() / pole.sum())

@@ -352,6 +352,7 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         "gamma_eff": _float(osec, "gamma_eff", 1e-3, "oracle", positive=True),
         "delta": _float(osec, "delta", 0.0, "oracle"),
         "epsilon": _float(osec, "epsilon", 0.0, "oracle", nonnegative=True),
+        # time_step and record_every set only the recording grid: the evolution is exact
         "time_step": _float(osec, "time_step", 0.25, "oracle", positive=True),
         "lifetimes": _float(osec, "lifetimes", 14.0, "oracle", positive=True),
         "record_every": _int(osec, "record_every", 100, "oracle", minimum=1),

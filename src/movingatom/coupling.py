@@ -170,7 +170,11 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
 
     * "closed_form": G_lambda = e_lambda . v with
       v = bracket * e_d + (e_d . n) * beta_eff, so the transverse sum is
-      |v|^2 - (n . v)^2. No polarization basis is ever constructed.
+      |v_perp|^2 with v_perp = bracket * e_perp + (e_d . n) * beta_perp,
+      e_perp = e_d - (e_d . n) n. The momentum shift is along n, so beta_perp
+      is the transverse part of the unshifted beta, and nothing cancels when
+      the shift dominates v (as |v|^2 - (n . v)^2 would). No polarization
+      basis is ever constructed.
     * "basis_sum": explicit G_1^2 + G_2^2 over a (possibly caller-supplied,
       arbitrarily rotated) transverse basis.
 
@@ -194,13 +198,11 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
         value = 1.0 - ed_n * ed_n
         shape = np.broadcast(beta[..., 0], np.asarray(x, dtype=float)).shape
         return np.full(shape, value) if shape else np.float64(value)
-    beta_eff = _effective_velocity(model, beta, x, n, epsilon)
-    bracket = _bracket(model, beta_eff, x, n, epsilon)
+    bracket = _bracket(model, _effective_velocity(model, beta, x, n, epsilon), x, n, epsilon)
     ed_n = float(np.dot(e_d, n))
-    v = np.asarray(bracket)[..., None] * e_d + ed_n * beta_eff
-    nb = np.broadcast_to(np.asarray(n, dtype=float), v.shape)
-    nv = _dot3(nb, v)
-    return _dot3(v, v) - nv * nv
+    beta_perp = beta - doppler_projection(beta, n)[..., None] * n
+    v_perp = np.asarray(bracket)[..., None] * (e_d - ed_n * n) + ed_n * beta_perp
+    return _dot3(v_perp, v_perp)
 
 
 def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj):

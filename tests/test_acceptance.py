@@ -162,7 +162,7 @@ def test_acceptance_05_limit_ordering():
 
 
 def test_acceptance_06_discrete_mode_oracle():
-    """Brute-force mode integration vs golden rule and pole line shape."""
+    """Exact discrete-mode evolution vs golden rule and pole line shape."""
     gamma_eff = 1e-3
     system = flat_band_system(2001, 0.05, gamma_eff)
     evolution = discrete_mode_evolution(system, 14.0 / gamma_eff, dt=0.25,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from movingatom import amplitudes
 from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
                                    detuning, discrete_mode_evolution,
                                    evolution_matrix, fit_decay_rate,
@@ -107,24 +108,82 @@ def test_mode_grid_must_increase():
                            g=np.full(3, 0.01), weights=np.ones(3))
 
 
-def test_rk4_matches_matrix_exponential():
-    # independent integrator check on a system small enough for expm
-    sys = DiscreteModeSystem(x=np.array([0.95, 1.0, 1.05]),
-                             g=np.array([0.02, 0.03, 0.025]),
-                             weights=np.ones(3))
-    t_final = 5.0
-    res = discrete_mode_evolution(sys, t_final, dt=1e-3, record_every=1000)
-    state0 = np.zeros(4, dtype=complex)
+def expm_state(system, tau):
+    """Full state [a, b] at tau from scipy's dense matrix exponential."""
+    state0 = np.zeros(system.x.size + 1, dtype=complex)
     state0[0] = 1.0
-    exact = expm(evolution_matrix(sys) * t_final) @ state0
-    assert np.max(np.abs(res.final_state - exact)) < 1e-10
+    return expm(evolution_matrix(system) * tau) @ state0
+
+
+def test_exact_evolution_matches_matrix_exponential():
+    # a detuned, recoiling band small enough for expm
+    sys = flat_band_system(101, 0.05, 1e-2, delta=0.007, epsilon=0.003)
+    res = discrete_mode_evolution(sys, 1000.0, dt=0.25, record_every=400)
+    assert np.max(np.abs(res.final_state - expm_state(sys, res.steps * res.dt))) <= 1e-12
+    pops = [abs(expm_state(sys, t)[0]) ** 2 for t in res.times]
+    assert np.max(np.abs(res.atom_population - pops)) <= 1e-12
 
 
 def test_norm_conservation_reported():
     sys = flat_band_system(201, 0.05, 1e-3)
     res = discrete_mode_evolution(sys, 2000.0, dt=0.25, record_every=400)
     assert res.norm_ok
-    assert res.max_norm_drift < 1e-8
+    assert res.max_norm_drift < 1e-10
+
+
+def test_norm_drift_is_measured(monkeypatch):
+    # weights 0.1% low leave |a(0)|^2 = (sum w)^2 about 2e-3 short of 1
+    exact = amplitudes._secular_roots
+
+    def skewed(d, z):
+        sigma, nu, fprime, iterations = exact(d, z)
+        return sigma, nu, fprime * 1.001, iterations
+
+    monkeypatch.setattr(amplitudes, "_secular_roots", skewed)
+    res = discrete_mode_evolution(flat_band_system(101, 0.05, 1e-3), 1000.0, dt=0.25,
+                                  record_every=400)
+    assert res.max_norm_drift == pytest.approx(2e-3, rel=1e-2)
+    assert not res.norm_ok
+
+
+def test_recording_grid_is_the_stepper_grid():
+    # the grid a fixed-step integrator records: every record_every-th step and the last
+    sys = flat_band_system(101, 0.05, 1e-3)
+    for t_final, dt, every in [(1000.0, 0.25, 400), (999.9, 0.3, 7), (50.0, 1.0, 50)]:
+        n_steps = int(np.ceil(t_final / dt))
+        times = [0.0] + [step * dt for step in range(1, n_steps + 1)
+                         if step % every == 0 or step == n_steps]
+        res = discrete_mode_evolution(sys, t_final, dt=dt, record_every=every)
+        assert res.steps == n_steps and res.dt == dt
+        assert res.times.tolist() == times
+        assert res.atom_population.shape == res.times.shape
+
+
+# D = 1 + x/2 - x^2/4 at delta = 1.5, eps = 0.25 is symmetric about x = 1: x = 0.9 and 1.1
+# share a detuning, and the five-mode grid's detunings are not monotonic in x. A coupling
+# of 1e-10 puts a root 2.5e-19 from its pole at 0.05, below the pole's last digit (6.9e-18).
+SPECIAL_CASES = {
+    "zero_coupling": (DiscreteModeSystem(x=np.array([0.95, 1.0, 1.05, 1.1]),
+                                         g=np.array([0.02, 0.0, 0.03, 0.025]),
+                                         weights=np.ones(4)), 3),
+    "weak_coupling": (DiscreteModeSystem(x=np.array([0.95, 1.0, 1.05, 1.1]),
+                                         g=np.array([0.02, 0.03, 1e-10, 0.025]),
+                                         weights=np.ones(4)), 4),
+    "equal_detunings": (DiscreteModeSystem(x=np.array([0.9, 1.1]), g=np.array([0.02, 0.03]),
+                                           weights=np.ones(2), delta=1.5, epsilon=0.25), 1),
+    "unsorted_detunings": (DiscreteModeSystem(x=np.array([0.6, 0.85, 1.05, 1.3, 1.45]),
+                                              g=np.array([0.02, 0.03, 0.01, 0.025, 0.015]),
+                                              weights=np.ones(5), delta=1.5, epsilon=0.25), 5),
+}
+
+
+@pytest.mark.parametrize("case", SPECIAL_CASES)
+def test_special_systems_match_matrix_exponential(case):
+    sys, poles = SPECIAL_CASES[case]
+    res = discrete_mode_evolution(sys, 10.0, dt=0.05, record_every=20)
+    assert res.extras["poles"] == poles
+    assert np.all(res.final_state[1:][sys.g == 0.0] == 0.0)
+    assert np.max(np.abs(res.final_state - expm_state(sys, 10.0))) <= 1e-12
 
 
 def test_revival_guard():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,6 +9,7 @@ import textwrap
 
 import pytest
 
+import movingatom.cli as cli
 from movingatom.cli import main
 
 BASIC = """
@@ -148,6 +150,22 @@ def test_oracle_run(tmp_path):
     assert payload["norm_ok"] is True
     assert payload["rate_ratio"] == pytest.approx(1.0, abs=0.1)
     assert (out / "oracle_modes.csv").exists()
+
+
+def test_oracle_norm_failure_exits_3(tmp_path, monkeypatch, capsys):
+    exact = cli.discrete_mode_evolution
+
+    def drifting(*args, **kwargs):
+        return dataclasses.replace(exact(*args, **kwargs), max_norm_drift=2e-6, norm_ok=False)
+
+    monkeypatch.setattr(cli, "discrete_mode_evolution", drifting)
+    cfg = write_config(tmp_path, """
+        oracle: {modes: 101, half_width: 0.05, gamma_eff: 1.0e-2, lifetimes: 4}
+    """)
+    assert run(["oracle", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "eigen-solution lost norm: drift 2.000e-06" in err
+    assert "time_step" not in err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -107,6 +107,20 @@ def test_closed_form_equals_basis_sum():
         assert abs(closed - summed) <= 1e-13 * max(1.0, abs(closed))
 
 
+def test_closed_form_keeps_precision_when_the_shift_dominates():
+    # x = 100, eps = 0.01, theta = 45 deg: 2 eps x n dominates v and the bracket
+    # 1 - delta - eps x vanishes; |v|^2 - (n.v)^2 lost 1.4e-10 relative here
+    theta = np.radians(45.0)
+    n = np.array([np.sin(theta), 0.0, np.cos(theta)])
+    e_d = np.array([0.0, 0.0, 1.0])
+    beta = np.array([0.0, 1e-3, 0.0])
+    model = CouplingModel.roentgen()
+    closed = float(polarization_sum(model, beta, 100.0, n, e_d, 0.01))
+    summed = float(polarization_sum(model, beta, 100.0, n, e_d, 0.01, method="basis_sum"))
+    assert closed == pytest.approx(5e-7, rel=1e-13)  # c^2 |beta_perp|^2, c = e_d.n
+    assert abs(closed - summed) <= 1e-13 * summed
+
+
 def test_polarization_sum_gauge_invariance():
     # rotating the transverse basis must not change the sum of squares
     model = CouplingModel.roentgen()
