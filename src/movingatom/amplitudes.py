@@ -158,12 +158,12 @@ class DiscreteModeSystem:
         w = np.asarray(self.weights, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("mode grid must be a nonempty 1D array")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("mode grid must be strictly increasing")
         if g.shape != x.shape or w.shape != x.shape:
             raise ValueError("couplings and weights must match the mode grid shape")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(w))):
-            raise ValueError("couplings and weights must be finite")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g)) and np.all(np.isfinite(w))):
+            raise ValueError("mode frequencies, couplings and weights must be finite")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("mode grid must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "weights", w)
@@ -391,13 +391,14 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
     is y(tau) = U exp(-i mu tau) U^T e_0 -- no time stepping, so `dt` sets only
     the sampling grid. The norm is measured from the reconstructed state at
     every recorded time. Preconditions checked: the run is shorter than half
-    the revival time 2 pi / dx at which a finite bath feeds the excitation back.
+    the revival time 2 pi / dx at which a finite bath feeds the excitation back
+    (a single mode has none).
     """
     if dt <= 0 or t_final <= dt:
         raise ValueError("need 0 < dt < t_final")
     n_steps = int(np.ceil(t_final / dt))
     spacing = np.diff(system.x)
-    revival = 2.0 * np.pi / float(spacing.min())
+    revival = 2.0 * np.pi / float(spacing.min()) if spacing.size else np.inf
     if t_final > 0.5 * revival:
         raise ValueError(
             f"duration {t_final:g} exceeds half the bath revival time {revival:g}; "

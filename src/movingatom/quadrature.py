@@ -6,26 +6,27 @@ the integration range, and -- the point of the whole exercise -- sometimes
 not integrable at all. Three tools cover that ground:
 
 * integrate_adaptive: a 15-point Kronrod rule with embedded 7-point Gauss
-  estimate (the classic G7/K15 pair) on a worklist of panels, always
-  bisecting the panel with the largest error estimate. Callers can seed
-  panel edges at known feature locations (the resonance), because blind
+  estimate (the classic G7/K15 pair) on panels refined in sweeps: each sweep
+  bisects every panel whose error estimate is within a factor 4 of the
+  worst one and evaluates all the halves together. Callers can seed panel
+  edges at known feature locations (the resonance), because blind
   adaptation on a panel 10^6 times wider than the peak can step straight
   over it.
 * cutoff_scan: cumulative integrals over [start, Lambda_k] for a geometric
-  ladder of cutoffs, integrating each new segment once and reusing all
-  previous segments.
+  ladder of cutoffs. The segments between consecutive cutoffs are refined
+  side by side by the same engine, each to its own tolerance and panel
+  budget, and summed once.
 * classify_tail: turns a scan into a measured growth law -- convergent,
   logarithmic, or power Lambda^p -- by fitting the scan increments in
   log-log space. "The integral diverges" becomes a number with a residual.
 
-Everything is deterministic: fixed rules, worklist order fixed by error
-magnitude with insertion-order tie-breaking, no timing dependence. Integrand
+Everything is deterministic: fixed rules, panels chosen by error magnitude
+with ties broken by panel position, no timing dependence. Integrand
 functions must be vectorized (accept a 1D numpy array, return same shape).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -46,30 +47,27 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to meet its convergence contract."""
 
 
-# 15-point Kronrod nodes on [-1, 1] (ascending) with the embedded 7-point
-# Gauss rule living on the odd-index nodes. Values are the standard QUADPACK
-# constants. The pair is exact for polynomials of degree 22 (Kronrod) and 13
-# (Gauss); the difference of the two estimates is the per-panel error proxy.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+def _mirror(half, sign: float) -> np.ndarray:
+    """Full symmetric rule on [-1, 1] from its half listed from x = 1 inwards to x = 0."""
+    h = np.array(half)
+    return np.concatenate((sign * h[:-1], h[::-1]))
+
+
+# The QUADPACK G7/K15 pair (Piessens et al. 1983): 15 Kronrod nodes, ascending
+# on [-1, 1], with the 7-point Gauss rule on the odd-index nodes. K15 is exact
+# for polynomials of degree 22, G7 for degree 13; |K15 - G7| is the panel error.
+_XK = _mirror((0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+               0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+               0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+               0.207784955007898467600689403773245, 0.0), -1.0)
+_WK = _mirror((0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649, 0.209482141084727828012999174891714), 1.0)
+_WG = _mirror((0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975, 0.417959183673469387755102040816327), 1.0)
+
+_TILE = 16  # panels per integrand call: a table of R rows makes R x 15 _TILE temporaries
 
 
 @dataclass(frozen=True)
@@ -80,94 +78,94 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class _Panel:
-    a: float
-    b: float
-    value: float
-    error: float
-
-
-def _apply_rule(f, a: float, b: float) -> _Panel:
+def _rule(f, a: np.ndarray, b: np.ndarray):
+    """K15 values and |K15 - G7| error estimates of the panels [a_i, b_i]."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    xs = c + h * _XK
-    fv = np.asarray(f(xs), dtype=float)
-    if fv.shape != xs.shape:
-        raise ValueError("integrand must be vectorized: f(array) -> array of the same shape")
-    if not np.all(np.isfinite(fv)):
-        bad = xs[~np.isfinite(fv)][0]
-        raise NumericalError(f"integrand returned a non-finite value near x = {bad:.6g}")
-    k15 = h * float(np.dot(_WK, fv))
-    g7 = h * float(np.dot(_WG, fv[_GAUSS_IDX]))
-    return _Panel(a=a, b=b, value=k15, error=abs(k15 - g7))
+    fv = np.empty((a.size, 15))
+    for lo in range(0, a.size, _TILE):
+        xs = (c[lo:lo + _TILE, None] + h[lo:lo + _TILE, None] * _XK).ravel()
+        y = np.asarray(f(xs), dtype=float)
+        if y.shape != xs.shape:
+            raise ValueError("integrand must be vectorized: f(array) -> array of the same shape")
+        if not np.all(np.isfinite(y)):
+            bad = xs[~np.isfinite(y)][0]
+            raise NumericalError(f"integrand returned a non-finite value near x = {bad:.6g}")
+        fv[lo:lo + _TILE] = y.reshape(-1, 15)
+    k15 = h * (fv @ _WK)
+    return k15, np.abs(k15 - h * (fv[:, 1::2] @ _WG))
 
 
-def _initial_edges(a: float, b: float, features) -> list[float]:
-    edges = [a, b]
-    for x in sorted(set(float(v) for v in features)):
-        if a < x < b:
-            edges.append(x)
-    return sorted(set(edges))
+def _integrate(f, edges: np.ndarray, tol: float, features, max_panels: int):
+    """Integrate f over every segment [edges[k], edges[k+1]] of increasing finite edges.
+
+    The panels of all segments live in flat arrays; `features` inside the
+    range become initial panel edges. Each sweep takes, in every segment whose
+    error sum exceeds tol * max(1, |value|), the panels that can still be
+    split (wider than 1e-14 * (1 + |mid|)) and whose error is at least 1/4 of
+    that segment's worst such error, worst first and only as many as keep
+    the segment within `max_panels`, and bisects them. Returns per-segment values
+    and errors (one math.fsum each), the evaluation count (15 per panel
+    evaluated) and per-segment convergence flags.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    inner = {float(x) for x in features if edges[0] < x < edges[-1]}
+    pts = np.array(sorted(inner.union(edges.tolist())))
+    a, b = pts[:-1], pts[1:]
+    seg = np.searchsorted(edges, a, side="right") - 1
+    val, err = _rule(f, a, b)
+    evaluations = 15 * a.size
+    n_seg = edges.size - 1
+    while True:
+        mid = 0.5 * (a + b)
+        splittable = (a < mid) & (mid < b) & (b - a >= 1e-14 * (1.0 + np.abs(mid)))
+        value = np.bincount(seg, val, n_seg)
+        over = np.bincount(seg, err, n_seg) > tol * np.maximum(1.0, np.abs(value))
+        cand = np.flatnonzero(splittable & over[seg])
+        cand = cand[np.lexsort((-err[cand], seg[cand]))]  # by segment, worst first
+        s = seg[cand]
+        first = np.searchsorted(s, s)  # position of each segment's worst panel
+        room = max_panels - np.bincount(seg, minlength=n_seg)[s]
+        split = cand[(err[cand] >= 0.25 * err[cand[first]]) & (np.arange(s.size) - first < room)]
+        if split.size == 0:
+            break
+        m, hi = mid[split], b[split]
+        v, e = _rule(f, np.concatenate((a[split], m)), np.concatenate((m, hi)))
+        evaluations += 15 * v.size
+        # left halves replace their parents, right halves are appended
+        a = np.concatenate((a, m))
+        b = np.concatenate((b, hi))
+        b[split] = m
+        seg = np.concatenate((seg, seg[split]))
+        val = np.concatenate((val, v[split.size:]))
+        val[split] = v[:split.size]
+        err = np.concatenate((err, e[split.size:]))
+        err[split] = e[:split.size]
+
+    values = np.array([math.fsum(val[seg == k]) for k in range(n_seg)])
+    errors = np.array([math.fsum(err[seg == k]) for k in range(n_seg)])
+    return values, errors, evaluations, errors <= tol * np.maximum(1.0, np.abs(values))
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
                        features=(), max_panels: int = 2048) -> QuadratureResult:
-    """Integrate a vectorized f over [a, b] to relative tolerance `tol`.
+    """Integrate a vectorized f over [a, b] to the target tol * max(1, |integral|).
 
-    The convergence target is sum(panel errors) <= tol * max(1, |integral|);
-    the panel with the worst error estimate is bisected until the target is
-    met or `max_panels` is exhausted (converged = False then, with the best
-    estimate still returned -- callers decide whether that is fatal).
+    The target is relative for integrals above 1 and the absolute `tol`
+    below. Panels are bisected in sweeps until the summed error estimate
+    meets it or `max_panels` is exhausted (converged = False then, with the
+    best estimate still returned -- callers decide whether that is fatal).
 
     `features` lists x locations (resonances, kinks) that become initial
     panel edges so the refinement starts aligned with the difficult spots.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    edges = _initial_edges(a, b, features)
-    panels: list[_Panel] = [_apply_rule(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    evaluations = 15 * len(panels)
-
-    # Worklist keyed by descending error; insertion counter breaks ties
-    # deterministically.
-    counter = 0
-    heap: list[tuple[float, int, _Panel]] = []
-    for p in panels:
-        heapq.heappush(heap, (-p.error, counter, p))
-        counter += 1
-    frozen: list[_Panel] = []  # too narrow to split further
-
-    def totals(live_heap, done):
-        vals = [p.value for _, _, p in live_heap] + [p.value for p in done]
-        errs = [p.error for _, _, p in live_heap] + [p.error for p in done]
-        return math.fsum(vals), math.fsum(errs)
-
-    value, error = totals(heap, frozen)
-    while heap and (len(heap) + len(frozen)) < max_panels:
-        if error <= tol * max(1.0, abs(value)):
-            break
-        _, _, worst = heapq.heappop(heap)
-        mid = 0.5 * (worst.a + worst.b)
-        if not (worst.a < mid < worst.b) or (worst.b - worst.a) < 1e-14 * (1.0 + abs(mid)):
-            frozen.append(worst)  # at floating-point resolution; cannot improve
-            continue
-        left = _apply_rule(f, worst.a, mid)
-        right = _apply_rule(f, mid, worst.b)
-        evaluations += 30
-        heapq.heappush(heap, (-left.error, counter, left))
-        counter += 1
-        heapq.heappush(heap, (-right.error, counter, right))
-        counter += 1
-        value, error = totals(heap, frozen)
-
-    value, error = totals(heap, frozen)
-    converged = error <= tol * max(1.0, abs(value))
-    return QuadratureResult(value=value, error_estimate=error,
-                            evaluations=evaluations, converged=converged)
+    values, errors, evaluations, converged = _integrate(
+        f, np.array([a, b], dtype=float), tol, features, max_panels)
+    return QuadratureResult(value=float(values[0]), error_estimate=float(errors[0]),
+                            evaluations=evaluations, converged=bool(converged[0]))
 
 
 @dataclass(frozen=True)
@@ -207,35 +205,21 @@ def cutoff_scan(f, lambdas, *, tol: float = 1e-9, features=(), start: float = 0.
                 max_panels: int = 2048) -> CutoffScan:
     """Cumulative integrals over [start, Lambda_k], reusing earlier segments.
 
-    Each segment [Lambda_{k-1}, Lambda_k] is integrated once at relative
-    tolerance `tol` (relative to the running cumulative value), so the cost
-    of the full scan is one pass over [start, Lambda_max].
+    Each segment [Lambda_{k-1}, Lambda_k] is integrated once, to the target
+    tol * max(1, |segment integral|) with its own budget of `max_panels`, so
+    the cost of the full scan is one pass over [start, Lambda_max]; values
+    and errors are the running sums of the segments'.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise ValueError("need at least two cutoffs")
-    if np.any(np.diff(lam) <= 0) or lam[0] <= start:
-        raise ValueError("cutoffs must be strictly increasing and exceed the start point")
-
-    values = []
-    errors = []
-    total_val = 0.0
-    total_err = 0.0
-    evaluations = 0
-    all_ok = True
-    lo = start
-    for hi in lam:
-        seg = integrate_adaptive(f, lo, float(hi), tol, features=features,
-                                 max_panels=max_panels)
-        evaluations += seg.evaluations
-        all_ok = all_ok and seg.converged
-        total_val += seg.value
-        total_err += seg.error_estimate
-        values.append(total_val)
-        errors.append(total_err)
-        lo = float(hi)
-    return CutoffScan(lambdas=lam, values=np.asarray(values), errors=np.asarray(errors),
-                      start=start, evaluations=evaluations, converged=all_ok)
+    if (not (math.isfinite(start) and np.all(np.isfinite(lam)))
+            or np.any(np.diff(lam) <= 0) or lam[0] <= start):
+        raise ValueError("cutoffs must be finite, strictly increasing and exceed the start point")
+    values, errors, evaluations, converged = _integrate(
+        f, np.concatenate(([float(start)], lam)), tol, features, max_panels)
+    return CutoffScan(lambdas=lam, values=np.cumsum(values), errors=np.cumsum(errors),
+                      start=start, evaluations=evaluations, converged=bool(converged.all()))
 
 
 @dataclass(frozen=True)

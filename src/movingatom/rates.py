@@ -183,8 +183,7 @@ class LimitOrderingTable:
     notes: dict = field(default_factory=dict)
 
 
-def limit_ordering_demo(epsilons, params_template: DimensionlessParams | None = None,
-                        *, gamma_tilde: float = 0.01,
+def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
                         window: tuple[float, float] = (30.0, 100.0),
                         window_points: int = 6,
                         fixed_cutoffs=(1e2, 1e3, 1e4),
@@ -214,8 +213,6 @@ def limit_ordering_demo(epsilons, params_template: DimensionlessParams | None = 
         raise ValueError("epsilons must be positive")
     if any(later >= earlier for earlier, later in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    if params_template is not None:
-        gamma_tilde = params_template.gamma_tilde
     if window_points < 5:
         raise ValueError("window_points must be >= 5 for the growth-law fit")
 

@@ -108,6 +108,13 @@ def test_mode_grid_must_increase():
                            g=np.full(3, 0.01), weights=np.ones(3))
 
 
+def test_mode_grid_must_be_finite():
+    # np.diff(x) <= 0 is False next to a NaN, so the ordering check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteModeSystem(x=np.array([1.0, np.nan, 1.2]),
+                           g=np.full(3, 0.1), weights=np.ones(3))
+
+
 def expm_state(system, tau):
     """Full state [a, b] at tau from scipy's dense matrix exponential."""
     state0 = np.zeros(system.x.size + 1, dtype=complex)
@@ -174,6 +181,9 @@ SPECIAL_CASES = {
     "unsorted_detunings": (DiscreteModeSystem(x=np.array([0.6, 0.85, 1.05, 1.3, 1.45]),
                                               g=np.array([0.02, 0.03, 0.01, 0.025, 0.015]),
                                               weights=np.ones(5), delta=1.5, epsilon=0.25), 5),
+    # one mode has no spacing and so no revival time
+    "single_mode": (DiscreteModeSystem(x=np.array([1.02]), g=np.array([0.03]),
+                                       weights=np.ones(1)), 1),
 }
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from movingatom import quadrature
 from movingatom.quadrature import (CutoffScan, NumericalError, classify_tail,
                                    cutoff_scan, geometric_cutoffs,
                                    integrate_adaptive)
@@ -14,6 +15,14 @@ def test_polynomial_is_exact():
     exact = 2.0**7 - 2.0**3 + 2.0
     assert abs(res.value - exact) < 1e-13 * exact
     assert res.converged
+
+
+def test_constant_is_exact_to_the_last_bit():
+    # the G7 and K15 weights each sum to 2 in double precision; with constants
+    # cut to 15 digits this gave 1 - 3.0e-15 with error 3.4e-15
+    res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 1.0, 1e-15)
+    assert res.value == 1.0 and res.error_estimate == 0.0
+    assert res.evaluations == 15 and res.converged
 
 
 def test_simple_integrals():
@@ -59,6 +68,24 @@ def test_unconverged_flag_when_budget_exhausted():
     assert not res.converged
 
 
+def test_budget_exhaustion_is_refined_in_few_calls():
+    # an unreachable target (the line has width 1e-10) uses the whole budget of
+    # 4096 panels; at 16 panels per call that needs at least 512 calls, where one
+    # call per panel would make 8191
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return 1.0 / ((x - 0.3) ** 2 + 1e-20)
+
+    res = integrate_adaptive(f, 0.0, 1.0, 1e-14, max_panels=4096)
+    assert not res.converged
+    assert res.evaluations == 15 * (2 * 4096 - 1)
+    assert len(calls) <= 2 * 4096 // quadrature._TILE + 64
+    assert max(calls) <= 15 * quadrature._TILE
+    assert res.value == pytest.approx(math.pi * 1e10, rel=1e-9)
+
+
 def test_determinism():
     f = lambda x: np.sin(3 * x) / (1 + x * x)
     r1 = integrate_adaptive(f, 0.0, 10.0, 1e-11, features=(2.0, 5.0))
@@ -85,6 +112,43 @@ def test_cutoff_scan_logarithmic_integrand():
     scan = cutoff_scan(lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
                        np.geomspace(10, 1e4, 8), tol=1e-11)
     assert np.allclose(scan.values, np.log(1.0 + scan.lambdas), rtol=1e-10)
+
+
+def test_cutoff_scan_is_the_running_sum_of_its_segments():
+    f = lambda x: x * x / ((1.0 - x) ** 2 + 1e-6)
+    lam = geometric_cutoffs(2.0, 1e3, 16)
+    tol = 1e-11
+    scan = cutoff_scan(f, lam, tol=tol, features=(1.0,))
+    edges = np.concatenate(([0.0], lam))
+    segments = [integrate_adaptive(f, lo, hi, tol, features=(1.0,))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+    running = np.cumsum([seg.value for seg in segments])
+    targets = np.cumsum([tol * max(1.0, abs(seg.value)) for seg in segments])
+    assert np.all(np.abs(scan.values - running) <= targets)
+    assert scan.evaluations == sum(seg.evaluations for seg in segments)
+    assert scan.converged and all(seg.converged for seg in segments)
+    again = cutoff_scan(f, lam, tol=tol, features=(1.0,))
+    assert again.values.tobytes() == scan.values.tobytes()
+    assert again.errors.tobytes() == scan.errors.tobytes()
+
+
+def test_cutoff_scan_budget_is_per_segment():
+    # a line of half-width 1e-4 at 5.3, not seeded: 16 panels cannot resolve it,
+    # and the segments around it must still meet their own targets
+    c, a, tol = 5.3, 1e-4, 1e-10
+    lam = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    scan = cutoff_scan(lambda x: 1.0 / ((x - c) ** 2 + a * a), lam, tol=tol, max_panels=16)
+    assert not scan.converged
+    edges = np.concatenate(([0.0], lam))
+    exact = np.diff(np.arctan((edges - c) / a)) / a
+    seg_values = np.diff(scan.values, prepend=0.0)
+    seg_errors = np.diff(scan.errors, prepend=0.0)
+    targets = tol * np.maximum(1.0, np.abs(seg_values))
+    bad = 3  # [4, 8]
+    assert seg_errors[bad] > targets[bad]
+    good = np.arange(lam.size) != bad
+    assert np.all(seg_errors[good] <= targets[good])
+    assert np.all(np.abs(seg_values - exact)[good] <= 2.0 * targets[good])
 
 
 def test_cutoff_scan_requires_increasing_lambdas():
