@@ -14,7 +14,7 @@ only by an explicit formfactor) from the velocity-independent one
 from . import rates
 from .amplitudes import (DiscreteModeSystem, compare_to_pole, detuning,
                          discrete_mode_evolution, flat_band_system,
-                         perpendicular_kernel, spectral_kernel, transient_factor)
+                         perpendicular_kernel, spectral_kernel)
 from .coupling import CouplingModel, polarization_sum, reduced_coupling, shifted_velocity
 from .geometry import PolarizationBasis, direction_from_angles, polarization_basis, rotate_basis
 from .quadrature import (CutoffScan, NumericalError, QuadratureResult,
@@ -27,7 +27,7 @@ from .spectra import (DivergenceReport, EmissionScenario, Formfactor, PatternRes
                       directional_probability, directional_spectrum,
                       divergence_comparison)
 from .units import (DimensionlessParams, Normalization, ParameterError,
-                    PhysicalInput, from_dimensionless, to_dimensionless)
+                    PhysicalInput, to_dimensionless)
 from .wavepacket import (GaussianPacket, PointMass, TabulatedProjection,
                          expectation, project)
 
@@ -43,10 +43,10 @@ __all__ = [
     "classify_tail", "compare_to_pole", "cutoff_scan", "detuning",
     "direction_from_angles", "directional_probability", "directional_spectrum",
     "discrete_mode_evolution", "divergence_comparison", "expectation",
-    "flat_band_system", "from_dimensionless", "geometric_cutoffs",
+    "flat_band_system", "geometric_cutoffs",
     "golden_rule_rate", "golden_rule_rates", "integrate_adaptive",
     "limit_ordering_demo", "perpendicular_kernel", "polarization_basis",
     "polarization_sum", "project", "rates", "reduced_coupling",
     "resonance_frequency", "rotate_basis", "shifted_velocity",
-    "spectral_kernel", "to_dimensionless", "transient_factor",
+    "spectral_kernel", "to_dimensionless",
 ]

@@ -19,9 +19,10 @@ photon recoil energy; D is written hbar-consistently, i.e. with the photon
 momentum hbar*k, which the energy balance requires.) Radiative level shifts
 are taken as absorbed into the transition frequency.
 
-This module provides the kernels built from that solution and, independently,
-the exact solution of the same linear system for a finite bath of modes, used
-to validate the pole approximation end to end.
+This module provides the kernels built from that solution, their frequency
+integrals in closed form (`line_fractions`), and, independently, the exact
+solution of the same linear system for a finite bath of modes, used to
+validate the pole approximation end to end.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import (CouplingModel, doppler_projection, polarization_sum,
-                       recoil_coefficient)
+from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
+                       polarization_sum, recoil_coefficient)
 from .units import DimensionlessParams
 
 
@@ -50,6 +51,104 @@ def resonance_root(delta, epsilon):
     if np.any(root <= 0.0):
         raise ValueError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
     return 2.0 / root
+
+
+def _log_tail(z, u):
+    """sum_{k>=3} t^k/k = -log(1 - t) - t - t^2/2 with t = u/z (its series below |t| = 1/4,
+    where the closed form cancels); int_0^u dx/(x - z) = log(1 - u/z) = log((z - u)/z)."""
+    t = u / z
+    small = np.abs(t) < 0.25
+    ts = np.where(small, t, 0.0)
+    series = np.full_like(ts, 1.0 / 30.0)
+    for k in range(29, 2, -1):
+        series = 1.0 / k + ts * series
+    return np.where(small, ts**3 * series, -np.log((z - u) / z) - t * (1.0 + 0.5 * t))
+
+
+@dataclass(frozen=True, eq=False)
+class LineFractions:
+    """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node (rows), in partial fractions.
+
+    The poles are the roots z of D(z) = i gt/2 (conjugates carry conjugate
+    residues), with residues r = z^3 P(z) / (i gt D'(z)): the near pole over
+    the positive axis and, for eps > 0, the far one near -(1 - delta)/eps.
+    w = s + 2 Re[r_near / (x - z_near)], s = q0 + q1 x + 2 Re[r_far / (x - z_far)]
+    = s0 + s1 x + 2 Re[r_far x^2 / (z_far^2 (x - z_far))]: this Taylor form (s0,
+    s1 from the near pole) serves |x| < |z_far|, where the quotient q0 + q1 x
+    and the far pair cancel to O(1/(eps x))."""
+
+    near: np.ndarray
+    near_residue: np.ndarray
+    far: np.ndarray | None
+    far_residue: np.ndarray | None
+    s0: np.ndarray
+    s1: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+
+    def near_integral(self, upper, factor=1.0):
+        """int_0^U 2 Re[factor r_near / (x - z_near)] per node and U (columns)."""
+        u, near = np.asarray(upper, dtype=float)[None, :], self.near[:, None]
+        return 2.0 * np.real((factor * self.near_residue)[:, None] * np.log((near - u) / near))
+
+    def smooth(self, x):
+        """s(x) per node at real points x (columns)."""
+        x = np.asarray(x, dtype=float)[None, :]
+        taylor = self.s0[:, None] + self.s1[:, None] * x
+        if self.far is None:
+            return taylor
+        far, rf = self.far[:, None], self.far_residue[:, None]
+        direct = self.q0[:, None] + self.q1[:, None] * x + 2.0 * np.real(rf / (x - far))
+        taylor = taylor + 2.0 * np.real(rf / (far * far) * (x * x / (x - far)))
+        return np.where(np.abs(x / far) < 1.0, taylor, direct)
+
+    def integral(self, upper):
+        """int_0^U w per node and upper limit U (columns), in closed form."""
+        u = np.asarray(upper, dtype=float)[None, :]
+        taylor = self.s0[:, None] * u + self.s1[:, None] * (0.5 * u * u)
+        if self.far is not None:
+            far, rf = self.far[:, None], self.far_residue[:, None]
+            direct = (self.q0[:, None] * u + self.q1[:, None] * (0.5 * u * u)
+                      + 2.0 * np.real(rf * np.log((far - u) / far)))
+            taylor = np.where(np.abs(u / far) < 1.0,
+                              taylor - 2.0 * np.real(rf * _log_tail(far, u)), direct)
+        return taylor + self.near_integral(upper)
+
+
+def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
+    """Partial fractions of w at every delta node of `proj` (wavepacket.project), with
+    P = coupling.conditional_polarization_sum at the poles and at 0, +-1/eps (for q0, q1)."""
+    delta = np.asarray(proj.nodes, dtype=float)
+    u = delta - proj.mean
+    eps, gt = params.epsilon, params.gamma_tilde
+
+    def gsq(z):
+        q0, q1, q2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
+        return q0 + u * (q1 + u * q2)
+
+    b = 1.0 - delta
+    c = 0.5j * gt - 1.0  # D(z) = i gt/2  <=>  eps z^2 + b z + c = 0
+
+    def residue(z):
+        return z**3 * gsq(z) / (-1j * gt * (b + 2.0 * eps * z))
+
+    if eps == 0.0:
+        if np.any(b <= 0.0):
+            raise ValueError("no emission line for delta >= 1 at epsilon = 0")
+        near, far = -c / b, None
+    else:  # the cancellation-free quadratic formula, as in resonance_root
+        root = np.sqrt(b * b - 4.0 * eps * c)
+        q = -0.5 * (b + np.where(b >= 0.0, root, -root))
+        near, far = np.where(b >= 0.0, c / q, q / eps), np.where(b >= 0.0, q / eps, c / q)
+    rn = residue(near)
+    s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
+    if far is None:
+        return LineFractions(near, rn, None, None, s0, s1, s0, s1)
+    h = np.full(delta.shape, 1.0 / eps)
+    p0, ph, pm = gsq(0.0 * h), gsq(h), gsq(-h)
+    q1 = 0.5 * (ph + pm) - p0
+    q0 = (0.5 * (ph - pm) - 2.0 * b * q1) / eps
+    return LineFractions(near, rn, far, residue(far), s0, s1, q0, q1)
 
 
 def lorentzian_denominator(x, delta, params: DimensionlessParams):
@@ -98,26 +197,6 @@ def perpendicular_kernel(x, delta, params: DimensionlessParams,
         bracket = 1.0 - delta + recoil_coefficient(model, params.epsilon) * params.epsilon * x
         gsq = bracket * bracket
     return x * gsq / lorentzian_denominator(x, delta, params)
-
-
-def transient_factor(x, delta, params: DimensionlessParams, tau):
-    """Finite-time replacement for the Lorentzian factor 1/(D^2 + gt^2/4).
-
-    The two-exponential photon amplitude (decaying atom pole plus free mode
-    oscillation) has squared modulus
-
-        |b(tau)|^2 propto (1 - 2 e^{-gt tau/2} cos(D tau) + e^{-gt tau})
-                          / (D^2 + gt^2/4)
-
-    with tau = omega0 * t. As tau -> infinity this tends to the Lorentzian
-    factor; at tau = 0 it vanishes. Useful for comparing against the exact
-    discrete-mode evolution at finite time.
-    """
-    d = detuning(x, delta, params.epsilon)
-    gt = params.gamma_tilde
-    decay = np.exp(-0.5 * gt * tau)
-    numer = 1.0 - 2.0 * decay * np.cos(d * tau) + decay * decay
-    return numer / (d * d + 0.25 * gt * gt)
 
 
 # ---------------------------------------------------------------------------

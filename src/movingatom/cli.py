@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,8 @@ def _cmd_probability(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     if not res.converged:
         raise NumericalError(
             f"probability integral did not converge (error {res.error_estimate:.3g}); "
-            "raise tolerances.max_panels or loosen the tolerance")
+            "move the upper limit clear of the Doppler profile, raise "
+            "tolerances.max_panels or loosen the tolerance")
     payload = {
         "value": res.value,
         "error_estimate": res.error_estimate,
@@ -166,37 +168,13 @@ def _cmd_rates(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     table = limit_ordering_demo(
         lo["epsilons"], gamma_tilde=cfg.scenario.params.gamma_tilde,
         window=tuple(lo["window"]), window_points=lo["window_points"],
-        fixed_cutoffs=tuple(lo["fixed_cutoffs"]), tol=cfg.tol,
-        max_panels=cfg.max_panels)
-    rows = []
-    for row in table.rows:
-        rows.append(("unshifted", row.epsilon, 0.0, 90.0, row.rate_unshifted, row.x_star))
-        rows.append(("shifted", row.epsilon, 0.0, 90.0, row.rate_shifted, row.x_star))
+        fixed_cutoffs=tuple(lo["fixed_cutoffs"]))
+    rows = [(variant, row.epsilon, 0.0, 90.0, rate, row.x_star) for row in table.rows
+            for variant, rate in (("unshifted", row.rate_unshifted), ("shifted", row.rate_shifted))]
     csv_path = _write_csv(out_dir / "rates.csv",
                           ["variant", "epsilon", "delta", "theta", "rate", "x_star"],
                           rows)
-    payload = {
-        "rate_eps0": table.rate_eps0,
-        "fixed_cutoffs": table.fixed_cutoffs,
-        "notes": table.notes,
-        "rows": [
-            {
-                "epsilon": row.epsilon,
-                "x_star": row.x_star,
-                "rate_unshifted": row.rate_unshifted,
-                "rate_shifted": row.rate_shifted,
-                "rel_difference": row.rel_difference,
-                "growth_kind": row.growth_kind,
-                "growth_exponent": row.growth_exponent,
-                "window_lambdas": row.window_lambdas,
-                "window_cumulative": row.window_cumulative,
-                "fixed_cumulative": row.fixed_cumulative,
-                "converged": row.converged,
-            }
-            for row in table.rows
-        ],
-    }
-    json_path = _write_json(out_dir / "limit_ordering.json", payload)
+    json_path = _write_json(out_dir / "limit_ordering.json", asdict(table))
     for row in table.rows:
         kind = row.growth_kind
         expo = f" ~ Lambda^{row.growth_exponent:.2f}" if row.growth_exponent else ""
@@ -310,8 +288,6 @@ def main(argv=None) -> int:
 
 
 def _override(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    from dataclasses import replace
-
     resolved = dict(cfg.resolved)
     if "tol" in changes:
         resolved["tolerances"] = dict(resolved["tolerances"], quadrature=changes["tol"])

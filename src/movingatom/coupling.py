@@ -212,11 +212,11 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     sum G^2 = b^2 |e_perp|^2 + 2 b c (e_perp.beta) + c^2 |beta_perp|^2, with
     the bracket b = 1 - delta + k*eps*x linear in delta, so the conditional
     transverse moments of `proj` (wavepacket.project) make it exactly this
-    quadratic. Returns (q0, q1, q2), each with the shape of x.
+    quadratic. Returns (q0, q1, q2) shaped like x, which may be complex (poles).
     """
     n = check_unit(n, "n")
     e_d = check_unit(e_d, "e_d")
-    x = np.asarray(x, dtype=float)
+    x = 1.0 * np.asarray(x)  # real or complex frequencies
     c = float(np.dot(e_d, n))
     a = 1.0 - c * c
     if model.kind == "standard_dipole":

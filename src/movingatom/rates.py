@@ -20,12 +20,11 @@ Two variants differ only in where the coupling is evaluated:
 * "shifted":   at beta + 2*eps*x* n, the recoil-shifted velocity that the
   solved emission amplitude actually contains.
 
-They coincide exactly at eps = 0 and differ at relative order eps otherwise;
-which one is "right" is precisely the question the order-of-limits table
-answers: evaluating the energy constraint first (either variant) always
-yields a finite rate that converges as eps -> 0, while summing over modes
-first at fixed eps > 0 produces a cutoff-dependent quantity growing like
-Lambda^2 -- the infinite-mass limit and the mode sum do not commute.
+They coincide at eps = 0 and differ at relative order eps otherwise. The
+order-of-limits table shows why: the energy constraint first (either
+variant) gives a finite rate converging as eps -> 0, while the mode sum
+first at fixed eps > 0 grows like Lambda^2 -- the infinite-mass limit and
+the mode sum do not commute.
 
 Rates are reported in normalized units where the reference configuration
 (beta = 0, eps = 0, emission perpendicular to the dipole) has rate 1.
@@ -39,12 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .amplitudes import perpendicular_kernel, resonance_root
+from .amplitudes import line_fractions, resonance_root
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_sum)
 from .geometry import check_unit
 from .units import DimensionlessParams, Normalization
-from .wavepacket import ProjectedDistribution, weighted_sum
+from .wavepacket import PointMass, ProjectedDistribution, project, weighted_sum
 
 VARIANTS = ("unshifted", "shifted")
 
@@ -186,9 +185,7 @@ class LimitOrderingTable:
 def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
                         window: tuple[float, float] = (30.0, 100.0),
                         window_points: int = 6,
-                        fixed_cutoffs=(1e2, 1e3, 1e4),
-                        tol: float = 1e-9,
-                        max_panels: int = 4096) -> LimitOrderingTable:
+                        fixed_cutoffs=(1e2, 1e3, 1e4)) -> LimitOrderingTable:
     """Finite-rate column vs divergent mode-sum column, per epsilon.
 
     For each eps in `epsilons` (decreasing, positive), at rest and with the
@@ -200,8 +197,8 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
       formfactor -- the mode sum taken first -- on a cutoff ladder spanning
       `window` in units of 1/eps (the integrand turns over at x ~ 1/eps, so
       a fixed window in eps*x probes the true asymptotic growth at every
-      eps; growth exponent fitted per ladder). Cumulative values at the
-      `fixed_cutoffs` are also tabulated for reference.
+      eps; growth exponent fitted per ladder), and at the `fixed_cutoffs`.
+      Both are closed forms (amplitudes.line_fractions): every row is exact.
 
     The normalization of column (ii) is the reference emission-probability
     scale (kappa = 3*gamma_tilde/16 pi^2 per steradian); column (i) is in
@@ -221,6 +218,7 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
     beta0 = np.zeros(3)
     model = CouplingModel.roentgen()
     fixed = np.asarray(sorted(float(c) for c in fixed_cutoffs))
+    at_rest = project(PointMass(beta0), n)
 
     rate_eps0 = golden_rule_rate("shifted", beta0, n, e_d,
                                  DimensionlessParams(0.0, gamma_tilde), model).value
@@ -232,35 +230,18 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         r_shifted = golden_rule_rate("shifted", beta0, n, e_d, params, model)
         rel = abs(r_shifted.value - r_unshifted.value) / r_unshifted.value
 
-        kappa = Normalization.reference(params).kappa
-
-        def integrand(x, _params=params, _kappa=kappa):
-            return _kappa * x * x * perpendicular_kernel(x, 0.0, _params)
-
-        x_star = r_shifted.x_star
-        feats = (x_star, x_star - 5.0 * gamma_tilde, x_star + 5.0 * gamma_tilde)
-
         lam_window = np.geomspace(window[0] / eps, window[1] / eps, window_points)
-        scan = quadrature.cutoff_scan(integrand, lam_window, tol=tol, features=feats,
-                                      max_panels=max_panels)
-        cls = quadrature.classify_tail(scan, fit_points=min(window_points, scan.lambdas.size))
-
-        fixed_scan = quadrature.cutoff_scan(integrand, fixed, tol=tol, features=feats,
-                                            max_panels=max_panels)
+        cumulative = Normalization.reference(params).kappa * line_fractions(
+            model, n, e_d, at_rest, params).integral(np.concatenate((lam_window, fixed)))[0]
+        scan = quadrature.CutoffScan(lambdas=lam_window, values=cumulative[:window_points],
+                                     errors=np.zeros(window_points))
+        cls = quadrature.classify_tail(scan, fit_points=window_points)
 
         rows.append(LimitOrderingRow(
-            epsilon=eps,
-            x_star=x_star,
-            rate_unshifted=r_unshifted.value,
-            rate_shifted=r_shifted.value,
-            rel_difference=rel,
-            window_lambdas=scan.lambdas,
-            window_cumulative=scan.values,
-            growth_exponent=cls.exponent,
-            growth_kind=cls.kind,
-            fixed_cumulative=fixed_scan.values,
-            converged=scan.converged and fixed_scan.converged,
-        ))
+            epsilon=eps, x_star=r_shifted.x_star, rate_unshifted=r_unshifted.value,
+            rate_shifted=r_shifted.value, rel_difference=rel, window_lambdas=scan.lambdas,
+            window_cumulative=scan.values, growth_exponent=cls.exponent, growth_kind=cls.kind,
+            fixed_cumulative=cumulative[window_points:], converged=True))
 
     return LimitOrderingTable(
         rows=rows, fixed_cutoffs=fixed, rate_eps0=rate_eps0,

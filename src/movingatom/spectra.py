@@ -7,22 +7,20 @@ averaged over the atomic momentum wavepacket:
     dP/(dOmega dx) = kappa * w(x),      w(x) = x^2 * < rho(x, n, beta) >
 
 with rho the spectral kernel (pole solution), x^2 the mode density, and
-kappa the normalization constant (units module; reference convention makes
-the rest-atom, infinite-mass, velocity-independent case integrate to 1 over
-the sphere). The average < . > is exact in every direction: a Faddeeva
+kappa the normalization constant (units module; the reference convention
+makes the rest-atom, infinite-mass, velocity-independent case integrate to 1
+over the sphere). The average < . > is exact in every direction: a Faddeeva
 closed form for Gaussian packets and weighted sums over delta = n.beta for
 point masses and tables; `directional_spectrum(method="full3d")` keeps a
 tensor Gauss-Hermite rule over the full velocity as the independent oracle.
 
-The frequency integral of w decides everything interesting: for the
-velocity-dependent coupling evaluated at the recoil-shifted momentum the
-integrand grows ~ x at large x (cumulative growth Lambda^2); dropping the
-explicit recoil term does not cure this (the momentum shift reinstates it);
-the velocity-independent coupling at finite mass leaves a logarithmic
-growth instead. `divergence_comparison` measures those growth laws side by
-side, and `directional_probability` accepts a formfactor that restores
-integrability at the price of making every answer formfactor-dependent --
-which is the honest state of affairs, reported as such.
+The frequency integral of w decides everything interesting: with the
+velocity-dependent coupling at the recoil-shifted momentum it grows like
+Lambda^2 (dropping the explicit recoil term does not cure this), with the
+velocity-independent one only logarithmically. At each delta node it is a
+closed form (amplitudes.line_fractions). `divergence_comparison` measures
+the growth laws side by side; `directional_probability` accepts a formfactor
+that restores integrability, and with it formfactor dependence.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .amplitudes import detuning, lorentzian_denominator, spectral_kernel
+from .amplitudes import detuning, line_fractions, lorentzian_denominator, spectral_kernel
 from .coupling import CouplingModel, conditional_polarization_sum
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
@@ -99,15 +97,19 @@ class Formfactor:
             return np.ones_like(x)
         if self.kind == "sharp":
             return (x <= self.cutoff).astype(float)
-        if self.kind == "gaussian":
-            z = x / self.cutoff
-            return np.exp(-z * z)
-        z = x / self.cutoff
-        return np.exp(-z)
+        return np.exp(self._exponent(x))
 
     @classmethod
     def none(cls) -> "Formfactor":
         return cls(kind="none")
+
+    def _exponent(self, z):
+        """phi with F = exp(phi), for the gaussian and exponential kinds, at complex z too."""
+        return -z / self.cutoff if self.kind == "exponential" else -(z / self.cutoff) ** 2
+
+    def _slope(self, x, z):
+        """(phi(x) - phi(z)) / (x - z), written without that difference."""
+        return -1.0 / self.cutoff if self.kind == "exponential" else -(x + z) / self.cutoff**2
 
     def suggested_upper_limit(self) -> float:
         """Frequency beyond which the damped tail is negligible."""
@@ -253,11 +255,57 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     return SpectralResult(direction=n, x=x_grid, w=w, error=err, metadata=metadata)
 
 
-def _resonance_features(scenario: EmissionScenario, proj: ProjectedDistribution) -> list[float]:
-    """The resonance at the packet's mean Doppler shift and the line's flanks."""
-    x_star = resonance_frequency(proj.mean, scenario.params.epsilon).x_star
-    gt = scenario.params.gamma_tilde
-    return [x_star, x_star - 5.0 * gt, x_star + 5.0 * gt]
+def _exprel(w):
+    """(e^w - 1)/w for complex w; its series near 0, where the quotient cancels."""
+    small = np.abs(w) < 0.1
+    ws, wl = np.where(small, w, 0.0), np.where(small, 1.0, w)
+    series = np.ones_like(ws)
+    for k in range(11, 1, -1):
+        series = 1.0 + ws * series / k
+    return np.where(small, series, np.expm1(wl) / wl)
+
+
+def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistribution,
+                        formfactor: Formfactor, uppers, tol: float, max_panels: int,
+                        check_order: bool = True):
+    """kappa * E[int_0^U F w] per U over the delta nodes of proj: values, errors,
+    evaluations (line integrals plus rule points, per node) and convergence.
+
+    "none" and "sharp" are closed forms. A smooth F takes the near pole pair in
+    closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x - z)] + 2 Re[r (F -
+    F(z))/(x - z)], and its smooth first and last terms go, unscaled, to
+    integrate_adaptive (for one U). A Gaussian's Hermite sum is redone at half its
+    order; the change joins the error and must meet tol * max(1, |I|), which fails
+    for a U inside the Doppler profile (the line integral jumps there)."""
+    uppers = np.asarray(uppers, dtype=float)
+    lines = line_fractions(scenario.coupling, n, scenario.dipole_axis, proj, scenario.params)
+    kappa, weights = scenario.kappa, proj.weights
+    if formfactor.kind in ("none", "sharp"):
+        ends = np.minimum(uppers, formfactor.cutoff) if formfactor.kind == "sharp" else uppers
+        values = kappa * (weights @ lines.integral(ends))
+        errors, evaluations, converged = np.zeros_like(values), weights.size * uppers.size, True
+    else:
+        z = lines.near[:, None]
+        f_near = np.exp(formfactor._exponent(z))
+
+        def rest(x):
+            slope = formfactor._slope(x, z)
+            quotient = f_near * slope * _exprel(slope * (x - z))  # (F(x) - F(z)) / (x - z)
+            return weights @ (formfactor(x) * lines.smooth(x)
+                              + 2.0 * np.real(lines.near_residue[:, None] * quotient))
+
+        res = quadrature.integrate_adaptive(rest, 0.0, float(uppers[0]), tol, max_panels=max_panels)
+        values = kappa * (weights @ lines.near_integral(uppers, f_near[:, 0]) + res.value)
+        errors, evaluations = np.array([kappa * res.error_estimate]), weights.size * (1 + res.evaluations)
+        converged = res.converged
+    if check_order and proj.kind == "gaussian":
+        half = project(scenario.distribution, n, order=proj.nodes.size // 2)
+        coarse, _, more, ok = _frequency_integral(scenario, n, half, formfactor, uppers, tol,
+                                                  max_panels, check_order=False)
+        gap = np.abs(values - coarse)
+        errors, evaluations = errors + gap, evaluations + more
+        converged = ok and converged and bool(np.all(gap <= tol * np.maximum(1.0, np.abs(values))))
+    return values, errors, evaluations, converged
 
 
 def directional_probability(scenario: EmissionScenario, n, formfactor: Formfactor,
@@ -265,26 +313,26 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
                             max_panels: int = 4096) -> QuadratureResult:
     """Emission probability per steradian along n: kappa * int_0^upper w * f.
 
-    The formfactor multiplies the squared coupling, hence w exactly once.
-    The result carries the quadrature error estimate (scaled by kappa); with
-    formfactor "none" the value is a cutoff-regulated quantity whose growth
-    with upper_limit is the subject of `divergence_comparison`.
+    The formfactor multiplies the squared coupling, hence w exactly once. At
+    each delta node (point mass, table row, or Gauss-Hermite node) the integral
+    is closed form (amplitudes.line_fractions); a gaussian or exponential
+    formfactor leaves a smooth rest for integrate_adaptive, the one place
+    `max_panels` applies. `error_estimate` (kappa-scaled) is 0 for point
+    masses and tables under "none" or "sharp", else the rule's last level
+    difference plus a Gaussian's change from half the Hermite order.
+    `converged` is False when that misses tol * max(1, |value|), e.g. for a
+    Gaussian whose upper limit lies inside its Doppler profile. Under "none"
+    the value grows with upper_limit (see `divergence_comparison`).
     """
     n = check_unit(n, "n")
     proj = project(scenario.distribution, n)
-    feats = _resonance_features(scenario, proj)
-    if upper_limit <= feats[0]:
-        raise ValueError(f"upper_limit {upper_limit!r} must exceed the resonance at x = {feats[0]:.6g}")
-    kappa = scenario.kappa
-    ff = formfactor
-
-    def integrand(x):
-        return kappa * ff(x) * _doppler_w(scenario, n, proj, x)
-
-    if ff.kind == "sharp" and ff.cutoff < upper_limit:
-        feats.append(float(ff.cutoff))
-    return quadrature.integrate_adaptive(integrand, 0.0, float(upper_limit), tol,
-                                         features=feats, max_panels=max_panels)
+    x_star = resonance_frequency(proj.mean, scenario.params.epsilon).x_star
+    if upper_limit <= x_star:
+        raise ValueError(f"upper_limit {upper_limit!r} must exceed the resonance at x = {x_star:.6g}")
+    values, errors, evaluations, converged = _frequency_integral(
+        scenario, n, proj, formfactor, [float(upper_limit)], tol, max_panels)
+    return QuadratureResult(value=float(values[0]), error_estimate=float(errors[0]),
+                            evaluations=evaluations, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -346,26 +394,25 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     term. The kinematics (epsilon in the resonance denominator) are shared;
     only the coupling differs. The verdict is withheld when a scan missed
     its tolerance or a fit was ambiguous.
+
+    Each cutoff is closed form per delta node (see `directional_probability`):
+    point masses and tables scan exactly, with errors 0. `max_panels` has no
+    effect here; it stays because movbench/worker.py passes it.
     """
     n = check_unit(n, "n")
     if not scenario.params.epsilon > 0:
         raise ValueError("divergence comparison needs finite mass: epsilon > 0")
-    if lambdas is None:
-        lambdas = quadrature.geometric_cutoffs()
-    lambdas = np.asarray(lambdas, dtype=float)
-    kappa = scenario.kappa
+    lambdas = np.asarray(quadrature.geometric_cutoffs() if lambdas is None else lambdas, dtype=float)
+    if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
+        raise ValueError("cutoffs must be finite and positive")
     proj = project(scenario.distribution, n)
-    feats = _resonance_features(scenario, proj)
 
     entries = {}
     for label, model in _DIVERGENCE_MODELS:
-        variant = scenario.with_coupling(model)
-
-        def integrand(x, _variant=variant):
-            return kappa * _doppler_w(_variant, n, proj, x)
-
-        scan = quadrature.cutoff_scan(integrand, lambdas, tol=tol, features=feats,
-                                      max_panels=max_panels)
+        values, errors, evaluations, converged = _frequency_integral(
+            scenario.with_coupling(model), n, proj, Formfactor.none(), lambdas, tol, max_panels)
+        scan = CutoffScan(lambdas=lambdas, values=values, errors=errors,
+                          evaluations=evaluations, converged=converged)
         cls = quadrature.classify_tail(scan, fit_points=fit_points)
         entries[label] = ModelDivergence(scan=scan, classification=cls)
 
@@ -375,7 +422,7 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     if not all(entry.scan.converged for entry in entries.values()):
         verdict = None
         note = ("verdict withheld: at least one cutoff scan missed its tolerance; "
-                "raise max_panels or loosen the tolerance")
+                "move the cutoffs clear of the Doppler profile or loosen the tolerance")
     elif r.kind == "ambiguous" or s.kind == "ambiguous":
         verdict = None
         note = "verdict withheld: at least one growth-law fit was ambiguous"
@@ -413,10 +460,9 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     average over the wavepacket is exact given delta = n.beta, with an
     `order`-point Gauss-Hermite rule over delta for a Gaussian.
 
-    mode "integrated": the frequency integral of the spectrum, which is only
-    defined with a formfactor -- an unregularized request is rejected rather
-    than silently truncated, because for finite mass the integral grows with
-    the cutoff (for the velocity-dependent coupling, like Lambda^2).
+    mode "integrated": the frequency integral of the spectrum, defined only
+    with a formfactor -- an unregularized request is rejected, not truncated,
+    since at finite mass the integral grows with the cutoff.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size == 0:

@@ -86,24 +86,6 @@ def to_dimensionless(inp: PhysicalInput) -> DimensionlessParams:
     return DimensionlessParams(epsilon=eps, gamma_tilde=inp.gamma0 / inp.omega0)
 
 
-def from_dimensionless(params: DimensionlessParams, omega0: float,
-                       dipole_moment: float | None = None) -> PhysicalInput:
-    """Invert :func:`to_dimensionless` given the frequency scale omega0.
-
-    epsilon = 0 maps to the explicit infinite-mass flag (the mass field is
-    then a placeholder and must not be used).
-    """
-    if not (math.isfinite(omega0) and omega0 > 0):
-        raise ParameterError(f"omega0 must be positive, got {omega0!r}")
-    if params.epsilon == 0.0:
-        return PhysicalInput(mass=1.0, omega0=omega0, gamma0=params.gamma_tilde * omega0,
-                             dipole_moment=dipole_moment, infinite_mass=True)
-    mass = HBAR * omega0 / (2.0 * params.epsilon * C_LIGHT**2)
-    return PhysicalInput(mass=mass, omega0=omega0,
-                         gamma0=params.gamma_tilde * omega0,
-                         dipole_moment=dipole_moment)
-
-
 @dataclass(frozen=True)
 class Normalization:
     """Multiplicative constant attached to spectral outputs.
@@ -142,11 +124,3 @@ class Normalization:
             16.0 * math.pi**3 * EPSILON_0 * HBAR * C_LIGHT**3)
         return cls(kappa=kappa, convention="absolute")
 
-
-def rest_frame_decay_rate(dipole_moment: float, omega0: float) -> float:
-    """Standard rest-atom spontaneous rate d^2 w0^3 / (3 pi eps0 hbar c^3).
-
-    Provided for cross-checks only; the engine never derives gamma0 itself
-    (the linewidth of the moving, finite-mass atom is an input).
-    """
-    return dipole_moment**2 * omega0**3 / (3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3)

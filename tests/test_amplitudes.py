@@ -8,7 +8,7 @@ from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
                                    evolution_matrix, fit_decay_rate,
                                    flat_band_system, lorentzian_denominator,
                                    perpendicular_kernel, pole_mode_populations,
-                                   spectral_kernel, transient_factor)
+                                   spectral_kernel)
 from movingatom.coupling import CouplingModel
 from movingatom.units import DimensionlessParams
 
@@ -73,15 +73,6 @@ def test_emission_integrand_growth_laws():
     w_standard = x * x * perpendicular_kernel(x, 0.0, params, CouplingModel.standard())
     slope_s = np.polyfit(np.log(x), np.log(w_standard), 1)[0]
     assert slope_s == pytest.approx(-1.0, abs=0.05)
-
-
-def test_transient_factor_limits():
-    params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
-    x = np.array([0.97, 1.0, 1.03])
-    assert np.all(transient_factor(x, 0.0, params, 0.0) == 0.0)
-    # after many lifetimes the Lorentzian factor is recovered
-    late = transient_factor(x, 0.0, params, 5000.0)
-    assert np.allclose(late, 1.0 / lorentzian_denominator(x, 0.0, params), rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------

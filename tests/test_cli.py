@@ -115,10 +115,15 @@ def test_divergence_reports_scan_convergence(tmp_path):
                for m in payload["models"].values())
     assert payload["verdict"] is not None
 
-    starved = write_config(tmp_path, BASIC + "    tolerances: {max_panels: 16}\n",
-                           name="starved.yaml")
-    out = tmp_path / "d16"
-    assert run(["divergence", "--config", starved, "--out", out]) == 0
+    # a packet whose first cutoff lies inside its Doppler profile: the scans are
+    # closed forms per delta node, and the Hermite sums at 40 and 20 nodes disagree
+    inside = write_config(tmp_path, """
+        atom: {epsilon: 0.01, gamma_tilde: 1.0e-4}
+        distribution: {kind: gaussian, sigma: 1.0e-2}
+        scan: {lambda_min: 1.0, lambda_max: 1.0e+4, points: 16}
+    """, name="inside.yaml")
+    out = tmp_path / "inside"
+    assert run(["divergence", "--config", inside, "--out", out]) == 0
     payload = json.loads((out / "divergence.json").read_text())
     assert payload["models"]["roentgen"]["converged"] is False
     assert payload["verdict"] is None
@@ -180,10 +185,11 @@ def test_invalid_value_exits_2(tmp_path):
 
 
 def test_unconverged_probability_exits_3(tmp_path, capsys):
+    # the upper limit lies inside the packet's Doppler profile
     cfg = write_config(tmp_path, """
-        atom: {epsilon: 0.01, gamma_tilde: 0.01}
-        formfactor: {kind: gaussian, cutoff: 10.0}
-        tolerances: {quadrature: 1.0e-15, max_panels: 16}
+        atom: {epsilon: 0.01, gamma_tilde: 1.0e-4}
+        distribution: {kind: gaussian, sigma: 1.0e-2}
+        probability: {upper_limit: 1.0}
     """)
     assert run(["probability", "--config", cfg, "--out", tmp_path / "x"]) == 3
     assert "numerical" in capsys.readouterr().err

@@ -3,26 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from movingatom import quadrature
 from movingatom.quadrature import (CutoffScan, NumericalError, classify_tail,
                                    cutoff_scan, geometric_cutoffs,
                                    integrate_adaptive)
 
 
 def test_polynomial_is_exact():
-    # a single Gauss-Kronrod panel integrates degree-7 polynomials exactly
+    # one 32-point Gauss-Legendre panel integrates degree-6 polynomials exactly
     res = integrate_adaptive(lambda x: 7 * x**6 - 3 * x**2 + 1, 0.0, 2.0, 1e-12)
     exact = 2.0**7 - 2.0**3 + 2.0
     assert abs(res.value - exact) < 1e-13 * exact
     assert res.converged
-
-
-def test_constant_is_exact_to_the_last_bit():
-    # the G7 and K15 weights each sum to 2 in double precision; with constants
-    # cut to 15 digits this gave 1 - 3.0e-15 with error 3.4e-15
-    res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 1.0, 1e-15)
-    assert res.value == 1.0 and res.error_estimate == 0.0
-    assert res.evaluations == 15 and res.converged
 
 
 def test_simple_integrals():
@@ -42,15 +33,18 @@ def test_narrow_lorentzian_with_feature_seed():
     assert res.converged
 
 
-def test_feature_seeding_reduces_work():
-    a = 1e-4
-    f = lambda x: 1.0 / ((x - 0.37) ** 2 + a * a)
-    seeded = integrate_adaptive(f, 0.0, 50.0, 1e-9, features=(0.37,))
-    blind = integrate_adaptive(f, 0.0, 50.0, 1e-9, max_panels=8192)
-    assert seeded.converged
-    assert seeded.value == pytest.approx((math.atan(0.37 / a) + math.atan(49.63 / a)) / a,
-                                         rel=1e-9)
-    assert seeded.evaluations < blind.evaluations
+def test_panel_count_doubles_until_two_levels_agree():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x * x)
+
+    res = integrate_adaptive(f, 0.0, 6.0, 1e-13)
+    assert res.converged and res.error_estimate <= 1e-13
+    levels = int(np.log2(res.evaluations // 32 + 1))
+    assert res.evaluations == 32 * (2**levels - 1)  # panels 1, 2, 4, ...
+    assert max(calls) <= 4 * 32  # at most four panels per integrand call
 
 
 def test_non_finite_integrand_raises_with_location():
@@ -66,24 +60,6 @@ def test_unconverged_flag_when_budget_exhausted():
     res = integrate_adaptive(lambda x: 1.0 / ((x - 0.3) ** 2 + a * a), 0.0, 1.0,
                              1e-14, max_panels=8)
     assert not res.converged
-
-
-def test_budget_exhaustion_is_refined_in_few_calls():
-    # an unreachable target (the line has width 1e-10) uses the whole budget of
-    # 4096 panels; at 16 panels per call that needs at least 512 calls, where one
-    # call per panel would make 8191
-    calls = []
-
-    def f(x):
-        calls.append(x.size)
-        return 1.0 / ((x - 0.3) ** 2 + 1e-20)
-
-    res = integrate_adaptive(f, 0.0, 1.0, 1e-14, max_panels=4096)
-    assert not res.converged
-    assert res.evaluations == 15 * (2 * 4096 - 1)
-    assert len(calls) <= 2 * 4096 // quadrature._TILE + 64
-    assert max(calls) <= 15 * quadrature._TILE
-    assert res.value == pytest.approx(math.pi * 1e10, rel=1e-9)
 
 
 def test_determinism():

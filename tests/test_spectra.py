@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile
 
 from movingatom.coupling import CouplingModel, polarization_sum
@@ -265,13 +266,146 @@ def test_probability_monotone_in_formfactor_scale():
 
 def test_oblique_point_mass_resonance_is_seeded_at_its_doppler_shift():
     # the line (width 1e-9) sits at x* = 1/(1 - 0.1), not at the rest-frame
-    # resonance; reference: 40-digit quadrature of kappa * x * sin^2 / (D^2 + gt^2/4)
+    # resonance; reference: 50-digit quadrature of kappa * x^3 sin^2 / (D^2 + gt^2/4)
     sc = make_scenario(eps=0.0, gt=1e-9, dist=PointMass(0.1 * N_45),
                        model=CouplingModel.standard())
     res = directional_probability(sc, N_45, Formfactor(kind="sharp", cutoff=50.0), 50.0,
                                   tol=1e-9)
     assert res.converged
-    assert res.value == pytest.approx(0.0909664902, abs=2e-9)
+    assert res.value == pytest.approx(0.09096649021502316, rel=1e-13)
+
+
+def mp_probability(model, beta, n, eps, gt, upper, formfactor=None):
+    """kappa * int_0^upper F x^3 sum G^2 / (D^2 + gt^2/4) for one velocity, in
+    40-digit arithmetic, with sum G^2 = |v|^2 - (n.v)^2 from the coupling's definition."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    n, e, b = ([mp.mpf(float(c)) for c in vec] for vec in (n, E_D, beta))
+    eps, gt, upper = mp.mpf(eps), mp.mpf(gt), mp.mpf(upper)
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+    delta, c = dot(n, b), dot(E_D, n)
+
+    def gsq(x):
+        if model.kind == "standard_dipole":
+            return 1 - c * c
+        shift = 2 * eps * x if model.apply_momentum_shift else 0
+        beff = [bi + shift * ni for bi, ni in zip(b, n)]
+        bracket = 1 - dot(n, beff) + (eps * x if model.include_recoil_term else 0)
+        v = [bracket * ei + c * bi for ei, bi in zip(e, beff)]
+        return dot(v, v) - dot(n, v) ** 2
+
+    def f(x):
+        d = 1 - x * (1 - delta) - eps * x * x
+        damping = 1 if formfactor is None else mp.exp(-(x / formfactor.cutoff) ** 2)
+        return damping * x**3 * gsq(x) / (d * d + gt * gt / 4)
+
+    x_star = 2 / ((1 - delta) + mp.sqrt((1 - delta) ** 2 + 4 * eps))
+    pts = sorted(p for p in (x_star + k * gt for k in (-1e4, -10, 0, 10, 1e4)) if 0 < p < upper)
+    return float(3 * gt / (16 * mp.pi**2) * mp.quad(f, [0] + pts + [upper]))
+
+
+@pytest.mark.parametrize("gt", [1e-2, 1e-5, 1e-9])
+@pytest.mark.parametrize("eps", [0.01, 1e-6], ids=["eps0.01", "eps1e-6"])
+def test_point_mass_probability_matches_40_digit_values(eps, gt):
+    # eps = 1e-6 puts the far pole (-1e6) beyond every cutoff: the Taylor form of the smooth part
+    beta = np.array([0.02, 0.01, -0.03])
+    sc = make_scenario(eps=eps, gt=gt, dist=PointMass(beta))
+    for ff, upper in ((Formfactor.none(), 3.0), (Formfactor(kind="sharp", cutoff=40.0), 1e3)):
+        res = directional_probability(sc, N_45, ff, upper)
+        ref = mp_probability(sc.coupling, beta, N_45, eps, gt, min(upper, 40.0))
+        assert res.converged and res.error_estimate == 0.0
+        assert abs(res.value - ref) <= 1e-13 * ref
+
+
+def test_narrow_table_meets_a_tight_tolerance():
+    # 48 stratified rows, gt = 1e-9: the sweeps this replaced stopped at
+    # converged=False (error 4.9e-10, 9.1e-10 off) after 122 820 evaluations
+    rng = np.random.default_rng(5)
+    u = (np.arange(48) + rng.uniform(0.2, 0.8, 48)) / 48
+    deltas = np.array([1e-3 * math.sqrt(2.0) * float(erfinv_(2.0 * p - 1.0)) for p in u])
+    weights = rng.uniform(0.5, 1.5, 48)
+    weights /= weights.sum()
+    tab = TabulatedProjection(delta=deltas, weights=weights, direction=N_PERP)
+    sharp = Formfactor(kind="sharp", cutoff=50.0)
+    res = directional_probability(make_scenario(eps=1e-3, gt=1e-9, dist=tab), N_PERP, sharp,
+                                  50.0, tol=1e-12)
+    assert res.converged and res.error_estimate == 0.0
+    rows = [directional_probability(make_scenario(eps=1e-3, gt=1e-9, dist=PointMass(d * N_PERP)),
+                                    N_PERP, sharp, 50.0).value for d in deltas]
+    assert res.value == pytest.approx(float(np.dot(weights, rows)), rel=1e-14)
+
+
+@pytest.mark.parametrize("ff", [Formfactor(kind="gaussian", cutoff=10.0),
+                                Formfactor(kind="exponential", cutoff=3.0)],
+                         ids=["gaussian", "exponential"])
+@pytest.mark.parametrize("eps", [0.01, 0.05])
+def test_smooth_formfactor_matches_quad(ff, eps):
+    beta, gt = np.array([0.02, 0.01, -0.03]), 1e-3
+    sc = make_scenario(eps=eps, gt=gt, dist=PointMass(beta))
+    upper = ff.suggested_upper_limit()
+    res = directional_probability(sc, N_45, ff, upper, tol=1e-13)
+    delta = float(beta @ N_45)
+    x_star = resonance_frequency(delta, eps).x_star
+
+    def f(x):
+        gsq = float(polarization_sum(sc.coupling, beta, x, N_45, E_D, eps, method="basis_sum"))
+        d = 1.0 - x * (1.0 - delta) - eps * x * x
+        return sc.kappa * float(ff(x)) * x**3 * gsq / (d * d + 0.25 * gt * gt)
+
+    points = [x_star + k * gt for k in (-1e3, -10.0, 0.0, 10.0, 1e3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ref = integrate.quad(f, 0.0, upper, points=points, limit=4000,
+                             epsabs=0.0, epsrel=2e-14)[0]
+    assert res.converged
+    assert abs(res.value - ref) <= 1e-12 * ref
+
+
+def test_smooth_formfactor_on_a_narrow_line_matches_40_digit_value():
+    beta, ff = np.array([0.02, 0.01, -0.03]), Formfactor(kind="gaussian", cutoff=10.0)
+    sc = make_scenario(eps=0.01, gt=1e-9, dist=PointMass(beta))
+    res = directional_probability(sc, N_45, ff, 80.0, tol=1e-12)
+    ref = mp_probability(sc.coupling, beta, N_45, 0.01, 1e-9, 80.0, formfactor=ff)
+    assert res.converged
+    assert abs(res.value - ref) <= 1e-13 * ref
+
+
+def test_packet_upper_limit_inside_doppler_profile_is_not_converged():
+    # the line integral jumps where x*(delta) crosses the upper limit, so the
+    # Hermite sums over delta at two orders disagree; past the profile they agree
+    dist = GaussianPacket.isotropic(np.zeros(3), 1e-2)
+    sc = make_scenario(eps=0.01, gt=1e-4, dist=dist)
+    inside = directional_probability(sc, N_PERP, Formfactor.none(), 1.0)
+    assert not inside.converged and inside.error_estimate > 1e-3 * inside.value
+    past = directional_probability(sc, N_PERP, Formfactor.none(), 3.0)
+    assert past.converged and past.error_estimate <= 1e-9
+
+
+def test_packet_scan_matches_quadrature_of_the_exact_spectrum():
+    dist = GaussianPacket.isotropic(np.array([3e-4, -2e-4, 1e-4]), 1e-3)
+    sc = make_scenario(eps=0.01, gt=1e-2, dist=dist)
+    lam = np.geomspace(1e2, 1e3, 5)
+    report = divergence_comparison(sc, N_45, lambdas=lam)
+    x_star = resonance_frequency(float(dist.mean @ N_45), 0.01).x_star
+    points = [x_star + k * 1e-2 for k in (-100.0, -10.0, 0.0, 10.0, 100.0)]
+    for label, model in (("roentgen", CouplingModel.roentgen()),
+                         ("standard", CouplingModel.standard())):
+        scan = report.entries[label].scan
+        assert scan.converged
+        variant = sc.with_coupling(model)
+
+        def f(x):
+            return sc.kappa * directional_spectrum(variant, N_45, np.array([x])).w[0]
+
+        for k in (0, lam.size - 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                ref = integrate.quad(f, 0.0, lam[k], points=points, limit=2000,
+                                     epsabs=0.0, epsrel=1e-12)[0]
+            assert abs(scan.values[k] - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_probability_sharp_cutoff_feature_is_seeded():

@@ -5,7 +5,6 @@ import pytest
 
 from movingatom.units import (C_LIGHT, EPSILON_0, HBAR, DimensionlessParams,
                               Normalization, ParameterError, PhysicalInput,
-                              from_dimensionless, rest_frame_decay_rate,
                               to_dimensionless)
 
 
@@ -22,20 +21,6 @@ def test_dimensionless_from_physical_hydrogen_like():
 def test_infinite_mass_flag_forces_epsilon_zero():
     inp = PhysicalInput(mass=1e-27, omega0=1e16, gamma0=1e8, infinite_mass=True)
     assert to_dimensionless(inp).epsilon == 0.0
-
-
-def test_roundtrip_through_physical():
-    params = DimensionlessParams(epsilon=3e-7, gamma_tilde=2e-8)
-    inp = from_dimensionless(params, omega0=2.5e15)
-    back = to_dimensionless(inp)
-    assert back.epsilon == pytest.approx(params.epsilon, rel=1e-12)
-    assert back.gamma_tilde == pytest.approx(params.gamma_tilde, rel=1e-12)
-
-
-def test_epsilon_zero_roundtrip_sets_infinite_mass():
-    params = DimensionlessParams(epsilon=0.0, gamma_tilde=1e-8)
-    inp = from_dimensionless(params, omega0=1e15)
-    assert inp.infinite_mass
 
 
 @pytest.mark.parametrize("bad", [
@@ -77,7 +62,7 @@ def test_absolute_normalization_consistent_with_decay_rate():
     # The absolute per-mode scale and the rest-frame decay rate both carry
     # d^2/(epsilon_0 hbar c^3); their ratio must reduce to the reference kappa.
     d, omega0 = 8.5e-30, 2.2e15
-    gamma0 = rest_frame_decay_rate(d, omega0)
+    gamma0 = d * d * omega0**3 / (3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3)
     inp = PhysicalInput(mass=1.7e-27, omega0=omega0, gamma0=gamma0, dipole_moment=d)
     params = to_dimensionless(inp)
     kappa_abs = Normalization.absolute(inp).kappa
@@ -89,9 +74,3 @@ def test_absolute_normalization_needs_dipole_moment():
     inp = PhysicalInput(mass=1.7e-27, omega0=2.2e15, gamma0=1e7)
     with pytest.raises(ParameterError):
         Normalization.absolute(inp)
-
-
-def test_rest_frame_decay_rate_formula():
-    d, omega0 = 1e-29, 1e15
-    expected = d * d * omega0**3 / (3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3)
-    assert rest_frame_decay_rate(d, omega0) == pytest.approx(expected, rel=1e-15)
