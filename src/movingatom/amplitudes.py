@@ -1,4 +1,4 @@
-"""Single-excitation emission amplitudes: pole solution and ODE oracle.
+"""Single-excitation emission amplitudes: pole solution and exact discrete-mode oracle.
 
 With one excitation shared between the atom and the field, the amplitude
 pair (a, b_k) for "atom excited, no photon" / "atom ground, photon in mode k"
@@ -27,6 +27,7 @@ validate the pole approximation end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,9 +214,8 @@ class DiscreteModeSystem:
         db_j/dtau = + i D_j b_j + g_j a
 
     with real couplings g_j and pole detunings D_j = detuning(x_j, delta, eps).
-    This pair conserves |a|^2 + sum |b_j|^2 exactly; any drift in the norm of
-    the reconstructed state measures the error of the eigen-solution, which
-    is why the oracle monitors it. Couplings are real and momentum-independent
+    This pair conserves |a|^2 + sum |b_j|^2 exactly, which the oracle certifies
+    (`discrete_mode_evolution`). Couplings are real and momentum-independent
     across the band -- one g_j per mode -- which keeps the system Hermitian.
     Zero couplings and repeated detunings (D is quadratic in x) are allowed.
 
@@ -281,12 +281,12 @@ class EvolutionResult:
     atom_population: |a|^2 at those times.
     mode_populations: |b_j|^2 at the final time.
     final_state: the full complex state vector [a, b_1 ... b_N] at the final time.
-    max_norm_drift: max over recorded times of |1 - total norm| of the
-        reconstructed state: the error of the eigen-solution, not of a stepper.
-    norm_ok: drift stayed within the 1e-6 contract.
+    max_norm_drift: a certificate bounding |1 - total norm| at every time (see
+        `discrete_mode_evolution`): the error of the eigen-solution, not of a stepper.
+    norm_ok: the certificate is within the 1e-6 contract.
     steps, dt: the grid, steps = ceil(t_final/dt).
-    extras: the number of distinct coupled poles after deflation ("poles") and
-        of secular-equation iterations ("secular_iterations").
+    extras: the numbers of distinct coupled poles after deflation ("poles") and of
+        secular iterations ("secular_iterations"), and ||A_hat - A|| ("backward_error").
     """
 
     times: np.ndarray
@@ -300,7 +300,7 @@ class EvolutionResult:
     extras: dict = field(default_factory=dict)
 
 
-_TILE = 16  # recorded times, poles or roots per block: buffers of 16 or 32 x K doubles
+_TILE = 16  # recorded times, poles or roots per block: buffers of 16 x K doubles
 _MAX_SECULAR_ITERATIONS = 64
 
 
@@ -310,8 +310,8 @@ def _poles(d: np.ndarray, g: np.ndarray):
     Modes with |g_j| <= tol are decoupled (an eigenvector e_j orthogonal to the
     initial state) and modes whose d_j agree within tol share one pole of weight
     sum g_j^2 (a rotation among them decouples all but one), tol = 8 eps ||A||.
-    Returns the increasing poles, their weights and each mode's pole index (-1
-    for a decoupled mode).
+    Returns the increasing poles, their weights, each mode's pole index (-1 for
+    a decoupled mode) and the largest distance of a merged d_j from its pole.
     """
     tol = 8.0 * np.finfo(float).eps * max(float(np.max(np.abs(d))), float(np.linalg.norm(g)))
     order = np.argsort(d, kind="stable")
@@ -322,7 +322,8 @@ def _poles(d: np.ndarray, g: np.ndarray):
     index = np.cumsum(first) - 1
     pole = np.full(d.size, -1)
     pole[order] = index
-    return ds[first], np.bincount(index, weights=g[order] ** 2), pole
+    shift = float(np.max(ds - ds[first][index], initial=0.0))
+    return ds[first], np.bincount(index, weights=g[order] ** 2), pole, shift
 
 
 def _secular(d: np.ndarray, z: np.ndarray, sigma: np.ndarray, nu: np.ndarray):
@@ -359,7 +360,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
     weight (for the two outer roots: the slope of a linear term) and a constant
     match f' and f. A step leaving the root's bracket is replaced by bisection;
     a root is done when |f| is within 8 eps of its rounding scale.
-    Returns sigma, nu, f'(sigma + nu) and the number of iterations.
+    Returns sigma, nu and the number of iterations.
     """
     n = d.size
     reach = float(np.sqrt(z.sum()))  # ||g||: no root is farther out of [min(0,d), max(0,d)] (Weyl)
@@ -389,7 +390,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
         hi = np.where(below, hi, nu)
         active = np.flatnonzero(np.abs(f) > 8.0 * eps * scale)
         if active.size == 0 or iterations == _MAX_SECULAR_ITERATIONS:
-            return sigma, nu, fp, iterations
+            return sigma, nu, iterations
         iterations += 1
         na, fa, fpa = nu[active], f[active], fp[active]
         zo = z[origin[active]]
@@ -413,49 +414,37 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
         f[active], fp[active], scale[active] = _secular(d, z, sigma[active], new)
 
 
-def _reconstruct(d, z, sigma, nu, w, times):
-    """y(tau) = U exp(-i mu tau) U^T e_0 on the recording grid, in the gauge b = i c.
+def _lowner(d: np.ndarray, sigma: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Weights z_hat for which the roots mu = sigma + nu are exact (Loewner's formula,
+    Gu & Eisenstat 1995; LAPACK dlaed3): -prod_k (d_p - mu_k) / prod_{j != p} (d_p - d_j)
+    as |d_p - mu_p| |d_p - mu_{p+1}| times the ratios (d_p - mu_j)/(d_p - d_j), j < p,
+    and (d_p - mu_{j+1})/(d_p - d_j), j > p, with d_p - mu_k = (d_p - sigma_k) - nu_k."""
+    zhat = np.empty(d.size)
+    cols = np.arange(d.size)
+    for lo in range(0, d.size, _TILE):
+        p = cols[lo:lo + _TILE, None]
+        left = (d[p] - sigma[:-1]) - nu[:-1]  # d_p - mu_j
+        right = (d[p] - sigma[1:]) - nu[1:]  # d_p - mu_{j+1}
+        ratio = np.where(cols < p, left, np.where(cols > p, right, -left * right))
+        zhat[lo:lo + _TILE] = np.prod(ratio / np.where(cols == p, 1.0, d[p] - d), axis=1)
+    return zhat
 
-    a(tau) = sum_k w_k e^{-i mu_k tau} and c at pole p is S_p(tau) = sum_k
-    w_k e^{-i mu_k tau} / (mu_k - d_p), each mode of the pole carrying g_j S_p.
-    The norm |a|^2 + sum_p z_p |S_p|^2 is measured from the reconstructed state
-    at every time: real GEMMs of Cauchy tiles 1/(mu_k - d_p) (rebuilt per time
-    tile) with w-weighted cos/sin phase tiles, in buffers of 16 and 32 x K doubles.
-    Returns a and the norm at every time and S at the last time.
+
+def _reconstruct(d, sigma, nu, w, times):
+    """a(tau) = sum_k w_k e^{-i mu_k tau} at every recorded time, in blocks of _TILE
+    times, and, at the last time T only, S_p = sum_k w_k e^{-i mu_k T} / (mu_k - d_p)
+    in blocks of _TILE poles: every mode of pole p has c proportional to S_p.
     """
-    k, r = sigma.size, times.size
     mu = sigma + nu
-    padded = np.concatenate((times, np.full(-r % _TILE, times[-1])))
-    amp = np.empty(padded.size, dtype=complex)
-    norm = np.empty(padded.size)
-    last = np.empty(d.size, dtype=complex)
-    phase = np.empty((k, 2 * _TILE))
-    cos, sin = phase[:, :_TILE], phase[:, _TILE:]
-    cauchy = np.empty((_TILE, k))
-    out = np.empty((_TILE, 2 * _TILE))
-    col = (r - 1) % _TILE
-    for t0 in range(0, padded.size, _TILE):
-        np.multiply.outer(mu, padded[t0:t0 + _TILE], out=cos)
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
-        phase *= w[:, None]
-        a = phase.sum(axis=0)
-        acc = a * a
-        for p0 in range(0, d.size, _TILE):
-            m = min(_TILE, d.size - p0)
-            c, o = cauchy[:m], out[:m]
-            c[:] = sigma
-            c -= d[p0:p0 + m, None]
-            c += nu
-            np.reciprocal(c, out=c)
-            np.matmul(c, phase, out=o)
-            if t0 + _TILE >= r:
-                last[p0:p0 + m] = o[:, col] - 1j * o[:, _TILE + col]
-            np.square(o, out=o)
-            acc += z[p0:p0 + m] @ o
-        amp[t0:t0 + _TILE] = a[:_TILE] - 1j * a[_TILE:]
-        norm[t0:t0 + _TILE] = acc[:_TILE] + acc[_TILE:]
-    return amp[:r], norm[:r], last
+    amp = np.empty(times.size, dtype=complex)
+    for t0 in range(0, times.size, _TILE):
+        phase = np.multiply.outer(times[t0:t0 + _TILE], mu)
+        amp[t0:t0 + _TILE] = np.cos(phase) @ w - 1j * (np.sin(phase, out=phase) @ w)
+    last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
+    s = np.empty((d.size, 2))
+    for p0 in range(0, d.size, _TILE):
+        s[p0:p0 + _TILE] = (1.0 / ((sigma - d[p0:p0 + _TILE, None]) + nu)) @ last
+    return amp, s.view(complex)[:, 0]
 
 
 def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
@@ -464,14 +453,16 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
     `record_every` multiples of `dt` and at ceil(t_final/dt)*dt.
 
     The gauge b_j = i c_j turns the generator into -i A with the real symmetric
-    arrowhead A = [[0, g^T], [g, diag(d)]], d = -D. Its eigenvalues mu_k are the
-    roots of the secular equation (`_secular_roots`), its eigenvectors have
-    U_0k^2 = w_k = 1/f'(mu_k) and U_jk = g_j U_0k / (mu_k - d_j), and the state
-    is y(tau) = U exp(-i mu tau) U^T e_0 -- no time stepping, so `dt` sets only
-    the sampling grid. The norm is measured from the reconstructed state at
-    every recorded time. Preconditions checked: the run is shorter than half
-    the revival time 2 pi / dx at which a finite bath feeds the excitation back
-    (a single mode has none).
+    arrowhead A = [[0, g^T], [g, diag(d)]], d = -D. Its eigenvalues mu_k, the
+    secular roots (`_secular_roots`), are exact for the arrowhead A_hat with
+    couplings g_hat (`_lowner`) and atom entry sum mu - sum d. Its eigenvectors
+    U_0k^2 = w_k = 1/f'(mu_k), U_jk = g_hat_j U_0k / (mu_k - d_j) give y(tau) =
+    U exp(-i mu tau) U^T e_0 with no time stepping: `dt` sets only the sampling
+    grid. `max_norm_drift` = max(|1 - sum w|, |1 - |y(T)|^2|) + 2B + B^2 certifies
+    the norm: by Duhamel's formula |y(tau) - y_exact(tau)| <= B = T ||A_hat - A||
+    for tau <= T, and extras["backward_error"] bounds ||A_hat - A||. Checked: the
+    run is shorter than half the revival time 2 pi / dx at which a finite bath
+    feeds the excitation back (a single mode has none).
     """
     if dt <= 0 or t_final <= dt:
         raise ValueError("need 0 < dt < t_final")
@@ -482,33 +473,35 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
         raise ValueError(
             f"duration {t_final:g} exceeds half the bath revival time {revival:g}; "
             "increase the mode count or shorten the run")
-    recorded = np.arange(0, n_steps + 1, record_every)
-    if recorded[-1] != n_steps:
-        recorded = np.append(recorded, n_steps)
-    times = recorded * dt
+    times = np.append(np.arange(0, n_steps, record_every), n_steps) * dt
 
     g = system.g
-    d, z, pole = _poles(-system.detunings, g)
+    d, z, pole, shift = _poles(-system.detunings, g)
     if d.size:
-        sigma, nu, fp, iterations = _secular_roots(d, z)
+        sigma, nu, iterations = _secular_roots(d, z)
+        zhat = _lowner(d, sigma, nu)
     else:  # no mode couples: the atom stays excited
-        sigma, nu, fp, iterations = np.zeros(1), np.zeros(1), np.ones(1), 0
-    amp, norm, last = _reconstruct(d, z, sigma, nu, 1.0 / fp, times)
-    state = np.zeros(g.size + 1, dtype=complex)
-    state[0] = amp[-1]
-    coupled = pole >= 0
-    state[1:][coupled] = 1j * g[coupled] * last[pole[coupled]]
-    drift = float(np.max(np.abs(1.0 - norm)))
+        sigma, nu, iterations, zhat = np.zeros(1), np.zeros(1), 0, z
+    w = 1.0 / _secular(d, zhat, sigma, nu)[1]
+    amp, s = _reconstruct(d, sigma, nu, w, times)
+    ghat = g * np.append(np.sqrt(zhat / z), 0.0)[pole]  # pole -1: decoupled
+    state = np.append(amp[-1], 1j * ghat * np.append(s, 0.0)[pole])
+    populations = state.real ** 2 + state.imag ** 2
+    alpha = math.fsum(np.concatenate((sigma, nu, -d)))  # A_hat's atom entry, sum mu - sum d
+    backward = max(abs(alpha), shift) + float(np.linalg.norm(ghat - g))
+    bound = float(times[-1]) * backward
+    drift = float(max(abs(1.0 - w.sum()), abs(1.0 - populations.sum())) + bound * (2.0 + bound))
     return EvolutionResult(
         times=times,
         atom_population=amp.real ** 2 + amp.imag ** 2,
-        mode_populations=np.abs(state[1:]) ** 2,
+        mode_populations=populations[1:],
         final_state=state,
         max_norm_drift=drift,
         norm_ok=drift <= 1e-6,
         steps=n_steps,
         dt=dt,
-        extras={"poles": int(d.size), "secular_iterations": iterations},
+        extras={"poles": int(d.size), "secular_iterations": iterations,
+                "backward_error": backward},
     )
 
 
@@ -538,7 +531,7 @@ def compare_to_pole(system: DiscreteModeSystem, result: EvolutionResult,
 
     Returns fitted decay rate vs the golden-rule band value, the relative L2
     distance between the final photon distribution and the Lorentzian pole
-    prediction, and the norm-conservation diagnostics.
+    prediction, and the norm diagnostics (`max_norm_drift`, `backward_error`).
     """
     if fit_window is None:
         fit_window = (0.5 / gamma_tilde, 3.0 / gamma_tilde)
@@ -552,6 +545,7 @@ def compare_to_pole(system: DiscreteModeSystem, result: EvolutionResult,
         "rate_ratio": fitted / gamma_tilde,
         "l2_shape_error": l2,
         "max_norm_drift": result.max_norm_drift,
+        "backward_error": result.extras["backward_error"],
         "norm_ok": result.norm_ok,
         "fit_window": list(fit_window),
         "n_modes": int(system.x.size),

@@ -9,7 +9,7 @@ bytes.
 
 Exit codes: 0 success; 2 configuration error (bad file, bad flags);
 3 numerical failure (quadrature did not converge, non-finite integrand,
-oracle norm drift above 1e-6);
+oracle norm-drift certificate above 1e-6);
 4 request rejected on physical grounds (an unregularized quantity that has
 no finite value, e.g. an integrated angular pattern without a formfactor).
 """
@@ -185,12 +185,16 @@ def _cmd_rates(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_pattern(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     pat = cfg.pattern
+    if cfg.resolved["distribution"]["kind"] == "tabulated":
+        raise ConfigError("'pattern' needs delta = n.beta in every direction; a tabulated "
+                          "distribution gives it only along its own 'direction'")
     theta = np.linspace(0.0, math.pi, pat["theta_points"])
     formfactor = cfg.formfactor if pat["mode"] == "integrated" else None
     result = angular_pattern(cfg.scenario, theta, formfactor,
                              mode=pat["mode"], variant=pat["variant"],
                              phi=math.radians(pat["phi_deg"]),
-                             upper_limit=cfg.upper_limit, tol=cfg.tol)
+                             upper_limit=cfg.upper_limit, tol=cfg.tol,
+                             max_panels=cfg.max_panels)
     path = _write_csv(out_dir / "pattern.csv", ["theta_rad", "density"],
                       zip(result.theta, result.values))
     return [path]
@@ -205,11 +209,12 @@ def _cmd_oracle(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
                                         record_every=o["record_every"])
     summary = compare_to_pole(system, evolution, o["gamma_eff"])
     if not evolution.norm_ok:
+        e = evolution.extras
         raise NumericalError(
             f"oracle eigen-solution lost norm: drift {evolution.max_norm_drift:.3e} > 1e-6 "
-            f"after {evolution.extras['secular_iterations']} secular iterations "
-            f"on {evolution.extras['poles']} poles")
-    final = np.abs(evolution.final_state[1:]) ** 2
+            f"(backward error {e['backward_error']:.3e}) after {e['secular_iterations']} "
+            f"secular iterations on {e['poles']} poles")
+    final = evolution.mode_populations
     pole = pole_mode_populations(system, o["gamma_eff"])
     pole_scaled = pole * (final.sum() / pole.sum())
     csv_path = _write_csv(out_dir / "oracle_modes.csv",

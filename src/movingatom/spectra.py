@@ -451,7 +451,7 @@ class PatternResult:
 def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfactor | None = None,
                     *, mode: str = "golden_rule", variant: str = "shifted",
                     phi: float = 0.0, upper_limit: float | None = None,
-                    tol: float = 1e-9, order: int = 40) -> PatternResult:
+                    tol: float = 1e-9, order: int = 40, max_panels: int = 4096) -> PatternResult:
     """Emission density per steradian vs polar angle theta from the dipole axis.
 
     mode "golden_rule": the energy constraint is applied before the mode sum
@@ -460,8 +460,8 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     average over the wavepacket is exact given delta = n.beta, with an
     `order`-point Gauss-Hermite rule over delta for a Gaussian.
 
-    mode "integrated": the frequency integral of the spectrum, defined only
-    with a formfactor -- an unregularized request is rejected, not truncated,
+    mode "integrated": `directional_probability` (with `tol`, `max_panels`), defined
+    only with a formfactor -- an unregularized request is rejected, not truncated,
     since at finite mass the integral grows with the cutoff.
     """
     theta = np.asarray(theta_grid, dtype=float)
@@ -493,11 +493,11 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     upper = float(upper_limit) if upper_limit is not None else formfactor.suggested_upper_limit()
 
     values = []
-    for n in directions:
-        res = directional_probability(scenario, n, formfactor, upper, tol=tol)
+    for t, n in zip(theta, directions):
+        res = directional_probability(scenario, n, formfactor, upper, tol=tol, max_panels=max_panels)
         if not res.converged:
-            raise NumericalError("angular pattern integration did not converge; "
-                                 "raise the panel budget or loosen the tolerance")
+            raise NumericalError(f"angular pattern integration did not converge at theta = {t:.6g} "
+                                 f"(error {res.error_estimate:.3g}); raise max_panels or loosen tol")
         values.append(res.value)
     meta = {"mode": mode, "formfactor": formfactor.kind, "cutoff": formfactor.cutoff,
             "upper_limit": upper, "phi": phi,

@@ -127,21 +127,42 @@ def test_norm_conservation_reported():
     res = discrete_mode_evolution(sys, 2000.0, dt=0.25, record_every=400)
     assert res.norm_ok
     assert res.max_norm_drift < 1e-10
+    assert 0.0 <= res.extras["backward_error"] <= 1e-15
+    assert res.max_norm_drift >= 2.0 * res.times[-1] * res.extras["backward_error"]
 
 
 def test_norm_drift_is_measured(monkeypatch):
-    # weights 0.1% low leave |a(0)|^2 = (sum w)^2 about 2e-3 short of 1
-    exact = amplitudes._secular_roots
+    # weights 0.1% low scale the whole state: |y(T)|^2 = 1/1.001^2 is about 2e-3 short of 1
+    exact = amplitudes._reconstruct
 
-    def skewed(d, z):
-        sigma, nu, fprime, iterations = exact(d, z)
-        return sigma, nu, fprime * 1.001, iterations
+    def skewed(d, sigma, nu, w, times):
+        return exact(d, sigma, nu, w / 1.001, times)
 
-    monkeypatch.setattr(amplitudes, "_secular_roots", skewed)
+    monkeypatch.setattr(amplitudes, "_reconstruct", skewed)
     res = discrete_mode_evolution(flat_band_system(101, 0.05, 1e-3), 1000.0, dt=0.25,
                                   record_every=400)
     assert res.max_norm_drift == pytest.approx(2e-3, rel=1e-2)
     assert not res.norm_ok
+
+
+def test_perturbed_roots_are_flagged(monkeypatch):
+    # roots 1e-6 off (relative to their distance from the origin pole) are exact for
+    # couplings about 2e-9 away from g; over t = 1000 that allows a norm error of 4e-6
+    exact = amplitudes._secular_roots
+
+    def perturbed(d, z):
+        sigma, nu, iterations = exact(d, z)
+        return sigma, nu * (1.0 + 1e-6), iterations
+
+    monkeypatch.setattr(amplitudes, "_secular_roots", perturbed)
+    sys = flat_band_system(101, 0.05, 1e-3)
+    res = discrete_mode_evolution(sys, 1000.0, dt=0.25, record_every=400)
+    assert res.extras["backward_error"] > 1e-9
+    assert res.max_norm_drift > 1e-6
+    assert not res.norm_ok
+    # the bound behind the certificate: |y(T) - y_exact(T)| <= T ||A_hat - A|| (5.5e-7 <= 2.0e-6)
+    bound = res.times[-1] * res.extras["backward_error"]
+    assert np.linalg.norm(res.final_state - expm_state(sys, res.times[-1])) <= bound
 
 
 def test_recording_grid_is_the_stepper_grid():
@@ -172,6 +193,12 @@ SPECIAL_CASES = {
     "unsorted_detunings": (DiscreteModeSystem(x=np.array([0.6, 0.85, 1.05, 1.3, 1.45]),
                                               g=np.array([0.02, 0.03, 0.01, 0.025, 0.015]),
                                               weights=np.ones(5), delta=1.5, epsilon=0.25), 5),
+    # six pairs of modes 1e-9 apart, far above the deflation tolerance: each pair keeps
+    # two poles and has a root between them
+    "clustered_poles": (DiscreteModeSystem(x=np.repeat(np.linspace(0.96, 1.04, 6), 2)
+                                           + np.tile([0.0, 1e-9], 6),
+                                           g=np.linspace(0.01, 0.03, 12),
+                                           weights=np.ones(12)), 12),
     # one mode has no spacing and so no revival time
     "single_mode": (DiscreteModeSystem(x=np.array([1.02]), g=np.array([0.03]),
                                        weights=np.ones(1)), 1),

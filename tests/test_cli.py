@@ -143,6 +143,34 @@ def test_pattern_run(tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-15)  # axial zero
 
 
+def test_integrated_pattern_uses_the_panel_budget(tmp_path, capsys):
+    # the same integral as `probability`, which meets tol 1e-15 within 65 536 panels
+    text = """
+        atom: {epsilon: 0.01, gamma_tilde: 1.0e-3}
+        formfactor: {kind: exponential, cutoff: 1.0e+5}
+        tolerances: {quadrature: 1.0e-15, max_panels: %d}
+        pattern: {mode: integrated, theta_points: 3}
+    """
+    cfg = write_config(tmp_path, text % 65536)
+    assert run(["probability", "--config", cfg, "--out", tmp_path / "p"]) == 0
+    assert run(["pattern", "--config", cfg, "--out", tmp_path / "a"]) == 0
+    cfg = write_config(tmp_path, text % 4096, name="small.yaml")
+    assert run(["pattern", "--config", cfg, "--out", tmp_path / "b"]) == 3
+    assert "did not converge at theta = 1.5708 (error " in capsys.readouterr().err
+
+
+def test_pattern_with_tabulated_distribution_exits_2(tmp_path, capsys):
+    (tmp_path / "table.csv").write_text("0.0,0.5\n0.001,0.5\n")
+    cfg = write_config(tmp_path, """
+        atom: {epsilon: 0.01, gamma_tilde: 1.0e-3}
+        distribution: {kind: tabulated, file: table.csv}
+        geometry: {mode: angles, theta: 90, phi: 0}
+        pattern: {mode: golden_rule, theta_points: 5}
+    """)
+    assert run(["pattern", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "tabulated distribution gives it only along its own" in capsys.readouterr().err
+
+
 def test_oracle_run(tmp_path):
     cfg = write_config(tmp_path, """
         atom: {epsilon: 0.0, gamma_tilde: 1.0e-3}
@@ -153,6 +181,7 @@ def test_oracle_run(tmp_path):
     assert run(["oracle", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "oracle.json").read_text())
     assert payload["norm_ok"] is True
+    assert 0.0 <= payload["backward_error"] <= 1e-15
     assert payload["rate_ratio"] == pytest.approx(1.0, abs=0.1)
     assert (out / "oracle_modes.csv").exists()
 
@@ -170,6 +199,7 @@ def test_oracle_norm_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert run(["oracle", "--config", cfg, "--out", tmp_path / "o"]) == 3
     err = capsys.readouterr().err
     assert "eigen-solution lost norm: drift 2.000e-06" in err
+    assert "(backward error " in err
     assert "time_step" not in err
 
 
