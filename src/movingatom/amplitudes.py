@@ -220,32 +220,28 @@ class DiscreteModeSystem:
     Zero couplings and repeated detunings (D is quadratic in x) are allowed.
 
     x: strictly increasing mode frequencies (reduced units).
-    weights: mode measure (spacing) used by density bookkeeping.
     g: coupling of each mode.
     delta, epsilon: kinematics entering D_j.
     """
 
     x: np.ndarray
     g: np.ndarray
-    weights: np.ndarray
     delta: float = 0.0
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         g = np.asarray(self.g, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("mode grid must be a nonempty 1D array")
-        if g.shape != x.shape or w.shape != x.shape:
-            raise ValueError("couplings and weights must match the mode grid shape")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g)) and np.all(np.isfinite(w))):
-            raise ValueError("mode frequencies, couplings and weights must be finite")
+        if g.shape != x.shape:
+            raise ValueError("couplings must match the mode grid shape")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(g))):
+            raise ValueError("mode frequencies and couplings must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("mode grid must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "weights", w)
 
     @property
     def detunings(self) -> np.ndarray:
@@ -268,8 +264,7 @@ def flat_band_system(n_modes: int, half_width: float, gamma_eff: float,
     x = np.linspace(center - half_width, center + half_width, n_modes)
     dx = x[1] - x[0]
     g = np.full(n_modes, np.sqrt(gamma_eff * dx / (2.0 * np.pi)))
-    return DiscreteModeSystem(x=x, g=g, weights=np.full(n_modes, dx),
-                              delta=delta, epsilon=epsilon)
+    return DiscreteModeSystem(x=x, g=g, delta=delta, epsilon=epsilon)
 
 
 @dataclass

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolarizationBasis, check_unit, polarization_basis
+from .geometry import PolarizationBasis, check_unit, dot3, polarization_basis
 
 _KINDS = ("standard_dipole", "roentgen")
 
@@ -92,11 +92,6 @@ class CouplingModel:
         return "roentgen" + ("" if not tags else "_" + "_".join(tags))
 
 
-def _dot3(a, b):
-    """Componentwise 3-vector dot; identical arithmetic for every layout."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
 def _as_beta(beta) -> np.ndarray:
     arr = np.asarray(beta, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != 3:
@@ -105,9 +100,9 @@ def _as_beta(beta) -> np.ndarray:
 
 
 def doppler_projection(beta, n):
-    """delta = n . beta over the trailing axis of beta, with `_dot3`'s arithmetic."""
+    """delta = n . beta over the trailing axis of beta, with `dot3`'s arithmetic."""
     beta = _as_beta(beta)
-    return _dot3(beta, np.broadcast_to(np.asarray(n, dtype=float), beta.shape))
+    return dot3(beta, np.broadcast_to(np.asarray(n, dtype=float), beta.shape))
 
 
 def recoil_coefficient(model: CouplingModel, epsilon: float) -> float:
@@ -157,7 +152,7 @@ def reduced_coupling(model: CouplingModel, beta, x, n, e_lambda, e_d, epsilon):
         return np.full(shape, ed_dot_el) if shape else np.float64(ed_dot_el)
     beta_eff = _effective_velocity(model, beta, x, n, epsilon)
     bracket = _bracket(model, beta_eff, x, n, epsilon)
-    cross = float(np.dot(e_d, n)) * _dot3(beta_eff, np.broadcast_to(e_lambda, beta_eff.shape))
+    cross = float(np.dot(e_d, n)) * dot3(beta_eff, np.broadcast_to(e_lambda, beta_eff.shape))
     return ed_dot_el * bracket + cross
 
 
@@ -202,7 +197,7 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
     ed_n = float(np.dot(e_d, n))
     beta_perp = beta - doppler_projection(beta, n)[..., None] * n
     v_perp = np.asarray(bracket)[..., None] * (e_d - ed_n * n) + ed_n * beta_perp
-    return _dot3(v_perp, v_perp)
+    return dot3(v_perp, v_perp)
 
 
 def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj):
@@ -213,20 +208,25 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     the bracket b = 1 - delta + k*eps*x linear in delta, so the conditional
     transverse moments of `proj` (wavepacket.project) make it exactly this
     quadratic. Returns (q0, q1, q2) shaped like x, which may be complex (poles).
+    n may be a stack of directions (..., 3) with `proj` projected along it; x
+    then has one more axis than the stack (e.g. one row of frequencies per row).
     """
-    n = check_unit(n, "n")
+    n = check_unit(n, "n", stacked=True)
     e_d = check_unit(e_d, "e_d")
     x = 1.0 * np.asarray(x)  # real or complex frequencies
-    c = float(np.dot(e_d, n))
+    row = (Ellipsis, None) if n.ndim > 1 else ()  # per-direction values against x's last axis
+    ed_n = n @ e_d
+    e_perp = e_d - ed_n[..., None] * n
+    c = ed_n[row]
     a = 1.0 - c * c
     if model.kind == "standard_dipole":
         return np.full_like(x, a), np.zeros_like(x), np.zeros_like(x)
-    e_perp = e_d - c * n
     m, k = proj.perp_mean, proj.perp_gain
-    b0, b1 = float(np.dot(e_perp, m)), float(np.dot(e_perp, k))
-    c0 = float(np.dot(m, m)) + proj.perp_var
-    c1, c2 = float(np.dot(m, k)), float(np.dot(k, k))
-    bracket = 1.0 - proj.mean + recoil_coefficient(model, epsilon) * epsilon * x  # b at u = 0
+    b0, b1 = dot3(e_perp, m)[row], dot3(e_perp, k)[row]
+    c0 = (dot3(m, m) + proj.perp_var)[row]
+    c1, c2 = dot3(m, k)[row], dot3(k, k)[row]
+    mean = np.asarray(proj.mean)[row]
+    bracket = 1.0 - mean + recoil_coefficient(model, epsilon) * epsilon * x  # b at u = 0
     q0 = bracket * (a * bracket + 2.0 * c * b0) + c * c * c0
     q1 = 2.0 * (c * (bracket * b1 - b0) - a * bracket + c * c * c1)
     q2 = np.full_like(x, a - 2.0 * c * b1 + c * c * c2)

@@ -1,6 +1,8 @@
 """Emission directions, polarization bases, and the dipole axis.
 
-Conventions: all vectors are plain float64 numpy arrays of shape (3,).
+Conventions: all vectors are plain float64 numpy arrays of shape (3,);
+`direction_from_angles` and `check_unit(..., stacked=True)` also handle
+stacks of directions of shape (..., 3).
 A polarization basis is a right-handed orthonormal triad (e1, e2, n) with
 n the propagation direction; both polarization vectors are real (linear
 polarizations suffice for the dipole coupling used here).
@@ -15,6 +17,11 @@ import numpy as np
 _UNIT_TOL = 1e-12
 
 
+def dot3(a, b):
+    """Componentwise dot over the trailing axis of 3; identical arithmetic for every layout."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def as_unit(v) -> np.ndarray:
     """Return v normalized to unit length as a float64 array of shape (3,)."""
     arr = np.asarray(v, dtype=float)
@@ -26,11 +33,16 @@ def as_unit(v) -> np.ndarray:
     return arr / norm
 
 
-def check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
+def check_unit(v: np.ndarray, name: str = "vector", *, stacked: bool = False) -> np.ndarray:
+    """v as a float64 unit 3-vector; with `stacked`, a (..., 3) stack of them."""
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
+    if arr.shape != (3,) and not (stacked and arr.shape[-1:] == (3,)):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if abs(float(np.linalg.norm(arr)) - 1.0) > _UNIT_TOL:
+    if arr.ndim == 1:  # numpy reductions cost microseconds on a scalar
+        deviation = abs(float(np.linalg.norm(arr)) - 1.0)
+    else:
+        deviation = np.abs(np.linalg.norm(arr, axis=-1) - 1.0).max()
+    if not deviation <= _UNIT_TOL:  # NaN fails too
         raise ValueError(f"{name} is not a unit vector (|{name}| - 1 exceeds {_UNIT_TOL:g})")
     return arr
 
@@ -100,15 +112,18 @@ def rotate_basis(basis: PolarizationBasis, angle: float) -> PolarizationBasis:
     return PolarizationBasis(e1=e1, e2=e2, n=basis.n)
 
 
-def direction_from_angles(theta: float, phi: float, axis=None) -> np.ndarray:
+def direction_from_angles(theta, phi, axis=None) -> np.ndarray:
     """Unit vector at polar angle theta from `axis` (default z), azimuth phi.
 
     The azimuth is measured in the plane transverse to `axis`, with phi = 0
     along the deterministic companion axis produced by polarization_basis.
+    theta and phi may be arrays: the result has their broadcast shape plus a
+    trailing axis of 3, all built from one frame; scalars give shape (3,).
     """
     if axis is None:
         axis = np.array([0.0, 0.0, 1.0])
     axis = check_unit(axis, "axis")
     frame = polarization_basis(axis)
+    theta, phi = np.asarray(theta, dtype=float)[..., None], np.asarray(phi, dtype=float)[..., None]
     st = np.sin(theta)
     return np.cos(theta) * axis + st * (np.cos(phi) * frame.e1 + np.sin(phi) * frame.e2)

@@ -119,14 +119,16 @@ def golden_rule_rates(variant: str, beta, n, e_d, params: DimensionlessParams,
 
 def golden_rule_mean_rate(variant: str, proj: ProjectedDistribution, n, e_d,
                           params: DimensionlessParams,
-                          model: CouplingModel | None = None) -> float:
+                          model: CouplingModel | None = None):
     """Normalized rate averaged over a wavepacket seen along n (wavepacket.project):
     exact given delta (coupling.conditional_polarization_sum), then summed over
-    the projection's delta nodes (Gauss-Hermite for a Gaussian)."""
+    the projection's delta nodes (Gauss-Hermite for a Gaussian). A float for one
+    direction; for a stack of directions (..., 3), and `proj` projected along
+    it, an array of the stack's shape."""
     eval_model = _variant_model(variant, model)
     x_star = resonance_root(proj.nodes, params.epsilon)
     q0, q1, q2 = conditional_polarization_sum(eval_model, x_star, n, e_d, params.epsilon, proj)
-    u = proj.nodes - proj.mean
+    u = proj.nodes - np.asarray(proj.mean)[..., None]
     rates = _rate(proj.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
     return weighted_sum(proj.weights, rates)
 

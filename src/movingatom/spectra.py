@@ -265,18 +265,26 @@ def _exprel(w):
     return np.where(small, series, np.expm1(wl) / wl)
 
 
+def _projections(dist: MomentumDistribution, n):
+    """The law of delta along n at the default Hermite order and, for a Gaussian,
+    at half that order (the order check of `_frequency_integral`), else None."""
+    proj = project(dist, n)
+    return proj, (project(dist, n, order=proj.nodes.size // 2) if proj.kind == "gaussian" else None)
+
+
 def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistribution,
                         formfactor: Formfactor, uppers, tol: float, max_panels: int,
-                        check_order: bool = True):
+                        half: ProjectedDistribution | None = None):
     """kappa * E[int_0^U F w] per U over the delta nodes of proj: values, errors,
     evaluations (line integrals plus rule points, per node) and convergence.
 
     "none" and "sharp" are closed forms. A smooth F takes the near pole pair in
     closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x - z)] + 2 Re[r (F -
     F(z))/(x - z)], and its smooth first and last terms go, unscaled, to
-    integrate_adaptive (for one U). A Gaussian's Hermite sum is redone at half its
-    order; the change joins the error and must meet tol * max(1, |I|), which fails
-    for a U inside the Doppler profile (the line integral jumps there)."""
+    integrate_adaptive (for one U). Given `half`, the same packet at half the
+    Hermite order (`_projections`), the sum is redone on it; the change joins the
+    error and must meet tol * max(1, |I|), which fails for a U inside the Doppler
+    profile (the line integral jumps there)."""
     uppers = np.asarray(uppers, dtype=float)
     lines = line_fractions(scenario.coupling, n, scenario.dipole_axis, proj, scenario.params)
     kappa, weights = scenario.kappa, proj.weights
@@ -298,10 +306,9 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
         values = kappa * (weights @ lines.near_integral(uppers, f_near[:, 0]) + res.value)
         errors, evaluations = np.array([kappa * res.error_estimate]), weights.size * (1 + res.evaluations)
         converged = res.converged
-    if check_order and proj.kind == "gaussian":
-        half = project(scenario.distribution, n, order=proj.nodes.size // 2)
+    if half is not None:
         coarse, _, more, ok = _frequency_integral(scenario, n, half, formfactor, uppers, tol,
-                                                  max_panels, check_order=False)
+                                                  max_panels)
         gap = np.abs(values - coarse)
         errors, evaluations = errors + gap, evaluations + more
         converged = ok and converged and bool(np.all(gap <= tol * np.maximum(1.0, np.abs(values))))
@@ -325,12 +332,12 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     the value grows with upper_limit (see `divergence_comparison`).
     """
     n = check_unit(n, "n")
-    proj = project(scenario.distribution, n)
+    proj, half = _projections(scenario.distribution, n)
     x_star = resonance_frequency(proj.mean, scenario.params.epsilon).x_star
     if upper_limit <= x_star:
         raise ValueError(f"upper_limit {upper_limit!r} must exceed the resonance at x = {x_star:.6g}")
     values, errors, evaluations, converged = _frequency_integral(
-        scenario, n, proj, formfactor, [float(upper_limit)], tol, max_panels)
+        scenario, n, proj, formfactor, [float(upper_limit)], tol, max_panels, half)
     return QuadratureResult(value=float(values[0]), error_estimate=float(errors[0]),
                             evaluations=evaluations, converged=converged)
 
@@ -405,12 +412,13 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     lambdas = np.asarray(quadrature.geometric_cutoffs() if lambdas is None else lambdas, dtype=float)
     if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
         raise ValueError("cutoffs must be finite and positive")
-    proj = project(scenario.distribution, n)
+    proj, half = _projections(scenario.distribution, n)
 
     entries = {}
     for label, model in _DIVERGENCE_MODELS:
         values, errors, evaluations, converged = _frequency_integral(
-            scenario.with_coupling(model), n, proj, Formfactor.none(), lambdas, tol, max_panels)
+            scenario.with_coupling(model), n, proj, Formfactor.none(), lambdas, tol, max_panels,
+            half)
         scan = CutoffScan(lambdas=lambdas, values=values, errors=errors,
                           evaluations=evaluations, converged=converged)
         cls = quadrature.classify_tail(scan, fit_points=fit_points)
@@ -454,11 +462,16 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
                     tol: float = 1e-9, order: int = 40, max_panels: int = 4096) -> PatternResult:
     """Emission density per steradian vs polar angle theta from the dipole axis.
 
+    All directions come from one frame (`direction_from_angles` on the whole
+    theta grid at azimuth phi).
+
     mode "golden_rule": the energy constraint is applied before the mode sum
     (finite for every epsilon); values are (3/8pi) times the normalized rate,
     so the reference configuration integrates to 1 over the sphere. The
     average over the wavepacket is exact given delta = n.beta, with an
-    `order`-point Gauss-Hermite rule over delta for a Gaussian.
+    `order`-point Gauss-Hermite rule over delta for a Gaussian (built once).
+    Every angle is evaluated in one array pass: one projection of the packet
+    onto the stack of directions, one golden-rule sum over its nodes.
 
     mode "integrated": `directional_probability` (with `tol`, `max_panels`), defined
     only with a formfactor -- an unregularized request is rejected, not truncated,
@@ -468,16 +481,15 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta_grid must be a nonempty 1D array")
     e_d = scenario.dipole_axis
-    directions = [direction_from_angles(float(t), phi, axis=e_d) for t in theta]
+    directions = direction_from_angles(theta, phi, axis=e_d)
 
     if mode == "golden_rule":
-        values = [sphere_pattern_value(golden_rule_mean_rate(
-                      variant, project(scenario.distribution, n, order=order), n, e_d,
-                      scenario.params, scenario.coupling))
-                  for n in directions]
+        values = sphere_pattern_value(golden_rule_mean_rate(
+            variant, project(scenario.distribution, directions, order=order), directions, e_d,
+            scenario.params, scenario.coupling))
         meta = {"mode": mode, "variant": variant, "phi": phi,
                 "normalization": "reference sphere integral = 1"}
-        return PatternResult(theta=theta, values=np.asarray(values), mode=mode, metadata=meta)
+        return PatternResult(theta=theta, values=values, mode=mode, metadata=meta)
 
     if mode != "integrated":
         raise ValueError(f"unknown pattern mode {mode!r}")

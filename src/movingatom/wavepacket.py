@@ -18,6 +18,9 @@ The emission kernels depend on beta through delta and otherwise at most
 quadratically through beta_perp = beta - delta*n, so `project` reduces a
 distribution seen from n to the law of delta plus the conditional moments
 of beta_perp given delta. Every Doppler average in the package runs on it.
+It takes one direction or a stack of them (shape (..., 3)), so a whole
+angular pattern is one array evaluation. Gauss-Hermite rules are built once
+per order, on first use, and shared as read-only arrays.
 
 `expectation` averages any function of the full velocity, with tensorized
 Gauss-Hermite quadrature for Gaussians (exact for polynomial integrands,
@@ -32,24 +35,28 @@ coincide identically, not just approximately.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .geometry import check_unit
+from .geometry import check_unit, dot3
 from .quadrature import NumericalError
 
 _WEIGHT_TOL = 1e-10
 
 
-def weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
+def weighted_sum(weights: np.ndarray, values: np.ndarray):
     """The one reduction used for every discrete average in this package.
 
     Kept as a named function so that "average over nodes" is the identical
     floating-point operation everywhere it occurs (see module docstring).
+    Sums over the last axis: a float for one set of values, an array for a
+    stack of them.
     """
-    return float(np.sum(weights * values))
+    total = np.sum(weights * values, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +137,11 @@ class ProjectedDistribution:
 
         E[beta_perp | delta]     = perp_mean + u * perp_gain
         E[|beta_perp|^2 | delta] = |E[beta_perp | delta]|^2 + perp_var
+
+    Seen from a stack of directions, every field but `weights` (shared by all
+    rows) carries the stack's leading shape: mean, sigma and perp_var are
+    shaped like the stack, nodes add the node axis, the perp vectors an axis
+    of 3.
     """
 
     kind: str
@@ -147,48 +159,66 @@ class ProjectedDistribution:
             raise ValueError(f"projected weights must sum to 1 within {_WEIGHT_TOL:g}; got {total!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of `order` points, built on first use
+    (a companion eigenproblem) and returned read-only on every later call."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    return np.polynomial.hermite.hermgauss(order)
+    t, w = np.polynomial.hermite.hermgauss(order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribution:
     """Exact law of delta = n . beta for `dist`, with its conditional transverse
-    moments; a Gaussian's delta nodes are an `order`-point Gauss-Hermite rule.
+    moments; a Gaussian's delta nodes are an `order`-point Gauss-Hermite rule
+    (cached per order, read-only).
 
+    n is one unit vector (3,) or a stack of them (..., 3); a stack gives every
+    field but the shared weights its leading shape (see ProjectedDistribution).
     Given delta, a Gaussian N(m, S) is N(m + u g, S - s^2 g g^T) with
-    s^2 = n.S.n and gain g = S n / s^2 (0 when s = 0); a point mass is the
-    case S = 0. Tabulated rows lie along n: they have no transverse part.
+    s^2 = n.S.n and gain g = S n / s^2, so its transverse variance is
+    tr S - |S n|^2 / s^2. A direction with s^2 <= eps_mach tr S (zero to
+    rounding) has the point law, g = 0: it moves the average by at most
+    eps_mach relative, where |g|^2 ~ tr S / s^2 would overflow as s -> 0. In a
+    stack with other rows its Hermite nodes all sit at the mean. A point mass
+    is the case S = 0. Tabulated rows lie along n: they have no transverse part.
     """
-    n = check_unit(n, "n")
+    n = check_unit(n, "n", stacked=True)
+    batch = n.shape[:-1]
     if isinstance(dist, TabulatedProjection):
         if not np.allclose(dist.direction, n, atol=1e-12, rtol=0.0):
             raise ValueError("tabulated distribution was measured along a different direction")
         mean = weighted_sum(dist.weights, dist.delta)
         var = weighted_sum(dist.weights, (dist.delta - mean) ** 2)
-        return ProjectedDistribution(kind="tabulated", mean=mean, sigma=float(np.sqrt(max(var, 0.0))),
-                                     nodes=dist.delta, weights=dist.weights,
-                                     perp_mean=np.zeros(3), perp_gain=np.zeros(3), perp_var=0.0)
+        zeros = np.zeros(batch + (3,))
+        return ProjectedDistribution(kind="tabulated", mean=np.full(batch, mean)[()],
+                                     sigma=np.full(batch, np.sqrt(max(var, 0.0)))[()],
+                                     nodes=np.broadcast_to(dist.delta, batch + dist.delta.shape),
+                                     weights=dist.weights, perp_mean=zeros, perp_gain=zeros,
+                                     perp_var=np.zeros(batch)[()])
     if isinstance(dist, PointMass):
         center, cov = dist.beta, np.zeros((3, 3))
     elif isinstance(dist, GaussianPacket):
         center, cov = dist.mean, dist.covariance
     else:
         raise TypeError(f"unknown distribution type {type(dist).__name__}")
-    mean = float(np.dot(n, center))
-    var = max(float(n @ cov @ n), 0.0)
-    gain = cov @ n / var if var > 0.0 else np.zeros(3)
-    perp = np.eye(3) - np.outer(n, n)
-    cond_cov = cov - var * np.outer(gain, gain)
-    moments = dict(mean=mean, perp_mean=perp @ center, perp_gain=perp @ gain,
-                   perp_var=max(float(np.trace(perp @ cond_cov @ perp)), 0.0))
-    if var == 0.0:
-        return ProjectedDistribution(kind="point", sigma=0.0, nodes=np.array([mean]),
-                                     weights=np.array([1.0]), **moments)
-    sigma = float(np.sqrt(var))
+    mean = dot3(n, center)
+    sn = n @ cov
+    var = np.maximum(dot3(n, sn), 0.0)
+    live = var > np.finfo(float).eps * np.trace(cov)
+    gain = np.where(live[..., None], sn / np.where(live, var, 1.0)[..., None], 0.0)
+    moments = dict(mean=mean, perp_mean=center - mean[..., None] * n,
+                   perp_gain=gain - dot3(n, gain)[..., None] * n,
+                   perp_var=np.maximum(np.trace(cov) - dot3(sn, gain), 0.0))
+    if not np.any(live):
+        return ProjectedDistribution(kind="point", sigma=np.zeros(batch)[()], nodes=mean[..., None],
+                                     weights=np.ones(1), **moments)
+    sigma = np.where(live, np.sqrt(var), 0.0)
     t, w = _hermite_rule(order)
-    return ProjectedDistribution(kind="gaussian", sigma=sigma, nodes=mean + np.sqrt(2.0) * sigma * t,
+    return ProjectedDistribution(kind="gaussian", sigma=sigma,
+                                 nodes=mean[..., None] + np.sqrt(2.0) * sigma[..., None] * t,
                                  weights=w / np.sqrt(np.pi), **moments)
 
 

@@ -96,14 +96,14 @@ def test_flat_band_center_tracks_doppler_and_recoil():
 def test_mode_grid_must_increase():
     with pytest.raises(ValueError):
         DiscreteModeSystem(x=np.array([1.0, 1.0, 1.1]),
-                           g=np.full(3, 0.01), weights=np.ones(3))
+                           g=np.full(3, 0.01))
 
 
 def test_mode_grid_must_be_finite():
     # np.diff(x) <= 0 is False next to a NaN, so the ordering check alone lets it through
     with pytest.raises(ValueError, match="finite"):
         DiscreteModeSystem(x=np.array([1.0, np.nan, 1.2]),
-                           g=np.full(3, 0.1), weights=np.ones(3))
+                           g=np.full(3, 0.1))
 
 
 def expm_state(system, tau):
@@ -183,25 +183,19 @@ def test_recording_grid_is_the_stepper_grid():
 # of 1e-10 puts a root 2.5e-19 from its pole at 0.05, below the pole's last digit (6.9e-18).
 SPECIAL_CASES = {
     "zero_coupling": (DiscreteModeSystem(x=np.array([0.95, 1.0, 1.05, 1.1]),
-                                         g=np.array([0.02, 0.0, 0.03, 0.025]),
-                                         weights=np.ones(4)), 3),
+                                         g=np.array([0.02, 0.0, 0.03, 0.025])), 3),
     "weak_coupling": (DiscreteModeSystem(x=np.array([0.95, 1.0, 1.05, 1.1]),
-                                         g=np.array([0.02, 0.03, 1e-10, 0.025]),
-                                         weights=np.ones(4)), 4),
-    "equal_detunings": (DiscreteModeSystem(x=np.array([0.9, 1.1]), g=np.array([0.02, 0.03]),
-                                           weights=np.ones(2), delta=1.5, epsilon=0.25), 1),
+                                         g=np.array([0.02, 0.03, 1e-10, 0.025])), 4),
+    "equal_detunings": (DiscreteModeSystem(x=np.array([0.9, 1.1]), g=np.array([0.02, 0.03]), delta=1.5, epsilon=0.25), 1),
     "unsorted_detunings": (DiscreteModeSystem(x=np.array([0.6, 0.85, 1.05, 1.3, 1.45]),
-                                              g=np.array([0.02, 0.03, 0.01, 0.025, 0.015]),
-                                              weights=np.ones(5), delta=1.5, epsilon=0.25), 5),
+                                              g=np.array([0.02, 0.03, 0.01, 0.025, 0.015]), delta=1.5, epsilon=0.25), 5),
     # six pairs of modes 1e-9 apart, far above the deflation tolerance: each pair keeps
     # two poles and has a root between them
     "clustered_poles": (DiscreteModeSystem(x=np.repeat(np.linspace(0.96, 1.04, 6), 2)
                                            + np.tile([0.0, 1e-9], 6),
-                                           g=np.linspace(0.01, 0.03, 12),
-                                           weights=np.ones(12)), 12),
+                                           g=np.linspace(0.01, 0.03, 12)), 12),
     # one mode has no spacing and so no revival time
-    "single_mode": (DiscreteModeSystem(x=np.array([1.02]), g=np.array([0.03]),
-                                       weights=np.ones(1)), 1),
+    "single_mode": (DiscreteModeSystem(x=np.array([1.02]), g=np.array([0.03])), 1),
 }
 
 

@@ -103,6 +103,37 @@ def test_direction_from_angles_arbitrary_axis():
         assert np.dot(d, axis) == pytest.approx(np.cos(theta), abs=1e-13)
 
 
+def test_direction_from_angles_array_rows_match_scalar_calls():
+    axis = random_direction()
+    theta = np.concatenate(([0.0, np.pi / 2, np.pi], rng.uniform(0, np.pi, 34)))
+    for phi in (0.0, 0.8, np.pi / 2):
+        stack = direction_from_angles(theta, phi, axis=axis)
+        assert stack.shape == (theta.size, 3)
+        rows = np.array([direction_from_angles(float(t), phi, axis=axis) for t in theta])
+        assert np.max(np.abs(stack - rows)) <= 2e-16
+        assert np.max(np.abs(np.linalg.norm(stack, axis=-1) - 1.0)) <= 1e-15
+    # theta and phi broadcast against each other; one frame serves every row
+    grid = direction_from_angles(theta[:, None], np.array([0.0, 0.8, 2.0]), axis=axis)
+    assert grid.shape == (theta.size, 3, 3)
+    assert np.max(np.abs(grid[:, 1] - direction_from_angles(theta, 0.8, axis=axis))) <= 2e-16
+
+
+def test_check_unit_stacks_only_when_asked():
+    stack = direction_from_angles(np.linspace(0.0, np.pi, 5), 0.3)
+    assert check_unit(stack, "n", stacked=True) is not None
+    with pytest.raises(ValueError, match="3-vector"):
+        check_unit(stack, "n")
+    bad = stack.copy()
+    bad[2] *= 1.01
+    with pytest.raises(ValueError, match="unit"):
+        check_unit(bad, "n", stacked=True)
+    bad[2] = np.nan
+    with pytest.raises(ValueError, match="unit"):
+        check_unit(bad, "n", stacked=True)
+    with pytest.raises(ValueError, match="unit"):
+        check_unit(bad[2], "n")
+
+
 def test_check_unit_rejects_non_unit_vectors():
     with pytest.raises(ValueError, match="unit"):
         check_unit(np.array([1.0, 1.0, 0.0]), "n")

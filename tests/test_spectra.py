@@ -11,12 +11,14 @@ from scipy.special import voigt_profile
 from movingatom.coupling import CouplingModel, polarization_sum
 from movingatom.geometry import direction_from_angles
 from movingatom.quadrature import NumericalError
-from movingatom.rates import golden_rule_rates, resonance_frequency, sphere_pattern_value
+from movingatom.rates import (golden_rule_mean_rate, golden_rule_rates, resonance_frequency,
+                              sphere_pattern_value)
 from movingatom.spectra import (EmissionScenario, Formfactor, PhysicsRejection,
                                 angular_pattern, directional_probability,
                                 directional_spectrum, divergence_comparison)
 from movingatom.units import DimensionlessParams
-from movingatom.wavepacket import GaussianPacket, PointMass, TabulatedProjection, expectation
+from movingatom.wavepacket import (GaussianPacket, PointMass, TabulatedProjection, expectation,
+                                   project)
 
 N_PERP = np.array([1.0, 0.0, 0.0])
 N_45 = direction_from_angles(math.pi / 4, 0.0, axis=np.array([0.0, 0.0, 1.0]))
@@ -463,6 +465,26 @@ def test_golden_pattern_matches_tensor_rule(variant):
         rates = lambda b, n=n: golden_rule_rates(variant, b, n, E_D, sc.params, sc.coupling)
         ref.append(sphere_pattern_value(expectation(dist, rates, order=40).value))
     assert np.max(np.abs(pat.values - ref)) <= 1e-12 * max(ref)
+
+
+# A rank-one packet along x: at phi = 0 the rows theta = 0 and pi have n.S.n = 0 to rounding
+# (the point law) among Gaussian rows; at phi = pi/2 every row does.
+@pytest.mark.parametrize("dist, phi", [
+    (GaussianPacket.along_direction(np.zeros(3), 1e-3, [1.0, 0.0, 0.0]), 0.0),
+    (GaussianPacket.along_direction(np.zeros(3), 1e-3, [1.0, 0.0, 0.0]), math.pi / 2),
+    (PointMass(np.array([1e-3, -2e-3, 5e-4])), 0.4),
+], ids=["rank_one_phi0", "rank_one_phi90", "point_mass"])
+@pytest.mark.parametrize("variant", ["shifted", "unshifted"])
+def test_golden_pattern_on_degenerate_directions_matches_one_direction_at_a_time(dist, phi,
+                                                                                 variant):
+    sc = make_scenario(eps=0.01, dist=dist)
+    theta = np.linspace(0.0, np.pi, 37)
+    pat = angular_pattern(sc, theta, variant=variant, phi=phi)
+    ref = [sphere_pattern_value(golden_rule_mean_rate(variant, project(dist, n), n, E_D,
+                                                      sc.params, sc.coupling))
+           for n in direction_from_angles(theta, phi, axis=E_D)]
+    assert np.all(np.isfinite(pat.values))
+    np.testing.assert_allclose(pat.values, ref, rtol=1e-14, atol=0.0)
 
 
 def test_pattern_integrated_requires_formfactor():

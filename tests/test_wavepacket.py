@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from movingatom.coupling import CouplingModel
+from movingatom.geometry import direction_from_angles
 from movingatom.quadrature import NumericalError
+from movingatom.rates import golden_rule_mean_rate
+from movingatom.spectra import EmissionScenario, angular_pattern, divergence_comparison
+from movingatom.units import DimensionlessParams
 from movingatom.wavepacket import (GaussianPacket, PointMass,
-                                   TabulatedProjection, expectation,
+                                   TabulatedProjection, _hermite_rule, expectation,
                                    gaussian_nodes, project, weighted_sum)
 
 rng = np.random.default_rng(431)
@@ -147,3 +152,65 @@ def test_weighted_sum_reduction_semantics():
     w = np.array([0.25, 0.25, 0.5])
     v = np.array([1.0, 2.0, 3.0])
     assert weighted_sum(w, v) == float(np.sum(w * v))
+
+
+def test_project_stack_matches_one_direction_at_a_time():
+    dirs = direction_from_angles(np.linspace(0.0, np.pi, 9), 0.7, axis=np.array([0.6, 0.0, 0.8]))
+    cov = np.array([[4e-6, 1e-6, 0.0], [1e-6, 3e-6, -5e-7], [0.0, -5e-7, 2e-6]])
+    for dist in (GaussianPacket(mean=np.array([1e-3, -2e-3, 5e-4]), covariance=cov),
+                 PointMass(np.array([1e-3, -2e-3, 5e-4]))):
+        stack = project(dist, dirs, order=12)
+        for i, n in enumerate(dirs):
+            one = project(dist, n, order=12)
+            assert stack.kind == one.kind
+            assert np.array_equal(stack.weights, one.weights)
+            for field in ("mean", "sigma", "nodes", "perp_mean", "perp_gain", "perp_var"):
+                assert np.allclose(getattr(stack, field)[i], getattr(one, field),
+                                   rtol=1e-14, atol=1e-20), field
+    n = np.array([0.0, 0.0, 1.0])
+    tab = TabulatedProjection(delta=np.array([-1e-3, 2e-3]), weights=np.array([0.4, 0.6]), direction=n)
+    stack = project(tab, np.array([n, n, n]))
+    assert stack.nodes.shape == (3, 2) and stack.mean.shape == (3,)
+    assert weighted_sum(stack.weights, stack.nodes).tolist() == [project(tab, n).mean] * 3
+
+
+@pytest.mark.parametrize("nx", [1e-16, 1e-150, 1e-155, 0.0])
+def test_rounding_level_spread_has_the_point_law(nx):
+    # n.S.n = sigma^2 nx^2 is zero to rounding; taken as a Gaussian, the gain S n / n.S.n
+    # has |g|^2 = 1/nx^2, which overflows (a NaN rate) once n.S.n is subnormal (nx = 1e-155)
+    dist = GaussianPacket.along_direction(np.zeros(3), 1e-3, [1.0, 0.0, 0.0])
+    n = np.array([nx, 0.0, 1.0]) / np.hypot(nx, 1.0)
+    proj = project(dist, n)
+    assert proj.kind == "point" and proj.sigma == 0.0
+    assert np.array_equal(proj.perp_gain, np.zeros(3))
+    assert proj.perp_var == pytest.approx(1e-6, rel=1e-15)
+    e_d = np.array([0.0, 0.0, 1.0])
+    params = DimensionlessParams(epsilon=0.01, gamma_tilde=1e-2)
+    exact = golden_rule_mean_rate("shifted", project(dist, e_d), e_d, e_d, params)
+    assert golden_rule_mean_rate("shifted", proj, n, e_d, params) == pytest.approx(exact, rel=1e-14)
+
+
+def test_hermite_rules_are_built_once_per_order(monkeypatch):
+    """A 37-angle golden-rule pattern and a Gaussian divergence comparison
+    build the order-40 rule and the order-20 check rule once each."""
+    _hermite_rule.cache_clear()
+    built = []
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def counting(order):
+        built.append(order)
+        return hermgauss(order)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+    scenario = EmissionScenario(params=DimensionlessParams(epsilon=0.01, gamma_tilde=1e-2),
+                                coupling=CouplingModel.roentgen(),
+                                distribution=GaussianPacket.isotropic([1e-4, -2e-4, 3e-4], 1e-3))
+    angular_pattern(scenario, np.linspace(0.0, np.pi, 37))
+    divergence_comparison(scenario, np.array([1.0, 0.0, 0.0]))
+    angular_pattern(scenario, np.linspace(0.0, np.pi, 37), phi=0.5)
+    assert sorted(built) == [20, 40]
+    t, w = _hermite_rule(40)
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
