@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,13 @@ import numpy as np
 from . import __version__
 from .amplitudes import (compare_to_pole, discrete_mode_evolution,
                          flat_band_system, pole_mode_populations)
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, _section, build_config, load_raw
 from .quadrature import NumericalError
 from .rates import limit_ordering_demo
 from .spectra import (PhysicsRejection, angular_pattern, directional_probability,
                       directional_spectrum, divergence_comparison)
 from .units import ParameterError
+from .wavepacket import TabulatedProjection
 
 _FLOAT_FMT = "%.16e"
 
@@ -185,7 +186,7 @@ def _cmd_rates(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_pattern(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     pat = cfg.pattern
-    if cfg.resolved["distribution"]["kind"] == "tabulated":
+    if isinstance(cfg.scenario.distribution, TabulatedProjection):
         raise ConfigError("'pattern' needs delta = n.beta in every direction; a tabulated "
                           "distribution gives it only along its own 'direction'")
     theta = np.linspace(0.0, math.pi, pat["theta_points"])
@@ -267,13 +268,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        raw = load_raw(args.config)
         if args.tol is not None:
-            if not args.tol > 0:
-                raise ConfigError(f"--tol must be positive, got {args.tol!r}")
-            cfg = _override(cfg, tol=args.tol)
+            raw["tolerances"] = {**_section(raw, "tolerances"), "quadrature": args.tol}
         if args.seed is not None:
-            cfg = _override(cfg, seed=args.seed)
+            raw["seed"] = args.seed
+        cfg = build_config(raw, base_dir=Path(args.config).parent)
         out_dir = Path(args.out or cfg.output_dir or "out")
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _DISPATCH[args.command](cfg, out_dir)
@@ -290,15 +290,6 @@ def main(argv=None) -> int:
     except PhysicsRejection as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 4
-
-
-def _override(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    resolved = dict(cfg.resolved)
-    if "tol" in changes:
-        resolved["tolerances"] = dict(resolved["tolerances"], quadrature=changes["tol"])
-    if "seed" in changes:
-        resolved["seed"] = changes["seed"]
-    return replace(cfg, resolved=resolved, **changes)
 
 
 if __name__ == "__main__":

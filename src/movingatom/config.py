@@ -5,8 +5,10 @@ subset of YAML) describes the atom, the coupling model, the momentum
 wavepacket, the emission geometry, and the numerical settings. Angles in
 scenario files are degrees; the Python API works in radians throughout.
 
-The loader is strict about top-level keys (typos should fail loudly, not
-silently fall back to defaults) and converts everything into the package's
+Every key of every section is declared once, in `_KEYS`, with its parser and
+default. The loader rejects unknown keys at every level (typos should fail
+loudly, not silently fall back to defaults), takes only real true/false for
+flags and only finite numbers, and converts everything into the package's
 own dataclasses, so a `ScenarioConfig` that loads at all is ready to run.
 """
 
@@ -33,13 +35,6 @@ class ConfigError(ValueError):
     """A scenario file is missing, unparsable, or inconsistent."""
 
 
-_TOP_LEVEL_KEYS = {
-    "atom", "coupling", "dipole_axis", "distribution", "geometry", "grid",
-    "scan", "formfactor", "probability", "pattern", "limit_ordering",
-    "oracle", "tolerances", "seed", "output",
-}
-
-
 def _section(raw: dict, name: str) -> dict:
     value = raw.get(name) or {}
     if not isinstance(value, dict):
@@ -47,50 +42,140 @@ def _section(raw: dict, name: str) -> dict:
     return value
 
 
-def _float(section: dict, key: str, default, where: str, *, positive: bool = False,
-           nonnegative: bool = False) -> float:
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"'{where}.{key}' is required")
+# Parsers: each takes (value, where) and returns the checked value or raises.
+
+def _number(bound: str = ""):
+    """A finite float; `bound` is "", "positive" or "non-negative"."""
+    def parse(value, where):
+        try:
+            number = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"'{where}' must be a finite number, got {value!r}")
+        if bound and not (number > 0 if bound == "positive" else number >= 0):
+            raise ConfigError(f"'{where}' must be {bound}, got {value!r}")
+        return number
+    return parse
+
+
+def _integer(minimum: int):
+    def parse(value, where):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"'{where}' must be an integer >= {minimum}, got {value!r}")
+        return value
+    return parse
+
+
+def _accept(test, what: str):
+    def parse(value, where):
+        if not test(value):
+            raise ConfigError(f"'{where}' must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+def _choice(*options):
+    return _accept(lambda value: value in options, f"one of {options}")
+
+
+_FLAG = _accept(lambda value: isinstance(value, bool), "true or false")
+_TEXT = _accept(lambda value: isinstance(value, str), "a string")
+
+
+def _list(item, length: int | None = None):
+    """A list (of `length` entries, if given), each entry parsed by `item`."""
+    def parse(value, where):
+        if not isinstance(value, (list, tuple, np.ndarray)) or length not in (None, len(value)):
+            size = "a list" if length is None else f"a list of {length} entries"
+            raise ConfigError(f"'{where}' must be {size}, got {value!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+_VECTOR = _list(_number(), 3)
+
+
+def _unit(value, where):
+    vector = _VECTOR(value, where)
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{where}.{key}' must be a number, got {value!r}") from None
-    if positive and not value > 0:
-        raise ConfigError(f"'{where}.{key}' must be positive, got {value!r}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"'{where}.{key}' must be non-negative, got {value!r}")
-    return value
+        return as_unit(vector)
+    except ValueError as exc:
+        raise ConfigError(f"'{where}': {exc}") from None
 
 
-def _int(section: dict, key: str, default, where: str, *, minimum: int = 1) -> int:
-    value = section.get(key, default)
-    try:
-        ivalue = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{where}.{key}' must be an integer, got {value!r}") from None
-    if ivalue != value or ivalue < minimum:
-        raise ConfigError(f"'{where}.{key}' must be an integer >= {minimum}, got {value!r}")
-    return ivalue
+_POSITIVE, _NONNEGATIVE = _number("positive"), _number("non-negative")
+
+# Every key of every section: key -> (parser, default). A default of None makes
+# the key optional; any other default also stands in for an explicit null.
+_KEYS = {
+    "atom": {"mass": (_POSITIVE, None), "omega0": (_POSITIVE, None),
+             "gamma0": (_POSITIVE, None), "dipole_moment": (_POSITIVE, None),
+             "infinite_mass": (_FLAG, False),
+             "epsilon": (_NONNEGATIVE, 0.01), "gamma_tilde": (_POSITIVE, 0.01)},
+    "coupling": {"model": (_choice("roentgen", "standard"), "roentgen"),
+                 "recoil_term": (_FLAG, True), "momentum_shift": (_FLAG, True)},
+    "distribution": {"kind": (_choice("point", "gaussian", "tabulated"), "point"),
+                     "beta": (_VECTOR, [0.0, 0.0, 0.0]), "mean": (_VECTOR, [0.0, 0.0, 0.0]),
+                     "sigma": (_POSITIVE, None), "sigma_along": (_POSITIVE, None),
+                     "covariance": (_list(_VECTOR, 3), None),
+                     "direction": (_unit, None), "file": (_TEXT, None)},
+    "geometry": {"mode": (_choice("perpendicular", "angles", "direction"), "perpendicular"),
+                 "theta": (_number(), 90.0), "phi": (_number(), 0.0),
+                 "direction": (_unit, None)},
+    "grid": {"start": (_NONNEGATIVE, 0.8), "stop": (_POSITIVE, 1.2),
+             "count": (_integer(2), 241), "spacing": (_choice("linear", "log"), "linear")},
+    "scan": {"lambda_min": (_POSITIVE, 1e2), "lambda_max": (_POSITIVE, 1e4),
+             "points": (_integer(2), 16)},
+    "formfactor": {"kind": (_choice(*Formfactor._KINDS), "none"), "cutoff": (_number(), None)},
+    "probability": {"upper_limit": (_POSITIVE, None)},
+    "pattern": {"mode": (_choice("golden_rule", "integrated"), "golden_rule"),
+                "variant": (_choice(*VARIANTS), "shifted"),
+                "theta_points": (_integer(2), 73), "phi": (_number(), 0.0)},
+    "limit_ordering": {"epsilons": (_list(_POSITIVE), [1e-2, 1e-3, 1e-4]),
+                       "window": (_list(_number(), 2), [30.0, 100.0]),
+                       "window_points": (_integer(5), 6),
+                       "fixed_cutoffs": (_list(_POSITIVE), [1e2, 1e3, 1e4])},
+    # time_step and record_every set only the recording grid: the evolution is exact
+    "oracle": {"modes": (_integer(3), 2001), "half_width": (_POSITIVE, 0.05),
+               "gamma_eff": (_POSITIVE, 1e-3), "delta": (_number(), 0.0),
+               "epsilon": (_NONNEGATIVE, 0.0), "time_step": (_POSITIVE, 0.25),
+               "lifetimes": (_POSITIVE, 14.0), "record_every": (_integer(1), 100)},
+    "tolerances": {"quadrature": (_POSITIVE, 1e-9), "max_panels": (_integer(16), 4096)},
+    "output": {"directory": (_TEXT, None)},
+}
+_TOP_LEVEL = {"dipole_axis": (_unit, [0.0, 0.0, 1.0]), "seed": (_integer(0), None)}
 
 
-def _vector3(section: dict, key: str, default, where: str) -> np.ndarray:
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"'{where}.{key}' is required")
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ConfigError(f"'{where}.{key}' must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"'{where}.{key}' has non-finite entries")
-    return arr
+def _check_keys(mapping: dict, allowed, what: str) -> None:
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(map(str, unknown))}; "
+                          f"allowed: {sorted(allowed)}")
 
 
-def _choice(section: dict, key: str, default: str, options, where: str) -> str:
-    value = section.get(key, default)
-    if value not in options:
-        raise ConfigError(f"'{where}.{key}' must be one of {tuple(options)}, got {value!r}")
-    return value
+def _value(mapping: dict, key: str, spec, where: str):
+    parse, default = spec
+    value = mapping.get(key, default)
+    if value is None and default is not None:
+        raise ConfigError(f"'{where}' is required")
+    return None if value is None else parse(value, where)
+
+
+def _read(raw: dict, name: str) -> dict:
+    """The section `name` of `raw`, every key of `_KEYS[name]` parsed or defaulted."""
+    section = _section(raw, name)
+    _check_keys(section, _KEYS[name], f"'{name}'")
+    return {key: _value(section, key, spec, f"{name}.{key}")
+            for key, spec in _KEYS[name].items()}
+
+
+def _need(values: dict, name: str, key: str):
+    if values[key] is None:
+        raise ConfigError(f"'{name}.{key}' is required")
+    return values[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,44 +221,30 @@ def load_config(path) -> ScenarioConfig:
     return build_config(load_raw(path), base_dir=Path(path).parent)
 
 
-def _build_params(raw: dict) -> DimensionlessParams:
-    atom = _section(raw, "atom")
-    physical_keys = {"mass", "omega0", "gamma0", "dipole_moment", "infinite_mass"}
-    given_physical = physical_keys & set(atom)
-    given_reduced = {"epsilon", "gamma_tilde"} & set(atom)
-    if given_physical and given_reduced:
+def _build_params(atom: dict, given: set) -> DimensionlessParams:
+    physical = given & {"mass", "omega0", "gamma0", "dipole_moment", "infinite_mass"}
+    if physical and given & {"epsilon", "gamma_tilde"}:
         raise ConfigError("'atom' must give either (epsilon, gamma_tilde) or "
                           "physical inputs (mass, omega0, gamma0), not both")
     try:
-        if given_physical:
-            inp = PhysicalInput(
-                mass=_float(atom, "mass", None, "atom", positive=True),
-                omega0=_float(atom, "omega0", None, "atom", positive=True),
-                gamma0=_float(atom, "gamma0", None, "atom", positive=True),
-                dipole_moment=(None if atom.get("dipole_moment") is None
-                               else _float(atom, "dipole_moment", None, "atom", positive=True)),
-                infinite_mass=bool(atom.get("infinite_mass", False)),
-            )
-            return to_dimensionless(inp)
-        return DimensionlessParams(
-            epsilon=_float(atom, "epsilon", 0.01, "atom", nonnegative=True),
-            gamma_tilde=_float(atom, "gamma_tilde", 0.01, "atom", positive=True),
-        )
+        if physical:
+            return to_dimensionless(PhysicalInput(
+                mass=_need(atom, "atom", "mass"), omega0=_need(atom, "atom", "omega0"),
+                gamma0=_need(atom, "atom", "gamma0"), dipole_moment=atom["dipole_moment"],
+                infinite_mass=atom["infinite_mass"]))
+        return DimensionlessParams(epsilon=atom["epsilon"], gamma_tilde=atom["gamma_tilde"])
     except ParameterError as exc:
         raise ConfigError(f"'atom': {exc}") from None
 
 
-def _build_coupling(raw: dict) -> CouplingModel:
-    section = _section(raw, "coupling")
-    name = _choice(section, "model", "roentgen", ("roentgen", "standard"), "coupling")
-    if name == "standard":
-        if section.get("recoil_term") or section.get("momentum_shift"):
+def _build_coupling(coupling: dict, given: set) -> CouplingModel:
+    if coupling["model"] == "standard":
+        if any(coupling[k] for k in given & {"recoil_term", "momentum_shift"}):
             raise ConfigError("'coupling': the standard model has no recoil term "
                               "or momentum shift to switch on")
         return CouplingModel.standard()
-    return CouplingModel(kind="roentgen",
-                         include_recoil_term=bool(section.get("recoil_term", True)),
-                         apply_momentum_shift=bool(section.get("momentum_shift", True)))
+    return CouplingModel(kind="roentgen", include_recoil_term=coupling["recoil_term"],
+                         apply_momentum_shift=coupling["momentum_shift"])
 
 
 def _load_table(path: Path) -> np.ndarray:
@@ -196,39 +267,22 @@ def _load_table(path: Path) -> np.ndarray:
     return arr[:, :2]
 
 
-def _build_distribution(raw: dict, base_dir: Path):
-    section = _section(raw, "distribution")
-    kind = _choice(section, "kind", "point", ("point", "gaussian", "tabulated"),
-                   "distribution")
+def _build_distribution(d: dict, base_dir: Path):
     try:
-        if kind == "point":
-            return PointMass(beta=_vector3(section, "beta", [0.0, 0.0, 0.0], "distribution"))
-        if kind == "gaussian":
-            mean = _vector3(section, "mean", [0.0, 0.0, 0.0], "distribution")
-            given = [k for k in ("sigma", "sigma_along", "covariance") if k in section]
-            if len(given) != 1:
+        if d["kind"] == "point":
+            return PointMass(beta=d["beta"])
+        if d["kind"] == "gaussian":
+            if sum(d[k] is not None for k in ("sigma", "sigma_along", "covariance")) != 1:
                 raise ConfigError("'distribution': a gaussian needs exactly one of "
                                   "'sigma' (isotropic), 'sigma_along' (+ 'direction'), "
                                   "or 'covariance'")
-            if given[0] == "sigma":
-                return GaussianPacket.isotropic(mean, _float(section, "sigma", None,
-                                                             "distribution", positive=True))
-            if given[0] == "sigma_along":
-                axis = _vector3(section, "direction", None, "distribution")
-                return GaussianPacket.along_direction(
-                    mean, _float(section, "sigma_along", None, "distribution", positive=True),
-                    as_unit(axis))
-            cov = np.asarray(section["covariance"], dtype=float)
-            if cov.shape != (3, 3):
-                raise ConfigError("'distribution.covariance' must be a 3x3 matrix")
-            return GaussianPacket(mean=mean, covariance=cov)
-        # tabulated
-        fname = section.get("file")
-        if not fname:
-            raise ConfigError("'distribution.file' is required for a tabulated distribution")
-        fpath = Path(fname)
-        if not fpath.is_absolute():
-            fpath = base_dir / fpath
+            if d["sigma"] is not None:
+                return GaussianPacket.isotropic(d["mean"], d["sigma"])
+            if d["sigma_along"] is not None:
+                return GaussianPacket.along_direction(d["mean"], d["sigma_along"],
+                                                      _need(d, "distribution", "direction"))
+            return GaussianPacket(mean=d["mean"], covariance=d["covariance"])
+        fpath = base_dir / _need(d, "distribution", "file")
         table = _load_table(fpath)
         order = np.argsort(table[:, 0])
         delta, weights = table[order, 0], table[order, 1]
@@ -237,137 +291,72 @@ def _build_distribution(raw: dict, base_dir: Path):
         total = weights.sum()
         if not total > 0:
             raise ConfigError(f"table {fpath.name} has zero total weight")
-        axis = as_unit(_vector3(section, "direction", [1.0, 0.0, 0.0], "distribution"))
+        axis = [1.0, 0.0, 0.0] if d["direction"] is None else d["direction"]
         return TabulatedProjection(delta=delta, weights=weights / total, direction=axis)
+    except ConfigError:
+        raise
     except (ValueError, ParameterError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"'distribution': {exc}") from None
 
 
-def _build_direction(raw: dict, e_d: np.ndarray) -> tuple[np.ndarray, dict]:
-    section = _section(raw, "geometry")
-    mode = _choice(section, "mode", "perpendicular",
-                   ("perpendicular", "angles", "direction"), "geometry")
+def _build_direction(geometry: dict, e_d: np.ndarray) -> tuple[np.ndarray, dict]:
+    mode, angles = geometry["mode"], {}
     if mode == "perpendicular":
         n = polarization_basis(e_d).e1
-        return n, {"mode": mode, "direction": n.tolist()}
-    if mode == "angles":
-        theta_deg = _float(section, "theta", 90.0, "geometry")
-        phi_deg = _float(section, "phi", 0.0, "geometry")
-        n = direction_from_angles(math.radians(theta_deg), math.radians(phi_deg), axis=e_d)
-        return n, {"mode": mode, "theta_deg": theta_deg, "phi_deg": phi_deg,
-                   "direction": n.tolist()}
-    n = as_unit(_vector3(section, "direction", None, "geometry"))
-    return n, {"mode": mode, "direction": n.tolist()}
+    elif mode == "angles":
+        angles = {"theta_deg": geometry["theta"], "phi_deg": geometry["phi"]}
+        n = direction_from_angles(math.radians(geometry["theta"]),
+                                  math.radians(geometry["phi"]), axis=e_d)
+    else:
+        n = _need(geometry, "geometry", "direction")
+    return n, {"mode": mode, **angles, "direction": n.tolist()}
 
 
 def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
-    base_dir = Path(base_dir)
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}; "
-                          f"allowed: {sorted(_TOP_LEVEL_KEYS)}")
+    _check_keys(raw, [*_KEYS, *_TOP_LEVEL], "top-level")
+    s = {name: _read(raw, name) for name in _KEYS}
+    e_d, seed = (_value(raw, key, spec, key) for key, spec in _TOP_LEVEL.items())
 
-    params = _build_params(raw)
-    model = _build_coupling(raw)
-    e_d = as_unit(_vector3(raw, "dipole_axis", [0.0, 0.0, 1.0], "scenario"))
-    distribution = _build_distribution(raw, base_dir)
+    params = _build_params(s["atom"], set(_section(raw, "atom")))
+    model = _build_coupling(s["coupling"], set(_section(raw, "coupling")))
+    distribution = _build_distribution(s["distribution"], Path(base_dir))
     try:
         scenario = EmissionScenario(params=params, coupling=model,
                                     distribution=distribution, dipole_axis=e_d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    direction, geometry_resolved = _build_direction(raw, e_d)
+    direction, geometry_resolved = _build_direction(s["geometry"], e_d)
     if isinstance(distribution, TabulatedProjection) and not np.allclose(
             distribution.direction, direction, atol=1e-12, rtol=0.0):
         raise ConfigError("'distribution': a tabulated delta = n.beta holds only for its own "
                           "'direction', which must equal the geometry's emission direction")
 
-    grid = _section(raw, "grid")
-    start = _float(grid, "start", 0.8, "grid", nonnegative=True)
-    stop = _float(grid, "stop", 1.2, "grid", positive=True)
-    count = _int(grid, "count", 241, "grid", minimum=2)
-    spacing = _choice(grid, "spacing", "linear", ("linear", "log"), "grid")
-    if not stop > start:
-        raise ConfigError(f"'grid': stop ({stop}) must exceed start ({start})")
-    if spacing == "log":
-        if not start > 0:
-            raise ConfigError("'grid': log spacing needs start > 0")
-        x_grid = np.geomspace(start, stop, count)
-    else:
-        x_grid = np.linspace(start, stop, count)
+    grid = s["grid"]
+    if not grid["stop"] > grid["start"]:
+        raise ConfigError(f"'grid': stop ({grid['stop']}) must exceed start ({grid['start']})")
+    if grid["spacing"] == "log" and not grid["start"] > 0:
+        raise ConfigError("'grid': log spacing needs start > 0")
+    x_grid = (np.geomspace if grid["spacing"] == "log" else np.linspace)(
+        grid["start"], grid["stop"], grid["count"])
 
-    scan = _section(raw, "scan")
-    lam_min = _float(scan, "lambda_min", 1e2, "scan", positive=True)
-    lam_max = _float(scan, "lambda_max", 1e4, "scan", positive=True)
-    points = _int(scan, "points", 16, "scan", minimum=2)
-    if not lam_max > lam_min:
+    scan = s["scan"]
+    if not scan["lambda_max"] > scan["lambda_min"]:
         raise ConfigError("'scan': lambda_max must exceed lambda_min")
-    lambdas = np.geomspace(lam_min, lam_max, points)
+    lambdas = np.geomspace(scan["lambda_min"], scan["lambda_max"], scan["points"])
 
-    ff_section = _section(raw, "formfactor")
     try:
-        cutoff = ff_section.get("cutoff")
-        formfactor = Formfactor(
-            kind=_choice(ff_section, "kind", "none", Formfactor._KINDS, "formfactor"),
-            cutoff=None if cutoff is None else float(cutoff))
+        formfactor = Formfactor(**s["formfactor"])
     except ValueError as exc:
         raise ConfigError(f"'formfactor': {exc}") from None
 
-    prob = _section(raw, "probability")
-    upper_limit = prob.get("upper_limit")
-    if upper_limit is not None:
-        upper_limit = _float(prob, "upper_limit", None, "probability", positive=True)
-
-    pat = _section(raw, "pattern")
-    pattern = {
-        "mode": _choice(pat, "mode", "golden_rule", ("golden_rule", "integrated"), "pattern"),
-        "variant": _choice(pat, "variant", "shifted", VARIANTS, "pattern"),
-        "theta_points": _int(pat, "theta_points", 73, "pattern", minimum=2),
-        "phi_deg": _float(pat, "phi", 0.0, "pattern"),
-    }
-
-    lo = _section(raw, "limit_ordering")
-    eps_default = [1e-2, 1e-3, 1e-4]
-    epsilons = [float(e) for e in lo.get("epsilons", eps_default)]
-    if not epsilons or any(not e > 0 for e in epsilons):
-        raise ConfigError("'limit_ordering.epsilons' must be positive numbers")
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ConfigError("'limit_ordering.epsilons' must be strictly decreasing")
-    window = lo.get("window", [30.0, 100.0])
-    if len(window) != 2 or not 0 < float(window[0]) < float(window[1]):
+    s["pattern"]["phi_deg"] = s["pattern"].pop("phi")
+    lo = s["limit_ordering"]
+    eps = lo["epsilons"]
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError("'limit_ordering.epsilons' must be a non-empty, strictly "
+                          "decreasing list")
+    if not 0 < lo["window"][0] < lo["window"][1]:
         raise ConfigError("'limit_ordering.window' must be [lo, hi] with 0 < lo < hi")
-    limit_ordering = {
-        "epsilons": epsilons,
-        "window": [float(window[0]), float(window[1])],
-        "window_points": _int(lo, "window_points", 6, "limit_ordering", minimum=5),
-        "fixed_cutoffs": [float(c) for c in lo.get("fixed_cutoffs", [1e2, 1e3, 1e4])],
-    }
-
-    osec = _section(raw, "oracle")
-    oracle = {
-        "modes": _int(osec, "modes", 2001, "oracle", minimum=3),
-        "half_width": _float(osec, "half_width", 0.05, "oracle", positive=True),
-        "gamma_eff": _float(osec, "gamma_eff", 1e-3, "oracle", positive=True),
-        "delta": _float(osec, "delta", 0.0, "oracle"),
-        "epsilon": _float(osec, "epsilon", 0.0, "oracle", nonnegative=True),
-        # time_step and record_every set only the recording grid: the evolution is exact
-        "time_step": _float(osec, "time_step", 0.25, "oracle", positive=True),
-        "lifetimes": _float(osec, "lifetimes", 14.0, "oracle", positive=True),
-        "record_every": _int(osec, "record_every", 100, "oracle", minimum=1),
-    }
-
-    tols = _section(raw, "tolerances")
-    tol = _float(tols, "quadrature", 1e-9, "tolerances", positive=True)
-    max_panels = _int(tols, "max_panels", 4096, "tolerances", minimum=16)
-
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _int(raw, "seed", None, "scenario", minimum=0)
-
-    out_section = _section(raw, "output")
-    output_dir = out_section.get("directory")
 
     if isinstance(distribution, PointMass):
         dist_resolved = {"kind": "point", "beta": distribution.beta.tolist()}
@@ -387,20 +376,15 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         "dipole_axis": e_d.tolist(),
         "geometry": geometry_resolved,
         "distribution": dist_resolved,
-        "grid": {"start": start, "stop": stop, "count": count, "spacing": spacing},
-        "scan": {"lambda_min": lam_min, "lambda_max": lam_max, "points": points},
-        "formfactor": {"kind": formfactor.kind, "cutoff": formfactor.cutoff},
-        "probability": {"upper_limit": upper_limit},
-        "pattern": dict(pattern),
-        "limit_ordering": dict(limit_ordering),
-        "oracle": dict(oracle),
-        "tolerances": {"quadrature": tol, "max_panels": max_panels},
+        **{name: s[name] for name in ("grid", "scan", "formfactor", "probability", "pattern",
+                                      "limit_ordering", "oracle", "tolerances")},
         "seed": seed,
     }
 
     return ScenarioConfig(
         scenario=scenario, direction=direction, x_grid=x_grid, lambdas=lambdas,
-        formfactor=formfactor, upper_limit=upper_limit, pattern=pattern,
-        limit_ordering=limit_ordering, oracle=oracle, tol=tol,
-        max_panels=max_panels, seed=seed, output_dir=output_dir, resolved=resolved,
+        formfactor=formfactor, upper_limit=s["probability"]["upper_limit"],
+        pattern=s["pattern"], limit_ordering=lo, oracle=s["oracle"],
+        tol=s["tolerances"]["quadrature"], max_panels=s["tolerances"]["max_panels"],
+        seed=seed, output_dir=s["output"]["directory"], resolved=resolved,
     )

@@ -199,7 +199,8 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
       formfactor -- the mode sum taken first -- on a cutoff ladder spanning
       `window` in units of 1/eps (the integrand turns over at x ~ 1/eps, so
       a fixed window in eps*x probes the true asymptotic growth at every
-      eps; growth exponent fitted per ladder), and at the `fixed_cutoffs`.
+      eps; growth exponent fitted per ladder), and at the `fixed_cutoffs`
+      (positive and finite).
       Both are closed forms (amplitudes.line_fractions): every row is exact.
 
     The normalization of column (ii) is the reference emission-probability
@@ -214,12 +215,14 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         raise ValueError("epsilons must be strictly decreasing")
     if window_points < 5:
         raise ValueError("window_points must be >= 5 for the growth-law fit")
+    fixed = np.asarray(sorted(float(c) for c in fixed_cutoffs))
+    if not np.all((fixed > 0) & np.isfinite(fixed)):
+        raise ValueError("fixed_cutoffs must be positive and finite")
 
     n = np.array([1.0, 0.0, 0.0])
     e_d = np.array([0.0, 0.0, 1.0])
     beta0 = np.zeros(3)
     model = CouplingModel.roentgen()
-    fixed = np.asarray(sorted(float(c) for c in fixed_cutoffs))
     at_rest = project(PointMass(beta0), n)
 
     rate_eps0 = golden_rule_rate("shifted", beta0, n, e_d,

@@ -115,6 +115,8 @@ class TabulatedProjection:
         direction = check_unit(self.direction, "direction")
         if delta.ndim != 1 or delta.size == 0 or weights.shape != delta.shape:
             raise ValueError("delta and weights must be matching nonempty 1D arrays")
+        if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(weights))):
+            raise ValueError("tabulated delta and weights must be finite")
         if np.any(weights < 0):
             raise ValueError("tabulated weights must be non-negative")
         total = float(np.sum(weights))

@@ -271,3 +271,35 @@ def test_argparse_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["spectrum"])  # --config is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text, key", [
+    ("oracle: {mode: 11}", "['mode']"),  # a typo of 'modes' ran the default 2001 modes
+    ('coupling: {recoil_term: "false"}', "coupling.recoil_term"),
+    ('atom: {mass: 1.0e-26, omega0: 1.0e+15, gamma0: 1.0e+7, infinite_mass: "no"}',
+     "atom.infinite_mass"),
+    ("seed: true", "seed"),
+    ("limit_ordering: {fixed_cutoffs: [-1, 0]}", "limit_ordering.fixed_cutoffs[0]"),
+    ("limit_ordering: {window: 5}", "limit_ordering.window"),
+    ("limit_ordering: {epsilons: abc}", "limit_ordering.epsilons"),
+    ("oracle: {delta: .nan}", "oracle.delta"),
+    ("pattern: {phi: .inf}", "pattern.phi"),
+])
+def test_bad_values_in_any_section_exit_2(tmp_path, capsys, text, key):
+    cfg = write_config(tmp_path, text + "\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert key in err
+
+
+def test_overrides_pass_the_scenario_parsers(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x", "--tol", "inf"]) == 2
+    assert "tolerances.quadrature" in capsys.readouterr().err
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "y", "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    out = tmp_path / "z"
+    assert run(["spectrum", "--config", cfg, "--out", out, "--seed", "0"]) == 0
+    manifest = read_manifest(out)
+    assert manifest["options"]["seed"] == manifest["resolved"]["seed"] == 0

@@ -1,4 +1,5 @@
 import json
+import re
 import textwrap
 
 import numpy as np
@@ -125,6 +126,14 @@ def test_tabulated_negative_weights(tmp_path):
                      base_dir=tmp_path)
 
 
+def test_tabulated_non_finite_delta(tmp_path):
+    # used to reach the CLI subcommands and exit 1 with a traceback
+    (tmp_path / "nan.csv").write_text("nan,0.5\n0.0,0.5\n")
+    with pytest.raises(ConfigError, match="finite"):
+        build_config({"distribution": {"kind": "tabulated", "file": "nan.csv"}},
+                     base_dir=tmp_path)
+
+
 def test_tabulated_direction_must_be_the_emission_direction(tmp_path):
     (tmp_path / "deltas.csv").write_text("-0.01,1.0\n0.01,1.0\n")
     with pytest.raises(ConfigError, match="direction"):
@@ -194,3 +203,72 @@ def test_load_raw_errors(tmp_path):
     listy = write(tmp_path, "list.yaml", "- a\n- b\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_raw(listy)
+
+
+def test_every_section_resolves_to_the_pinned_settings(tmp_path):
+    # the README example plus probability, oracle and output: integers given for
+    # float settings resolve as floats, and the manifest carries exactly this block
+    cfg = load_config(write(tmp_path, "full.yaml", """
+        atom: {epsilon: 0.01, gamma_tilde: 0.01}
+        coupling: {model: roentgen}
+        dipole_axis: [0.0, 0.0, 1.0]
+        geometry: {mode: perpendicular}
+        distribution: {kind: point, beta: [0, 0, 0]}
+        grid: {start: 0.8, stop: 1.2, count: 241, spacing: linear}
+        formfactor: {kind: gaussian, cutoff: 10.0}
+        scan: {lambda_min: 1.0e+2, lambda_max: 1.0e+4, points: 16}
+        pattern: {mode: golden_rule, variant: shifted, theta_points: 73}
+        limit_ordering: {epsilons: [1.0e-2, 1.0e-3, 1.0e-4]}
+        tolerances: {quadrature: 1.0e-9, max_panels: 4096}
+        seed: 1234
+        probability: {upper_limit: 50}
+        oracle: {modes: 401, half_width: 0.04, gamma_eff: 2.0e-3, delta: 1.0e-3, epsilon: 0,
+                 time_step: 0.5, lifetimes: 6, record_every: 50}
+        output: {directory: runs}
+    """))
+    expected = {
+        "atom": {"epsilon": 0.01, "gamma_tilde": 0.01},
+        "coupling": {"label": "roentgen", "model": "roentgen", "momentum_shift": True,
+                     "recoil_term": True},
+        "dipole_axis": [0.0, 0.0, 1.0],
+        "distribution": {"beta": [0.0, 0.0, 0.0], "kind": "point"},
+        "formfactor": {"cutoff": 10.0, "kind": "gaussian"},
+        "geometry": {"direction": [1.0, 0.0, 0.0], "mode": "perpendicular"},
+        "grid": {"count": 241, "spacing": "linear", "start": 0.8, "stop": 1.2},
+        "limit_ordering": {"epsilons": [0.01, 0.001, 0.0001],
+                           "fixed_cutoffs": [100.0, 1000.0, 10000.0],
+                           "window": [30.0, 100.0], "window_points": 6},
+        # kappa = 3 gamma_tilde / (16 pi^2)
+        "normalization": {"convention": "reference", "kappa": 0.00018997721932938332},
+        "oracle": {"delta": 0.001, "epsilon": 0.0, "gamma_eff": 0.002, "half_width": 0.04,
+                   "lifetimes": 6.0, "modes": 401, "record_every": 50, "time_step": 0.5},
+        "pattern": {"mode": "golden_rule", "phi_deg": 0.0, "theta_points": 73,
+                    "variant": "shifted"},
+        "probability": {"upper_limit": 50.0},
+        "scan": {"lambda_max": 10000.0, "lambda_min": 100.0, "points": 16},
+        "seed": 1234,
+        "tolerances": {"max_panels": 4096, "quadrature": 1e-09},
+    }
+    # compared as JSON text, so that 6 and 6.0 or 1 and True differ
+    assert json.dumps(cfg.resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert cfg.output_dir == "runs"
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"oracle": {"record_every": True}}, "oracle.record_every"),
+    ({"grid": {"count": float("inf")}}, "grid.count"),
+    ({"scan": {"lambda_min": 1e400}}, "scan.lambda_min"),
+    ({"coupling": {"momentum_shift": 1}}, "coupling.momentum_shift"),
+    ({"dipole_axis": [0, 0, 0]}, "dipole_axis"),
+    ({"dipole_axis": [0, 0, "z"]}, "dipole_axis[2]"),
+    ({"geometry": {"mode": "direction"}}, "geometry.direction"),
+    ({"distribution": {"kind": "gaussian", "covariance": [[1, 0], [0, 1], [0, 0]]}},
+     "distribution.covariance[0]"),
+    ({"distribution": {"kind": "tabulated", "file": 5}}, "distribution.file"),
+    ({"output": {"directory": ["a"]}}, "output.directory"),
+    ({"grid": {"start": None}}, "grid.start"),
+    ({"tolerances": {"max_panel": 64}}, "max_panel"),
+])
+def test_every_key_is_checked_by_its_parser(raw, key):
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        build_config(raw)

@@ -146,3 +146,10 @@ def test_limit_ordering_input_validation():
         limit_ordering_demo([0.0, -1.0])
     with pytest.raises(ValueError):
         limit_ordering_demo([1e-2], window_points=3)
+
+
+@pytest.mark.parametrize("cutoffs", [(-1.0, 0.0), (1e2, 0.0), (1e2, math.inf), (math.nan,)])
+def test_limit_ordering_rejects_cutoffs_that_are_not_positive_and_finite(cutoffs):
+    # the closed-form line integral has no meaning at a cutoff U <= 0
+    with pytest.raises(ValueError, match="fixed_cutoffs"):
+        limit_ordering_demo([1e-2], window_points=5, fixed_cutoffs=cutoffs)

@@ -80,6 +80,11 @@ def test_tabulated_weights_must_be_normalized():
         TabulatedProjection(delta=np.array([0.0, 0.1]),
                             weights=np.array([1.2, -0.2]),
                             direction=np.array([1.0, 0.0, 0.0]))
+    # NaN fails every comparison, so the sum-to-one check alone would pass it
+    for delta, weights in (([np.nan, 0.1], [0.5, 0.5]), ([0.0, 0.1], [np.nan, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedProjection(delta=np.array(delta), weights=np.array(weights),
+                                direction=np.array([1.0, 0.0, 0.0]))
 
 
 def test_expectation_point_mass_is_exact():
