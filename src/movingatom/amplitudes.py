@@ -46,10 +46,13 @@ def detuning(x, delta, epsilon):
 def resonance_root(delta, epsilon):
     """Positive root x* of D(x, delta) = 0, i.e. eps*x^2 + (1 - delta)*x - 1 = 0 (vectorized),
     as 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)): exact as eps -> 0 and free of
-    cancellation for small eps. Requires eps > 0 or a sub-luminal delta < 1."""
+    cancellation for small eps. Requires eps >= 0, and eps > 0 or a sub-luminal
+    delta < 1; ValueError unless every root is positive and finite (NaN included)."""
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     om = 1.0 - np.asarray(delta, dtype=float)
     root = om + np.sqrt(om * om + 4.0 * epsilon)
-    if np.any(root <= 0.0):
+    if not np.all((root > 0.0) & np.isfinite(root)):
         raise ValueError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
     return 2.0 / root
 

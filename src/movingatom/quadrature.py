@@ -4,11 +4,11 @@ The library's frequency integrals are closed forms over each line's partial
 fractions (amplitudes.line_fractions); quadrature is left for the smooth
 remainders of formfactor-damped integrands. Three tools:
 
-* integrate_adaptive: a composite 32-point Gauss-Legendre rule whose panel
-  count doubles until two levels agree within tol * max(1, |I|), or until the
-  next level would exceed `max_panels` panels; `features` are fixed edges.
-* cutoff_scan: cumulative integrals over [start, Lambda_k]; every segment
-  between consecutive cutoffs doubles its own panels to its own target.
+* integrate_adaptive: a composite 32-point Gauss-Legendre rule on one interval,
+  whose equal panels double in number until two levels agree within
+  tol * max(1, |I|), or until the next level would exceed `max_panels` panels.
+* cutoff_scan: cumulative integrals over [0, Lambda_k], the running sum of one
+  integrate_adaptive call per segment between consecutive cutoffs.
 * classify_tail: the growth law of a scan (convergent, logarithmic, power
   Lambda^p) from a log-log fit of its increments, with its residual.
 
@@ -70,62 +70,41 @@ def _rule(f, a: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrate(f, edges: np.ndarray, tol: float, features, max_panels: int):
-    """Integrate f over every segment [edges[k], edges[k+1]]: level l splits each piece
-    between edges and `features` into 2^l panels, until a segment's last two levels
-    agree within tol * max(1, |value|) or its next level would exceed `max_panels`.
-    Returns per-segment values, errors (last level difference), the evaluation
-    count (32 per panel) and convergence flags."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    inner = {float(x) for x in features if edges[0] < x < edges[-1]}
-    pts = np.array(sorted(inner.union(edges.tolist())))
-    lo, width = pts[:-1], np.diff(pts)
-    seg = np.searchsorted(edges, lo, side="right") - 1
-    n_seg = edges.size - 1
-    pieces = np.bincount(seg, minlength=n_seg)
-    values, errors = np.zeros(n_seg), np.zeros(n_seg)
-    converged, active = np.zeros(n_seg, dtype=bool), np.ones(n_seg, dtype=bool)
-    evaluations = level = 0
-    while active.any():
-        k = 2**level
-        take = active[seg]
-        h = np.repeat(width[take] / k, k)
-        a = np.repeat(lo[take], k) + h * np.tile(np.arange(k), int(take.sum()))
-        new = np.bincount(np.repeat(seg[take], k), _rule(f, a, h), n_seg)
-        evaluations += _ORDER * a.size
-        errors[active] = np.abs(new - values)[active]
-        if level:
-            converged |= active & (errors <= tol * np.maximum(1.0, np.abs(new)))
-        values[active] = new[active]
-        active &= ~converged & (pieces * 2 * k <= max_panels)
-        level += 1
-    return values, errors, evaluations, converged
-
-
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
-                       features=(), max_panels: int = 2048) -> QuadratureResult:
+                       max_panels: int = 2048) -> QuadratureResult:
     """Integrate a vectorized f over [a, b] to the target tol * max(1, |integral|)
-    (relative above 1, absolute below). The panel count doubles until two levels
-    agree within it, or converged = False when the next level would exceed
-    `max_panels` (the finer level is still returned; callers decide whether that is
-    fatal). `error_estimate` is the last level difference; `features` are fixed edges."""
+    (relative above 1, absolute below). Level l splits [a, b] into 2^l equal panels;
+    levels double until two agree within the target, or converged = False when the
+    next level would exceed `max_panels` panels (the finer level is still returned;
+    callers decide whether that is fatal). `error_estimate` is the last level
+    difference; `evaluations` counts 32 rule points per panel."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
-    values, errors, evaluations, converged = _integrate(
-        f, np.array([a, b], dtype=float), tol, features, max_panels)
-    return QuadratureResult(value=float(values[0]), error_estimate=float(errors[0]),
-                            evaluations=evaluations, converged=bool(converged[0]))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    a, b = float(a), float(b)
+    value, evaluations, panels = 0.0, 0, 1
+    while True:
+        h = np.full(panels, (b - a) / panels)
+        # panel values summed left to right (np.sum would pair them up)
+        new = float(np.cumsum(_rule(f, a + h * np.arange(panels), h))[-1])
+        evaluations += _ORDER * panels
+        error, value = abs(new - value), new
+        converged = panels > 1 and error <= tol * max(1.0, abs(new))
+        if converged or 2 * panels > max_panels:
+            return QuadratureResult(value=value, error_estimate=error,
+                                    evaluations=evaluations, converged=converged)
+        panels *= 2
 
 
 @dataclass(frozen=True)
 class CutoffScan:
-    """Cumulative integrals I(Lambda) = int_start^Lambda f, on a cutoff ladder."""
+    """Cumulative integrals I(Lambda) = int_0^Lambda f on a cutoff ladder, with their
+    error estimates: from `cutoff_scan`, or closed forms per cutoff."""
 
     lambdas: np.ndarray
     values: np.ndarray
     errors: np.ndarray
-    start: float = 0.0
     evaluations: int = 0
     converged: bool = True
 
@@ -151,21 +130,20 @@ def geometric_cutoffs(lo: float = 1e2, hi: float = 1e4, n: int = 16) -> np.ndarr
     return np.geomspace(lo, hi, n)
 
 
-def cutoff_scan(f, lambdas, *, tol: float = 1e-9, features=(), start: float = 0.0,
-                max_panels: int = 2048) -> CutoffScan:
-    """Cumulative integrals over [start, Lambda_k]: each segment [Lambda_{k-1}, Lambda_k]
-    is integrated once, exactly as `integrate_adaptive` would (its own target and
-    `max_panels`), and values and errors are the running sums of the segments'."""
+def cutoff_scan(f, lambdas, *, tol: float = 1e-9, max_panels: int = 2048) -> CutoffScan:
+    """Cumulative integrals over [0, Lambda_k]: each segment [Lambda_{k-1}, Lambda_k]
+    (from 0) is one `integrate_adaptive` call with its own target and `max_panels`,
+    and values and errors are the running sums of the segments'."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise ValueError("need at least two cutoffs")
-    if (not (math.isfinite(start) and np.all(np.isfinite(lam)))
-            or np.any(np.diff(lam) <= 0) or lam[0] <= start):
-        raise ValueError("cutoffs must be finite, strictly increasing and exceed the start point")
-    values, errors, evaluations, converged = _integrate(
-        f, np.concatenate(([float(start)], lam)), tol, features, max_panels)
-    return CutoffScan(lambdas=lam, values=np.cumsum(values), errors=np.cumsum(errors),
-                      start=start, evaluations=evaluations, converged=bool(converged.all()))
+    edges = np.concatenate(([0.0], lam))
+    segments = [integrate_adaptive(f, lo, hi, tol, max_panels=max_panels)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+    return CutoffScan(lambdas=lam, values=np.cumsum([seg.value for seg in segments]),
+                      errors=np.cumsum([seg.error_estimate for seg in segments]),
+                      evaluations=sum(seg.evaluations for seg in segments),
+                      converged=all(seg.converged for seg in segments))
 
 
 @dataclass(frozen=True)

@@ -49,28 +49,6 @@ VARIANTS = ("unshifted", "shifted")
 
 
 @dataclass(frozen=True)
-class ResonanceRoot:
-    """Energy-conserving emission frequency and its back-substitution residual."""
-
-    x_star: float
-    residual: float
-
-    def __post_init__(self) -> None:
-        if not (self.x_star > 0 and math.isfinite(self.x_star)):
-            raise ValueError(f"resonance root must be positive and finite, got {self.x_star!r}")
-
-
-def resonance_frequency(delta: float, epsilon: float) -> ResonanceRoot:
-    """Positive root of eps*x^2 + (1 - delta)*x - 1 = 0 (amplitudes.resonance_root)
-    with its back-substitution residual."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    x_star = float(resonance_root(delta, epsilon))
-    residual = abs(x_star * ((1.0 - delta) + epsilon * x_star) - 1.0)
-    return ResonanceRoot(x_star=x_star, residual=residual)
-
-
-@dataclass(frozen=True)
 class RateResult:
     variant: str
     value: float
@@ -150,8 +128,8 @@ def golden_rule_rate(variant: str, beta, n, e_d, params: DimensionlessParams,
     n = check_unit(n, "n")
     value = float(golden_rule_rates(variant, beta[None, :], n, e_d, params, model)[0])
     delta = float(doppler_projection(beta, n))
-    root = resonance_frequency(delta, params.epsilon)
-    return RateResult(variant=variant, value=value, x_star=root.x_star, delta=delta,
+    return RateResult(variant=variant, value=value,
+                      x_star=float(resonance_root(delta, params.epsilon)), delta=delta,
                       model_label=model.label)
 
 

@@ -31,12 +31,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .amplitudes import detuning, line_fractions, lorentzian_denominator, spectral_kernel
+from .amplitudes import (detuning, line_fractions, lorentzian_denominator, resonance_root,
+                         spectral_kernel)
 from .coupling import CouplingModel, conditional_polarization_sum
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
-from .rates import golden_rule_mean_rate, resonance_frequency, sphere_pattern_value
-from .units import DimensionlessParams, Normalization
+from .rates import golden_rule_mean_rate, sphere_pattern_value
+from .units import DimensionlessParams, Normalization, ParameterError
 from .wavepacket import MomentumDistribution, ProjectedDistribution, expectation, project
 
 # Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
@@ -237,19 +238,19 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    root = resonance_frequency(proj.mean, scenario.params.epsilon)
-    doppler_width = (root.x_star**2) * proj.sigma
+    x_star = float(resonance_root(proj.mean, scenario.params.epsilon))
+    doppler_width = (x_star**2) * proj.sigma
     window = 10.0 * max(scenario.params.gamma_tilde, doppler_width)
     warnings = []
-    if not np.any(np.abs(x_grid - root.x_star) <= window):
+    if not np.any(np.abs(x_grid - x_star) <= window):
         warnings.append(
-            f"x grid has no point within {window:.3g} of the resonance at x = {root.x_star:.9g}")
+            f"x grid has no point within {window:.3g} of the resonance at x = {x_star:.9g}")
 
     metadata = {
         "kappa": scenario.kappa,
         "method": method,
         "model": scenario.coupling.label,
-        "resonance_x": root.x_star,
+        "resonance_x": x_star,
         "warnings": warnings,
     }
     return SpectralResult(direction=n, x=x_grid, w=w, error=err, metadata=metadata)
@@ -284,7 +285,8 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
     integrate_adaptive (for one U). Given `half`, the same packet at half the
     Hermite order (`_projections`), the sum is redone on it; the change joins the
     error and must meet tol * max(1, |I|), which fails for a U inside the Doppler
-    profile (the line integral jumps there)."""
+    profile (the line integral jumps there). NumericalError names the first U whose
+    value is not finite."""
     uppers = np.asarray(uppers, dtype=float)
     lines = line_fractions(scenario.coupling, n, scenario.dipole_axis, proj, scenario.params)
     kappa, weights = scenario.kappa, proj.weights
@@ -306,6 +308,10 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
         values = kappa * (weights @ lines.near_integral(uppers, f_near[:, 0]) + res.value)
         errors, evaluations = np.array([kappa * res.error_estimate]), weights.size * (1 + res.evaluations)
         converged = res.converged
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"the frequency integral up to x = {uppers[bad[0]]:.6g} is not "
+                             f"finite ({values[bad[0]]}); lower the cutoff or upper limit")
     if half is not None:
         coarse, _, more, ok = _frequency_integral(scenario, n, half, formfactor, uppers, tol,
                                                   max_panels)
@@ -330,12 +336,15 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     `converged` is False when that misses tol * max(1, |value|), e.g. for a
     Gaussian whose upper limit lies inside its Doppler profile. Under "none"
     the value grows with upper_limit (see `divergence_comparison`).
+    ParameterError unless upper_limit is finite and above the resonance at the
+    mean delta; NumericalError when the value is not finite (it overflowed).
     """
     n = check_unit(n, "n")
     proj, half = _projections(scenario.distribution, n)
-    x_star = resonance_frequency(proj.mean, scenario.params.epsilon).x_star
-    if upper_limit <= x_star:
-        raise ValueError(f"upper_limit {upper_limit!r} must exceed the resonance at x = {x_star:.6g}")
+    x_star = float(resonance_root(proj.mean, scenario.params.epsilon))
+    if not (math.isfinite(upper_limit) and upper_limit > x_star):
+        raise ParameterError(f"upper_limit {upper_limit!r} must be finite and exceed the "
+                             f"resonance at x = {x_star:.6g}")
     values, errors, evaluations, converged = _frequency_integral(
         scenario, n, proj, formfactor, [float(upper_limit)], tol, max_panels, half)
     return QuadratureResult(value=float(values[0]), error_estimate=float(errors[0]),

@@ -225,6 +225,28 @@ def test_unconverged_probability_exits_3(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    "probability: {upper_limit: 0.5}",  # the atom at rest emits at x = 0.990
+    "formfactor: {kind: sharp, cutoff: 0.5}",  # no upper limit: the cutoff is the limit
+])
+def test_upper_limit_below_the_line_exits_2(tmp_path, capsys, section):
+    cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n" + section + "\n")
+    assert run(["probability", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "upper_limit 0.5" in err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("probability", "formfactor: {kind: sharp, cutoff: 1.0e+300}"),
+    ("divergence", "scan: {lambda_max: 1.0e+200}"),
+])
+def test_overflowing_integrals_exit_3(tmp_path, capsys, command, section):
+    # both exited 0 with converged: true and inf or nan values
+    cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n" + section + "\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 3
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_unregularized_requests_exit_4(tmp_path, capsys):
     cfg = write_config(tmp_path, """
         atom: {epsilon: 0.01, gamma_tilde: 0.01}

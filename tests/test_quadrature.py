@@ -23,11 +23,10 @@ def test_simple_integrals():
     assert gauss.value == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(6.0), rel=1e-13)
 
 
-def test_narrow_lorentzian_with_feature_seed():
-    # half-width 0.005 inside [0, 2]: the feature point makes this routine
+def test_narrow_lorentzian_at_a_panel_edge():
+    # half-width 0.005 at the centre of [0, 2], where every level from 1 on has an edge
     a = 0.005
-    res = integrate_adaptive(lambda x: 1.0 / ((x - 1.0) ** 2 + a * a), 0.0, 2.0,
-                             1e-10, features=(1.0,))
+    res = integrate_adaptive(lambda x: 1.0 / ((x - 1.0) ** 2 + a * a), 0.0, 2.0, 1e-10)
     exact = (2.0 / a) * math.atan(1.0 / a)  # = 400*atan(200) ~ 626.3185
     assert res.value == pytest.approx(exact, rel=1e-10)
     assert res.converged
@@ -64,8 +63,8 @@ def test_unconverged_flag_when_budget_exhausted():
 
 def test_determinism():
     f = lambda x: np.sin(3 * x) / (1 + x * x)
-    r1 = integrate_adaptive(f, 0.0, 10.0, 1e-11, features=(2.0, 5.0))
-    r2 = integrate_adaptive(f, 0.0, 10.0, 1e-11, features=(2.0, 5.0))
+    r1 = integrate_adaptive(f, 0.0, 10.0, 1e-11)
+    r2 = integrate_adaptive(f, 0.0, 10.0, 1e-11)
     assert r1.value == r2.value and r1.evaluations == r2.evaluations
 
 
@@ -94,16 +93,16 @@ def test_cutoff_scan_is_the_running_sum_of_its_segments():
     f = lambda x: x * x / ((1.0 - x) ** 2 + 1e-6)
     lam = geometric_cutoffs(2.0, 1e3, 16)
     tol = 1e-11
-    scan = cutoff_scan(f, lam, tol=tol, features=(1.0,))
+    scan = cutoff_scan(f, lam, tol=tol)
     edges = np.concatenate(([0.0], lam))
-    segments = [integrate_adaptive(f, lo, hi, tol, features=(1.0,))
+    segments = [integrate_adaptive(f, lo, hi, tol)
                 for lo, hi in zip(edges[:-1], edges[1:])]
     running = np.cumsum([seg.value for seg in segments])
-    targets = np.cumsum([tol * max(1.0, abs(seg.value)) for seg in segments])
-    assert np.all(np.abs(scan.values - running) <= targets)
+    assert scan.values.tobytes() == running.tobytes()
+    assert scan.errors.tobytes() == np.cumsum([seg.error_estimate for seg in segments]).tobytes()
     assert scan.evaluations == sum(seg.evaluations for seg in segments)
     assert scan.converged and all(seg.converged for seg in segments)
-    again = cutoff_scan(f, lam, tol=tol, features=(1.0,))
+    again = cutoff_scan(f, lam, tol=tol)
     assert again.values.tobytes() == scan.values.tobytes()
     assert again.errors.tobytes() == scan.errors.tobytes()
 
@@ -132,6 +131,10 @@ def test_cutoff_scan_requires_increasing_lambdas():
         cutoff_scan(lambda x: x, [100.0, 10.0], tol=1e-9)
 
 
+def _exact_scan(lam, cumulative):
+    return CutoffScan(lambdas=lam, values=cumulative, errors=np.zeros_like(lam))
+
+
 @pytest.mark.parametrize("p, expected_kind, expected_exp", [
     (-1.5, "convergent", None),
     (-0.5, "power", 0.5),
@@ -141,8 +144,7 @@ def test_cutoff_scan_requires_increasing_lambdas():
 ])
 def test_classify_tail_on_pure_power_laws(p, expected_kind, expected_exp):
     lam = np.geomspace(1e2, 1e5, 10)
-    scan = cutoff_scan(lambda x: np.asarray(x, dtype=float) ** p, lam,
-                       tol=1e-11, start=1.0)
+    scan = _exact_scan(lam, (lam ** (p + 1) - 1.0) / (p + 1))  # int_1^Lambda x^p
     cls = classify_tail(scan)
     assert cls.kind == expected_kind
     if expected_exp is not None:
@@ -152,8 +154,7 @@ def test_classify_tail_on_pure_power_laws(p, expected_kind, expected_exp):
 
 def test_classify_tail_logarithmic():
     lam = np.geomspace(1e2, 1e5, 10)
-    scan = cutoff_scan(lambda x: 1.0 / np.asarray(x, dtype=float), lam,
-                       tol=1e-11, start=1.0)
+    scan = _exact_scan(lam, np.log(lam))  # int_1^Lambda dx / x
     cls = classify_tail(scan)
     assert cls.kind == "logarithmic"
     assert cls.log_r_squared > 0.999
@@ -161,8 +162,7 @@ def test_classify_tail_logarithmic():
 
 def test_classify_tail_convergent_by_cauchy():
     lam = np.geomspace(1e2, 1e5, 10)
-    scan = cutoff_scan(lambda x: np.asarray(x, dtype=float) ** -3, lam,
-                       tol=1e-13, start=1.0)
+    scan = _exact_scan(lam, (1.0 - lam**-2) / 2.0)  # int_1^Lambda x^-3
     assert classify_tail(scan).kind == "convergent"
 
 
@@ -176,5 +176,5 @@ def test_classify_tail_needs_enough_points():
 def test_scan_validation():
     with pytest.raises(ValueError):
         CutoffScan(lambdas=np.array([1.0, 2.0]), values=np.array([1.0]),
-                   errors=np.array([0.0, 0.0]), start=0.0, evaluations=10,
+                   errors=np.array([0.0, 0.0]), evaluations=10,
                    converged=True)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from movingatom.amplitudes import resonance_root
 from movingatom.coupling import CouplingModel
 from movingatom.rates import (VARIANTS, golden_rule_rate, golden_rule_rates,
-                              limit_ordering_demo, resonance_frequency,
-                              sphere_pattern_value)
+                              limit_ordering_demo, sphere_pattern_value)
 from movingatom.units import DimensionlessParams
 
 rng = np.random.default_rng(1123)
@@ -32,26 +32,31 @@ def test_resonance_root_residual_is_tiny():
     for _ in range(500):
         delta = float(rng.uniform(-0.5, 0.5))
         eps = float(rng.uniform(0.0, 0.1))
-        root = resonance_frequency(delta, eps)
-        assert root.residual < 1e-12
-        assert root.x_star * (1.0 - delta + eps * root.x_star) == pytest.approx(1.0, abs=1e-12)
+        x_star = float(resonance_root(delta, eps))
+        assert abs(x_star * ((1.0 - delta) + eps * x_star) - 1.0) < 1e-12
+        assert x_star * (1.0 - delta + eps * x_star) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_resonance_root_epsilon_zero_exact():
-    root = resonance_frequency(0.2, 0.0)
-    assert root.x_star == 1.0 / 0.8
-    assert resonance_frequency(0.0, 0.0).x_star == 1.0
+    assert float(resonance_root(0.2, 0.0)) == 1.0 / 0.8
+    assert float(resonance_root(0.0, 0.0)) == 1.0
 
 
 def test_resonance_root_small_epsilon_no_cancellation():
     # naive quadratic formula loses ~8 digits here; the stable form must not
-    root = resonance_frequency(0.0, 1e-14)
-    assert root.x_star == pytest.approx(1.0 - 1e-14, rel=1e-15)
+    assert float(resonance_root(0.0, 1e-14)) == pytest.approx(1.0 - 1e-14, rel=1e-15)
 
 
 def test_superluminal_projection_rejected():
     with pytest.raises(ValueError):
-        resonance_frequency(1.5, 0.0)
+        resonance_root(1.5, 0.0)
+
+
+@pytest.mark.parametrize("delta, eps", [(math.nan, 0.01), (0.0, -1.0), (0.0, math.nan),
+                                        (np.array([0.1, math.nan]), 0.01), (-math.inf, 0.01)])
+def test_resonance_root_rejects_nan_and_negative_epsilon(delta, eps):
+    with pytest.raises(ValueError):
+        resonance_root(delta, eps)
 
 
 def test_reference_rate_is_one():

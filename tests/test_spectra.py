@@ -8,15 +8,15 @@ from scipy import integrate
 from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile
 
+from movingatom.amplitudes import resonance_root
 from movingatom.coupling import CouplingModel, polarization_sum
 from movingatom.geometry import direction_from_angles
 from movingatom.quadrature import NumericalError
-from movingatom.rates import (golden_rule_mean_rate, golden_rule_rates, resonance_frequency,
-                              sphere_pattern_value)
+from movingatom.rates import golden_rule_mean_rate, golden_rule_rates, sphere_pattern_value
 from movingatom.spectra import (EmissionScenario, Formfactor, PhysicsRejection,
                                 angular_pattern, directional_probability,
                                 directional_spectrum, divergence_comparison)
-from movingatom.units import DimensionlessParams
+from movingatom.units import DimensionlessParams, ParameterError
 from movingatom.wavepacket import (GaussianPacket, PointMass, TabulatedProjection, expectation,
                                    project)
 
@@ -103,7 +103,7 @@ def test_doppler_peak_shift():
     # moving toward the detector: peak at the root of the detuning, x > 1
     delta = 0.05
     sc = make_scenario(dist=PointMass(delta * N_PERP))
-    x_star = resonance_frequency(delta, sc.params.epsilon).x_star
+    x_star = float(resonance_root(delta, sc.params.epsilon))
     x = np.linspace(x_star - 0.02, x_star + 0.02, 801)
     res = directional_spectrum(sc, N_PERP, x)
     peak = x[np.argmax(res.w)]
@@ -255,6 +255,13 @@ def test_probability_upper_limit_must_clear_resonance():
         directional_probability(sc, N_PERP, Formfactor.none(), 0.5)
 
 
+@pytest.mark.parametrize("upper", [0.5, math.inf, math.nan])
+def test_probability_upper_limit_is_a_parameter_error(upper):
+    # the line of an atom at rest is at x = 0.990; an infinite limit returned nan
+    with pytest.raises(ParameterError, match="upper_limit"):
+        directional_probability(make_scenario(), N_PERP, Formfactor.none(), upper)
+
+
 def test_probability_monotone_in_formfactor_scale():
     sc = make_scenario()
     values = []
@@ -350,7 +357,7 @@ def test_smooth_formfactor_matches_quad(ff, eps):
     upper = ff.suggested_upper_limit()
     res = directional_probability(sc, N_45, ff, upper, tol=1e-13)
     delta = float(beta @ N_45)
-    x_star = resonance_frequency(delta, eps).x_star
+    x_star = float(resonance_root(delta, eps))
 
     def f(x):
         gsq = float(polarization_sum(sc.coupling, beta, x, N_45, E_D, eps, method="basis_sum"))
@@ -391,7 +398,7 @@ def test_packet_scan_matches_quadrature_of_the_exact_spectrum():
     sc = make_scenario(eps=0.01, gt=1e-2, dist=dist)
     lam = np.geomspace(1e2, 1e3, 5)
     report = divergence_comparison(sc, N_45, lambdas=lam)
-    x_star = resonance_frequency(float(dist.mean @ N_45), 0.01).x_star
+    x_star = float(resonance_root(float(dist.mean @ N_45), 0.01))
     points = [x_star + k * 1e-2 for k in (-100.0, -10.0, 0.0, 10.0, 100.0)]
     for label, model in (("roentgen", CouplingModel.roentgen()),
                          ("standard", CouplingModel.standard())):
