@@ -34,6 +34,7 @@ import numpy as np
 
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_sum, recoil_coefficient)
+from .quadrature import NumericalError
 from .units import DimensionlessParams
 
 
@@ -43,18 +44,32 @@ def detuning(x, delta, epsilon):
     return 1.0 - x * (1.0 - delta) - epsilon * (x * x)
 
 
+def _quadratic_roots(b, eps, c):
+    """Roots (near, far) of eps z^2 + b z + c = 0 for c = -1 or c = i gt/2 - 1 (vectorized
+    over b), in the cancellation-free form q = -(b + sign(b) sqrt(b^2 - 4 eps c))/2, roots
+    c/q and q/eps: near is the one over the positive axis, far (None at eps = 0) the one
+    near -b/eps. ValueError at eps = 0 unless every b > 0."""
+    if eps == 0.0:
+        if not np.all(b > 0.0):
+            raise ValueError("no emission line for delta >= 1 at epsilon = 0")
+        return -c / b, None
+    root = np.sqrt(b * b - 4.0 * eps * c)
+    q = -0.5 * (b + np.where(b >= 0.0, root, -root))
+    return np.where(b >= 0.0, c / q, q / eps), np.where(b >= 0.0, q / eps, c / q)
+
+
 def resonance_root(delta, epsilon):
     """Positive root x* of D(x, delta) = 0, i.e. eps*x^2 + (1 - delta)*x - 1 = 0 (vectorized),
-    as 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)): exact as eps -> 0 and free of
-    cancellation for small eps. Requires eps >= 0, and eps > 0 or a sub-luminal
-    delta < 1; ValueError unless every root is positive and finite (NaN included)."""
+    by `_quadratic_roots`: 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)) for delta <= 1, exact
+    as eps -> 0, and ((delta-1) + sqrt(...)) / (2 eps) beyond. Requires eps >= 0, and eps > 0
+    or a sub-luminal delta < 1; ValueError unless every root is positive and finite (NaN
+    included)."""
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    om = 1.0 - np.asarray(delta, dtype=float)
-    root = om + np.sqrt(om * om + 4.0 * epsilon)
+    root = _quadratic_roots(1.0 - np.asarray(delta, dtype=float), epsilon, -1.0)[0]
     if not np.all((root > 0.0) & np.isfinite(root)):
         raise ValueError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
-    return 2.0 / root
+    return root[()]  # a numpy scalar for a scalar delta
 
 
 def _log_tail(z, u):
@@ -107,16 +122,24 @@ class LineFractions:
         return np.where(np.abs(x / far) < 1.0, taylor, direct)
 
     def integral(self, upper):
-        """int_0^U w per node and upper limit U (columns), in closed form."""
+        """int_0^U w per node and upper limit U (columns), in closed form. It runs under
+        np.errstate, since the quadratic term overflows as U grows and np.where evaluates
+        both branches; NumericalError names the first U whose value is not finite."""
         u = np.asarray(upper, dtype=float)[None, :]
-        taylor = self.s0[:, None] * u + self.s1[:, None] * (0.5 * u * u)
-        if self.far is not None:
-            far, rf = self.far[:, None], self.far_residue[:, None]
-            direct = (self.q0[:, None] * u + self.q1[:, None] * (0.5 * u * u)
-                      + 2.0 * np.real(rf * np.log((far - u) / far)))
-            taylor = np.where(np.abs(u / far) < 1.0,
-                              taylor - 2.0 * np.real(rf * _log_tail(far, u)), direct)
-        return taylor + self.near_integral(upper)
+        with np.errstate(all="ignore"):
+            taylor = self.s0[:, None] * u + self.s1[:, None] * (0.5 * u * u)
+            if self.far is not None:
+                far, rf = self.far[:, None], self.far_residue[:, None]
+                direct = (self.q0[:, None] * u + self.q1[:, None] * (0.5 * u * u)
+                          + 2.0 * np.real(rf * np.log((far - u) / far)))
+                taylor = np.where(np.abs(u / far) < 1.0,
+                                  taylor - 2.0 * np.real(rf * _log_tail(far, u)), direct)
+            values = taylor + self.near_integral(upper)
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+        if bad.size:
+            raise NumericalError(f"the frequency integral up to x = {u[0, bad[0]]:.6g} is not "
+                                 "finite; lower the cutoff or upper limit")
+        return values
 
 
 def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
@@ -136,14 +159,7 @@ def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessPara
     def residue(z):
         return z**3 * gsq(z) / (-1j * gt * (b + 2.0 * eps * z))
 
-    if eps == 0.0:
-        if np.any(b <= 0.0):
-            raise ValueError("no emission line for delta >= 1 at epsilon = 0")
-        near, far = -c / b, None
-    else:  # the cancellation-free quadratic formula, as in resonance_root
-        root = np.sqrt(b * b - 4.0 * eps * c)
-        q = -0.5 * (b + np.where(b >= 0.0, root, -root))
-        near, far = np.where(b >= 0.0, c / q, q / eps), np.where(b >= 0.0, q / eps, c / q)
+    near, far = _quadratic_roots(b, eps, c)
     rn = residue(near)
     s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
     if far is None:
@@ -252,18 +268,16 @@ class DiscreteModeSystem:
 
 
 def flat_band_system(n_modes: int, half_width: float, gamma_eff: float,
-                     delta: float = 0.0, epsilon: float = 0.0,
-                     center: float | None = None) -> DiscreteModeSystem:
+                     delta: float = 0.0, epsilon: float = 0.0) -> DiscreteModeSystem:
     """Uniform band of modes around the resonance with constant coupling.
 
     The coupling is chosen so the continuum golden-rule decay rate of the
     atom population is gamma_eff:  2 pi g^2 / dx = gamma_eff. The band is
-    centered on the resonance frequency (D = 0) unless `center` is given.
+    centered on the resonance frequency (D = 0).
     """
     if n_modes < 2:
         raise ValueError("need at least two modes for a band")
-    if center is None:
-        center = float(resonance_root(delta, epsilon))
+    center = float(resonance_root(delta, epsilon))
     x = np.linspace(center - half_width, center + half_width, n_modes)
     dx = x[1] - x[0]
     g = np.full(n_modes, np.sqrt(gamma_eff * dx / (2.0 * np.pi)))
@@ -523,16 +537,15 @@ def fit_decay_rate(times: np.ndarray, populations: np.ndarray,
 
 
 def compare_to_pole(system: DiscreteModeSystem, result: EvolutionResult,
-                    gamma_tilde: float,
-                    fit_window: tuple[float, float] | None = None) -> dict:
+                    gamma_tilde: float) -> dict:
     """Head-to-head of the exact discrete-mode evolution against the pole solution.
 
-    Returns fitted decay rate vs the golden-rule band value, the relative L2
-    distance between the final photon distribution and the Lorentzian pole
-    prediction, and the norm diagnostics (`max_norm_drift`, `backward_error`).
+    Returns the decay rate fitted over tau in [0.5, 3] / gamma_tilde (`fit_window`)
+    vs the golden-rule band value, the relative L2 distance between the final
+    photon distribution and the Lorentzian pole prediction, and the norm
+    diagnostics (`max_norm_drift`, `backward_error`).
     """
-    if fit_window is None:
-        fit_window = (0.5 / gamma_tilde, 3.0 / gamma_tilde)
+    fit_window = (0.5 / gamma_tilde, 3.0 / gamma_tilde)
     fitted = fit_decay_rate(result.times, result.atom_population, fit_window)
     predicted = pole_mode_populations(system, gamma_tilde)
     num = result.mode_populations

@@ -9,7 +9,8 @@ bytes.
 
 Exit codes: 0 success; 2 configuration error (bad file, bad flags);
 3 numerical failure (quadrature did not converge, non-finite integrand,
-oracle norm-drift certificate above 1e-6);
+oracle norm-drift certificate above 1e-6, an output that would hold a
+non-finite number);
 4 request rejected on physical grounds (an unregularized quantity that has
 no finite value, e.g. an integrated angular pattern without a formfactor).
 """
@@ -38,47 +39,29 @@ from .spectra import (PhysicsRejection, angular_pattern, directional_probability
 from .units import ParameterError
 from .wavepacket import TabulatedProjection
 
-_FLOAT_FMT = "%.16e"
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FLOAT_FMT % float(value)
-
 
 def _write_csv(path: Path, header, rows) -> Path:
+    """Each cell a str as it is, anything else as %.16e; NumericalError, and no file,
+    if a number is not finite."""
+    rows = [list(row) for row in rows]
+    if not all(isinstance(v, str) or math.isfinite(v) for row in rows for v in row):
+        raise NumericalError(f"{path} would hold a non-finite number")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
     return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    # bool before int: Python bools are ints and must not serialize as 0/1
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> Path:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """Sorted keys, indent 2, numpy scalars and arrays as Python values; NumericalError,
+    and no file, if a number is not finite (json.dumps would write NaN or Infinity)."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda obj: obj.tolist())
+    except ValueError as exc:
+        raise NumericalError(f"{path} would hold a non-finite number ({exc})") from None
+    path.write_text(text + "\n")
     return path
 
 
@@ -101,9 +84,7 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: ScenarioConfig,
         },
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(out_dir / "manifest.json", manifest)
 
 
 def _cmd_spectrum(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:

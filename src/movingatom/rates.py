@@ -179,7 +179,8 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
       a fixed window in eps*x probes the true asymptotic growth at every
       eps; growth exponent fitted per ladder), and at the `fixed_cutoffs`
       (positive and finite).
-      Both are closed forms (amplitudes.line_fractions): every row is exact.
+      Both are closed forms (amplitudes.line_fractions): every row is exact,
+      and a cutoff whose value overflows raises NumericalError.
 
     The normalization of column (ii) is the reference emission-probability
     scale (kappa = 3*gamma_tilde/16 pi^2 per steradian); column (i) is in

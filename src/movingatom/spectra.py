@@ -285,8 +285,8 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
     integrate_adaptive (for one U). Given `half`, the same packet at half the
     Hermite order (`_projections`), the sum is redone on it; the change joins the
     error and must meet tol * max(1, |I|), which fails for a U inside the Doppler
-    profile (the line integral jumps there). NumericalError names the first U whose
-    value is not finite."""
+    profile (the line integral jumps there). NumericalError (from
+    LineFractions.integral) names the first U whose value is not finite."""
     uppers = np.asarray(uppers, dtype=float)
     lines = line_fractions(scenario.coupling, n, scenario.dipole_axis, proj, scenario.params)
     kappa, weights = scenario.kappa, proj.weights
@@ -308,10 +308,6 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
         values = kappa * (weights @ lines.near_integral(uppers, f_near[:, 0]) + res.value)
         errors, evaluations = np.array([kappa * res.error_estimate]), weights.size * (1 + res.evaluations)
         converged = res.converged
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NumericalError(f"the frequency integral up to x = {uppers[bad[0]]:.6g} is not "
-                             f"finite ({values[bad[0]]}); lower the cutoff or upper limit")
     if half is not None:
         coarse, _, more, ok = _frequency_integral(scenario, n, half, formfactor, uppers, tol,
                                                   max_panels)
@@ -398,8 +394,7 @@ _DIVERGENCE_MODELS: tuple[tuple[str, CouplingModel], ...] = (
 
 
 def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
-                          tol: float = 1e-9, fit_points: int = 5,
-                          max_panels: int = 4096) -> DivergenceReport:
+                          tol: float = 1e-9, max_panels: int = 4096) -> DivergenceReport:
     """Cutoff scans and growth-law fits for three coupling variants.
 
     (a) the full velocity-dependent model (momentum shift and recoil term),
@@ -430,7 +425,7 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
             half)
         scan = CutoffScan(lambdas=lambdas, values=values, errors=errors,
                           evaluations=evaluations, converged=converged)
-        cls = quadrature.classify_tail(scan, fit_points=fit_points)
+        cls = quadrature.classify_tail(scan)
         entries[label] = ModelDivergence(scan=scan, classification=cls)
 
     r = entries["roentgen"].classification
@@ -468,7 +463,7 @@ class PatternResult:
 def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfactor | None = None,
                     *, mode: str = "golden_rule", variant: str = "shifted",
                     phi: float = 0.0, upper_limit: float | None = None,
-                    tol: float = 1e-9, order: int = 40, max_panels: int = 4096) -> PatternResult:
+                    tol: float = 1e-9, max_panels: int = 4096) -> PatternResult:
     """Emission density per steradian vs polar angle theta from the dipole axis.
 
     All directions come from one frame (`direction_from_angles` on the whole
@@ -477,8 +472,8 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     mode "golden_rule": the energy constraint is applied before the mode sum
     (finite for every epsilon); values are (3/8pi) times the normalized rate,
     so the reference configuration integrates to 1 over the sphere. The
-    average over the wavepacket is exact given delta = n.beta, with an
-    `order`-point Gauss-Hermite rule over delta for a Gaussian (built once).
+    average over the wavepacket is exact given delta = n.beta, with a
+    40-point Gauss-Hermite rule over delta for a Gaussian (built once).
     Every angle is evaluated in one array pass: one projection of the packet
     onto the stack of directions, one golden-rule sum over its nodes.
 
@@ -494,7 +489,7 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
 
     if mode == "golden_rule":
         values = sphere_pattern_value(golden_rule_mean_rate(
-            variant, project(scenario.distribution, directions, order=order), directions, e_d,
+            variant, project(scenario.distribution, directions), directions, e_d,
             scenario.params, scenario.coupling))
         meta = {"mode": mode, "variant": variant, "phi": phi,
                 "normalization": "reference sphere integral = 1"}

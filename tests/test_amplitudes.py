@@ -10,7 +10,9 @@ from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
                                    perpendicular_kernel, pole_mode_populations,
                                    spectral_kernel)
 from movingatom.coupling import CouplingModel
+from movingatom.quadrature import NumericalError
 from movingatom.units import DimensionlessParams
+from movingatom.wavepacket import PointMass, project
 
 rng = np.random.default_rng(90210)
 
@@ -238,3 +240,15 @@ def test_compare_to_pole_small_run():
     assert out["rate_ratio"] == pytest.approx(1.0, abs=0.05)
     assert out["n_modes"] == 401
     assert 0.0 <= out["l2_shape_error"] < 0.2  # short run, coarse bath: loose bound
+
+
+@pytest.mark.parametrize("model", [CouplingModel.roentgen(), CouplingModel.standard()])
+def test_line_integral_overflow_names_the_upper_limit(model):
+    # U^2/2 overflows at U = 1e200: the quadratic term is inf (roentgen) or 0 * inf = nan
+    # (standard); an error naming U, not a numpy warning
+    n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    lines = amplitudes.line_fractions(model, n, e_d, project(PointMass(np.zeros(3)), n),
+                                      DimensionlessParams(epsilon=0.01, gamma_tilde=0.01))
+    assert np.all(np.isfinite(lines.integral([1e2, 1e3])))
+    with pytest.raises(NumericalError, match=r"up to x = 1e\+200 is not finite"):
+        lines.integral([1e2, 1e200, 1e300])

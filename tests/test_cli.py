@@ -2,15 +2,18 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import movingatom.cli as cli
 from movingatom.cli import main
+from movingatom.quadrature import NumericalError
 
 BASIC = """
     atom: {epsilon: 0.01, gamma_tilde: 0.01}
@@ -239,12 +242,55 @@ def test_upper_limit_below_the_line_exits_2(tmp_path, capsys, section):
 @pytest.mark.parametrize("command, section", [
     ("probability", "formfactor: {kind: sharp, cutoff: 1.0e+300}"),
     ("divergence", "scan: {lambda_max: 1.0e+200}"),
+    ("rates", "limit_ordering: {fixed_cutoffs: [1.0e+2, 1.0e+3, 1.0e+200]}"),
 ])
 def test_overflowing_integrals_exit_3(tmp_path, capsys, command, section):
-    # both exited 0 with converged: true and inf or nan values
+    # each exited 0 with converged: true and inf or nan values
     cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n" + section + "\n")
     assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 3
     assert "is not finite" in capsys.readouterr().err
+    assert not any((tmp_path / "x").iterdir())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_writers_refuse_non_finite_numbers(tmp_path, bad):
+    # json.dumps writes Infinity or NaN by default, and "%.16e" writes inf or nan
+    with pytest.raises(NumericalError, match=r"out\.json would hold a non-finite number"):
+        cli._write_json(tmp_path / "out.json", {"ok": [1.0], "value": np.array([0.5, bad])})
+    with pytest.raises(NumericalError, match=r"out\.csv would hold a non-finite number"):
+        cli._write_csv(tmp_path / "out.csv", ["model", "value"],
+                       [("roentgen", 1.0), ("standard", np.float64(bad))])
+    assert not any(tmp_path.iterdir())
+
+
+def test_writer_formats(tmp_path):
+    csv_path = cli._write_csv(tmp_path / "t.csv", ["model", "cutoff", "value"],
+                              [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0)])
+    assert csv_path.read_bytes() == (
+        b"model,cutoff,value\r\n"
+        b"roentgen,1.0000000000000000e+01,-3.3333333333333331e-01\r\n"
+        b'"a,b",1.0000000000000000e-300,0.0000000000000000e+00\r\n')
+    payload = {"b": np.float64(0.1), "a": {"flag": np.bool_(True), "n": np.int64(7)},
+               "array": np.array([1.5, 2.0]), "text": "x", "pair": (1, None)}
+    json_path = cli._write_json(tmp_path / "t.json", payload)
+    assert json_path.read_text() == textwrap.dedent("""\
+        {
+          "a": {
+            "flag": true,
+            "n": 7
+          },
+          "array": [
+            1.5,
+            2.0
+          ],
+          "b": 0.1,
+          "pair": [
+            1,
+            null
+          ],
+          "text": "x"
+        }
+        """)
 
 
 def test_unregularized_requests_exit_4(tmp_path, capsys):

@@ -47,6 +47,17 @@ def test_resonance_root_small_epsilon_no_cancellation():
     assert float(resonance_root(0.0, 1e-14)) == pytest.approx(1.0 - 1e-14, rel=1e-15)
 
 
+@pytest.mark.parametrize("delta", [1.5, 2.0, 3.0])
+def test_superluminal_root_free_of_cancellation(delta):
+    # for delta > 1 the positive root is ((delta-1) + sqrt((1-delta)^2 + 4 eps)) / (2 eps);
+    # 2 / ((1-delta) + sqrt(...)) cancels there, by up to 2e-12 relative at eps = 1e-4
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eps, om = mp.mpf(1e-4), 1 - mp.mpf(delta)
+    exact = (-om + mp.sqrt(om * om + 4 * eps)) / (2 * eps)
+    assert abs(float(resonance_root(delta, 1e-4)) - exact) <= 4e-16 * exact
+
+
 def test_superluminal_projection_rejected():
     with pytest.raises(ValueError):
         resonance_root(1.5, 0.0)
