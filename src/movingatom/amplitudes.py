@@ -426,36 +426,73 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
         f[active], fp[active], scale[active] = _secular(d, z, sigma[active], new)
 
 
-def _lowner(d: np.ndarray, sigma: np.ndarray, nu: np.ndarray) -> np.ndarray:
+def _lowner(d: np.ndarray, sigma: np.ndarray, nu: np.ndarray):
     """Weights z_hat for which the roots mu = sigma + nu are exact (Loewner's formula,
-    Gu & Eisenstat 1995; LAPACK dlaed3): -prod_k (d_p - mu_k) / prod_{j != p} (d_p - d_j)
-    as |d_p - mu_p| |d_p - mu_{p+1}| times the ratios (d_p - mu_j)/(d_p - d_j), j < p,
-    and (d_p - mu_{j+1})/(d_p - d_j), j > p, with d_p - mu_k = (d_p - sigma_k) - nu_k."""
-    zhat = np.empty(d.size)
-    cols = np.arange(d.size)
-    for lo in range(0, d.size, _TILE):
-        p = cols[lo:lo + _TILE, None]
-        left = (d[p] - sigma[:-1]) - nu[:-1]  # d_p - mu_j
-        right = (d[p] - sigma[1:]) - nu[1:]  # d_p - mu_{j+1}
-        ratio = np.where(cols < p, left, np.where(cols > p, right, -left * right))
-        zhat[lo:lo + _TILE] = np.prod(ratio / np.where(cols == p, 1.0, d[p] - d), axis=1)
-    return zhat
+    Gu & Eisenstat 1995; LAPACK dlaed3), and the eigenvector weights w = 1/f'(mu) of
+    the secular function with those weights, in one sweep over tiles of _TILE poles.
+
+    z_hat_p = -prod_k (d_p - mu_k) / prod_{j != p} (d_p - d_j), as |d_p - mu_p|
+    |d_p - mu_{p+1}| times the ratios (d_p - mu_j)/(d_p - d_j), j < p, and (d_p -
+    mu_{j+1})/(d_p - d_j), j > p, with m = d_p - mu_k = (d_p - sigma_k) - nu_k formed
+    once per tile: columns left of the tile take mu_j and those right of it mu_{j+1},
+    so only the tile's diagonal block needs masks. While m is at hand, f'(mu_k) - 1 =
+    sum_p z_hat_p / m^2 gathers the tile's poles (the formula of `_secular`).
+    """
+    n = d.size
+    zhat, fp = np.empty(n), np.zeros(n + 1)
+    m_buf, ratio_buf = np.empty((min(_TILE, n), n + 1)), np.empty((min(_TILE, n), n))
+    for lo in range(0, n, _TILE):
+        hi = min(lo + _TILE, n)
+        dp = d[lo:hi, None]
+        m, ratio = m_buf[:hi - lo], ratio_buf[:hi - lo]
+        np.subtract(dp, sigma, out=m)
+        m -= nu
+        np.subtract(dp, d, out=ratio)  # d_p - d_j
+        np.divide(m[:, :lo], ratio[:, :lo], out=ratio[:, :lo])
+        np.divide(m[:, hi + 1:], ratio[:, hi:], out=ratio[:, hi:])
+        cols = np.arange(lo, hi)
+        p = cols[:, None]
+        left, right = m[:, lo:hi], m[:, lo + 1:hi + 1]
+        block = np.where(cols < p, left, np.where(cols > p, right, -left * right))
+        ratio[:, lo:hi] = block / np.where(cols == p, 1.0, ratio[:, lo:hi])
+        zhat[lo:hi] = np.prod(ratio, axis=1)
+        np.reciprocal(m, out=m)
+        np.square(m, out=m)
+        fp += zhat[lo:hi] @ m
+    return zhat, 1.0 / (fp + 1.0)
+
+
+_FINE = 8  # fine phase rows, and coarse rows per product: _FINE**2 recorded times each
 
 
 def _reconstruct(d, sigma, nu, w, times):
-    """a(tau) = sum_k w_k e^{-i mu_k tau} at every recorded time, in blocks of _TILE
-    times, and, at the last time T only, S_p = sum_k w_k e^{-i mu_k T} / (mu_k - d_p)
-    in blocks of _TILE poles: every mode of pole p has c proportional to S_p.
+    """a(tau) = sum_k w_k e^{-i mu_k tau} at every recorded time and, at the last time T
+    only, S_p = sum_k w_k e^{-i mu_k T} / (mu_k - d_p) in blocks of _TILE poles: every
+    mode of pole p has c proportional to S_p.
+
+    The n times before T lie on a uniform grid t_j = j h, so with j = _FINE c + f,
+    e^{-i mu t_j} = e^{-i mu t_{_FINE c}} e^{-i mu t_f}: a fine block F_kf = w_k e^{-i
+    mu_k t_f} and _FINE coarse rows at a time give _FINE**2 amplitudes by one complex
+    matrix product, and only about n/_FINE + _FINE rows of phases are exponentiated.
+    T, which also feeds S_p, is done directly.
     """
     mu = sigma + nu
-    amp = np.empty(times.size, dtype=complex)
-    for t0 in range(0, times.size, _TILE):
-        phase = np.multiply.outer(times[t0:t0 + _TILE], mu)
-        amp[t0:t0 + _TILE] = np.cos(phase) @ w - 1j * (np.sin(phase, out=phase) @ w)
+    n = times.size - 1
+    fine = min(_FINE, n)
+    f = np.exp(np.multiply.outer(-1j * mu, times[:fine])) * w[:, None]
+    coarse = times[:n:fine]
+    blocks = [np.exp(np.multiply.outer(coarse[c0:c0 + fine], -1j * mu)) @ f
+              for c0 in range(0, coarse.size, fine)]
     last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
-    s = np.empty((d.size, 2))
+    # one buffer for every tile: a fresh 16 x K array per tile cost more than the sums
+    s, buf = np.empty((d.size, 2)), np.empty((min(_TILE, d.size), mu.size))
     for p0 in range(0, d.size, _TILE):
-        s[p0:p0 + _TILE] = (1.0 / ((sigma - d[p0:p0 + _TILE, None]) + nu)) @ last
+        b = buf[:min(_TILE, d.size - p0)]
+        np.subtract(sigma, d[p0:p0 + _TILE, None], out=b)
+        b += nu
+        np.reciprocal(b, out=b)
+        s[p0:p0 + _TILE] = b @ last
+    amp = np.append(np.concatenate(blocks).ravel()[:n], last.sum(axis=0).view(complex))
     return amp, s.view(complex)[:, 0]
 
 
@@ -491,10 +528,9 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
     d, z, pole, shift = _poles(-system.detunings, g)
     if d.size:
         sigma, nu, iterations = _secular_roots(d, z)
-        zhat = _lowner(d, sigma, nu)
+        zhat, w = _lowner(d, sigma, nu)
     else:  # no mode couples: the atom stays excited
-        sigma, nu, iterations, zhat = np.zeros(1), np.zeros(1), 0, z
-    w = 1.0 / _secular(d, zhat, sigma, nu)[1]
+        sigma, nu, iterations, zhat, w = np.zeros(1), np.zeros(1), 0, z, np.ones(1)
     amp, s = _reconstruct(d, sigma, nu, w, times)
     ghat = g * np.append(np.sqrt(zhat / z), 0.0)[pole]  # pole -1: decoupled
     state = np.append(amp[-1], 1j * ghat * np.append(s, 0.0)[pole])

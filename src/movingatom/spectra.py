@@ -110,7 +110,9 @@ class Formfactor:
 
     def _slope(self, x, z):
         """(phi(x) - phi(z)) / (x - z), written without that difference."""
-        return -1.0 / self.cutoff if self.kind == "exponential" else -(x + z) / self.cutoff**2
+        if self.kind == "exponential":
+            return -1.0 / self.cutoff
+        return -(x + z) / self.cutoff / self.cutoff  # cutoff**2 overflows past 1.3e154
 
     def suggested_upper_limit(self) -> float:
         """Frequency beyond which the damped tail is negligible."""
@@ -412,7 +414,7 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     """
     n = check_unit(n, "n")
     if not scenario.params.epsilon > 0:
-        raise ValueError("divergence comparison needs finite mass: epsilon > 0")
+        raise ParameterError("divergence comparison needs finite mass: epsilon > 0")
     lambdas = np.asarray(quadrature.geometric_cutoffs() if lambdas is None else lambdas, dtype=float)
     if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
         raise ValueError("cutoffs must be finite and positive")

@@ -180,6 +180,60 @@ def test_recording_grid_is_the_stepper_grid():
         assert res.atom_population.shape == res.times.shape
 
 
+def random_arrowhead(k=37):
+    """Poles and weights of a random arrowhead, its secular roots, and the Loewner sweep."""
+    gen = np.random.default_rng(37)
+    d, z = np.sort(gen.uniform(-1.0, 1.0, k)), gen.uniform(1e-3, 1e-1, k)
+    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    return d, z, sigma, nu, *amplitudes._lowner(d, sigma, nu)
+
+
+def test_lowner_weights_match_dense_masked_product():
+    # three tiles, the last one partial: the same ratios as one dense masked product
+    d, z, sigma, nu, zhat, _ = random_arrowhead()
+    m = (d[:, None] - sigma) - nu  # d_p - mu_k with the shifted origin
+    j = np.arange(d.size)
+    p = j[:, None]
+    ratio = np.where(j < p, m[:, :-1], np.where(j > p, m[:, 1:], -m[:, :-1] * m[:, 1:]))
+    dense = np.prod(ratio / np.where(j == p, 1.0, d[:, None] - d), axis=1)
+    np.testing.assert_allclose(zhat, dense, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(zhat, z, rtol=1e-13)
+    # the roots are the eigenvalues of the arrowhead with couplings sqrt(zhat)
+    arrow = np.diag(np.append(np.sum(sigma + nu) - np.sum(d), d))
+    arrow[0, 1:] = arrow[1:, 0] = np.sqrt(zhat)
+    assert np.max(np.abs(np.linalg.eigvalsh(arrow) - np.sort(sigma + nu))) <= 1e-14
+
+
+def test_fused_eigenvector_weights_match_secular_derivative():
+    d, _, sigma, nu, zhat, w = random_arrowhead()
+    np.testing.assert_allclose(w, 1.0 / amplitudes._secular(d, zhat, sigma, nu)[1],
+                               rtol=1e-14, atol=0.0)
+    sys = flat_band_system(201, 0.05, 1e-3, delta=0.007, epsilon=0.003)
+    d, z, _, _ = amplitudes._poles(-sys.detunings, sys.g)
+    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    zhat, w = amplitudes._lowner(d, sigma, nu)
+    np.testing.assert_allclose(w, 1.0 / amplitudes._secular(d, zhat, sigma, nu)[1],
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("t_final, dt, every", [
+    (1000.0, 0.25, 7),  # 4000 steps, not a multiple of record_every
+    (10.0, 0.25, 100),  # record_every beyond the run: only 0 and T
+    (50.0, 0.25, 1),  # every step
+])
+def test_separable_amplitudes_match_direct_phase_sum(t_final, dt, every):
+    sys = flat_band_system(101, 0.05, 1e-3, delta=0.007, epsilon=0.003)
+    d, z, _, _ = amplitudes._poles(-sys.detunings, sys.g)
+    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    _, w = amplitudes._lowner(d, sigma, nu)
+    n_steps = int(np.ceil(t_final / dt))
+    times = np.append(np.arange(0, n_steps, every), n_steps) * dt
+    amp, _ = amplitudes._reconstruct(d, sigma, nu, w, times)
+    direct = np.exp(-1j * np.multiply.outer(times, sigma + nu)) @ w
+    assert amp.shape == times.shape
+    assert np.max(np.abs(amp - direct)) <= 1e-14
+
+
 # D = 1 + x/2 - x^2/4 at delta = 1.5, eps = 0.25 is symmetric about x = 1: x = 0.9 and 1.1
 # share a detuning, and the five-mode grid's detunings are not monotonic in x. A coupling
 # of 1e-10 puts a root 2.5e-19 from its pole at 0.05, below the pole's last digit (6.9e-18).

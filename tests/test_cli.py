@@ -239,6 +239,33 @@ def test_upper_limit_below_the_line_exits_2(tmp_path, capsys, section):
     assert "configuration error" in err and "upper_limit 0.5" in err
 
 
+def test_divergence_at_infinite_mass_exits_2(tmp_path, capsys):
+    # epsilon = 0 has no recoil to compare: it exited 1 with a ValueError traceback
+    cfg = write_config(tmp_path, "atom: {epsilon: 0.0, gamma_tilde: 0.01}\n")
+    assert run(["divergence", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "finite mass" in capsys.readouterr().err
+
+
+def test_gaussian_cutoff_past_float_square_is_the_bare_integral(tmp_path):
+    # cutoff**2 overflowed a Python float (OverflowError, exit 1); below x = 100 the
+    # formfactor is 1 to the last digit, so the value is the unregularized one
+    limit = "probability: {upper_limit: 100.0}\n"
+    values = []
+    for name, formfactor in (("wide", "formfactor: {kind: gaussian, cutoff: 1.0e+200}\n"),
+                             ("bare", "")):
+        cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n" + limit
+                           + formfactor, name=f"{name}.yaml")
+        assert run(["probability", "--config", cfg, "--out", tmp_path / name]) == 0
+        values.append(json.loads((tmp_path / name / "probability.json").read_text())["value"])
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+def test_yaml_syntax_error_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: [0.01}\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "could not parse scenario.yaml" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, section", [
     ("probability", "formfactor: {kind: sharp, cutoff: 1.0e+300}"),
     ("divergence", "scan: {lambda_max: 1.0e+200}"),

@@ -4,7 +4,9 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
 
+from movingatom import config
 from movingatom.config import (ConfigError, build_config, load_config,
                                load_raw)
 from movingatom.spectra import Formfactor
@@ -203,6 +205,34 @@ def test_load_raw_errors(tmp_path):
     listy = write(tmp_path, "list.yaml", "- a\n- b\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_raw(listy)
+
+
+YAML_FEATURES = """
+    # a comment line
+    atom: {epsilon: 1.0e-3, gamma_tilde: 1e-3}  # a flow map; 1e-3 is a string in YAML 1.1
+    grid:
+      start: 0.9   # block map
+      count: 21
+    limit_ordering: {epsilons: [1.0e-2, 1.0e-3], window: [0.5, 2]}
+    seed: 7
+"""
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_yaml_loaders_read_the_same_dict(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip(f"PyYAML built without {loader}")
+    path = write(tmp_path, "s.yaml", YAML_FEATURES)
+    monkeypatch.setattr(config, "_YAML_LOADER", getattr(yaml, loader))
+    assert load_raw(path) == {
+        "atom": {"epsilon": 1e-3, "gamma_tilde": "1e-3"},
+        "grid": {"start": 0.9, "count": 21},
+        "limit_ordering": {"epsilons": [1e-2, 1e-3], "window": [0.5, 2]},
+        "seed": 7,
+    }
+    bad = write(tmp_path, "bad.yaml", "atom: {epsilon: [0.01}\n")
+    with pytest.raises(ConfigError, match="parse"):
+        load_raw(bad)
 
 
 def test_every_section_resolves_to_the_pinned_settings(tmp_path):
