@@ -20,7 +20,7 @@ from .geometry import PolarizationBasis, direction_from_angles, polarization_bas
 from .quadrature import (CutoffScan, NumericalError, QuadratureResult,
                          TailClassification, classify_tail, cutoff_scan,
                          geometric_cutoffs, integrate_adaptive)
-from .rates import RateResult, golden_rule_rate, golden_rule_rates, limit_ordering_demo
+from .rates import golden_rule_mean_rate, golden_rule_rates, limit_ordering_demo
 from .spectra import (DivergenceReport, EmissionScenario, Formfactor, PatternResult,
                       PhysicsRejection, SpectralResult, angular_pattern,
                       directional_probability, directional_spectrum,
@@ -37,13 +37,13 @@ __all__ = [
     "DivergenceReport", "EmissionScenario", "Formfactor", "GaussianPacket",
     "Normalization", "NumericalError", "ParameterError", "PatternResult",
     "PhysicalInput", "PhysicsRejection", "PointMass", "PolarizationBasis",
-    "QuadratureResult", "RateResult", "SpectralResult", "TabulatedProjection",
+    "QuadratureResult", "SpectralResult", "TabulatedProjection",
     "TailClassification", "angular_pattern",
     "classify_tail", "compare_to_pole", "cutoff_scan", "detuning",
     "direction_from_angles", "directional_probability", "directional_spectrum",
     "discrete_mode_evolution", "divergence_comparison", "expectation",
     "flat_band_system", "geometric_cutoffs",
-    "golden_rule_rate", "golden_rule_rates", "integrate_adaptive",
+    "golden_rule_mean_rate", "golden_rule_rates", "integrate_adaptive",
     "limit_ordering_demo", "perpendicular_kernel", "polarization_basis",
     "polarization_sum", "project", "rates", "reduced_coupling",
     "rotate_basis", "shifted_velocity", "spectral_kernel", "to_dimensionless",

@@ -56,13 +56,13 @@ class PolarizationBasis:
     n: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("e1", "e2", "n"):
-            check_unit(getattr(self, name), name)
-        pairs = (("e1", "e2"), ("e1", "n"), ("e2", "n"))
-        for a, b in pairs:
-            if abs(float(np.dot(getattr(self, a), getattr(self, b)))) > _UNIT_TOL:
-                raise ValueError(f"{a} . {b} exceeds {_UNIT_TOL:g}: basis not orthogonal")
-        if float(np.dot(np.cross(self.e1, self.e2), self.n)) < 0.0:
+        # B B^T = I and det B = e1 . (e2 x n) > 0, without the LAPACK and BLAS-3
+        # kernels that np.linalg.det and b @ b.T page in (0.25 MB of peak RSS)
+        b = np.array([self.e1, self.e2, self.n], dtype=float)  # rows e1, e2, n
+        if b.shape != (3, 3) or not np.abs(np.einsum("ik,jk->ij", b, b) - np.eye(3)).max() <= _UNIT_TOL:
+            raise ValueError(f"e1, e2, n are not orthonormal 3-vectors within {_UNIT_TOL:g}")
+        nxt, prv = b[:, [1, 2, 0]], b[:, [2, 0, 1]]
+        if not dot3(b[0], nxt[1] * prv[2] - prv[1] * nxt[2]) > 0.0:
             raise ValueError("basis is left-handed (e1 x e2 . n < 0)")
 
 

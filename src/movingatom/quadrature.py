@@ -77,7 +77,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
     levels double until two agree within the target, or converged = False when the
     next level would exceed `max_panels` panels (the finer level is still returned;
     callers decide whether that is fatal). `error_estimate` is the last level
-    difference; `evaluations` counts 32 rule points per panel."""
+    difference; `evaluations` counts 32 rule points per panel. NumericalError when
+    the integrand or a level's value is not finite (numpy's overflow and invalid
+    warnings are silenced while a level is evaluated)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
     if tol <= 0:
@@ -86,8 +88,12 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
     value, evaluations, panels = 0.0, 0, 1
     while True:
         h = np.full(panels, (b - a) / panels)
-        # panel values summed left to right (np.sum would pair them up)
-        new = float(np.cumsum(_rule(f, a + h * np.arange(panels), h))[-1])
+        # panel values summed left to right (np.sum would pair them up); numpy's
+        # warnings are silenced because a value that is not finite raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = float(np.cumsum(_rule(f, a + h * np.arange(panels), h))[-1])
+        if not math.isfinite(new):
+            raise NumericalError(f"the integral over [{a:.6g}, {b:.6g}] is not finite")
         evaluations += _ORDER * panels
         error, value = abs(new - value), new
         converged = panels > 1 and error <= tol * max(1.0, abs(new))

@@ -48,15 +48,6 @@ from .wavepacket import PointMass, ProjectedDistribution, project, weighted_sum
 VARIANTS = ("unshifted", "shifted")
 
 
-@dataclass(frozen=True)
-class RateResult:
-    variant: str
-    value: float
-    x_star: float
-    delta: float
-    model_label: str
-
-
 def _variant_model(variant: str, model: CouplingModel | None) -> CouplingModel:
     """`model` with the momentum shift that `variant` asks for."""
     if variant not in VARIANTS:
@@ -77,18 +68,16 @@ def _rate(delta, x_star, gsq, epsilon: float):
 
 def golden_rule_rates(variant: str, beta, n, e_d, params: DimensionlessParams,
                       model: CouplingModel | None = None) -> np.ndarray:
-    """Vectorized normalized rate over a batch of velocities, shape (..., 3).
+    """Normalized rate at each velocity of a batch beta, shape (..., 3) (a scalar for (3,)).
 
-    The workhorse behind `golden_rule_rate`; the resonance root, shift,
-    coupling, and Jacobian are all evaluated elementwise with the same stable
-    formulas as the scalar path.
+    The velocity-level reference: the resonance root, shift, coupling and
+    Jacobian are evaluated per velocity with coupling.polarization_sum,
+    independently of the conditional moments that `golden_rule_mean_rate`,
+    the production path, works from.
     """
     eval_model = _variant_model(variant, model)
     n = check_unit(n, "n")
     e_d = check_unit(e_d, "e_d")
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape[-1] != 3:
-        raise ValueError("beta must have 3 components along the trailing axis")
     delta = doppler_projection(beta, n)
     x_star = resonance_root(delta, params.epsilon)
     gsq = polarization_sum(eval_model, beta, x_star, n, e_d, params.epsilon)
@@ -109,28 +98,6 @@ def golden_rule_mean_rate(variant: str, proj: ProjectedDistribution, n, e_d,
     u = proj.nodes - np.asarray(proj.mean)[..., None]
     rates = _rate(proj.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
     return weighted_sum(proj.weights, rates)
-
-
-def golden_rule_rate(variant: str, beta, n, e_d, params: DimensionlessParams,
-                     model: CouplingModel | None = None) -> RateResult:
-    """Normalized per-direction decay rate for one atomic velocity.
-
-    `model` controls the coupling structure (velocity-dependent or not, and
-    whether the explicit recoil term is kept); its own momentum-shift flag is
-    ignored here because the `variant` argument decides where the coupling
-    is evaluated -- that is the entire point of having both variants.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (3,):
-        raise ValueError("golden_rule_rate takes a single velocity; use golden_rule_rates for batches")
-    if model is None:
-        model = CouplingModel.roentgen()
-    n = check_unit(n, "n")
-    value = float(golden_rule_rates(variant, beta[None, :], n, e_d, params, model)[0])
-    delta = float(doppler_projection(beta, n))
-    return RateResult(variant=variant, value=value,
-                      x_star=float(resonance_root(delta, params.epsilon)), delta=delta,
-                      model_label=model.label)
 
 
 def sphere_pattern_value(rate: float) -> float:
@@ -171,8 +138,9 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
     For each eps in `epsilons` (decreasing, positive), at rest and with the
     emission direction perpendicular to the dipole:
 
-    * column (i): both golden-rule variants -- the energy constraint applied
-      before the mode sum. Finite, and converging to the eps = 0 value.
+    * column (i): both golden-rule variants (`golden_rule_mean_rate` on the
+      point at rest) -- the energy constraint applied before the mode sum.
+      Finite, and converging to the eps = 0 value.
     * column (ii): the frequency-integrated emission probability with no
       formfactor -- the mode sum taken first -- on a cutoff ladder spanning
       `window` in units of 1/eps (the integrand turns over at x ~ 1/eps, so
@@ -200,19 +168,19 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
 
     n = np.array([1.0, 0.0, 0.0])
     e_d = np.array([0.0, 0.0, 1.0])
-    beta0 = np.zeros(3)
     model = CouplingModel.roentgen()
-    at_rest = project(PointMass(beta0), n)
+    at_rest = project(PointMass(np.zeros(3)), n)
 
-    rate_eps0 = golden_rule_rate("shifted", beta0, n, e_d,
-                                 DimensionlessParams(0.0, gamma_tilde), model).value
+    def rate(variant: str, params: DimensionlessParams) -> float:
+        return golden_rule_mean_rate(variant, at_rest, n, e_d, params, model)
+
+    rate_eps0 = rate("shifted", DimensionlessParams(0.0, gamma_tilde))
 
     rows: list[LimitOrderingRow] = []
     for eps in eps_list:
         params = DimensionlessParams(epsilon=eps, gamma_tilde=gamma_tilde)
-        r_unshifted = golden_rule_rate("unshifted", beta0, n, e_d, params, model)
-        r_shifted = golden_rule_rate("shifted", beta0, n, e_d, params, model)
-        rel = abs(r_shifted.value - r_unshifted.value) / r_unshifted.value
+        r_unshifted, r_shifted = rate("unshifted", params), rate("shifted", params)
+        rel = abs(r_shifted - r_unshifted) / r_unshifted
 
         lam_window = np.geomspace(window[0] / eps, window[1] / eps, window_points)
         cumulative = Normalization.reference(params).kappa * line_fractions(
@@ -222,8 +190,8 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         cls = quadrature.classify_tail(scan, fit_points=window_points)
 
         rows.append(LimitOrderingRow(
-            epsilon=eps, x_star=r_shifted.x_star, rate_unshifted=r_unshifted.value,
-            rate_shifted=r_shifted.value, rel_difference=rel, window_lambdas=scan.lambdas,
+            epsilon=eps, x_star=float(resonance_root(0.0, eps)), rate_unshifted=r_unshifted,
+            rate_shifted=r_shifted, rel_difference=rel, window_lambdas=scan.lambdas,
             window_cumulative=scan.values, growth_exponent=cls.exponent, growth_kind=cls.kind,
             fixed_cumulative=cumulative[window_points:], converged=True))
 

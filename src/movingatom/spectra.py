@@ -281,20 +281,24 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
     """kappa * E[int_0^U F w] per U over the delta nodes of proj: values, errors,
     evaluations (line integrals plus rule points, per node) and convergence.
 
-    "none" and "sharp" are closed forms. A smooth F takes the near pole pair in
-    closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x - z)] + 2 Re[r (F -
-    F(z))/(x - z)], and its smooth first and last terms go, unscaled, to
-    integrate_adaptive (for one U). Given `half`, the same packet at half the
-    Hermite order (`_projections`), the sum is redone on it; the change joins the
-    error and must meet tol * max(1, |I|), which fails for a U inside the Doppler
-    profile (the line integral jumps there). NumericalError (from
+    Under a formfactor every U is clamped to its reach (suggested_upper_limit),
+    past which F < e^-60: the dropped tail, and any line lying there, is damped
+    by that factor. "none" and "sharp" are closed forms. A smooth F takes the
+    near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
+    z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
+    unscaled, to integrate_adaptive (for one U), which raises NumericalError when
+    they or their integral are not finite. Given `half`, the same packet at half
+    the Hermite order (`_projections`), the sum is redone on it; the change joins
+    the error and must meet tol * max(1, |I|), which fails for a U inside the
+    Doppler profile (the line integral jumps there). NumericalError (from
     LineFractions.integral) names the first U whose value is not finite."""
     uppers = np.asarray(uppers, dtype=float)
+    if formfactor.kind != "none":
+        uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
     lines = line_fractions(scenario.coupling, n, scenario.dipole_axis, proj, scenario.params)
     kappa, weights = scenario.kappa, proj.weights
     if formfactor.kind in ("none", "sharp"):
-        ends = np.minimum(uppers, formfactor.cutoff) if formfactor.kind == "sharp" else uppers
-        values = kappa * (weights @ lines.integral(ends))
+        values = kappa * (weights @ lines.integral(uppers))
         errors, evaluations, converged = np.zeros_like(values), weights.size * uppers.size, True
     else:
         z = lines.near[:, None]
@@ -333,7 +337,8 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     difference plus a Gaussian's change from half the Hermite order.
     `converged` is False when that misses tol * max(1, |value|), e.g. for a
     Gaussian whose upper limit lies inside its Doppler profile. Under "none"
-    the value grows with upper_limit (see `divergence_comparison`).
+    the value grows with upper_limit (see `divergence_comparison`); under a
+    formfactor an upper_limit past its suggested_upper_limit integrates to that.
     ParameterError unless upper_limit is finite and above the resonance at the
     mean delta; NumericalError when the value is not finite (it overflowed).
     """

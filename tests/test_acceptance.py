@@ -27,7 +27,7 @@ from movingatom.amplitudes import (compare_to_pole, detuning,
 from movingatom.cli import main as cli_main
 from movingatom.coupling import CouplingModel, polarization_sum
 from movingatom.geometry import polarization_basis, rotate_basis
-from movingatom.rates import golden_rule_rate, limit_ordering_demo
+from movingatom.rates import limit_ordering_demo
 from movingatom.spectra import (EmissionScenario, Formfactor, angular_pattern,
                                 directional_probability, directional_spectrum,
                                 divergence_comparison)

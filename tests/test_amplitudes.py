@@ -306,3 +306,73 @@ def test_line_integral_overflow_names_the_upper_limit(model):
     assert np.all(np.isfinite(lines.integral([1e2, 1e3])))
     with pytest.raises(NumericalError, match=r"up to x = 1e\+200 is not finite"):
         lines.integral([1e2, 1e200, 1e300])
+
+
+_FUZZ_MODELS = {"roentgen": CouplingModel.roentgen(), "standard": CouplingModel.standard(),
+                "roentgen_no_recoil_term": CouplingModel(kind="roentgen", include_recoil_term=False)}
+
+
+def test_line_integrals_match_40_digit_quadrature():
+    """Differential fuzz of `line_fractions(...).integral` for a point mass against mp.quad.
+
+    The reference integrand x^3 P(x) / (D^2 + gt^2/4) is built in mpmath from the geometry:
+    P = |b e_perp + c beta_perp|^2 with c = e_d.n, the bracket b = 1 - delta + k eps x and
+    k = (+1 for the recoil term) - (2 for the momentum shift), or P = 1 - c^2 for the
+    standard dipole. delta is the projection's float node, since the integral is exact
+    only for the inputs the closed form sees. The bound is 1e-13 max(1, |I|) plus the
+    conditioning of I on the pole: rounding the pole z to double moves I by about
+    w(U) ulp(x*), which for U inside a narrow line (gt = 1e-4) reaches 5e-13 |I|.
+    """
+    hyp = pytest.importorskip("hypothesis")
+    mp = pytest.importorskip("mpmath")
+    st = hyp.strategies
+    log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0**e)  # noqa: E731
+    worst = {"error": 0.0}
+
+    # no shrinking: a failure is reported as drawn, within the same few seconds
+    @hyp.settings(max_examples=25, derandomize=True, deadline=None, database=None,
+                  phases=(hyp.Phase.generate,))
+    @hyp.given(eps=st.one_of(st.just(0.0), log_uniform(-5.0, -1.0)), gt=log_uniform(-4.0, -1.0),
+               theta=st.floats(0.0, np.pi), beta=st.lists(st.floats(-0.3, 0.3), min_size=3,
+                                                          max_size=3),
+               upper=log_uniform(-0.5, 3.5), label=st.sampled_from(sorted(_FUZZ_MODELS)))
+    def check(eps, gt, theta, beta, upper, label):
+        model, beta = _FUZZ_MODELS[label], np.array(beta)
+        n, e_d = np.array([np.sin(theta), 0.0, np.cos(theta)]), np.array([0.0, 0.0, 1.0])
+        proj = project(PointMass(beta), n)
+        got = float(amplitudes.line_fractions(model, n, e_d, proj, DimensionlessParams(eps, gt))
+                    .integral([upper])[0, 0])
+
+        mp.mp.dps = 40
+        nv, bv = [mp.mpf(v) for v in n], [mp.mpf(v) for v in beta]
+        delta, c = mp.mpf(float(proj.nodes[0])), nv[2]
+        e_perp = [-c * v for v in nv]
+        e_perp[2] += 1
+        b_dot_n = sum(p * q for p, q in zip(bv, nv))
+        b_perp = [p - b_dot_n * q for p, q in zip(bv, nv)]
+        ee, eb, bb = (sum(p * q for p, q in zip(u, v))
+                      for u, v in ((e_perp, e_perp), (e_perp, b_perp), (b_perp, b_perp)))
+        k = (1 if model.include_recoil_term else 0) - (2 if model.apply_momentum_shift else 0)
+        eps_m, gt_m, u = mp.mpf(eps), mp.mpf(gt), mp.mpf(upper)
+
+        def w(x):
+            b = 1 - delta + k * eps_m * x
+            poly = (1 - c * c if model.kind == "standard_dipole"
+                    else b * b * ee + 2 * b * c * eb + c * c * bb)
+            d = 1 - x * (1 - delta) - eps_m * x * x
+            return x**3 * poly / (d * d + gt_m * gt_m / 4)
+
+        x_star = 2 / ((1 - delta) + mp.sqrt((1 - delta) ** 2 + 4 * eps_m))
+        half = gt_m / (2 * ((1 - delta) + 2 * eps_m * x_star))  # half width of the line in x
+        pts = sorted({x_star + s * half * m for s in (-1, 1) for m in (1, 30, 1000)} | {x_star}
+                     | {x_star * 4**j for j in range(1, 8)})
+        ref = mp.quad(w, [0] + [p for p in pts if 0 < p < u] + [u])
+        pole_shift = 4.0 * float(np.finfo(float).eps * x_star * abs(w(u)))
+        error = float(abs(got - ref) / max(1, abs(ref)))
+        if error > worst["error"]:
+            worst.update(error=error, eps=eps, gt=gt, theta=theta, beta=beta.tolist(),
+                         upper=upper, model=label, value=got, pole_shift=pole_shift)
+        assert abs(got - ref) <= 1e-13 * max(1, abs(ref)) + pole_shift
+
+    check()
+    print(f"worst line integral against 40-digit mp.quad: {worst}")

@@ -266,8 +266,24 @@ def test_yaml_syntax_error_exits_2(tmp_path, capsys):
     assert "could not parse scenario.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("upper", ["1.0e+6", "1.0e+200"])
+def test_upper_limit_past_the_formfactor_reach_is_the_reach(tmp_path, upper):
+    # 1e6 exited 3 (unconverged), 1e200 exited 0 with 0.3456 where the value is 0.12016
+    values = []
+    for name, limit in (("reach", "80.0"), ("far", upper)):
+        cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n"
+                           "formfactor: {kind: gaussian, cutoff: 10.0}\n"
+                           f"probability: {{upper_limit: {limit}}}\n", name=f"{name}.yaml")
+        assert run(["probability", "--config", cfg, "--out", tmp_path / name]) == 0
+        values.append(json.loads((tmp_path / name / "probability.json").read_text()))
+    assert values[1]["converged"] is True
+    assert values[1]["value"] == values[0]["value"] == pytest.approx(0.12015991344302066,
+                                                                     rel=1e-14)
+
+
 @pytest.mark.parametrize("command, section", [
     ("probability", "formfactor: {kind: sharp, cutoff: 1.0e+300}"),
+    ("probability", "formfactor: {kind: gaussian, cutoff: 1.0e+200}"),
     ("divergence", "scan: {lambda_max: 1.0e+200}"),
     ("rates", "limit_ordering: {fixed_cutoffs: [1.0e+2, 1.0e+3, 1.0e+200]}"),
 ])

@@ -25,6 +25,21 @@ def test_basis_is_orthonormal_and_right_handed():
         assert np.allclose(np.cross(basis.e1, basis.e2), basis.n, atol=1e-14)
 
 
+X, Y, Z = np.eye(3)
+
+
+@pytest.mark.parametrize("e1, e2, n, match", [
+    ((1.0 + 1e-9) * X, Y, Z, "orthonormal"),  # non-unit
+    (X, (Y + 1e-9 * X) / np.linalg.norm(Y + 1e-9 * X), Z, "orthonormal"),  # non-orthogonal
+    (X, Y, -Z, "left-handed"),
+    (X, Y, np.array([0.0, 0.0, np.nan]), "orthonormal"),
+    (X[:2], Y[:2], Z[:2], "orthonormal"),
+])
+def test_bad_triads_are_rejected(e1, e2, n, match):
+    with pytest.raises(ValueError, match=match):
+        PolarizationBasis(e1=e1, e2=e2, n=n)
+
+
 def test_axis_aligned_directions_get_canonical_axes():
     basis = polarization_basis(np.array([0.0, 0.0, 1.0]))
     assert np.array_equal(basis.e1, np.array([1.0, 0.0, 0.0]))

@@ -54,6 +54,16 @@ def test_non_finite_integrand_raises_with_location():
         integrate_adaptive(bad, 0.0, 1.0, 1e-8)
 
 
+@pytest.mark.parametrize("sign", [[1.0], [1.0, -1.0]])  # one level is inf, the other nan
+def test_overflowing_level_raises_without_a_warning(sign):
+    # every value of the integrand is finite, but panel width times its values is not
+    def big(x):
+        return 1e300 * np.where(x < 5e10, sign[0], sign[-1])
+
+    with pytest.raises(NumericalError, match=r"integral over \[0, 1e\+11\] is not finite"):
+        integrate_adaptive(big, 0.0, 1e11, 1e-8)
+
+
 def test_unconverged_flag_when_budget_exhausted():
     a = 1e-7
     res = integrate_adaptive(lambda x: 1.0 / ((x - 0.3) ** 2 + a * a), 0.0, 1.0,

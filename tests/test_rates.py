@@ -5,9 +5,10 @@ import pytest
 
 from movingatom.amplitudes import resonance_root
 from movingatom.coupling import CouplingModel
-from movingatom.rates import (VARIANTS, golden_rule_rate, golden_rule_rates,
+from movingatom.rates import (VARIANTS, golden_rule_mean_rate, golden_rule_rates,
                               limit_ordering_demo, sphere_pattern_value)
 from movingatom.units import DimensionlessParams
+from movingatom.wavepacket import PointMass, project
 
 rng = np.random.default_rng(1123)
 
@@ -73,17 +74,16 @@ def test_resonance_root_rejects_nan_and_negative_epsilon(delta, eps):
 def test_reference_rate_is_one():
     params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
     for variant in VARIANTS:
-        r = golden_rule_rate(variant, np.zeros(3), N_PERP, E_D, params)
-        assert r.value == 1.0
-        assert r.x_star == 1.0
+        assert golden_rule_rates(variant, np.zeros(3), N_PERP, E_D, params) == 1.0
+    assert resonance_root(0.0, params.epsilon) == 1.0
 
 
 def test_variants_coincide_bitwise_at_epsilon_zero():
     params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
     beta = np.array([0.01, -0.03, 0.02])
-    a = golden_rule_rate("unshifted", beta, N_PERP, E_D, params)
-    b = golden_rule_rate("shifted", beta, N_PERP, E_D, params)
-    assert a.value == b.value
+    a = golden_rule_rates("unshifted", beta, N_PERP, E_D, params)
+    b = golden_rule_rates("shifted", beta, N_PERP, E_D, params)
+    assert a == b
 
 
 def test_rates_match_independent_closed_form():
@@ -93,7 +93,7 @@ def test_rates_match_independent_closed_form():
         params = DimensionlessParams(epsilon=eps, gamma_tilde=0.01)
         beta = delta * N_PERP + np.array([0.0, float(rng.normal(scale=0.02)), 0.0])
         for variant in VARIANTS:
-            got = golden_rule_rate(variant, beta, N_PERP, E_D, params).value
+            got = golden_rule_rates(variant, beta, N_PERP, E_D, params)
             want = perpendicular_rate(variant, delta, eps)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -102,37 +102,49 @@ def test_frozen_reference_values():
     # eps = 0.01, beta = 0, perpendicular: values pinned by an independent
     # symbolic evaluation of the closed forms above
     params = DimensionlessParams(epsilon=0.01, gamma_tilde=0.01)
-    f = golden_rule_rate("unshifted", np.zeros(3), N_PERP, E_D, params).value
-    fp = golden_rule_rate("shifted", np.zeros(3), N_PERP, E_D, params).value
+    f = golden_rule_rates("unshifted", np.zeros(3), N_PERP, E_D, params)
+    fp = golden_rule_rates("shifted", np.zeros(3), N_PERP, E_D, params)
     assert f == pytest.approx(0.97096622, abs=5e-9)
     assert fp == pytest.approx(0.93325883, abs=5e-9)
     assert abs(fp - f) / f == pytest.approx(0.038834915, abs=1e-8)
 
 
 def test_vectorized_rates_match_scalar():
+    # the velocity-level reference, batched, against the production path (conditional
+    # moments of the projected packet) on each velocity as a point mass
     params = DimensionlessParams(epsilon=0.003, gamma_tilde=0.01)
     betas = rng.normal(scale=0.02, size=(9, 3))
-    batch = golden_rule_rates("shifted", betas, N_PERP, E_D, params)
-    for i in range(9):
-        single = golden_rule_rate("shifted", betas[i], N_PERP, E_D, params).value
-        assert batch[i] == single
+    for variant in VARIANTS:
+        batch = golden_rule_rates(variant, betas, N_PERP, E_D, params)
+        assert batch.shape == (9,)
+        for i in range(9):
+            single = golden_rule_mean_rate(variant, project(PointMass(betas[i]), N_PERP),
+                                           N_PERP, E_D, params)
+            assert batch[i] == pytest.approx(single, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.0, np.zeros(2), np.zeros((4, 2))])
+def test_reference_rates_need_a_trailing_axis_of_three(beta):
+    params = DimensionlessParams(epsilon=0.003, gamma_tilde=0.01)
+    with pytest.raises(ValueError, match="trailing axis"):
+        golden_rule_rates("shifted", beta, N_PERP, E_D, params)
 
 
 def test_variant_names_are_validated():
     params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
     with pytest.raises(ValueError, match="variant"):
-        golden_rule_rate("recoiled", np.zeros(3), N_PERP, E_D, params)
+        golden_rule_rates("recoiled", np.zeros(3), N_PERP, E_D, params)
 
 
 def test_model_argument_changes_coupling_not_kinematics():
     params = DimensionlessParams(epsilon=0.01, gamma_tilde=0.01)
-    standard = golden_rule_rate("unshifted", np.zeros(3), N_PERP, E_D, params,
-                                CouplingModel.standard())
-    roentgen = golden_rule_rate("unshifted", np.zeros(3), N_PERP, E_D, params)
-    assert standard.x_star == roentgen.x_star  # same root
-    # standard coupling has bracket 1 instead of (1 + eps x*)
-    x = standard.x_star
-    assert standard.value == pytest.approx(x**3 / (1 + 2 * 0.01 * x), rel=1e-12)
+    standard = golden_rule_rates("unshifted", np.zeros(3), N_PERP, E_D, params,
+                                 CouplingModel.standard())
+    roentgen = golden_rule_rates("unshifted", np.zeros(3), N_PERP, E_D, params)
+    # same root: standard coupling has bracket 1 instead of (1 + eps x*)
+    x = float(resonance_root(0.0, 0.01))
+    assert standard == pytest.approx(x**3 / (1 + 2 * 0.01 * x), rel=1e-12)
+    assert roentgen == pytest.approx(x**3 * (1 + 0.01 * x) ** 2 / (1 + 2 * 0.01 * x), rel=1e-12)
 
 
 def test_sphere_pattern_value():

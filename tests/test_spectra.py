@@ -382,6 +382,21 @@ def test_smooth_formfactor_on_a_narrow_line_matches_40_digit_value():
     assert abs(res.value - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("ff", [Formfactor(kind="gaussian", cutoff=10.0),
+                                Formfactor(kind="exponential", cutoff=3.0)],
+                         ids=["gaussian", "exponential"])
+@pytest.mark.parametrize("upper", [1e6, 1e200])
+def test_upper_limit_past_the_formfactor_reach_integrates_to_the_reach(ff, upper):
+    # past the reach F < e^-60; the rule on [0, U] used to miss the formfactor's support:
+    # gaussian U = 1e6 was unconverged after 262 113 evaluations, 1e200 gave 0.3456 "converged"
+    sc = make_scenario()
+    reach = directional_probability(sc, N_PERP, ff, ff.suggested_upper_limit())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = directional_probability(sc, N_PERP, ff, upper)
+    assert far.converged and far.value == reach.value and far.evaluations == reach.evaluations
+
+
 def test_packet_upper_limit_inside_doppler_profile_is_not_converged():
     # the line integral jumps where x*(delta) crosses the upper limit, so the
     # Hermite sums over delta at two orders disagree; past the profile they agree

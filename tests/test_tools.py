@@ -1,0 +1,34 @@
+"""tools/src_lines.py, loaded from its file (tools/ is not a package)."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("src_lines", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = ('"""module\n\ndocstring"""\n# comment\n\nx = 1  # trailing\n\n'
+              'class C:\n    """doc"""\n\n    def f(self):\n        """doc\n        more"""\n'
+              '        return """a string,\nnot a docstring"""\n')
+    # code: x = 1, class C:, def f, and both lines of the returned string
+    assert _load().code_lines(source) == 5
+
+
+def test_totals_are_the_sums_of_the_modules(tmp_path, capsys):
+    (tmp_path / "a.py").write_text('"""doc"""\nx = 1\n')
+    (tmp_path / "b.py").write_text("# only a comment\n\ny = 2\nz = 3\n")
+    assert _load().main(["src_lines.py", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["a.py", "2", "1"], ["b.py", "4", "2"], ["total", "6", "3"]]
