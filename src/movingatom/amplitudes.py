@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cauchy import BOX, CauchySums
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_sum, recoil_coefficient)
 from .quadrature import NumericalError
@@ -297,8 +298,9 @@ class EvolutionResult:
         `discrete_mode_evolution`): the error of the eigen-solution, not of a stepper.
     norm_ok: the certificate is within the 1e-6 contract.
     steps, dt: the grid, steps = ceil(t_final/dt).
-    extras: the numbers of distinct coupled poles after deflation ("poles") and of
-        secular iterations ("secular_iterations"), and ||A_hat - A|| ("backward_error").
+    extras: the number of distinct coupled poles after deflation ("poles"), the
+        root search's work (`_secular_roots`: "secular_iterations", "near_terms",
+        "far_nodes") and ||A_hat - A|| ("backward_error").
     """
 
     times: np.ndarray
@@ -312,7 +314,7 @@ class EvolutionResult:
     extras: dict = field(default_factory=dict)
 
 
-_TILE = 16  # recorded times, poles or roots per block: buffers of 16 x K doubles
+_TILE = 16  # poles per Loewner tile: buffers of 16 x K doubles
 _MAX_SECULAR_ITERATIONS = 64
 
 
@@ -338,27 +340,13 @@ def _poles(d: np.ndarray, g: np.ndarray):
     return ds[first], np.bincount(index, weights=g[order] ** 2), pole, shift
 
 
-def _secular(d: np.ndarray, z: np.ndarray, sigma: np.ndarray, nu: np.ndarray):
-    """f(mu) = mu + sum_j z_j/(d_j - mu), f'(mu) and the rounding scale
-    |sigma| + |nu| + sum_j |z_j/(d_j - mu)| of f at mu = sigma + nu.
-
-    d_j - mu is formed as (d_j - sigma) - nu, so the distance to the origin
-    pole sigma keeps full relative accuracy. Rows are done in blocks of _TILE.
-    """
-    f, fp, scale = (np.empty(sigma.size) for _ in range(3))
-    buf = np.empty((min(_TILE, sigma.size), d.size))
-    for lo in range(0, sigma.size, _TILE):
-        hi = min(lo + _TILE, sigma.size)
-        b = buf[:hi - lo]
-        np.subtract(d, sigma[lo:hi, None], out=b)
-        b -= nu[lo:hi, None]
-        np.reciprocal(b, out=b)
-        f[lo:hi] = b @ z
-        np.abs(b, out=b)
-        scale[lo:hi] = b @ z
-        np.square(b, out=b)
-        fp[lo:hi] = b @ z
-    return f + (sigma + nu), fp + 1.0, scale + np.abs(sigma) + np.abs(nu)
+def _secular(sums: CauchySums, box, sigma, nu):
+    """f(mu) = mu + sum_j z_j/(d_j - mu), f'(mu) and the rounding scale |sigma| + |nu| +
+    sum_j |z_j/(d_j - mu)| of f at mu = sigma + nu in boxes `box`, from the near/far sums
+    of the poles d with weights z: near poles take d_j - mu as (d_j - sigma) - nu, so the
+    distance to the origin pole sigma keeps full relative accuracy."""
+    s = sums(box, sigma, nu)
+    return s[:, 0] + (sigma + nu), s[:, 2] + 1.0, s[:, 1] + np.abs(sigma) + np.abs(nu)
 
 
 def _secular_roots(d: np.ndarray, z: np.ndarray):
@@ -371,10 +359,17 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
     model: the origin pole keeps its exact weight, the other neighbour pole's
     weight (for the two outer roots: the slope of a linear term) and a constant
     match f' and f. A step leaving the root's bracket is replaced by bisection;
-    a root is done when |f| is within 8 eps of its rounding scale.
-    Returns sigma, nu and the number of iterations.
+    a root is done when |f| is within 8 eps of its rounding scale. f is
+    evaluated by near/far sums (`cauchy.CauchySums`), the far ones set up once.
+    Returns sigma, nu and the work done: the iterations ("secular_iterations"),
+    the exact terms of one evaluation of f at every root ("near_terms") and the
+    Chebyshev nodes of the far sums ("far_nodes").
     """
     n = d.size
+    sums = CauchySums(d, d, np.zeros(n), z, derivative=True)
+    box = np.arange(n + 1) // BOX  # root k lies in (d[k-1], d[k]), in box k // BOX
+    box[[0, -1]] = -1  # the outer roots
+    work = {"near_terms": sums.near_terms(box), "far_nodes": sums.far_nodes}
     reach = float(np.sqrt(z.sum()))  # ||g||: no root is farther out of [min(0,d), max(0,d)] (Weyl)
     gap = np.diff(d)
     outer = np.zeros(n + 1, dtype=bool)
@@ -385,7 +380,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
     hi = np.concatenate(([0.0], gap, [max(0.0, d[-1]) - d[-1] + reach]))
     sigma = d[origin]
     nu = 0.5 * (lo + hi)
-    f, fp, scale = _secular(d, z, sigma, nu)
+    f, fp, scale = _secular(sums, box, sigma, nu)
     right = ~outer & (f < 0.0)  # root in the right half of an interior interval
     width = gap[origin[right]]
     origin[right] += 1
@@ -402,7 +397,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
         hi = np.where(below, hi, nu)
         active = np.flatnonzero(np.abs(f) > 8.0 * eps * scale)
         if active.size == 0 or iterations == _MAX_SECULAR_ITERATIONS:
-            return sigma, nu, iterations
+            return sigma, nu, {"secular_iterations": iterations, **work}
         iterations += 1
         na, fa, fpa = nu[active], f[active], fp[active]
         zo = z[origin[active]]
@@ -423,7 +418,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray):
         for step in steps[::-1]:  # the first step inside the bracket wins
             new = np.where((step > la) & (step < ha), step, new)
         nu[active] = new
-        f[active], fp[active], scale[active] = _secular(d, z, sigma[active], new)
+        f[active], fp[active], scale[active] = _secular(sums, box[active], sigma[active], new)
 
 
 def _lowner(d: np.ndarray, sigma: np.ndarray, nu: np.ndarray):
@@ -436,7 +431,7 @@ def _lowner(d: np.ndarray, sigma: np.ndarray, nu: np.ndarray):
     mu_{j+1})/(d_p - d_j), j > p, with m = d_p - mu_k = (d_p - sigma_k) - nu_k formed
     once per tile: columns left of the tile take mu_j and those right of it mu_{j+1},
     so only the tile's diagonal block needs masks. While m is at hand, f'(mu_k) - 1 =
-    sum_p z_hat_p / m^2 gathers the tile's poles (the formula of `_secular`).
+    sum_p z_hat_p / m^2 gathers the tile's poles: f' summed over every pole.
     """
     n = d.size
     zhat, fp = np.empty(n), np.zeros(n + 1)
@@ -465,10 +460,18 @@ def _lowner(d: np.ndarray, sigma: np.ndarray, nu: np.ndarray):
 _FINE = 8  # fine phase rows, and coarse rows per product: _FINE**2 recorded times each
 
 
+def _mode_sums(d, sigma, nu, last):
+    """S_p = sum_k v_k / (mu_k - d_p) at every pole d_p, v = last[:, 0] + i last[:, 1], by
+    near/far sums over the roots mu = sigma + nu: near roots take mu_k - d_p as (sigma_k -
+    d_p) + nu_k."""
+    sums = CauchySums(d, sigma, nu, last)
+    return sums(np.arange(d.size) // BOX, d, np.zeros(d.size)).view(complex)[:, 0]
+
+
 def _reconstruct(d, sigma, nu, w, times):
     """a(tau) = sum_k w_k e^{-i mu_k tau} at every recorded time and, at the last time T
-    only, S_p = sum_k w_k e^{-i mu_k T} / (mu_k - d_p) in blocks of _TILE poles: every
-    mode of pole p has c proportional to S_p.
+    only, S_p = sum_k w_k e^{-i mu_k T} / (mu_k - d_p) (`_mode_sums`): every mode of pole
+    p has c proportional to S_p.
 
     The n times before T lie on a uniform grid t_j = j h, so with j = _FINE c + f,
     e^{-i mu t_j} = e^{-i mu t_{_FINE c}} e^{-i mu t_f}: a fine block F_kf = w_k e^{-i
@@ -484,16 +487,8 @@ def _reconstruct(d, sigma, nu, w, times):
     blocks = [np.exp(np.multiply.outer(coarse[c0:c0 + fine], -1j * mu)) @ f
               for c0 in range(0, coarse.size, fine)]
     last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
-    # one buffer for every tile: a fresh 16 x K array per tile cost more than the sums
-    s, buf = np.empty((d.size, 2)), np.empty((min(_TILE, d.size), mu.size))
-    for p0 in range(0, d.size, _TILE):
-        b = buf[:min(_TILE, d.size - p0)]
-        np.subtract(sigma, d[p0:p0 + _TILE, None], out=b)
-        b += nu
-        np.reciprocal(b, out=b)
-        s[p0:p0 + _TILE] = b @ last
     amp = np.append(np.concatenate(blocks).ravel()[:n], last.sum(axis=0).view(complex))
-    return amp, s.view(complex)[:, 0]
+    return amp, _mode_sums(d, sigma, nu, last)
 
 
 def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
@@ -527,10 +522,11 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
     g = system.g
     d, z, pole, shift = _poles(-system.detunings, g)
     if d.size:
-        sigma, nu, iterations = _secular_roots(d, z)
+        sigma, nu, work = _secular_roots(d, z)
         zhat, w = _lowner(d, sigma, nu)
     else:  # no mode couples: the atom stays excited
-        sigma, nu, iterations, zhat, w = np.zeros(1), np.zeros(1), 0, z, np.ones(1)
+        sigma, nu, zhat, w = np.zeros(1), np.zeros(1), z, np.ones(1)
+        work = {"secular_iterations": 0, "near_terms": 0, "far_nodes": 0}
     amp, s = _reconstruct(d, sigma, nu, w, times)
     ghat = g * np.append(np.sqrt(zhat / z), 0.0)[pole]  # pole -1: decoupled
     state = np.append(amp[-1], 1j * ghat * np.append(s, 0.0)[pole])
@@ -548,8 +544,7 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
         norm_ok=drift <= 1e-6,
         steps=n_steps,
         dt=dt,
-        extras={"poles": int(d.size), "secular_iterations": iterations,
-                "backward_error": backward},
+        extras={"poles": int(d.size), **work, "backward_error": backward},
     )
 
 

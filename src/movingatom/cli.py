@@ -41,16 +41,33 @@ from .units import ParameterError
 from .wavepacket import TabulatedProjection
 
 
+def _quoted(text: str) -> str:
+    """A str cell as the csv module writes it (QUOTE_MINIMAL, in a row of several cells)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: Path, header, rows) -> Path:
-    """Each cell a str as it is, anything else as %.16e; NumericalError, and no file,
-    if a number is not finite."""
-    rows = [list(row) for row in rows]
+    """Each cell a str as the csv module writes it, anything else as %.16e, a row by one
+    `%` format built from its cell types (and kept for the next row of the same types);
+    NumericalError, and no file, if a number is not finite."""
+    rows = [tuple(row) for row in rows]
     if not all(isinstance(v, str) or math.isfinite(v) for row in rows for v in row):
         raise NumericalError(f"{path} would hold a non-finite number")
+    formats = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                text = [issubclass(k, str) for k in kinds]
+                formats[kinds] = (",".join("%s" if t else "%.16e" for t in text) + "\r\n",
+                                  any(text))
+            fmt, has_text = formats[kinds]
+            if has_text:
+                row = tuple(_quoted(v) if isinstance(v, str) else v for v in row)
+            fh.write(fmt % row)
     return path
 
 
@@ -203,7 +220,10 @@ def _cmd_oracle(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     csv_path = _write_csv(out_dir / "oracle_modes.csv",
                           ["x", "final_population", "pole_prediction"],
                           zip(system.x, final, pole_scaled))
-    json_path = _write_json(out_dir / "oracle.json", {"settings": o, **summary})
+    diagnostics = {k: evolution.extras[k]
+                   for k in ("poles", "secular_iterations", "near_terms", "far_nodes")}
+    json_path = _write_json(out_dir / "oracle.json",
+                            {"settings": o, **summary, "diagnostics": diagnostics})
     print(f"decay-rate ratio (fitted / golden rule): {summary['rate_ratio']:.6f}; "
           f"line-shape L2 error: {summary['l2_shape_error']:.4%}")
     return [csv_path, json_path]

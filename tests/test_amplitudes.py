@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from movingatom import amplitudes
+from movingatom import amplitudes, cauchy
 from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
                                    detuning, discrete_mode_evolution,
                                    evolution_matrix, fit_decay_rate,
@@ -180,6 +180,18 @@ def test_recording_grid_is_the_stepper_grid():
         assert res.atom_population.shape == res.times.shape
 
 
+def dense_secular(d, z, sigma, nu, dtype=float):
+    """The dense secular function, every pole summed: f(mu) = mu + sum_j z_j/(d_j - mu),
+    f'(mu) and the rounding scale |sigma| + |nu| + sum_j |z_j/(d_j - mu)| at mu = sigma +
+    nu, with d_j - mu formed as (d_j - sigma) - nu, 16 roots at a time, in `dtype`."""
+    d, z, sigma, nu = (np.asarray(a, dtype=dtype) for a in (d, z, sigma, nu))
+    f, fp, scale = (np.empty(sigma.size, dtype=dtype) for _ in range(3))
+    for lo in range(0, sigma.size, 16):
+        b = 1 / ((d - sigma[lo:lo + 16, None]) - nu[lo:lo + 16, None])
+        f[lo:lo + 16], scale[lo:lo + 16], fp[lo:lo + 16] = b @ z, np.abs(b) @ z, (b * b) @ z
+    return f + (sigma + nu), fp + 1, scale + np.abs(sigma) + np.abs(nu)
+
+
 def random_arrowhead(k=37):
     """Poles and weights of a random arrowhead, its secular roots, and the Loewner sweep."""
     gen = np.random.default_rng(37)
@@ -206,14 +218,127 @@ def test_lowner_weights_match_dense_masked_product():
 
 def test_fused_eigenvector_weights_match_secular_derivative():
     d, _, sigma, nu, zhat, w = random_arrowhead()
-    np.testing.assert_allclose(w, 1.0 / amplitudes._secular(d, zhat, sigma, nu)[1],
+    np.testing.assert_allclose(w, 1.0 / dense_secular(d, zhat, sigma, nu)[1],
                                rtol=1e-14, atol=0.0)
     sys = flat_band_system(201, 0.05, 1e-3, delta=0.007, epsilon=0.003)
     d, z, _, _ = amplitudes._poles(-sys.detunings, sys.g)
     sigma, nu, _ = amplitudes._secular_roots(d, z)
     zhat, w = amplitudes._lowner(d, sigma, nu)
-    np.testing.assert_allclose(w, 1.0 / amplitudes._secular(d, zhat, sigma, nu)[1],
+    np.testing.assert_allclose(w, 1.0 / dense_secular(d, zhat, sigma, nu)[1],
                                rtol=1e-14, atol=0.0)
+
+
+def band_poles(*args, **kwargs):
+    sys = flat_band_system(*args, **kwargs)
+    return amplitudes._poles(-sys.detunings, sys.g)[:2]
+
+
+def _weights(k):
+    return np.random.default_rng(k).uniform(0.5, 1.5, k) * 1e-8
+
+
+# pole sets of K >= 1000 poles that the near/far sums must treat as the dense ones do
+POLE_SETS = {
+    "flat_band": lambda: band_poles(2001, 0.05, 1e-3),
+    "detuned_recoiling_band": lambda: band_poles(1001, 0.05, 1e-3, delta=0.012, epsilon=0.004),
+    "uniform_random": lambda: (np.sort(np.random.default_rng(5).uniform(-0.05, 0.05, 1500)),
+                               _weights(1500)),
+    # dense at 0, sparse at the ends: boxes of every width
+    "graded": lambda: (0.05 * np.linspace(-1.0, 1.0, 1200) ** 3, _weights(1200)),
+    # two bands 1e-4 wide, 0.1 apart: boxes straddling the gap are 1000 times wider
+    "two_clusters": lambda: (np.concatenate((np.linspace(-0.05, -0.0499, 700),
+                                             np.linspace(0.05, 0.0501, 700))), _weights(1400)),
+}
+
+
+def near_far_sums(d, z):
+    """The root search's near/far sums of the poles d and each root's box."""
+    box = np.arange(d.size + 1) // cauchy.BOX
+    box[[0, -1]] = -1
+    return cauchy.CauchySums(d, d, np.zeros(d.size), z, derivative=True), box
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the dense reference needs an extended-precision long double")
+@pytest.mark.parametrize("name", POLE_SETS)
+def test_near_far_secular_sums_match_dense_sums(name):
+    # the reference sums every pole in long double: the dense sum in double is itself up to
+    # 8 eps scale off at the roots of the flat band, where large terms cancel
+    d, z = POLE_SETS[name]()
+    sums, box = near_far_sums(d, z)
+    assert sums.far_nodes > 0
+    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    # at the roots (the outer ones included) and at every interior interval's midpoint
+    points = [(box, sigma, nu), (box[1:-1], d[:-1], 0.5 * np.diff(d))]
+    eps = np.finfo(float).eps
+    for where, s, v in points:
+        f, fp, scale = amplitudes._secular(sums, where, s, v)
+        f_ref, fp_ref, scale_ref = dense_secular(d, z, s, v, dtype=np.longdouble)
+        assert np.max(np.abs(f - f_ref) / scale_ref) <= 2.0 * eps
+        assert np.max(np.abs(fp - fp_ref) / fp_ref) <= 1e-14
+        assert np.max(np.abs(scale - scale_ref) / scale_ref) <= 1e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the dense reference needs an extended-precision long double")
+@pytest.mark.parametrize("name", POLE_SETS)
+def test_near_far_mode_sums_match_dense_sums(name):
+    # S_p = sum_k v_k/(mu_k - d_p) against every root summed in long double, relative to
+    # sum_k |v_k/(mu_k - d_p)|; the dense sum in double is off by up to 4.6 eps of it
+    d, z = POLE_SETS[name]()
+    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    _, w = amplitudes._lowner(d, sigma, nu)
+    mu = sigma + nu
+    last = np.column_stack((w * np.cos(mu * 1.4e4), -w * np.sin(mu * 1.4e4)))
+    s = amplitudes._mode_sums(d, sigma, nu, last)
+    ld = np.longdouble
+    v, mu_sigma, mu_nu = last.astype(ld), sigma.astype(ld), nu.astype(ld)
+    for lo in range(0, d.size, 64):
+        inv = 1 / ((mu_sigma - d[lo:lo + 64, None].astype(ld)) + mu_nu)  # 1/(mu_k - d_p)
+        ref, size = inv @ v, np.abs(inv) @ np.hypot(v[:, 0], v[:, 1])
+        err = np.hypot((s[lo:lo + 64].real - ref[:, 0]).astype(float),
+                       (s[lo:lo + 64].imag - ref[:, 1]).astype(float))
+        assert np.max(err / size.astype(float)) <= 4.0 * np.finfo(float).eps
+
+
+def test_small_pole_sets_sum_every_pole_exactly():
+    # up to ALL_NEAR boxes every pole is near: the sums are the dense ones
+    d, z = band_poles(cauchy.ALL_NEAR * cauchy.BOX, 0.05, 1e-3)
+    sums, box = near_far_sums(d, z)
+    assert sums.far_nodes == 0
+    assert sums.near_terms(box) == (d.size + 1) * d.size
+    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    np.testing.assert_allclose(amplitudes._secular(sums, box, sigma, nu),
+                               dense_secular(d, z, sigma, nu), rtol=1e-15, atol=1e-15)
+
+
+def test_chebyshev_fit_recovers_a_full_degree_series():
+    # any series of degree NODES - 1 is its own interpolant: the fit recovers every
+    # coefficient, the last one included, and the evaluation matches numpy's
+    coef = np.random.default_rng(24).standard_normal((cauchy.NODES, 2))
+    values = np.polynomial.chebyshev.chebval(cauchy.chebyshev_points(), coef)
+    np.testing.assert_allclose(cauchy.chebyshev_fit() @ values.T, coef, rtol=0.0, atol=1e-13)
+    t = np.linspace(-1.0, 1.0, 101)
+    np.testing.assert_allclose(cauchy.chebyshev(t) @ coef,
+                               np.polynomial.chebyshev.chebval(t, coef).T, rtol=0.0, atol=1e-12)
+
+
+def test_near_far_oracle_at_4001_modes(monkeypatch):
+    # a detuned, recoiling band larger than any benchmark band
+    sys = flat_band_system(4001, 0.05, 1e-3, delta=0.012, epsilon=0.004)
+    res = discrete_mode_evolution(sys, 14.0 / 1e-3, dt=0.25, record_every=100)
+    assert res.norm_ok and res.max_norm_drift <= 1e-11
+    d, z = amplitudes._poles(-sys.detunings, sys.g)[:2]
+    sigma, nu, work = amplitudes._secular_roots(d, z)
+    assert work["secular_iterations"] == res.extras["secular_iterations"] == 4
+    monkeypatch.setattr(amplitudes, "_secular",
+                        lambda sums, box, s, v: dense_secular(d, z, s, v))
+    sigma_ref, nu_ref, _ = amplitudes._secular_roots(d, z)
+    assert np.array_equal(sigma, sigma_ref)
+    gap = np.diff(d)
+    # interval k = (d[k-1], d[k]); the outer roots are measured against their neighbour gap
+    width = np.concatenate((gap[:1], gap, gap[-1:]))
+    assert np.all(np.abs(nu - nu_ref) <= 4.0 * np.spacing(width))
 
 
 @pytest.mark.parametrize("t_final, dt, every", [

@@ -187,6 +187,26 @@ def test_oracle_run(tmp_path):
     assert 0.0 <= payload["backward_error"] <= 1e-15
     assert payload["rate_ratio"] == pytest.approx(1.0, abs=0.1)
     assert (out / "oracle_modes.csv").exists()
+    # 201 poles fill 4 boxes of 64, too few for far sums: every root sums every pole
+    assert payload["diagnostics"] == {"poles": 201, "secular_iterations": 4,
+                                      "near_terms": 202 * 201, "far_nodes": 0}
+
+
+def test_oracle_rerun_is_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, """
+        oracle: {modes: 1001, half_width: 0.05, gamma_eff: 1.0e-3, lifetimes: 14,
+                 time_step: 0.25, record_every: 100, delta: 0.012, epsilon: 0.004}
+    """)
+    outputs = []
+    for name in ("a", "b"):
+        assert run(["oracle", "--config", cfg, "--out", tmp_path / name]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["manifest.json", "oracle.json", "oracle_modes.csv"]
+    # 1001 poles fill 16 boxes: 24 far nodes each, and fewer exact terms than 1002 x 1001
+    work = json.loads(outputs[0]["oracle.json"])["diagnostics"]
+    assert (work["poles"], work["secular_iterations"], work["far_nodes"]) == (1001, 4, 384)
+    assert 1002 * 64 < work["near_terms"] < 1002 * 1001
 
 
 def test_oracle_norm_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -304,6 +324,21 @@ def test_writers_refuse_non_finite_numbers(tmp_path, bad):
         cli._write_csv(tmp_path / "out.csv", ["model", "value"],
                        [("roentgen", 1.0), ("standard", np.float64(bad))])
     assert not any(tmp_path.iterdir())
+
+
+def test_csv_rows_match_the_csv_module(tmp_path):
+    # the csv module with %.16e numbers, as the writer was: labels that need quoting,
+    # numpy and Python numbers, bools and ints, rows of different cell types
+    rows = [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0),
+            ('say "x"', np.float64(2.5), 7), ("line\nbreak", True, np.int64(-3)),
+            ("", 1e300, -0.0), (0.5, "mid", np.float64(1e-320))]
+    header = ["model", "cutoff", "value"]
+    path = cli._write_csv(tmp_path / "t.csv", header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_writer_formats(tmp_path):

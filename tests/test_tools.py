@@ -1,14 +1,14 @@
-"""tools/src_lines.py, loaded from its file (tools/ is not a package)."""
+"""The scripts in tools/, loaded from their files (tools/ is not a package)."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("src_lines", SCRIPT)
+def _load(name="src_lines"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -32,3 +32,14 @@ def test_totals_are_the_sums_of_the_modules(tmp_path, capsys):
     assert _load().main(["src_lines.py", str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == [["a.py", "2", "1"], ["b.py", "4", "2"], ["total", "6", "3"]]
+
+
+def test_oracle_phases_prints_one_row_per_size(capsys):
+    # a band of 11 boxes, so the far sums are set up; one run per phase
+    assert _load("oracle_phases").main(["oracle_phases.py", "--repeat", "1", "641"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["K", "roots", "far", "lowner", "modes", "amps", "total",
+                                "iter", "drift"]
+    row = lines[1].split()
+    assert len(lines) == 2 and row[0] == "641" and row[7] == "4"
+    assert all(float(cell) >= 0.0 for cell in row[1:7]) and float(row[8]) <= 1e-11
