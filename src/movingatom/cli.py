@@ -5,7 +5,11 @@ Every run writes its outputs into one directory together with a
 file, the fully resolved settings, and the sha256 of every output file --
 enough to tell whether two runs were byte-identical. Manifests carry no
 timestamps on purpose: rerunning the same scenario must produce the same
-bytes.
+bytes. The scenario file is read once; the bytes parsed are the bytes
+hashed. Each subcommand returns its outputs as text, and one writer
+(`_write`) encodes, hashes and writes them, the manifest last. Every output
+is formatted before any file is opened, so a failed run leaves the output
+directory empty.
 
 Exit codes: 0 success; 2 configuration error (bad file, bad flags);
 3 numerical failure (quadrature did not converge, non-finite integrand,
@@ -18,7 +22,6 @@ no finite value, e.g. an integrated angular pattern without a formfactor).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -32,7 +35,7 @@ import numpy as np
 from . import __version__
 from .amplitudes import (compare_to_pole, discrete_mode_evolution,
                          flat_band_system, pole_mode_populations)
-from .config import ConfigError, ScenarioConfig, _section, build_config, load_raw
+from .config import ConfigError, ScenarioConfig, _section, build_config, read_raw
 from .quadrature import NumericalError
 from .rates import limit_ordering_demo
 from .spectra import (PhysicsRejection, angular_pattern, directional_probability,
@@ -48,72 +51,57 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _write_csv(path: Path, header, rows) -> Path:
-    """Each cell a str as the csv module writes it, anything else as %.16e, a row by one
-    `%` format built from its cell types (and kept for the next row of the same types);
-    NumericalError, and no file, if a number is not finite."""
+def _csv(name: str, header, rows) -> tuple[str, str]:
+    """(name, text): each cell a str as the csv module writes it, anything else as %.16e,
+    CRLF line ends; a row by one `%` format built from its cell types (and kept for the
+    next row of the same types). NumericalError if a number is not finite."""
     rows = [tuple(row) for row in rows]
     if not all(isinstance(v, str) or math.isfinite(v) for row in rows for v in row):
-        raise NumericalError(f"{path} would hold a non-finite number")
-    formats = {}
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                text = [issubclass(k, str) for k in kinds]
-                formats[kinds] = (",".join("%s" if t else "%.16e" for t in text) + "\r\n",
-                                  any(text))
-            fmt, has_text = formats[kinds]
-            if has_text:
-                row = tuple(_quoted(v) if isinstance(v, str) else v for v in row)
-            fh.write(fmt % row)
-    return path
+        raise NumericalError(f"{name} would hold a non-finite number")
+    lines, formats = [",".join(map(_quoted, header)) + "\r\n"], {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            text = [issubclass(k, str) for k in kinds]
+            formats[kinds] = (",".join("%s" if t else "%.16e" for t in text) + "\r\n",
+                              any(text))
+        fmt, has_text = formats[kinds]
+        if has_text:
+            row = tuple(_quoted(v) if isinstance(v, str) else v for v in row)
+        lines.append(fmt % row)
+    return name, "".join(lines)
 
 
-def _write_json(path: Path, payload: dict) -> Path:
-    """Sorted keys, indent 2, numpy scalars and arrays as Python values; NumericalError,
-    and no file, if a number is not finite (json.dumps would write NaN or Infinity)."""
+def _json(name: str, payload: dict) -> tuple[str, str]:
+    """(name, text): sorted keys, indent 2, numpy scalars and arrays as Python values;
+    NumericalError if a number is not finite (json.dumps would write NaN or Infinity)."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                           default=lambda obj: obj.tolist())
     except ValueError as exc:
-        raise NumericalError(f"{path} would hold a non-finite number ({exc})") from None
-    path.write_text(text + "\n")
-    return path
+        raise NumericalError(f"{name} would hold a non-finite number ({exc})") from None
+    return name, text + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write(out_dir: Path, outputs, manifest: dict) -> list[str]:
+    """Encode each (name, text) once and record the sha256 of those bytes in the manifest,
+    then write the outputs and manifest.json last; returns the names written."""
+    blobs = {name: text.encode() for name, text in outputs}
+    manifest["outputs"] = {name: hashlib.sha256(data).hexdigest() for name, data in blobs.items()}
+    name, text = _json("manifest.json", manifest)
+    blobs[name] = text.encode()
+    for name, data in blobs.items():
+        (out_dir / name).write_bytes(data)
+    return list(blobs)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, cfg: ScenarioConfig,
-                    config_path: str, outputs: list[Path]) -> Path:
-    manifest = {
-        "tool": "movingatom",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config_file": Path(config_path).name,
-        "config_sha256": _sha256(Path(config_path)),
-        "resolved": cfg.resolved,
-        "options": {
-            "tol": cfg.tol,
-            "seed": cfg.seed,
-        },
-        "outputs": {p.name: _sha256(p) for p in outputs},
-    }
-    return _write_json(out_dir / "manifest.json", manifest)
-
-
-def _cmd_spectrum(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     result = directional_spectrum(cfg.scenario, cfg.direction, cfg.x_grid, tol=cfg.tol)
     for warning in result.metadata["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     kappa = result.metadata["kappa"]
     rows = zip(result.x, result.w, kappa * result.w, result.error)
-    path = _write_csv(out_dir / "spectrum.csv",
-                      ["x", "w", "kappa_w", "error_estimate"], rows)
-    return [path]
+    return [_csv("spectrum.csv", ["x", "w", "kappa_w", "error_estimate"], rows)]
 
 
 def _resolved_upper(cfg: ScenarioConfig) -> float:
@@ -122,7 +110,7 @@ def _resolved_upper(cfg: ScenarioConfig) -> float:
     return cfg.formfactor.suggested_upper_limit()
 
 
-def _cmd_probability(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     upper = _resolved_upper(cfg)
     res = directional_probability(cfg.scenario, cfg.direction, cfg.formfactor,
                                   upper, tol=cfg.tol, max_panels=cfg.max_panels)
@@ -140,30 +128,27 @@ def _cmd_probability(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         "formfactor": {"kind": cfg.formfactor.kind, "cutoff": cfg.formfactor.cutoff},
         "normalization": "probability per steradian (kappa applied)",
     }
+    outputs = [_json("probability.json", payload)]
     print(f"probability per steradian: {res.value:.12e} "
           f"(error estimate {res.error_estimate:.3e})")
-    return [_write_json(out_dir / "probability.json", payload)]
+    return outputs
 
 
-def _cmd_divergence(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     report = divergence_comparison(cfg.scenario, cfg.direction, lambdas=cfg.lambdas,
                                    tol=cfg.tol, max_panels=cfg.max_panels)
-    rows = []
-    for label, entry in report.entries.items():
-        scan = entry.scan
-        for lam, value, err in zip(scan.lambdas, scan.values, scan.errors):
-            rows.append((label, lam, value, err))
-    csv_path = _write_csv(out_dir / "divergence.csv",
-                          ["model", "cutoff", "cumulative", "error_estimate"], rows)
-    json_path = _write_json(out_dir / "divergence.json", report.as_json_dict())
+    rows = [(label, lam, value, err) for label, entry in report.entries.items()
+            for lam, value, err in zip(entry.scan.lambdas, entry.scan.values, entry.scan.errors)]
+    outputs = [_csv("divergence.csv", ["model", "cutoff", "cumulative", "error_estimate"], rows),
+               _json("divergence.json", report.as_json_dict())]
     if report.verdict:
         print(report.verdict)
     if report.note:
         print(f"note: {report.note}", file=sys.stderr)
-    return [csv_path, json_path]
+    return outputs
 
 
-def _cmd_rates(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     lo = cfg.limit_ordering
     table = limit_ordering_demo(
         lo["epsilons"], gamma_tilde=cfg.scenario.params.gamma_tilde,
@@ -171,19 +156,17 @@ def _cmd_rates(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         fixed_cutoffs=tuple(lo["fixed_cutoffs"]))
     rows = [(variant, row.epsilon, 0.0, 90.0, rate, row.x_star) for row in table.rows
             for variant, rate in (("unshifted", row.rate_unshifted), ("shifted", row.rate_shifted))]
-    csv_path = _write_csv(out_dir / "rates.csv",
-                          ["variant", "epsilon", "delta", "theta", "rate", "x_star"],
-                          rows)
-    json_path = _write_json(out_dir / "limit_ordering.json", asdict(table))
+    outputs = [_csv("rates.csv", ["variant", "epsilon", "delta", "theta", "rate", "x_star"], rows),
+               _json("limit_ordering.json", asdict(table))]
     for row in table.rows:
         kind = row.growth_kind
         expo = f" ~ Lambda^{row.growth_exponent:.2f}" if row.growth_exponent else ""
         print(f"eps = {row.epsilon:.3e}: rate (shifted) = {row.rate_shifted:.9f}, "
               f"mode-sum growth {kind}{expo}")
-    return [csv_path, json_path]
+    return outputs
 
 
-def _cmd_pattern(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     pat = cfg.pattern
     if isinstance(cfg.scenario.distribution, TabulatedProjection):
         raise ConfigError("'pattern' needs delta = n.beta in every direction; a tabulated "
@@ -195,12 +178,10 @@ def _cmd_pattern(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
                              phi=math.radians(pat["phi_deg"]),
                              upper_limit=cfg.upper_limit, tol=cfg.tol,
                              max_panels=cfg.max_panels)
-    path = _write_csv(out_dir / "pattern.csv", ["theta_rad", "density"],
-                      zip(result.theta, result.values))
-    return [path]
+    return [_csv("pattern.csv", ["theta_rad", "density"], zip(result.theta, result.values))]
 
 
-def _cmd_oracle(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _cmd_oracle(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     o = cfg.oracle
     system = flat_band_system(o["modes"], o["half_width"], o["gamma_eff"],
                               delta=o["delta"], epsilon=o["epsilon"])
@@ -217,34 +198,26 @@ def _cmd_oracle(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     final = evolution.mode_populations
     pole = pole_mode_populations(system, o["gamma_eff"])
     pole_scaled = pole * (final.sum() / pole.sum())
-    csv_path = _write_csv(out_dir / "oracle_modes.csv",
-                          ["x", "final_population", "pole_prediction"],
-                          zip(system.x, final, pole_scaled))
     diagnostics = {k: evolution.extras[k]
                    for k in ("poles", "secular_iterations", "near_terms", "far_nodes")}
-    json_path = _write_json(out_dir / "oracle.json",
-                            {"settings": o, **summary, "diagnostics": diagnostics})
+    outputs = [_csv("oracle_modes.csv", ["x", "final_population", "pole_prediction"],
+                    zip(system.x, final, pole_scaled)),
+               _json("oracle.json", {"settings": o, **summary, "diagnostics": diagnostics})]
     print(f"decay-rate ratio (fitted / golden rule): {summary['rate_ratio']:.6f}; "
           f"line-shape L2 error: {summary['l2_shape_error']:.4%}")
-    return [csv_path, json_path]
+    return outputs
 
 
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "probability": _cmd_probability,
-    "divergence": _cmd_divergence,
-    "rates": _cmd_rates,
-    "pattern": _cmd_pattern,
-    "oracle": _cmd_oracle,
-}
-
-_HELP = {
-    "spectrum": "emission density w(x) along the configured direction",
-    "probability": "frequency-integrated emission probability per steradian",
-    "divergence": "cutoff scans and growth laws for the three coupling variants",
-    "rates": "golden-rule rates vs cutoff-regulated mode sums per epsilon",
-    "pattern": "angular emission pattern over the polar angle",
-    "oracle": "discrete-mode evolution cross-check of rate and line shape",
+# name -> (subcommand, help): each subcommand returns its outputs as (file name, text)
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "emission density w(x) along the configured direction"),
+    "probability": (_cmd_probability,
+                    "frequency-integrated emission probability per steradian"),
+    "divergence": (_cmd_divergence,
+                   "cutoff scans and growth laws for the three coupling variants"),
+    "rates": (_cmd_rates, "golden-rule rates vs cutoff-regulated mode sums per epsilon"),
+    "pattern": (_cmd_pattern, "angular emission pattern over the polar angle"),
+    "oracle": (_cmd_oracle, "discrete-mode evolution cross-check of rate and line shape"),
 }
 
 
@@ -255,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Emission spectra and decay rates of a moving two-level wavepacket.")
     parser.add_argument("--version", action="version", version=f"movingatom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in _HELP.items():
+    for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="scenario file (YAML or JSON)")
         p.add_argument("--out", default=None,
@@ -271,7 +244,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = load_raw(args.config)
+        raw, data = read_raw(args.config)
         if args.tol is not None:
             raw["tolerances"] = {**_section(raw, "tolerances"), "quadrature": args.tol}
         if args.seed is not None:
@@ -279,10 +252,17 @@ def main(argv=None) -> int:
         cfg = build_config(raw, base_dir=Path(args.config).parent)
         out_dir = Path(args.out or cfg.output_dir or "out")
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _DISPATCH[args.command](cfg, out_dir)
-        manifest = _write_manifest(out_dir, args.command, cfg, args.config, outputs)
-        names = ", ".join(p.name for p in outputs + [manifest])
-        print(f"wrote {names} in {out_dir}")
+        outputs = _COMMANDS[args.command][0](cfg)
+        manifest = {
+            "tool": "movingatom",
+            "version": __version__,
+            "subcommand": args.command,
+            "config_file": Path(args.config).name,
+            "config_sha256": hashlib.sha256(data).hexdigest(),
+            "resolved": cfg.resolved,
+            "options": {"tol": cfg.tol, "seed": cfg.seed},
+        }
+        print(f"wrote {', '.join(_write(out_dir, outputs, manifest))} in {out_dir}")
         return 0
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -202,23 +202,28 @@ class ScenarioConfig:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def load_raw(path) -> dict:
+def read_raw(path) -> tuple[dict, bytes]:
+    """The scenario file's top-level mapping and the bytes it was parsed from, read once."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"scenario file not found: {p}")
-    text = p.read_text()
+    text = p.read_bytes()
     try:
         if p.suffix.lower() == ".json":
             data = json.loads(text)
         else:
             data = yaml.load(text, Loader=_YAML_LOADER)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+    except (ValueError, yaml.YAMLError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"could not parse {p.name}: {exc}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{p.name}: top level must be a mapping")
-    return data
+    return data, text
+
+
+def load_raw(path) -> dict:
+    return read_raw(path)[0]
 
 
 def load_config(path) -> ScenarioConfig:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -316,42 +317,39 @@ def test_overflowing_integrals_exit_3(tmp_path, capsys, command, section):
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_writers_refuse_non_finite_numbers(tmp_path, bad):
+def test_writers_refuse_non_finite_numbers(bad):
     # json.dumps writes Infinity or NaN by default, and "%.16e" writes inf or nan
     with pytest.raises(NumericalError, match=r"out\.json would hold a non-finite number"):
-        cli._write_json(tmp_path / "out.json", {"ok": [1.0], "value": np.array([0.5, bad])})
+        cli._json("out.json", {"ok": [1.0], "value": np.array([0.5, bad])})
     with pytest.raises(NumericalError, match=r"out\.csv would hold a non-finite number"):
-        cli._write_csv(tmp_path / "out.csv", ["model", "value"],
-                       [("roentgen", 1.0), ("standard", np.float64(bad))])
-    assert not any(tmp_path.iterdir())
+        cli._csv("out.csv", ["model", "value"], [("roentgen", 1.0), ("standard", np.float64(bad))])
 
 
-def test_csv_rows_match_the_csv_module(tmp_path):
+def test_csv_rows_match_the_csv_module():
     # the csv module with %.16e numbers, as the writer was: labels that need quoting,
     # numpy and Python numbers, bools and ints, rows of different cell types
     rows = [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0),
             ('say "x"', np.float64(2.5), 7), ("line\nbreak", True, np.int64(-3)),
             ("", 1e300, -0.0), (0.5, "mid", np.float64(1e-320))]
     header = ["model", "cutoff", "value"]
-    path = cli._write_csv(tmp_path / "t.csv", header, rows)
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
-    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    name, text = cli._csv("t.csv", header, rows)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
+    assert (name, text) == ("t.csv", ref.getvalue())
 
 
-def test_writer_formats(tmp_path):
-    csv_path = cli._write_csv(tmp_path / "t.csv", ["model", "cutoff", "value"],
-                              [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0)])
-    assert csv_path.read_bytes() == (
-        b"model,cutoff,value\r\n"
-        b"roentgen,1.0000000000000000e+01,-3.3333333333333331e-01\r\n"
-        b'"a,b",1.0000000000000000e-300,0.0000000000000000e+00\r\n')
+def test_writer_formats():
+    assert cli._csv("t.csv", ["model", "cutoff", "value"],
+                    [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0)]) == (
+        "t.csv",
+        "model,cutoff,value\r\n"
+        "roentgen,1.0000000000000000e+01,-3.3333333333333331e-01\r\n"
+        '"a,b",1.0000000000000000e-300,0.0000000000000000e+00\r\n')
     payload = {"b": np.float64(0.1), "a": {"flag": np.bool_(True), "n": np.int64(7)},
                "array": np.array([1.5, 2.0]), "text": "x", "pair": (1, None)}
-    json_path = cli._write_json(tmp_path / "t.json", payload)
-    assert json_path.read_text() == textwrap.dedent("""\
+    assert cli._json("t.json", payload) == ("t.json", textwrap.dedent("""\
         {
           "a": {
             "flag": true,
@@ -368,7 +366,25 @@ def test_writer_formats(tmp_path):
           ],
           "text": "x"
         }
-        """)
+        """))
+
+
+def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the CSV rows are finite, the report's JSON is not: divergence.csv was left behind
+    exact = cli.divergence_comparison
+
+    def broken(*args, **kwargs):
+        report = exact(*args, **kwargs)
+        return dataclasses.replace(report, entries={
+            label: dataclasses.replace(entry, classification=dataclasses.replace(
+                entry.classification, exponent=math.inf))
+            for label, entry in report.entries.items()})
+
+    monkeypatch.setattr(cli, "divergence_comparison", broken)
+    cfg = write_config(tmp_path)
+    assert run(["divergence", "--config", cfg, "--out", tmp_path / "x"]) == 3
+    assert "divergence.json would hold a non-finite number" in capsys.readouterr().err
+    assert not any((tmp_path / "x").iterdir())
 
 
 def test_unregularized_requests_exit_4(tmp_path, capsys):
