@@ -36,7 +36,7 @@ from .cauchy import BOX, CauchySums
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_sum, recoil_coefficient)
 from .quadrature import NumericalError
-from .units import DimensionlessParams
+from .units import DimensionlessParams, ParameterError
 
 
 def detuning(x, delta, epsilon):
@@ -49,10 +49,10 @@ def _quadratic_roots(b, eps, c):
     """Roots (near, far) of eps z^2 + b z + c = 0 for c = -1 or c = i gt/2 - 1 (vectorized
     over b), in the cancellation-free form q = -(b + sign(b) sqrt(b^2 - 4 eps c))/2, roots
     c/q and q/eps: near is the one over the positive axis, far (None at eps = 0) the one
-    near -b/eps. ValueError at eps = 0 unless every b > 0."""
+    near -b/eps. ParameterError at eps = 0 unless every b > 0."""
     if eps == 0.0:
         if not np.all(b > 0.0):
-            raise ValueError("no emission line for delta >= 1 at epsilon = 0")
+            raise ParameterError("no emission line for delta >= 1 at epsilon = 0")
         return -c / b, None
     root = np.sqrt(b * b - 4.0 * eps * c)
     q = -0.5 * (b + np.where(b >= 0.0, root, -root))
@@ -63,14 +63,22 @@ def resonance_root(delta, epsilon):
     """Positive root x* of D(x, delta) = 0, i.e. eps*x^2 + (1 - delta)*x - 1 = 0 (vectorized),
     by `_quadratic_roots`: 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)) for delta <= 1, exact
     as eps -> 0, and ((delta-1) + sqrt(...)) / (2 eps) beyond. Requires eps >= 0, and eps > 0
-    or a sub-luminal delta < 1; ValueError unless every root is positive and finite (NaN
+    or a sub-luminal delta < 1; ParameterError unless every root is positive and finite (NaN
     included)."""
     if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+        raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
     root = _quadratic_roots(1.0 - np.asarray(delta, dtype=float), epsilon, -1.0)[0]
     if not np.all((root > 0.0) & np.isfinite(root)):
-        raise ValueError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
+        raise ParameterError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
     return root[()]  # a numpy scalar for a scalar delta
+
+
+def _two_product(a, b):
+    """(p, e) with p + e = a b exactly (Dekker's split; finite |a|, |b| below 1e300)."""
+    p, a1, b1 = a * b, a * 134217729.0, b * 134217729.0
+    ah, bh = a1 - (a1 - a), b1 - (b1 - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _log_tail(z, u):
@@ -95,7 +103,8 @@ class LineFractions:
     w = s + 2 Re[r_near / (x - z_near)], s = q0 + q1 x + 2 Re[r_far / (x - z_far)]
     = s0 + s1 x + 2 Re[r_far x^2 / (z_far^2 (x - z_far))]: this Taylor form (s0,
     s1 from the near pole) serves |x| < |z_far|, where the quotient q0 + q1 x
-    and the far pair cancel to O(1/(eps x))."""
+    and the far pair cancel to O(1/(eps x)). The poles solve eps z^2 + b z + c = 0,
+    with b = 1 - delta and c = i gt/2 - 1."""
 
     near: np.ndarray
     near_residue: np.ndarray
@@ -105,11 +114,22 @@ class LineFractions:
     s1: np.ndarray
     q0: np.ndarray
     q1: np.ndarray
+    b: np.ndarray
+    c: complex
+    epsilon: float
 
     def near_integral(self, upper, factor=1.0):
-        """int_0^U 2 Re[factor r_near / (x - z_near)] per node and U (columns)."""
-        u, near = np.asarray(upper, dtype=float)[None, :], self.near[:, None]
-        return 2.0 * np.real((factor * self.near_residue)[:, None] * np.log((near - u) / near))
+        """int_0^U 2 Re[factor r_near / (x - z_near)] = 2 Re[factor r_near log((z - U)/z)] per
+        node and U (columns). z is rounded at ulp(x*), while |z - U| nears gt/2 inside the
+        line: there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)), with
+        U b split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
+        u, near, b = np.asarray(upper, dtype=float)[None, :], self.near[:, None], self.b[:, None]
+        close = np.abs(near - u) < 0.5 * np.abs(near)
+        uc = np.where(close, u, 0.0)  # 0 away from the line: nothing there overflows
+        p, e = _two_product(uc, b)
+        gap = -((p + self.c) + e + self.epsilon * uc * uc) / (b + self.epsilon * (uc + near))
+        gap = np.where(close, gap, near - u)
+        return 2.0 * np.real((factor * self.near_residue)[:, None] * np.log(gap / near))
 
     def smooth(self, x):
         """s(x) per node at real points x (columns)."""
@@ -164,12 +184,12 @@ def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessPara
     rn = residue(near)
     s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
     if far is None:
-        return LineFractions(near, rn, None, None, s0, s1, s0, s1)
+        return LineFractions(near, rn, None, None, s0, s1, s0, s1, b, c, eps)
     h = np.full(delta.shape, 1.0 / eps)
     p0, ph, pm = gsq(0.0 * h), gsq(h), gsq(-h)
     q1 = 0.5 * (ph + pm) - p0
     q0 = (0.5 * (ph - pm) - 2.0 * b * q1) / eps
-    return LineFractions(near, rn, far, residue(far), s0, s1, q0, q1)
+    return LineFractions(near, rn, far, residue(far), s0, s1, q0, q1, b, c, eps)
 
 
 def lorentzian_denominator(x, delta, params: DimensionlessParams):
@@ -509,12 +529,12 @@ def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,
     feeds the excitation back (a single mode has none).
     """
     if dt <= 0 or t_final <= dt:
-        raise ValueError("need 0 < dt < t_final")
+        raise ParameterError("need 0 < dt < t_final")
     n_steps = int(np.ceil(t_final / dt))
     spacing = np.diff(system.x)
     revival = 2.0 * np.pi / float(spacing.min()) if spacing.size else np.inf
     if t_final > 0.5 * revival:
-        raise ValueError(
+        raise ParameterError(
             f"duration {t_final:g} exceeds half the bath revival time {revival:g}; "
             "increase the mode count or shorten the run")
     times = np.append(np.arange(0, n_steps, record_every), n_steps) * dt
@@ -562,7 +582,7 @@ def fit_decay_rate(times: np.ndarray, populations: np.ndarray,
     populations = np.asarray(populations, dtype=float)
     sel = (times >= window[0]) & (times <= window[1]) & (populations > 0)
     if int(sel.sum()) < 3:
-        raise ValueError("decay-rate window contains fewer than 3 recorded points")
+        raise ParameterError("decay-rate window contains fewer than 3 recorded points")
     slope = np.polyfit(times[sel], np.log(populations[sel]), 1)[0]
     return -float(slope)
 

@@ -41,7 +41,6 @@ from .rates import limit_ordering_demo
 from .spectra import (PhysicsRejection, angular_pattern, directional_probability,
                       directional_spectrum, divergence_comparison)
 from .units import ParameterError
-from .wavepacket import TabulatedProjection
 
 
 def _quoted(text: str) -> str:
@@ -104,14 +103,9 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return [_csv("spectrum.csv", ["x", "w", "kappa_w", "error_estimate"], rows)]
 
 
-def _resolved_upper(cfg: ScenarioConfig) -> float:
-    if cfg.upper_limit is not None:
-        return cfg.upper_limit
-    return cfg.formfactor.suggested_upper_limit()
-
-
 def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, str]]:
-    upper = _resolved_upper(cfg)
+    upper = (cfg.formfactor.suggested_upper_limit() if cfg.upper_limit is None
+             else cfg.upper_limit)
     res = directional_probability(cfg.scenario, cfg.direction, cfg.formfactor,
                                   upper, tol=cfg.tol, max_panels=cfg.max_panels)
     if not res.converged:
@@ -168,9 +162,6 @@ def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, str]]:
 
 def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     pat = cfg.pattern
-    if isinstance(cfg.scenario.distribution, TabulatedProjection):
-        raise ConfigError("'pattern' needs delta = n.beta in every direction; a tabulated "
-                          "distribution gives it only along its own 'direction'")
     theta = np.linspace(0.0, math.pi, pat["theta_points"])
     formfactor = cfg.formfactor if pat["mode"] == "integrated" else None
     result = angular_pattern(cfg.scenario, theta, formfactor,

@@ -132,7 +132,7 @@ _KEYS = {
     "formfactor": {"kind": (_choice(*Formfactor._KINDS), "none"), "cutoff": (_number(), None)},
     "probability": {"upper_limit": (_POSITIVE, None)},
     "pattern": {"mode": (_choice("golden_rule", "integrated"), "golden_rule"),
-                "variant": (_choice(*VARIANTS), "shifted"),
+                "variant": (_choice(*VARIANTS), None),
                 "theta_points": (_integer(2), 73), "phi": (_number(), 0.0)},
     "limit_ordering": {"epsilons": (_list(_POSITIVE), [1e-2, 1e-3, 1e-4]),
                        "window": (_list(_number(), 2), [30.0, 100.0]),
@@ -359,6 +359,12 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         raise ConfigError(f"'formfactor': {exc}") from None
 
     s["pattern"]["phi_deg"] = s["pattern"].pop("phi")
+    given = s["pattern"]["variant"]
+    shift = "shifted" if model.apply_momentum_shift else "unshifted"
+    if given not in (None, shift) and "momentum_shift" in _section(raw, "coupling"):
+        raise ConfigError(f"'pattern.variant' {given!r} contradicts "
+                          f"'coupling.momentum_shift' {model.apply_momentum_shift}")
+    s["pattern"]["variant"] = given or shift  # default: the coupling's own momentum shift
     lo = s["limit_ordering"]
     eps = lo["epsilons"]
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):

@@ -258,16 +258,6 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     return SpectralResult(direction=n, x=x_grid, w=w, error=err, metadata=metadata)
 
 
-def _exprel(w):
-    """(e^w - 1)/w for complex w; its series near 0, where the quotient cancels."""
-    small = np.abs(w) < 0.1
-    ws, wl = np.where(small, w, 0.0), np.where(small, 1.0, w)
-    series = np.ones_like(ws)
-    for k in range(11, 1, -1):
-        series = 1.0 + ws * series / k
-    return np.where(small, series, np.expm1(wl) / wl)
-
-
 def _projections(dist: MomentumDistribution, n):
     """The law of delta along n at the default Hermite order and, for a Gaussian,
     at half that order (the order check of `_frequency_integral`), else None."""
@@ -306,7 +296,8 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
 
         def rest(x):
             slope = formfactor._slope(x, z)
-            quotient = f_near * slope * _exprel(slope * (x - z))  # (F(x) - F(z)) / (x - z)
+            # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
+            quotient = f_near * np.expm1(slope * (x - z)) / (x - z)
             return weights @ (formfactor(x) * lines.smooth(x)
                               + 2.0 * np.real(lines.near_residue[:, None] * quotient))
 
@@ -468,7 +459,7 @@ class PatternResult:
 
 
 def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfactor | None = None,
-                    *, mode: str = "golden_rule", variant: str = "shifted",
+                    *, mode: str = "golden_rule", variant: str | None = None,
                     phi: float = 0.0, upper_limit: float | None = None,
                     tol: float = 1e-9, max_panels: int = 4096) -> PatternResult:
     """Emission density per steradian vs polar angle theta from the dipole axis.
@@ -478,7 +469,8 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
 
     mode "golden_rule": the energy constraint is applied before the mode sum
     (finite for every epsilon); values are (3/8pi) times the normalized rate,
-    so the reference configuration integrates to 1 over the sphere. The
+    so the reference configuration integrates to 1 over the sphere. `variant`
+    (rates.VARIANTS) defaults to the scenario coupling's momentum shift. The
     average over the wavepacket is exact given delta = n.beta, with a
     40-point Gauss-Hermite rule over delta for a Gaussian (built once).
     Every angle is evaluated in one array pass: one projection of the packet
@@ -495,6 +487,8 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     directions = direction_from_angles(theta, phi, axis=e_d)
 
     if mode == "golden_rule":
+        if variant is None:
+            variant = "shifted" if scenario.coupling.apply_momentum_shift else "unshifted"
         values = sphere_pattern_value(golden_rule_mean_rate(
             variant, project(scenario.distribution, directions), directions, e_d,
             scenario.params, scenario.coupling))

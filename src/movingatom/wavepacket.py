@@ -26,11 +26,13 @@ per order, on first use, and shared as read-only arrays.
 Gauss-Hermite quadrature for Gaussians (exact for polynomial integrands,
 spectrally accurate for smooth kernels) and an error estimate obtained by
 doubling the order; it backs the spectra module's `full3d` oracle path.
-The reduction is always
-`weighted_sum`, i.e. np.sum(weights * values): a mixture of point-mass
-results over the same nodes with the same weights is therefore *bitwise*
-equal to the expectation -- pure-state averaging and mixed-state averaging
-coincide identically, not just approximately.
+`expectation` reduces with `weighted_sum`, i.e. np.sum(weights * values),
+so a mixture of point-mass results over the same nodes with the same
+weights is *bitwise* equal to it: on that path (ACC-08) pure-state and
+mixed-state averaging coincide identically, not just approximately. Other
+averages need no such identity and reduce as suits them: the golden-rule
+rates with `weighted_sum`, the Doppler spectrum and the frequency integrals
+of the spectra module with a matrix product `weights @ values`.
 """
 
 from __future__ import annotations
@@ -43,17 +45,18 @@ import numpy as np
 
 from .geometry import check_unit, dot3
 from .quadrature import NumericalError
+from .units import ParameterError
 
 _WEIGHT_TOL = 1e-10
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray):
-    """The one reduction used for every discrete average in this package.
+    """np.sum(weights * values) over the last axis: a float for one set of values,
+    an array for a stack of them.
 
-    Kept as a named function so that "average over nodes" is the identical
-    floating-point operation everywhere it occurs (see module docstring).
-    Sums over the last axis: a float for one set of values, an array for a
-    stack of them.
+    Kept as a named function so that `expectation` and a point-mass mixture
+    over its nodes are the identical floating-point operation (see module
+    docstring).
     """
     total = np.sum(weights * values, axis=-1)
     return float(total) if total.ndim == 0 else total
@@ -191,7 +194,8 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
     batch = n.shape[:-1]
     if isinstance(dist, TabulatedProjection):
         if not np.allclose(dist.direction, n, atol=1e-12, rtol=0.0):
-            raise ValueError("tabulated distribution was measured along a different direction")
+            raise ParameterError("a tabulated distribution gives delta = n.beta only along "
+                                 "its own direction")
         mean = weighted_sum(dist.weights, dist.delta)
         var = weighted_sum(dist.weights, (dist.delta - mean) ** 2)
         zeros = np.zeros(batch + (3,))

@@ -501,3 +501,32 @@ def test_line_integrals_match_40_digit_quadrature():
 
     check()
     print(f"worst line integral against 40-digit mp.quad: {worst}")
+
+
+def test_line_integral_inside_a_narrow_line_matches_40_digits():
+    """The near pole z is rounded at ulp(x*) while |z - U| is only ~ gt/2 inside the line:
+    log((z - U)/z) of the rounded z put the integral up to U = 1 off by 5.2e-13 relative
+    (35333.213051716135). Roentgen coupling, point mass at rest, n perpendicular to e_d,
+    where w = x^3 (1 - eps x)^2 / (D^2 + gt^2/4)."""
+    mp = pytest.importorskip("mpmath")
+    eps, gt = 1e-5, 1e-4
+    n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    lines = amplitudes.line_fractions(CouplingModel.roentgen(), n, e_d,
+                                      project(PointMass(np.zeros(3)), n),
+                                      DimensionlessParams(epsilon=eps, gamma_tilde=gt))
+    mp.mp.dps = 40
+    eps_m, gt_m = mp.mpf(eps), mp.mpf(gt)
+    x_star = 2 / (1 + mp.sqrt(1 + 4 * eps_m))
+    half = gt_m / (2 * (1 + 2 * eps_m * x_star))
+
+    def w(x):
+        d = 1 - x - eps_m * x * x
+        return x**3 * (1 - eps_m * x) ** 2 / (d * d + gt_m * gt_m / 4)
+
+    uppers = [1.0, float(x_star - half), float(x_star + 0.3 * half), float(x_star + 10 * half)]
+    got = lines.integral(uppers)[0]
+    for upper, value in zip(uppers, got):
+        pts = sorted({x_star + s * half * m for s in (-1, 1) for m in (1, 30)} | {x_star})
+        ref = mp.quad(w, [0] + [p for p in pts if p < upper] + [mp.mpf(upper)])
+        assert abs(value - ref) <= 1e-14 * abs(ref), (upper, value, ref)
+    assert float(got[0]) == pytest.approx(35333.21305173437818, rel=1e-14)

@@ -147,6 +147,20 @@ def test_pattern_run(tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-15)  # axial zero
 
 
+def test_golden_pattern_follows_the_momentum_shift(tmp_path):
+    # pattern.variant overrode coupling.momentum_shift: both files had the same sha256
+    texts = []
+    for flag in ("false", "true"):
+        cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n"
+                           f"coupling: {{momentum_shift: {flag}}}\n"
+                           "pattern: {mode: golden_rule, theta_points: 9}\n", name=f"{flag}.yaml")
+        assert run(["pattern", "--config", cfg, "--out", tmp_path / flag]) == 0
+        texts.append((tmp_path / flag / "pattern.csv").read_bytes())
+        variant = read_manifest(tmp_path / flag)["resolved"]["pattern"]["variant"]
+        assert variant == {"false": "unshifted", "true": "shifted"}[flag]
+    assert texts[0] != texts[1]
+
+
 def test_integrated_pattern_uses_the_panel_budget(tmp_path, capsys):
     # the same integral as `probability`, which meets tol 1e-15 within 65 536 panels
     text = """
@@ -172,7 +186,8 @@ def test_pattern_with_tabulated_distribution_exits_2(tmp_path, capsys):
         pattern: {mode: golden_rule, theta_points: 5}
     """)
     assert run(["pattern", "--config", cfg, "--out", tmp_path / "x"]) == 2
-    assert "tabulated distribution gives it only along its own" in capsys.readouterr().err
+    assert "tabulated distribution gives delta = n.beta only along its own direction" in (
+        capsys.readouterr().err)
 
 
 def test_oracle_run(tmp_path):
@@ -265,6 +280,34 @@ def test_divergence_at_infinite_mass_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "atom: {epsilon: 0.0, gamma_tilde: 0.01}\n")
     assert run(["divergence", "--config", cfg, "--out", tmp_path / "x"]) == 2
     assert "finite mass" in capsys.readouterr().err
+
+
+SUPERLUMINAL = """
+    atom: {epsilon: 0.0, gamma_tilde: 1.0e-3}
+    geometry: {mode: angles, theta: 90, phi: 0}
+    distribution: {kind: point, beta: [1.5, 0, 0]}
+    formfactor: {kind: gaussian, cutoff: 10.0}
+"""
+
+
+@pytest.mark.parametrize("command, text, message", [
+    *[(command, SUPERLUMINAL, "no emission line for delta >= 1 at epsilon = 0")
+      for command in ("spectrum", "probability", "pattern")],
+    ("oracle", "oracle: {modes: 101, half_width: 0.05, gamma_eff: 1.0e-3, lifetimes: 14.0}",
+     "exceeds half the bath revival time"),
+    ("oracle", "oracle: {modes: 2001, record_every: 20000}",
+     "decay-rate window contains fewer than 3 recorded points"),
+    ("oracle", "oracle: {modes: 2001, gamma_eff: 1.0, lifetimes: 0.1, time_step: 0.25}",
+     "need 0 < dt < t_final"),
+], ids=["spectrum-superluminal", "probability-superluminal", "pattern-superluminal",
+        "oracle-revival", "oracle-fit-window", "oracle-time-step"])
+def test_scenarios_that_load_but_cannot_run_exit_2(tmp_path, capsys, command, text, message):
+    # each loaded, then exited 1 with a ValueError traceback
+    cfg = write_config(tmp_path, text)
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # one line, no traceback
+    assert line.startswith("configuration error: ") and message in line
+    assert not any((tmp_path / "x").iterdir())
 
 
 def test_gaussian_cutoff_past_float_square_is_the_bare_integral(tmp_path):

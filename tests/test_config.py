@@ -87,6 +87,23 @@ def test_standard_coupling_flag_conflict():
         build_config({"coupling": {"model": "standard", "momentum_shift": True}})
 
 
+def test_pattern_variant_follows_the_momentum_shift():
+    # pattern.variant defaulted to "shifted" whatever coupling.momentum_shift said
+    def variant(coupling, pattern=None):
+        return build_config({"coupling": coupling, "pattern": pattern or {}}).pattern["variant"]
+
+    assert variant({}) == "shifted"
+    assert variant({"momentum_shift": False}) == "unshifted"
+    assert variant({"model": "standard"}) == "unshifted"  # the standard model has no shift
+    assert variant({"momentum_shift": False}, {"variant": "unshifted"}) == "unshifted"
+    assert variant({}, {"variant": "unshifted"}) == "unshifted"  # only the default shift
+    cfg = build_config({"coupling": {"momentum_shift": False}})
+    assert cfg.resolved["pattern"]["variant"] == "unshifted"
+    with pytest.raises(ConfigError, match="'pattern.variant' 'shifted' contradicts "
+                                          "'coupling.momentum_shift' False"):
+        variant({"momentum_shift": False}, {"variant": "shifted"})
+
+
 def test_gaussian_distribution_variants():
     iso = build_config({"distribution": {"kind": "gaussian", "sigma": 1e-3}})
     assert isinstance(iso.scenario.distribution, GaussianPacket)

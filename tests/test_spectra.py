@@ -540,6 +540,17 @@ def test_pattern_mode_and_variant_plumbing():
         angular_pattern(sc, theta, mode="modal")
 
 
+def test_golden_pattern_variant_defaults_to_the_coupling():
+    # without a variant, the scenario coupling's momentum shift decides (it was "shifted")
+    sc = make_scenario()
+    no_shift = sc.with_coupling(CouplingModel(kind="roentgen", apply_momentum_shift=False))
+    theta = np.linspace(0.0, np.pi, 9)
+    for scenario, variant in ((sc, "shifted"), (no_shift, "unshifted")):
+        pat = angular_pattern(scenario, theta)
+        assert pat.metadata["variant"] == variant
+        assert np.array_equal(pat.values, angular_pattern(sc, theta, variant=variant).values)
+
+
 def test_scenario_kappa():
     sc = make_scenario(gt=0.01)
     assert sc.kappa == pytest.approx(3 * 0.01 / (16 * np.pi**2), rel=1e-15)
