@@ -213,7 +213,7 @@ def read_raw(path) -> tuple[dict, bytes]:
             data = json.loads(text)
         else:
             data = yaml.load(text, Loader=_YAML_LOADER)
-    except (ValueError, yaml.YAMLError) as exc:  # ValueError: bad JSON or bad UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"could not parse {p.name}: {exc}") from None
     if data is None:
         data = {}

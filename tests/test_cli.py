@@ -330,6 +330,15 @@ def test_yaml_syntax_error_exits_2(tmp_path, capsys):
     assert "could not parse scenario.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["scenario.yaml", "scenario.json"])
+def test_undecodable_config_exits_2(tmp_path, capsys, name):
+    # the file was decoded as text before parsing: a UnicodeDecodeError traceback
+    cfg = tmp_path / name
+    cfg.write_bytes(b'{"atom": {"epsilon": 0.01}, "seed": "\xff"}\n')
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"could not parse {name}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("upper", ["1.0e+6", "1.0e+200"])
 def test_upper_limit_past_the_formfactor_reach_is_the_reach(tmp_path, upper):
     # 1e6 exited 3 (unconverged), 1e200 exited 0 with 0.3456 where the value is 0.12016
