@@ -122,10 +122,9 @@ def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         "formfactor": {"kind": cfg.formfactor.kind, "cutoff": cfg.formfactor.cutoff},
         "normalization": "probability per steradian (kappa applied)",
     }
-    outputs = [_json("probability.json", payload)]
     print(f"probability per steradian: {res.value:.12e} "
           f"(error estimate {res.error_estimate:.3e})")
-    return outputs
+    return [_json("probability.json", payload)]
 
 
 def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, str]]:

@@ -207,19 +207,19 @@ def read_raw(path) -> tuple[dict, bytes]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"scenario file not found: {p}")
-    text = p.read_bytes()
+    content = p.read_bytes()
     try:
         if p.suffix.lower() == ".json":
-            data = json.loads(text)
+            data = json.loads(content)
         else:
-            data = yaml.load(text, Loader=_YAML_LOADER)
+            data = yaml.load(content, Loader=_YAML_LOADER)
     except (json.JSONDecodeError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"could not parse {p.name}: {exc}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{p.name}: top level must be a mapping")
-    return data, text
+    return data, content
 
 
 def load_raw(path) -> dict:
