@@ -95,7 +95,8 @@ def _log_tail(z, u):
 
 @dataclass(frozen=True, eq=False)
 class LineFractions:
-    """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node (rows), in partial fractions.
+    """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node, in partial fractions; nodes
+    are the last axis, (N,) for one direction or (..., N) for a stack of them.
 
     The poles are the roots z of D(z) = i gt/2 (conjugates carry conjugate
     residues), with residues r = z^3 P(z) / (i gt D'(z)): the near pole over
@@ -120,43 +121,43 @@ class LineFractions:
 
     def near_integral(self, upper, factor=1.0):
         """int_0^U 2 Re[factor r_near / (x - z_near)] = 2 Re[factor r_near log((z - U)/z)] per
-        node and U (columns). z is rounded at ulp(x*), while |z - U| nears gt/2 inside the
-        line: there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)), with
-        U b split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
-        u, near, b = np.asarray(upper, dtype=float)[None, :], self.near[:, None], self.b[:, None]
+        node and U (a new last axis). z is rounded at ulp(x*), while |z - U| nears gt/2 inside
+        the line: there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)),
+        with U b split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
+        u, near, b = np.asarray(upper, dtype=float), self.near[..., None], self.b[..., None]
         close = np.abs(near - u) < 0.5 * np.abs(near)
         uc = np.where(close, u, 0.0)  # 0 away from the line: nothing there overflows
         p, e = _two_product(uc, b)
         gap = -((p + self.c) + e + self.epsilon * uc * uc) / (b + self.epsilon * (uc + near))
         gap = np.where(close, gap, near - u)
-        return 2.0 * np.real((factor * self.near_residue)[:, None] * np.log(gap / near))
+        return 2.0 * np.real((factor * self.near_residue)[..., None] * np.log(gap / near))
 
     def smooth(self, x):
-        """s(x) per node at real points x (columns)."""
+        """s(x) per node at real points x (a new last axis)."""
         x = np.asarray(x, dtype=float)[None, :]
-        taylor = self.s0[:, None] + self.s1[:, None] * x
+        taylor = self.s0[..., None] + self.s1[..., None] * x
         if self.far is None:
             return taylor
-        far, rf = self.far[:, None], self.far_residue[:, None]
-        direct = self.q0[:, None] + self.q1[:, None] * x + 2.0 * np.real(rf / (x - far))
+        far, rf = self.far[..., None], self.far_residue[..., None]
+        direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * np.real(rf / (x - far))
         taylor = taylor + 2.0 * np.real(rf / (far * far) * (x * x / (x - far)))
         return np.where(np.abs(x / far) < 1.0, taylor, direct)
 
     def integral(self, upper):
-        """int_0^U w per node and upper limit U (columns), in closed form. It runs under
+        """int_0^U w per node and upper limit U (a new last axis), in closed form. It runs under
         np.errstate, since the quadratic term overflows as U grows and np.where evaluates
         both branches; NumericalError names the first U whose value is not finite."""
         u = np.asarray(upper, dtype=float)[None, :]
         with np.errstate(all="ignore"):
-            taylor = self.s0[:, None] * u + self.s1[:, None] * (0.5 * u * u)
+            taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
             if self.far is not None:
-                far, rf = self.far[:, None], self.far_residue[:, None]
-                direct = (self.q0[:, None] * u + self.q1[:, None] * (0.5 * u * u)
+                far, rf = self.far[..., None], self.far_residue[..., None]
+                direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
                           + 2.0 * np.real(rf * np.log((far - u) / far)))
                 taylor = np.where(np.abs(u / far) < 1.0,
                                   taylor - 2.0 * np.real(rf * _log_tail(far, u)), direct)
             values = taylor + self.near_integral(upper)
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+        bad = np.flatnonzero(~np.isfinite(values).reshape(-1, u.size).all(axis=0))
         if bad.size:
             raise NumericalError(f"the frequency integral up to x = {u[0, bad[0]]:.6g} is not "
                                  "finite; lower the cutoff or upper limit")
@@ -164,10 +165,11 @@ class LineFractions:
 
 
 def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
-    """Partial fractions of w at every delta node of `proj` (wavepacket.project), with
-    P = coupling.conditional_polarization_sum at the poles and at 0, +-1/eps (for q0, q1)."""
+    """Partial fractions of w at every delta node of `proj` (wavepacket.project, along one
+    direction n or a stack of them), with P = coupling.conditional_polarization_sum at
+    the poles and at 0, +-1/eps (for q0, q1)."""
     delta = np.asarray(proj.nodes, dtype=float)
-    u = delta - proj.mean
+    u = delta - np.asarray(proj.mean)[..., None]
     eps, gt = params.epsilon, params.gamma_tilde
 
     def gsq(z):

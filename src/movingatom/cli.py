@@ -6,12 +6,13 @@ file, the fully resolved settings, and the sha256 of every output file --
 enough to tell whether two runs were byte-identical. Manifests carry no
 timestamps on purpose: rerunning the same scenario must produce the same
 bytes. The scenario file is read once; the bytes parsed are the bytes
-hashed. Each subcommand returns its outputs as text, and one writer
-(`_write`) encodes, hashes and writes them, the manifest last. Every output
+hashed. Each subcommand returns its outputs as bytes, and one writer
+(`_write`) hashes and writes them, the manifest last. Every output
 is formatted before any file is opened, so a failed run leaves the output
 directory empty.
 
-Exit codes: 0 success; 2 configuration error (bad file, bad flags);
+Exit codes: 0 success; 2 configuration error (bad file, bad flags, an output
+directory that cannot be made or written);
 3 numerical failure (quadrature did not converge, non-finite integrand,
 oracle norm-drift certificate above 1e-6, an output that would hold a
 non-finite number);
@@ -50,14 +51,15 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _csv(name: str, header, rows) -> tuple[str, str]:
-    """(name, text): each cell a str as the csv module writes it, anything else as %.16e,
-    CRLF line ends; a row by one `%` format built from its cell types (and kept for the
-    next row of the same types). NumericalError if a number is not finite."""
+def _csv(name: str, header, rows) -> tuple[str, bytes]:
+    """(name, UTF-8 bytes): each cell a str as the csv module writes it, anything else as
+    %.16e, CRLF line ends; a row by one `%` format built from its cell types (and kept for
+    the next row of the same types), each line encoded as it is made. NumericalError if a
+    number is not finite."""
     rows = [tuple(row) for row in rows]
     if not all(isinstance(v, str) or math.isfinite(v) for row in rows for v in row):
         raise NumericalError(f"{name} would hold a non-finite number")
-    lines, formats = [",".join(map(_quoted, header)) + "\r\n"], {}
+    lines, formats = [(",".join(map(_quoted, header)) + "\r\n").encode()], {}
     for row in rows:
         kinds = tuple(map(type, row))
         if kinds not in formats:
@@ -67,34 +69,33 @@ def _csv(name: str, header, rows) -> tuple[str, str]:
         fmt, has_text = formats[kinds]
         if has_text:
             row = tuple(_quoted(v) if isinstance(v, str) else v for v in row)
-        lines.append(fmt % row)
-    return name, "".join(lines)
+        lines.append((fmt % row).encode())
+    return name, b"".join(lines)
 
 
-def _json(name: str, payload: dict) -> tuple[str, str]:
-    """(name, text): sorted keys, indent 2, numpy scalars and arrays as Python values;
+def _json(name: str, payload: dict) -> tuple[str, bytes]:
+    """(name, UTF-8 bytes): sorted keys, indent 2, numpy scalars and arrays as Python values;
     NumericalError if a number is not finite (json.dumps would write NaN or Infinity)."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                           default=lambda obj: obj.tolist())
     except ValueError as exc:
         raise NumericalError(f"{name} would hold a non-finite number ({exc})") from None
-    return name, text + "\n"
+    return name, (text + "\n").encode()
 
 
 def _write(out_dir: Path, outputs, manifest: dict) -> list[str]:
-    """Encode each (name, text) once and record the sha256 of those bytes in the manifest,
-    then write the outputs and manifest.json last; returns the names written."""
-    blobs = {name: text.encode() for name, text in outputs}
+    """Record the sha256 of each (name, bytes) in the manifest, then write the outputs
+    and manifest.json last; returns the names written."""
+    blobs = dict(outputs)
     manifest["outputs"] = {name: hashlib.sha256(data).hexdigest() for name, data in blobs.items()}
-    name, text = _json("manifest.json", manifest)
-    blobs[name] = text.encode()
+    blobs.update([_json("manifest.json", manifest)])
     for name, data in blobs.items():
         (out_dir / name).write_bytes(data)
     return list(blobs)
 
 
-def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
     result = directional_spectrum(cfg.scenario, cfg.direction, cfg.x_grid, tol=cfg.tol)
     for warning in result.metadata["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
@@ -103,7 +104,7 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return [_csv("spectrum.csv", ["x", "w", "kappa_w", "error_estimate"], rows)]
 
 
-def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
     upper = (cfg.formfactor.suggested_upper_limit() if cfg.upper_limit is None
              else cfg.upper_limit)
     res = directional_probability(cfg.scenario, cfg.direction, cfg.formfactor,
@@ -127,7 +128,7 @@ def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return [_json("probability.json", payload)]
 
 
-def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
     report = divergence_comparison(cfg.scenario, cfg.direction, lambdas=cfg.lambdas,
                                    tol=cfg.tol, max_panels=cfg.max_panels)
     rows = [(label, lam, value, err) for label, entry in report.entries.items()
@@ -141,7 +142,7 @@ def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return outputs
 
 
-def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
     lo = cfg.limit_ordering
     table = limit_ordering_demo(
         lo["epsilons"], gamma_tilde=cfg.scenario.params.gamma_tilde,
@@ -159,7 +160,7 @@ def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return outputs
 
 
-def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
     pat = cfg.pattern
     theta = np.linspace(0.0, math.pi, pat["theta_points"])
     formfactor = cfg.formfactor if pat["mode"] == "integrated" else None
@@ -171,7 +172,7 @@ def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return [_csv("pattern.csv", ["theta_rad", "density"], zip(result.theta, result.values))]
 
 
-def _cmd_oracle(cfg: ScenarioConfig) -> list[tuple[str, str]]:
+def _cmd_oracle(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
     o = cfg.oracle
     system = flat_band_system(o["modes"], o["half_width"], o["gamma_eff"],
                               delta=o["delta"], epsilon=o["epsilon"])
@@ -198,7 +199,7 @@ def _cmd_oracle(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     return outputs
 
 
-# name -> (subcommand, help): each subcommand returns its outputs as (file name, text)
+# name -> (subcommand, help): each subcommand returns its outputs as (file name, bytes)
 _COMMANDS = {
     "spectrum": (_cmd_spectrum, "emission density w(x) along the configured direction"),
     "probability": (_cmd_probability,
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
         }
         print(f"wrote {', '.join(_write(out_dir, outputs, manifest))} in {out_dir}")
         return 0
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, OSError) as exc:  # OSError: a bad --out
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -188,15 +188,13 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
         raise ValueError(f"unknown polarization_sum method {method!r}")
 
     beta = _as_beta(beta)
-    if model.kind == "standard_dipole":
-        ed_n = float(np.dot(e_d, n))
-        value = 1.0 - ed_n * ed_n
-        shape = np.broadcast(beta[..., 0], np.asarray(x, dtype=float)).shape
-        return np.full(shape, value) if shape else np.float64(value)
-    bracket = _bracket(model, _effective_velocity(model, beta, x, n, epsilon), x, n, epsilon)
     ed_n = float(np.dot(e_d, n))
+    e_perp = e_d - ed_n * n  # |e_perp|^2, not 1 - ed_n^2, which cancels near the axis
+    if model.kind == "standard_dipole":  # a numpy scalar for scalar inputs
+        return np.full(np.broadcast_shapes(beta.shape[:-1], np.shape(x)), dot3(e_perp, e_perp))[()]
+    bracket = _bracket(model, _effective_velocity(model, beta, x, n, epsilon), x, n, epsilon)
     beta_perp = beta - doppler_projection(beta, n)[..., None] * n
-    v_perp = np.asarray(bracket)[..., None] * (e_d - ed_n * n) + ed_n * beta_perp
+    v_perp = np.asarray(bracket)[..., None] * e_perp + ed_n * beta_perp
     return dot3(v_perp, v_perp)
 
 
@@ -217,8 +215,8 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     row = (Ellipsis, None) if n.ndim > 1 else ()  # per-direction values against x's last axis
     ed_n = n @ e_d
     e_perp = e_d - ed_n[..., None] * n
-    c = ed_n[row]
-    a = 1.0 - c * c
+    # a = |e_perp|^2: 1 - c^2 would lose eps/sin^2(theta) relative near the axis
+    c, a = ed_n[row], dot3(e_perp, e_perp)[row]
     if model.kind == "standard_dipole":
         return np.full_like(x, a), np.zeros_like(x), np.zeros_like(x)
     m, k = proj.perp_mean, proj.perp_gain

@@ -13,7 +13,7 @@ remainders of formfactor-damped integrands. Three tools:
   Lambda^p) from a log-log fit of its increments, with its residual.
 
 Everything is deterministic. Integrands must be vectorized (a 1D array in,
-the same shape out).
+the same shape out, or a stack of integrands: (..., X) out for X points in).
 """
 
 from __future__ import annotations
@@ -40,34 +40,43 @@ class NumericalError(RuntimeError):
 
 
 _ORDER = 32  # Gauss-Legendre points per panel: exact for polynomials of degree 63
-_TILE = 4  # panels per integrand call: a table of R rows makes R x 128 temporaries
+_TILE = 4  # panels per integrand call: R rows (directions x nodes) make R x 128 temporaries
 # the rule is made on first use: its eigen-solver adds 1.7 MB to every import
 _legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(_ORDER))
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """One integral, as Python scalars, or a stack of them: then every field is an
+    array of the value's shape."""
+
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
 
+    def __post_init__(self) -> None:
+        for name in ("value", "error_estimate", "evaluations", "converged"):
+            v, shape = np.asarray(getattr(self, name)), np.shape(self.value)
+            object.__setattr__(self, name, np.broadcast_to(v, shape) if shape else v.item())
+
 
 def _rule(f, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre values of f over the panels [a_i, a_i + h_i]."""
+    """Gauss-Legendre values of f over the panels [a_i, a_i + h_i] (last axis), for f
+    returning (..., X) at X points."""
     nodes, weights = _legendre()
-    out = np.empty(a.size)
+    out = []
     for lo in range(0, a.size, _TILE):
         half = 0.5 * h[lo:lo + _TILE, None]
         xs = (a[lo:lo + _TILE, None] + half * (1.0 + nodes)).ravel()
         y = np.asarray(f(xs), dtype=float)
-        if y.shape != xs.shape:
+        if y.shape[-1:] != xs.shape:
             raise ValueError("integrand must be vectorized: f(array) -> array of the same shape")
         if not np.all(np.isfinite(y)):
-            bad = xs[~np.isfinite(y)][0]
+            bad = xs[~np.isfinite(y).reshape(-1, xs.size).all(axis=0)][0]
             raise NumericalError(f"integrand returned a non-finite value near x = {bad:.6g}")
-        out[lo:lo + _TILE] = half[:, 0] * (y.reshape(-1, _ORDER) @ weights)
-    return out
+        out.append(half[:, 0] * (y.reshape(y.shape[:-1] + (-1, _ORDER)) @ weights))
+    return np.concatenate(out, axis=-1)
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
@@ -79,27 +88,40 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
     callers decide whether that is fatal). `error_estimate` is the last level
     difference; `evaluations` counts 32 rule points per panel. NumericalError when
     the integrand or a level's value is not finite (numpy's overflow and invalid
-    warnings are silenced while a level is evaluated)."""
+    warnings are silenced while a level is evaluated).
+
+    f may return (..., X) at X points: one integral per leading index (column), all
+    evaluated at the same nodes. Levels double until every column is done, and each
+    column keeps the first level that met its own target, so its value, error,
+    evaluations and convergence are those of a call on that column alone; the
+    result's fields are then arrays of the leading shape. A value that is not finite
+    raises in any column, also in one that was already done."""
+    return QuadratureResult(*_levels(f, a, b, tol, max_panels))
+
+
+def _levels(f, a: float, b: float, tol: float, max_panels: int):
+    """integrate_adaptive's (value, error, evaluations, converged), as arrays of the
+    integrand's leading shape (0-d for one integral)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = float(a), float(b)
-    value, evaluations, panels = 0.0, 0, 1
+    panels, value, error, evaluations, converged = 1, 0.0, 0.0, 0, np.False_
     while True:
         h = np.full(panels, (b - a) / panels)
         # panel values summed left to right (np.sum would pair them up); numpy's
         # warnings are silenced because a value that is not finite raises
         with np.errstate(over="ignore", invalid="ignore"):
-            new = float(np.cumsum(_rule(f, a + h * np.arange(panels), h))[-1])
-        if not math.isfinite(new):
+            new = _rule(f, a + h * np.arange(panels), h).cumsum(axis=-1)[..., -1]
+        if not np.isfinite(new).all():
             raise NumericalError(f"the integral over [{a:.6g}, {b:.6g}] is not finite")
-        evaluations += _ORDER * panels
-        error, value = abs(new - value), new
-        converged = panels > 1 and error <= tol * max(1.0, abs(new))
-        if converged or 2 * panels > max_panels:
-            return QuadratureResult(value=value, error_estimate=error,
-                                    evaluations=evaluations, converged=converged)
+        # a column that met its target keeps that level; the others take this one
+        value, error = np.where(converged, value, new), np.where(converged, error, abs(new - value))
+        evaluations = np.where(converged, evaluations, _ORDER * (2 * panels - 1))
+        converged = converged | (error <= tol * np.maximum(1.0, np.abs(value))) & (panels > 1)
+        if converged.all() or 2 * panels > max_panels:
+            return value, error, evaluations, converged
         panels *= 2
 
 

@@ -259,16 +259,18 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
 
 
 def _projections(dist: MomentumDistribution, n):
-    """The law of delta along n at the default Hermite order and, for a Gaussian,
-    at half that order (the order check of `_frequency_integral`), else None."""
+    """The law of delta along n (one direction or a stack) at the default Hermite order
+    and, for a Gaussian, at half that order (the order check of `_frequency_integral`),
+    else None."""
     proj = project(dist, n)
-    return proj, (project(dist, n, order=proj.nodes.size // 2) if proj.kind == "gaussian" else None)
+    return proj, project(dist, n, order=proj.weights.size // 2) if proj.kind == "gaussian" else None
 
 
 def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistribution,
                         formfactor: Formfactor, uppers, tol: float, max_panels: int,
                         half: ProjectedDistribution | None = None):
-    """kappa * E[int_0^U F w] per U over the delta nodes of proj: values, errors,
+    """kappa * E[int_0^U F w] over the delta nodes of proj, per direction of n (one, or
+    the rows of a stack) and per U (last axis): values and errors, and per direction
     evaluations (line integrals plus rule points, per node) and convergence.
 
     Under a formfactor every U is clamped to its reach (suggested_upper_limit),
@@ -276,12 +278,13 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled, to integrate_adaptive (for one U), which raises NumericalError when
-    they or their integral are not finite. Given `half`, the same packet at half
-    the Hermite order (`_projections`), the sum is redone on it; the change joins
-    the error and must meet tol * max(1, |I|), which fails for a U inside the
-    Doppler profile (the line integral jumps there). NumericalError (from
-    LineFractions.integral) names the first U whose value is not finite."""
+    unscaled, to one run of integrate_adaptive's levels (for one U, a column per
+    direction), which raises NumericalError when they or their integral are not
+    finite. Given `half`, the same packet at half the Hermite order (`_projections`),
+    the sum is redone on it; the change joins the error and must meet
+    tol * max(1, |I|), which fails for a U inside the Doppler profile (the line
+    integral jumps there). NumericalError (from LineFractions.integral) names the
+    first U whose value is not finite."""
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
@@ -291,7 +294,7 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
         values = kappa * (weights @ lines.integral(uppers))
         errors, evaluations, converged = np.zeros_like(values), weights.size * uppers.size, True
     else:
-        z = lines.near[:, None]
+        z = lines.near[..., None]
         f_near = np.exp(formfactor._exponent(z))
 
         def rest(x):
@@ -299,18 +302,20 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
             # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
             quotient = f_near * np.expm1(slope * (x - z)) / (x - z)
             return weights @ (formfactor(x) * lines.smooth(x)
-                              + 2.0 * np.real(lines.near_residue[:, None] * quotient))
+                              + 2.0 * np.real(lines.near_residue[..., None] * quotient))
 
-        res = quadrature.integrate_adaptive(rest, 0.0, float(uppers[0]), tol, max_panels=max_panels)
-        values = kappa * (weights @ lines.near_integral(uppers, f_near[:, 0]) + res.value)
-        errors, evaluations = np.array([kappa * res.error_estimate]), weights.size * (1 + res.evaluations)
-        converged = res.converged
+        # integrate_adaptive's levels as arrays: movbench/tracer.py wraps that function
+        # and reads its evaluations and convergence as one number each, not per direction
+        value, error, count, converged = quadrature._levels(rest, 0.0, float(uppers[0]), tol,
+                                                            max_panels)
+        values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0]) + value[..., None])
+        errors, evaluations = kappa * error[..., None], weights.size * (1 + count)
     if half is not None:
         coarse, _, more, ok = _frequency_integral(scenario, n, half, formfactor, uppers, tol,
                                                   max_panels)
         gap = np.abs(values - coarse)
         errors, evaluations = errors + gap, evaluations + more
-        converged = ok and converged and bool(np.all(gap <= tol * np.maximum(1.0, np.abs(values))))
+        converged = ok & converged & np.all(gap <= tol * np.maximum(1.0, np.abs(values)), axis=-1)
     return values, errors, evaluations, converged
 
 
@@ -318,6 +323,11 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
                             upper_limit: float, *, tol: float = 1e-9,
                             max_panels: int = 4096) -> QuadratureResult:
     """Emission probability per steradian along n: kappa * int_0^upper w * f.
+
+    n is one direction (3,) or a stack of them (..., 3), computed together (one
+    projection, one closed form per node, one run of the quadrature levels); a stack
+    gives every field of the result per direction, each as a call on that direction
+    alone would.
 
     The formfactor multiplies the squared coupling, hence w exactly once. At
     each delta node (point mass, table row, or Gauss-Hermite node) the integral
@@ -331,18 +341,18 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     the value grows with upper_limit (see `divergence_comparison`); under a
     formfactor an upper_limit past its suggested_upper_limit integrates to that.
     ParameterError unless upper_limit is finite and above the resonance at the
-    mean delta; NumericalError when the value is not finite (it overflowed).
+    mean delta (along every direction of a stack); NumericalError when the value
+    is not finite (it overflowed).
     """
-    n = check_unit(n, "n")
+    n = check_unit(n, "n", stacked=True)
     proj, half = _projections(scenario.distribution, n)
-    x_star = float(resonance_root(proj.mean, scenario.params.epsilon))
+    x_star = float(np.max(resonance_root(proj.mean, scenario.params.epsilon)))
     if not (math.isfinite(upper_limit) and upper_limit > x_star):
         raise ParameterError(f"upper_limit {upper_limit!r} must be finite and exceed the "
                              f"resonance at x = {x_star:.6g}")
     values, errors, evaluations, converged = _frequency_integral(
         scenario, n, proj, formfactor, [float(upper_limit)], tol, max_panels, half)
-    return QuadratureResult(value=float(values[0]), error_estimate=float(errors[0]),
-                            evaluations=evaluations, converged=converged)
+    return QuadratureResult(values[..., 0], errors[..., 0], evaluations, converged)
 
 
 @dataclass(frozen=True)
@@ -422,7 +432,7 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
             scenario.with_coupling(model), n, proj, Formfactor.none(), lambdas, tol, max_panels,
             half)
         scan = CutoffScan(lambdas=lambdas, values=values, errors=errors,
-                          evaluations=evaluations, converged=converged)
+                          evaluations=evaluations, converged=bool(converged))
         cls = quadrature.classify_tail(scan)
         entries[label] = ModelDivergence(scan=scan, classification=cls)
 
@@ -476,9 +486,10 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     Every angle is evaluated in one array pass: one projection of the packet
     onto the stack of directions, one golden-rule sum over its nodes.
 
-    mode "integrated": `directional_probability` (with `tol`, `max_panels`), defined
-    only with a formfactor -- an unregularized request is rejected, not truncated,
-    since at finite mass the integral grows with the cutoff.
+    mode "integrated": one `directional_probability` call (with `tol`, `max_panels`)
+    on the stack of directions, defined only with a formfactor -- an unregularized
+    request is rejected, not truncated, since at finite mass the integral grows with
+    the cutoff. NumericalError names the first angle that misses its tolerance.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
@@ -509,14 +520,14 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
             "cutoff-dependent without a formfactor; supply one (or use golden_rule mode)")
     upper = float(upper_limit) if upper_limit is not None else formfactor.suggested_upper_limit()
 
-    values = []
-    for t, n in zip(theta, directions):
-        res = directional_probability(scenario, n, formfactor, upper, tol=tol, max_panels=max_panels)
-        if not res.converged:
-            raise NumericalError(f"angular pattern integration did not converge at theta = {t:.6g} "
-                                 f"(error {res.error_estimate:.3g}); raise max_panels or loosen tol")
-        values.append(res.value)
+    res = directional_probability(scenario, directions, formfactor, upper, tol=tol,
+                                  max_panels=max_panels)
+    bad = np.flatnonzero(~res.converged)
+    if bad.size:
+        raise NumericalError(f"angular pattern integration did not converge at theta = "
+                             f"{theta[bad[0]]:.6g} (error {res.error_estimate[bad[0]]:.3g}); "
+                             "raise max_panels or loosen tol")
     meta = {"mode": mode, "formfactor": formfactor.kind, "cutoff": formfactor.cutoff,
             "upper_limit": upper, "phi": phi,
             "normalization": "kappa-scaled probability per steradian"}
-    return PatternResult(theta=theta, values=np.asarray(values), mode=mode, metadata=meta)
+    return PatternResult(theta=theta, values=res.value, mode=mode, metadata=meta)

@@ -442,11 +442,12 @@ def test_line_integrals_match_40_digit_quadrature():
 
     The reference integrand x^3 P(x) / (D^2 + gt^2/4) is built in mpmath from the geometry:
     P = |b e_perp + c beta_perp|^2 with c = e_d.n, the bracket b = 1 - delta + k eps x and
-    k = (+1 for the recoil term) - (2 for the momentum shift), or P = 1 - c^2 for the
-    standard dipole. delta is the projection's float node, since the integral is exact
-    only for the inputs the closed form sees. The bound is 1e-13 max(1, |I|) plus the
-    conditioning of I on the pole: rounding the pole z to double moves I by about
-    w(U) ulp(x*), which for U inside a narrow line (gt = 1e-4) reaches 5e-13 |I|.
+    k = (+1 for the recoil term) - (2 for the momentum shift), or P = |e_perp|^2 for the
+    standard dipole, with e_perp = e_d - c n of the same float n (1 - c^2 differs from it
+    by c^2 (1 - |n|^2), 1e-12 relative near the axis). delta is the projection's float
+    node, since the integral is exact only for the inputs the closed form sees. The bound
+    is 1e-13 max(1, |I|), with no allowance for the pole: the near-line integral is
+    formed without rounding z first (`LineFractions.near_integral`).
     """
     hyp = pytest.importorskip("hypothesis")
     mp = pytest.importorskip("mpmath")
@@ -482,7 +483,7 @@ def test_line_integrals_match_40_digit_quadrature():
 
         def w(x):
             b = 1 - delta + k * eps_m * x
-            poly = (1 - c * c if model.kind == "standard_dipole"
+            poly = (ee if model.kind == "standard_dipole"
                     else b * b * ee + 2 * b * c * eb + c * c * bb)
             d = 1 - x * (1 - delta) - eps_m * x * x
             return x**3 * poly / (d * d + gt_m * gt_m / 4)
@@ -492,12 +493,11 @@ def test_line_integrals_match_40_digit_quadrature():
         pts = sorted({x_star + s * half * m for s in (-1, 1) for m in (1, 30, 1000)} | {x_star}
                      | {x_star * 4**j for j in range(1, 8)})
         ref = mp.quad(w, [0] + [p for p in pts if 0 < p < u] + [u])
-        pole_shift = 4.0 * float(np.finfo(float).eps * x_star * abs(w(u)))
         error = float(abs(got - ref) / max(1, abs(ref)))
         if error > worst["error"]:
             worst.update(error=error, eps=eps, gt=gt, theta=theta, beta=beta.tolist(),
-                         upper=upper, model=label, value=got, pole_shift=pole_shift)
-        assert abs(got - ref) <= 1e-13 * max(1, abs(ref)) + pole_shift
+                         upper=upper, model=label, value=got)
+        assert abs(got - ref) <= 1e-13 * max(1, abs(ref))
 
     check()
     print(f"worst line integral against 40-digit mp.quad: {worst}")

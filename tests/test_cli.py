@@ -248,6 +248,16 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    # creating the output directory raised FileExistsError: exit 1 with a traceback
+    cfg, taken = write_config(tmp_path), tmp_path / "taken"
+    taken.write_text("")
+    assert run(["spectrum", "--config", cfg, "--out", taken]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
 def test_invalid_value_exits_2(tmp_path):
     cfg = write_config(tmp_path, "atom: {epsilon: -3}\n")
     assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 2
@@ -389,16 +399,16 @@ def test_csv_rows_match_the_csv_module():
     writer = csv.writer(ref)
     writer.writerow(header)
     writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
-    assert (name, text) == ("t.csv", ref.getvalue())
+    assert (name, text) == ("t.csv", ref.getvalue().encode())
 
 
 def test_writer_formats():
     assert cli._csv("t.csv", ["model", "cutoff", "value"],
                     [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0)]) == (
         "t.csv",
-        "model,cutoff,value\r\n"
-        "roentgen,1.0000000000000000e+01,-3.3333333333333331e-01\r\n"
-        '"a,b",1.0000000000000000e-300,0.0000000000000000e+00\r\n')
+        b"model,cutoff,value\r\n"
+        b"roentgen,1.0000000000000000e+01,-3.3333333333333331e-01\r\n"
+        b'"a,b",1.0000000000000000e-300,0.0000000000000000e+00\r\n')
     payload = {"b": np.float64(0.1), "a": {"flag": np.bool_(True), "n": np.int64(7)},
                "array": np.array([1.5, 2.0]), "text": "x", "pair": (1, None)}
     assert cli._json("t.json", payload) == ("t.json", textwrap.dedent("""\
@@ -418,7 +428,7 @@ def test_writer_formats():
           ],
           "text": "x"
         }
-        """))
+        """).encode())
 
 
 def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):

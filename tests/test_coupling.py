@@ -121,6 +121,22 @@ def test_closed_form_keeps_precision_when_the_shift_dominates():
     assert abs(closed - summed) <= 1e-13 * summed
 
 
+def test_transverse_factor_keeps_precision_near_the_dipole_axis():
+    # 0.5 deg from -e_d, 1 - (e_d.n)^2 cancels: it was 1.08e-12 relative off sin^2(theta),
+    # and the roentgen q1 = k^2 |e_perp|^2 (the Lambda^2 coefficient) carried that error
+    mp = pytest.importorskip("mpmath")
+    theta = 3.1329000694622797
+    n, e_d, x = np.array([np.sin(theta), 0.0, np.cos(theta)]), np.array([0.0, 0.0, 1.0]), [1.0]
+    mp.mp.dps = 40
+    sin2 = float(mp.sin(mp.mpf(theta)) ** 2)
+    at_rest = project(PointMass(np.zeros(3)), n)
+    values = (conditional_polarization_sum(CouplingModel.roentgen(), x, n, e_d, 0.0, at_rest)[2],
+              conditional_polarization_sum(CouplingModel.standard(), x, n, e_d, 0.0, at_rest)[0],
+              polarization_sum(CouplingModel.standard(), np.zeros(3), 1.0, n, e_d, 0.0))
+    for value in values:  # q2 = |e_perp|^2 at rest; the standard sum is |e_perp|^2
+        assert abs(float(np.ravel(value)[0]) - sin2) <= 1e-15 * sin2
+
+
 def test_polarization_sum_gauge_invariance():
     # rotating the transverse basis must not change the sum of squares
     model = CouplingModel.roentgen()

@@ -71,6 +71,23 @@ def test_unconverged_flag_when_budget_exhausted():
     assert not res.converged
 
 
+def test_stacked_integrand_columns_are_the_scalar_calls():
+    # Lorentzians of four widths: the columns stop at levels 1, 3 and 6, and the narrowest
+    # misses tol within 256 panels; each keeps the level a call on it alone would return
+    widths = np.array([[1.0, 0.1], [0.01, 1e-4]])
+    stack = integrate_adaptive(lambda x: 1.0 / ((x - 0.3) ** 2 + widths[..., None] ** 2),
+                               0.0, 1.0, 1e-12, max_panels=256)
+    singles = [integrate_adaptive(lambda x, w=w: 1.0 / ((x - 0.3) ** 2 + w * w), 0.0, 1.0,
+                                  1e-12, max_panels=256) for w in widths.ravel()]
+    assert [r.evaluations for r in singles] == [96, 480, 4064, 16352]
+    assert [r.converged for r in singles] == [True, True, True, False]
+    assert all(type(r.value) is float and type(r.converged) is bool for r in singles)
+    for name in ("value", "error_estimate", "evaluations", "converged"):
+        got = getattr(stack, name)
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == [getattr(r, name) for r in singles]
+
+
 def test_determinism():
     f = lambda x: np.sin(3 * x) / (1 + x * x)
     r1 = integrate_adaptive(f, 0.0, 10.0, 1e-11)

@@ -529,6 +529,32 @@ def test_pattern_integrated_with_formfactor():
     assert pat.values[3] > 10 * pat.values[0]
 
 
+@pytest.mark.parametrize("kind, cutoff", [("sharp", 50.0), ("gaussian", 10.0),
+                                          ("exponential", 3.0)])
+@pytest.mark.parametrize("dist", [PointMass(np.array([1e-3, 3e-3, -2e-3])),
+                                  GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3)],
+                         ids=["point", "gaussian"])
+def test_integrated_pattern_is_the_probability_per_direction(dist, kind, cutoff):
+    # one call on the stack of directions gives each row as the call on that direction
+    # alone; a Gaussian's half-order check at the stack's node count instead of the
+    # direction's changed its errors and evaluations
+    sc, ff = make_scenario(dist=dist), Formfactor(kind=kind, cutoff=cutoff)
+    theta, upper = np.linspace(0.0, np.pi, 9), ff.suggested_upper_limit()
+    directions = direction_from_angles(theta, 0.3, axis=E_D)
+    stack = directional_probability(sc, directions, ff, upper, tol=1e-10)
+    rows = [directional_probability(sc, n, ff, upper, tol=1e-10) for n in directions]
+    values = [r.value for r in rows]
+    assert all(np.shape(getattr(stack, name)) == (9,)
+               for name in ("value", "error_estimate", "evaluations", "converged"))
+    np.testing.assert_allclose(stack.value, values, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(stack.error_estimate, [r.error_estimate for r in rows],
+                               rtol=1e-14, atol=1e-15 * max(values))
+    assert stack.evaluations.tolist() == [r.evaluations for r in rows]
+    assert stack.converged.tolist() == [r.converged for r in rows] == [True] * 9
+    pattern = angular_pattern(sc, theta, ff, mode="integrated", phi=0.3, tol=1e-10)
+    np.testing.assert_allclose(pattern.values, values, rtol=1e-14, atol=0.0)
+
+
 def test_pattern_mode_and_variant_plumbing():
     sc = make_scenario()
     theta = np.linspace(0.0, np.pi, 9)
