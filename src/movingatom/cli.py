@@ -53,24 +53,26 @@ def _quoted(text: str) -> str:
 
 def _csv(name: str, header, rows) -> tuple[str, bytes]:
     """(name, UTF-8 bytes): each cell a str as the csv module writes it, anything else as
-    %.16e, CRLF line ends; a row by one `%` format built from its cell types (and kept for
-    the next row of the same types), each line encoded as it is made. NumericalError if a
-    number is not finite."""
+    %.16e, CRLF line ends. The rows of numbers alone are checked by one np.isfinite and
+    formatted by one `%` over a repeated row format; a row holding text by a format built
+    once per combination of cell types. NumericalError if a number is not finite."""
     rows = [tuple(row) for row in rows]
-    if not all(isinstance(v, str) or math.isfinite(v) for row in rows for v in row):
+    kinds = [tuple(map(type, row)) for row in rows]
+    text = {k: [issubclass(t, str) for t in k] for k in set(kinds)}
+    plain = [not any(text[k]) for k in kinds]
+    numbers = np.array([row for row, p in zip(rows, plain) if p], dtype=float)
+    if not (np.isfinite(numbers).all() and all(
+            isinstance(v, str) or math.isfinite(v)
+            for row, p in zip(rows, plain) if not p for v in row)):
         raise NumericalError(f"{name} would hold a non-finite number")
-    lines, formats = [(",".join(map(_quoted, header)) + "\r\n").encode()], {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            text = [issubclass(k, str) for k in kinds]
-            formats[kinds] = (",".join("%s" if t else "%.16e" for t in text) + "\r\n",
-                              any(text))
-        fmt, has_text = formats[kinds]
-        if has_text:
-            row = tuple(_quoted(v) if isinstance(v, str) else v for v in row)
-        lines.append((fmt % row).encode())
-    return name, b"".join(lines)
+    fmt = ",".join(["%.16e"] * (numbers.shape[1] if numbers.ndim == 2 else 0)) + "\r\n"
+    block = iter(((fmt * len(numbers)) % tuple(numbers.ravel().tolist())).splitlines(True))
+    formats = {k: ",".join("%s" if t else "%.16e" for t in text[k]) + "\r\n" for k in text}
+    lines = [",".join(map(_quoted, header)) + "\r\n"]
+    for row, k, p in zip(rows, kinds, plain):
+        lines.append(next(block) if p else formats[k] % tuple(
+            _quoted(v) if isinstance(v, str) else v for v in row))
+    return name, "".join(lines).encode()
 
 
 def _json(name: str, payload: dict) -> tuple[str, bytes]:

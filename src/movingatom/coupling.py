@@ -198,6 +198,17 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
     return dot3(v_perp, v_perp)
 
 
+def transverse_dipole(n, e_d):
+    """(c, e_perp, |e_perp|^2) per direction n, (3,) or a stack (..., 3), with c = e_d.n and
+    e_perp = e_d - c n: |e_perp|^2, not 1 - c^2, which would lose eps/sin^2(theta)
+    relative near the axis. k^2 |e_perp|^2 (`recoil_coefficient`) is the x^2 coefficient
+    of sum G^2 over eps^2, for every delta."""
+    n, e_d = check_unit(n, "n", stacked=True), check_unit(e_d, "e_d")
+    c = n @ e_d
+    e_perp = e_d - c[..., None] * n
+    return c, e_perp, dot3(e_perp, e_perp)
+
+
 def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj):
     """E[sum_lambda G^2 | n.beta = delta] = q0 + q1*u + q2*u^2 with u = delta - proj.mean.
 
@@ -209,14 +220,10 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     n may be a stack of directions (..., 3) with `proj` projected along it; x
     then has one more axis than the stack (e.g. one row of frequencies per row).
     """
-    n = check_unit(n, "n", stacked=True)
-    e_d = check_unit(e_d, "e_d")
+    ed_n, e_perp, a = transverse_dipole(n, e_d)
     x = 1.0 * np.asarray(x)  # real or complex frequencies
-    row = (Ellipsis, None) if n.ndim > 1 else ()  # per-direction values against x's last axis
-    ed_n = n @ e_d
-    e_perp = e_d - ed_n[..., None] * n
-    # a = |e_perp|^2: 1 - c^2 would lose eps/sin^2(theta) relative near the axis
-    c, a = ed_n[row], dot3(e_perp, e_perp)[row]
+    row = (Ellipsis, None) if ed_n.ndim else ()  # per-direction values against x's last axis
+    c, a = ed_n[row], a[row]
     if model.kind == "standard_dipole":
         return np.full_like(x, a), np.zeros_like(x), np.zeros_like(x)
     m, k = proj.perp_mean, proj.perp_gain

@@ -153,8 +153,8 @@ def test_perturbed_roots_are_flagged(monkeypatch):
     exact = amplitudes._secular_roots
 
     def perturbed(d, z):
-        sigma, nu, iterations = exact(d, z)
-        return sigma, nu * (1.0 + 1e-6), iterations
+        sigma, nu, fp, sums, work = exact(d, z)
+        return sigma, nu * (1.0 + 1e-6), fp, sums, work
 
     monkeypatch.setattr(amplitudes, "_secular_roots", perturbed)
     sys = flat_band_system(101, 0.05, 1e-3)
@@ -196,19 +196,14 @@ def random_arrowhead(k=37):
     """Poles and weights of a random arrowhead, its secular roots, and the Loewner sweep."""
     gen = np.random.default_rng(37)
     d, z = np.sort(gen.uniform(-1.0, 1.0, k)), gen.uniform(1e-3, 1e-1, k)
-    sigma, nu, _ = amplitudes._secular_roots(d, z)
-    return d, z, sigma, nu, *amplitudes._lowner(d, sigma, nu)
+    sigma, nu, fp, sums, _ = amplitudes._secular_roots(d, z)
+    return d, z, sigma, nu, *amplitudes._lowner(sums, sigma, nu, fp)
 
 
 def test_lowner_weights_match_dense_masked_product():
-    # three tiles, the last one partial: the same ratios as one dense masked product
+    # one box, every pole near: the same ratios as one dense masked product
     d, z, sigma, nu, zhat, _ = random_arrowhead()
-    m = (d[:, None] - sigma) - nu  # d_p - mu_k with the shifted origin
-    j = np.arange(d.size)
-    p = j[:, None]
-    ratio = np.where(j < p, m[:, :-1], np.where(j > p, m[:, 1:], -m[:, :-1] * m[:, 1:]))
-    dense = np.prod(ratio / np.where(j == p, 1.0, d[:, None] - d), axis=1)
-    np.testing.assert_allclose(zhat, dense, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(zhat, dense_lowner(d, sigma, nu), rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(zhat, z, rtol=1e-13)
     # the roots are the eigenvalues of the arrowhead with couplings sqrt(zhat)
     arrow = np.diag(np.append(np.sum(sigma + nu) - np.sum(d), d))
@@ -222,8 +217,8 @@ def test_fused_eigenvector_weights_match_secular_derivative():
                                rtol=1e-14, atol=0.0)
     sys = flat_band_system(201, 0.05, 1e-3, delta=0.007, epsilon=0.003)
     d, z, _, _ = amplitudes._poles(-sys.detunings, sys.g)
-    sigma, nu, _ = amplitudes._secular_roots(d, z)
-    zhat, w = amplitudes._lowner(d, sigma, nu)
+    sigma, nu, fp, sums, _ = amplitudes._secular_roots(d, z)
+    zhat, w = amplitudes._lowner(sums, sigma, nu, fp)
     np.testing.assert_allclose(w, 1.0 / dense_secular(d, zhat, sigma, nu)[1],
                                rtol=1e-14, atol=0.0)
 
@@ -267,7 +262,7 @@ def test_near_far_secular_sums_match_dense_sums(name):
     d, z = POLE_SETS[name]()
     sums, box = near_far_sums(d, z)
     assert sums.far_nodes > 0
-    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    sigma, nu, *_ = amplitudes._secular_roots(d, z)
     # at the roots (the outer ones included) and at every interior interval's midpoint
     points = [(box, sigma, nu), (box[1:-1], d[:-1], 0.5 * np.diff(d))]
     eps = np.finfo(float).eps
@@ -286,8 +281,8 @@ def test_near_far_mode_sums_match_dense_sums(name):
     # S_p = sum_k v_k/(mu_k - d_p) against every root summed in long double, relative to
     # sum_k |v_k/(mu_k - d_p)|; the dense sum in double is off by up to 4.6 eps of it
     d, z = POLE_SETS[name]()
-    sigma, nu, _ = amplitudes._secular_roots(d, z)
-    _, w = amplitudes._lowner(d, sigma, nu)
+    sigma, nu, fp, sums, _ = amplitudes._secular_roots(d, z)
+    _, w = amplitudes._lowner(sums, sigma, nu, fp)
     mu = sigma + nu
     last = np.column_stack((w * np.cos(mu * 1.4e4), -w * np.sin(mu * 1.4e4)))
     s = amplitudes._mode_sums(d, sigma, nu, last)
@@ -301,23 +296,57 @@ def test_near_far_mode_sums_match_dense_sums(name):
         assert np.max(err / size.astype(float)) <= 4.0 * np.finfo(float).eps
 
 
+def dense_lowner(d, sigma, nu, dtype=float):
+    """Loewner's z_hat_p = -prod_k (d_p - mu_k) / prod_{j != p} (d_p - d_j) over every pole and
+    root, with the ratios paired as `_lowner` pairs them and d_p - mu_k = (d_p - sigma_k) -
+    nu_k, 64 poles at a time, in `dtype`."""
+    d, sigma, nu = (np.asarray(a, dtype=dtype) for a in (d, sigma, nu))
+    zhat, j = np.empty(d.size, dtype=dtype), np.arange(d.size)
+    for lo in range(0, d.size, 64):
+        p, dp = j[lo:lo + 64, None], d[lo:lo + 64, None]
+        m = (dp - sigma) - nu
+        ratio = np.where(j < p, m[:, :-1], np.where(j > p, m[:, 1:], -m[:, :-1] * m[:, 1:]))
+        zhat[lo:lo + 64] = np.prod(ratio / np.where(j == p, 1, dp - d), axis=1)
+    return zhat
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the dense reference needs an extended-precision long double")
+@pytest.mark.parametrize("name", POLE_SETS)
+def test_near_far_lowner_matches_dense_product(name):
+    # z_hat against every ratio multiplied in long double, and w against 1/f'(mu) with the
+    # weights z_hat summed over every pole in long double: read at most 1.1e-14 and 1.4e-15
+    # (the dense product in double: 1.4e-14 and 2.0e-15)
+    d, z = POLE_SETS[name]()
+    sigma, nu, fp, sums, _ = amplitudes._secular_roots(d, z)
+    assert sums.far_nodes > 0
+    zhat, w = amplitudes._lowner(sums, sigma, nu, fp)
+    ref = dense_lowner(d, sigma, nu, dtype=np.longdouble)
+    assert np.max(np.abs((zhat - ref) / ref)) <= 2e-14
+    ref = 1 / dense_secular(d, zhat, sigma, nu, dtype=np.longdouble)[1]
+    assert np.max(np.abs((w - ref) / ref)) <= 4e-15
+    assert abs(1.0 - w.sum()) <= 4.0 * np.finfo(float).eps
+
+
 def test_small_pole_sets_sum_every_pole_exactly():
     # up to ALL_NEAR boxes every pole is near: the sums are the dense ones
     d, z = band_poles(cauchy.ALL_NEAR * cauchy.BOX, 0.05, 1e-3)
     sums, box = near_far_sums(d, z)
     assert sums.far_nodes == 0
     assert sums.near_terms(box) == (d.size + 1) * d.size
-    sigma, nu, _ = amplitudes._secular_roots(d, z)
+    sigma, nu, *_ = amplitudes._secular_roots(d, z)
     np.testing.assert_allclose(amplitudes._secular(sums, box, sigma, nu),
                                dense_secular(d, z, sigma, nu), rtol=1e-15, atol=1e-15)
 
 
 def test_chebyshev_fit_recovers_a_full_degree_series():
-    # any series of degree NODES - 1 is its own interpolant: the fit recovers every
-    # coefficient, the last one included, and the evaluation matches numpy's
+    # any series of degree NODES - 1 is its own interpolant: the fit, which every far sum
+    # is set up by, recovers every coefficient, the last one included, also under a mean
+    # 1e3 times larger; and the evaluation matches numpy's
     coef = np.random.default_rng(24).standard_normal((cauchy.NODES, 2))
+    coef[0, 1] = 1e3
     values = np.polynomial.chebyshev.chebval(cauchy.chebyshev_points(), coef)
-    np.testing.assert_allclose(cauchy.chebyshev_fit() @ values.T, coef, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(cauchy.chebyshev_fit(values.T), coef, rtol=0.0, atol=1e-13)
     t = np.linspace(-1.0, 1.0, 101)
     np.testing.assert_allclose(cauchy.chebyshev(t) @ coef,
                                np.polynomial.chebyshev.chebval(t, coef).T, rtol=0.0, atol=1e-12)
@@ -329,11 +358,11 @@ def test_near_far_oracle_at_4001_modes(monkeypatch):
     res = discrete_mode_evolution(sys, 14.0 / 1e-3, dt=0.25, record_every=100)
     assert res.norm_ok and res.max_norm_drift <= 1e-11
     d, z = amplitudes._poles(-sys.detunings, sys.g)[:2]
-    sigma, nu, work = amplitudes._secular_roots(d, z)
+    sigma, nu, *_, work = amplitudes._secular_roots(d, z)
     assert work["secular_iterations"] == res.extras["secular_iterations"] == 4
     monkeypatch.setattr(amplitudes, "_secular",
                         lambda sums, box, s, v: dense_secular(d, z, s, v))
-    sigma_ref, nu_ref, _ = amplitudes._secular_roots(d, z)
+    sigma_ref, nu_ref, *_ = amplitudes._secular_roots(d, z)
     assert np.array_equal(sigma, sigma_ref)
     gap = np.diff(d)
     # interval k = (d[k-1], d[k]); the outer roots are measured against their neighbour gap
@@ -349,8 +378,8 @@ def test_near_far_oracle_at_4001_modes(monkeypatch):
 def test_separable_amplitudes_match_direct_phase_sum(t_final, dt, every):
     sys = flat_band_system(101, 0.05, 1e-3, delta=0.007, epsilon=0.003)
     d, z, _, _ = amplitudes._poles(-sys.detunings, sys.g)
-    sigma, nu, _ = amplitudes._secular_roots(d, z)
-    _, w = amplitudes._lowner(d, sigma, nu)
+    sigma, nu, fp, sums, _ = amplitudes._secular_roots(d, z)
+    _, w = amplitudes._lowner(sums, sigma, nu, fp)
     n_steps = int(np.ceil(t_final / dt))
     times = np.append(np.arange(0, n_steps, every), n_steps) * dt
     amp, _ = amplitudes._reconstruct(d, sigma, nu, w, times)
@@ -437,17 +466,52 @@ _FUZZ_MODELS = {"roentgen": CouplingModel.roentgen(), "standard": CouplingModel.
                 "roentgen_no_recoil_term": CouplingModel(kind="roentgen", include_recoil_term=False)}
 
 
-def test_line_integrals_match_40_digit_quadrature():
-    """Differential fuzz of `line_fractions(...).integral` for a point mass against mp.quad.
+def mp_line_integral(mp, model, theta, beta, eps, gt, upper):
+    """int_0^U x^3 P(x) / (D^2 + gt^2/4) dx for a point mass in 40-digit mpmath, and the
+    closed form's value (`line_fractions(...).integral`), n = (sin theta, 0, cos theta),
+    e_d = z.
 
-    The reference integrand x^3 P(x) / (D^2 + gt^2/4) is built in mpmath from the geometry:
-    P = |b e_perp + c beta_perp|^2 with c = e_d.n, the bracket b = 1 - delta + k eps x and
-    k = (+1 for the recoil term) - (2 for the momentum shift), or P = |e_perp|^2 for the
-    standard dipole, with e_perp = e_d - c n of the same float n (1 - c^2 differs from it
-    by c^2 (1 - |n|^2), 1e-12 relative near the axis). delta is the projection's float
-    node, since the integral is exact only for the inputs the closed form sees. The bound
-    is 1e-13 max(1, |I|), with no allowance for the pole: the near-line integral is
-    formed without rounding z first (`LineFractions.near_integral`).
+    The reference integrand is built from the geometry: P = |b e_perp + c beta_perp|^2
+    with c = e_d.n, the bracket b = 1 - delta + k eps x and k = (+1 for the recoil term)
+    - (2 for the momentum shift), or P = |e_perp|^2 for the standard dipole, with e_perp
+    = e_d - c n of the same float n (1 - c^2 differs from it by c^2 (1 - |n|^2), 1e-12
+    relative near the axis). delta is the projection's float node, since the integral is
+    exact only for the inputs the closed form sees.
+    """
+    n, e_d = np.array([np.sin(theta), 0.0, np.cos(theta)]), np.array([0.0, 0.0, 1.0])
+    proj = project(PointMass(beta), n)
+    got = float(amplitudes.line_fractions(model, n, e_d, proj, DimensionlessParams(eps, gt))
+                .integral([upper])[0, 0])
+    mp.mp.dps = 40
+    nv, bv = [mp.mpf(v) for v in n], [mp.mpf(v) for v in beta]
+    delta, c = mp.mpf(float(proj.nodes[0])), nv[2]
+    e_perp = [-c * v for v in nv]
+    e_perp[2] += 1
+    b_dot_n = sum(p * q for p, q in zip(bv, nv))
+    b_perp = [p - b_dot_n * q for p, q in zip(bv, nv)]
+    ee, eb, bb = (sum(p * q for p, q in zip(u, v))
+                  for u, v in ((e_perp, e_perp), (e_perp, b_perp), (b_perp, b_perp)))
+    k = (1 if model.include_recoil_term else 0) - (2 if model.apply_momentum_shift else 0)
+    eps_m, gt_m, u = mp.mpf(eps), mp.mpf(gt), mp.mpf(upper)
+
+    def w(x):
+        b = 1 - delta + k * eps_m * x
+        poly = ee if model.kind == "standard_dipole" else b * b * ee + 2 * b * c * eb + c * c * bb
+        d = 1 - x * (1 - delta) - eps_m * x * x
+        return x**3 * poly / (d * d + gt_m * gt_m / 4)
+
+    x_star = 2 / ((1 - delta) + mp.sqrt((1 - delta) ** 2 + 4 * eps_m))
+    half = gt_m / (2 * ((1 - delta) + 2 * eps_m * x_star))  # half width of the line in x
+    pts = sorted({x_star + s * half * m for s in (-1, 1) for m in (1, 30, 1000)} | {x_star}
+                 | {x_star * 4**j for j in range(1, 8)})
+    return mp.quad(w, [0] + [p for p in pts if 0 < p < u] + [u]), got
+
+
+def test_line_integrals_match_40_digit_quadrature():
+    """Differential fuzz of `line_fractions(...).integral` for a point mass against mp.quad
+    (`mp_line_integral`). The bound is 1e-13 max(1, |I|), with no allowance for the pole:
+    the near-line integral is formed without rounding z first
+    (`LineFractions.near_integral`).
     """
     hyp = pytest.importorskip("hypothesis")
     mp = pytest.importorskip("mpmath")
@@ -463,44 +527,26 @@ def test_line_integrals_match_40_digit_quadrature():
                                                           max_size=3),
                upper=log_uniform(-0.5, 3.5), label=st.sampled_from(sorted(_FUZZ_MODELS)))
     def check(eps, gt, theta, beta, upper, label):
-        model, beta = _FUZZ_MODELS[label], np.array(beta)
-        n, e_d = np.array([np.sin(theta), 0.0, np.cos(theta)]), np.array([0.0, 0.0, 1.0])
-        proj = project(PointMass(beta), n)
-        got = float(amplitudes.line_fractions(model, n, e_d, proj, DimensionlessParams(eps, gt))
-                    .integral([upper])[0, 0])
-
-        mp.mp.dps = 40
-        nv, bv = [mp.mpf(v) for v in n], [mp.mpf(v) for v in beta]
-        delta, c = mp.mpf(float(proj.nodes[0])), nv[2]
-        e_perp = [-c * v for v in nv]
-        e_perp[2] += 1
-        b_dot_n = sum(p * q for p, q in zip(bv, nv))
-        b_perp = [p - b_dot_n * q for p, q in zip(bv, nv)]
-        ee, eb, bb = (sum(p * q for p, q in zip(u, v))
-                      for u, v in ((e_perp, e_perp), (e_perp, b_perp), (b_perp, b_perp)))
-        k = (1 if model.include_recoil_term else 0) - (2 if model.apply_momentum_shift else 0)
-        eps_m, gt_m, u = mp.mpf(eps), mp.mpf(gt), mp.mpf(upper)
-
-        def w(x):
-            b = 1 - delta + k * eps_m * x
-            poly = (ee if model.kind == "standard_dipole"
-                    else b * b * ee + 2 * b * c * eb + c * c * bb)
-            d = 1 - x * (1 - delta) - eps_m * x * x
-            return x**3 * poly / (d * d + gt_m * gt_m / 4)
-
-        x_star = 2 / ((1 - delta) + mp.sqrt((1 - delta) ** 2 + 4 * eps_m))
-        half = gt_m / (2 * ((1 - delta) + 2 * eps_m * x_star))  # half width of the line in x
-        pts = sorted({x_star + s * half * m for s in (-1, 1) for m in (1, 30, 1000)} | {x_star}
-                     | {x_star * 4**j for j in range(1, 8)})
-        ref = mp.quad(w, [0] + [p for p in pts if 0 < p < u] + [u])
+        ref, got = mp_line_integral(mp, _FUZZ_MODELS[label], theta, np.array(beta), eps, gt,
+                                    upper)
         error = float(abs(got - ref) / max(1, abs(ref)))
         if error > worst["error"]:
-            worst.update(error=error, eps=eps, gt=gt, theta=theta, beta=beta.tolist(),
-                         upper=upper, model=label, value=got)
+            worst.update(error=error, eps=eps, gt=gt, theta=theta, beta=beta, upper=upper,
+                         model=label, value=got)
         assert abs(got - ref) <= 1e-13 * max(1, abs(ref))
 
     check()
     print(f"worst line integral against 40-digit mp.quad: {worst}")
+
+
+def test_quotient_slope_is_exact_near_the_dipole_axis():
+    # near the axis with a transverse velocity P(0) >> q1 = k^2 |e_perp|^2: the slope taken
+    # as (P(1/eps) + P(-1/eps))/2 - P(0) read 170.45426245701833, 9.6e-14 relative off
+    mp = pytest.importorskip("mpmath")
+    ref, got = mp_line_integral(mp, CouplingModel.roentgen(), 3.1329000694622797,
+                                np.array([-0.2166568983391678, -0.10057062559127786, 0.0]),
+                                0.09322537066374156, 0.044481944629416494, 2508.9908881665287)
+    assert abs(got - ref) <= 1e-14 * abs(ref), (got, ref)
 
 
 def test_line_integral_inside_a_narrow_line_matches_40_digits():

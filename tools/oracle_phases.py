@@ -5,7 +5,8 @@ runs in milliseconds:
 
     roots     `_secular_roots`, the far set-up of its near/far sums included
     far       that far set-up alone (`cauchy.CauchySums` of the poles)
-    lowner    `_lowner`: the weights z_hat and the eigenvector weights w
+    lowner    `_lowner`: the weights z_hat and the eigenvector weights w, the far
+              set-up of its log sums (`cauchy.CauchySums.far_logs`) included
     modes     `_mode_sums`: the final-state sums S_p
     amps      `_reconstruct` less `_mode_sums`: the recorded atom amplitudes
 
@@ -53,14 +54,14 @@ def phases(k: int, repeat: int) -> dict:
     d, z, _, _ = amplitudes._poles(-system.detunings, system.g)
     n_steps = int(np.ceil(14.0 / 1e-3 / 0.25))
     times = np.append(np.arange(0, n_steps, 100), n_steps) * 0.25
-    sigma, nu, work = amplitudes._secular_roots(d, z)
-    _, w = amplitudes._lowner(d, sigma, nu)
+    sigma, nu, fp, sums, work = amplitudes._secular_roots(d, z)
+    _, w = amplitudes._lowner(sums, sigma, nu, fp)
     mu = sigma + nu
     last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
     out = {
         "roots": _best(lambda: amplitudes._secular_roots(d, z), repeat),
         "far": _best(lambda: cauchy.CauchySums(d, d, np.zeros(d.size), z, True), repeat),
-        "lowner": _best(lambda: amplitudes._lowner(d, sigma, nu), repeat),
+        "lowner": _best(lambda: amplitudes._lowner(sums, sigma, nu, fp), repeat),
         "modes": _best(lambda: amplitudes._mode_sums(d, sigma, nu, last), repeat),
     }
     whole = _best(lambda: amplitudes._reconstruct(d, sigma, nu, w, times), repeat)
