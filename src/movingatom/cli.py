@@ -53,26 +53,20 @@ def _quoted(text: str) -> str:
 
 def _csv(name: str, header, rows) -> tuple[str, bytes]:
     """(name, UTF-8 bytes): each cell a str as the csv module writes it, anything else as
-    %.16e, CRLF line ends. The rows of numbers alone are checked by one np.isfinite and
-    formatted by one `%` over a repeated row format; a row holding text by a format built
-    once per combination of cell types. NumericalError if a number is not finite."""
+    %.16e, CRLF line ends. Each column's kind, text or number, is that of its first-row
+    cell: every number cell is checked by one np.isfinite, and every row is formatted by
+    one `%` over a repeated row format. NumericalError if a number is not finite; a
+    column whose kind changes raises TypeError (text as a number, or a number through
+    `_quoted`) or ValueError (text that is not a number where numbers are), and so does
+    a row of another length."""
     rows = [tuple(row) for row in rows]
-    kinds = [tuple(map(type, row)) for row in rows]
-    text = {k: [issubclass(t, str) for t in k] for k in set(kinds)}
-    plain = [not any(text[k]) for k in kinds]
-    numbers = np.array([row for row, p in zip(rows, plain) if p], dtype=float)
-    if not (np.isfinite(numbers).all() and all(
-            isinstance(v, str) or math.isfinite(v)
-            for row, p in zip(rows, plain) if not p for v in row)):
+    text = [isinstance(v, str) for v in rows[0]] if rows else []
+    numbers = np.array([[v for v, t in zip(r, text, strict=True) if not t] for r in rows], float)
+    if not np.isfinite(numbers).all():
         raise NumericalError(f"{name} would hold a non-finite number")
-    fmt = ",".join(["%.16e"] * (numbers.shape[1] if numbers.ndim == 2 else 0)) + "\r\n"
-    block = iter(((fmt * len(numbers)) % tuple(numbers.ravel().tolist())).splitlines(True))
-    formats = {k: ",".join("%s" if t else "%.16e" for t in text[k]) + "\r\n" for k in text}
-    lines = [",".join(map(_quoted, header)) + "\r\n"]
-    for row, k, p in zip(rows, kinds, plain):
-        lines.append(next(block) if p else formats[k] % tuple(
-            _quoted(v) if isinstance(v, str) else v for v in row))
-    return name, "".join(lines).encode()
+    fmt = ",".join("%s" if t else "%.16e" for t in text) + "\r\n"
+    cells = tuple(_quoted(v) if t else v for row in rows for v, t in zip(row, text))
+    return name, (",".join(map(_quoted, header)) + "\r\n" + (fmt * len(rows)) % cells).encode()
 
 
 def _json(name: str, payload: dict) -> tuple[str, bytes]:

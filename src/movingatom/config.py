@@ -109,7 +109,7 @@ def _unit(value, where):
 _POSITIVE, _NONNEGATIVE = _number("positive"), _number("non-negative")
 
 # Every key of every section: key -> (parser, default). A default of None makes
-# the key optional; any other default also stands in for an explicit null.
+# the key optional; an explicit null is accepted only for such keys.
 _KEYS = {
     "atom": {"mass": (_POSITIVE, None), "omega0": (_POSITIVE, None),
              "gamma0": (_POSITIVE, None), "dipole_moment": (_POSITIVE, None),
@@ -128,7 +128,7 @@ _KEYS = {
     "grid": {"start": (_NONNEGATIVE, 0.8), "stop": (_POSITIVE, 1.2),
              "count": (_integer(2), 241), "spacing": (_choice("linear", "log"), "linear")},
     "scan": {"lambda_min": (_POSITIVE, 1e2), "lambda_max": (_POSITIVE, 1e4),
-             "points": (_integer(2), 16)},
+             "points": (_integer(5), 16)},  # classify_tail fits the last five
     "formfactor": {"kind": (_choice(*Formfactor._KINDS), "none"), "cutoff": (_number(), None)},
     "probability": {"upper_limit": (_POSITIVE, None)},
     "pattern": {"mode": (_choice("golden_rule", "integrated"), "golden_rule"),

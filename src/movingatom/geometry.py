@@ -66,32 +66,19 @@ class PolarizationBasis:
             raise ValueError("basis is left-handed (e1 x e2 . n < 0)")
 
 
-def polarization_basis(n, preferred=None) -> PolarizationBasis:
-    """Build a transverse basis for propagation direction n.
+def polarization_basis(n) -> PolarizationBasis:
+    """The deterministic transverse basis for propagation direction n.
 
-    If `preferred` is given, e1 is its transverse part; a `preferred` that is
-    already a unit vector perpendicular to n is used as e1 unchanged, so
-    callers can pin the gauge exactly. `preferred` parallel to n is rejected.
+    e1 is the normalized transverse part of the coordinate axis least aligned
+    with n, so an axis-aligned n gets the canonical companion axes, and e2 =
+    n x e1. Any other gauge is `rotate_basis(polarization_basis(n), angle)`.
     """
     n = check_unit(n, "n")
-    if preferred is not None:
-        p = np.asarray(preferred, dtype=float)
-        dot = float(np.dot(p, n))
-        transverse = p - dot * n
-        if float(np.linalg.norm(transverse)) < 1e-10:
-            raise ValueError("preferred direction is (nearly) parallel to n")
-        if abs(dot) < _UNIT_TOL and abs(float(np.linalg.norm(p)) - 1.0) < _UNIT_TOL:
-            e1 = p  # exact passthrough: the caller's gauge choice survives bit-for-bit
-        else:
-            e1 = transverse / float(np.linalg.norm(transverse))
-    else:
-        # Start from the coordinate axis least aligned with n; for axis-aligned
-        # n this yields the canonical companion axes.
-        k = int(np.argmin(np.abs(n)))
-        h = np.zeros(3)
-        h[k] = 1.0
-        transverse = h - float(np.dot(h, n)) * n
-        e1 = transverse / float(np.linalg.norm(transverse))
+    k = int(np.argmin(np.abs(n)))
+    h = np.zeros(3)
+    h[k] = 1.0
+    transverse = h - float(np.dot(h, n)) * n
+    e1 = transverse / float(np.linalg.norm(transverse))
     e2 = np.cross(n, e1)
     return PolarizationBasis(e1=e1, e2=e2, n=n)
 

@@ -278,10 +278,11 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled, to one run of integrate_adaptive's levels (for one U, a column per
+    unscaled, to one run of integrate_adaptive's levels up to U (a column per
     direction), which raises NumericalError when they or their integral are not
-    finite. Given `half`, the same packet at half the Hermite order (`_projections`),
-    the sum is redone on it; the change joins the error and must meet
+    finite: a smooth F takes one U, and a ladder of them raises ValueError. Given
+    `half`, the same packet at half the Hermite order (`_projections`), the sum
+    is redone on it; the change joins the error and must meet
     tol * max(1, |I|), which fails for a U inside the Doppler profile (the line
     integral jumps there). NumericalError (from LineFractions.integral) names the
     first U whose value is not finite."""
@@ -306,7 +307,7 @@ def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistributi
 
         # integrate_adaptive's levels as arrays: movbench/tracer.py wraps that function
         # and reads its evaluations and convergence as one number each, not per direction
-        value, error, count, converged = quadrature._levels(rest, 0.0, float(uppers[0]), tol,
+        value, error, count, converged = quadrature._levels(rest, 0.0, uppers.item(), tol,
                                                             max_panels)
         values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0]) + value[..., None])
         errors, evaluations = kappa * error[..., None], weights.size * (1 + count)
@@ -393,12 +394,9 @@ def _describe(cls: TailClassification) -> str:
     return cls.kind
 
 
-_DIVERGENCE_MODELS: tuple[tuple[str, CouplingModel], ...] = (
-    ("roentgen", CouplingModel.roentgen()),
-    ("standard", CouplingModel.standard()),
-    ("roentgen_no_recoil_term",
-     CouplingModel(kind="roentgen", include_recoil_term=False, apply_momentum_shift=True)),
-)
+# their labels, roentgen, standard and roentgen_no_recoil_term, key the report's entries
+_DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(),
+                      CouplingModel(kind="roentgen", include_recoil_term=False))
 
 
 def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
@@ -427,14 +425,14 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     proj, half = _projections(scenario.distribution, n)
 
     entries = {}
-    for label, model in _DIVERGENCE_MODELS:
+    for model in _DIVERGENCE_MODELS:
         values, errors, evaluations, converged = _frequency_integral(
             scenario.with_coupling(model), n, proj, Formfactor.none(), lambdas, tol, max_panels,
             half)
         scan = CutoffScan(lambdas=lambdas, values=values, errors=errors,
                           evaluations=evaluations, converged=bool(converged))
         cls = quadrature.classify_tail(scan)
-        entries[label] = ModelDivergence(scan=scan, classification=cls)
+        entries[model.label] = ModelDivergence(scan=scan, classification=cls)
 
     r = entries["roentgen"].classification
     s = entries["standard"].classification

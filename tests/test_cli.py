@@ -292,6 +292,15 @@ def test_divergence_at_infinite_mass_exits_2(tmp_path, capsys):
     assert "finite mass" in capsys.readouterr().err
 
 
+def test_divergence_on_a_short_cutoff_ladder_exits_2(tmp_path, capsys):
+    # four cutoffs loaded, then the growth-law fit (five points) exited 1 with a traceback
+    cfg = write_config(tmp_path, "scan: {lambda_min: 1.0e+2, lambda_max: 1.0e+4, points: 4}\n")
+    assert run(["divergence", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # one line, no traceback
+    assert line.startswith("configuration error: ") and "scan.points" in line
+    assert not (tmp_path / "x").exists()
+
+
 SUPERLUMINAL = """
     atom: {epsilon: 0.0, gamma_tilde: 1.0e-3}
     geometry: {mode: angles, theta: 90, phi: 0}
@@ -389,10 +398,10 @@ def test_writers_refuse_non_finite_numbers(bad):
 
 def test_csv_rows_match_the_csv_module():
     # the csv module with %.16e numbers, as the writer was: labels that need quoting,
-    # numpy and Python numbers, bools and ints, rows of different cell types
+    # numpy and Python numbers, bools and ints, a negative zero and a subnormal
     rows = [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0),
             ('say "x"', np.float64(2.5), 7), ("line\nbreak", True, np.int64(-3)),
-            ("", 1e300, -0.0), (0.5, "mid", np.float64(1e-320))]
+            ("", 1e300, -0.0), ("tiny", np.float64(1e-320), 1e-320)]
     header = ["model", "cutoff", "value"]
     name, text = cli._csv("t.csv", header, rows)
     ref = io.StringIO(newline="")
@@ -400,6 +409,18 @@ def test_csv_rows_match_the_csv_module():
     writer.writerow(header)
     writer.writerows([v if isinstance(v, str) else "%.16e" % v for v in row] for row in rows)
     assert (name, text) == ("t.csv", ref.getvalue().encode())
+
+
+@pytest.mark.parametrize("row, error", [
+    ((0.5, 2.0), TypeError),  # a number in the text column
+    (("b", "mid"), ValueError),  # text in the number column
+    (("b", "2.0"), TypeError),  # text that reads as a number, in the number column
+    (("b", 2.0, 3.0), ValueError),  # a row of another length
+], ids=["number-as-text", "text-as-number", "numeric-text", "longer-row"])
+def test_csv_column_that_changes_kind_raises(row, error):
+    # each column's kind is the first row's: the writer built a format for each row
+    with pytest.raises(error):
+        cli._csv("t.csv", ["model", "value"], [("a", 1.0), row])
 
 
 def test_writer_formats():

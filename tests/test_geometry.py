@@ -48,32 +48,6 @@ def test_axis_aligned_directions_get_canonical_axes():
     assert np.array_equal(np.cross(basis_x.e1, basis_x.e2), basis_x.n)
 
 
-def test_preferred_vector_passes_through_exactly():
-    n = np.array([0.0, 0.0, 1.0])
-    preferred = np.array([0.6, 0.8, 0.0])
-    basis = polarization_basis(n, preferred=preferred)
-    # bitwise: the caller's vector must be used untouched
-    assert np.array_equal(basis.e1, preferred)
-    assert np.allclose(np.cross(basis.e1, basis.e2), n, atol=1e-15)
-
-
-def test_preferred_parallel_to_n_is_rejected():
-    n = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        polarization_basis(n, preferred=np.array([0.0, 0.0, 1.0]))
-
-
-def test_non_transverse_preferred_is_projected():
-    # Anything not already transverse+unit gets its transverse part, normalized.
-    n = np.array([0.0, 0.0, 1.0])
-    basis = polarization_basis(n, preferred=np.array([0.6, 0.8, 0.1]))
-    assert abs(np.dot(basis.e1, n)) < 1e-15
-    assert np.linalg.norm(basis.e1) == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(basis.e1, [0.6, 0.8, 0.0], atol=1e-15)
-    scaled = polarization_basis(n, preferred=np.array([0.6, 0.7, 0.0]))
-    assert np.linalg.norm(scaled.e1) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_rotate_basis_angle_addition():
     n = random_direction()
     basis = polarization_basis(n)

@@ -8,6 +8,7 @@ from scipy import integrate
 from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile
 
+from movingatom import spectra
 from movingatom.amplitudes import resonance_root
 from movingatom.coupling import CouplingModel, polarization_sum
 from movingatom.geometry import direction_from_angles
@@ -438,6 +439,16 @@ def test_probability_sharp_cutoff_feature_is_seeded():
     res = directional_probability(sc, N_PERP, ff, 10.0)
     res_exact = directional_probability(sc, N_PERP, Formfactor.none(), 3.0)
     assert res.value == pytest.approx(res_exact.value, rel=1e-9)
+
+
+def test_smooth_formfactor_takes_one_upper_limit():
+    # the smooth rest was integrated to the first U only and added at every U: at U = 40
+    # the ladder [20, 40] read 0.12045597, marked converged, against 0.12015991 alone
+    scenario, gauss = make_scenario(), Formfactor(kind="gaussian", cutoff=10.0)
+    proj, half = spectra._projections(scenario.distribution, N_PERP)
+    with pytest.raises(ValueError):
+        spectra._frequency_integral(scenario, N_PERP, proj, gauss, [20.0, 40.0], 1e-9, 4096,
+                                    half)
 
 
 # ---------------------------------------------------------------------------

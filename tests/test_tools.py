@@ -43,3 +43,19 @@ def test_oracle_phases_prints_one_row_per_size(capsys):
     row = lines[1].split()
     assert len(lines) == 2 and row[0] == "641" and row[7] == "4"
     assert all(float(cell) >= 0.0 for cell in row[1:7]) and float(row[8]) <= 1e-11
+
+
+def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):
+    (tmp_path / "a.yaml").write_text("atom: {epsilon: 0.01, gamma_tilde: 0.01}\n"
+                                     "grid: {count: 5}\n")
+    (tmp_path / "b.yaml").write_text("scan: {points: 4}\n")  # fails to load: exit 2
+    digest = _load("cli_digest")
+    args = ["cli_digest.py", str(tmp_path), "spectrum", "divergence"]
+    assert digest.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        ["a.yaml", "spectrum", "exit=0"], ["a.yaml", "divergence", "exit=0"],
+        ["b.yaml", "spectrum", "exit=2"], ["b.yaml", "divergence", "exit=2"]]
+    assert [len(line.split()) for line in lines] == [5, 6, 3, 3]  # files written, manifest too
+    assert digest.main(args) == 0
+    assert capsys.readouterr().out.splitlines() == lines
