@@ -166,34 +166,29 @@ class LineFractions:
 
 def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
     """Partial fractions of w at every delta node of `proj` (wavepacket.project, along one
-    direction n or a stack of them), with P = coupling.conditional_polarization_sum at
-    the poles and at +-1/eps (for q0). The quotient's slope q1, the x^2 coefficient of P
-    over eps^2, is k^2 |e_perp|^2 exactly (`coupling.transverse_dipole`): a difference of
-    P's values would cancel near the dipole axis."""
+    direction n or a stack of them). P = coupling.conditional_polarization_sum is evaluated
+    once, on the points stacked on a new leading axis: the near pole and, for eps > 0, the
+    far pole and +-1/eps, whose real values give q0. The quotient's slope q1, the x^2
+    coefficient of P over eps^2, is k^2 |e_perp|^2 exactly (`coupling.transverse_dipole`):
+    a difference of P's values would cancel near the dipole axis."""
     delta = np.asarray(proj.nodes, dtype=float)
     u = delta - np.asarray(proj.mean)[..., None]
     eps, gt = params.epsilon, params.gamma_tilde
-
-    def gsq(z):
-        q0, q1, q2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
-        return q0 + u * (q1 + u * q2)
-
     b = 1.0 - delta
     c = 0.5j * gt - 1.0  # D(z) = i gt/2  <=>  eps z^2 + b z + c = 0
-
-    def residue(z):
-        return z**3 * gsq(z) / (-1j * gt * (b + 2.0 * eps * z))
-
     near, far = _quadratic_roots(b, eps, c)
-    rn = residue(near)
+    z = near[None] if far is None else np.stack(np.broadcast_arrays(near, far, 1 / eps, -1 / eps))
+    a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
+    p = a0 + u * (a1 + u * a2)  # P at each stacked point
+    residues = z[:2] ** 3 * p[:2] / (-1j * gt * (b + 2.0 * eps * z[:2]))
+    rn = residues[0]
     s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
     if far is None:
         return LineFractions(near, rn, None, None, s0, s1, s0, s1, b, c, eps)
-    h = np.full(delta.shape, 1.0 / eps)
     q1 = np.broadcast_to(recoil_coefficient(model, eps) ** 2
                          * transverse_dipole(n, e_d)[2][..., None], delta.shape)
-    q0 = (0.5 * (gsq(h) - gsq(-h)) - 2.0 * b * q1) / eps
-    return LineFractions(near, rn, far, residue(far), s0, s1, q0, q1, b, c, eps)
+    q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
+    return LineFractions(near, rn, far, residues[1], s0, s1, q0, q1, b, c, eps)
 
 
 def lorentzian_denominator(x, delta, params: DimensionlessParams):

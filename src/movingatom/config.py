@@ -6,8 +6,9 @@ wavepacket, the emission geometry, and the numerical settings. Angles in
 scenario files are degrees; the Python API works in radians throughout.
 
 Every key of every section is declared once, in `_KEYS`, with its parser and
-default. The loader rejects unknown keys at every level (typos should fail
-loudly, not silently fall back to defaults), takes only real true/false for
+default. The loader rejects unknown keys at every level, and keys that a
+section's chosen kind or mode never reads (`_READS`): typos should fail
+loudly, not silently fall back to defaults. It takes only real true/false for
 flags and only finite numbers, and converts everything into the package's
 own dataclasses, so a `ScenarioConfig` that loads at all is ready to run.
 """
@@ -147,6 +148,14 @@ _KEYS = {
     "output": {"directory": (_TEXT, None)},
 }
 _TOP_LEVEL = {"dipole_axis": (_unit, [0.0, 0.0, 1.0]), "seed": (_integer(0), None)}
+# Sections whose kind or mode decides which other keys it reads: section -> (the key
+# that chooses, {choice: the keys it reads}); a choice not listed reads every key.
+_READS = {"distribution": ("kind", {"point": ("beta",), "tabulated": ("file", "direction"),
+                                    "gaussian": ("mean", "sigma", "sigma_along", "covariance",
+                                                 "direction")}),
+          "geometry": ("mode", {"perpendicular": (), "angles": ("theta", "phi"),
+                                "direction": ("direction",)}),
+          "formfactor": ("kind", {"none": ()})}
 
 
 def _check_keys(mapping: dict, allowed, what: str) -> None:
@@ -165,11 +174,17 @@ def _value(mapping: dict, key: str, spec, where: str):
 
 
 def _read(raw: dict, name: str) -> dict:
-    """The section `name` of `raw`, every key of `_KEYS[name]` parsed or defaulted."""
+    """The section `name` of `raw`, every key of `_KEYS[name]` parsed or defaulted;
+    ConfigError for a key that the chosen kind or mode does not read (`_READS`)."""
     section = _section(raw, name)
     _check_keys(section, _KEYS[name], f"'{name}'")
-    return {key: _value(section, key, spec, f"{name}.{key}")
-            for key, spec in _KEYS[name].items()}
+    values = {key: _value(section, key, spec, f"{name}.{key}")
+              for key, spec in _KEYS[name].items()}
+    choose, reads = _READS.get(name, (None, {}))
+    unread = set(section) - {choose, *reads.get(values.get(choose), section)}
+    if unread:
+        raise ConfigError(f"'{name}': {choose} {values[choose]!r} does not read {sorted(unread)}")
+    return values
 
 
 def _need(values: dict, name: str, key: str):

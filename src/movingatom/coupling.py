@@ -219,6 +219,8 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     quadratic. Returns (q0, q1, q2) shaped like x, which may be complex (poles).
     n may be a stack of directions (..., 3) with `proj` projected along it; x
     then has one more axis than the stack (e.g. one row of frequencies per row).
+    x may carry further leading axes (e.g. several points per node, stacked),
+    which broadcast against the per-direction values.
     """
     ed_n, e_perp, a = transverse_dipole(n, e_d)
     x = 1.0 * np.asarray(x)  # real or complex frequencies

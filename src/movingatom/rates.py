@@ -14,7 +14,9 @@ of the energy delta-function:
 (The x*^3 collects the per-photon field strength, proportional to x, and the
 x^2 mode density; the denominator is |d/dx| of the delta-function argument.)
 
-Two variants differ only in where the coupling is evaluated:
+The coupling model says where the coupling is evaluated, through its one
+switch `CouplingModel.apply_momentum_shift`; the two settings are the two
+variants (`VARIANTS`):
 
 * "unshifted": at the pre-emission velocity beta -- the textbook insertion;
 * "shifted":   at beta + 2*eps*x* n, the recoil-shifted velocity that the
@@ -33,7 +35,7 @@ Rates are reported in normalized units where the reference configuration
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,17 +47,7 @@ from .geometry import check_unit
 from .units import DimensionlessParams, Normalization
 from .wavepacket import PointMass, ProjectedDistribution, project, weighted_sum
 
-VARIANTS = ("unshifted", "shifted")
-
-
-def _variant_model(variant: str, model: CouplingModel | None) -> CouplingModel:
-    """`model` with the momentum shift that `variant` asks for."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if model is None:
-        model = CouplingModel.roentgen()
-    return CouplingModel(kind=model.kind, include_recoil_term=model.include_recoil_term,
-                         apply_momentum_shift=variant == "shifted")
+VARIANTS = ("unshifted", "shifted")  # apply_momentum_shift False, True
 
 
 def _rate(delta, x_star, gsq, epsilon: float):
@@ -66,35 +58,32 @@ def _rate(delta, x_star, gsq, epsilon: float):
     return x_star**3 * gsq / jacobian
 
 
-def golden_rule_rates(variant: str, beta, n, e_d, params: DimensionlessParams,
-                      model: CouplingModel | None = None) -> np.ndarray:
-    """Normalized rate at each velocity of a batch beta, shape (..., 3) (a scalar for (3,)).
+def golden_rule_rates(beta, n, e_d, params: DimensionlessParams, model: CouplingModel):
+    """Normalized rate at each velocity of a batch beta, shape (..., 3) (a scalar for (3,)),
+    with the coupling evaluated as `model` says (its own momentum shift included).
 
     The velocity-level reference: the resonance root, shift, coupling and
     Jacobian are evaluated per velocity with coupling.polarization_sum,
     independently of the conditional moments that `golden_rule_mean_rate`,
     the production path, works from.
     """
-    eval_model = _variant_model(variant, model)
     n = check_unit(n, "n")
     e_d = check_unit(e_d, "e_d")
     delta = doppler_projection(beta, n)
     x_star = resonance_root(delta, params.epsilon)
-    gsq = polarization_sum(eval_model, beta, x_star, n, e_d, params.epsilon)
+    gsq = polarization_sum(model, beta, x_star, n, e_d, params.epsilon)
     return _rate(delta, x_star, gsq, params.epsilon)
 
 
-def golden_rule_mean_rate(variant: str, proj: ProjectedDistribution, n, e_d,
-                          params: DimensionlessParams,
-                          model: CouplingModel | None = None):
-    """Normalized rate averaged over a wavepacket seen along n (wavepacket.project):
-    exact given delta (coupling.conditional_polarization_sum), then summed over
-    the projection's delta nodes (Gauss-Hermite for a Gaussian). A float for one
-    direction; for a stack of directions (..., 3), and `proj` projected along
-    it, an array of the stack's shape."""
-    eval_model = _variant_model(variant, model)
+def golden_rule_mean_rate(proj: ProjectedDistribution, n, e_d, params: DimensionlessParams,
+                          model: CouplingModel):
+    """Normalized rate averaged over a wavepacket seen along n (wavepacket.project), under
+    `model` and its own momentum shift: exact given delta
+    (coupling.conditional_polarization_sum), then summed over the projection's delta
+    nodes (Gauss-Hermite for a Gaussian). A float for one direction; for a stack of
+    directions (..., 3), and `proj` projected along it, an array of the stack's shape."""
     x_star = resonance_root(proj.nodes, params.epsilon)
-    q0, q1, q2 = conditional_polarization_sum(eval_model, x_star, n, e_d, params.epsilon, proj)
+    q0, q1, q2 = conditional_polarization_sum(model, x_star, n, e_d, params.epsilon, proj)
     u = proj.nodes - np.asarray(proj.mean)[..., None]
     rates = _rate(proj.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
     return weighted_sum(proj.weights, rates)
@@ -139,8 +128,9 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
     emission direction perpendicular to the dipole:
 
     * column (i): both golden-rule variants (`golden_rule_mean_rate` on the
-      point at rest) -- the energy constraint applied before the mode sum.
-      Finite, and converging to the eps = 0 value.
+      point at rest, with the Roentgen model shifted and unshifted) -- the
+      energy constraint applied before the mode sum. Finite, and converging
+      to the eps = 0 value.
     * column (ii): the frequency-integrated emission probability with no
       formfactor -- the mode sum taken first -- on a cutoff ladder spanning
       `window` in units of 1/eps (the integrand turns over at x ~ 1/eps, so
@@ -160,8 +150,6 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         raise ValueError("epsilons must be positive")
     if any(later >= earlier for earlier, later in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    if window_points < 5:
-        raise ValueError("window_points must be >= 5 for the growth-law fit")
     fixed = np.asarray(sorted(float(c) for c in fixed_cutoffs))
     if not np.all((fixed > 0) & np.isfinite(fixed)):
         raise ValueError("fixed_cutoffs must be positive and finite")
@@ -169,17 +157,18 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
     n = np.array([1.0, 0.0, 0.0])
     e_d = np.array([0.0, 0.0, 1.0])
     model = CouplingModel.roentgen()
+    unshifted = replace(model, apply_momentum_shift=False)
     at_rest = project(PointMass(np.zeros(3)), n)
 
-    def rate(variant: str, params: DimensionlessParams) -> float:
-        return golden_rule_mean_rate(variant, at_rest, n, e_d, params, model)
+    def rate(rate_model: CouplingModel, params: DimensionlessParams) -> float:
+        return golden_rule_mean_rate(at_rest, n, e_d, params, rate_model)
 
-    rate_eps0 = rate("shifted", DimensionlessParams(0.0, gamma_tilde))
+    rate_eps0 = rate(model, DimensionlessParams(0.0, gamma_tilde))
 
     rows: list[LimitOrderingRow] = []
     for eps in eps_list:
         params = DimensionlessParams(epsilon=eps, gamma_tilde=gamma_tilde)
-        r_unshifted, r_shifted = rate("unshifted", params), rate("shifted", params)
+        r_unshifted, r_shifted = rate(unshifted, params), rate(model, params)
         rel = abs(r_shifted - r_unshifted) / r_unshifted
 
         lam_window = np.geomspace(window[0] / eps, window[1] / eps, window_points)

@@ -36,7 +36,7 @@ from .amplitudes import (detuning, line_fractions, lorentzian_denominator, reson
 from .coupling import CouplingModel, conditional_polarization_sum
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
-from .rates import golden_rule_mean_rate, sphere_pattern_value
+from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value
 from .units import DimensionlessParams, Normalization, ParameterError
 from .wavepacket import MomentumDistribution, ProjectedDistribution, expectation, project
 
@@ -447,14 +447,9 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     else:
         rank = {"convergent": 0, "logarithmic": 1, "power": 2}
         strictly = rank[r.kind] > rank[s.kind] or (
-            r.kind == "power" and s.kind == "power"
-            and r.exponent is not None and s.exponent is not None
-            and r.exponent > s.exponent + 0.2)
-        if strictly:
-            verdict = (f"roentgen strictly more divergent than standard: "
-                       f"{_describe(r)} vs {_describe(s)}")
-        else:
-            verdict = (f"no strict divergence ordering: {_describe(r)} vs {_describe(s)}")
+            r.kind == s.kind == "power" and r.exponent > s.exponent + 0.2)
+        verdict = (("roentgen strictly more divergent than standard" if strictly
+                    else "no strict divergence ordering") + f": {_describe(r)} vs {_describe(s)}")
     return DivergenceReport(entries=entries, verdict=verdict, note=note)
 
 
@@ -478,9 +473,11 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     mode "golden_rule": the energy constraint is applied before the mode sum
     (finite for every epsilon); values are (3/8pi) times the normalized rate,
     so the reference configuration integrates to 1 over the sphere. `variant`
-    (rates.VARIANTS) defaults to the scenario coupling's momentum shift. The
-    average over the wavepacket is exact given delta = n.beta, with a
-    40-point Gauss-Hermite rule over delta for a Gaussian (built once).
+    (rates.VARIANTS), if given, sets the scenario coupling's momentum shift
+    (the standard model has none either way); metadata "variant" names the
+    shift in force. The average over the wavepacket is exact given
+    delta = n.beta, with a 40-point Gauss-Hermite rule over delta for a
+    Gaussian (built once).
     Every angle is evaluated in one array pass: one projection of the packet
     onto the stack of directions, one golden-rule sum over its nodes.
 
@@ -496,12 +493,14 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     directions = direction_from_angles(theta, phi, axis=e_d)
 
     if mode == "golden_rule":
-        if variant is None:
-            variant = "shifted" if scenario.coupling.apply_momentum_shift else "unshifted"
+        model = scenario.coupling
+        if variant is not None:
+            if variant not in VARIANTS:
+                raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+            model = replace(model, apply_momentum_shift=variant == "shifted")
         values = sphere_pattern_value(golden_rule_mean_rate(
-            variant, project(scenario.distribution, directions), directions, e_d,
-            scenario.params, scenario.coupling))
-        meta = {"mode": mode, "variant": variant, "phi": phi,
+            project(scenario.distribution, directions), directions, e_d, scenario.params, model))
+        meta = {"mode": mode, "variant": VARIANTS[model.apply_momentum_shift], "phi": phi,
                 "normalization": "reference sphere integral = 1"}
         return PatternResult(theta=theta, values=values, mode=mode, metadata=meta)
 

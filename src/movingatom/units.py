@@ -35,7 +35,7 @@ class PhysicalInput:
     """Laboratory-unit description of the emitter.
 
     dipole_moment is optional; it is only needed for the absolute
-    normalization constant (see :func:`absolute_normalization`).
+    normalization constant (see :meth:`Normalization.absolute`).
     Set ``infinite_mass=True`` to request the recoil-free limit explicitly
     (the stored mass is then ignored for the recoil parameter).
     """

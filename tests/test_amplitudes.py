@@ -9,10 +9,10 @@ from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
                                    flat_band_system, lorentzian_denominator,
                                    perpendicular_kernel, pole_mode_populations,
                                    spectral_kernel)
-from movingatom.coupling import CouplingModel
+from movingatom.coupling import CouplingModel, conditional_polarization_sum
 from movingatom.quadrature import NumericalError
 from movingatom.units import DimensionlessParams
-from movingatom.wavepacket import PointMass, project
+from movingatom.wavepacket import GaussianPacket, PointMass, project
 
 rng = np.random.default_rng(90210)
 
@@ -165,6 +165,16 @@ def test_perturbed_roots_are_flagged(monkeypatch):
     # the bound behind the certificate: |y(T) - y_exact(T)| <= T ||A_hat - A|| (5.5e-7 <= 2.0e-6)
     bound = res.times[-1] * res.extras["backward_error"]
     assert np.linalg.norm(res.final_state - expm_state(sys, res.times[-1])) <= bound
+
+
+def test_uncoupled_band_leaves_the_atom_excited():
+    # every coupling 0: no pole survives deflation, and nothing leaves the atom
+    sys = DiscreteModeSystem(x=np.linspace(0.95, 1.05, 11), g=np.zeros(11))
+    res = discrete_mode_evolution(sys, 100.0, dt=0.5, record_every=20)
+    assert res.extras["poles"] == 0
+    assert np.all(res.atom_population == 1.0)
+    assert np.all(res.mode_populations == 0.0)
+    assert res.norm_ok
 
 
 def test_recording_grid_is_the_stepper_grid():
@@ -460,6 +470,24 @@ def test_line_integral_overflow_names_the_upper_limit(model):
     assert np.all(np.isfinite(lines.integral([1e2, 1e3])))
     with pytest.raises(NumericalError, match=r"up to x = 1e\+200 is not finite"):
         lines.integral([1e2, 1e200, 1e300])
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.0])
+def test_line_fractions_evaluate_the_polarization_sum_once(monkeypatch, eps):
+    # one call on the points stacked on a leading axis: both poles and +-1/eps (it took four,
+    # one per point), or the near pole alone at eps = 0
+    seen = []
+
+    def counted(*args):
+        seen.append(np.shape(args[1]))
+        return conditional_polarization_sum(*args)
+
+    monkeypatch.setattr(amplitudes, "conditional_polarization_sum", counted)
+    n, e_d = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])
+    proj = project(GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3), n)
+    amplitudes.line_fractions(CouplingModel.roentgen(), n, e_d, proj,
+                              DimensionlessParams(epsilon=eps, gamma_tilde=0.01))
+    assert seen == [(4 if eps else 1, proj.nodes.size)]
 
 
 _FUZZ_MODELS = {"roentgen": CouplingModel.roentgen(), "standard": CouplingModel.standard(),

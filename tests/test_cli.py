@@ -512,6 +512,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_spectrum_warns_when_the_grid_misses_the_resonance(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+        atom: {epsilon: 0.01, gamma_tilde: 0.01}
+        grid: {start: 1.5, stop: 2.0, count: 11}
+    """)
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 0
+    err = capsys.readouterr().err
+    assert "warning: x grid has no point within 0.1 of the resonance at x = 0.99" in err
+
+
 def test_argparse_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["spectrum"])  # --config is required
@@ -536,6 +546,22 @@ def test_bad_values_in_any_section_exit_2(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert key in err
+
+
+@pytest.mark.parametrize("text, message", [
+    # each loaded and ran without the key: a packet at rest, no formfactor, perpendicular
+    ("distribution: {kind: gaussian, beta: [0.01, 0, 0], sigma: 1.0e-3}",
+     "'distribution': kind 'gaussian' does not read ['beta']"),
+    ("formfactor: {kind: none, cutoff: 10}", "'formfactor': kind 'none' does not read ['cutoff']"),
+    ("geometry: {mode: perpendicular, theta: 30}",
+     "'geometry': mode 'perpendicular' does not read ['theta']"),
+], ids=["distribution", "formfactor", "geometry"])
+def test_keys_the_chosen_kind_does_not_read_exit_2(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text + "\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_overrides_pass_the_scenario_parsers(tmp_path, capsys):

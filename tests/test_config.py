@@ -112,6 +112,11 @@ def test_gaussian_distribution_variants():
     cov = ranked.scenario.distribution.covariance
     assert cov[0, 0] == pytest.approx(1e-6, rel=1e-12)
     assert cov[1, 1] == 0.0
+    covariance = [[4e-6, 1e-6, 0.0], [1e-6, 2e-6, 0.0], [0.0, 0.0, 1e-6]]
+    full = build_config({"distribution": {"kind": "gaussian", "mean": [1e-3, 0, 0],
+                                          "covariance": covariance}})
+    assert full.scenario.distribution.covariance.tolist() == covariance
+    assert full.scenario.distribution.mean.tolist() == [1e-3, 0.0, 0.0]
     with pytest.raises(ConfigError, match="exactly one"):
         build_config({"distribution": {"kind": "gaussian", "sigma": 1e-3,
                                        "covariance": np.eye(3).tolist()}})

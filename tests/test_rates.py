@@ -7,6 +7,7 @@ from movingatom.amplitudes import resonance_root
 from movingatom.coupling import CouplingModel
 from movingatom.rates import (VARIANTS, golden_rule_mean_rate, golden_rule_rates,
                               limit_ordering_demo, sphere_pattern_value)
+from movingatom.spectra import EmissionScenario, angular_pattern
 from movingatom.units import DimensionlessParams
 from movingatom.wavepacket import PointMass, project
 
@@ -14,6 +15,9 @@ rng = np.random.default_rng(1123)
 
 N_PERP = np.array([1.0, 0.0, 0.0])
 E_D = np.array([0.0, 0.0, 1.0])
+# the Roentgen model at each setting of its momentum shift
+MODELS = {variant: CouplingModel(kind="roentgen", apply_momentum_shift=variant == "shifted")
+          for variant in VARIANTS}
 
 
 def perpendicular_rate(variant, delta, eps):
@@ -73,16 +77,16 @@ def test_resonance_root_rejects_nan_and_negative_epsilon(delta, eps):
 
 def test_reference_rate_is_one():
     params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
-    for variant in VARIANTS:
-        assert golden_rule_rates(variant, np.zeros(3), N_PERP, E_D, params) == 1.0
+    for model in MODELS.values():
+        assert golden_rule_rates(np.zeros(3), N_PERP, E_D, params, model) == 1.0
     assert resonance_root(0.0, params.epsilon) == 1.0
 
 
 def test_variants_coincide_bitwise_at_epsilon_zero():
     params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
     beta = np.array([0.01, -0.03, 0.02])
-    a = golden_rule_rates("unshifted", beta, N_PERP, E_D, params)
-    b = golden_rule_rates("shifted", beta, N_PERP, E_D, params)
+    a = golden_rule_rates(beta, N_PERP, E_D, params, MODELS["unshifted"])
+    b = golden_rule_rates(beta, N_PERP, E_D, params, MODELS["shifted"])
     assert a == b
 
 
@@ -93,7 +97,7 @@ def test_rates_match_independent_closed_form():
         params = DimensionlessParams(epsilon=eps, gamma_tilde=0.01)
         beta = delta * N_PERP + np.array([0.0, float(rng.normal(scale=0.02)), 0.0])
         for variant in VARIANTS:
-            got = golden_rule_rates(variant, beta, N_PERP, E_D, params)
+            got = golden_rule_rates(beta, N_PERP, E_D, params, MODELS[variant])
             want = perpendicular_rate(variant, delta, eps)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -102,8 +106,8 @@ def test_frozen_reference_values():
     # eps = 0.01, beta = 0, perpendicular: values pinned by an independent
     # symbolic evaluation of the closed forms above
     params = DimensionlessParams(epsilon=0.01, gamma_tilde=0.01)
-    f = golden_rule_rates("unshifted", np.zeros(3), N_PERP, E_D, params)
-    fp = golden_rule_rates("shifted", np.zeros(3), N_PERP, E_D, params)
+    f = golden_rule_rates(np.zeros(3), N_PERP, E_D, params, MODELS["unshifted"])
+    fp = golden_rule_rates(np.zeros(3), N_PERP, E_D, params, MODELS["shifted"])
     assert f == pytest.approx(0.97096622, abs=5e-9)
     assert fp == pytest.approx(0.93325883, abs=5e-9)
     assert abs(fp - f) / f == pytest.approx(0.038834915, abs=1e-8)
@@ -114,33 +118,44 @@ def test_vectorized_rates_match_scalar():
     # moments of the projected packet) on each velocity as a point mass
     params = DimensionlessParams(epsilon=0.003, gamma_tilde=0.01)
     betas = rng.normal(scale=0.02, size=(9, 3))
-    for variant in VARIANTS:
-        batch = golden_rule_rates(variant, betas, N_PERP, E_D, params)
+    for model in MODELS.values():
+        batch = golden_rule_rates(betas, N_PERP, E_D, params, model)
         assert batch.shape == (9,)
         for i in range(9):
-            single = golden_rule_mean_rate(variant, project(PointMass(betas[i]), N_PERP),
-                                           N_PERP, E_D, params)
+            single = golden_rule_mean_rate(project(PointMass(betas[i]), N_PERP),
+                                           N_PERP, E_D, params, model)
             assert batch[i] == pytest.approx(single, rel=1e-14)
+
+
+def test_mean_rate_takes_the_momentum_shift_from_the_model():
+    # a variant name once overrode the model: "shifted" on an unshifted model gave 0.72979
+    params = DimensionlessParams(epsilon=0.05, gamma_tilde=0.01)
+    proj = project(PointMass(np.array([0.01, 0.02, 0.0])), N_PERP)
+    for variant, want in (("unshifted", 0.88670), ("shifted", 0.72979)):
+        got = golden_rule_mean_rate(proj, N_PERP, E_D, params, MODELS[variant])
+        assert got == pytest.approx(perpendicular_rate(variant, 0.01, 0.05), rel=1e-14)
+        assert got == pytest.approx(want, abs=5e-6)
 
 
 @pytest.mark.parametrize("beta", [0.0, np.zeros(2), np.zeros((4, 2))])
 def test_reference_rates_need_a_trailing_axis_of_three(beta):
     params = DimensionlessParams(epsilon=0.003, gamma_tilde=0.01)
     with pytest.raises(ValueError, match="trailing axis"):
-        golden_rule_rates("shifted", beta, N_PERP, E_D, params)
+        golden_rule_rates(beta, N_PERP, E_D, params, MODELS["shifted"])
 
 
 def test_variant_names_are_validated():
-    params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
+    # angular_pattern is the one API that still takes the variant's name
+    scenario = EmissionScenario(DimensionlessParams(epsilon=0.0, gamma_tilde=0.01),
+                                CouplingModel.roentgen(), PointMass(np.zeros(3)), E_D)
     with pytest.raises(ValueError, match="variant"):
-        golden_rule_rates("recoiled", np.zeros(3), N_PERP, E_D, params)
+        angular_pattern(scenario, np.linspace(0.0, math.pi, 3), variant="recoiled")
 
 
 def test_model_argument_changes_coupling_not_kinematics():
     params = DimensionlessParams(epsilon=0.01, gamma_tilde=0.01)
-    standard = golden_rule_rates("unshifted", np.zeros(3), N_PERP, E_D, params,
-                                 CouplingModel.standard())
-    roentgen = golden_rule_rates("unshifted", np.zeros(3), N_PERP, E_D, params)
+    standard = golden_rule_rates(np.zeros(3), N_PERP, E_D, params, CouplingModel.standard())
+    roentgen = golden_rule_rates(np.zeros(3), N_PERP, E_D, params, MODELS["unshifted"])
     # same root: standard coupling has bracket 1 instead of (1 + eps x*)
     x = float(resonance_root(0.0, 0.01))
     assert standard == pytest.approx(x**3 / (1 + 2 * 0.01 * x), rel=1e-12)

@@ -351,7 +351,7 @@ def test_narrow_table_meets_a_tight_tolerance():
 @pytest.mark.parametrize("ff", [Formfactor(kind="gaussian", cutoff=10.0),
                                 Formfactor(kind="exponential", cutoff=3.0)],
                          ids=["gaussian", "exponential"])
-@pytest.mark.parametrize("eps", [0.01, 0.05])
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.05])
 def test_smooth_formfactor_matches_quad(ff, eps):
     beta, gt = np.array([0.02, 0.01, -0.03]), 1e-3
     sc = make_scenario(eps=eps, gt=gt, dist=PointMass(beta))
@@ -492,10 +492,11 @@ def test_golden_pattern_matches_tensor_rule(variant):
     sc = make_scenario(eps=0.01, dist=dist)
     theta = np.linspace(0.0, np.pi, 13)
     pat = angular_pattern(sc, theta, variant=variant, phi=0.4)
+    model = CouplingModel(kind="roentgen", apply_momentum_shift=variant == "shifted")
     ref = []
     for t in theta:
         n = direction_from_angles(float(t), 0.4, axis=E_D)
-        rates = lambda b, n=n: golden_rule_rates(variant, b, n, E_D, sc.params, sc.coupling)
+        rates = lambda b, n=n: golden_rule_rates(b, n, E_D, sc.params, model)
         ref.append(sphere_pattern_value(expectation(dist, rates, order=40).value))
     assert np.max(np.abs(pat.values - ref)) <= 1e-12 * max(ref)
 
@@ -513,8 +514,9 @@ def test_golden_pattern_on_degenerate_directions_matches_one_direction_at_a_time
     sc = make_scenario(eps=0.01, dist=dist)
     theta = np.linspace(0.0, np.pi, 37)
     pat = angular_pattern(sc, theta, variant=variant, phi=phi)
-    ref = [sphere_pattern_value(golden_rule_mean_rate(variant, project(dist, n), n, E_D,
-                                                      sc.params, sc.coupling))
+    model = CouplingModel(kind="roentgen", apply_momentum_shift=variant == "shifted")
+    ref = [sphere_pattern_value(golden_rule_mean_rate(project(dist, n), n, E_D, sc.params,
+                                                      model))
            for n in direction_from_angles(theta, phi, axis=E_D)]
     assert np.all(np.isfinite(pat.values))
     np.testing.assert_allclose(pat.values, ref, rtol=1e-14, atol=0.0)

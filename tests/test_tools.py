@@ -59,3 +59,15 @@ def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):
     assert [len(line.split()) for line in lines] == [5, 6, 3, 3]  # files written, manifest too
     assert digest.main(args) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_untested_lines_are_the_function_statements_that_never_ran():
+    source = ('"""module"""\nx = 1\n\n\ndef f(a):\n    """doc"""\n    if a:\n'
+              '        return (a +\n                1)\n    raise ValueError("no")\n\n\n'
+              'def g():\n    def h():\n        """doc"""\n        pass\n    return h\n')
+    # line 9 runs the second line of the return on line 8; module code and docstrings
+    # are not counted, compound statements only through their bodies
+    untested = _load("untested_lines").untested
+    assert untested(source, {7, 9, 14, 17}) == [(10, 'raise ValueError("no")'), (16, "pass")]
+    assert untested(source, set()) == [(8, "return (a +"), (10, 'raise ValueError("no")'),
+                                       (16, "pass"), (17, "return h")]

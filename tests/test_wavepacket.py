@@ -191,8 +191,9 @@ def test_rounding_level_spread_has_the_point_law(nx):
     assert proj.perp_var == pytest.approx(1e-6, rel=1e-15)
     e_d = np.array([0.0, 0.0, 1.0])
     params = DimensionlessParams(epsilon=0.01, gamma_tilde=1e-2)
-    exact = golden_rule_mean_rate("shifted", project(dist, e_d), e_d, e_d, params)
-    assert golden_rule_mean_rate("shifted", proj, n, e_d, params) == pytest.approx(exact, rel=1e-14)
+    model = CouplingModel.roentgen()
+    exact = golden_rule_mean_rate(project(dist, e_d), e_d, e_d, params, model)
+    assert golden_rule_mean_rate(proj, n, e_d, params, model) == pytest.approx(exact, rel=1e-14)
 
 
 def test_hermite_rules_are_built_once_per_order(monkeypatch):
