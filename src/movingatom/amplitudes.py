@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchy import BOX, CauchySums
-from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
+from .coupling import (CouplingModel, bracket, conditional_polarization_sum, doppler_projection,
                        polarization_sum, recoil_coefficient, transverse_dipole)
 from .quadrature import NumericalError
 from .units import DimensionlessParams, ParameterError
@@ -185,7 +185,7 @@ def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessPara
     s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
     if far is None:
         return LineFractions(near, rn, None, None, s0, s1, s0, s1, b, c, eps)
-    q1 = np.broadcast_to(recoil_coefficient(model, eps) ** 2
+    q1 = np.broadcast_to(recoil_coefficient(model) ** 2
                          * transverse_dipole(n, e_d)[2][..., None], delta.shape)
     q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
     return LineFractions(near, rn, far, residues[1], s0, s1, q0, q1, b, c, eps)
@@ -219,10 +219,10 @@ def perpendicular_kernel(x, delta, params: DimensionlessParams,
                          model: CouplingModel | None = None):
     """rho for emission perpendicular to the dipole axis.
 
-    The cross term vanishes (e_d . n = 0), so sum G^2 is the squared bracket
-    (1 - delta + k*eps*x)^2 with k from `recoil_coefficient` (1 for the
-    standard dipole). For the full velocity-dependent model (momentum shift
-    and recoil term on, the default) this is
+    The cross term vanishes (e_d . n = 0), so sum G^2 is the squared
+    `coupling.bracket` 1 - delta + k*eps*x (1 for the standard dipole). For
+    the full velocity-dependent model (momentum shift and recoil term on, the
+    default) this is
 
         rho = x * (1 - delta - eps*x)^2 / ((1 - x(1-delta) - eps*x^2)^2 + gt^2/4),
 
@@ -234,8 +234,8 @@ def perpendicular_kernel(x, delta, params: DimensionlessParams,
     x = np.asarray(x, dtype=float)
     gsq = 1.0
     if model.kind == "roentgen":
-        bracket = 1.0 - delta + recoil_coefficient(model, params.epsilon) * params.epsilon * x
-        gsq = bracket * bracket
+        b = bracket(model, delta, x, params.epsilon)
+        gsq = b * b
     return x * gsq / lorentzian_denominator(x, delta, params)
 
 

@@ -25,7 +25,7 @@ import yaml
 
 from .coupling import CouplingModel
 from .geometry import as_unit, direction_from_angles, polarization_basis
-from .rates import VARIANTS
+from .rates import VARIANTS, with_variant
 from .spectra import EmissionScenario, Formfactor
 from .units import (DimensionlessParams, ParameterError, PhysicalInput,
                     to_dimensionless)
@@ -344,11 +344,8 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     params = _build_params(s["atom"], set(_section(raw, "atom")))
     model = _build_coupling(s["coupling"], set(_section(raw, "coupling")))
     distribution = _build_distribution(s["distribution"], Path(base_dir))
-    try:
-        scenario = EmissionScenario(params=params, coupling=model,
-                                    distribution=distribution, dipole_axis=e_d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = EmissionScenario(params=params, coupling=model, distribution=distribution,
+                                dipole_axis=e_d)  # `_unit` has normalized the axis
     direction, geometry_resolved = _build_direction(s["geometry"], e_d)
     if isinstance(distribution, TabulatedProjection) and not np.allclose(
             distribution.direction, direction, atol=1e-12, rtol=0.0):
@@ -379,7 +376,8 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     if given not in (None, shift) and "momentum_shift" in _section(raw, "coupling"):
         raise ConfigError(f"'pattern.variant' {given!r} contradicts "
                           f"'coupling.momentum_shift' {model.apply_momentum_shift}")
-    s["pattern"]["variant"] = given or shift  # default: the coupling's own momentum shift
+    # default: the coupling's own momentum shift; the standard model has none either way
+    s["pattern"]["variant"] = VARIANTS[with_variant(model, given or shift).apply_momentum_shift]
     lo = s["limit_ordering"]
     eps = lo["epsilons"]
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):

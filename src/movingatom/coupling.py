@@ -27,6 +27,12 @@ exact algebra
 -- the recoil contribution reappears doubled and with opposite sign. That
 sign flip is what the divergence comparison downstream hinges on.
 
+So the bracket is written once, as `bracket`: 1 - delta + k*eps*x with
+delta = n.beta before emission and k = `recoil_coefficient(model)` (+1 from
+the recoil term, -2 from the momentum shift). The closed-form sums and the
+kernels all use it; the shifted velocity itself is written out only in
+`reduced_coupling`, the basis-sum reference the closed form is checked against.
+
 Shapes: `beta` is (3,) or (..., 3); `x` is a scalar or an array whose shape
 broadcasts against the leading beta dimensions. Dot products are written
 componentwise so identical scalar arithmetic is performed regardless of the
@@ -105,13 +111,16 @@ def doppler_projection(beta, n):
     return dot3(beta, np.broadcast_to(np.asarray(n, dtype=float), beta.shape))
 
 
-def recoil_coefficient(model: CouplingModel, epsilon: float) -> float:
-    """k in the bracket 1 - delta + k*eps*x, delta = n.beta before emission:
-    +1 from the recoil term, -2 from the momentum shift (skipped at eps = 0)."""
-    k = 1.0 if model.include_recoil_term else 0.0
-    if model.apply_momentum_shift and epsilon != 0.0:
-        k -= 2.0
-    return k
+def recoil_coefficient(model: CouplingModel) -> float:
+    """k in the bracket 1 - delta + k*eps*x, delta = n.beta before emission: +1 from the
+    recoil term, -2 from the momentum shift. At eps = 0 the product k*eps*x is 0 whatever k."""
+    return float(model.include_recoil_term) - 2.0 * model.apply_momentum_shift
+
+
+def bracket(model: CouplingModel, delta, x, epsilon):
+    """The Doppler-plus-recoil factor 1 - delta + k*eps*x multiplying e_d . e_lambda
+    (roentgen only), delta = n.beta before emission, k = `recoil_coefficient(model)`."""
+    return 1.0 - delta + recoil_coefficient(model) * epsilon * x
 
 
 def shifted_velocity(beta, x, n, epsilon):
@@ -125,21 +134,6 @@ def shifted_velocity(beta, x, n, epsilon):
     return beta + shift
 
 
-def _effective_velocity(model: CouplingModel, beta, x, n, epsilon):
-    # Skipping the no-op shift keeps "shift off" and "epsilon = 0" bitwise identical.
-    if model.apply_momentum_shift and epsilon != 0.0:
-        return shifted_velocity(beta, x, n, epsilon)
-    return _as_beta(beta)
-
-
-def _bracket(model: CouplingModel, beta_eff, x, n, epsilon):
-    """Doppler-plus-recoil factor multiplying e_d . e_lambda (roentgen only)."""
-    doppler = doppler_projection(beta_eff, n)
-    if model.include_recoil_term:
-        return 1.0 - doppler + epsilon * np.asarray(x, dtype=float)
-    return 1.0 - doppler
-
-
 def reduced_coupling(model: CouplingModel, beta, x, n, e_lambda, e_d, epsilon):
     """The dimensionless coupling scalar G for one polarization vector."""
     n = check_unit(n, "n")
@@ -150,10 +144,13 @@ def reduced_coupling(model: CouplingModel, beta, x, n, e_lambda, e_d, epsilon):
     if model.kind == "standard_dipole":
         shape = np.broadcast(beta[..., 0], np.asarray(x, dtype=float)).shape
         return np.full(shape, ed_dot_el) if shape else np.float64(ed_dot_el)
-    beta_eff = _effective_velocity(model, beta, x, n, epsilon)
-    bracket = _bracket(model, beta_eff, x, n, epsilon)
+    # The basis-sum reference: the recoil kick written out, not `bracket`'s k*eps*x.
+    beta_eff = shifted_velocity(beta, x, n, epsilon) if model.apply_momentum_shift else beta
+    b = 1.0 - doppler_projection(beta_eff, n)
+    if model.include_recoil_term:
+        b = b + epsilon * np.asarray(x, dtype=float)
     cross = float(np.dot(e_d, n)) * dot3(beta_eff, np.broadcast_to(e_lambda, beta_eff.shape))
-    return ed_dot_el * bracket + cross
+    return ed_dot_el * b + cross
 
 
 def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
@@ -164,20 +161,21 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
     Two independent evaluation routes are kept on purpose:
 
     * "closed_form": G_lambda = e_lambda . v with
-      v = bracket * e_d + (e_d . n) * beta_eff, so the transverse sum is
-      |v_perp|^2 with v_perp = bracket * e_perp + (e_d . n) * beta_perp,
-      e_perp = e_d - (e_d . n) n. The momentum shift is along n, so beta_perp
-      is the transverse part of the unshifted beta, and nothing cancels when
-      the shift dominates v (as |v|^2 - (n . v)^2 would). No polarization
-      basis is ever constructed.
+      v = b * e_d + (e_d . n) * beta_eff, so the transverse sum is
+      |v_perp|^2 with v_perp = b * e_perp + (e_d . n) * beta_perp
+      (`transverse_dipole`). The momentum shift is along n, so beta_perp is
+      the transverse part of the unshifted beta, and b = `bracket` at
+      delta = n.beta before emission; nothing cancels when the shift
+      dominates v (as |v|^2 - (n . v)^2 would). No polarization basis is
+      ever constructed.
     * "basis_sum": explicit G_1^2 + G_2^2 over a (possibly caller-supplied,
-      arbitrarily rotated) transverse basis.
+      arbitrarily rotated) transverse basis, with the shifted velocity
+      written out (`reduced_coupling`).
 
     Agreement of the two routes is a structural test of the coupling algebra;
     the closed form is the fast path used by the spectral kernels.
     """
     n = check_unit(n, "n")
-    e_d = check_unit(e_d, "e_d")
     if method == "basis_sum":
         if basis is None:
             basis = polarization_basis(n)
@@ -188,13 +186,12 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
         raise ValueError(f"unknown polarization_sum method {method!r}")
 
     beta = _as_beta(beta)
-    ed_n = float(np.dot(e_d, n))
-    e_perp = e_d - ed_n * n  # |e_perp|^2, not 1 - ed_n^2, which cancels near the axis
+    c, e_perp, a = transverse_dipole(n, e_d)
     if model.kind == "standard_dipole":  # a numpy scalar for scalar inputs
-        return np.full(np.broadcast_shapes(beta.shape[:-1], np.shape(x)), dot3(e_perp, e_perp))[()]
-    bracket = _bracket(model, _effective_velocity(model, beta, x, n, epsilon), x, n, epsilon)
-    beta_perp = beta - doppler_projection(beta, n)[..., None] * n
-    v_perp = np.asarray(bracket)[..., None] * e_perp + ed_n * beta_perp
+        return np.full(np.broadcast_shapes(beta.shape[:-1], np.shape(x)), a)[()]
+    delta = doppler_projection(beta, n)
+    v_perp = (np.asarray(bracket(model, delta, x, epsilon))[..., None] * e_perp
+              + c * (beta - delta[..., None] * n))
     return dot3(v_perp, v_perp)
 
 
@@ -232,9 +229,8 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     b0, b1 = dot3(e_perp, m)[row], dot3(e_perp, k)[row]
     c0 = (dot3(m, m) + proj.perp_var)[row]
     c1, c2 = dot3(m, k)[row], dot3(k, k)[row]
-    mean = np.asarray(proj.mean)[row]
-    bracket = 1.0 - mean + recoil_coefficient(model, epsilon) * epsilon * x  # b at u = 0
-    q0 = bracket * (a * bracket + 2.0 * c * b0) + c * c * c0
-    q1 = 2.0 * (c * (bracket * b1 - b0) - a * bracket + c * c * c1)
+    b = bracket(model, np.asarray(proj.mean)[row], x, epsilon)  # at u = 0
+    q0 = b * (a * b + 2.0 * c * b0) + c * c * c0
+    q1 = 2.0 * (c * (b * b1 - b0) - a * b + c * c * c1)
     q2 = np.full_like(x, a - 2.0 * c * b1 + c * c * c2)
     return q0, q1, q2

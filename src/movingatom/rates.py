@@ -50,12 +50,18 @@ from .wavepacket import PointMass, ProjectedDistribution, project, weighted_sum
 VARIANTS = ("unshifted", "shifted")  # apply_momentum_shift False, True
 
 
+def with_variant(model: CouplingModel, variant: str) -> CouplingModel:
+    """`model` with the momentum shift that `variant` (one of VARIANTS) names; the
+    standard model keeps none either way."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return replace(model, apply_momentum_shift=variant == "shifted")
+
+
 def _rate(delta, x_star, gsq, epsilon: float):
-    """x*^3 sum G^2 over the delta-function Jacobian 1 - delta + 2 eps x*."""
-    jacobian = (1.0 - delta) + 2.0 * epsilon * x_star
-    if np.any(jacobian <= 0.0):
-        raise ValueError("vanishing delta-function Jacobian; no isolated emission frequency")
-    return x_star**3 * gsq / jacobian
+    """x*^3 sum G^2 over the delta-function Jacobian 1 - delta + 2 eps x*, which is
+    sqrt((1 - delta)^2 + 4 eps) > 0 at the positive root x* (`resonance_root`)."""
+    return x_star**3 * gsq / ((1.0 - delta) + 2.0 * epsilon * x_star)
 
 
 def golden_rule_rates(beta, n, e_d, params: DimensionlessParams, model: CouplingModel):

@@ -36,7 +36,7 @@ from .amplitudes import (detuning, line_fractions, lorentzian_denominator, reson
 from .coupling import CouplingModel, conditional_polarization_sum
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
-from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value
+from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
 from .units import DimensionlessParams, Normalization, ParameterError
 from .wavepacket import MomentumDistribution, ProjectedDistribution, expectation, project
 
@@ -493,11 +493,7 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     directions = direction_from_angles(theta, phi, axis=e_d)
 
     if mode == "golden_rule":
-        model = scenario.coupling
-        if variant is not None:
-            if variant not in VARIANTS:
-                raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-            model = replace(model, apply_momentum_shift=variant == "shifted")
+        model = scenario.coupling if variant is None else with_variant(scenario.coupling, variant)
         values = sphere_pattern_value(golden_rule_mean_rate(
             project(scenario.distribution, directions), directions, e_d, scenario.params, model))
         meta = {"mode": mode, "variant": VARIANTS[model.apply_momentum_shift], "phi": phi,

@@ -81,10 +81,10 @@ class GaussianPacket:
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
-        if mean.shape != (3,):
-            raise ValueError("GaussianPacket.mean must be a 3-vector")
-        if cov.shape != (3, 3):
-            raise ValueError("GaussianPacket.covariance must be 3x3")
+        if mean.shape != (3,) or not np.all(np.isfinite(mean)):
+            raise ValueError("GaussianPacket.mean must be a finite 3-vector")
+        if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
+            raise ValueError("GaussianPacket.covariance must be a finite 3x3 matrix")
         if not np.allclose(cov, cov.T, atol=1e-14, rtol=1e-10):
             raise ValueError("covariance must be symmetric")
         eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))

@@ -161,6 +161,14 @@ def test_golden_pattern_follows_the_momentum_shift(tmp_path):
     assert texts[0] != texts[1]
 
 
+def test_standard_model_pattern_manifest_reads_unshifted(tmp_path):
+    # the manifest recorded "shifted", while the standard model ran unshifted
+    cfg = write_config(tmp_path, "coupling: {model: standard}\n"
+                       "pattern: {mode: golden_rule, variant: shifted, theta_points: 5}\n")
+    assert run(["pattern", "--config", cfg, "--out", tmp_path / "x"]) == 0
+    assert read_manifest(tmp_path / "x")["resolved"]["pattern"]["variant"] == "unshifted"
+
+
 def test_integrated_pattern_uses_the_panel_budget(tmp_path, capsys):
     # the same integral as `probability`, which meets tol 1e-15 within 65 536 panels
     text = """
@@ -483,6 +491,24 @@ def test_unregularized_requests_exit_4(tmp_path, capsys):
     assert run(["probability", "--config", cfg2, "--out", tmp_path / "y"]) == 4
 
 
+def test_unregularized_standard_pattern_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, "coupling: {model: standard}\npattern: {mode: integrated}\n")
+    assert run(["pattern", "--config", cfg, "--out", tmp_path / "x"]) == 4
+    assert "cutoff-dependent without a formfactor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, message", [
+    ("0.0\n0.001\n", "table table.csv needs two columns: delta, weight"),
+    ("0.0,0.0\n0.001,0.0\n", "table table.csv has zero total weight"),
+], ids=["one-column", "zero-weight"])
+def test_unusable_tables_exit_2(tmp_path, capsys, table, message):
+    (tmp_path / "table.csv").write_text(table)
+    cfg = write_config(tmp_path, "distribution: {kind: tabulated, file: table.csv}\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 def test_probability_with_explicit_limit_is_allowed_without_formfactor(tmp_path):
     # a cutoff-regulated value is a legitimate (cutoff-dependent) request
     cfg = write_config(tmp_path, """
@@ -539,6 +565,7 @@ def test_argparse_errors_exit_2(tmp_path):
     ("limit_ordering: {epsilons: abc}", "limit_ordering.epsilons"),
     ("oracle: {delta: .nan}", "oracle.delta"),
     ("pattern: {phi: .inf}", "pattern.phi"),
+    ("scan: {lambda_min: 1.0e+4, lambda_max: 1.0e+2}", "'scan': lambda_max must exceed"),
 ])
 def test_bad_values_in_any_section_exit_2(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path, text + "\n")

@@ -104,6 +104,12 @@ def test_pattern_variant_follows_the_momentum_shift():
         variant({"momentum_shift": False}, {"variant": "shifted"})
 
 
+def test_standard_model_pattern_variant_reads_unshifted():
+    # a "shifted" request was recorded as given, while the pattern ran unshifted
+    cfg = build_config({"coupling": {"model": "standard"}, "pattern": {"variant": "shifted"}})
+    assert cfg.pattern["variant"] == cfg.resolved["pattern"]["variant"] == "unshifted"
+
+
 def test_gaussian_distribution_variants():
     iso = build_config({"distribution": {"kind": "gaussian", "sigma": 1e-3}})
     assert isinstance(iso.scenario.distribution, GaussianPacket)
@@ -186,6 +192,11 @@ def test_grid_validation():
     log = build_config({"grid": {"start": 0.1, "stop": 10.0, "count": 5,
                                  "spacing": "log"}})
     assert np.allclose(np.diff(np.log(log.x_grid)), np.log(100.0) / 4, atol=1e-12)
+
+
+def test_integral_float_count_loads_as_an_integer():
+    cfg = build_config({"grid": {"count": 21.0}})
+    assert cfg.x_grid.size == 21 and type(cfg.resolved["grid"]["count"]) is int
 
 
 def test_formfactor_errors_become_config_errors():

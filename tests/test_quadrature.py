@@ -193,6 +193,18 @@ def test_classify_tail_convergent_by_cauchy():
     assert classify_tail(scan).kind == "convergent"
 
 
+@pytest.mark.parametrize("cumulative, kind, reason", [
+    ([0.0] * 6, "convergent", "noise floor"),
+    ([1.0, 2.0, 3.0, 2.5, 4.0, 5.0], "ambiguous", "non-positive increments"),
+    ([0.0, 0.0, 1.0, 1.5, 2.0, 3.0], "ambiguous", "neither"),
+])
+def test_classify_tail_fallbacks(cumulative, kind, reason):
+    cls = classify_tail(_exact_scan(np.geomspace(1e2, 1e4, 6), np.array(cumulative)))
+    assert cls.kind == kind and reason in cls.details["reason"]
+    if reason == "neither":  # flat increments, but the logarithmic fit falls short
+        assert cls.log_r_squared == pytest.approx(0.98, abs=1e-12)
+
+
 def test_classify_tail_needs_enough_points():
     scan = cutoff_scan(lambda x: np.asarray(x, dtype=float), [10., 20., 40., 80.],
                        tol=1e-10)

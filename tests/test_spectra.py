@@ -531,6 +531,12 @@ def test_pattern_integrated_requires_formfactor():
         angular_pattern(sc, theta, Formfactor.none(), mode="integrated")
 
 
+def test_pattern_integrated_standard_model_is_cutoff_dependent_without_formfactor():
+    sc = make_scenario(model=CouplingModel.standard())
+    with pytest.raises(PhysicsRejection, match="cutoff-dependent without a formfactor"):
+        angular_pattern(sc, np.linspace(0.0, np.pi, 5), mode="integrated")
+
+
 def test_pattern_integrated_with_formfactor():
     sc = make_scenario()
     theta = np.linspace(0.0, np.pi, 7)

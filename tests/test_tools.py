@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -71,3 +73,11 @@ def test_untested_lines_are_the_function_statements_that_never_ran():
     assert untested(source, {7, 9, 14, 17}) == [(10, 'raise ValueError("no")'), (16, "pass")]
     assert untested(source, set()) == [(8, "return (a +"), (10, 'raise ValueError("no")'),
                                        (16, "pass"), (17, "return h")]
+
+
+def test_line_fuzz_prints_the_count_over_the_bound_and_the_worst_draw(capsys):
+    pytest.importorskip("mpmath")
+    assert _load("line_fuzz").main(["line_fuzz.py", "--draws", "3"]) == 0
+    count, worst = capsys.readouterr().out.splitlines()
+    assert count == "draws 3  seed 1  over 1e-13: 0"
+    assert worst.startswith("worst ") and "model=roentgen_no_recoil_term eps=0.02" in worst

@@ -60,6 +60,19 @@ def test_covariance_validation():
         GaussianPacket(mean=np.zeros(3), covariance=asym)
 
 
+def test_gaussian_packet_requires_finite_input():
+    # a NaN mean constructed, and a NaN or inf covariance was called asymmetric
+    cov = 1e-6 * np.eye(3)
+    for mean in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="mean must be a finite 3-vector"):
+            GaussianPacket(mean=np.array(mean), covariance=cov)
+    for bad in (np.nan, np.inf):
+        broken = cov.copy()
+        broken[1, 1] = bad
+        with pytest.raises(ValueError, match="covariance must be a finite 3x3 matrix"):
+            GaussianPacket(mean=np.zeros(3), covariance=broken)
+
+
 def test_tabulated_projection_checks_direction():
     direction = np.array([1.0, 0.0, 0.0])
     tab = TabulatedProjection(delta=np.array([-0.01, 0.0, 0.01]),
@@ -91,6 +104,16 @@ def test_expectation_point_mass_is_exact():
     beta = np.array([0.01, 0.0, -0.02])
     res = expectation(PointMass(beta), lambda b: b[:, 0] + 2 * b[:, 2])
     assert res.value == 0.01 - 0.04
+    assert res.error == 0.0
+
+
+def test_expectation_zero_covariance_packet_is_one_node_at_the_mean():
+    mean = np.array([0.01, -0.02, 0.005])
+    dist = GaussianPacket(mean=mean, covariance=np.zeros((3, 3)))
+    nodes, weights = gaussian_nodes(dist)
+    assert np.array_equal(nodes, mean[None, :]) and np.array_equal(weights, [1.0])
+    res = expectation(dist, lambda b: b[:, 0] + 2 * b[:, 2])
+    assert res.value == 0.01 + 2 * 0.005
     assert res.error == 0.0
 
 
