@@ -204,7 +204,9 @@ def spectral_kernel(model: CouplingModel, x, n, beta, params: DimensionlessParam
 
     The factor x is the per-photon field strength squared (proportional to
     omega); the mode-count factor x^2 is *not* included here -- emission
-    integrands are x^2 * rho (see the spectra module).
+    integrands are x^2 * rho (see the spectra module). sum G^2 is the basis sum
+    coupling.polarization_sum, so this reference (the `full3d` oracle) shares no
+    coupling algebra with `line_fractions` or the production spectra.
 
     Broadcasts over beta (..., 3) and x like the coupling module.
     """

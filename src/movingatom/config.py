@@ -275,13 +275,15 @@ def _load_table(path: Path) -> np.ndarray:
     if not path.is_file():
         raise ConfigError(f"tabulated distribution file not found: {path}")
     skip = 0
-    with open(path) as fh:
-        first = fh.readline().strip()
-    head = first.split(",")[0].strip()
-    try:
-        float(head)
-    except ValueError:
-        skip = 1  # header row
+    with open(path) as fh:  # a header is the first line with data, after comments and blanks
+        for number, line in enumerate(fh, start=1):
+            text = line.split("#")[0].strip()
+            if text:
+                try:
+                    float(text.split(",")[0])
+                except ValueError:
+                    skip = number  # every line through the header row
+                break
     try:
         arr = np.loadtxt(path, delimiter=",", comments="#", skiprows=skip, ndmin=2)
     except ValueError as exc:

@@ -29,9 +29,13 @@ sign flip is what the divergence comparison downstream hinges on.
 
 So the bracket is written once, as `bracket`: 1 - delta + k*eps*x with
 delta = n.beta before emission and k = `recoil_coefficient(model)` (+1 from
-the recoil term, -2 from the momentum shift). The closed-form sums and the
-kernels all use it; the shifted velocity itself is written out only in
-`reduced_coupling`, the basis-sum reference the closed form is checked against.
+the recoil term, -2 from the momentum shift). Sum G^2 has one closed form,
+the production `conditional_polarization_sum` (exact given delta over a
+wavepacket's projection); it and `amplitudes.perpendicular_kernel` use the
+bracket. The reference is `polarization_sum`, the explicit sum over a
+polarization basis of `reduced_coupling`, which writes the shifted velocity
+out and shares none of that algebra. The references `amplitudes.spectral_kernel`
+(the `full3d` oracle) and `rates.golden_rule_rates` are built on it.
 
 Shapes: `beta` is (3,) or (..., 3); `x` is a scalar or an array whose shape
 broadcasts against the leading beta dimensions. Dot products are written
@@ -154,45 +158,26 @@ def reduced_coupling(model: CouplingModel, beta, x, n, e_lambda, e_d, epsilon):
 
 
 def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
-                     method: str = "closed_form",
+                     method: str = "basis_sum",
                      basis: PolarizationBasis | None = None):
-    """Sum of G^2 over the two transverse polarizations.
+    """Sum of G^2 over the two transverse polarizations: the reference.
 
-    Two independent evaluation routes are kept on purpose:
-
-    * "closed_form": G_lambda = e_lambda . v with
-      v = b * e_d + (e_d . n) * beta_eff, so the transverse sum is
-      |v_perp|^2 with v_perp = b * e_perp + (e_d . n) * beta_perp
-      (`transverse_dipole`). The momentum shift is along n, so beta_perp is
-      the transverse part of the unshifted beta, and b = `bracket` at
-      delta = n.beta before emission; nothing cancels when the shift
-      dominates v (as |v|^2 - (n . v)^2 would). No polarization basis is
-      ever constructed.
-    * "basis_sum": explicit G_1^2 + G_2^2 over a (possibly caller-supplied,
-      arbitrarily rotated) transverse basis, with the shifted velocity
-      written out (`reduced_coupling`).
-
-    Agreement of the two routes is a structural test of the coupling algebra;
-    the closed form is the fast path used by the spectral kernels.
+    G_1^2 + G_2^2 over an explicit transverse basis (`polarization_basis(n)`, or a
+    caller-supplied, arbitrarily rotated one), each G from `reduced_coupling` with
+    the shifted velocity written out. It calls none of `bracket`,
+    `recoil_coefficient`, `transverse_dipole` or `conditional_polarization_sum`,
+    the closed form every production path uses, so it checks that form (ACC-01)
+    and serves the references built on it (`amplitudes.spectral_kernel`,
+    `rates.golden_rule_rates`). "basis_sum" is the one `method`.
     """
+    if method != "basis_sum":
+        raise ValueError(f"unknown polarization_sum method {method!r}; expected 'basis_sum'")
     n = check_unit(n, "n")
-    if method == "basis_sum":
-        if basis is None:
-            basis = polarization_basis(n)
-        g1 = reduced_coupling(model, beta, x, n, basis.e1, e_d, epsilon)
-        g2 = reduced_coupling(model, beta, x, n, basis.e2, e_d, epsilon)
-        return g1 * g1 + g2 * g2
-    if method != "closed_form":
-        raise ValueError(f"unknown polarization_sum method {method!r}")
-
-    beta = _as_beta(beta)
-    c, e_perp, a = transverse_dipole(n, e_d)
-    if model.kind == "standard_dipole":  # a numpy scalar for scalar inputs
-        return np.full(np.broadcast_shapes(beta.shape[:-1], np.shape(x)), a)[()]
-    delta = doppler_projection(beta, n)
-    v_perp = (np.asarray(bracket(model, delta, x, epsilon))[..., None] * e_perp
-              + c * (beta - delta[..., None] * n))
-    return dot3(v_perp, v_perp)
+    if basis is None:
+        basis = polarization_basis(n)
+    g1 = reduced_coupling(model, beta, x, n, basis.e1, e_d, epsilon)
+    g2 = reduced_coupling(model, beta, x, n, basis.e2, e_d, epsilon)
+    return g1 * g1 + g2 * g2
 
 
 def transverse_dipole(n, e_d):

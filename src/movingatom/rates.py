@@ -69,9 +69,10 @@ def golden_rule_rates(beta, n, e_d, params: DimensionlessParams, model: Coupling
     with the coupling evaluated as `model` says (its own momentum shift included).
 
     The velocity-level reference: the resonance root, shift, coupling and
-    Jacobian are evaluated per velocity with coupling.polarization_sum,
-    independently of the conditional moments that `golden_rule_mean_rate`,
-    the production path, works from.
+    Jacobian are evaluated per velocity, the coupling by the basis sum
+    coupling.polarization_sum. It shares no coupling algebra with
+    `golden_rule_mean_rate`, the production path, which works from the
+    conditional moments.
     """
     n = check_unit(n, "n")
     e_d = check_unit(e_d, "e_d")

@@ -59,7 +59,7 @@ class PhysicalInput:
             warnings.warn(
                 f"gamma0 = {self.gamma0:g} >= omega0 = {self.omega0:g}: "
                 "outside the narrow-line regime; spectral results are formal only",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
 
@@ -72,9 +72,9 @@ class DimensionlessParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if not (math.isfinite(self.gamma_tilde) and self.gamma_tilde > 0):
-            raise ParameterError(f"gamma_tilde must be > 0, got {self.gamma_tilde!r}")
+            raise ParameterError(f"gamma_tilde must be finite and > 0, got {self.gamma_tilde!r}")
 
 
 def to_dimensionless(inp: PhysicalInput) -> DimensionlessParams:

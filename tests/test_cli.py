@@ -509,6 +509,19 @@ def test_unusable_tables_exit_2(tmp_path, capsys, table, message):
     assert "configuration error" in err and message in err
 
 
+@pytest.mark.parametrize("preamble", ["# deltas along x\n", "\n"], ids=["comment", "blank"])
+def test_table_header_after_a_comment_or_blank_line(tmp_path, preamble):
+    # the header was sniffed on the first physical line only: "could not convert 'delta'"
+    rows = "delta,weight\n-0.01,1.0\n0.0,2.0\n0.01,1.0\n"
+    outputs = []
+    for name, table in (("plain", rows), ("preamble", preamble + rows)):
+        (tmp_path / "table.csv").write_text(table)
+        cfg = write_config(tmp_path, "distribution: {kind: tabulated, file: table.csv}\n")
+        assert run(["spectrum", "--config", cfg, "--out", tmp_path / name]) == 0
+        outputs.append((tmp_path / name / "spectrum.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_probability_with_explicit_limit_is_allowed_without_formfactor(tmp_path):
     # a cutoff-regulated value is a legitimate (cutoff-dependent) request
     cfg = write_config(tmp_path, """
@@ -566,6 +579,10 @@ def test_argparse_errors_exit_2(tmp_path):
     ("oracle: {delta: .nan}", "oracle.delta"),
     ("pattern: {phi: .inf}", "pattern.phi"),
     ("scan: {lambda_min: 1.0e+4, lambda_max: 1.0e+2}", "'scan': lambda_max must exceed"),
+    ("atom: 5", "'atom' must be a mapping, got int"),
+    # the recoil parameter hbar omega0 / (2 M c^2) overflows to inf
+    ("atom: {mass: 1.0e-300, omega0: 1.0e+300, gamma0: 1.0}",
+     "'atom': epsilon must be finite and >= 0, got inf"),
 ])
 def test_bad_values_in_any_section_exit_2(tmp_path, capsys, text, key):
     cfg = write_config(tmp_path, text + "\n")

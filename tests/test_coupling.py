@@ -1,9 +1,10 @@
 """Property tests for the reduced coupling and its polarization sum.
 
-The closed-form sum and the explicit two-polarization sum are independent
-code paths (one uses transversality algebraically, the other sums squares
-over a concrete basis); agreeing to near machine precision over random
-geometries is the main structural check on the coupling layer.
+The closed form `conditional_polarization_sum` and the explicit
+two-polarization sum `polarization_sum` are independent code paths (one uses
+transversality algebraically, the other sums squares over a concrete basis);
+agreeing to near machine precision over random geometries is the main
+structural check on the coupling layer.
 """
 
 import numpy as np
@@ -87,7 +88,8 @@ def test_standard_coupling_is_pure_projection():
 
 
 def test_closed_form_equals_basis_sum():
-    # the headline identity, over random geometries and all model variants
+    # the headline identity, over random geometries and all model variants: the
+    # closed form at a point mass (q0 at u = 0) against the explicit basis sum
     models = [
         CouplingModel.roentgen(),
         CouplingModel.standard(),
@@ -101,9 +103,9 @@ def test_closed_form_equals_basis_sum():
         beta = rng.normal(scale=0.05, size=3)
         x = rng.uniform(0.1, 5.0)
         eps = rng.uniform(0.0, 0.05)
-        closed = float(polarization_sum(model, beta, x, n, e_d, eps))
-        summed = float(polarization_sum(model, beta, x, n, e_d, eps,
-                                        method="basis_sum"))
+        closed = float(conditional_polarization_sum(model, x, n, e_d, eps,
+                                                    project(PointMass(beta), n))[0])
+        summed = float(polarization_sum(model, beta, x, n, e_d, eps))
         assert abs(closed - summed) <= 1e-13 * max(1.0, abs(closed))
 
 
@@ -115,8 +117,9 @@ def test_closed_form_keeps_precision_when_the_shift_dominates():
     e_d = np.array([0.0, 0.0, 1.0])
     beta = np.array([0.0, 1e-3, 0.0])
     model = CouplingModel.roentgen()
-    closed = float(polarization_sum(model, beta, 100.0, n, e_d, 0.01))
-    summed = float(polarization_sum(model, beta, 100.0, n, e_d, 0.01, method="basis_sum"))
+    closed = float(conditional_polarization_sum(model, 100.0, n, e_d, 0.01,
+                                                project(PointMass(beta), n))[0])
+    summed = float(polarization_sum(model, beta, 100.0, n, e_d, 0.01))
     assert closed == pytest.approx(5e-7, rel=1e-13)  # c^2 |beta_perp|^2, c = e_d.n
     assert abs(closed - summed) <= 1e-13 * summed
 
@@ -151,6 +154,8 @@ def test_polarization_sum_gauge_invariance():
         val = float(polarization_sum(model, beta, 1.3, n, e_d, 0.01,
                                      method="basis_sum", basis=rot))
         assert val == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(ValueError, match="basis_sum"):  # the closed form is not a method
+        polarization_sum(model, beta, 1.3, n, e_d, 0.01, method="closed_form")
 
 
 def test_perpendicular_momentum_shift_flips_and_doubles():

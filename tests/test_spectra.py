@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -8,9 +10,10 @@ from scipy import integrate
 from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile
 
+import movingatom
 from movingatom import spectra
-from movingatom.amplitudes import resonance_root
-from movingatom.coupling import CouplingModel, polarization_sum
+from movingatom.amplitudes import perpendicular_kernel, resonance_root, spectral_kernel
+from movingatom.coupling import CouplingModel, conditional_polarization_sum, polarization_sum
 from movingatom.geometry import direction_from_angles
 from movingatom.quadrature import NumericalError
 from movingatom.rates import golden_rule_mean_rate, golden_rule_rates, sphere_pattern_value
@@ -131,6 +134,8 @@ def test_tabulated_spectrum_is_weighted_mixture():
              for d in deltas]
     expected = weights[0] * parts[0] + weights[1] * parts[1] + weights[2] * parts[2]
     assert np.allclose(mixed.w, expected, rtol=1e-12)
+    slow = directional_spectrum(sc, N_PERP, x, method="full3d")  # the table's velocity nodes
+    assert np.max(np.abs(mixed.w - slow.w) / np.abs(slow.w)) < 1e-8
 
 
 def test_gaussian_doppler_average_converges():
@@ -244,6 +249,58 @@ def test_full3d_reports_unresolved_narrow_line():
     x = 1.0 + np.linspace(-2.5 * sigma, 2.5 * sigma, 11)
     with pytest.raises(NumericalError, match="full3d"):
         directional_spectrum(sc, N_PERP, x, method="full3d")
+
+
+# The coupling algebra of the production paths; the references must run without it.
+PRODUCTION_ALGEBRA = ("bracket", "recoil_coefficient", "transverse_dipole",
+                      "conditional_polarization_sum", "line_fractions")
+
+
+def _stub_production_algebra(monkeypatch):
+    """Replace every PRODUCTION_ALGEBRA name, in every movingatom module that binds it,
+    by a stub that raises; returns the number of bindings replaced."""
+    def stub(*args, **kwargs):
+        raise AssertionError("a reference reached the production coupling algebra")
+
+    count = 0
+    for info in pkgutil.iter_modules(movingatom.__path__):
+        module = importlib.import_module(f"movingatom.{info.name}")
+        for name in PRODUCTION_ALGEBRA:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stub)
+                count += 1
+    return count
+
+
+def test_references_share_no_coupling_algebra_with_production(monkeypatch):
+    model, eps = CouplingModel.roentgen(), 0.01
+    n = np.array([0.48, 0.6, 0.64]) / np.linalg.norm([0.48, 0.6, 0.64])
+    beta = np.array([0.02, 0.015, -0.01])
+    dists = [PointMass(beta), GaussianPacket.isotropic(np.array([0.002, -0.001, 0.0015]), 1e-3),
+             TabulatedProjection(delta=np.array([-0.02, 0.0, 0.03]),
+                                 weights=np.array([0.2, 0.5, 0.3]), direction=n)]
+    scenarios = [make_scenario(eps=eps, dist=dist) for dist in dists]
+    x = np.linspace(0.9, 1.1, 9)
+    # production first
+    exact = [directional_spectrum(sc, n, x).w for sc in scenarios]
+    packet = dists[1]
+    mean_rate = golden_rule_mean_rate(project(packet, n), n, E_D, scenarios[0].params, model)
+    closed_sum = conditional_polarization_sum(model, x, n, E_D, eps, project(PointMass(beta), n))[0]
+    perpendicular = perpendicular_kernel(x, beta[0], scenarios[0].params)
+
+    assert _stub_production_algebra(monkeypatch) >= len(PRODUCTION_ALGEBRA)
+    with pytest.raises(AssertionError, match="production coupling algebra"):
+        directional_spectrum(scenarios[0], n, x)
+    for sc, want in zip(scenarios, exact):
+        got = directional_spectrum(sc, n, x, method="full3d", order=20).w
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
+    rates = expectation(packet, lambda b: golden_rule_rates(b, n, E_D, scenarios[0].params,
+                                                            model), order=40).value
+    assert abs(rates - mean_rate) <= 1e-12 * mean_rate
+    kernel = spectral_kernel(model, x, N_PERP, beta[0] * N_PERP, scenarios[0].params, E_D)
+    assert np.allclose(kernel, perpendicular, rtol=1e-12, atol=0.0)
+    summed = polarization_sum(model, beta, x, n, E_D, eps)
+    assert np.all(np.abs(summed - closed_sum) <= 1e-13 * np.maximum(1.0, np.abs(closed_sum)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,4 +80,4 @@ def test_line_fuzz_prints_the_count_over_the_bound_and_the_worst_draw(capsys):
     assert _load("line_fuzz").main(["line_fuzz.py", "--draws", "3"]) == 0
     count, worst = capsys.readouterr().out.splitlines()
     assert count == "draws 3  seed 1  over 1e-13: 0"
-    assert worst.startswith("worst ") and "model=roentgen_no_recoil_term eps=0.02" in worst
+    assert worst.startswith("worst ") and "model=roentgen eps=0.0 gt=3.826" in worst

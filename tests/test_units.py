@@ -40,8 +40,9 @@ def test_validation_names_the_field():
 
 
 def test_overdamped_input_warns():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="narrow-line") as record:
         PhysicalInput(mass=1e-27, omega0=1e15, gamma0=2e15)
+    assert record[0].filename == __file__  # the caller, not the dataclass's __init__
 
 
 def test_dimensionless_validation():
@@ -49,6 +50,10 @@ def test_dimensionless_validation():
         DimensionlessParams(epsilon=-0.1, gamma_tilde=0.01)
     with pytest.raises(ParameterError):
         DimensionlessParams(epsilon=0.01, gamma_tilde=0.0)
+    with pytest.raises(ParameterError, match="epsilon must be finite and >= 0, got inf"):
+        DimensionlessParams(epsilon=math.inf, gamma_tilde=0.01)
+    with pytest.raises(ParameterError, match="gamma_tilde must be finite and > 0, got inf"):
+        DimensionlessParams(epsilon=0.01, gamma_tilde=math.inf)
 
 
 def test_reference_normalization_value():

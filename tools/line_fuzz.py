@@ -6,10 +6,11 @@ digits: `mp_line_integral` of tests/test_amplitudes.py, loaded from its file.
 The error is |I - I_ref| / max(1, |I_ref|), the bound of that file's
 hypothesis fuzz. Draw i, from `numpy.random.default_rng(SEED)` in this order:
 
-    eps   = 0 when i is a multiple of 6, else 10^U(-5, -1)
-    gt    = 10^U(-4, -1),  theta = U(0, pi),  beta = U(-0.3, 0.3)^3,
+    eps   = 0 when i is a multiple of 6, else 10^U(-9, -1)
+    gt    = 10^U(-8, -1),  theta = U(0, pi),  beta = U(-0.3, 0.3)^3,
     U     = 10^U(-0.5, 3.5),  model = sorted(_FUZZ_MODELS)[i mod 3]
 
+The ranges reach the hydrogen-like scale of the paper (eps ~ 1e-8, gt ~ 4e-8).
 It prints the number of draws whose error exceeds 1e-13, and the worst draw.
 Needs mpmath; 400 draws take a few minutes.
 
@@ -45,8 +46,8 @@ def draws(count: int, seed: int, labels: list[str]):
     """(model label, eps, gt, theta, beta, U) for each draw, in the order of the docstring."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        eps = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-5.0, -1.0)
-        gt, theta = 10.0 ** rng.uniform(-4.0, -1.0), rng.uniform(0.0, math.pi)
+        eps = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-9.0, -1.0)
+        gt, theta = 10.0 ** rng.uniform(-8.0, -1.0), rng.uniform(0.0, math.pi)
         beta, upper = rng.uniform(-0.3, 0.3, 3), 10.0 ** rng.uniform(-0.5, 3.5)
         yield labels[i % len(labels)], eps, gt, theta, beta, upper
 
