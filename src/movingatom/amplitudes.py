@@ -28,7 +28,7 @@ validate the pole approximation end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,22 +81,29 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _log_tail(z, u):
+def _log_tail(z, u, log):
     """sum_{k>=3} t^k/k = -log(1 - t) - t - t^2/2 with t = u/z (its series below |t| = 1/4,
-    where the closed form cancels); int_0^u dx/(x - z) = log(1 - u/z) = log((z - u)/z)."""
+    where the closed form cancels), given log = log(1 - u/z) = log((z - u)/z), which is
+    int_0^u dx/(x - z). A form that no t takes is not evaluated."""
     t = u / z
     small = np.abs(t) < 0.25
+    closed = None if small.all() else -log - t * (1.0 + 0.5 * t)
+    if not small.any():
+        return closed
     ts = np.where(small, t, 0.0)
     series = np.full_like(ts, 1.0 / 30.0)
     for k in range(29, 2, -1):
         series = 1.0 / k + ts * series
-    return np.where(small, ts**3 * series, -np.log((z - u) / z) - t * (1.0 + 0.5 * t))
+    return ts**3 * series if closed is None else np.where(small, ts**3 * series, closed)
 
 
 @dataclass(frozen=True, eq=False)
 class LineFractions:
     """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node, in partial fractions; nodes
-    are the last axis, (N,) for one direction or (..., N) for a stack of them.
+    are the last axis, (N,) for one direction or (..., N) for a stack of them. Built for
+    several coupling models, the residues, s0, s1, q0 and q1 carry a leading model axis,
+    and so does every value below: the poles, and with them every logarithm, belong to
+    the kinematics alone and are evaluated once for all models.
 
     The poles are the roots z of D(z) = i gt/2 (conjugates carry conjugate
     residues), with residues r = z^3 P(z) / (i gt D'(z)): the near pole over
@@ -119,6 +126,13 @@ class LineFractions:
     c: complex
     epsilon: float
 
+    def at(self, nodes: slice) -> "LineFractions":
+        """The fractions at the nodes that `nodes` selects on the last axis."""
+        if nodes == slice(None):
+            return self
+        return LineFractions(*(v[..., nodes] if np.ndim(v) else v
+                               for v in (getattr(self, f.name) for f in fields(self))))
+
     def near_integral(self, upper, factor=1.0):
         """int_0^U 2 Re[factor r_near / (x - z_near)] = 2 Re[factor r_near log((z - U)/z)] per
         node and U (a new last axis). z is rounded at ulp(x*), while |z - U| nears gt/2 inside
@@ -126,36 +140,45 @@ class LineFractions:
         with U b split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
         u, near, b = np.asarray(upper, dtype=float), self.near[..., None], self.b[..., None]
         close = np.abs(near - u) < 0.5 * np.abs(near)
-        uc = np.where(close, u, 0.0)  # 0 away from the line: nothing there overflows
-        p, e = _two_product(uc, b)
-        gap = -((p + self.c) + e + self.epsilon * uc * uc) / (b + self.epsilon * (uc + near))
-        gap = np.where(close, gap, near - u)
+        gap = near - u
+        if close.any():
+            uc = np.where(close, u, 0.0)  # 0 away from the line: nothing there overflows
+            p, e = _two_product(uc, b)
+            gap = np.where(close, -((p + self.c) + e + self.epsilon * uc * uc)
+                           / (b + self.epsilon * (uc + near)), gap)
         return 2.0 * np.real((factor * self.near_residue)[..., None] * np.log(gap / near))
 
     def smooth(self, x):
-        """s(x) per node at real points x (a new last axis)."""
+        """s(x) per node at real points x (a new last axis): the Taylor form inside |x| <
+        |z_far|, the direct one outside, and only a form that some point takes."""
         x = np.asarray(x, dtype=float)[None, :]
-        taylor = self.s0[..., None] + self.s1[..., None] * x
         if self.far is None:
-            return taylor
+            return self.s0[..., None] + self.s1[..., None] * x
         far, rf = self.far[..., None], self.far_residue[..., None]
+        inside = np.abs(x / far) < 1.0
+        taylor = (lambda: self.s0[..., None] + self.s1[..., None] * x
+                  + 2.0 * np.real(rf / (far * far) * (x * x / (x - far))))
+        if inside.all():
+            return taylor()
         direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * np.real(rf / (x - far))
-        taylor = taylor + 2.0 * np.real(rf / (far * far) * (x * x / (x - far)))
-        return np.where(np.abs(x / far) < 1.0, taylor, direct)
+        return np.where(inside, taylor(), direct) if inside.any() else direct
 
     def integral(self, upper):
-        """int_0^U w per node and upper limit U (a new last axis), in closed form. It runs under
-        np.errstate, since the quadratic term overflows as U grows and np.where evaluates
-        both branches; NumericalError names the first U whose value is not finite."""
+        """int_0^U w per node and upper limit U (a new last axis), in closed form, per model
+        first when built for several: one model is the case without that axis, through the
+        same code, and the logarithms are taken once for all. It runs under np.errstate,
+        since the quadratic term overflows as U grows and np.where evaluates both branches;
+        NumericalError names the first U whose value is not finite."""
         u = np.asarray(upper, dtype=float)[None, :]
         with np.errstate(all="ignore"):
             taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
             if self.far is not None:
                 far, rf = self.far[..., None], self.far_residue[..., None]
+                log = np.log((far - u) / far)  # both forms take it
                 direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
-                          + 2.0 * np.real(rf * np.log((far - u) / far)))
+                          + 2.0 * np.real(rf * log))
                 taylor = np.where(np.abs(u / far) < 1.0,
-                                  taylor - 2.0 * np.real(rf * _log_tail(far, u)), direct)
+                                  taylor - 2.0 * np.real(rf * _log_tail(far, u, log)), direct)
             values = taylor + self.near_integral(upper)
         bad = np.flatnonzero(~np.isfinite(values).reshape(-1, u.size).all(axis=0))
         if bad.size:
@@ -164,13 +187,15 @@ class LineFractions:
         return values
 
 
-def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
+def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
     """Partial fractions of w at every delta node of `proj` (wavepacket.project, along one
-    direction n or a stack of them). P = coupling.conditional_polarization_sum is evaluated
-    once, on the points stacked on a new leading axis: the near pole and, for eps > 0, the
-    far pole and +-1/eps, whose real values give q0. The quotient's slope q1, the x^2
-    coefficient of P over eps^2, is k^2 |e_perp|^2 exactly (`coupling.transverse_dipole`):
-    a difference of P's values would cancel near the dipole axis."""
+    direction n or a stack of them), for one CouplingModel or a sequence of them, which
+    share the poles and stack their own fields on a leading axis (see LineFractions).
+    P = coupling.conditional_polarization_sum is evaluated once per model, on the points
+    stacked on a new leading axis: the near pole and, for eps > 0, the far pole and
+    +-1/eps, whose real values give q0. The quotient's slope q1, the x^2 coefficient of P
+    over eps^2, is k^2 |e_perp|^2 exactly (`coupling.transverse_dipole`): a difference of
+    P's values would cancel near the dipole axis."""
     delta = np.asarray(proj.nodes, dtype=float)
     u = delta - np.asarray(proj.mean)[..., None]
     eps, gt = params.epsilon, params.gamma_tilde
@@ -178,17 +203,27 @@ def line_fractions(model: CouplingModel, n, e_d, proj, params: DimensionlessPara
     c = 0.5j * gt - 1.0  # D(z) = i gt/2  <=>  eps z^2 + b z + c = 0
     near, far = _quadratic_roots(b, eps, c)
     z = near[None] if far is None else np.stack(np.broadcast_arrays(near, far, 1 / eps, -1 / eps))
-    a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
-    p = a0 + u * (a1 + u * a2)  # P at each stacked point
-    residues = z[:2] ** 3 * p[:2] / (-1j * gt * (b + 2.0 * eps * z[:2]))
-    rn = residues[0]
-    s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
-    if far is None:
-        return LineFractions(near, rn, None, None, s0, s1, s0, s1, b, c, eps)
-    q1 = np.broadcast_to(recoil_coefficient(model) ** 2
-                         * transverse_dipole(n, e_d)[2][..., None], delta.shape)
-    q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
-    return LineFractions(near, rn, far, residues[1], s0, s1, q0, q1, b, c, eps)
+    cube, slope = z[:2] ** 3, -1j * gt * (b + 2.0 * eps * z[:2])  # r = z^3 P(z) / slope
+    e_perp_sq = transverse_dipole(n, e_d)[2][..., None]
+
+    def fields(model):
+        a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
+        p = a0 + u * (a1 + u * a2)  # P at each stacked point
+        residues = cube * p[:2] / slope
+        rn = residues[0]
+        s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
+        if far is None:
+            return rn, None, s0, s1, s0, s1
+        q1 = np.broadcast_to(recoil_coefficient(model) ** 2 * e_perp_sq, delta.shape)
+        q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
+        return rn, residues[1], s0, s1, q0, q1
+
+    if isinstance(models, CouplingModel):
+        rn, rf, s0, s1, q0, q1 = fields(models)
+    else:
+        rn, rf, s0, s1, q0, q1 = (None if f[0] is None else np.stack(f)
+                                  for f in zip(*map(fields, models)))
+    return LineFractions(near, rn, far, rf, s0, s1, q0, q1, b, c, eps)
 
 
 def lorentzian_denominator(x, delta, params: DimensionlessParams):

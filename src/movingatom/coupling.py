@@ -215,7 +215,9 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     c0 = (dot3(m, m) + proj.perp_var)[row]
     c1, c2 = dot3(m, k)[row], dot3(k, k)[row]
     b = bracket(model, np.asarray(proj.mean)[row], x, epsilon)  # at u = 0
-    q0 = b * (a * b + 2.0 * c * b0) + c * c * c0
+    # np.multiply, not *: above 256 KB numpy reuses the temporary as T *= b, and a
+    # complex product's rounding depends on the operand order
+    q0 = np.multiply(b, a * b + 2.0 * c * b0) + c * c * c0
     q1 = 2.0 * (c * (b * b1 - b0) - a * b + c * c * c1)
     q2 = np.full_like(x, a - 2.0 * c * b1 + c * c * c2)
     return q0, q1, q2

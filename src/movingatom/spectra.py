@@ -38,7 +38,8 @@ from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
 from .units import DimensionlessParams, Normalization, ParameterError
-from .wavepacket import MomentumDistribution, ProjectedDistribution, expectation, project
+from .wavepacket import (MomentumDistribution, ProjectedDistribution, expectation, hermite_nodes,
+                         project)
 
 # Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
 # ~ |zeta|^2 eps_mach); there no Gauss-Hermite delta node nears the pole.
@@ -60,9 +61,6 @@ class EmissionScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dipole_axis", check_unit(self.dipole_axis, "dipole_axis"))
-
-    def with_coupling(self, model: CouplingModel) -> "EmissionScenario":
-        return replace(self, coupling=model)
 
     @property
     def kappa(self) -> float:
@@ -258,66 +256,74 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     return SpectralResult(direction=n, x=x_grid, w=w, error=err, metadata=metadata)
 
 
-def _projections(dist: MomentumDistribution, n):
-    """The law of delta along n (one direction or a stack) at the default Hermite order
-    and, for a Gaussian, at half that order (the order check of `_frequency_integral`),
-    else None."""
-    proj = project(dist, n)
-    return proj, project(dist, n, order=proj.weights.size // 2) if proj.kind == "gaussian" else None
+def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDistribution,
+                        formfactor: Formfactor, uppers, tol: float, max_panels: int):
+    """kappa * E[int_0^U F w] over the delta nodes of proj (the packet seen along n: one
+    direction, or the rows of a stack), per model (one CouplingModel, or a sequence of
+    them: a leading model axis), direction and U (last axis): values and errors, and per
+    model and direction evaluations (line integrals plus rule points, per node) and
+    convergence.
 
-
-def _frequency_integral(scenario: EmissionScenario, n, proj: ProjectedDistribution,
-                        formfactor: Formfactor, uppers, tol: float, max_panels: int,
-                        half: ProjectedDistribution | None = None):
-    """kappa * E[int_0^U F w] over the delta nodes of proj, per direction of n (one, or
-    the rows of a stack) and per U (last axis): values and errors, and per direction
-    evaluations (line integrals plus rule points, per node) and convergence.
+    One `line_fractions` build serves every model and, for a Gaussian, both Hermite
+    orders: proj's nodes with those of the same packet at half the order appended, the
+    order check. Each order's weighted sum is taken apart at the end; the half order's
+    change joins the error and must meet tol * max(1, |I|), which fails for a U inside
+    the Doppler profile (the line integral jumps there).
 
     Under a formfactor every U is clamped to its reach (suggested_upper_limit),
     past which F < e^-60: the dropped tail, and any line lying there, is damped
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled, to one run of integrate_adaptive's levels up to U (a column per
-    direction), which raises NumericalError when they or their integral are not
-    finite: a smooth F takes one U, and a ladder of them raises ValueError. Given
-    `half`, the same packet at half the Hermite order (`_projections`), the sum
-    is redone on it; the change joins the error and must meet
-    tol * max(1, |I|), which fails for a U inside the Doppler profile (the line
-    integral jumps there). NumericalError (from LineFractions.integral) names the
-    first U whose value is not finite."""
+    unscaled, to one run of integrate_adaptive's levels up to U (a column per order,
+    model and direction), which raises NumericalError when they or their integral are
+    not finite: a smooth F takes one U, and a ladder of them raises ValueError.
+    NumericalError (from LineFractions.integral) names the first U whose value is not
+    finite."""
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
-    lines = line_fractions(scenario.coupling, n, scenario.dipole_axis, proj, scenario.params)
-    kappa, weights = scenario.kappa, proj.weights
+    rules, blocks = [proj.weights], [slice(None)]
+    if proj.kind == "gaussian":  # the order check: the same law at half the order
+        nodes, weights = hermite_nodes(proj.mean, proj.sigma, proj.weights.size // 2)
+        rules, blocks = [proj.weights, weights], [slice(-weights.size), slice(-weights.size, None)]
+        # line_fractions reads the nodes, not the weights
+        proj = replace(proj, nodes=np.concatenate((proj.nodes, nodes), axis=-1))
+    lines = line_fractions(models, n, scenario.dipole_axis, proj, scenario.params)
+
+    def sums(a):  # each order's weighted sum over the node axis (second last), stacked first
+        return np.stack([w @ a[..., block, :] for w, block in zip(rules, blocks)])
+
     if formfactor.kind in ("none", "sharp"):
-        values = kappa * (weights @ lines.integral(uppers))
-        errors, evaluations, converged = np.zeros_like(values), weights.size * uppers.size, True
+        values = scenario.kappa * sums(lines.integral(uppers))
+        errors, counts, converged = np.zeros_like(values), (uppers.size,) * len(rules), True
     else:
-        z = lines.near[..., None]
-        f_near = np.exp(formfactor._exponent(z))
+        f_near = np.exp(formfactor._exponent(lines.near[..., None]))
 
-        def rest(x):
-            slope = formfactor._slope(x, z)
+        def rest(weights, part, f_z, x):
+            z = part.near[..., None]
             # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
-            quotient = f_near * np.expm1(slope * (x - z)) / (x - z)
-            return weights @ (formfactor(x) * lines.smooth(x)
-                              + 2.0 * np.real(lines.near_residue[..., None] * quotient))
+            quotient = f_z * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
+            return weights @ (formfactor(x) * part.smooth(x)
+                              + 2.0 * np.real(part.near_residue[..., None] * quotient))
 
+        # each order's rest on its own nodes: temporaries over both orders' nodes at once
+        # would raise the peak memory of a large stack of directions by half
+        parts = [(w, lines.at(block), f_near[..., block, :]) for w, block in zip(rules, blocks)]
         # integrate_adaptive's levels as arrays: movbench/tracer.py wraps that function
         # and reads its evaluations and convergence as one number each, not per direction
-        value, error, count, converged = quadrature._levels(rest, 0.0, uppers.item(), tol,
-                                                            max_panels)
-        values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0]) + value[..., None])
-        errors, evaluations = kappa * error[..., None], weights.size * (1 + count)
-    if half is not None:
-        coarse, _, more, ok = _frequency_integral(scenario, n, half, formfactor, uppers, tol,
-                                                  max_panels)
-        gap = np.abs(values - coarse)
-        errors, evaluations = errors + gap, evaluations + more
-        converged = ok & converged & np.all(gap <= tol * np.maximum(1.0, np.abs(values)), axis=-1)
-    return values, errors, evaluations, converged
+        value, error, count, done = quadrature._levels(
+            lambda x: np.stack([rest(*part, x) for part in parts]), 0.0, uppers.item(), tol,
+            max_panels)
+        values = scenario.kappa * (sums(lines.near_integral(uppers, f_near[..., 0]))
+                                   + value[..., None])
+        errors, counts, converged = scenario.kappa * error[..., None], 1 + count, done.all(axis=0)
+    evaluations = sum(w.size * k for w, k in zip(rules, counts))
+    if len(rules) == 2:  # a Gaussian: the half order's change joins the error
+        gap = np.abs(values[0] - values[1])
+        errors += gap
+        converged = converged & np.all(gap <= tol * np.maximum(1.0, np.abs(values[0])), axis=-1)
+    return values[0], errors[0], evaluations, np.broadcast_to(converged, values.shape[1:-1])
 
 
 def directional_probability(scenario: EmissionScenario, n, formfactor: Formfactor,
@@ -328,7 +334,9 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     n is one direction (3,) or a stack of them (..., 3), computed together (one
     projection, one closed form per node, one run of the quadrature levels); a stack
     gives every field of the result per direction, each as a call on that direction
-    alone would.
+    alone would. A Gaussian's half-order check shares that pass: its nodes join the
+    closed form, and its rest is a second column of the same levels
+    (`_frequency_integral`).
 
     The formfactor multiplies the squared coupling, hence w exactly once. At
     each delta node (point mass, table row, or Gauss-Hermite node) the integral
@@ -342,17 +350,23 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     the value grows with upper_limit (see `divergence_comparison`); under a
     formfactor an upper_limit past its suggested_upper_limit integrates to that.
     ParameterError unless upper_limit is finite and above the resonance at the
-    mean delta (along every direction of a stack); NumericalError when the value
-    is not finite (it overflowed).
+    mean delta (along every direction of a stack), naming the formfactor when its
+    reach, short of the resonance, is where the integral would stop; NumericalError
+    when the value is not finite (it overflowed).
     """
     n = check_unit(n, "n", stacked=True)
-    proj, half = _projections(scenario.distribution, n)
+    proj = project(scenario.distribution, n)
     x_star = float(np.max(resonance_root(proj.mean, scenario.params.epsilon)))
     if not (math.isfinite(upper_limit) and upper_limit > x_star):
+        reach = math.inf if formfactor.kind == "none" else formfactor.suggested_upper_limit()
+        if reach <= upper_limit < math.inf:  # the integral would stop at the reach
+            raise ParameterError(f"the {formfactor.kind} formfactor with cutoff "
+                                 f"{formfactor.cutoff:g} reaches x = {reach:.6g}, which must "
+                                 f"exceed the resonance at x = {x_star:.6g}")
         raise ParameterError(f"upper_limit {upper_limit!r} must be finite and exceed the "
                              f"resonance at x = {x_star:.6g}")
     values, errors, evaluations, converged = _frequency_integral(
-        scenario, n, proj, formfactor, [float(upper_limit)], tol, max_panels, half)
+        scenario, scenario.coupling, n, proj, formfactor, [float(upper_limit)], tol, max_panels)
     return QuadratureResult(values[..., 0], errors[..., 0], evaluations, converged)
 
 
@@ -413,7 +427,10 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     its tolerance or a fit was ambiguous.
 
     Each cutoff is closed form per delta node (see `directional_probability`):
-    point masses and tables scan exactly, with errors 0. `max_panels` has no
+    point masses and tables scan exactly, with errors 0. The three models and,
+    for a Gaussian, both Hermite orders are one `_frequency_integral` pass: the
+    poles and logarithms, which the models share, are evaluated once, and each
+    model's scan equals, bit for bit, one computed alone. `max_panels` has no
     effect here; it stays because movbench/worker.py passes it.
     """
     n = check_unit(n, "n")
@@ -422,15 +439,14 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     lambdas = np.asarray(quadrature.geometric_cutoffs() if lambdas is None else lambdas, dtype=float)
     if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
         raise ValueError("cutoffs must be finite and positive")
-    proj, half = _projections(scenario.distribution, n)
+    values, errors, evaluations, converged = _frequency_integral(
+        scenario, _DIVERGENCE_MODELS, n, project(scenario.distribution, n), Formfactor.none(),
+        lambdas, tol, max_panels)
 
     entries = {}
-    for model in _DIVERGENCE_MODELS:
-        values, errors, evaluations, converged = _frequency_integral(
-            scenario.with_coupling(model), n, proj, Formfactor.none(), lambdas, tol, max_panels,
-            half)
-        scan = CutoffScan(lambdas=lambdas, values=values, errors=errors,
-                          evaluations=evaluations, converged=bool(converged))
+    for i, model in enumerate(_DIVERGENCE_MODELS):
+        scan = CutoffScan(lambdas=lambdas, values=values[i], errors=errors[i],
+                          evaluations=evaluations, converged=bool(converged[i]))
         cls = quadrature.classify_tail(scan)
         entries[model.label] = ModelDivergence(scan=scan, classification=cls)
 

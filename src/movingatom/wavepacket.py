@@ -222,10 +222,17 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
         return ProjectedDistribution(kind="point", sigma=np.zeros(batch)[()], nodes=mean[..., None],
                                      weights=np.ones(1), **moments)
     sigma = np.where(live, np.sqrt(var), 0.0)
+    nodes, weights = hermite_nodes(mean, sigma, order)
+    return ProjectedDistribution(kind="gaussian", sigma=sigma, nodes=nodes, weights=weights,
+                                 **moments)
+
+
+def hermite_nodes(mean, sigma, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `order`-point Gauss-Hermite nodes (a new last axis) and weights of
+    delta ~ N(mean, sigma^2), mean and sigma shaped like a stack of directions: a
+    Gaussian's rule in `project`, and the same law at another order."""
     t, w = _hermite_rule(order)
-    return ProjectedDistribution(kind="gaussian", sigma=sigma,
-                                 nodes=mean[..., None] + np.sqrt(2.0) * sigma[..., None] * t,
-                                 weights=w / np.sqrt(np.pi), **moments)
+    return mean[..., None] + np.sqrt(2.0) * sigma[..., None] * t, w / np.sqrt(np.pi)
 
 
 def gaussian_nodes(dist: GaussianPacket, order: int = 40) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -490,14 +492,39 @@ def test_line_fractions_evaluate_the_polarization_sum_once(monkeypatch, eps):
     assert seen == [(4 if eps else 1, proj.nodes.size)]
 
 
+def _far_forms(lines, x):
+    """s(x) as both far-pole forms evaluated everywhere and one kept per point (np.where)."""
+    far, rf, x = lines.far[..., None], lines.far_residue[..., None], np.asarray(x)[None, :]
+    taylor = lines.s0[..., None] + lines.s1[..., None] * x
+    taylor = taylor + 2.0 * np.real(rf / (far * far) * (x * x / (x - far)))
+    direct = lines.q0[..., None] + lines.q1[..., None] * x + 2.0 * np.real(rf / (x - far))
+    return np.where(np.abs(x / far) < 1.0, taylor, direct)
+
+
+@pytest.mark.parametrize("x, unused", [
+    (np.linspace(0.0, 90.0, 7), "q0"),  # |z_far| ~ 100: inside only, the direct form unused
+    (np.linspace(120.0, 900.0, 7), "s0"),  # outside only, the Taylor form unused
+    (np.linspace(0.0, 900.0, 7), None),  # both sides
+], ids=["inside", "outside", "both"])
+def test_smooth_evaluates_only_the_far_forms_it_uses(x, unused):
+    n, e_d = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0]]), np.array([0.0, 0.0, 1.0])
+    proj = project(GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3), n)
+    lines = amplitudes.line_fractions(CouplingModel.roentgen(), n, e_d, proj,
+                                      DimensionlessParams(0.01, 0.01))
+    assert np.array_equal(lines.smooth(x), _far_forms(lines, x))
+    if unused:  # a form that no point takes is not evaluated: its coefficient may be absent
+        assert np.array_equal(dataclasses.replace(lines, **{unused: None}).smooth(x),
+                              _far_forms(lines, x))
+
+
 _FUZZ_MODELS = {"roentgen": CouplingModel.roentgen(), "standard": CouplingModel.standard(),
                 "roentgen_no_recoil_term": CouplingModel(kind="roentgen", include_recoil_term=False)}
 
 
 def mp_line_integral(mp, model, theta, beta, eps, gt, upper):
     """int_0^U x^3 P(x) / (D^2 + gt^2/4) dx for a point mass in 40-digit mpmath, and the
-    closed form's value (`line_fractions(...).integral`), n = (sin theta, 0, cos theta),
-    e_d = z.
+    closed form's value (`line_fractions(...).integral` of the three _FUZZ_MODELS built
+    together, at `model`), n = (sin theta, 0, cos theta), e_d = z.
 
     The reference integrand is built from the geometry: P = |b e_perp + c beta_perp|^2
     with c = e_d.n, the bracket b = 1 - delta + k eps x and k = (+1 for the recoil term)
@@ -508,8 +535,9 @@ def mp_line_integral(mp, model, theta, beta, eps, gt, upper):
     """
     n, e_d = np.array([np.sin(theta), 0.0, np.cos(theta)]), np.array([0.0, 0.0, 1.0])
     proj = project(PointMass(beta), n)
-    got = float(amplitudes.line_fractions(model, n, e_d, proj, DimensionlessParams(eps, gt))
-                .integral([upper])[0, 0])
+    models = tuple(_FUZZ_MODELS.values())  # built together, as divergence_comparison does
+    got = float(amplitudes.line_fractions(models, n, e_d, proj, DimensionlessParams(eps, gt))
+                .integral([upper])[models.index(model), 0, 0])
     mp.mp.dps = 40
     nv, bv = [mp.mpf(v) for v in n], [mp.mpf(v) for v in beta]
     delta, c = mp.mpf(float(proj.nodes[0])), nv[2]

@@ -290,7 +290,27 @@ def test_upper_limit_below_the_line_exits_2(tmp_path, capsys, section):
     cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n" + section + "\n")
     assert run(["probability", "--config", cfg, "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "upper_limit 0.5" in err
+    named = "upper_limit 0.5" if section.startswith("probability") else "sharp formfactor"
+    assert "configuration error" in err and named in err
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("probability", "formfactor: {kind: sharp, cutoff: 0.5}",
+     "the sharp formfactor with cutoff 0.5 reaches x = 0.5,"),
+    ("probability", "formfactor: {kind: exponential, cutoff: 1.0e-3}",
+     "the exponential formfactor with cutoff 0.001 reaches x = 0.06,"),
+    ("pattern", "formfactor: {kind: sharp, cutoff: 0.5}\npattern: {mode: integrated}",
+     "the sharp formfactor with cutoff 0.5 reaches x = 0.5,"),
+], ids=["probability-sharp", "probability-exponential", "pattern-sharp"])
+def test_limit_set_by_the_formfactor_is_named_as_such(tmp_path, capsys, command, section,
+                                                       message):
+    # no upper_limit in the file, whose limit is the formfactor's reach: the message named an
+    # "upper_limit 0.5" (or 0.06, 60 cutoffs) that the file never sets
+    cfg = write_config(tmp_path, "atom: {epsilon: 0.01, gamma_tilde: 0.01}\n" + section + "\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: ") and message in line
+    assert "upper_limit" not in line and "resonance at x = 0.990195" in line
 
 
 def test_divergence_at_infinite_mass_exits_2(tmp_path, capsys):

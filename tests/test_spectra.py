@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -11,7 +12,7 @@ from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile
 
 import movingatom
-from movingatom import spectra
+from movingatom import amplitudes, quadrature, spectra
 from movingatom.amplitudes import perpendicular_kernel, resonance_root, spectral_kernel
 from movingatom.coupling import CouplingModel, conditional_polarization_sum, polarization_sum
 from movingatom.geometry import direction_from_angles
@@ -477,7 +478,7 @@ def test_packet_scan_matches_quadrature_of_the_exact_spectrum():
                          ("standard", CouplingModel.standard())):
         scan = report.entries[label].scan
         assert scan.converged
-        variant = sc.with_coupling(model)
+        variant = dataclasses.replace(sc, coupling=model)
 
         def f(x):
             return sc.kappa * directional_spectrum(variant, N_45, np.array([x])).w[0]
@@ -502,10 +503,126 @@ def test_smooth_formfactor_takes_one_upper_limit():
     # the smooth rest was integrated to the first U only and added at every U: at U = 40
     # the ladder [20, 40] read 0.12045597, marked converged, against 0.12015991 alone
     scenario, gauss = make_scenario(), Formfactor(kind="gaussian", cutoff=10.0)
-    proj, half = spectra._projections(scenario.distribution, N_PERP)
+    proj = project(scenario.distribution, N_PERP)
     with pytest.raises(ValueError):
-        spectra._frequency_integral(scenario, N_PERP, proj, gauss, [20.0, 40.0], 1e-9, 4096,
-                                    half)
+        spectra._frequency_integral(scenario, scenario.coupling, N_PERP, proj, gauss,
+                                    [20.0, 40.0], 1e-9, 4096)
+
+
+DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(), NO_RECOIL_TERM)
+
+
+def per_model_reference(scenario, model, n, formfactor, uppers, tol=1e-9, max_panels=4096):
+    """`spectra._frequency_integral` as it was computed one model and one Hermite order at a
+    time: a `line_fractions(model, ...)` build and its `integral` (or a `_levels` run of the
+    smooth rest) per order, the half order redone on its own projection."""
+    uppers = np.asarray(uppers, dtype=float)
+    if formfactor.kind != "none":
+        uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
+
+    def one(proj):
+        lines = amplitudes.line_fractions(model, n, scenario.dipole_axis, proj, scenario.params)
+        kappa, weights = scenario.kappa, proj.weights
+        if formfactor.kind in ("none", "sharp"):
+            values = kappa * (weights @ lines.integral(uppers))
+            return values, np.zeros_like(values), weights.size * uppers.size, True
+        z = lines.near[..., None]
+        f_near = np.exp(formfactor._exponent(z))
+
+        def rest(x):
+            quotient = f_near * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
+            return weights @ (formfactor(x) * lines.smooth(x)
+                              + 2.0 * np.real(lines.near_residue[..., None] * quotient))
+
+        value, error, count, converged = quadrature._levels(rest, 0.0, uppers.item(), tol,
+                                                            max_panels)
+        values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0])
+                          + value[..., None])
+        return values, kappa * error[..., None], weights.size * (1 + count), converged
+
+    proj = project(scenario.distribution, n)
+    values, errors, evaluations, converged = one(proj)
+    if proj.kind == "gaussian":
+        coarse, _, more, ok = one(project(scenario.distribution, n, order=proj.weights.size // 2))
+        gap = np.abs(values - coarse)
+        errors, evaluations = errors + gap, evaluations + more
+        converged = ok & converged & np.all(gap <= tol * np.maximum(1.0, np.abs(values)), axis=-1)
+    return values, errors, evaluations, converged
+
+
+N_TABLE = direction_from_angles(1.1, 0.3, axis=E_D)
+EQUIVALENCE_PACKETS = {
+    "point": PointMass(np.array([2e-3, -1e-3, 5e-4])),
+    "table": TabulatedProjection(direction=N_TABLE, delta=np.array([-2e-3, 0.0, 1e-3, 3e-3]),
+                                 weights=np.array([0.1, 0.4, 0.3, 0.2])),
+    "gaussian": GaussianPacket(mean=np.array([1e-3, -5e-4, 2e-3]),
+                               covariance=np.diag([4e-6, 1e-6, 2.25e-6])),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("formfactor", [Formfactor.none(), Formfactor("sharp", 3.0),
+                                        Formfactor("gaussian", 10.0),
+                                        Formfactor("exponential", 2.0)], ids=lambda f: f.kind)
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("packet", sorted(EQUIVALENCE_PACKETS))
+def test_one_pass_equals_a_pass_per_model_and_order(packet, stacked, formfactor, eps):
+    # one line_fractions build for three models and both Hermite orders gives, bit for bit,
+    # every field that a build per model and per order gives
+    dist = EQUIVALENCE_PACKETS[packet]
+    n = N_TABLE if packet == "table" else direction_from_angles(1.1, 0.3, axis=E_D)
+    if stacked:  # a table is seen along its own direction only: seven copies of it
+        n = (np.broadcast_to(N_TABLE, (7, 3)) if packet == "table"
+             else direction_from_angles(np.linspace(0.2, 3.0, 7), 0.3, axis=E_D))
+    scenario = make_scenario(eps=eps, dist=dist)
+    uppers = [40.0] if formfactor.kind in ("gaussian", "exponential") else [2.0, 30.0, 400.0]
+    proj = project(dist, n)
+    shared = spectra._frequency_integral(scenario, DIVERGENCE_MODELS, n, proj, formfactor,
+                                         uppers, 1e-9, 4096)
+    for i, model in enumerate(DIVERGENCE_MODELS):
+        ref = per_model_reference(scenario, model, n, formfactor, uppers)
+        alone = spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
+                                            1e-9, 4096)
+        # values, errors, evaluations, converged; the reference's converged=True of a closed
+        # form stands for every direction, and a count that the models share has no model axis
+        for got, one, want in zip(shared, alone, ref):
+            got = np.asarray(got)[i] if np.ndim(got) > np.ndim(one) else got
+            assert np.shape(got) == np.shape(one), model.label
+            assert np.array_equal(got, np.broadcast_to(want, np.shape(one))), model.label
+            assert np.array_equal(one, np.broadcast_to(want, np.shape(one))), model.label
+
+
+def test_large_gaussian_stack_equals_each_direction_alone():
+    # 120 directions make the polarization sum's complex temporaries pass 256 KB, where numpy
+    # computed b * T as T *= b: 24 values and 44 error estimates differed in the last bits
+    scenario = make_scenario(dist=GaussianPacket.isotropic([0.0, 0.0, 0.0], 1e-3))
+    gauss = Formfactor("gaussian", 50.0)
+    n = direction_from_angles(np.linspace(0.0, np.pi, 120), 0.0, axis=E_D)
+    stacked = directional_probability(scenario, n, gauss, 400.0)
+    alone = [directional_probability(scenario, row, gauss, 400.0) for row in n]
+    for name in ("value", "error_estimate", "evaluations", "converged"):
+        assert np.array_equal(getattr(stacked, name), [getattr(a, name) for a in alone]), name
+
+
+def test_divergence_comparison_takes_the_far_logarithms_once(monkeypatch):
+    # one shared closed form for the three models and both Hermite orders (it took six)
+    calls = []
+    log_tail = amplitudes._log_tail
+    monkeypatch.setattr(amplitudes, "_log_tail", lambda *a: calls.append(1) or log_tail(*a))
+    dist = GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3)
+    report = divergence_comparison(make_scenario(dist=dist), N_PERP)
+    assert len(calls) == 1 and "strictly more divergent" in report.verdict
+
+
+def test_smooth_formfactor_probability_runs_the_levels_once(monkeypatch):
+    # both Hermite orders are columns of one run of the quadrature levels (it took two)
+    calls = []
+    levels = quadrature._levels
+    monkeypatch.setattr(quadrature, "_levels", lambda *a: calls.append(1) or levels(*a))
+    dist = GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3)
+    res = directional_probability(make_scenario(dist=dist), N_PERP,
+                                  Formfactor("gaussian", 10.0), 80.0)
+    assert len(calls) == 1 and res.converged
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +762,8 @@ def test_pattern_mode_and_variant_plumbing():
 def test_golden_pattern_variant_defaults_to_the_coupling():
     # without a variant, the scenario coupling's momentum shift decides (it was "shifted")
     sc = make_scenario()
-    no_shift = sc.with_coupling(CouplingModel(kind="roentgen", apply_momentum_shift=False))
+    no_shift = dataclasses.replace(sc, coupling=CouplingModel(kind="roentgen",
+                                                             apply_momentum_shift=False))
     theta = np.linspace(0.0, np.pi, 9)
     for scenario, variant in ((sc, "shifted"), (no_shift, "unshifted")):
         pat = angular_pattern(scenario, theta)

@@ -1,8 +1,10 @@
 """Seeded sweep of the closed-form line integrals against 40-digit quadrature.
 
 Each draw is a point mass with n = (sin theta, 0, cos theta) and e_d = z, and
-compares `line_fractions(...).integral` up to U with mpmath's `quad` at 40
-digits: `mp_line_integral` of tests/test_amplitudes.py, loaded from its file.
+compares `line_fractions(...).integral` up to U, built for the three models
+together as `divergence_comparison` builds them and read at the drawn one, with
+mpmath's `quad` at 40 digits: `mp_line_integral` of tests/test_amplitudes.py,
+loaded from its file.
 The error is |I - I_ref| / max(1, |I_ref|), the bound of that file's
 hypothesis fuzz. Draw i, from `numpy.random.default_rng(SEED)` in this order:
 
