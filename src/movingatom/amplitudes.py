@@ -33,8 +33,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cauchy import BOX, CauchySums
-from .coupling import (CouplingModel, bracket, conditional_polarization_sum, doppler_projection,
-                       polarization_sum, recoil_coefficient, transverse_dipole)
+from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
+                       polarization_sum, quotient_slope)
 from .quadrature import NumericalError
 from .units import DimensionlessParams, ParameterError
 
@@ -194,7 +194,7 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     P = coupling.conditional_polarization_sum is evaluated once per model, on the points
     stacked on a new leading axis: the near pole and, for eps > 0, the far pole and
     +-1/eps, whose real values give q0. The quotient's slope q1, the x^2 coefficient of P
-    over eps^2, is k^2 |e_perp|^2 exactly (`coupling.transverse_dipole`): a difference of
+    over eps^2, is k^2 |e_perp|^2 exactly (`coupling.quotient_slope`): a difference of
     P's values would cancel near the dipole axis."""
     delta = np.asarray(proj.nodes, dtype=float)
     u = delta - np.asarray(proj.mean)[..., None]
@@ -204,7 +204,6 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     near, far = _quadratic_roots(b, eps, c)
     z = near[None] if far is None else np.stack(np.broadcast_arrays(near, far, 1 / eps, -1 / eps))
     cube, slope = z[:2] ** 3, -1j * gt * (b + 2.0 * eps * z[:2])  # r = z^3 P(z) / slope
-    e_perp_sq = transverse_dipole(n, e_d)[2][..., None]
 
     def fields(model):
         a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
@@ -214,7 +213,7 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
         s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
         if far is None:
             return rn, None, s0, s1, s0, s1
-        q1 = np.broadcast_to(recoil_coefficient(model) ** 2 * e_perp_sq, delta.shape)
+        q1 = np.broadcast_to(quotient_slope(model, n, e_d)[..., None], delta.shape)
         q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
         return rn, residues[1], s0, s1, q0, q1
 
@@ -256,10 +255,12 @@ def perpendicular_kernel(x, delta, params: DimensionlessParams,
                          model: CouplingModel | None = None):
     """rho for emission perpendicular to the dipole axis.
 
-    The cross term vanishes (e_d . n = 0), so sum G^2 is the squared
-    `coupling.bracket` 1 - delta + k*eps*x (1 for the standard dipole). For
-    the full velocity-dependent model (momentum shift and recoil term on, the
-    default) this is
+    The cross term vanishes (e_d . n = 0), so sum G^2 is the squared bracket
+    1 - n.beta' (+ eps*x with the recoil term), beta' = beta + 2*eps*x*n when the
+    momentum is shifted (1 for the standard dipole): written out, as in
+    `coupling.reduced_coupling`, so this reference shares no algebra with
+    `coupling.bracket`. For the full velocity-dependent model (momentum shift and
+    recoil term on, the default) this is
 
         rho = x * (1 - delta - eps*x)^2 / ((1 - x(1-delta) - eps*x^2)^2 + gt^2/4),
 
@@ -268,12 +269,11 @@ def perpendicular_kernel(x, delta, params: DimensionlessParams,
     """
     if model is None:
         model = CouplingModel.roentgen()
-    x = np.asarray(x, dtype=float)
-    gsq = 1.0
+    x, eps, b = np.asarray(x, dtype=float), params.epsilon, 1.0  # b = 1: the standard dipole
     if model.kind == "roentgen":
-        b = bracket(model, delta, x, params.epsilon)
-        gsq = b * b
-    return x * gsq / lorentzian_denominator(x, delta, params)
+        b = (1.0 - (delta + 2.0 * eps * x if model.apply_momentum_shift else delta)
+             + (eps * x if model.include_recoil_term else 0.0))
+    return x * (b * b) / lorentzian_denominator(x, delta, params)
 
 
 # ---------------------------------------------------------------------------

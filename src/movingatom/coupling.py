@@ -31,11 +31,13 @@ So the bracket is written once, as `bracket`: 1 - delta + k*eps*x with
 delta = n.beta before emission and k = `recoil_coefficient(model)` (+1 from
 the recoil term, -2 from the momentum shift). Sum G^2 has one closed form,
 the production `conditional_polarization_sum` (exact given delta over a
-wavepacket's projection); it and `amplitudes.perpendicular_kernel` use the
-bracket. The reference is `polarization_sum`, the explicit sum over a
+wavepacket's projection), which uses the bracket; its x^2 coefficient over
+eps^2, k^2 |e_perp|^2, is `quotient_slope`, the growth the divergence verdict
+reads. The reference is `polarization_sum`, the explicit sum over a
 polarization basis of `reduced_coupling`, which writes the shifted velocity
 out and shares none of that algebra. The references `amplitudes.spectral_kernel`
-(the `full3d` oracle) and `rates.golden_rule_rates` are built on it.
+(the `full3d` oracle) and `rates.golden_rule_rates` are built on it, and
+`amplitudes.perpendicular_kernel` writes the shifted velocity out the same way.
 
 Shapes: `beta` is (3,) or (..., 3); `x` is a scalar or an array whose shape
 broadcasts against the leading beta dimensions. Dot products are written
@@ -183,12 +185,20 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
 def transverse_dipole(n, e_d):
     """(c, e_perp, |e_perp|^2) per direction n, (3,) or a stack (..., 3), with c = e_d.n and
     e_perp = e_d - c n: |e_perp|^2, not 1 - c^2, which would lose eps/sin^2(theta)
-    relative near the axis. k^2 |e_perp|^2 (`recoil_coefficient`) is the x^2 coefficient
-    of sum G^2 over eps^2, for every delta."""
+    relative near the axis."""
     n, e_d = check_unit(n, "n", stacked=True), check_unit(e_d, "e_d")
     c = n @ e_d
     e_perp = e_d - c[..., None] * n
     return c, e_perp, dot3(e_perp, e_perp)
+
+
+def quotient_slope(model: CouplingModel, n, e_d):
+    """k^2 |e_perp|^2 per direction n, (3,) or a stack (..., 3), with k =
+    `recoil_coefficient(model)`: the x^2 coefficient of sum G^2 over eps^2, for every
+    delta. So it is the slope q1 of w's quotient at every node (`amplitudes.line_fractions`),
+    and for eps > 0 kappa^-1 int_0^Lambda w ~ A Lambda^2 with A = k^2 |e_perp|^2 / 2 for
+    every wavepacket: 0 for the standard dipole, for k = 0, and along the dipole axis."""
+    return recoil_coefficient(model) ** 2 * transverse_dipole(n, e_d)[2]
 
 
 def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj):

@@ -200,9 +200,10 @@ POWER_RESIDUAL_MAX = 0.1
 LOG_R2_MIN = 0.999
 CONVERGENT_SLOPE_MAX = -0.1
 CAUCHY_TOL = 1e-9
+FIT_POINTS = 5  # the default window: the last five cutoffs
 
 
-def classify_tail(scan: CutoffScan, *, fit_points: int = 5) -> TailClassification:
+def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClassification:
     """Fit the asymptotic growth law of a cutoff scan from its last `fit_points`
     points (the early part carries the resonance and pre-asymptotic crossovers).
     Decision order, on the increments dI_k between consecutive cutoffs

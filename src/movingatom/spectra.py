@@ -18,9 +18,11 @@ The frequency integral of w decides everything interesting: with the
 velocity-dependent coupling at the recoil-shifted momentum it grows like
 Lambda^2 (dropping the explicit recoil term does not cure this), with the
 velocity-independent one only logarithmically. At each delta node it is a
-closed form (amplitudes.line_fractions). `divergence_comparison` measures
-the growth laws side by side; `directional_probability` accepts a formfactor
-that restores integrability, and with it formfactor dependence.
+closed form (amplitudes.line_fractions), and its Lambda^2 coefficient is
+exact: A = k^2 |e_perp|^2 / 2 (coupling.quotient_slope). `divergence_comparison`
+decides its verdict from A and reports fitted growth laws beside it;
+`directional_probability` accepts a formfactor that restores integrability,
+and with it formfactor dependence.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import quadrature
 from .amplitudes import (detuning, line_fractions, lorentzian_denominator, resonance_root,
                          spectral_kernel)
-from .coupling import CouplingModel, conditional_polarization_sum
+from .coupling import CouplingModel, conditional_polarization_sum, quotient_slope
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
@@ -372,13 +374,19 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
 
 @dataclass(frozen=True)
 class ModelDivergence:
+    """One model's cutoff scan, its fitted growth law (a check), and its exact law:
+    {"A": a}, kappa^-1 I(Lambda) ~ a Lambda^2."""
+
     scan: CutoffScan
     classification: TailClassification
+    exact_law: dict
 
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Growth laws of the direction-resolved emission integral per coupling model."""
+    """Growth laws of the direction-resolved emission integral per coupling model: per
+    model the scan, the fit of its last cutoffs (`kind`, `exponent`, `fit_reason`) and
+    the exact Lambda^2 coefficient (`exact_law`), and the verdict that A decides."""
 
     entries: dict[str, ModelDivergence]
     verdict: str | None
@@ -391,6 +399,8 @@ class DivergenceReport:
             out["models"][label] = {
                 "kind": cls.kind,
                 "exponent": cls.exponent,
+                "fit_reason": cls.details.get("reason"),
+                "exact_law": entry.exact_law,
                 "fit_residual": cls.fit_residual,
                 "log_r_squared": cls.log_r_squared,
                 "lambdas": entry.scan.lambdas.tolist(),
@@ -402,12 +412,6 @@ class DivergenceReport:
         return out
 
 
-def _describe(cls: TailClassification) -> str:
-    if cls.kind == "power":
-        return f"power (cumulative ~ Lambda^{cls.exponent:.2f})"
-    return cls.kind
-
-
 # their labels, roentgen, standard and roentgen_no_recoil_term, key the report's entries
 _DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(),
                       CouplingModel(kind="roentgen", include_recoil_term=False))
@@ -415,7 +419,7 @@ _DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(),
 
 def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
                           tol: float = 1e-9, max_panels: int = 4096) -> DivergenceReport:
-    """Cutoff scans and growth-law fits for three coupling variants.
+    """Cutoff scans, exact Lambda^2 coefficients and growth-law fits for three couplings.
 
     (a) the full velocity-dependent model (momentum shift and recoil term),
     (b) the velocity-independent model with identical kinematics in the
@@ -423,8 +427,20 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     recoil term deleted but the momentum shift kept -- the would-be cure
     that fails, because the shift feeds the recoil back through the Doppler
     term. The kinematics (epsilon in the resonance denominator) are shared;
-    only the coupling differs. The verdict is withheld when a scan missed
-    its tolerance or a fit was ambiguous.
+    only the coupling differs.
+
+    The verdict rests on the leading term: kappa^-1 I(Lambda) ~ A Lambda^2 with
+    A = k^2 |e_perp|^2 / 2 (`coupling.quotient_slope`, the slope of every node's
+    quotient), for every wavepacket: |e_perp|^2/2 for (a), 0 for (b), 2 |e_perp|^2
+    for (c). Roentgen is strictly more divergent than standard when its A is larger,
+    which holds in every direction but the dipole axis. Along the axis both A are 0
+    and the standard scan is 0 (e_d . e_lambda = 0), so roentgen is strictly more
+    divergent when its scan ends above 0 (a packet with transverse velocity), and
+    otherwise there is no strict ordering. The verdict is withheld (None) when a scan
+    missed its tolerance. The fits (`quadrature.classify_tail` on the last
+    FIT_POINTS cutoffs) are reported as checks; when their window starts below
+    10/epsilon, short of the Lambda^2 regime (the Roentgen bracket vanishes near
+    x = 1/epsilon), the note says they are pre-asymptotic.
 
     Each cutoff is closed form per delta node (see `directional_probability`):
     point masses and tables scan exactly, with errors 0. The three models and,
@@ -447,26 +463,25 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     for i, model in enumerate(_DIVERGENCE_MODELS):
         scan = CutoffScan(lambdas=lambdas, values=values[i], errors=errors[i],
                           evaluations=evaluations, converged=bool(converged[i]))
-        cls = quadrature.classify_tail(scan)
-        entries[model.label] = ModelDivergence(scan=scan, classification=cls)
+        a = 0.5 * float(quotient_slope(model, n, scenario.dipole_axis))
+        entries[model.label] = ModelDivergence(scan, quadrature.classify_tail(scan), {"A": a})
 
-    r = entries["roentgen"].classification
-    s = entries["standard"].classification
-    note = ""
+    a_r, a_s = (entries[label].exact_law["A"] for label in ("roentgen", "standard"))
+    notes, verdict = [], None
     if not all(entry.scan.converged for entry in entries.values()):
-        verdict = None
-        note = ("verdict withheld: at least one cutoff scan missed its tolerance; "
-                "move the cutoffs clear of the Doppler profile or loosen the tolerance")
-    elif r.kind == "ambiguous" or s.kind == "ambiguous":
-        verdict = None
-        note = "verdict withheld: at least one growth-law fit was ambiguous"
-    else:
-        rank = {"convergent": 0, "logarithmic": 1, "power": 2}
-        strictly = rank[r.kind] > rank[s.kind] or (
-            r.kind == s.kind == "power" and r.exponent > s.exponent + 0.2)
+        notes.append("verdict withheld: at least one cutoff scan missed its tolerance; "
+                     "move the cutoffs clear of the Doppler profile or loosen the tolerance")
+    else:  # a_r == a_s == 0 only along the dipole axis, where the standard scan is 0
+        strictly = a_r > a_s or entries["roentgen"].scan.values[-1] > 0.0
         verdict = (("roentgen strictly more divergent than standard" if strictly
-                    else "no strict divergence ordering") + f": {_describe(r)} vs {_describe(s)}")
-    return DivergenceReport(entries=entries, verdict=verdict, note=note)
+                    else "no strict divergence ordering")
+                   + f": kappa^-1 I ~ A Lambda^2 with A = {a_r:.6g} against {a_s:.6g}"
+                   + ("" if a_r > a_s else ", along the dipole axis (the standard scan is 0)"))
+    start, regime = lambdas[-quadrature.FIT_POINTS], 10.0 / scenario.params.epsilon
+    if start < regime:
+        notes.append(f"the fitted growth laws are pre-asymptotic: their window starts at "
+                     f"Lambda = {start:.6g}, below 10/epsilon = {regime:.6g}")
+    return DivergenceReport(entries=entries, verdict=verdict, note="; ".join(notes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,8 +514,10 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
 
     mode "integrated": one `directional_probability` call (with `tol`, `max_panels`)
     on the stack of directions, defined only with a formfactor -- an unregularized
-    request is rejected, not truncated, since at finite mass the integral grows with
-    the cutoff. NumericalError names the first angle that misses its tolerance.
+    request is rejected (PhysicsRejection), not truncated, since the integral grows
+    with the cutoff: like Lambda^2 where eps > 0 and k^2 |e_perp|^2 > 0
+    (`coupling.quotient_slope`) at some angle, else at most logarithmically. NumericalError
+    names the first angle that misses its tolerance.
     """
     theta = np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size == 0:
@@ -519,7 +536,8 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     if mode != "integrated":
         raise ValueError(f"unknown pattern mode {mode!r}")
     if formfactor is None or formfactor.kind == "none":
-        if scenario.params.epsilon > 0 and scenario.coupling.kind == "roentgen":
+        if scenario.params.epsilon > 0 and np.any(quotient_slope(scenario.coupling, directions,
+                                                                 e_d)):
             raise PhysicsRejection(
                 "integrated angular pattern rejected: with the velocity-dependent "
                 "coupling at finite mass (epsilon > 0) the frequency integral grows "

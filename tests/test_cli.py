@@ -517,6 +517,30 @@ def test_unregularized_standard_pattern_exits_4(tmp_path, capsys):
     assert "cutoff-dependent without a formfactor" in capsys.readouterr().err
 
 
+def test_unregularized_pattern_without_recoil_growth_exits_4_as_cutoff_dependent(tmp_path,
+                                                                                capsys):
+    # k = 0: this coupling's integral grows as ln(Lambda), not as the cutoff squared
+    cfg = write_config(tmp_path, """
+        coupling: {model: roentgen, recoil_term: false, momentum_shift: false}
+        pattern: {mode: integrated}
+    """)
+    assert run(["pattern", "--config", cfg, "--out", tmp_path / "x"]) == 4
+    err = capsys.readouterr().err
+    assert "cutoff-dependent without a formfactor" in err and "squared" not in err
+
+
+def test_divergence_at_small_epsilon_rests_on_the_exact_law(tmp_path):
+    # the default ladder ends short of 1/eps = 1e4: the fits read roentgen "convergent"
+    cfg = write_config(tmp_path, "atom: {epsilon: 1.0e-4, gamma_tilde: 0.01}\n")
+    out = tmp_path / "d"
+    assert run(["divergence", "--config", cfg, "--out", out]) == 0
+    payload = json.loads((out / "divergence.json").read_text())
+    assert "strictly more divergent" in payload["verdict"]
+    assert "pre-asymptotic" in payload["note"] and "10/epsilon = 100000" in payload["note"]
+    assert payload["models"]["roentgen"]["exact_law"] == {"A": 0.5}
+    assert payload["models"]["roentgen"]["kind"] == "convergent"
+
+
 @pytest.mark.parametrize("table, message", [
     ("0.0\n0.001\n", "table table.csv needs two columns: delta, weight"),
     ("0.0,0.0\n0.001,0.0\n", "table table.csv has zero total weight"),

@@ -253,7 +253,7 @@ def test_full3d_reports_unresolved_narrow_line():
 
 
 # The coupling algebra of the production paths; the references must run without it.
-PRODUCTION_ALGEBRA = ("bracket", "recoil_coefficient", "transverse_dipole",
+PRODUCTION_ALGEBRA = ("bracket", "recoil_coefficient", "transverse_dipole", "quotient_slope",
                       "conditional_polarization_sum", "line_fractions")
 
 
@@ -287,7 +287,9 @@ def test_references_share_no_coupling_algebra_with_production(monkeypatch):
     packet = dists[1]
     mean_rate = golden_rule_mean_rate(project(packet, n), n, E_D, scenarios[0].params, model)
     closed_sum = conditional_polarization_sum(model, x, n, E_D, eps, project(PointMass(beta), n))[0]
-    perpendicular = perpendicular_kernel(x, beta[0], scenarios[0].params)
+    perp_w = {m.label: directional_spectrum(make_scenario(eps=eps, dist=PointMass(beta[0] * N_PERP),
+                                                          model=m), N_PERP, x).w
+              for m in (model, NO_RECOIL_TERM, CouplingModel.standard())}
 
     assert _stub_production_algebra(monkeypatch) >= len(PRODUCTION_ALGEBRA)
     with pytest.raises(AssertionError, match="production coupling algebra"):
@@ -298,8 +300,12 @@ def test_references_share_no_coupling_algebra_with_production(monkeypatch):
     rates = expectation(packet, lambda b: golden_rule_rates(b, n, E_D, scenarios[0].params,
                                                             model), order=40).value
     assert abs(rates - mean_rate) <= 1e-12 * mean_rate
+    perpendicular = perpendicular_kernel(x, beta[0], scenarios[0].params)
     kernel = spectral_kernel(model, x, N_PERP, beta[0] * N_PERP, scenarios[0].params, E_D)
     assert np.allclose(kernel, perpendicular, rtol=1e-12, atol=0.0)
+    for m in (model, NO_RECOIL_TERM, CouplingModel.standard()):
+        got = x * x * perpendicular_kernel(x, beta[0], scenarios[0].params, m)
+        assert np.allclose(got, perp_w[m.label], rtol=1e-12, atol=0.0), m.label
     summed = polarization_sum(model, beta, x, n, E_D, eps)
     assert np.all(np.abs(summed - closed_sum) <= 1e-13 * np.maximum(1.0, np.abs(closed_sum)))
 
@@ -641,6 +647,65 @@ def test_divergence_comparison_report():
     assert "cumulative" in payload
 
 
+@pytest.mark.parametrize("dist", [PointMass(np.zeros(3)),
+                                  GaussianPacket.isotropic(np.zeros(3), 1e-3)],
+                         ids=["rest", "packet"])
+@pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 6], ids=["90deg", "30deg"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_divergence_verdict_follows_the_lambda_squared_coefficient(eps, theta, dist):
+    # the default ladder 1e2..1e4: at eps = 1e-4 the fits read roentgen "convergent" and
+    # standard "power", yet roentgen grows as Lambda^2 past 1/eps
+    report = divergence_comparison(make_scenario(eps=eps, dist=dist),
+                                   direction_from_angles(theta, 0.0, axis=E_D))
+    assert "strictly more divergent" in report.verdict
+    assert report.entries["roentgen"].exact_law["A"] == pytest.approx(
+        0.5 * math.sin(theta) ** 2, rel=1e-14)
+    assert (f"below 10/epsilon = {10 / eps:.6g}" in report.note) == (eps < 1e-2)
+    assert ("pre-asymptotic" in report.note) == (eps < 1e-2)
+
+
+@pytest.mark.parametrize("dist, ordered", [(PointMass(np.zeros(3)), False),
+                                           (PointMass(np.array([1e-3, 2e-3, 0.0])), True)],
+                         ids=["rest", "transverse"])
+def test_divergence_verdict_along_the_dipole_axis(dist, ordered):
+    # |e_perp|^2 = 0: A = 0 for every model and the standard scan is 0; a transverse
+    # velocity gives the roentgen scan a logarithm (the fits read it so at eps = 1e-2)
+    report = divergence_comparison(make_scenario(dist=dist), E_D)
+    assert [e.exact_law["A"] for e in report.entries.values()] == [0.0, 0.0, 0.0]
+    assert not np.any(report.entries["standard"].scan.values)
+    assert (report.entries["roentgen"].scan.values[-1] > 0.0) == ordered
+    assert report.verdict.startswith("roentgen strictly more divergent" if ordered
+                                     else "no strict divergence ordering")
+
+
+def test_exact_law_is_half_the_quotient_slope_of_every_node():
+    dist = GaussianPacket.isotropic(np.array([1e-3, 2e-3, 0.0]), 1e-3)
+    sc = make_scenario(dist=dist)
+    # |e_perp|^2 times 1/2 (roentgen, k = -1), 0 (standard), 2 (no recoil term, k = -2)
+    per_sin_sq = {"roentgen": 0.5, "standard": 0.0, "roentgen_no_recoil_term": 2.0}
+    for theta in (0.0, 0.3, math.pi / 4, 2.0, math.pi / 2):
+        n = direction_from_angles(theta, 0.0, axis=E_D)
+        report = divergence_comparison(sc, n)
+        proj = project(dist, n)
+        lines = amplitudes.line_fractions(spectra._DIVERGENCE_MODELS, n, E_D, proj, sc.params)
+        for model, q1 in zip(spectra._DIVERGENCE_MODELS, lines.q1):
+            a = report.entries[model.label].exact_law["A"]
+            assert a == pytest.approx(per_sin_sq[model.label] * math.sin(theta) ** 2,
+                                      rel=1e-14, abs=1e-15)
+            assert a == pytest.approx(0.5 * (proj.weights @ q1), rel=1e-14, abs=0.0)
+
+
+def test_divergence_json_reports_the_exact_law_and_the_fit_reason():
+    report = divergence_comparison(make_scenario(eps=1e-4), N_PERP)
+    models = report.as_json_dict()["models"]
+    assert {label: m["exact_law"] for label, m in models.items()} == {
+        "roentgen": {"A": 0.5}, "standard": {"A": 0.0}, "roentgen_no_recoil_term": {"A": 2.0}}
+    for label, m in models.items():
+        assert m["fit_reason"] == report.entries[label].classification.details.get("reason")
+    assert models["roentgen"]["fit_reason"] == "increments shrink as a power"
+    assert models["standard"]["fit_reason"] is None  # a power fit that passed
+
+
 def test_divergence_requires_finite_mass():
     sc = make_scenario(eps=0.0)
     with pytest.raises(ValueError, match="epsilon"):
@@ -709,6 +774,21 @@ def test_pattern_integrated_standard_model_is_cutoff_dependent_without_formfacto
     sc = make_scenario(model=CouplingModel.standard())
     with pytest.raises(PhysicsRejection, match="cutoff-dependent without a formfactor"):
         angular_pattern(sc, np.linspace(0.0, np.pi, 5), mode="integrated")
+
+
+def test_pattern_integrated_without_recoil_growth_is_cutoff_dependent_without_formfactor():
+    # k = 0 (neither recoil term nor momentum shift): the bracket is 1 - delta, and the
+    # integral grows as ln(Lambda), not as Lambda^2
+    model = CouplingModel(kind="roentgen", include_recoil_term=False, apply_momentum_shift=False)
+    sc = make_scenario(model=model)
+    with pytest.raises(PhysicsRejection, match="cutoff-dependent without a formfactor"):
+        angular_pattern(sc, np.linspace(0.0, np.pi, 5), mode="integrated")
+    lambdas = quadrature.geometric_cutoffs()
+    values = [directional_probability(sc, N_PERP, Formfactor.none(), lam).value
+              for lam in lambdas]
+    scan = quadrature.CutoffScan(lambdas=lambdas, values=np.array(values),
+                                 errors=np.zeros(lambdas.size), evaluations=0, converged=True)
+    assert quadrature.classify_tail(scan).kind == "logarithmic"
 
 
 def test_pattern_integrated_with_formfactor():
