@@ -34,7 +34,7 @@ import numpy as np
 
 from .cauchy import BOX, CauchySums
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
-                       polarization_sum, quotient_slope)
+                       polarization_geometry, polarization_sum, quotient_slope)
 from .quadrature import NumericalError
 from .units import DimensionlessParams, ParameterError
 
@@ -191,11 +191,12 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     """Partial fractions of w at every delta node of `proj` (wavepacket.project, along one
     direction n or a stack of them), for one CouplingModel or a sequence of them, which
     share the poles and stack their own fields on a leading axis (see LineFractions).
-    P = coupling.conditional_polarization_sum is evaluated once per model, on the points
-    stacked on a new leading axis: the near pole and, for eps > 0, the far pole and
-    +-1/eps, whose real values give q0. The quotient's slope q1, the x^2 coefficient of P
-    over eps^2, is k^2 |e_perp|^2 exactly (`coupling.quotient_slope`): a difference of
-    P's values would cancel near the dipole axis."""
+    P = coupling.conditional_polarization_sum is evaluated once per model, from one
+    `polarization_geometry`, on the points stacked on a new leading axis: the near pole
+    and, for eps > 0, the far pole and +-1/eps, whose real values give q0. The quotient's
+    slope q1, the x^2 coefficient of P over eps^2, is k^2 |e_perp|^2 exactly
+    (`coupling.quotient_slope`): a difference of P's values would cancel near the dipole
+    axis."""
     delta = np.asarray(proj.nodes, dtype=float)
     u = delta - np.asarray(proj.mean)[..., None]
     eps, gt = params.epsilon, params.gamma_tilde
@@ -205,8 +206,10 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     z = near[None] if far is None else np.stack(np.broadcast_arrays(near, far, 1 / eps, -1 / eps))
     cube, slope = z[:2] ** 3, -1j * gt * (b + 2.0 * eps * z[:2])  # r = z^3 P(z) / slope
 
+    geometry = polarization_geometry(n, e_d, proj)  # shared by the models
+
     def fields(model):
-        a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj)
+        a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj, geometry)
         p = a0 + u * (a1 + u * a2)  # P at each stacked point
         residues = cube * p[:2] / slope
         rn = residues[0]

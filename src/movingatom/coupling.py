@@ -201,7 +201,19 @@ def quotient_slope(model: CouplingModel, n, e_d):
     return recoil_coefficient(model) ** 2 * transverse_dipole(n, e_d)[2]
 
 
-def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj):
+def polarization_geometry(n, e_d, proj):
+    """The model-free part of `conditional_polarization_sum`, for a caller to take once for
+    several models: c = e_d.n, |e_perp|^2 and, with m = proj.perp_mean and k =
+    proj.perp_gain, the products e_perp.m, e_perp.k, |m|^2 + proj.perp_var, m.k and |k|^2.
+    Each is per direction of n, with a last axis to meet x's when n is a stack."""
+    ed_n, e_perp, a = transverse_dipole(n, e_d)
+    m, k = proj.perp_mean, proj.perp_gain
+    row = (Ellipsis, None) if ed_n.ndim else ()  # per-direction values against x's last axis
+    return tuple(v[row] for v in (ed_n, a, dot3(e_perp, m), dot3(e_perp, k),
+                                  dot3(m, m) + proj.perp_var, dot3(m, k), dot3(k, k)))
+
+
+def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj, geometry=None):
     """E[sum_lambda G^2 | n.beta = delta] = q0 + q1*u + q2*u^2 with u = delta - proj.mean.
 
     With c = e_d.n and e_perp = e_d - c*n, the transverse part of v gives
@@ -212,18 +224,15 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj)
     n may be a stack of directions (..., 3) with `proj` projected along it; x
     then has one more axis than the stack (e.g. one row of frequencies per row).
     x may carry further leading axes (e.g. several points per node, stacked),
-    which broadcast against the per-direction values.
+    which broadcast against the per-direction values. `geometry` is
+    `polarization_geometry(n, e_d, proj)` when the caller has taken it already.
     """
-    ed_n, e_perp, a = transverse_dipole(n, e_d)
+    c, a, b0, b1, c0, c1, c2 = (polarization_geometry(n, e_d, proj) if geometry is None
+                                else geometry)
     x = 1.0 * np.asarray(x)  # real or complex frequencies
-    row = (Ellipsis, None) if ed_n.ndim else ()  # per-direction values against x's last axis
-    c, a = ed_n[row], a[row]
     if model.kind == "standard_dipole":
         return np.full_like(x, a), np.zeros_like(x), np.zeros_like(x)
-    m, k = proj.perp_mean, proj.perp_gain
-    b0, b1 = dot3(e_perp, m)[row], dot3(e_perp, k)[row]
-    c0 = (dot3(m, m) + proj.perp_var)[row]
-    c1, c2 = dot3(m, k)[row], dot3(k, k)[row]
+    row = (Ellipsis, None) if np.ndim(proj.mean) else ()  # as in polarization_geometry
     b = bracket(model, np.asarray(proj.mean)[row], x, epsilon)  # at u = 0
     # np.multiply, not *: above 256 KB numpy reuses the temporary as T *= b, and a
     # complex product's rounding depends on the operand order

@@ -588,11 +588,40 @@ def test_tol_override_recorded(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.special is imported only where a Gaussian Doppler average needs it
+    # no module of the package imports scipy (tests/test_package.py); this also catches
+    # a dependency that would pull it in on import
     code = "import sys, movingatom.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_gaussian_spectra_leave_scipy_unloaded(tmp_path):
+    # the Gaussian Doppler average takes its Faddeeva values from spectra.faddeeva; it
+    # imported scipy.special.wofz, about 25 MB of resident memory, for them
+    cfg = write_config(tmp_path, """
+        atom: {epsilon: 0.01, gamma_tilde: 0.001}
+        distribution: {kind: gaussian, mean: [2.0e-4, -1.0e-4, 3.0e-4], sigma: 1.0e-3}
+        geometry: {mode: angles, theta: 45.0, phi: 0.0}
+        grid: {start: 0.975, stop: 1.005, count: 41}
+    """)
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from movingatom import CouplingModel, DimensionlessParams, GaussianPacket
+        from movingatom.cli import main
+        from movingatom.spectra import EmissionScenario, directional_spectrum
+        sc = EmissionScenario(DimensionlessParams(epsilon=0.01, gamma_tilde=1e-3),
+                              CouplingModel.roentgen(), GaussianPacket.isotropic(np.zeros(3), 1e-3))
+        w = directional_spectrum(sc, np.array([1.0, 0.0, 0.0]), np.linspace(0.97, 1.01, 41)).w
+        assert np.all(w > 0.0)
+        code = main(["spectrum", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+        print(code, 'scipy' in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) > 41
 
 
 def test_spectrum_warns_when_the_grid_misses_the_resonance(tmp_path, capsys):

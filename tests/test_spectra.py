@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import erfinv as erfinv_
-from scipy.special import voigt_profile
+from scipy.special import voigt_profile, wofz
 
 import movingatom
 from movingatom import amplitudes, quadrature, spectra
@@ -20,7 +20,7 @@ from movingatom.quadrature import NumericalError
 from movingatom.rates import golden_rule_mean_rate, golden_rule_rates, sphere_pattern_value
 from movingatom.spectra import (EmissionScenario, Formfactor, PhysicsRejection,
                                 angular_pattern, directional_probability,
-                                directional_spectrum, divergence_comparison)
+                                directional_spectrum, divergence_comparison, faddeeva)
 from movingatom.units import DimensionlessParams, ParameterError
 from movingatom.wavepacket import (GaussianPacket, PointMass, TabulatedProjection, expectation,
                                    project)
@@ -243,6 +243,90 @@ def test_narrow_line_at_tight_tolerance():
     assert np.max(np.abs(res.w - oracle) / oracle) <= 1e-4  # G^2 = (1 - delta)^2 vs 1
 
 
+def _faddeeva_points():
+    """Seeded points with |z| <= 20 and 1e-14 <= Im z <= 20: spread over the half-disc, near
+    the imaginary axis (|Re z| < 5e-4), near the real axis at 4 <= |Re z| <= 8 (Im z <
+    1e-6), above Im z = 7 (the continued fraction); then some out to the strip's edge at
+    |Re z| = 28, and past it."""
+    rng = np.random.default_rng(916)
+
+    def block(count, re_lo, re_hi, log_im_lo, log_im_hi):
+        re = rng.choice([-1.0, 1.0], count) * rng.uniform(re_lo, re_hi, count)
+        return re + 1j * 10.0 ** rng.uniform(log_im_lo, log_im_hi, count)
+
+    disc = np.concatenate([block(800, 0.0, 20.0, -14, math.log10(20.0)),
+                           block(200, 0.0, 5e-4, -14, math.log10(20.0)),
+                           block(300, 4.0, 8.0, -14, -6),
+                           block(200, 0.0, 20.0, math.log10(7.0), math.log10(20.0))])
+    return np.concatenate([disc[np.abs(disc) <= 20.0], block(100, 20.0, 28.0, -14, math.log10(7.0)),
+                           block(60, 28.0, 60.0, -14, 1)])
+
+
+def test_faddeeva_matches_40_digit_values():
+    mp = pytest.importorskip("mpmath")
+    z = _faddeeva_points()
+    with mp.workdps(40):
+        exact = np.array([complex(mp.exp(-mp.mpc(v) ** 2) * mp.erfc(-1j * mp.mpc(v))) for v in z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = faddeeva(z)
+    assert np.all(exact.real > 0.0)  # Re w > 0 in the upper half-plane
+    assert np.max(np.abs(w.real - exact.real) / exact.real) <= 1e-13
+    assert np.max(np.abs(w.imag - exact.imag) / np.abs(exact)) <= 1e-13
+
+
+def test_faddeeva_matches_scipy_wofz_on_a_dense_grid():
+    x, y = np.meshgrid(np.linspace(-20.0, 20.0, 401), np.geomspace(1e-14, 20.0, 57))
+    z = (x + 1j * y)[np.hypot(x, y) <= 20.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = faddeeva(z)
+    want = wofz(z)
+    assert np.max(np.abs(w.real - want.real) / want.real) <= 1e-13
+    assert np.max(np.abs(w.imag - want.imag) / np.abs(want)) <= 1e-13
+    assert np.array_equal(faddeeva(z[:, None])[:, 0], w) and faddeeva(z[7]) == w[7]
+
+
+@pytest.mark.parametrize("z", [1.0 - 1e-300j, 2.0 + 0.0j, complex(math.nan, 1.0),
+                               complex(1.0, math.inf)])
+def test_faddeeva_takes_the_open_upper_half_plane_only(z):
+    with pytest.raises(ValueError, match="Im z > 0"):
+        faddeeva(np.array([1j, z]))
+
+
+def test_gaussian_spectra_equal_those_of_scipy_wofz(monkeypatch):
+    x = np.concatenate((np.linspace(0.97, 1.03, 61), [1.5]))
+    cases = [(make_scenario(eps=eps, gt=gt, dist=GaussianPacket.isotropic([2e-4, -1e-4, 3e-4], sigma),
+                            model=model), n)
+             for eps, gt, sigma in [(0.01, 1e-3, 1e-3), (0.0, 1e-6, 1e-5), (1e-4, 1e-2, 1e-3)]
+             for model in (CouplingModel.roentgen(), CouplingModel.standard(), NO_RECOIL_TERM)
+             for n in (N_PERP, N_45)]
+    ours = [directional_spectrum(sc, n, x).w for sc, n in cases]
+    monkeypatch.setattr(spectra, "faddeeva", wofz)
+    for (sc, n), w in zip(cases, ours):
+        want = directional_spectrum(sc, n, x).w
+        assert np.max(np.abs(w - want) / np.abs(want)) <= 1e-13
+
+
+def test_gaussian_node_sums_only_in_the_wing(monkeypatch):
+    # the weighted node sum is formed for x = 0 and |zeta| > _FAR_WING only
+    seen = []
+
+    def recorded(x, delta, params):
+        seen.append(np.array(x, copy=True))
+        return amplitudes.lorentzian_denominator(x, delta, params)
+
+    monkeypatch.setattr(spectra, "lorentzian_denominator", recorded)
+    sc = make_scenario(gt=1e-3, dist=GaussianPacket.isotropic(np.zeros(3), 1e-3))
+    x = np.array([0.0, 0.9, 0.99, 1.0, 1.01, 1.5])
+    w = directional_spectrum(sc, N_PERP, x).w
+    assert len(seen) == 1 and np.array_equal(seen[0], [0.0, 0.9, 1.5])
+    assert np.all(w[1:] > 0.0) and w[0] == 0.0
+    seen.clear()
+    directional_spectrum(sc, N_PERP, x[2:5])
+    assert seen == []
+
+
 def test_full3d_reports_unresolved_narrow_line():
     sigma, gt = 1e-5, 1e-6
     dist = GaussianPacket.along_direction(np.zeros(3), sigma, N_PERP)
@@ -254,7 +338,7 @@ def test_full3d_reports_unresolved_narrow_line():
 
 # The coupling algebra of the production paths; the references must run without it.
 PRODUCTION_ALGEBRA = ("bracket", "recoil_coefficient", "transverse_dipole", "quotient_slope",
-                      "conditional_polarization_sum", "line_fractions")
+                      "polarization_geometry", "conditional_polarization_sum", "line_fractions")
 
 
 def _stub_production_algebra(monkeypatch):
