@@ -28,14 +28,14 @@ validate the pole approximation end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cauchy import BOX, CauchySums
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_geometry, polarization_sum, quotient_slope)
-from .quadrature import NumericalError
+from .quadrature import NumericalError, fit_line
 from .units import DimensionlessParams, ParameterError
 
 
@@ -126,13 +126,6 @@ class LineFractions:
     c: complex
     epsilon: float
 
-    def at(self, nodes: slice) -> "LineFractions":
-        """The fractions at the nodes that `nodes` selects on the last axis."""
-        if nodes == slice(None):
-            return self
-        return LineFractions(*(v[..., nodes] if np.ndim(v) else v
-                               for v in (getattr(self, f.name) for f in fields(self))))
-
     def near_integral(self, upper, factor=1.0):
         """int_0^U 2 Re[factor r_near / (x - z_near)] = 2 Re[factor r_near log((z - U)/z)] per
         node and U (a new last axis). z is rounded at ulp(x*), while |z - U| nears gt/2 inside
@@ -195,8 +188,8 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     `polarization_geometry`, on the points stacked on a new leading axis: the near pole
     and, for eps > 0, the far pole and +-1/eps, whose real values give q0. The quotient's
     slope q1, the x^2 coefficient of P over eps^2, is k^2 |e_perp|^2 exactly
-    (`coupling.quotient_slope`): a difference of P's values would cancel near the dipole
-    axis."""
+    (`coupling.quotient_slope` of the geometry's |e_perp|^2): a difference of P's values
+    would cancel near the dipole axis."""
     delta = np.asarray(proj.nodes, dtype=float)
     u = delta - np.asarray(proj.mean)[..., None]
     eps, gt = params.epsilon, params.gamma_tilde
@@ -216,7 +209,7 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
         s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
         if far is None:
             return rn, None, s0, s1, s0, s1
-        q1 = np.broadcast_to(quotient_slope(model, n, e_d)[..., None], delta.shape)
+        q1 = np.broadcast_to(quotient_slope(model, geometry[1]), delta.shape)
         q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
         return rn, residues[1], s0, s1, q0, q1
 
@@ -309,8 +302,7 @@ class DiscreteModeSystem:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        g = np.asarray(self.g, dtype=float)
+        x, g = np.asarray(self.x, dtype=float), np.asarray(self.g, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("mode grid must be a nonempty 1D array")
         if g.shape != x.shape:
@@ -623,13 +615,11 @@ def pole_mode_populations(system: DiscreteModeSystem, gamma_tilde: float) -> np.
 def fit_decay_rate(times: np.ndarray, populations: np.ndarray,
                    window: tuple[float, float]) -> float:
     """Least-squares slope of -ln |a|^2 over times in [window]."""
-    times = np.asarray(times, dtype=float)
-    populations = np.asarray(populations, dtype=float)
+    times, populations = np.asarray(times, dtype=float), np.asarray(populations, dtype=float)
     sel = (times >= window[0]) & (times <= window[1]) & (populations > 0)
     if int(sel.sum()) < 3:
         raise ParameterError("decay-rate window contains fewer than 3 recorded points")
-    slope = np.polyfit(times[sel], np.log(populations[sel]), 1)[0]
-    return -float(slope)
+    return -fit_line(times[sel], np.log(populations[sel]))[0]
 
 
 def compare_to_pole(system: DiscreteModeSystem, result: EvolutionResult,

@@ -224,10 +224,8 @@ def read_raw(path) -> tuple[dict, bytes]:
         raise ConfigError(f"scenario file not found: {p}")
     content = p.read_bytes()
     try:
-        if p.suffix.lower() == ".json":
-            data = json.loads(content)
-        else:
-            data = yaml.load(content, Loader=_YAML_LOADER)
+        data = (json.loads(content) if p.suffix.lower() == ".json"
+                else yaml.load(content, Loader=_YAML_LOADER))
     except (json.JSONDecodeError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"could not parse {p.name}: {exc}") from None
     if data is None:

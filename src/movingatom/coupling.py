@@ -192,13 +192,14 @@ def transverse_dipole(n, e_d):
     return c, e_perp, dot3(e_perp, e_perp)
 
 
-def quotient_slope(model: CouplingModel, n, e_d):
-    """k^2 |e_perp|^2 per direction n, (3,) or a stack (..., 3), with k =
-    `recoil_coefficient(model)`: the x^2 coefficient of sum G^2 over eps^2, for every
-    delta. So it is the slope q1 of w's quotient at every node (`amplitudes.line_fractions`),
-    and for eps > 0 kappa^-1 int_0^Lambda w ~ A Lambda^2 with A = k^2 |e_perp|^2 / 2 for
-    every wavepacket: 0 for the standard dipole, for k = 0, and along the dipole axis."""
-    return recoil_coefficient(model) ** 2 * transverse_dipole(n, e_d)[2]
+def quotient_slope(model: CouplingModel, perp_sq):
+    """k^2 |e_perp|^2 for |e_perp|^2 = perp_sq of any shape (from `transverse_dipole` or
+    `polarization_geometry`), with k = `recoil_coefficient(model)`: the x^2 coefficient of
+    sum G^2 over eps^2, for every delta. So it is the slope q1 of w's quotient at every node
+    (`amplitudes.line_fractions`), and for eps > 0 kappa^-1 int_0^Lambda w ~ A Lambda^2 with
+    A = k^2 |e_perp|^2 / 2 for every wavepacket: 0 for the standard dipole, for k = 0, and
+    along the dipole axis."""
+    return recoil_coefficient(model) ** 2 * perp_sq
 
 
 def polarization_geometry(n, e_d, proj):

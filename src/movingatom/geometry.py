@@ -38,10 +38,9 @@ def check_unit(v: np.ndarray, name: str = "vector", *, stacked: bool = False) ->
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,) and not (stacked and arr.shape[-1:] == (3,)):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if arr.ndim == 1:  # numpy reductions cost microseconds on a scalar
-        deviation = abs(float(np.linalg.norm(arr)) - 1.0)
-    else:
-        deviation = np.abs(np.linalg.norm(arr, axis=-1) - 1.0).max()
+    # one vector without numpy reductions, which cost microseconds on a scalar
+    deviation = (abs(float(np.linalg.norm(arr)) - 1.0) if arr.ndim == 1
+                 else np.abs(np.linalg.norm(arr, axis=-1) - 1.0).max())
     if not deviation <= _UNIT_TOL:  # NaN fails too
         raise ValueError(f"{name} is not a unit vector (|{name}| - 1 exceeds {_UNIT_TOL:g})")
     return arr
@@ -74,13 +73,10 @@ def polarization_basis(n) -> PolarizationBasis:
     n x e1. Any other gauge is `rotate_basis(polarization_basis(n), angle)`.
     """
     n = check_unit(n, "n")
-    k = int(np.argmin(np.abs(n)))
-    h = np.zeros(3)
-    h[k] = 1.0
+    h = np.eye(3)[int(np.argmin(np.abs(n)))]  # the coordinate axis least aligned with n
     transverse = h - float(np.dot(h, n)) * n
     e1 = transverse / float(np.linalg.norm(transverse))
-    e2 = np.cross(n, e1)
-    return PolarizationBasis(e1=e1, e2=e2, n=n)
+    return PolarizationBasis(e1=e1, e2=np.cross(n, e1), n=n)
 
 
 def rotate_basis(basis: PolarizationBasis, angle: float) -> PolarizationBasis:

@@ -10,7 +10,8 @@ remainders of formfactor-damped integrands. Three tools:
 * cutoff_scan: cumulative integrals over [0, Lambda_k], the running sum of one
   integrate_adaptive call per segment between consecutive cutoffs.
 * classify_tail: the growth law of a scan (convergent, logarithmic, power
-  Lambda^p) from a log-log fit of its increments, with its residual.
+  Lambda^p) from a log-log fit of its increments, with its residual; its
+  lines, like every least-squares line of the package, come from `fit_line`.
 
 Everything is deterministic. Integrands must be vectorized (a 1D array in,
 the same shape out, or a stack of integrands: (..., X) out for X points in).
@@ -56,9 +57,11 @@ class QuadratureResult:
     converged: bool
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.value)
         for name in ("value", "error_estimate", "evaluations", "converged"):
-            v, shape = np.asarray(getattr(self, name)), np.shape(self.value)
-            object.__setattr__(self, name, np.broadcast_to(v, shape) if shape else v.item())
+            v = np.asarray(getattr(self, name))
+            v = v if v.shape == shape else np.broadcast_to(v, shape)  # a view costs 5 us
+            object.__setattr__(self, name, v if shape else v.item())
 
 
 def _rule(f, a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -217,6 +220,8 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
     4. |slope| < POWER_SLOPE_MIN and cumulative-vs-ln(Lambda) R^2 >=
        LOG_R2_MIN -> logarithmic;
     5. otherwise ambiguous.
+
+    Both lines (up to two per scan) are least-squares fits in closed form, `fit_line`.
     """
     if fit_points < 5:
         raise ValueError("fit_points must be at least 5 (four increments)")
@@ -224,10 +229,8 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
     if n < fit_points:
         raise ValueError(f"scan has {n} points; classification needs at least {fit_points}")
 
-    lam = scan.lambdas[-fit_points:]
-    cum = scan.values[-fit_points:]
-    inc = np.diff(cum)
-    inc_lam = lam[1:]
+    lam, cum = scan.lambdas[-fit_points:], scan.values[-fit_points:]
+    inc = np.diff(cum)  # attributed to lam[1:]
 
     scale = abs(scan.values[-1])
     if scale == 0.0 or np.all(np.abs(inc) <= CAUCHY_TOL * max(scale, 1e-300)):
@@ -237,11 +240,9 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
         return TailClassification(kind="ambiguous", exponent=None, fit_residual=None,
                                   details={"reason": "non-positive increments above noise floor"})
 
-    log_l = np.log(inc_lam)
-    log_i = np.log(inc)
-    slope, intercept = np.polyfit(log_l, log_i, 1)
+    log_l, log_i = np.log(lam[1:]), np.log(inc)
+    slope, intercept = fit_line(log_l, log_i)
     resid = float(np.sqrt(np.mean((log_i - (slope * log_l + intercept)) ** 2)))
-    slope = float(slope)
 
     if slope <= CONVERGENT_SLOPE_MAX:
         return TailClassification(kind="convergent", exponent=slope, fit_residual=resid,
@@ -255,9 +256,8 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
     # Near-zero increment slope: constant increments per decade, the
     # signature of logarithmic growth. Confirm on the cumulative values.
     ll = np.log(lam)
-    coef = np.polyfit(ll, cum, 1)
-    fitted = np.polyval(coef, ll)
-    ss_res = float(np.sum((cum - fitted) ** 2))
+    log_slope, log_intercept = fit_line(ll, cum)
+    ss_res = float(np.sum((cum - (log_slope * ll + log_intercept)) ** 2))
     ss_tot = float(np.sum((cum - np.mean(cum)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     if r2 >= LOG_R2_MIN:
@@ -266,3 +266,12 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
     return TailClassification(kind="ambiguous", exponent=slope, fit_residual=resid,
                               log_r_squared=r2,
                               details={"reason": "neither power nor logarithmic fit passed"})
+
+
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line y ~ slope x + intercept, in closed form
+    about the means: slope = sum dx dy / sum dx^2 with dx = x - mean(x), dy = y - mean(y).
+    Two numbers need no LAPACK solve (np.polyfit's lstsq pages in up to 0.9 MB of it)."""
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    slope = float(dx @ dy / (dx @ dx))
+    return slope, float(np.mean(y) - slope * np.mean(x))

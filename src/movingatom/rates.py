@@ -45,7 +45,7 @@ from .coupling import (CouplingModel, conditional_polarization_sum, doppler_proj
                        polarization_sum)
 from .geometry import check_unit
 from .units import DimensionlessParams, Normalization
-from .wavepacket import PointMass, ProjectedDistribution, project, weighted_sum
+from .wavepacket import PointMass, ProjectedDistribution, delta_average, project
 
 VARIANTS = ("unshifted", "shifted")  # apply_momentum_shift False, True
 
@@ -83,17 +83,28 @@ def golden_rule_rates(beta, n, e_d, params: DimensionlessParams, model: Coupling
 
 
 def golden_rule_mean_rate(proj: ProjectedDistribution, n, e_d, params: DimensionlessParams,
-                          model: CouplingModel):
+                          model: CouplingModel, tol: float = 1e-9) -> quadrature.QuadratureResult:
     """Normalized rate averaged over a wavepacket seen along n (wavepacket.project), under
     `model` and its own momentum shift: exact given delta
-    (coupling.conditional_polarization_sum), then summed over the projection's delta
-    nodes (Gauss-Hermite for a Gaussian). A float for one direction; for a stack of
-    directions (..., 3), and `proj` projected along it, an array of the stack's shape."""
-    x_star = resonance_root(proj.nodes, params.epsilon)
-    q0, q1, q2 = conditional_polarization_sum(model, x_star, n, e_d, params.epsilon, proj)
-    u = proj.nodes - np.asarray(proj.mean)[..., None]
-    rates = _rate(proj.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
-    return weighted_sum(proj.weights, rates)
+    (coupling.conditional_polarization_sum), then summed over delta nodes by
+    `wavepacket.delta_average`. A point mass or a table is exact on its own nodes (error
+    0); a Gaussian climbs the Gauss-Hermite orders 8, 16, 32 and 64 until an order's
+    change from the one before, its error estimate, meets tol * max(1, rate), and is
+    `converged` = False when order 64 misses it. One field per direction: scalars for
+    one direction, arrays of the stack's shape for a stack of directions (..., 3) and
+    `proj` projected along it; `evaluations` counts the delta nodes."""
+
+    def evaluate(rows, rules):
+        x_star = resonance_root(rows.nodes, params.epsilon)
+        q0, q1, q2 = conditional_polarization_sum(model, x_star, n, e_d, params.epsilon, rows)
+        u = rows.nodes - np.asarray(rows.mean)[..., None]
+        rates = _rate(rows.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
+        values = np.stack([rates[..., block] @ w for w, block in rules])[..., None]
+        return (values, np.zeros_like(values), np.ones(values.shape[:-1], dtype=int),
+                np.ones(values.shape[:-1], dtype=bool))
+
+    value, error, evaluations, converged, _ = delta_average(proj, evaluate, tol)
+    return quadrature.QuadratureResult(value[..., 0], error[..., 0], evaluations, converged)
 
 
 def sphere_pattern_value(rate: float) -> float:
@@ -161,14 +172,13 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
     if not np.all((fixed > 0) & np.isfinite(fixed)):
         raise ValueError("fixed_cutoffs must be positive and finite")
 
-    n = np.array([1.0, 0.0, 0.0])
-    e_d = np.array([0.0, 0.0, 1.0])
+    n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
     model = CouplingModel.roentgen()
     unshifted = replace(model, apply_momentum_shift=False)
     at_rest = project(PointMass(np.zeros(3)), n)
 
     def rate(rate_model: CouplingModel, params: DimensionlessParams) -> float:
-        return golden_rule_mean_rate(at_rest, n, e_d, params, rate_model)
+        return golden_rule_mean_rate(at_rest, n, e_d, params, rate_model).value
 
     rate_eps0 = rate(model, DimensionlessParams(0.0, gamma_tilde))
 

@@ -31,20 +31,21 @@ and with it formfactor dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quadrature
 from .amplitudes import (detuning, line_fractions, lorentzian_denominator, resonance_root,
                          spectral_kernel)
-from .coupling import CouplingModel, conditional_polarization_sum, quotient_slope
+from .coupling import (CouplingModel, conditional_polarization_sum, quotient_slope,
+                       transverse_dipole)
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
 from .units import DimensionlessParams, Normalization, ParameterError
-from .wavepacket import (MomentumDistribution, ProjectedDistribution, expectation, hermite_nodes,
-                         project)
+from .wavepacket import (HERMITE_LADDER, MomentumDistribution, ProjectedDistribution,
+                         delta_average, expectation, project)
 
 # Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
 # ~ |zeta|^2 eps_mach); there no Gauss-Hermite delta node nears the pole.
@@ -328,72 +329,65 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
 
 def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDistribution,
                         formfactor: Formfactor, uppers, tol: float, max_panels: int):
-    """kappa * E[int_0^U F w] over the delta nodes of proj (the packet seen along n: one
+    """kappa * E[int_0^U F w] over the delta law of proj (the packet seen along n: one
     direction, or the rows of a stack), per model (one CouplingModel, or a sequence of
-    them: a leading model axis), direction and U (last axis): values and errors, and per
+    them: a leading model axis), direction and U (last axis): values and errors, per
     model and direction evaluations (line integrals plus rule points, per node) and
-    convergence.
+    convergence, and the first build's quotient slope q1 (k^2 |e_perp|^2 for eps > 0).
 
-    One `line_fractions` build serves every model and, for a Gaussian, both Hermite
-    orders: proj's nodes with those of the same packet at half the order appended, the
-    order check. Each order's weighted sum is taken apart at the end; the half order's
-    change joins the error and must meet tol * max(1, |I|), which fails for a U inside
-    the Doppler profile (the line integral jumps there).
+    `wavepacket.delta_average` takes the average: a point mass's or a table's own nodes
+    in one `line_fractions` build for every model; a Gaussian's Gauss-Hermite orders 8
+    and 16 in the first build, then 32 and 64 in one build each while some model and
+    direction (a column) is open. Each column keeps the first order whose change from
+    the one before meets tol * max(1, |I|) at every U, and that change joins its error.
+    A U inside the Doppler profile (the line integral jumps there) stays open at 64 and
+    reports converged = False.
 
     Under a formfactor every U is clamped to its reach (suggested_upper_limit),
     past which F < e^-60: the dropped tail, and any line lying there, is damped
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled, to one run of integrate_adaptive's levels up to U (a column per order,
-    model and direction), which raises NumericalError when they or their integral are
-    not finite: a smooth F takes one U, and a ladder of them raises ValueError.
-    NumericalError (from LineFractions.integral) names the first U whose value is not
-    finite."""
+    unscaled, to one run of integrate_adaptive's levels up to U per build (a column
+    per rule, model and direction), which raises NumericalError when they or their
+    integral are not finite: a smooth F takes one U, and a ladder of them raises
+    ValueError. NumericalError (from LineFractions.integral) names the first U whose
+    value is not finite."""
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
-    rules, blocks = [proj.weights], [slice(None)]
-    if proj.kind == "gaussian":  # the order check: the same law at half the order
-        nodes, weights = hermite_nodes(proj.mean, proj.sigma, proj.weights.size // 2)
-        rules, blocks = [proj.weights, weights], [slice(-weights.size), slice(-weights.size, None)]
-        # line_fractions reads the nodes, not the weights
-        proj = replace(proj, nodes=np.concatenate((proj.nodes, nodes), axis=-1))
-    lines = line_fractions(models, n, scenario.dipole_axis, proj, scenario.params)
+    slopes = []
 
-    def sums(a):  # each order's weighted sum over the node axis (second last), stacked first
-        return np.stack([w @ a[..., block, :] for w, block in zip(rules, blocks)])
+    def evaluate(rows, rules):
+        lines = line_fractions(models, n, scenario.dipole_axis, rows, scenario.params)
+        slopes.append(lines.q1[..., 0])
 
-    if formfactor.kind in ("none", "sharp"):
-        values = scenario.kappa * sums(lines.integral(uppers))
-        errors, counts, converged = np.zeros_like(values), (uppers.size,) * len(rules), True
-    else:
-        f_near = np.exp(formfactor._exponent(lines.near[..., None]))
+        def sums(a):  # each rule's weighted sum over the node axis (second last), rules first
+            parts = [w @ a[..., block, :] for w, block in rules]
+            return parts[0][None] if len(parts) == 1 else np.stack(parts)  # one rule: a view
 
-        def rest(weights, part, f_z, x):
-            z = part.near[..., None]
+        if formfactor.kind in ("none", "sharp"):
+            values = scenario.kappa * sums(lines.integral(uppers))
+            return (values, np.zeros_like(values), np.full(values.shape[:-1], uppers.size),
+                    np.ones(values.shape[:-1], dtype=bool))
+        z = lines.near[..., None]
+        f_near = np.exp(formfactor._exponent(z))
+
+        def rest(x):
             # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
-            quotient = f_z * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
-            return weights @ (formfactor(x) * part.smooth(x)
-                              + 2.0 * np.real(part.near_residue[..., None] * quotient))
+            quotient = f_near * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
+            return sums(formfactor(x) * lines.smooth(x)
+                        + 2.0 * np.real(lines.near_residue[..., None] * quotient))
 
-        # each order's rest on its own nodes: temporaries over both orders' nodes at once
-        # would raise the peak memory of a large stack of directions by half
-        parts = [(w, lines.at(block), f_near[..., block, :]) for w, block in zip(rules, blocks)]
         # integrate_adaptive's levels as arrays: movbench/tracer.py wraps that function
         # and reads its evaluations and convergence as one number each, not per direction
-        value, error, count, done = quadrature._levels(
-            lambda x: np.stack([rest(*part, x) for part in parts]), 0.0, uppers.item(), tol,
-            max_panels)
+        value, error, count, done = quadrature._levels(rest, 0.0, uppers.item(), tol, max_panels)
         values = scenario.kappa * (sums(lines.near_integral(uppers, f_near[..., 0]))
                                    + value[..., None])
-        errors, counts, converged = scenario.kappa * error[..., None], 1 + count, done.all(axis=0)
-    evaluations = sum(w.size * k for w, k in zip(rules, counts))
-    if len(rules) == 2:  # a Gaussian: the half order's change joins the error
-        gap = np.abs(values[0] - values[1])
-        errors += gap
-        converged = converged & np.all(gap <= tol * np.maximum(1.0, np.abs(values[0])), axis=-1)
-    return values[0], errors[0], evaluations, np.broadcast_to(converged, values.shape[1:-1])
+        return values, scenario.kappa * error[..., None], 1 + count, done
+
+    value, error, evaluations, converged, _ = delta_average(proj, evaluate, tol)
+    return value, error, evaluations, converged, slopes[0]
 
 
 def directional_probability(scenario: EmissionScenario, n, formfactor: Formfactor,
@@ -404,9 +398,9 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     n is one direction (3,) or a stack of them (..., 3), computed together (one
     projection, one closed form per node, one run of the quadrature levels); a stack
     gives every field of the result per direction, each as a call on that direction
-    alone would. A Gaussian's half-order check shares that pass: its nodes join the
-    closed form, and its rest is a second column of the same levels
-    (`_frequency_integral`).
+    alone would. A Gaussian climbs the Gauss-Hermite orders 8 and 16 (one pass: both
+    orders' nodes join the closed form, and their rests are two columns of the same
+    levels), then 32 and 64 while a direction is open (`_frequency_integral`).
 
     The formfactor multiplies the squared coupling, hence w exactly once. At
     each delta node (point mass, table row, or Gauss-Hermite node) the integral
@@ -414,8 +408,9 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     formfactor leaves a smooth rest for integrate_adaptive, the one place
     `max_panels` applies. `error_estimate` (kappa-scaled) is 0 for point
     masses and tables under "none" or "sharp", else the rule's last level
-    difference plus a Gaussian's change from half the Hermite order.
-    `converged` is False when that misses tol * max(1, |value|), e.g. for a
+    difference plus a Gaussian's change from the Hermite order before the one it
+    kept; `evaluations` adds up every order it took. `converged` is False when
+    that change still misses tol * max(1, |value|) at order 64, e.g. for a
     Gaussian whose upper limit lies inside its Doppler profile. Under "none"
     the value grows with upper_limit (see `divergence_comparison`); under a
     formfactor an upper_limit past its suggested_upper_limit integrates to that.
@@ -425,7 +420,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     when the value is not finite (it overflowed).
     """
     n = check_unit(n, "n", stacked=True)
-    proj = project(scenario.distribution, n)
+    proj = project(scenario.distribution, n, order=HERMITE_LADDER[0])
     x_star = float(np.max(resonance_root(proj.mean, scenario.params.epsilon)))
     if not (math.isfinite(upper_limit) and upper_limit > x_star):
         reach = math.inf if formfactor.kind == "none" else formfactor.suggested_upper_limit()
@@ -435,7 +430,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
                                  f"exceed the resonance at x = {x_star:.6g}")
         raise ParameterError(f"upper_limit {upper_limit!r} must be finite and exceed the "
                              f"resonance at x = {x_star:.6g}")
-    values, errors, evaluations, converged = _frequency_integral(
+    values, errors, evaluations, converged, _ = _frequency_integral(
         scenario, scenario.coupling, n, proj, formfactor, [float(upper_limit)], tol, max_panels)
     return QuadratureResult(values[..., 0], errors[..., 0], evaluations, converged)
 
@@ -498,23 +493,25 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     only the coupling differs.
 
     The verdict rests on the leading term: kappa^-1 I(Lambda) ~ A Lambda^2 with
-    A = k^2 |e_perp|^2 / 2 (`coupling.quotient_slope`, the slope of every node's
-    quotient), for every wavepacket: |e_perp|^2/2 for (a), 0 for (b), 2 |e_perp|^2
-    for (c). Roentgen is strictly more divergent than standard when its A is larger,
-    which holds in every direction but the dipole axis. Along the axis both A are 0
-    and the standard scan is 0 (e_d . e_lambda = 0), so roentgen is strictly more
-    divergent when its scan ends above 0 (a packet with transverse velocity), and
-    otherwise there is no strict ordering. The verdict is withheld (None) when a scan
+    A = k^2 |e_perp|^2 / 2, half the slope q1 of every node's quotient, read from the
+    scans' own line fractions (`coupling.quotient_slope`), for every wavepacket:
+    |e_perp|^2/2 for (a), 0 for (b), 2 |e_perp|^2 for (c). Roentgen is strictly more
+    divergent than standard when its A is larger, which holds in every direction but
+    the dipole axis. Along the axis both A are 0 and the standard scan is 0
+    (e_d . e_lambda = 0), so roentgen is strictly more divergent when its scan ends
+    above 0 (a packet with transverse velocity), and otherwise there is no strict
+    ordering. The verdict is withheld (None) when a scan
     missed its tolerance. The fits (`quadrature.classify_tail` on the last
     FIT_POINTS cutoffs) are reported as checks; when their window starts below
     10/epsilon, short of the Lambda^2 regime (the Roentgen bracket vanishes near
     x = 1/epsilon), the note says they are pre-asymptotic.
 
     Each cutoff is closed form per delta node (see `directional_probability`):
-    point masses and tables scan exactly, with errors 0. The three models and,
-    for a Gaussian, both Hermite orders are one `_frequency_integral` pass: the
-    poles and logarithms, which the models share, are evaluated once, and each
-    model's scan equals, bit for bit, one computed alone. `max_panels` has no
+    point masses and tables scan exactly, with errors 0. The three models share
+    each pass of `_frequency_integral` (a Gaussian's orders 8 and 16 are one pass,
+    32 and 64 one each if a model needs them): the poles and logarithms, which the
+    models share, are evaluated once, and each model's scan, its Hermite order
+    included, equals, bit for bit, one computed alone. `max_panels` has no
     effect here; it stays because movbench/worker.py passes it.
     """
     n = check_unit(n, "n")
@@ -523,16 +520,16 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     lambdas = np.asarray(quadrature.geometric_cutoffs() if lambdas is None else lambdas, dtype=float)
     if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
         raise ValueError("cutoffs must be finite and positive")
-    values, errors, evaluations, converged = _frequency_integral(
-        scenario, _DIVERGENCE_MODELS, n, project(scenario.distribution, n), Formfactor.none(),
-        lambdas, tol, max_panels)
+    values, errors, evaluations, converged, slopes = _frequency_integral(
+        scenario, _DIVERGENCE_MODELS, n, project(scenario.distribution, n, order=HERMITE_LADDER[0]),
+        Formfactor.none(), lambdas, tol, max_panels)
 
     entries = {}
     for i, model in enumerate(_DIVERGENCE_MODELS):
         scan = CutoffScan(lambdas=lambdas, values=values[i], errors=errors[i],
-                          evaluations=evaluations, converged=bool(converged[i]))
-        a = 0.5 * float(quotient_slope(model, n, scenario.dipole_axis))
-        entries[model.label] = ModelDivergence(scan, quadrature.classify_tail(scan), {"A": a})
+                          evaluations=int(evaluations[i]), converged=bool(converged[i]))
+        entries[model.label] = ModelDivergence(scan, quadrature.classify_tail(scan),
+                                               {"A": 0.5 * float(slopes[i])})
 
     a_r, a_s = (entries[label].exact_law["A"] for label in ("roentgen", "standard"))
     notes, verdict = [], None
@@ -575,10 +572,11 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     (rates.VARIANTS), if given, sets the scenario coupling's momentum shift
     (the standard model has none either way); metadata "variant" names the
     shift in force. The average over the wavepacket is exact given
-    delta = n.beta, with a 40-point Gauss-Hermite rule over delta for a
-    Gaussian (built once).
-    Every angle is evaluated in one array pass: one projection of the packet
-    onto the stack of directions, one golden-rule sum over its nodes.
+    delta = n.beta, and for a Gaussian climbs the Gauss-Hermite orders 8, 16, 32
+    and 64 over delta (`rates.golden_rule_mean_rate`, with `tol`): NumericalError
+    names the first angle still open at order 64.
+    Every angle is evaluated in one array pass per order: one projection of the
+    packet onto the stack of directions, one golden-rule sum over its nodes.
 
     mode "integrated": one `directional_probability` call (with `tol`, `max_panels`)
     on the stack of directions, defined only with a formfactor -- an unregularized
@@ -595,17 +593,16 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
 
     if mode == "golden_rule":
         model = scenario.coupling if variant is None else with_variant(scenario.coupling, variant)
-        values = sphere_pattern_value(golden_rule_mean_rate(
-            project(scenario.distribution, directions), directions, e_d, scenario.params, model))
+        proj = project(scenario.distribution, directions, order=HERMITE_LADDER[0])
+        res = golden_rule_mean_rate(proj, directions, e_d, scenario.params, model, tol)
+        values = sphere_pattern_value(res.value)
         meta = {"mode": mode, "variant": VARIANTS[model.apply_momentum_shift], "phi": phi,
                 "normalization": "reference sphere integral = 1"}
-        return PatternResult(theta=theta, values=values, mode=mode, metadata=meta)
-
-    if mode != "integrated":
+    elif mode != "integrated":
         raise ValueError(f"unknown pattern mode {mode!r}")
-    if formfactor is None or formfactor.kind == "none":
-        if scenario.params.epsilon > 0 and np.any(quotient_slope(scenario.coupling, directions,
-                                                                 e_d)):
+    elif formfactor is None or formfactor.kind == "none":
+        if scenario.params.epsilon > 0 and np.any(
+                quotient_slope(scenario.coupling, transverse_dipole(directions, e_d)[2])):
             raise PhysicsRejection(
                 "integrated angular pattern rejected: with the velocity-dependent "
                 "coupling at finite mass (epsilon > 0) the frequency integral grows "
@@ -613,16 +610,17 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
         raise PhysicsRejection(
             "integrated angular pattern rejected: the frequency integral is "
             "cutoff-dependent without a formfactor; supply one (or use golden_rule mode)")
-    upper = float(upper_limit) if upper_limit is not None else formfactor.suggested_upper_limit()
-
-    res = directional_probability(scenario, directions, formfactor, upper, tol=tol,
-                                  max_panels=max_panels)
+    else:
+        upper = formfactor.suggested_upper_limit() if upper_limit is None else float(upper_limit)
+        res = directional_probability(scenario, directions, formfactor, upper, tol=tol,
+                                      max_panels=max_panels)
+        values = res.value
+        meta = {"mode": mode, "formfactor": formfactor.kind, "cutoff": formfactor.cutoff,
+                "upper_limit": upper, "phi": phi,
+                "normalization": "kappa-scaled probability per steradian"}
     bad = np.flatnonzero(~res.converged)
     if bad.size:
-        raise NumericalError(f"angular pattern integration did not converge at theta = "
-                             f"{theta[bad[0]]:.6g} (error {res.error_estimate[bad[0]]:.3g}); "
-                             "raise max_panels or loosen tol")
-    meta = {"mode": mode, "formfactor": formfactor.kind, "cutoff": formfactor.cutoff,
-            "upper_limit": upper, "phi": phi,
-            "normalization": "kappa-scaled probability per steradian"}
-    return PatternResult(theta=theta, values=res.value, mode=mode, metadata=meta)
+        raise NumericalError(f"angular pattern did not converge at theta = {theta[bad[0]]:.6g} "
+                             f"(error {res.error_estimate[bad[0]]:.3g}); loosen tol or, for "
+                             "an integrated pattern, raise max_panels")
+    return PatternResult(theta=theta, values=values, mode=mode, metadata=meta)

@@ -79,10 +79,7 @@ class DimensionlessParams:
 
 def to_dimensionless(inp: PhysicalInput) -> DimensionlessParams:
     """Reduce a :class:`PhysicalInput` to (epsilon, gamma_tilde)."""
-    if inp.infinite_mass:
-        eps = 0.0
-    else:
-        eps = HBAR * inp.omega0 / (2.0 * inp.mass * C_LIGHT**2)
+    eps = 0.0 if inp.infinite_mass else HBAR * inp.omega0 / (2.0 * inp.mass * C_LIGHT**2)
     return DimensionlessParams(epsilon=eps, gamma_tilde=inp.gamma0 / inp.omega0)
 
 

@@ -30,15 +30,17 @@ doubling the order; it backs the spectra module's `full3d` oracle path.
 so a mixture of point-mass results over the same nodes with the same
 weights is *bitwise* equal to it: on that path (ACC-08) pure-state and
 mixed-state averaging coincide identically, not just approximately. Other
-averages need no such identity and reduce as suits them: the golden-rule
-rates with `weighted_sum`, the Doppler spectrum and the frequency integrals
-of the spectra module with a matrix product `weights @ values`.
+averages need no such identity and reduce with a matrix product of weights and
+values: the golden-rule rates, the Doppler spectrum and the frequency
+integrals of the spectra module. Those over a Gaussian's delta take the order
+their tolerance needs: `delta_average` climbs the Gauss-Hermite orders of
+HERMITE_LADDER, 8 to 64, until two orders agree.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -235,6 +237,55 @@ def hermite_nodes(mean, sigma, order: int) -> tuple[np.ndarray, np.ndarray]:
     return mean[..., None] + np.sqrt(2.0) * sigma[..., None] * t, w / np.sqrt(np.pi)
 
 
+HERMITE_LADDER = (8, 16, 32, 64)  # the Gauss-Hermite orders of `delta_average`
+
+
+def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
+    """An average over the law of delta = n.beta that `proj` holds (projected along n, one
+    direction (3,) or a stack (..., 3)): (value, error, evaluations, converged, orders).
+
+    evaluate(rows, rules) -> (values, errors, counts, converged) evaluates at the delta
+    nodes of `rows` (proj with its nodes replaced) for every rule (weights, slice of the
+    node axis), the rules' nodes side by side, and stacks its fields rule first: values
+    and errors shaped (R, ..., X) for R rules, counts (work per node) and converged
+    shaped (R, ...), where ... holds the columns (such as models and directions) and X
+    the points of each (such as upper limits).
+
+    A point mass or a table takes its own nodes, once. A Gaussian climbs the Gauss-Hermite
+    orders of HERMITE_LADDER: 8 and 16 in one evaluation, then 32 and 64 while a column is
+    open. Gauss rules on analytic integrands converge geometrically (Trefethen & Weideman,
+    SIAM Review 56, 2014), so, as `quadrature._levels` does per column, each column keeps
+    the first order whose change from the order before meets tol * max(1, |value|) at
+    every X: the change joins its error, and the work of every order up to it its
+    evaluations. So a column equals a call on it alone. A column open at 64 reports
+    converged = False, as does one whose evaluation missed its own target at either of the
+    two orders compared. `orders` is the order each column kept (a point mass's or a
+    table's node count). The projection's own nodes are not read for a Gaussian:
+    `project` it at HERMITE_LADDER[0] to build no other order.
+    """
+    if proj.kind != "gaussian":
+        v, e, c, ok = evaluate(proj, [(proj.weights, slice(None))])
+        return v[0], e[0], proj.weights.size * c[0], ok[0], np.full(c[0].shape, proj.weights.size)
+    rule_orders, done = HERMITE_LADDER[:2], None
+    while rule_orders[-1] <= HERMITE_LADDER[-1] and (done is None or not done.all()):
+        built = [hermite_nodes(proj.mean, proj.sigma, k) for k in rule_orders]
+        blocks = (slice(rule_orders[0]), slice(rule_orders[0], None))
+        v, e, c, ok = evaluate(replace(proj, nodes=np.concatenate([t for t, _ in built], axis=-1)),
+                               [(w, block) for (_, w), block in zip(built, blocks)])
+        if done is None:  # order 8 stands for the order before 16
+            value, error, evaluations, rest_ok, orders = v[0], e[0], 0 * c[0], ok[0], 0 * c[0]
+            done = converged = np.zeros(ok.shape[1:], dtype=bool)
+        gap = np.abs(v[-1] - value)
+        met = np.all(gap <= tol * np.maximum(1.0, np.abs(v[-1])), axis=-1)
+        value = np.where(done[..., None], value, v[-1])
+        error = np.where(done[..., None], error, e[-1] + gap)
+        evaluations = evaluations + np.where(done, 0, sum(k * ck for k, ck in zip(rule_orders, c)))
+        converged = np.where(done, converged, met & ok[-1] & rest_ok)
+        orders = np.where(done, orders, rule_orders[-1])
+        rest_ok, done, rule_orders = ok[-1], done | met, (2 * rule_orders[-1],)
+    return value, error, evaluations, converged, orders
+
+
 def gaussian_nodes(dist: GaussianPacket, order: int = 40) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite nodes (N, 3) and weights (N,) for a 3D Gaussian.
 
@@ -251,15 +302,11 @@ def gaussian_nodes(dist: GaussianPacket, order: int = 40) -> tuple[np.ndarray, n
     if not np.any(active):
         return dist.mean[None, :].copy(), np.array([1.0])
     idx = np.nonzero(active)[0]
-    t, w = _hermite_rule(order)
-    grids = np.meshgrid(*([t] * idx.size), indexing="ij")
-    tpts = np.stack([g.ravel() for g in grids], axis=-1)  # (N, d)
-    wgrids = np.meshgrid(*([w] * idx.size), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    weights = weights / np.pi ** (idx.size / 2.0)
+    # the tensor grid of the 1D rule's nodes and of its weights, (N, d) each
+    tpts, wpts = (np.stack([g.ravel() for g in np.meshgrid(*([r] * idx.size), indexing="ij")],
+                           axis=-1) for r in _hermite_rule(order))
     axes = eigvecs[:, idx] * np.sqrt(2.0 * eigvals[idx])  # (3, d)
-    nodes = dist.mean + tpts @ axes.T
-    return nodes, weights
+    return dist.mean + tpts @ axes.T, np.prod(wpts, axis=-1) / np.pi ** (idx.size / 2.0)
 
 
 @dataclass(frozen=True)

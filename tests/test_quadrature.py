@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from movingatom.quadrature import (CutoffScan, NumericalError, classify_tail,
+from movingatom.quadrature import (CutoffScan, NumericalError, classify_tail, fit_line,
                                    cutoff_scan, geometric_cutoffs,
                                    integrate_adaptive)
 
@@ -217,3 +217,53 @@ def test_scan_validation():
         CutoffScan(lambdas=np.array([1.0, 2.0]), values=np.array([1.0]),
                    errors=np.array([0.0, 0.0]), evaluations=10,
                    converged=True)
+
+
+def test_fit_line_matches_polyfit_on_seeded_windows():
+    # the closed-form centred fit against np.polyfit's least squares: log-log increment
+    # windows like classify_tail's, its cumulative-vs-ln(Lambda) branch, and decay windows
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        lam = np.geomspace(10 ** rng.uniform(1, 3), 10 ** rng.uniform(3.5, 6),
+                           rng.integers(5, 17))
+        for x, y in ((np.log(lam), rng.uniform(-3, 3) * np.log(lam) + rng.normal(size=lam.size)),
+                     (np.log(lam), rng.uniform(0.5, 5) * np.log(lam) + rng.uniform(-1e3, 1e3)),
+                     (np.linspace(0.0, 3e3, 40), -1e-3 * np.linspace(0.0, 3e3, 40)
+                      + 1e-4 * rng.normal(size=40))):
+            slope, intercept = fit_line(x, y)
+            want = np.polyfit(x, y, 1)
+            assert abs(slope - want[0]) <= 1e-12 * abs(want[0])
+            assert abs(intercept - want[1]) <= 1e-12 * max(abs(want[1]), abs(want[0] * x).max())
+
+
+def _polyfit_line(x, y):
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept)
+
+
+def test_acceptance_fits_read_the_same_kinds_and_exponents(monkeypatch):
+    # ACC-02, ACC-03 and ACC-05 read classify_tail's kind and exponent: the same with np.polyfit
+    from movingatom import amplitudes, quadrature, rates, spectra
+    from movingatom.coupling import CouplingModel
+    from movingatom.units import DimensionlessParams
+    from movingatom.wavepacket import PointMass
+
+    def run():
+        scenario = spectra.EmissionScenario(DimensionlessParams(0.01, 0.01),
+                                            CouplingModel.roentgen(), PointMass(np.zeros(3)))
+        report = spectra.divergence_comparison(scenario, np.array([1.0, 0.0, 0.0]))
+        table = rates.limit_ordering_demo([1e-2, 1e-3, 1e-4], gamma_tilde=0.01)
+        return ([(e.classification.kind, e.classification.exponent,
+                  e.classification.log_r_squared) for e in report.entries.values()]
+                + [(row.growth_kind, row.growth_exponent, None) for row in table.rows])
+
+    closed = run()
+    monkeypatch.setattr(quadrature, "fit_line", _polyfit_line)
+    monkeypatch.setattr(amplitudes, "fit_line", _polyfit_line)
+    lapack = run()
+    assert [kind for kind, *_ in closed] == [kind for kind, *_ in lapack]
+    assert [kind for kind, *_ in closed] == ["power", "logarithmic", "power"] + ["power"] * 3
+    for (_, p, r2), (_, q, s2) in zip(closed, lapack):
+        assert (p is None) == (q is None) and (r2 is None) == (s2 is None)
+        assert p is None or abs(p - q) <= 1e-12 * abs(q)
+        assert r2 is None or abs(r2 - s2) <= 1e-12

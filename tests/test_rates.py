@@ -123,7 +123,7 @@ def test_vectorized_rates_match_scalar():
         assert batch.shape == (9,)
         for i in range(9):
             single = golden_rule_mean_rate(project(PointMass(betas[i]), N_PERP),
-                                           N_PERP, E_D, params, model)
+                                           N_PERP, E_D, params, model).value
             assert batch[i] == pytest.approx(single, rel=1e-14)
 
 
@@ -132,7 +132,7 @@ def test_mean_rate_takes_the_momentum_shift_from_the_model():
     params = DimensionlessParams(epsilon=0.05, gamma_tilde=0.01)
     proj = project(PointMass(np.array([0.01, 0.02, 0.0])), N_PERP)
     for variant, want in (("unshifted", 0.88670), ("shifted", 0.72979)):
-        got = golden_rule_mean_rate(proj, N_PERP, E_D, params, MODELS[variant])
+        got = golden_rule_mean_rate(proj, N_PERP, E_D, params, MODELS[variant]).value
         assert got == pytest.approx(perpendicular_rate(variant, 0.01, 0.05), rel=1e-14)
         assert got == pytest.approx(want, abs=5e-6)
 

@@ -369,7 +369,8 @@ def test_references_share_no_coupling_algebra_with_production(monkeypatch):
     # production first
     exact = [directional_spectrum(sc, n, x).w for sc in scenarios]
     packet = dists[1]
-    mean_rate = golden_rule_mean_rate(project(packet, n), n, E_D, scenarios[0].params, model)
+    mean_rate = golden_rule_mean_rate(project(packet, n), n, E_D, scenarios[0].params,
+                                      model).value
     closed_sum = conditional_polarization_sum(model, x, n, E_D, eps, project(PointMass(beta), n))[0]
     perp_w = {m.label: directional_spectrum(make_scenario(eps=eps, dist=PointMass(beta[0] * N_PERP),
                                                           model=m), N_PERP, x).w
@@ -602,42 +603,59 @@ def test_smooth_formfactor_takes_one_upper_limit():
 DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(), NO_RECOIL_TERM)
 
 
-def per_model_reference(scenario, model, n, formfactor, uppers, tol=1e-9, max_panels=4096):
-    """`spectra._frequency_integral` as it was computed one model and one Hermite order at a
-    time: a `line_fractions(model, ...)` build and its `integral` (or a `_levels` run of the
-    smooth rest) per order, the half order redone on its own projection."""
+def fixed_order_reference(scenario, model, row, proj, formfactor, uppers, tol=1e-9,
+                          max_panels=4096):
+    """`spectra._frequency_integral` on the nodes of `proj` alone, one model and one
+    direction `row`: a `line_fractions(model, ...)` build and its `integral` (or a `_levels`
+    run of the smooth rest); (values, errors, evaluations, converged)."""
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
+    lines = amplitudes.line_fractions(model, row, scenario.dipole_axis, proj, scenario.params)
+    kappa, weights = scenario.kappa, proj.weights
+    if formfactor.kind in ("none", "sharp"):
+        values = kappa * (weights @ lines.integral(uppers))
+        return values, np.zeros_like(values), weights.size * uppers.size, True
+    z = lines.near[..., None]
+    f_near = np.exp(formfactor._exponent(z))
 
-    def one(proj):
-        lines = amplitudes.line_fractions(model, n, scenario.dipole_axis, proj, scenario.params)
-        kappa, weights = scenario.kappa, proj.weights
-        if formfactor.kind in ("none", "sharp"):
-            values = kappa * (weights @ lines.integral(uppers))
-            return values, np.zeros_like(values), weights.size * uppers.size, True
-        z = lines.near[..., None]
-        f_near = np.exp(formfactor._exponent(z))
+    def rest(x):
+        quotient = f_near * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
+        return weights @ (formfactor(x) * lines.smooth(x)
+                          + 2.0 * np.real(lines.near_residue[..., None] * quotient))
 
-        def rest(x):
-            quotient = f_near * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
-            return weights @ (formfactor(x) * lines.smooth(x)
-                              + 2.0 * np.real(lines.near_residue[..., None] * quotient))
+    value, error, count, converged = quadrature._levels(rest, 0.0, uppers.item(), tol,
+                                                        max_panels)
+    values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0]) + value[..., None])
+    return values, kappa * error[..., None], weights.size * (1 + count), converged
 
-        value, error, count, converged = quadrature._levels(rest, 0.0, uppers.item(), tol,
-                                                            max_panels)
-        values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0])
-                          + value[..., None])
-        return values, kappa * error[..., None], weights.size * (1 + count), converged
 
-    proj = project(scenario.distribution, n)
-    values, errors, evaluations, converged = one(proj)
-    if proj.kind == "gaussian":
-        coarse, _, more, ok = one(project(scenario.distribution, n, order=proj.weights.size // 2))
-        gap = np.abs(values - coarse)
-        errors, evaluations = errors + gap, evaluations + more
-        converged = ok & converged & np.all(gap <= tol * np.maximum(1.0, np.abs(values)), axis=-1)
-    return values, errors, evaluations, converged
+def per_model_reference(scenario, model, n, formfactor, uppers, tol=1e-9, max_panels=4096):
+    """`spectra._frequency_integral` computed one model, one direction and one Hermite order
+    at a time (`fixed_order_reference`), each order on its own projection. A Gaussian takes
+    orders 8 and 16, then 32 and 64 until an order's change from the one before meets
+    tol * max(1, |I|) at every U; the last change joins the error."""
+    fields = []
+    for row in np.reshape(n, (-1, 3)):
+        def one(order):
+            proj = project(scenario.distribution, row, order=order)
+            return proj.kind, fixed_order_reference(scenario, model, row, proj, formfactor,
+                                                    uppers, tol, max_panels)
+
+        kind, (value, error, evaluations, converged) = one(8)
+        if kind == "gaussian":
+            rest_ok = converged
+            for order in (16, 32, 64):
+                fine, fine_error, more, ok = one(order)[1]
+                gap = np.abs(fine - value)
+                met = np.all(gap <= tol * np.maximum(1.0, np.abs(fine)))
+                value, error, evaluations = fine, fine_error + gap, evaluations + more
+                converged, rest_ok = met & ok & rest_ok, ok
+                if met:
+                    break
+        fields.append((value, error, evaluations, converged))
+    batch = np.shape(n)[:-1]
+    return tuple(np.reshape(np.array(f), batch + np.shape(f[0])) for f in zip(*fields))
 
 
 N_TABLE = direction_from_angles(1.1, 0.3, axis=E_D)
@@ -682,16 +700,97 @@ def test_one_pass_equals_a_pass_per_model_and_order(packet, stacked, formfactor,
             assert np.array_equal(one, np.broadcast_to(want, np.shape(one))), model.label
 
 
-def test_large_gaussian_stack_equals_each_direction_alone():
+def spy_hermite_orders(monkeypatch):
+    """The Hermite order each column kept (`wavepacket.delta_average`'s last field), one array
+    per `_frequency_integral` call, recorded while the test runs."""
+    orders, delta_average = [], spectra.delta_average
+
+    def spy(*args):
+        out = delta_average(*args)
+        orders.append(out[-1])
+        return out
+
+    monkeypatch.setattr(spectra, "delta_average", spy)
+    return orders
+
+
+STACKS = [
     # 120 directions make the polarization sum's complex temporaries pass 256 KB, where numpy
     # computed b * T as T *= b: 24 values and 44 error estimates differed in the last bits
-    scenario = make_scenario(dist=GaussianPacket.isotropic([0.0, 0.0, 0.0], 1e-3))
-    gauss = Formfactor("gaussian", 50.0)
-    n = direction_from_angles(np.linspace(0.0, np.pi, 120), 0.0, axis=E_D)
-    stacked = directional_probability(scenario, n, gauss, 400.0)
-    alone = [directional_probability(scenario, row, gauss, 400.0) for row in n]
-    for name in ("value", "error_estimate", "evaluations", "converged"):
-        assert np.array_equal(getattr(stacked, name), [getattr(a, name) for a in alone]), name
+    ([0.0, 0.0, 0.0], 1e-3, 1e-2, Formfactor("gaussian", 50.0), 400.0, 120),
+    # U = 1.103 lies at 1 to 7 Doppler widths from the line, by direction: the directions
+    # keep orders 16, 32 and 64, and the closest miss tol at 64
+    ([0.05, 0.0, 0.0], 1e-2, 1e-3, Formfactor.none(), 1.103, 24),
+    ([0.05, 0.0, 0.0], 1e-2, 1e-3, Formfactor("exponential", 3.0), 1.103, 24),
+]
+
+
+def test_large_gaussian_stack_equals_each_direction_alone(monkeypatch):
+    kept = spy_hermite_orders(monkeypatch)
+    for mean, sigma, gt, formfactor, upper, count in STACKS:
+        first = len(kept)
+        scenario = make_scenario(gt=gt, dist=GaussianPacket.isotropic(mean, sigma))
+        n = direction_from_angles(np.linspace(0.0, np.pi, count), 0.0, axis=E_D)
+        stacked = directional_probability(scenario, n, formfactor, upper)
+        alone = [directional_probability(scenario, row, formfactor, upper) for row in n]
+        for name in ("value", "error_estimate", "evaluations", "converged"):
+            assert np.array_equal(getattr(stacked, name), [getattr(a, name) for a in alone]), name
+        orders = kept[first:]  # the stack's, then each direction's
+        assert np.array_equal(orders[0], [int(o) for o in orders[1:]])
+        if count == 24:
+            assert set(orders[0]) == {16, 32, 64} and not stacked.converged.all()
+
+
+def test_climbing_directions_equal_an_order_at_a_time(monkeypatch):
+    # the mixed-order stack above, three models in one pass: every model and direction
+    # keeps the order it would keep alone, one build per order
+    orders = spy_hermite_orders(monkeypatch)
+    scenario = make_scenario(gt=1e-3, dist=GaussianPacket.isotropic([0.05, 0.0, 0.0], 1e-2))
+    n = direction_from_angles(np.linspace(0.0, np.pi, 24), 0.0, axis=E_D)
+    uppers = [1.103, 2.0]
+    proj = project(scenario.distribution, n, order=8)
+    shared = spectra._frequency_integral(scenario, DIVERGENCE_MODELS, n, proj,
+                                         Formfactor.none(), uppers, 1e-9, 4096)
+    assert set(orders[0].ravel()) == {16, 32, 64}
+    for i, model in enumerate(DIVERGENCE_MODELS):
+        ref = per_model_reference(scenario, model, n, Formfactor.none(), uppers)
+        for got, want in zip(shared, ref):
+            assert np.array_equal(got[i], np.broadcast_to(want, np.shape(got[i]))), model.label
+
+
+def test_ladder_sweep_is_within_tol_of_order_64_where_converged():
+    # seeded draws over packet widths, directions, upper limits from the line's edge out to
+    # 1e4, the four formfactors, the three models, points and packets: a result marked
+    # converged lies within tol * max(1, |I|) of the order-64 value
+    rng = np.random.default_rng(28)
+    tol, kinds, seen = 1e-9, ("none", "sharp", "gaussian", "exponential"), set()
+    for draw in range(96):
+        model = DIVERGENCE_MODELS[draw % 3]
+        kind = kinds[(draw // 3) % 4]
+        packet = draw % 2 == 0
+        eps, gt = 10 ** rng.uniform(-3, -1.3), 10 ** rng.uniform(-4, -2)
+        sigma = 10 ** rng.uniform(-4, -1)
+        mean = rng.normal(scale=0.01, size=3)
+        dist = GaussianPacket.isotropic(mean, sigma) if packet else PointMass(mean)
+        n = direction_from_angles(rng.choice([0.0, 0.4, math.pi / 4, 1.2, math.pi / 2, 2.5]),
+                                  rng.uniform(0.0, 2 * math.pi), axis=E_D)
+        scenario = make_scenario(eps=eps, gt=gt, dist=dist, model=model)
+        x_star = float(resonance_root(float(mean @ n), eps))
+        # from one line width past the resonance (inside the Doppler profile of the wider
+        # packets) out to 1e4
+        upper = x_star + gt * 10 ** rng.uniform(0.0, np.log10(1e4 / gt))
+        formfactor = (Formfactor.none() if kind == "none"
+                      else Formfactor(kind, float(rng.uniform(2.0, 50.0))))
+        res = spectra._frequency_integral(scenario, model, n, project(dist, n, order=8),
+                                          formfactor, [upper], tol, 2 ** 16)
+        value, converged = float(res[0][0]), bool(res[3])
+        ref_proj = project(dist, n, order=64)
+        ref = float(fixed_order_reference(scenario, model, n, ref_proj, formfactor, [upper],
+                                          1e-3 * tol, 2 ** 16)[0][0])
+        if converged:
+            assert abs(value - ref) <= tol * max(1.0, abs(ref)), (draw, value, ref)
+        seen.add((packet, converged))
+    assert seen == {(True, True), (True, False), (False, True)}
 
 
 def test_divergence_comparison_takes_the_far_logarithms_once(monkeypatch):
@@ -713,6 +812,25 @@ def test_smooth_formfactor_probability_runs_the_levels_once(monkeypatch):
     res = directional_probability(make_scenario(dist=dist), N_PERP,
                                   Formfactor("gaussian", 10.0), 80.0)
     assert len(calls) == 1 and res.converged
+
+
+def test_point_mass_under_a_smooth_formfactor_runs_the_levels_once_per_model(monkeypatch):
+    # a point mass takes its one rule with no per-order stacking: one run of the levels, a
+    # column per model
+    shapes = []
+    levels = quadrature._levels
+
+    def spy(f, *args):
+        return levels(lambda x: shapes.append(np.shape(f(x))) or f(x), *args)
+
+    monkeypatch.setattr(quadrature, "_levels", spy)
+    scenario = make_scenario(eps=0.05, dist=PointMass(np.array([1e-3, 0.0, 2e-3])))
+    proj = project(scenario.distribution, N_45)
+    values, errors, evaluations, converged, _ = spectra._frequency_integral(
+        scenario, DIVERGENCE_MODELS, N_45, proj, Formfactor("exponential", 3.0), [180.0],
+        1e-12, 4096)
+    assert {shape[:-1] for shape in shapes} == {(1, 3)} and converged.all()
+    assert values.shape == (3, 1) and evaluations.shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +942,23 @@ def test_golden_pattern_matches_tensor_rule(variant):
     assert np.max(np.abs(pat.values - ref)) <= 1e-12 * max(ref)
 
 
+def test_golden_pattern_of_a_packet_reports_its_hermite_error():
+    # the golden rate at the order each direction kept, with that order's change from the
+    # one before as its error; a packet whose rate needs more than order 64 raises
+    dist = GaussianPacket.isotropic([1e-3, 0.0, 2e-3], 1e-2)
+    theta = np.linspace(0.0, np.pi, 7)
+    n = direction_from_angles(theta, 0.0, axis=E_D)
+    rate = golden_rule_mean_rate(project(dist, n, order=8), n, E_D,
+                                 DimensionlessParams(0.01, 0.01), CouplingModel.roentgen())
+    assert rate.converged.all() and np.all(rate.evaluations == 8 + 16)
+    assert np.all(rate.error_estimate <= 1e-9 * rate.value)
+    wide = make_scenario(eps=0.01, dist=GaussianPacket.isotropic(np.zeros(3), 0.2))
+    with pytest.raises(NumericalError, match="angular pattern did not converge at theta = 0 "):
+        angular_pattern(wide, theta)
+    loose = angular_pattern(wide, theta, tol=1e-6)
+    assert np.all(np.isfinite(loose.values))
+
+
 # A rank-one packet along x: at phi = 0 the rows theta = 0 and pi have n.S.n = 0 to rounding
 # (the point law) among Gaussian rows; at phi = pi/2 every row does.
 @pytest.mark.parametrize("dist, phi", [
@@ -839,7 +974,7 @@ def test_golden_pattern_on_degenerate_directions_matches_one_direction_at_a_time
     pat = angular_pattern(sc, theta, variant=variant, phi=phi)
     model = CouplingModel(kind="roentgen", apply_momentum_shift=variant == "shifted")
     ref = [sphere_pattern_value(golden_rule_mean_rate(project(dist, n), n, E_D, sc.params,
-                                                      model))
+                                                      model).value)
            for n in direction_from_angles(theta, phi, axis=E_D)]
     assert np.all(np.isfinite(pat.values))
     np.testing.assert_allclose(pat.values, ref, rtol=1e-14, atol=0.0)

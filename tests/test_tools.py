@@ -1,6 +1,7 @@
 """The scripts in tools/, loaded from their files (tools/ is not a package)."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -45,6 +46,26 @@ def test_oracle_phases_prints_one_row_per_size(capsys):
     row = lines[1].split()
     assert len(lines) == 2 and row[0] == "641" and row[7] == "4"
     assert all(float(cell) >= 0.0 for cell in row[1:7]) and float(row[8]) <= 1e-11
+
+
+def test_bench_records_times_and_repeatable_work_counts(tmp_path):
+    # one 3-angle entry, twice: every key is there, and the orders kept are the same
+    bench = _load("bench")
+    runs = []
+    for name in ("a.json", "b.json"):
+        args = ["bench.py", "--repeat", "2", "--angles", "3", "--out", str(tmp_path / name),
+                "pattern_packet"]
+        assert bench.main(args) == 0
+        runs.append(json.loads((tmp_path / name).read_text()))
+    for run in runs:
+        assert set(run) == {"machine", "settings", "src_lines", "entries"}
+        assert set(run["machine"]) == {"cores", "python", "numpy", "machine", "blas_threads"}
+        assert list(run["entries"]) == ["pattern_packet"] and run["src_lines"]["change"] > 0
+        entry = run["entries"]["pattern_packet"]["change"]
+        assert set(entry) == {"best_s", "median_s", "iqr_s", "runs", "hermite_orders"}
+        assert 0.0 < entry["best_s"] <= entry["median_s"] and entry["runs"] == 2
+    orders = [run["entries"]["pattern_packet"]["change"]["hermite_orders"] for run in runs]
+    assert orders[0] == orders[1] and sum(orders[0].values()) == 3
 
 
 def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):

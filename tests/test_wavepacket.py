@@ -215,13 +215,15 @@ def test_rounding_level_spread_has_the_point_law(nx):
     e_d = np.array([0.0, 0.0, 1.0])
     params = DimensionlessParams(epsilon=0.01, gamma_tilde=1e-2)
     model = CouplingModel.roentgen()
-    exact = golden_rule_mean_rate(project(dist, e_d), e_d, e_d, params, model)
-    assert golden_rule_mean_rate(proj, n, e_d, params, model) == pytest.approx(exact, rel=1e-14)
+    exact = golden_rule_mean_rate(project(dist, e_d), e_d, e_d, params, model).value
+    assert (golden_rule_mean_rate(proj, n, e_d, params, model).value
+            == pytest.approx(exact, rel=1e-14))
 
 
 def test_hermite_rules_are_built_once_per_order(monkeypatch):
-    """A 37-angle golden-rule pattern and a Gaussian divergence comparison
-    build the order-40 rule and the order-20 check rule once each."""
+    """A 37-angle golden-rule pattern and a Gaussian divergence comparison build the
+    rules of the Hermite ladder's first two orders, 8 and 16, once each (every direction
+    stops at 16), and no order-40 rule."""
     _hermite_rule.cache_clear()
     built = []
     hermgauss = np.polynomial.hermite.hermgauss
@@ -237,7 +239,7 @@ def test_hermite_rules_are_built_once_per_order(monkeypatch):
     angular_pattern(scenario, np.linspace(0.0, np.pi, 37))
     divergence_comparison(scenario, np.array([1.0, 0.0, 0.0]))
     angular_pattern(scenario, np.linspace(0.0, np.pi, 37), phi=0.5)
-    assert sorted(built) == [20, 40]
+    assert sorted(built) == [8, 16]
     t, w = _hermite_rule(40)
     with pytest.raises(ValueError):
         t[0] = 0.0

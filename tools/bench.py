@@ -1,0 +1,200 @@
+"""Wall times and work counts of the library layers that the Gaussian Doppler averages run.
+
+Each entry is one library call, timed in this process with one BLAS thread: its best
+and median over `--repeat` runs, the quartiles of those runs, and its work count, the
+Gauss-Hermite order each column (direction, or model and direction) kept, as
+{order: columns}, read from `wavepacket.delta_average` in one untimed run. The entries:
+
+- pattern_packet: the integrated pattern over 73 angles of a Gaussian packet
+  (sigma 1e-3, mean beta (0.01, 0, 0.02), eps = gamma_tilde = 1e-2, roentgen), under a
+  gaussian formfactor at cutoff 50, tol 1e-9;
+- divergence_doppler, probability_doppler: `divergence_comparison` and
+  `directional_probability` (gaussian formfactor at cutoff 10) on the packet of the
+  movbench doppler workload at seed 5, perpendicular to the dipole, tol 1e-9;
+- pattern_golden: that workload's 37-angle golden-rule pattern (shifted), tol 1e-9.
+
+With `--against DIR` the same entries also run from the package of the tree at DIR (for
+example a checkout of the parent commit), loaded beside this one under another name;
+each repeat runs both sides back to back, alternating which goes first, and the entry
+records in how many of those pairs this tree was faster. A tree without
+`delta_average` records no work count. The output (stdout, or `--out FILE`) is JSON with
+the machine, both trees' `tools/src_lines.py` code lines and the entries.
+
+    python tools/bench.py [--repeat K] [--angles N] [--against DIR [--label TEXT]]
+                          [--out FILE] [ENTRY ...]
+"""
+
+from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":  # one BLAS thread, set before numpy loads its BLAS
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"), "1"))
+
+import argparse
+import importlib
+import importlib.util
+import json
+import math
+import platform
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+
+# the movbench doppler workload's packet and golden-pattern width at seed 5
+DOPPLER_MEAN = [0.000183001754, 0.000184764474, 9.195337e-06]
+DOPPLER_GOLDEN_SIGMA = 0.0009287020701322124
+
+
+def load(tree: Path, name: str):
+    """The movingatom package of `tree` (its src/movingatom), imported as `name` (once)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    root = Path(tree) / "src" / "movingatom"
+    spec = importlib.util.spec_from_file_location(name, root / "__init__.py",
+                                                  submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def entries(pkg, angles: int = 73, golden_angles: int = 37) -> dict:
+    """name -> a call of `pkg` with no arguments, for each entry of the module docstring."""
+    spectra = importlib.import_module(f"{pkg.__name__}.spectra")
+    units = importlib.import_module(f"{pkg.__name__}.units")
+    coupling = importlib.import_module(f"{pkg.__name__}.coupling")
+    wavepacket = importlib.import_module(f"{pkg.__name__}.wavepacket")
+
+    def scenario(mean, sigma):
+        return spectra.EmissionScenario(units.DimensionlessParams(1e-2, 1e-2),
+                                        coupling.CouplingModel.roentgen(),
+                                        wavepacket.GaussianPacket.isotropic(mean, sigma))
+
+    packet = scenario([0.01, 0.0, 0.02], 1e-3)
+    doppler = scenario(DOPPLER_MEAN, 1e-3)
+    golden = scenario([0.0, 0.0, 0.0], DOPPLER_GOLDEN_SIGMA)
+    perp = np.array([1.0, 0.0, 0.0])
+    theta = np.linspace(0.0, math.pi, angles)
+    golden_theta = np.linspace(0.0, math.pi, golden_angles)
+    cutoff_50, cutoff_10 = (spectra.Formfactor("gaussian", c) for c in (50.0, 10.0))
+    return {
+        "pattern_packet": lambda: spectra.angular_pattern(packet, theta, cutoff_50,
+                                                          mode="integrated", tol=1e-9),
+        "divergence_doppler": lambda: spectra.divergence_comparison(
+            doppler, perp, lambdas=np.geomspace(1e2, 1e4, 16), tol=1e-9),
+        "probability_doppler": lambda: spectra.directional_probability(
+            doppler, perp, cutoff_10, cutoff_10.suggested_upper_limit(), tol=1e-9),
+        "pattern_golden": lambda: spectra.angular_pattern(golden, golden_theta,
+                                                          variant="shifted", tol=1e-9),
+    }
+
+
+def hermite_orders(pkg, call) -> dict | None:
+    """{order: columns} that `call` kept over its `delta_average` runs, or None for a
+    package without it."""
+    wavepacket = importlib.import_module(f"{pkg.__name__}.wavepacket")
+    original = getattr(wavepacket, "delta_average", None)
+    if original is None:
+        return None
+    kept = Counter()
+
+    def counting(*args):
+        out = original(*args)
+        kept.update(np.ravel(out[-1]).tolist())
+        return out
+
+    modules = [m for name, m in sys.modules.items() if name.startswith(pkg.__name__)]
+    bound = [m for m in modules if getattr(m, "delta_average", None) is original]
+    for module in bound:
+        module.delta_average = counting
+    try:
+        call()
+    finally:
+        for module in bound:
+            module.delta_average = original
+    return {str(order): kept[order] for order in sorted(kept)}
+
+
+def _stats(times: list[float]) -> dict:
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"best_s": min(times), "median_s": float(median), "iqr_s": float(q3 - q1),
+            "runs": len(times)}
+
+
+def measure(sides: dict, names, repeat: int, angles: int) -> dict:
+    """Each entry of `names` on each side ({label: package}), `repeat` interleaved runs."""
+    calls = {label: entries(pkg, angles) for label, pkg in sides.items()}
+    out = {}
+    for name in names:
+        times = {label: [] for label in sides}
+        for label in sides:
+            calls[label][name]()  # warm: rules built, modules paged in
+        for run in range(repeat):
+            order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+            for label in order:
+                start = time.perf_counter()
+                calls[label][name]()
+                times[label].append(time.perf_counter() - start)
+        entry = {label: {**_stats(times[label]),
+                         "hermite_orders": hermite_orders(sides[label], calls[label][name])}
+                 for label in sides}
+        if len(sides) == 2:
+            change, against = (times[label] for label in sides)
+            entry["faster_pairs"] = sum(a < b for a, b in zip(change, against))
+        out[name] = entry
+    return out
+
+
+def src_lines(tree: Path) -> int:
+    spec = importlib.util.spec_from_file_location("src_lines", REPO / "tools" / "src_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    files = sorted((Path(tree) / "src" / "movingatom").glob("*.py"))
+    return sum(module.code_lines(path.read_text()) for path in files)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="bench.py", description=__doc__.splitlines()[0])
+    parser.add_argument("entries", nargs="*", help="entries to run (default: all)")
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--angles", type=int, default=73,
+                        help="angles of the integrated pattern entry")
+    parser.add_argument("--against", type=Path, help="another tree to run the entries from")
+    parser.add_argument("--label", help="the other tree's name in the output (default: DIR)")
+    parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
+    args = parser.parse_args(argv[1:])
+    sides = {"change": load(REPO, "movingatom_bench")}
+    if args.against is not None:
+        sides["against"] = load(args.against, "movingatom_against")
+    names = args.entries or list(entries(sides["change"]))
+    unknown = set(names) - set(entries(sides["change"]))
+    if unknown:
+        parser.error(f"unknown entries {sorted(unknown)}")
+    result = {
+        "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "machine": platform.machine(),
+                    "blas_threads": 1},
+        "settings": {"repeat": args.repeat, "angles": args.angles},
+        "src_lines": {"change": src_lines(REPO)},
+        "entries": measure(sides, names, args.repeat, args.angles),
+    }
+    if args.against is not None:
+        result["against"] = args.label or str(args.against)
+        result["src_lines"]["against"] = src_lines(args.against)
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
