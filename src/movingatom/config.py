@@ -270,20 +270,20 @@ def _build_coupling(coupling: dict, given: set) -> CouplingModel:
 
 
 def _load_table(path: Path) -> np.ndarray:
+    """The (delta, weight) columns of a table file, read once."""
     if not path.is_file():
         raise ConfigError(f"tabulated distribution file not found: {path}")
-    skip = 0
-    with open(path) as fh:  # a header is the first line with data, after comments and blanks
-        for number, line in enumerate(fh, start=1):
-            text = line.split("#")[0].strip()
-            if text:
-                try:
-                    float(text.split(",")[0])
-                except ValueError:
-                    skip = number  # every line through the header row
-                break
+    lines, skip = path.read_text().splitlines(), 0
+    for number, line in enumerate(lines, start=1):
+        text = line.split("#")[0].strip()  # a header: the first line with data, after comments
+        if text:
+            try:
+                float(text.split(",")[0])
+            except ValueError:
+                skip = number  # every line through the header row
+            break
     try:
-        arr = np.loadtxt(path, delimiter=",", comments="#", skiprows=skip, ndmin=2)
+        arr = np.loadtxt(lines, delimiter=",", comments="#", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"could not read table {path.name}: {exc}") from None
     if arr.shape[1] < 2:

@@ -13,6 +13,9 @@ remainders of formfactor-damped integrands. Three tools:
   Lambda^p) from a log-log fit of its increments, with its residual; its
   lines, like every least-squares line of the package, come from `fit_line`.
 
+Its 32-point Gauss-Legendre rule and the Gauss-Hermite rules of the wavepacket
+module come from `gauss_rule`, which needs no eigen-solver and so no LAPACK.
+
 Everything is deterministic. Integrands must be vectorized (a 1D array in,
 the same shape out, or a stack of integrands: (..., X) out for X points in).
 """
@@ -42,8 +45,43 @@ class NumericalError(RuntimeError):
 
 _ORDER = 32  # Gauss-Legendre points per panel: exact for polynomials of degree 63
 _TILE = 4  # panels per integrand call: R rows (directions x nodes) make R x 128 temporaries
-# the rule is made on first use: its eigen-solver adds 1.7 MB to every import
-_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(_ORDER))
+
+
+def gauss_rule(b: np.ndarray, mu0: float, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule (nodes ascending, weights) of an even weight function of
+    mass mu0 whose orthonormal polynomials satisfy x p_k = b_k p_{k-1} + b_{k+1} p_{k+1},
+    for b = (b_1, ..., b_n). No eigen-solver (Golub & Welsch's route): `guess` holds the
+    n // 2 positive nodes, descending, to about 1e-3 (an odd n adds the node 0), and
+    Halley's iteration on p_n, with p_n' and p_n'' run through the same recurrence,
+    polishes them (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). A weight is
+    1 / (b_n p_n' p_{n-1}) at the node, moved to first order by the last step, which the
+    rounded node cannot hold."""
+    n = b.size
+    x = np.concatenate((guess, np.zeros(n % 2)))
+    inverse, ratio = (1.0 / b).tolist(), [0.0, *(b[:-1] / b[1:]).tolist()]
+    for _ in range(12):
+        prev, cur = np.zeros((3, x.size)), np.zeros((3, x.size)) + [[mu0 ** -0.5], [0.0], [0.0]]
+        for k in range(n):  # rows p_k, p_k', p_k''/2
+            nxt = x * cur
+            nxt[1:] += cur[:-1]
+            prev, cur = cur, nxt * inverse[k] - ratio[k] * prev
+        step = cur[0] * cur[1] / (cur[1] ** 2 - cur[0] * cur[2])
+        x = x - step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(x))):
+            break
+    else:
+        raise NumericalError(f"the {n}-point Gauss rule did not converge")
+    w = (1.0 + step * (2.0 * cur[2] / cur[1] + prev[1] / prev[0])) / (b[-1] * cur[1] * prev[0])
+    return np.concatenate((-x[:n // 2], x[::-1])), np.concatenate((w[:n // 2], w[::-1]))
+
+
+@functools.cache  # built on first use
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _ORDER-point Gauss-Legendre rule on [-1, 1], from the guesses
+    cos(pi (4k - 1) / (4n + 2)) (1 - (n - 1) / (8 n^3)) (Tricomi)."""
+    j, k = np.arange(1.0, _ORDER + 1), np.arange(1, _ORDER // 2 + 1)
+    guess = np.cos(np.pi * (4 * k - 1) / (4 * _ORDER + 2)) * (1 - (_ORDER - 1) / (8 * _ORDER ** 3))
+    return gauss_rule(j / np.sqrt(4 * j * j - 1), 2.0, guess)
 
 
 @dataclass(frozen=True)

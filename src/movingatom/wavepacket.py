@@ -45,8 +45,8 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import check_unit, dot3
-from .quadrature import NumericalError
+from .geometry import check_unit, cross3, dot3
+from .quadrature import NumericalError, gauss_rule
 from .units import ParameterError
 
 _WEIGHT_TOL = 1e-10
@@ -75,6 +75,30 @@ class PointMass:
         object.__setattr__(self, "beta", arr)
 
 
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of a symmetric 3x3 matrix, in closed form and without
+    LAPACK. With a = q I + p B, tr B = 0 and |B|^2 = 6 (Frobenius), B's eigenvalues are
+    2 cos((acos(det B / 2) + 2 pi j) / 3) (Smith, Commun. ACM 4, 1961). Only the one that
+    stays simple where two meet (j = 0 for det B >= 0, else j = 1) is taken so, since acos
+    gives a double one to sqrt(eps); the other two are -beta / 2 -+ g, with g from the
+    squares of B's part transverse to beta's eigenvector v (Eberly, "A Robust
+    Eigensolver for 3 x 3 Symmetric Matrices", 2014). Errors are eps |a|, as LAPACK's."""
+    q = np.trace(a) / 3.0
+    b = a - q * np.eye(3)
+    p = float(np.sqrt(np.sum(b * b) / 6.0))
+    if p == 0.0:
+        return np.full(3, q)
+    b = b / p
+    half_det = dot3(b[0], cross3(b[1], b[2])) / 2.0
+    beta = 2.0 * np.cos((np.arccos(np.clip(half_det, -1.0, 1.0)) + 2.0 * np.pi * (half_det < 0)) / 3.0)
+    rows = b - beta * np.eye(3)
+    crosses = cross3(rows, rows[[1, 2, 0]])  # each along v; the longest is the most accurate
+    v = crosses[np.argmax(dot3(crosses, crosses))]
+    vv = np.outer(v, v) / dot3(v, v)
+    g = np.sqrt(np.sum((b - beta * vv + 0.5 * beta * (np.eye(3) - vv)) ** 2) / 2.0)
+    return np.sort(q + p * np.array([beta, -0.5 * beta - g, -0.5 * beta + g]))
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPacket:
     mean: np.ndarray
@@ -89,12 +113,13 @@ class GaussianPacket:
             raise ValueError("GaussianPacket.covariance must be a finite 3x3 matrix")
         if not np.allclose(cov, cov.T, atol=1e-14, rtol=1e-10):
             raise ValueError("covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        cov = 0.5 * (cov + cov.T)
+        eigvals = _eigenvalues(cov)
         floor = -1e-12 * max(1.0, float(np.max(np.abs(eigvals))))
         if np.any(eigvals < floor):
             raise ValueError(f"covariance is not positive semidefinite (eigenvalues {eigvals})")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "covariance", cov)
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "GaussianPacket":
@@ -168,11 +193,21 @@ class ProjectedDistribution:
 
 @functools.lru_cache(maxsize=None)
 def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights of `order` points, built on first use
-    (a companion eigenproblem) and returned read-only on every later call."""
+    """Gauss-Hermite nodes and weights of `order` points (weight exp(-t^2)), built on
+    first use by `gauss_rule` and returned read-only on every later call. Its guesses are
+    Tricomi's, sqrt(nu cos^2(s/2) - (5 / (4 u^2) - 1 / u - 1/4) / (3 nu)) with
+    s - sin s = pi (4k - 1) / nu, nu = 2 order + 1 and u = sin^2(s/2) (Gatteschi, J.
+    Comput. Appl. Math. 144, 2002)."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    t, w = np.polynomial.hermite.hermgauss(order)
+    nu = 2 * order + 1
+    c = np.pi * (4 * np.arange(1, order // 2 + 1) - 1) / nu
+    s = np.cbrt(6 * c)
+    for _ in range(6):  # Newton's method on s - sin s = c
+        s -= (s - np.sin(s) - c) / (1 - np.cos(s))
+    u = np.sin(s / 2) ** 2
+    guess = np.sqrt(nu * (1 - u) - (1.25 / u ** 2 - 1 / u - 0.25) / (3 * nu))
+    t, w = gauss_rule(np.sqrt(np.arange(1, order + 1) / 2), np.sqrt(np.pi), guess)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 

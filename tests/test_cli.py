@@ -57,6 +57,20 @@ def test_spectrum_run_and_manifest(tmp_path):
         assert key not in manifest
 
 
+@pytest.mark.parametrize("command, sections", [
+    ("spectrum", ["atom", "coupling", "dipole_axis", "distribution", "geometry", "grid",
+                  "normalization", "seed", "tolerances"]),
+    ("rates", ["atom", "limit_ordering", "seed"]),
+])
+def test_manifest_records_only_the_sections_its_subcommand_reads(tmp_path, command, sections):
+    # every manifest carried every section of the resolved configuration
+    cfg = write_config(tmp_path, BASIC + "    limit_ordering: {epsilons: [1.0e-2]}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"]) == 0
+    resolved = read_manifest(tmp_path / "x")["resolved"]
+    assert sorted(resolved) == sections == sorted((*cli._COMMANDS[command][2], "seed"))
+    assert resolved["seed"] == 7 and resolved["atom"]["gamma_tilde"] == 0.01
+
+
 def test_spectrum_csv_format(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -421,7 +435,7 @@ def test_writers_refuse_non_finite_numbers(bad):
     with pytest.raises(NumericalError, match=r"out\.json would hold a non-finite number"):
         cli._json("out.json", {"ok": [1.0], "value": np.array([0.5, bad])})
     with pytest.raises(NumericalError, match=r"out\.csv would hold a non-finite number"):
-        cli._csv("out.csv", ["model", "value"], [("roentgen", 1.0), ("standard", np.float64(bad))])
+        cli._csv("out.csv", ["model", "value"], [("roentgen", "standard"), (1.0, np.float64(bad))])
 
 
 def test_csv_rows_match_the_csv_module():
@@ -431,7 +445,7 @@ def test_csv_rows_match_the_csv_module():
             ('say "x"', np.float64(2.5), 7), ("line\nbreak", True, np.int64(-3)),
             ("", 1e300, -0.0), ("tiny", np.float64(1e-320), 1e-320)]
     header = ["model", "cutoff", "value"]
-    name, text = cli._csv("t.csv", header, rows)
+    name, text = cli._csv("t.csv", header, list(zip(*rows)))
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)
     writer.writerow(header)
@@ -439,45 +453,30 @@ def test_csv_rows_match_the_csv_module():
     assert (name, text) == ("t.csv", ref.getvalue().encode())
 
 
-@pytest.mark.parametrize("row, error", [
-    ((0.5, 2.0), TypeError),  # a number in the text column
-    (("b", "mid"), ValueError),  # text in the number column
-    (("b", "2.0"), TypeError),  # text that reads as a number, in the number column
-    (("b", 2.0, 3.0), ValueError),  # a row of another length
+@pytest.mark.parametrize("columns, error", [
+    ([("a", 0.5), (1.0, 2.0)], TypeError),  # a number in the text column
+    ([("a", "b"), (1.0, "mid")], ValueError),  # text in the number column
+    ([("a", "b"), (1.0, "2.0")], TypeError),  # text that reads as a number, in the number column
+    ([("a", "b"), (1.0, 2.0, 3.0)], ValueError),  # a column of another length
 ], ids=["number-as-text", "text-as-number", "numeric-text", "longer-row"])
-def test_csv_column_that_changes_kind_raises(row, error):
-    # each column's kind is the first row's: the writer built a format for each row
+def test_csv_column_that_changes_kind_raises(columns, error):
+    # each column's kind is its first cell's: the writer built a format for each row
     with pytest.raises(error):
-        cli._csv("t.csv", ["model", "value"], [("a", 1.0), row])
+        cli._csv("t.csv", ["model", "value"], columns)
 
 
 def test_writer_formats():
     assert cli._csv("t.csv", ["model", "cutoff", "value"],
-                    [("roentgen", 10.0, np.float64(-1.0 / 3.0)), ("a,b", 1e-300, 0.0)]) == (
+                    [("roentgen", "a,b"), (10.0, 1e-300), (np.float64(-1.0 / 3.0), 0.0)]) == (
         "t.csv",
         b"model,cutoff,value\r\n"
         b"roentgen,1.0000000000000000e+01,-3.3333333333333331e-01\r\n"
         b'"a,b",1.0000000000000000e-300,0.0000000000000000e+00\r\n')
     payload = {"b": np.float64(0.1), "a": {"flag": np.bool_(True), "n": np.int64(7)},
                "array": np.array([1.5, 2.0]), "text": "x", "pair": (1, None)}
-    assert cli._json("t.json", payload) == ("t.json", textwrap.dedent("""\
-        {
-          "a": {
-            "flag": true,
-            "n": 7
-          },
-          "array": [
-            1.5,
-            2.0
-          ],
-          "b": 0.1,
-          "pair": [
-            1,
-            null
-          ],
-          "text": "x"
-        }
-        """).encode())
+    assert cli._json("t.json", payload) == ("t.json", b'{"a": {"flag": true, "n": 7}, '
+                                            b'"array": [1.5, 2.0], "b": 0.1, "pair": [1, null], '
+                                            b'"text": "x"}\n')
 
 
 def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -140,6 +142,24 @@ def test_tabulated_distribution_loads_and_normalizes(tmp_path):
     assert isinstance(dist, TabulatedProjection)
     assert dist.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert dist.weights[1] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_table_file_is_opened_once(tmp_path):
+    # the header sniff and np.loadtxt each opened it; the audit hook sees every open
+    table = tmp_path / "deltas.csv"
+    table.write_text("# comment\n\ndelta,weight\n-0.01,1.0\n0.01,3.0\n")
+    code = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        from movingatom import config
+        opened = []
+        sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+        rows = config._load_table(Path({str(table)!r})).tolist()
+        print(opened.count({str(table)!r}), rows)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "1 [[-0.01, 1.0], [0.01, 3.0]]"
 
 
 def test_tabulated_missing_file(tmp_path):

@@ -1,4 +1,7 @@
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import movingatom
@@ -37,3 +40,50 @@ def test_no_module_fits_with_lapack():
                               else getattr(func, "id", None)))
     assert ("quadrature.py", "fit_line") in calls  # the walk found the calls
     assert [(name, f) for name, f in calls if f in ("polyfit", "lstsq")] == []
+
+
+def test_no_module_builds_rules_or_eigenvalues_with_lapack():
+    # Gauss rules come from quadrature.gauss_rule and the covariance check from the closed
+    # form 3x3 eigenvalues: np.polynomial's leggauss and hermgauss and np.linalg's eigen-
+    # solvers page LAPACK in. Only gaussian_nodes, the tensor reference of ACC-08, keeps eigh.
+    package = Path(movingatom.__file__).parent
+    found, names = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kept = {id(node) for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and function.name == "gaussian_nodes"
+                for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            names.add(name)
+            if name == "polynomial" or name in ("eig", "eigh", "eigvalsh") and id(node) not in kept:
+                found.append((path.name, node.lineno, name))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                found += [(path.name, node.lineno, m) for m in modules if m and "polynomial" in m]
+    assert {"gauss_rule", "eigh"} <= names  # the walk found the builder and the reference
+    assert found == []
+
+
+def test_regulated_integrals_leave_numpy_polynomial_unloaded():
+    # the first Gauss-Legendre and Gauss-Hermite rules of a process loaded numpy.polynomial
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from movingatom import CouplingModel, DimensionlessParams, GaussianPacket, PointMass
+        from movingatom.spectra import (EmissionScenario, Formfactor, directional_probability,
+                                        divergence_comparison)
+        params, n = DimensionlessParams(epsilon=0.01, gamma_tilde=1e-2), np.array([1.0, 0.0, 0.0])
+        point = EmissionScenario(params, CouplingModel.roentgen(), PointMass(np.zeros(3)))
+        packet = EmissionScenario(params, CouplingModel.roentgen(),
+                                  GaussianPacket.isotropic([1e-4, 0.0, 2e-4], 1e-3))
+        ff = Formfactor("gaussian", 10.0)
+        p = directional_probability(point, n, ff, ff.suggested_upper_limit(), tol=1e-9)
+        d = divergence_comparison(packet, n)
+        print(p.converged and p.evaluations > 0, d.verdict is not None,
+              "numpy.polynomial" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["True", "True", "False"]

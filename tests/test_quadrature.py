@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from movingatom.quadrature import (CutoffScan, NumericalError, classify_tail, fit_line,
-                                   cutoff_scan, geometric_cutoffs,
+from movingatom.quadrature import (CutoffScan, NumericalError, _legendre, classify_tail,
+                                   fit_line, cutoff_scan, geometric_cutoffs,
                                    integrate_adaptive)
+from movingatom.wavepacket import _hermite_rule
 
 
 def test_polynomial_is_exact():
@@ -267,3 +270,67 @@ def test_acceptance_fits_read_the_same_kinds_and_exponents(monkeypatch):
         assert (p is None) == (q is None) and (r2 is None) == (s2 is None)
         assert p is None or abs(p - q) <= 1e-12 * abs(q)
         assert r2 is None or abs(r2 - s2) <= 1e-12
+
+
+def _mp_gauss_rule(mp, kind: str, n: int, nodes):
+    """40-digit nodes and weights of the n-point Gauss-Legendre ("L") or Gauss-Hermite
+    ("H") rule, polished by Newton's method from `nodes` on the classical recurrences
+    P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1) and H_{k+1} = 2x H_k - 2k H_{k-1}, with
+    the textbook weights 2 / ((1 - x^2) P_n'^2) and 2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}^2)."""
+    def last_two(x):
+        low, high = mp.mpf(1), (2 * x if kind == "H" else x)
+        for k in range(1, n):
+            low, high = high, (2 * x * high - 2 * k * low if kind == "H"
+                               else ((2 * k + 1) * x * high - k * low) / (k + 1))
+        return high, low  # p_n, p_{n-1}
+
+    def derivative(x, high, low):
+        return 2 * n * low if kind == "H" else n * (low - x * high) / (1 - x * x)
+
+    xs, ws = [], []
+    for guess in nodes:
+        x = mp.mpf(float(guess))
+        for _ in range(4):
+            high, low = last_two(x)
+            x -= high / derivative(x, high, low)
+        high, low = last_two(x)
+        ws.append(2 ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / (n * n * low * low)
+                  if kind == "H" else 2 / ((1 - x * x) * derivative(x, high, low) ** 2))
+        xs.append(x)
+    return xs, ws
+
+
+@pytest.mark.parametrize("kind, order", [("L", 32)] + [("H", n) for n in (2, 4, 8, 16, 32, 40,
+                                                                          64, 80)])
+def test_gauss_rules_match_40_digit_values(kind, order):
+    # the rules were numpy's eigenvalue rules (leggauss, hermgauss): 5.8e-14 in the weights
+    mp = pytest.importorskip("mpmath")
+    nodes, weights = _legendre() if kind == "L" else _hermite_rule(order)
+    assert nodes.shape == weights.shape == (order,) and np.all(np.diff(nodes) > 0)
+    with mp.workdps(40):
+        xs, ws = _mp_gauss_rule(mp, kind, order, nodes)
+        ulps = [abs(float(x - mp.mpf(float(t)))) / np.spacing(abs(t))
+                for t, x in zip(nodes, xs) if x != 0]
+        assert all(t == 0.0 for t, x in zip(nodes, xs) if x == 0)
+        relative = [abs(float(mp.mpf(float(w)) / v - 1)) for w, v in zip(weights, ws)]
+    assert max(ulps) <= 4.0 and max(relative) <= 1e-14
+    # exact for every monomial up to degree 2n - 1: the moments of 1 on [-1, 1], exp(-t^2)
+    for k in range(2 * order):
+        terms = weights * nodes ** k
+        if k % 2:
+            assert abs(terms.sum()) <= 1e-14 * np.abs(terms).sum()
+        else:
+            exact = 2.0 / (k + 1) if kind == "L" else math.gamma((k + 1) / 2)
+            assert terms.sum() == pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_rules_are_built_fast_in_a_fresh_process():
+    # best of three fresh processes: the rules' first build, numpy imported
+    code = ("import time\n"
+            "from movingatom import quadrature, wavepacket\n"
+            "t0 = time.perf_counter(); quadrature._legendre(); t1 = time.perf_counter()\n"
+            "wavepacket._hermite_rule(64); print(t1 - t0, time.perf_counter() - t1)\n")
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True).stdout.split() for _ in range(3)]
+    legendre, hermite = (min(float(run[i]) for run in runs) for i in (0, 1))
+    assert legendre <= 1.5e-3 and hermite <= 2e-3

@@ -68,6 +68,27 @@ def test_bench_records_times_and_repeatable_work_counts(tmp_path):
     assert orders[0] == orders[1] and sum(orders[0].values()) == 3
 
 
+def test_bench_cli_entries_split_each_pass_and_repeat_their_exit_codes(tmp_path):
+    # cli.main on the committed cutoff and oracle scenarios, one timed pass each, twice
+    bench = _load("bench")
+    runs = []
+    for name in ("a.json", "b.json"):
+        args = ["bench.py", "--repeat", "1", "--out", str(tmp_path / name), "cli_cutoff",
+                "cli_oracle"]
+        assert bench.main(args) == 0
+        runs.append(json.loads((tmp_path / name).read_text())["entries"])
+    for entries in runs:
+        for name, count in (("cli_cutoff", 10), ("cli_oracle", 3)):
+            entry = entries[name]["change"]
+            assert entry["exit_codes"] == [0] * count
+            parts = entry["parts"]
+            assert set(parts) == {"config", "library", "encode_write", "csv"}
+            assert min(parts.values()) > 0.0 and parts["csv"] <= parts["encode_write"]
+            assert parts["config"] + parts["library"] + parts["encode_write"] <= entry["best_s"]
+    assert [e["cli_cutoff"]["change"]["hermite_orders"] for e in runs] == \
+        [runs[0]["cli_cutoff"]["change"]["hermite_orders"]] * 2
+
+
 def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):
     (tmp_path / "a.yaml").write_text("atom: {epsilon: 0.01, gamma_tilde: 0.01}\n"
                                      "grid: {count: 5}\n")

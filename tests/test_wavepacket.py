@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from movingatom import wavepacket
 from movingatom.coupling import CouplingModel
 from movingatom.geometry import direction_from_angles
-from movingatom.quadrature import NumericalError
+from movingatom.quadrature import NumericalError, gauss_rule
 from movingatom.rates import golden_rule_mean_rate
 from movingatom.spectra import EmissionScenario, angular_pattern, divergence_comparison
 from movingatom.units import DimensionlessParams
@@ -226,13 +227,12 @@ def test_hermite_rules_are_built_once_per_order(monkeypatch):
     stops at 16), and no order-40 rule."""
     _hermite_rule.cache_clear()
     built = []
-    hermgauss = np.polynomial.hermite.hermgauss
 
-    def counting(order):
-        built.append(order)
-        return hermgauss(order)
+    def counting(b, mu0, guess):
+        built.append(b.size)
+        return gauss_rule(b, mu0, guess)
 
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+    monkeypatch.setattr(wavepacket, "gauss_rule", counting)
     scenario = EmissionScenario(params=DimensionlessParams(epsilon=0.01, gamma_tilde=1e-2),
                                 coupling=CouplingModel.roentgen(),
                                 distribution=GaussianPacket.isotropic([1e-4, -2e-4, 3e-4], 1e-3))
@@ -245,3 +245,34 @@ def test_hermite_rules_are_built_once_per_order(monkeypatch):
         t[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-3, 1.0, 1e3])
+def test_covariance_check_decides_as_eigvalsh(scale):
+    # the check took np.linalg.eigvalsh, which pages LAPACK in; the closed form must accept
+    # and reject the same seeded covariances: full rank, rank 2, rank 1 along a direction,
+    # and the smallest eigenvalue 1 % past the floor -1e-12 max(1, max |lambda|) or short of it
+    gen = np.random.default_rng(int(-np.log10(scale) * 10) + 100)
+    for kind in ("full", "rank2", "rank1", "past", "short") * 4:
+        rotation, _ = np.linalg.qr(gen.normal(size=(3, 3)))
+        lam = scale * gen.uniform(0.1, 1.0, 3)
+        top = max(1.0, lam[1:].max())
+        lam[0] = {"rank2": 0.0, "past": -1.01e-12 * top, "short": -0.99e-12 * top}.get(kind, lam[0])
+        cov = (rotation * lam) @ rotation.T
+        cov = 0.5 * (cov + cov.T)
+        if kind == "rank1":
+            cov = scale * np.outer(rotation[0], rotation[0])
+        eigvals = np.linalg.eigvalsh(cov)
+        expected = bool(np.all(eigvals >= -1e-12 * max(1.0, np.abs(eigvals).max())))
+        assert expected == (kind != "past")
+        try:
+            packet = (GaussianPacket.along_direction(np.zeros(3), np.sqrt(scale), rotation[0])
+                      if kind == "rank1" else GaussianPacket(np.zeros(3), cov))
+            accepted = True
+        except ValueError as exc:
+            accepted = False
+            assert "covariance is not positive semidefinite (eigenvalues [" in str(exc)
+        assert accepted == expected, (kind, lam)
+        if accepted:
+            assert np.allclose(wavepacket._eigenvalues(packet.covariance), eigvals,
+                               rtol=0.0, atol=4e-15 * np.abs(eigvals).max())

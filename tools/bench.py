@@ -1,9 +1,9 @@
-"""Wall times and work counts of the library layers that the Gaussian Doppler averages run.
+"""Wall times and work counts of the library layers and of the command line.
 
-Each entry is one library call, timed in this process with one BLAS thread: its best
-and median over `--repeat` runs, the quartiles of those runs, and its work count, the
-Gauss-Hermite order each column (direction, or model and direction) kept, as
-{order: columns}, read from `wavepacket.delta_average` in one untimed run. The entries:
+Each entry is timed in this process with one BLAS thread: its best and median over
+`--repeat` runs, the quartiles of those runs, and its work count, the Gauss-Hermite
+order each column (direction, or model and direction) kept, as {order: columns}, read
+from `wavepacket.delta_average` in one untimed run. The library entries are one call each:
 
 - pattern_packet: the integrated pattern over 73 angles of a Gaussian packet
   (sigma 1e-3, mean beta (0.01, 0, 0.02), eps = gamma_tilde = 1e-2, roentgen), under a
@@ -12,6 +12,20 @@ Gauss-Hermite order each column (direction, or model and direction) kept, as
   `directional_probability` (gaussian formfactor at cutoff 10) on the packet of the
   movbench doppler workload at seed 5, perpendicular to the dipole, tol 1e-9;
 - pattern_golden: that workload's 37-angle golden-rule pattern (shifted), tol 1e-9.
+
+The CLI entries run `cli.main` in process, as movbench's worker does, on every scenario
+of a directory under tools/scenarios (written by `movbench/workloads.py --seed 5`), in
+the order of its ops.json, and time only those calls:
+
+- cli_cutoff: the ten runs of the movbench cutoff workload (probability, divergence,
+  rates and pattern on point masses and tables);
+- cli_oracle: the three flat-band runs of the movbench oracle workload.
+
+A CLI entry also records the medians of its parts, timed by wrapping the names that
+`cli` calls: config (`read_raw`, `build_config`), library (the physics calls of each
+subcommand) and encode_write (`_csv`, `_json` and `_write`, which hashes and writes the
+files), with csv, the `_csv` share of encode_write; and, as its work count, the exit
+codes of the untimed run.
 
 With `--against DIR` the same entries also run from the package of the tree at DIR (for
 example a checkout of the parent commit), loaded beside this one under another name;
@@ -33,12 +47,15 @@ if __name__ == "__main__":  # one BLAS thread, set before numpy loads its BLAS
                                      "MKL_NUM_THREADS"), "1"))
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import platform
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -46,6 +63,15 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = REPO / "tools" / "scenarios"
+# part -> the names of `cli` timed as that part of a CLI entry
+CLI_PARTS = {
+    "config": ("read_raw", "build_config"),
+    "library": ("directional_spectrum", "directional_probability", "divergence_comparison",
+                "limit_ordering_demo", "angular_pattern", "flat_band_system",
+                "discrete_mode_evolution", "compare_to_pole", "pole_mode_populations"),
+    "encode_write": ("_csv", "_json", "_write"),
+}
 
 # the movbench doppler workload's packet and golden-pattern width at seed 5
 DOPPLER_MEAN = [0.000183001754, 0.000184764474, 9.195337e-06]
@@ -93,16 +119,67 @@ def entries(pkg, angles: int = 73, golden_angles: int = 37) -> dict:
             doppler, perp, cutoff_10, cutoff_10.suggested_upper_limit(), tol=1e-9),
         "pattern_golden": lambda: spectra.angular_pattern(golden, golden_theta,
                                                           variant="shifted", tol=1e-9),
+        "cli_cutoff": CliPass(pkg, SCENARIOS / "cutoff"),
+        "cli_oracle": CliPass(pkg, SCENARIOS / "oracle"),
     }
 
 
-def hermite_orders(pkg, call) -> dict | None:
-    """{order: columns} that `call` kept over its `delta_average` runs, or None for a
-    package without it."""
+class CliPass:
+    """The CLI runs of one scenario directory: calling it runs `cli.main` on each scenario,
+    into a directory of its own, and returns {"total", "parts", "exit_codes"}: the seconds
+    in `cli.main`, those of each part of CLI_PARTS (and of `_csv`), and the exit codes."""
+
+    def __init__(self, pkg, directory: Path):
+        self.cli = importlib.import_module(f"{pkg.__name__}.cli")
+        self.directory, self._out = directory, None
+
+    def __call__(self) -> dict:
+        if self._out is None:  # made on the first run, removed with this object
+            self._out = tempfile.TemporaryDirectory(prefix="bench-cli-")
+            ops = json.loads((self.directory / "ops.json").read_text())
+            self.argv = [[op["sub"], "--config", str(self.directory / op["config"]),
+                          "--out", str(Path(self._out.name) / op["name"])] for op in ops]
+        spent, inside = dict.fromkeys([*CLI_PARTS, "csv"], 0.0), []
+
+        def timed(parts, function):
+            def call(*args, **kwargs):
+                if inside:  # the manifest's _json inside _write counts once
+                    return function(*args, **kwargs)
+                inside.append(parts)
+                start = time.perf_counter()
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    for part in parts:
+                        spent[part] += time.perf_counter() - start
+                    inside.pop()
+            return call
+
+        names = {name: (part, "csv") if name == "_csv" else (part,)
+                 for part, group in CLI_PARTS.items() for name in group}
+        original = {name: getattr(self.cli, name) for name in names}
+        total, codes = 0.0, []
+        try:
+            for name, parts in names.items():
+                setattr(self.cli, name, timed(parts, original[name]))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                for argv in self.argv:
+                    start = time.perf_counter()
+                    codes.append(self.cli.main(argv))
+                    total += time.perf_counter() - start
+        finally:
+            for name, function in original.items():
+                setattr(self.cli, name, function)
+        return {"total": total, "parts": spent, "exit_codes": codes}
+
+
+def work_counts(pkg, call) -> dict:
+    """The work counts of one untimed run of `call`: "hermite_orders", the {order: columns}
+    that it kept over its `delta_average` runs (None for a package without it), and for a
+    CLI entry "exit_codes"."""
     wavepacket = importlib.import_module(f"{pkg.__name__}.wavepacket")
     original = getattr(wavepacket, "delta_average", None)
-    if original is None:
-        return None
     kept = Counter()
 
     def counting(*args):
@@ -111,15 +188,17 @@ def hermite_orders(pkg, call) -> dict | None:
         return out
 
     modules = [m for name, m in sys.modules.items() if name.startswith(pkg.__name__)]
-    bound = [m for m in modules if getattr(m, "delta_average", None) is original]
+    bound = [m for m in modules if original and getattr(m, "delta_average", None) is original]
     for module in bound:
         module.delta_average = counting
     try:
-        call()
+        out = call()
     finally:
         for module in bound:
             module.delta_average = original
-    return {str(order): kept[order] for order in sorted(kept)}
+    orders = {str(order): kept[order] for order in sorted(kept)} if original else None
+    codes = {"exit_codes": out["exit_codes"]} if isinstance(out, dict) else {}
+    return {"hermite_orders": orders, **codes}
 
 
 def _stats(times: list[float]) -> dict:
@@ -129,22 +208,31 @@ def _stats(times: list[float]) -> dict:
 
 
 def measure(sides: dict, names, repeat: int, angles: int) -> dict:
-    """Each entry of `names` on each side ({label: package}), `repeat` interleaved runs."""
+    """Each entry of `names` on each side ({label: package}), `repeat` interleaved runs.
+    A CLI entry times its own runs (CliPass), and adds the median of each part."""
     calls = {label: entries(pkg, angles) for label, pkg in sides.items()}
     out = {}
     for name in names:
-        times = {label: [] for label in sides}
+        times, parts = ({label: [] for label in sides} for _ in range(2))
         for label in sides:
             calls[label][name]()  # warm: rules built, modules paged in
         for run in range(repeat):
             order = list(sides) if run % 2 == 0 else list(sides)[::-1]
             for label in order:
                 start = time.perf_counter()
-                calls[label][name]()
-                times[label].append(time.perf_counter() - start)
-        entry = {label: {**_stats(times[label]),
-                         "hermite_orders": hermite_orders(sides[label], calls[label][name])}
-                 for label in sides}
+                result = calls[label][name]()
+                elapsed = time.perf_counter() - start
+                if isinstance(result, dict):
+                    elapsed = result["total"]
+                    parts[label].append(result["parts"])
+                times[label].append(elapsed)
+        entry = {}
+        for label in sides:
+            entry[label] = {**_stats(times[label]),
+                            **work_counts(sides[label], calls[label][name])}
+            if parts[label]:
+                entry[label]["parts"] = {part: float(np.median([p[part] for p in parts[label]]))
+                                         for part in parts[label][0]}
         if len(sides) == 2:
             change, against = (times[label] for label in sides)
             entry["faster_pairs"] = sum(a < b for a, b in zip(change, against))
