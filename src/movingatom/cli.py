@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -33,6 +32,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+
+try:  # CPython's builtin SHA-256, the same function: hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 from . import __version__
 from .amplitudes import (compare_to_pole, discrete_mode_evolution,
@@ -92,7 +99,7 @@ def _write(out_dir: Path, outputs, manifest: dict) -> list[str]:
     """Record the sha256 of each (name, bytes) in the manifest, then write the outputs
     and manifest.json last; returns the names written."""
     blobs = dict(outputs)
-    manifest["outputs"] = {name: hashlib.sha256(data).hexdigest() for name, data in blobs.items()}
+    manifest["outputs"] = {name: sha256(data).hexdigest() for name, data in blobs.items()}
     blobs.update([_json("manifest.json", manifest)])
     for name, data in blobs.items():
         (out_dir / name).write_bytes(data)
@@ -260,7 +267,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "subcommand": args.command,
             "config_file": Path(args.config).name,
-            "config_sha256": hashlib.sha256(data).hexdigest(),
+            "config_sha256": sha256(data).hexdigest(),
             "resolved": {key: cfg.resolved[key] for key in (*_COMMANDS[args.command][2], "seed")},
             "options": {"tol": cfg.tol, "seed": cfg.seed},
         }

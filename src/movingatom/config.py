@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .coupling import CouplingModel
 from .geometry import as_unit, direction_from_angles, polarization_basis
@@ -213,8 +212,32 @@ class ScenarioConfig:
     resolved: dict
 
 
-# libyaml's parser where PyYAML was built with it: the same documents, several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# PyYAML's loader for YAML text; None takes libyaml's CSafeLoader where PyYAML was built
+# with it (the same documents, several times faster), else SafeLoader
+_YAML_LOADER = None
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def _parse(content: bytes, name: str, suffix: str):
+    """The document of a scenario file. A .json file is JSON. Other text that starts with
+    '{' is read as JSON too if it parses without NaN or Infinity (YAML 1.1 reads those as
+    strings): YAML would give the same mapping, and PyYAML stays unloaded. The rest is
+    YAML."""
+    if suffix == ".json" or content.startswith(b"{"):
+        try:
+            return json.loads(content, parse_constant=None if suffix == ".json" else _not_json)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, NaN
+            if suffix == ".json":
+                raise ConfigError(f"could not parse {name}: {exc}") from None
+    import yaml
+    try:
+        loader = _YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        return yaml.load(content, Loader=loader)
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"could not parse {name}: {exc}") from None
 
 
 def read_raw(path) -> tuple[dict, bytes]:
@@ -223,11 +246,7 @@ def read_raw(path) -> tuple[dict, bytes]:
     if not p.is_file():
         raise ConfigError(f"scenario file not found: {p}")
     content = p.read_bytes()
-    try:
-        data = (json.loads(content) if p.suffix.lower() == ".json"
-                else yaml.load(content, Loader=_YAML_LOADER))
-    except (json.JSONDecodeError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"could not parse {p.name}: {exc}") from None
+    data = _parse(content, p.name, p.suffix.lower())
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -40,12 +40,13 @@ HERMITE_LADDER, 8 to 64, until two orders agree.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .geometry import check_unit, cross3, dot3
+from .geometry import check_unit, dot3
 from .quadrature import NumericalError, gauss_rule
 from .units import ParameterError
 
@@ -75,28 +76,36 @@ class PointMass:
         object.__setattr__(self, "beta", arr)
 
 
-def _eigenvalues(a: np.ndarray) -> np.ndarray:
+def _cross(u, w) -> tuple:
+    return u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]
+
+
+def _eigenvalues(a: np.ndarray) -> list[float]:
     """The eigenvalues, ascending, of a symmetric 3x3 matrix, in closed form and without
     LAPACK. With a = q I + p B, tr B = 0 and |B|^2 = 6 (Frobenius), B's eigenvalues are
     2 cos((acos(det B / 2) + 2 pi j) / 3) (Smith, Commun. ACM 4, 1961). Only the one that
     stays simple where two meet (j = 0 for det B >= 0, else j = 1) is taken so, since acos
     gives a double one to sqrt(eps); the other two are -beta / 2 -+ g, with g from the
-    squares of B's part transverse to beta's eigenvector v (Eberly, "A Robust
-    Eigensolver for 3 x 3 Symmetric Matrices", 2014). Errors are eps |a|, as LAPACK's."""
-    q = np.trace(a) / 3.0
-    b = a - q * np.eye(3)
-    p = float(np.sqrt(np.sum(b * b) / 6.0))
+    squares of B's part transverse to beta's eigenvector v, 2 g^2 = |B - beta I + 3 beta
+    (I - v v^T / |v|^2) / 2|^2 (Eberly, "A Robust Eigensolver for 3 x 3 Symmetric
+    Matrices", 2014). Each row of B - beta I crossed with the next is along v; the longest
+    is the most accurate. Errors are eps |a|, as LAPACK's. It runs on the six entries as
+    Python floats: on a 3x3, numpy's cost per call would be most of the time."""
+    (xx, xy, xz), (_, yy, yz), (_, _, zz) = a.tolist()
+    q = (xx + yy + zz) / 3.0
+    xx, yy, zz = xx - q, yy - q, zz - q
+    p = math.sqrt((xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
     if p == 0.0:
-        return np.full(3, q)
-    b = b / p
-    half_det = dot3(b[0], cross3(b[1], b[2])) / 2.0
-    beta = 2.0 * np.cos((np.arccos(np.clip(half_det, -1.0, 1.0)) + 2.0 * np.pi * (half_det < 0)) / 3.0)
-    rows = b - beta * np.eye(3)
-    crosses = cross3(rows, rows[[1, 2, 0]])  # each along v; the longest is the most accurate
-    v = crosses[np.argmax(dot3(crosses, crosses))]
-    vv = np.outer(v, v) / dot3(v, v)
-    g = np.sqrt(np.sum((b - beta * vv + 0.5 * beta * (np.eye(3) - vv)) ** 2) / 2.0)
-    return np.sort(q + p * np.array([beta, -0.5 * beta - g, -0.5 * beta + g]))
+        return [q, q, q]
+    xx, yy, zz, xy, xz, yz = xx / p, yy / p, zz / p, xy / p, xz / p, yz / p
+    det = xx * (yy * zz - yz * yz) + xy * (yz * xz - xy * zz) + xz * (xy * yz - yy * xz)
+    beta = 2.0 * math.cos((math.acos(min(max(det / 2.0, -1.0), 1.0)) + math.tau * (det < 0)) / 3.0)
+    rows = (xx - beta, xy, xz), (xy, yy - beta, yz), (xz, yz, zz - beta)
+    v = max(map(_cross, rows, rows[1:] + rows[:1]), key=lambda c: math.hypot(*c))
+    s = 1.5 * beta / math.hypot(*v) ** 2
+    g = math.sqrt(sum((row[j] + 1.5 * beta * (i == j) - s * v[i] * v[j]) ** 2
+                      for i, row in enumerate(rows) for j in range(3)) / 2.0)
+    return sorted((q + p * beta, q + p * (-0.5 * beta - g), q + p * (-0.5 * beta + g)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +124,9 @@ class GaussianPacket:
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
         eigvals = _eigenvalues(cov)
-        floor = -1e-12 * max(1.0, float(np.max(np.abs(eigvals))))
-        if np.any(eigvals < floor):
-            raise ValueError(f"covariance is not positive semidefinite (eigenvalues {eigvals})")
+        if eigvals[0] < -1e-12 * max(1.0, -eigvals[0], eigvals[-1]):
+            raise ValueError("covariance is not positive semidefinite "
+                             f"(eigenvalues {np.array(eigvals)})")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

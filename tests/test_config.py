@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from movingatom.config import (ConfigError, build_config, load_config,
                                load_raw)
 from movingatom.spectra import Formfactor
 from movingatom.wavepacket import GaussianPacket, PointMass, TabulatedProjection
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, name, text):
@@ -286,6 +290,43 @@ def test_yaml_loaders_read_the_same_dict(tmp_path, monkeypatch, loader):
     bad = write(tmp_path, "bad.yaml", "atom: {epsilon: [0.01}\n")
     with pytest.raises(ConfigError, match="parse"):
         load_raw(bad)
+
+
+def _workload_inputs(directory):
+    """The scenario files and tables of the three movbench workloads at seed 5, written by
+    movbench/workloads.py (loaded from its file, no bytecode written next to it)."""
+    spec = importlib.util.spec_from_file_location("movbench_workloads", REPO / "movbench"
+                                                  / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    for name in workloads.WORKLOADS:
+        workloads.write_inputs(workloads.build(name, 5), directory / name)
+    return sorted(directory.glob("*/*.yaml"))
+
+
+def test_json_text_resolves_as_its_yaml_parse(tmp_path):
+    # scenario text that is JSON is read by json, not PyYAML: for the committed scenarios
+    # and the workloads' inputs both parses resolve to the same settings (YAML 1.1 reads
+    # 1e-05 as a string, which the number parser takes as the float that json gives)
+    paths = sorted((REPO / "tools" / "scenarios").glob("*/*.yaml")) + _workload_inputs(tmp_path)
+    assert len(paths) > 25
+    for path in paths:
+        text = path.read_text()
+        assert text.startswith("{")
+        from_json, from_yaml = (build_config(raw, base_dir=path.parent).resolved
+                                for raw in (json.loads(text), yaml.safe_load(text)))
+        assert from_json == from_yaml, path.name
+        assert load_raw(path) == json.loads(text)
+    # JSON with NaN goes to YAML, which reads it as a string, as before
+    nan = write(tmp_path, "nan.yaml", '{"atom": {"epsilon": NaN}}')
+    assert load_raw(nan) == {"atom": {"epsilon": "NaN"}}
+    with pytest.raises(ConfigError, match="finite number, got 'NaN'"):
+        load_config(nan)
 
 
 def test_every_section_resolves_to_the_pinned_settings(tmp_path):

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import subprocess
 import sys
 import textwrap
@@ -87,3 +89,49 @@ def test_regulated_integrals_leave_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["True", "True", "False"]
+
+
+def test_cli_on_json_text_maps_neither_openssl_nor_pyyaml(tmp_path):
+    # a scenario file whose text is JSON is read by json, whatever its suffix, and the
+    # manifest hashes with CPython's builtin SHA-256: neither hashlib's OpenSSL (_hashlib)
+    # nor PyYAML is loaded. Its YAML-text twin loads PyYAML and resolves to the same settings.
+    probability = {"atom": {"epsilon": 1e-3, "gamma_tilde": 1e-4},
+                   "distribution": {"kind": "point", "beta": [2e-4, 0.0, 1e-4]},
+                   "formfactor": {"kind": "sharp", "cutoff": 40.0},
+                   "tolerances": {"quadrature": 1e-10}}
+    (tmp_path / "probability.yaml").write_text(json.dumps(probability, indent=1) + "\n")
+    (tmp_path / "oracle.yaml").write_text('{"oracle": {"modes": 201, "lifetimes": 2.0}}\n')
+    (tmp_path / "twin.yaml").write_text(
+        "# the probability scenario in YAML\natom: {epsilon: 1.0e-3, gamma_tilde: 1e-4}\n"
+        "distribution:\n  kind: point\n  beta: [2.0e-4, 0, 1.0e-4]\n"
+        "formfactor: {kind: sharp, cutoff: 40}\ntolerances: {quadrature: 1e-10}\n")
+    code = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from movingatom.cli import main
+        root, loaded = Path(sys.argv[1]), []
+        for sub, name in (("oracle", "oracle"), ("probability", "probability"),
+                          ("probability", "twin")):
+            assert main([sub, "--config", str(root / f"{name}.yaml"),
+                         "--out", str(root / name)]) == 0
+            loaded.append([name, "_hashlib" in sys.modules, "yaml" in sys.modules])
+        print(loaded)
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == str([["oracle", False, False],
+                                               ["probability", False, False],
+                                               ["twin", False, True]])
+    manifests = {}
+    for name in ("oracle", "probability", "twin"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config_sha256"] == \
+            hashlib.sha256((tmp_path / f"{name}.yaml").read_bytes()).hexdigest()
+        assert manifest["outputs"] == {
+            file: hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+            for file in manifest["outputs"]}
+        assert len(manifest["outputs"]) == (2 if name == "oracle" else 1)
+        manifests[name] = manifest
+    assert manifests["twin"]["resolved"] == manifests["probability"]["resolved"]
+    assert (tmp_path / "twin" / "probability.json").read_bytes() == \
+        (tmp_path / "probability" / "probability.json").read_bytes()

@@ -37,17 +37,6 @@ def test_totals_are_the_sums_of_the_modules(tmp_path, capsys):
     assert rows == [["a.py", "2", "1"], ["b.py", "4", "2"], ["total", "6", "3"]]
 
 
-def test_oracle_phases_prints_one_row_per_size(capsys):
-    # a band of 11 boxes, so the far sums are set up; one run per phase
-    assert _load("oracle_phases").main(["oracle_phases.py", "--repeat", "1", "641"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["K", "roots", "far", "lowner", "modes", "amps", "total",
-                                "iter", "drift"]
-    row = lines[1].split()
-    assert len(lines) == 2 and row[0] == "641" and row[7] == "4"
-    assert all(float(cell) >= 0.0 for cell in row[1:7]) and float(row[8]) <= 1e-11
-
-
 def test_bench_records_times_and_repeatable_work_counts(tmp_path):
     # one 3-angle entry, twice: every key is there, and the orders kept are the same
     bench = _load("bench")
@@ -87,6 +76,34 @@ def test_bench_cli_entries_split_each_pass_and_repeat_their_exit_codes(tmp_path)
             assert parts["config"] + parts["library"] + parts["encode_write"] <= entry["best_s"]
     assert [e["cli_cutoff"]["change"]["hermite_orders"] for e in runs] == \
         [runs[0]["cli_cutoff"]["change"]["hermite_orders"]] * 2
+
+
+def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
+    # the oracle scenarios in a fresh interpreter, and the oracle's phases at K = 201,
+    # one timed run each, twice: the exit codes, the modules loaded and the root search's
+    # work repeat exactly
+    bench = _load("bench")
+    runs = []
+    for name in ("a.json", "b.json"):
+        args = ["bench.py", "--repeat", "1", "--modes", "201", "--out", str(tmp_path / name),
+                "cold_oracle", "oracle_201"]
+        assert bench.main(args) == 0
+        runs.append(json.loads((tmp_path / name).read_text())["entries"])
+    for entries in runs:
+        cold, oracle = entries["cold_oracle"]["change"], entries["oracle_201"]["change"]
+        assert cold["exit_codes"] == [0] * 3 and cold["modules"] == []
+        assert cold["vm_hwm_mb"] > 1.0 and cold["best_s"] > 0.0
+        parts = oracle["parts"]
+        assert set(parts) == {"roots", "far", "lowner", "modes", "amps"}
+        assert min(parts.values()) >= 0.0
+        assert parts["roots"] + parts["lowner"] + parts["modes"] + parts["amps"] == \
+            pytest.approx(oracle["best_s"])
+        assert oracle["iterations"] == 4 and oracle["near_terms"] > 0
+    keys = {"cold_oracle": ("exit_codes", "modules"),
+            "oracle_201": ("iterations", "near_terms", "far_nodes")}
+    work = [{(name, key): entries[name]["change"][key] for name in keys for key in keys[name]}
+            for entries in runs]
+    assert work[0] == work[1]
 
 
 def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):

@@ -27,6 +27,23 @@ subcommand) and encode_write (`_csv`, `_json` and `_write`, which hashes and wri
 files), with csv, the `_csv` share of encode_write; and, as its work count, the exit
 codes of the untimed run.
 
+A cold-start entry, cold_<directory>, runs the same scenarios of each directory in one
+fresh interpreter that imports the package from the tree's src/: its time is that
+process's wall time from start to exit, and it also records the median of the process's
+peak resident set (VmHWM, in MB) and, as its work counts, the exit codes and which of
+_hashlib (OpenSSL), yaml, numpy.polynomial and scipy the process loaded.
+
+The oracle entries, oracle_<K> for each K of `--modes` (default 2001 and 16001), run
+the phases of the discrete-mode oracle on a flat band of K modes,
+`flat_band_system(K, 0.05 K / 2001, 1e-3)`, the mode spacing of the 2001-mode ACC-06 band,
+for 14 lifetimes recorded every 100 steps of 0.25. Each phase is timed on its own and
+the entry records their medians: roots (`_secular_roots`, its far set-up included), far
+(that set-up alone, `cauchy.CauchySums` of the poles), lowner (`_lowner`: the weights,
+with the far set-up of its log sums), modes (`_mode_sums`, the final-state sums) and amps
+(`_reconstruct` less `_mode_sums`: the recorded amplitudes). Its time is roots + lowner +
+modes + amps, and its work counts are the root search's iterations, near_terms and
+far_nodes.
+
 With `--against DIR` the same entries also run from the package of the tree at DIR (for
 example a checkout of the parent commit), loaded beside this one under another name;
 each repeat runs both sides back to back, alternating which goes first, and the entry
@@ -34,17 +51,17 @@ records in how many of those pairs this tree was faster. A tree without
 `delta_average` records no work count. The output (stdout, or `--out FILE`) is JSON with
 the machine, both trees' `tools/src_lines.py` code lines and the entries.
 
-    python tools/bench.py [--repeat K] [--angles N] [--against DIR [--label TEXT]]
-                          [--out FILE] [ENTRY ...]
+    python tools/bench.py [--repeat K] [--angles N] [--modes K]...
+                          [--against DIR [--label TEXT]] [--out FILE] [ENTRY ...]
 """
 
 from __future__ import annotations
 
 import os
 
+ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 if __name__ == "__main__":  # one BLAS thread, set before numpy loads its BLAS
-    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                     "MKL_NUM_THREADS"), "1"))
+    os.environ.update(ONE_THREAD)
 
 import argparse
 import contextlib
@@ -54,6 +71,7 @@ import io
 import json
 import math
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -73,6 +91,27 @@ CLI_PARTS = {
     "encode_write": ("_csv", "_json", "_write"),
 }
 
+ORACLE_MODES = (2001, 16001)
+# the modules whose loading a cold start records: each maps megabytes that a run may not need
+WATCHED = ("_hashlib", "yaml", "numpy.polynomial", "scipy")
+# one cold start: argv is the tree's src, the scenario directory and the output directory
+COLD_START = """
+import contextlib, io, json, sys
+from pathlib import Path
+src, directory, out = map(Path, sys.argv[1:])
+sys.path.insert(0, str(src))
+from movingatom import cli
+assert Path(cli.__file__).is_relative_to(src), cli.__file__
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main([op["sub"], "--config", str(directory / op["config"]),
+                       "--out", str(out / op["name"])])
+             for op in json.loads((directory / "ops.json").read_text())]
+status = Path("/proc/self/status").read_text().splitlines()
+kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"vm_hwm_mb": kb / 1024.0, "exit_codes": codes,
+                  "modules": [name for name in %r if name in sys.modules]}))
+""" % (WATCHED,)
+
 # the movbench doppler workload's packet and golden-pattern width at seed 5
 DOPPLER_MEAN = [0.000183001754, 0.000184764474, 9.195337e-06]
 DOPPLER_GOLDEN_SIGMA = 0.0009287020701322124
@@ -91,7 +130,7 @@ def load(tree: Path, name: str):
     return package
 
 
-def entries(pkg, angles: int = 73, golden_angles: int = 37) -> dict:
+def entries(pkg, angles: int = 73, modes=ORACLE_MODES, golden_angles: int = 37) -> dict:
     """name -> a call of `pkg` with no arguments, for each entry of the module docstring."""
     spectra = importlib.import_module(f"{pkg.__name__}.spectra")
     units = importlib.import_module(f"{pkg.__name__}.units")
@@ -121,13 +160,16 @@ def entries(pkg, angles: int = 73, golden_angles: int = 37) -> dict:
                                                           variant="shifted", tol=1e-9),
         "cli_cutoff": CliPass(pkg, SCENARIOS / "cutoff"),
         "cli_oracle": CliPass(pkg, SCENARIOS / "oracle"),
+        **{f"cold_{d.name}": ColdStart(Path(pkg.__file__).resolve().parents[2], d)
+           for d in sorted(SCENARIOS.iterdir()) if d.is_dir()},
+        **{f"oracle_{k}": OraclePhases(pkg, k) for k in modes},
     }
 
 
 class CliPass:
     """The CLI runs of one scenario directory: calling it runs `cli.main` on each scenario,
-    into a directory of its own, and returns {"total", "parts", "exit_codes"}: the seconds
-    in `cli.main`, those of each part of CLI_PARTS (and of `_csv`), and the exit codes."""
+    into a directory of its own, and returns {"total", "parts", "work"}: the seconds in
+    `cli.main`, those of each part of CLI_PARTS (and of `_csv`), and the exit codes."""
 
     def __init__(self, pkg, directory: Path):
         self.cli = importlib.import_module(f"{pkg.__name__}.cli")
@@ -171,13 +213,73 @@ class CliPass:
         finally:
             for name, function in original.items():
                 setattr(self.cli, name, function)
-        return {"total": total, "parts": spent, "exit_codes": codes}
+        return {"total": total, "parts": spent, "work": {"exit_codes": codes}}
+
+
+class ColdStart:
+    """The CLI runs of one scenario directory in a fresh interpreter (COLD_START) that
+    imports the package of `tree`: calling it returns {"total", "vm_hwm_mb", "work"}, the
+    process's wall time, its peak resident set and its exit codes and WATCHED modules."""
+
+    def __init__(self, tree: Path, directory: Path):
+        self.tree, self.directory, self._out = tree, directory, None
+
+    def __call__(self) -> dict:
+        if self._out is None:  # made on the first run, removed with this object
+            self._out = tempfile.TemporaryDirectory(prefix="bench-cold-")
+        argv = [sys.executable, "-c", COLD_START, str(self.tree / "src"), str(self.directory),
+                self._out.name]
+        start = time.perf_counter()
+        run = subprocess.run(argv, capture_output=True, text=True, check=True,
+                             env={**os.environ, **ONE_THREAD})
+        wall = time.perf_counter() - start
+        child = json.loads(run.stdout)
+        return {"total": wall, "vm_hwm_mb": child.pop("vm_hwm_mb"), "work": child}
+
+
+class OraclePhases:
+    """The oracle's phases on a flat band of `modes` modes (see the module docstring):
+    calling it runs each phase once and returns {"total", "parts", "work"}."""
+
+    def __init__(self, pkg, modes: int):
+        self.amplitudes = importlib.import_module(f"{pkg.__name__}.amplitudes")
+        self.cauchy = importlib.import_module(f"{pkg.__name__}.cauchy")
+        self.modes, self.band = modes, None
+
+    def __call__(self) -> dict:
+        a = self.amplitudes
+        if self.band is None:  # the poles, their weights and the recorded times, made once
+            system = a.flat_band_system(self.modes, 0.05 * self.modes / 2001, 1e-3)
+            steps = int(np.ceil(14.0 / 1e-3 / 0.25))
+            self.band = (*a._poles(-system.detunings, system.g)[:2],
+                         np.append(np.arange(0, steps, 100), steps) * 0.25)
+        d, z, times = self.band
+        spent = {}
+
+        def timed(part, call, *args, **kwargs):
+            start = time.perf_counter()
+            out = call(*args, **kwargs)
+            spent[part] = time.perf_counter() - start
+            return out
+
+        sigma, nu, fp, sums, work = timed("roots", a._secular_roots, d, z)
+        timed("far", self.cauchy.CauchySums, d, d, np.zeros(d.size), z, derivative=True)
+        _, w = timed("lowner", a._lowner, sums, sigma, nu, fp)
+        mu = sigma + nu
+        last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
+        timed("modes", a._mode_sums, d, sigma, nu, last)
+        timed("amps", a._reconstruct, d, sigma, nu, w, times)
+        spent["amps"] = max(spent["amps"] - spent["modes"], 0.0)
+        return {"total": sum(spent[part] for part in ("roots", "lowner", "modes", "amps")),
+                "parts": spent,
+                "work": {"iterations": work["secular_iterations"],
+                         "near_terms": work["near_terms"], "far_nodes": work["far_nodes"]}}
 
 
 def work_counts(pkg, call) -> dict:
     """The work counts of one untimed run of `call`: "hermite_orders", the {order: columns}
-    that it kept over its `delta_average` runs (None for a package without it), and for a
-    CLI entry "exit_codes"."""
+    that it kept over its `delta_average` runs (None for a package without it), and those
+    that a CLI, cold-start or oracle entry returns ("work")."""
     wavepacket = importlib.import_module(f"{pkg.__name__}.wavepacket")
     original = getattr(wavepacket, "delta_average", None)
     kept = Counter()
@@ -197,8 +299,7 @@ def work_counts(pkg, call) -> dict:
         for module in bound:
             module.delta_average = original
     orders = {str(order): kept[order] for order in sorted(kept)} if original else None
-    codes = {"exit_codes": out["exit_codes"]} if isinstance(out, dict) else {}
-    return {"hermite_orders": orders, **codes}
+    return {"hermite_orders": orders, **(out["work"] if isinstance(out, dict) else {})}
 
 
 def _stats(times: list[float]) -> dict:
@@ -207,13 +308,14 @@ def _stats(times: list[float]) -> dict:
             "runs": len(times)}
 
 
-def measure(sides: dict, names, repeat: int, angles: int) -> dict:
+def measure(sides: dict, names, repeat: int, angles: int, modes=ORACLE_MODES) -> dict:
     """Each entry of `names` on each side ({label: package}), `repeat` interleaved runs.
-    A CLI entry times its own runs (CliPass), and adds the median of each part."""
-    calls = {label: entries(pkg, angles) for label, pkg in sides.items()}
+    An entry that returns a dict times its own runs ("total"), and adds the median of each
+    of its other measurements: of each part ("parts"), or of the peak resident set."""
+    calls = {label: entries(pkg, angles, modes) for label, pkg in sides.items()}
     out = {}
     for name in names:
-        times, parts = ({label: [] for label in sides} for _ in range(2))
+        times, extra = ({label: [] for label in sides} for _ in range(2))
         for label in sides:
             calls[label][name]()  # warm: rules built, modules paged in
         for run in range(repeat):
@@ -223,16 +325,19 @@ def measure(sides: dict, names, repeat: int, angles: int) -> dict:
                 result = calls[label][name]()
                 elapsed = time.perf_counter() - start
                 if isinstance(result, dict):
-                    elapsed = result["total"]
-                    parts[label].append(result["parts"])
+                    elapsed = result.pop("total")
+                    result.pop("work")
+                    extra[label].append(result)
                 times[label].append(elapsed)
         entry = {}
         for label in sides:
             entry[label] = {**_stats(times[label]),
                             **work_counts(sides[label], calls[label][name])}
-            if parts[label]:
-                entry[label]["parts"] = {part: float(np.median([p[part] for p in parts[label]]))
-                                         for part in parts[label][0]}
+            for key in extra[label][0] if extra[label] else ():
+                values = [result[key] for result in extra[label]]
+                entry[label][key] = (
+                    {part: float(np.median([v[part] for v in values])) for part in values[0]}
+                    if isinstance(values[0], dict) else float(np.median(values)))
         if len(sides) == 2:
             change, against = (times[label] for label in sides)
             entry["faster_pairs"] = sum(a < b for a, b in zip(change, against))
@@ -254,24 +359,29 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--angles", type=int, default=73,
                         help="angles of the integrated pattern entry")
+    parser.add_argument("--modes", type=int, action="append",
+                        help="a mode count K of the oracle entries, once per K "
+                             f"(default: {' and '.join(map(str, ORACLE_MODES))})")
     parser.add_argument("--against", type=Path, help="another tree to run the entries from")
     parser.add_argument("--label", help="the other tree's name in the output (default: DIR)")
     parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
     args = parser.parse_args(argv[1:])
+    args.modes = args.modes or list(ORACLE_MODES)
     sides = {"change": load(REPO, "movingatom_bench")}
     if args.against is not None:
         sides["against"] = load(args.against, "movingatom_against")
-    names = args.entries or list(entries(sides["change"]))
-    unknown = set(names) - set(entries(sides["change"]))
+    known = list(entries(sides["change"], args.angles, args.modes))
+    names = args.entries or known
+    unknown = set(names) - set(known)
     if unknown:
         parser.error(f"unknown entries {sorted(unknown)}")
     result = {
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "machine": platform.machine(),
                     "blas_threads": 1},
-        "settings": {"repeat": args.repeat, "angles": args.angles},
+        "settings": {"repeat": args.repeat, "angles": args.angles, "modes": args.modes},
         "src_lines": {"change": src_lines(REPO)},
-        "entries": measure(sides, names, args.repeat, args.angles),
+        "entries": measure(sides, names, args.repeat, args.angles, args.modes),
     }
     if args.against is not None:
         result["against"] = args.label or str(args.against)
