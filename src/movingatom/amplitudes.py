@@ -35,6 +35,7 @@ import numpy as np
 from .cauchy import BOX, CauchySums
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_geometry, polarization_sum, quotient_slope)
+from .geometry import elementwise
 from .quadrature import NumericalError, fit_line
 from .units import DimensionlessParams, ParameterError
 
@@ -47,16 +48,18 @@ def detuning(x, delta, epsilon):
 
 def _quadratic_roots(b, eps, c):
     """Roots (near, far) of eps z^2 + b z + c = 0 for c = -1 or c = i gt/2 - 1 (vectorized
-    over b), in the cancellation-free form q = -(b + sign(b) sqrt(b^2 - 4 eps c))/2, roots
-    c/q and q/eps: near is the one over the positive axis, far (None at eps = 0) the one
-    near -b/eps. ParameterError at eps = 0 unless every b > 0."""
+    over b, or on Python floats for a float b and c = -1), in the cancellation-free form
+    q = -(b + sign(b) sqrt(b^2 - 4 eps c))/2, roots c/q and q/eps: near is the one over the
+    positive axis, far (None at eps = 0) the one near -b/eps. ParameterError at eps = 0
+    unless every b > 0."""
+    where, _, sqrt = elementwise(b)
     if eps == 0.0:
-        if not np.all(b > 0.0):
+        if not np.logical_and.reduce(b > 0.0, axis=None):
             raise ParameterError("no emission line for delta >= 1 at epsilon = 0")
         return -c / b, None
-    root = np.sqrt(b * b - 4.0 * eps * c)
-    q = -0.5 * (b + np.where(b >= 0.0, root, -root))
-    return np.where(b >= 0.0, c / q, q / eps), np.where(b >= 0.0, q / eps, c / q)
+    root, up = sqrt(b * b - 4.0 * eps * c), b >= 0.0
+    q = -0.5 * (b + where(up, root, -root))
+    return where(up, c / q, q / eps), where(up, q / eps, c / q)
 
 
 def resonance_root(delta, epsilon):
@@ -64,13 +67,14 @@ def resonance_root(delta, epsilon):
     by `_quadratic_roots`: 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)) for delta <= 1, exact
     as eps -> 0, and ((delta-1) + sqrt(...)) / (2 eps) beyond. Requires eps >= 0, and eps > 0
     or a sub-luminal delta < 1; ParameterError unless every root is positive and finite (NaN
-    included)."""
+    included). A float delta gives a float, on Python floats."""
     if not epsilon >= 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
-    root = _quadratic_roots(1.0 - np.asarray(delta, dtype=float), epsilon, -1.0)[0]
-    if not np.all((root > 0.0) & np.isfinite(root)):
+    b = 1.0 - (delta if isinstance(delta, float) else np.asarray(delta, dtype=float))
+    root = _quadratic_roots(b, epsilon, -1.0)[0]
+    if not np.logical_and.reduce((root > 0.0) & np.isfinite(root), axis=None):
         raise ParameterError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
-    return root[()]  # a numpy scalar for a scalar delta
+    return root
 
 
 def _two_product(a, b):
@@ -81,14 +85,13 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _log_tail(z, u, log):
+def _log_tail(t, log):
     """sum_{k>=3} t^k/k = -log(1 - t) - t - t^2/2 with t = u/z (its series below |t| = 1/4,
     where the closed form cancels), given log = log(1 - u/z) = log((z - u)/z), which is
     int_0^u dx/(x - z). A form that no t takes is not evaluated."""
-    t = u / z
-    small = np.abs(t) < 0.25
-    closed = None if small.all() else -log - t * (1.0 + 0.5 * t)
-    if not small.any():
+    small = abs(t) < 0.25
+    closed = None if np.logical_and.reduce(small, axis=None) else -log - t * (1.0 + 0.5 * t)
+    if not np.logical_or.reduce(small, axis=None):
         return closed
     ts = np.where(small, t, 0.0)
     series = np.full_like(ts, 1.0 / 30.0)
@@ -148,13 +151,16 @@ class LineFractions:
         if self.far is None:
             return self.s0[..., None] + self.s1[..., None] * x
         far, rf = self.far[..., None], self.far_residue[..., None]
-        inside = np.abs(x / far) < 1.0
         taylor = (lambda: self.s0[..., None] + self.s1[..., None] * x
-                  + 2.0 * np.real(rf / (far * far) * (x * x / (x - far))))
-        if inside.all():
+                  + 2.0 * (rf / (far * far) * (x * x / (x - far))).real)
+        # each rounded step of x / z_far grows with |x|, so the widest |x| decides for all
+        if np.logical_and.reduce(abs(np.maximum.reduce(abs(x), axis=None) / far) < 1.0,
+                                 axis=None):
             return taylor()
-        direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * np.real(rf / (x - far))
-        return np.where(inside, taylor(), direct) if inside.any() else direct
+        inside = abs(x / far) < 1.0
+        direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * (rf / (x - far)).real
+        return (np.where(inside, taylor(), direct) if np.logical_or.reduce(inside, axis=None)
+                else direct)
 
     def integral(self, upper):
         """int_0^U w per node and upper limit U (a new last axis), in closed form, per model
@@ -167,14 +173,15 @@ class LineFractions:
             taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
             if self.far is not None:
                 far, rf = self.far[..., None], self.far_residue[..., None]
-                log = np.log((far - u) / far)  # both forms take it
+                log, t = np.log((far - u) / far), u / far  # both forms take them
                 direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
-                          + 2.0 * np.real(rf * log))
-                taylor = np.where(np.abs(u / far) < 1.0,
-                                  taylor - 2.0 * np.real(rf * _log_tail(far, u, log)), direct)
+                          + 2.0 * (rf * log).real)
+                taylor = np.where(abs(t) < 1.0, taylor - 2.0 * (rf * _log_tail(t, log)).real,
+                                  direct)
             values = taylor + self.near_integral(upper)
-        bad = np.flatnonzero(~np.isfinite(values).reshape(-1, u.size).all(axis=0))
-        if bad.size:
+        finite = np.isfinite(values)
+        if not np.logical_and.reduce(finite, axis=None):
+            bad = np.flatnonzero(~finite.reshape(-1, u.size).all(axis=0))
             raise NumericalError(f"the frequency integral up to x = {u[0, bad[0]]:.6g} is not "
                                  "finite; lower the cutoff or upper limit")
         return values
@@ -196,28 +203,28 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     b = 1.0 - delta
     c = 0.5j * gt - 1.0  # D(z) = i gt/2  <=>  eps z^2 + b z + c = 0
     near, far = _quadratic_roots(b, eps, c)
-    z = near[None] if far is None else np.stack(np.broadcast_arrays(near, far, 1 / eps, -1 / eps))
+    zero = near - near  # 0 + 0j at every node
+    z = near[None] if far is None else np.array([near, far, zero + 1 / eps, zero - 1 / eps])
     cube, slope = z[:2] ** 3, -1j * gt * (b + 2.0 * eps * z[:2])  # r = z^3 P(z) / slope
+    near2, twice_b = near * near, 2.0 * b
 
     geometry = polarization_geometry(n, e_d, proj)  # shared by the models
-
-    def fields(model):
-        a0, a1, a2 = conditional_polarization_sum(model, z, n, e_d, eps, proj, geometry)
-        p = a0 + u * (a1 + u * a2)  # P at each stacked point
-        residues = cube * p[:2] / slope
-        rn = residues[0]
-        s0, s1 = 2.0 * np.real(rn / near), 2.0 * np.real(rn / (near * near))
-        if far is None:
-            return rn, None, s0, s1, s0, s1
-        q1 = np.broadcast_to(quotient_slope(model, geometry[1]), delta.shape)
-        q0 = (0.5 * np.real(p[2] - p[3]) - 2.0 * b * q1) / eps
-        return rn, residues[1], s0, s1, q0, q1
-
-    if isinstance(models, CouplingModel):
-        rn, rf, s0, s1, q0, q1 = fields(models)
-    else:
-        rn, rf, s0, s1, q0, q1 = (None if f[0] is None else np.stack(f)
-                                  for f in zip(*map(fields, models)))
+    one = isinstance(models, CouplingModel)
+    models = (models,) if one else tuple(models)
+    # each coefficient shaped (model, point, ..., node): every model's fields in one pass
+    a0, a1, a2 = np.array([conditional_polarization_sum(model, z, n, e_d, eps, proj, geometry)
+                           for model in models]).swapaxes(0, 1)
+    p = a0 + u * (a1 + u * a2)  # P at each stacked point
+    residues = cube * p[:, :2] / slope
+    rn, rf = residues[:, 0], None if far is None else residues[:, 1]
+    s0, s1 = 2.0 * (rn / near).real, 2.0 * (rn / near2).real
+    q0, q1 = s0, s1
+    if far is not None:
+        perp_sq = np.broadcast_to(geometry[1], delta.shape)
+        q1 = np.array([quotient_slope(model, perp_sq) for model in models])
+        q0 = (0.5 * (p[:, 2] - p[:, 3]).real - twice_b * q1) / eps
+    if one:  # no model axis
+        rn, rf, s0, s1, q0, q1 = [None if f is None else f[0] for f in (rn, rf, s0, s1, q0, q1)]
     return LineFractions(near, rn, far, rf, s0, s1, q0, q1, b, c, eps)
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolarizationBasis, check_unit, dot3, polarization_basis
+from .geometry import PolarizationBasis, check_unit, dot3, polarization_basis, unstack
 
 _KINDS = ("standard_dipole", "roentgen")
 
@@ -183,13 +183,14 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
 
 
 def transverse_dipole(n, e_d):
-    """(c, e_perp, |e_perp|^2) per direction n, (3,) or a stack (..., 3), with c = e_d.n and
-    e_perp = e_d - c n: |e_perp|^2, not 1 - c^2, which would lose eps/sin^2(theta)
+    """(c, e_perp, |e_perp|^2) per direction n, (3,) or a stack (..., 3), for unit vectors n
+    and e_d that `check_unit` passed, with c = e_d.n and e_perp = e_d - c n as its
+    components (`unstack`): |e_perp|^2, not 1 - c^2, which would lose eps/sin^2(theta)
     relative near the axis."""
-    n, e_d = check_unit(n, "n", stacked=True), check_unit(e_d, "e_d")
+    (nx, ny, nz), (ex, ey, ez) = unstack(n), e_d.tolist()
     c = n @ e_d
-    e_perp = e_d - c[..., None] * n
-    return c, e_perp, dot3(e_perp, e_perp)
+    px, py, pz = ex - c * nx, ey - c * ny, ez - c * nz
+    return c, (px, py, pz), px * px + py * py + pz * pz
 
 
 def quotient_slope(model: CouplingModel, perp_sq):
@@ -206,12 +207,14 @@ def polarization_geometry(n, e_d, proj):
     """The model-free part of `conditional_polarization_sum`, for a caller to take once for
     several models: c = e_d.n, |e_perp|^2 and, with m = proj.perp_mean and k =
     proj.perp_gain, the products e_perp.m, e_perp.k, |m|^2 + proj.perp_var, m.k and |k|^2.
-    Each is per direction of n, with a last axis to meet x's when n is a stack."""
-    ed_n, e_perp, a = transverse_dipole(n, e_d)
-    m, k = proj.perp_mean, proj.perp_gain
-    row = (Ellipsis, None) if ed_n.ndim else ()  # per-direction values against x's last axis
-    return tuple(v[row] for v in (ed_n, a, dot3(e_perp, m), dot3(e_perp, k),
-                                  dot3(m, m) + proj.perp_var, dot3(m, k), dot3(k, k)))
+    Each is per direction of n (componentwise, as `transverse_dipole`): a float for one
+    direction, and for a stack an array with a last axis to meet x's."""
+    c, (px, py, pz), a = transverse_dipole(n, e_d)
+    (mx, my, mz), (kx, ky, kz) = unstack(proj.perp_mean), unstack(proj.perp_gain)
+    values = (c, a, px * mx + py * my + pz * mz, px * kx + py * ky + pz * kz,
+              mx * mx + my * my + mz * mz + proj.perp_var, mx * kx + my * ky + mz * kz,
+              kx * kx + ky * ky + kz * kz)
+    return values if n.ndim == 1 else [v[..., None] for v in values]
 
 
 def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj, geometry=None):
@@ -233,11 +236,12 @@ def conditional_polarization_sum(model: CouplingModel, x, n, e_d, epsilon, proj,
     x = 1.0 * np.asarray(x)  # real or complex frequencies
     if model.kind == "standard_dipole":
         return np.full_like(x, a), np.zeros_like(x), np.zeros_like(x)
-    row = (Ellipsis, None) if np.ndim(proj.mean) else ()  # as in polarization_geometry
-    b = bracket(model, np.asarray(proj.mean)[row], x, epsilon)  # at u = 0
+    mean = proj.mean if isinstance(a, float) else proj.mean[..., None]  # per direction
+    b = bracket(model, mean, x, epsilon)  # at u = 0
     # np.multiply, not *: above 256 KB numpy reuses the temporary as T *= b, and a
     # complex product's rounding depends on the operand order
-    q0 = np.multiply(b, a * b + 2.0 * c * b0) + c * c * c0
-    q1 = 2.0 * (c * (b * b1 - b0) - a * b + c * c * c1)
-    q2 = np.full_like(x, a - 2.0 * c * b1 + c * c * c2)
+    ab, twice_c, cc = a * b, 2.0 * c, c * c
+    q0 = np.multiply(b, ab + twice_c * b0) + cc * c0
+    q1 = 2.0 * (c * (b * b1 - b0) - ab + cc * c1)
+    q2 = np.full_like(x, a - twice_c * b1 + cc * c2)
     return q0, q1, q2

@@ -10,6 +10,8 @@ polarizations suffice for the dipole coupling used here).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +24,27 @@ def dot3(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def cross3(a, b):
-    """Cross product over the trailing axis of 3, as np.cross computes it, at a tenth of
-    its cost on one pair."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+def unstack(v):
+    """The components of v over its trailing axis of 3: Python floats for one vector (3,),
+    arrays for a stack (..., 3). Arithmetic on them is `dot3`'s for every layout; on one
+    vector it costs a tenth of numpy's or less."""
+    return v.tolist() if v.ndim == 1 else (v[..., 0], v[..., 1], v[..., 2])
+
+
+# where, maximum and sqrt: Python's on floats, numpy's on arrays; the same IEEE results
+_FLOAT_OPS = (lambda c, a, b: a if c else b, max, math.sqrt)
+_ARRAY_OPS = (np.where, np.maximum, np.sqrt)
+
+
+def elementwise(x) -> tuple:
+    """(where, maximum, sqrt) for values like x: Python's for a float (such as one vector's
+    `unstack` components), numpy's for an array."""
+    return _FLOAT_OPS if isinstance(x, float) else _ARRAY_OPS
+
+
+def cross3(a, b) -> tuple:
+    """a x b for one pair of 3-sequences (Python floats), componentwise like `dot3`."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
 def as_unit(v) -> np.ndarray:
@@ -44,9 +63,9 @@ def check_unit(v: np.ndarray, name: str = "vector", *, stacked: bool = False) ->
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,) and not (stacked and arr.shape[-1:] == (3,)):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    # one vector without numpy reductions, which cost microseconds on a scalar
-    deviation = (abs(float(np.linalg.norm(arr)) - 1.0) if arr.ndim == 1
-                 else np.abs(np.linalg.norm(arr, axis=-1) - 1.0).max())
+    # one vector as Python floats: numpy's reductions cost microseconds on a scalar
+    deviation = (abs(math.hypot(*arr.tolist()) - 1.0) if arr.ndim == 1
+                 else abs(np.sqrt(np.add.reduce(arr * arr, axis=-1)) - 1.0).max())
     if not deviation <= _UNIT_TOL:  # NaN fails too
         raise ValueError(f"{name} is not a unit vector (|{name}| - 1 exceeds {_UNIT_TOL:g})")
     return arr
@@ -61,12 +80,14 @@ class PolarizationBasis:
     n: np.ndarray
 
     def __post_init__(self) -> None:
-        # B B^T = I and det B = e1 . (e2 x n) > 0, without the LAPACK and BLAS-3
-        # kernels that np.linalg.det and b @ b.T page in (0.25 MB of peak RSS)
+        # B B^T = I and det B = e1 . (e2 x n) > 0, on the rows of B as Python floats
         b = np.array([self.e1, self.e2, self.n], dtype=float)  # rows e1, e2, n
-        if b.shape != (3, 3) or not np.abs(np.einsum("ik,jk->ij", b, b) - np.eye(3)).max() <= _UNIT_TOL:
+        rows = b.tolist()
+        if b.shape != (3, 3) or not all([
+                abs(u[0] * w[0] + u[1] * w[1] + u[2] * w[2] - (i == j)) <= _UNIT_TOL  # not NaN
+                for i, u in enumerate(rows) for j, w in enumerate(rows) if j >= i]):
             raise ValueError(f"e1, e2, n are not orthonormal 3-vectors within {_UNIT_TOL:g}")
-        if not dot3(b[0], cross3(b[1], b[2])) > 0.0:
+        if not sum(map(operator.mul, rows[0], cross3(rows[1], rows[2]))) > 0.0:
             raise ValueError("basis is left-handed (e1 x e2 . n < 0)")
 
 
@@ -78,10 +99,10 @@ def polarization_basis(n) -> PolarizationBasis:
     n x e1. Any other gauge is `rotate_basis(polarization_basis(n), angle)`.
     """
     n = check_unit(n, "n")
-    h = np.eye(3)[int(np.argmin(np.abs(n)))]  # the coordinate axis least aligned with n
-    transverse = h - float(np.dot(h, n)) * n
-    e1 = transverse / float(np.linalg.norm(transverse))
-    return PolarizationBasis(e1=e1, e2=cross3(n, e1), n=n)
+    k = int(abs(n).argmin())  # the coordinate axis h least aligned with n
+    transverse = np.array([(i == k) - n[k] * p for i, p in enumerate(n.tolist())])  # h - (h.n) n
+    e1 = transverse / math.sqrt(transverse.dot(transverse))  # np.linalg.norm's arithmetic
+    return PolarizationBasis(e1=e1, e2=np.array(cross3(n.tolist(), e1.tolist())), n=n)
 
 
 def rotate_basis(basis: PolarizationBasis, angle: float) -> PolarizationBasis:

@@ -95,29 +95,28 @@ class QuadratureResult:
     converged: bool
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.value)
+        shape = np.asarray(self.value).shape
         for name in ("value", "error_estimate", "evaluations", "converged"):
             v = np.asarray(getattr(self, name))
             v = v if v.shape == shape else np.broadcast_to(v, shape)  # a view costs 5 us
             object.__setattr__(self, name, v if shape else v.item())
 
 
-def _rule(f, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre values of f over the panels [a_i, a_i + h_i] (last axis), for f
-    returning (..., X) at X points."""
+def _rule(f, a: float, h: float, panels: int) -> np.ndarray:
+    """Gauss-Legendre values of f over the panels [a + k h, a + (k + 1) h], k < `panels`
+    (last axis), for f returning (..., X) at X points."""
     nodes, weights = _legendre()
-    out = []
-    for lo in range(0, a.size, _TILE):
-        half = 0.5 * h[lo:lo + _TILE, None]
-        xs = (a[lo:lo + _TILE, None] + half * (1.0 + nodes)).ravel()
+    half, starts, out = 0.5 * h, a + h * np.arange(panels), []
+    for lo in range(0, panels, _TILE):
+        xs = (starts[lo:lo + _TILE, None] + half * (1.0 + nodes)).ravel()
         y = np.asarray(f(xs), dtype=float)
         if y.shape[-1:] != xs.shape:
             raise ValueError("integrand must be vectorized: f(array) -> array of the same shape")
-        if not np.all(np.isfinite(y)):
+        if not np.logical_and.reduce(np.isfinite(y), axis=None):
             bad = xs[~np.isfinite(y).reshape(-1, xs.size).all(axis=0)][0]
             raise NumericalError(f"integrand returned a non-finite value near x = {bad:.6g}")
-        out.append(half[:, 0] * (y.reshape(y.shape[:-1] + (-1, _ORDER)) @ weights))
-    return np.concatenate(out, axis=-1)
+        out.append(half * (y.reshape(y.shape[:-1] + (-1, _ORDER)) @ weights))
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10, *,
@@ -149,21 +148,20 @@ def _levels(f, a: float, b: float, tol: float, max_panels: int):
         raise ValueError("tol must be positive")
     a, b = float(a), float(b)
     panels, value, error, evaluations, converged = 1, 0.0, 0.0, 0, np.False_
-    while True:
-        h = np.full(panels, (b - a) / panels)
-        # panel values summed left to right (np.sum would pair them up); numpy's
-        # warnings are silenced because a value that is not finite raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = _rule(f, a + h * np.arange(panels), h).cumsum(axis=-1)[..., -1]
-        if not np.isfinite(new).all():
-            raise NumericalError(f"the integral over [{a:.6g}, {b:.6g}] is not finite")
-        # a column that met its target keeps that level; the others take this one
-        value, error = np.where(converged, value, new), np.where(converged, error, abs(new - value))
-        evaluations = np.where(converged, evaluations, _ORDER * (2 * panels - 1))
-        converged = converged | (error <= tol * np.maximum(1.0, np.abs(value))) & (panels > 1)
-        if converged.all() or 2 * panels > max_panels:
-            return value, error, evaluations, converged
-        panels *= 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a value not finite raises
+        while True:
+            # panel values summed left to right (np.sum would pair them up)
+            new = _rule(f, a, (b - a) / panels, panels).cumsum(axis=-1)[..., -1]
+            if not np.logical_and.reduce(np.isfinite(new), axis=None):
+                raise NumericalError(f"the integral over [{a:.6g}, {b:.6g}] is not finite")
+            # a column that met its target keeps that level; the others take this one
+            value, error = (np.where(converged, value, new),
+                            np.where(converged, error, abs(new - value)))
+            evaluations = np.where(converged, evaluations, _ORDER * (2 * panels - 1))
+            converged = converged | (panels > 1) & (error <= tol * np.maximum(1.0, abs(value)))
+            if np.logical_and.reduce(converged, axis=None) or 2 * panels > max_panels:
+                return value, error, evaluations, converged
+            panels *= 2
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ class CutoffScan:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("a cutoff scan needs at least two cutoffs")
-        if np.any(np.diff(lam) <= 0):
+        if np.logical_or.reduce(lam[1:] - lam[:-1] <= 0):  # np.diff(lam) <= 0
             raise ValueError("cutoffs must be strictly increasing")
         object.__setattr__(self, "lambdas", lam)
         values = np.asarray(self.values, dtype=float)
@@ -268,19 +266,19 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
         raise ValueError(f"scan has {n} points; classification needs at least {fit_points}")
 
     lam, cum = scan.lambdas[-fit_points:], scan.values[-fit_points:]
-    inc = np.diff(cum)  # attributed to lam[1:]
+    inc = cum[1:] - cum[:-1]  # np.diff, attributed to lam[1:]
 
-    scale = abs(scan.values[-1])
-    if scale == 0.0 or np.all(np.abs(inc) <= CAUCHY_TOL * max(scale, 1e-300)):
+    scale = abs(float(scan.values[-1]))
+    if scale == 0.0 or np.logical_and.reduce(abs(inc) <= CAUCHY_TOL * max(scale, 1e-300)):
         return TailClassification(kind="convergent", exponent=None, fit_residual=None,
                                   details={"reason": "increments at noise floor (Cauchy)"})
-    if np.any(inc <= 0.0):
+    if np.logical_or.reduce(inc <= 0.0):
         return TailClassification(kind="ambiguous", exponent=None, fit_residual=None,
                                   details={"reason": "non-positive increments above noise floor"})
 
     log_l, log_i = np.log(lam[1:]), np.log(inc)
     slope, intercept = fit_line(log_l, log_i)
-    resid = float(np.sqrt(np.mean((log_i - (slope * log_l + intercept)) ** 2)))
+    resid = math.sqrt(_mean((log_i - (slope * log_l + intercept)) ** 2))
 
     if slope <= CONVERGENT_SLOPE_MAX:
         return TailClassification(kind="convergent", exponent=slope, fit_residual=resid,
@@ -295,8 +293,8 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
     # signature of logarithmic growth. Confirm on the cumulative values.
     ll = np.log(lam)
     log_slope, log_intercept = fit_line(ll, cum)
-    ss_res = float(np.sum((cum - (log_slope * ll + log_intercept)) ** 2))
-    ss_tot = float(np.sum((cum - np.mean(cum)) ** 2))
+    ss_res = float(np.add.reduce((cum - (log_slope * ll + log_intercept)) ** 2))
+    ss_tot = float(np.add.reduce((cum - _mean(cum)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     if r2 >= LOG_R2_MIN:
         return TailClassification(kind="logarithmic", exponent=None, fit_residual=resid,
@@ -310,6 +308,12 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(slope, intercept) of the least-squares line y ~ slope x + intercept, in closed form
     about the means: slope = sum dx dy / sum dx^2 with dx = x - mean(x), dy = y - mean(y).
     Two numbers need no LAPACK solve (np.polyfit's lstsq pages in up to 0.9 MB of it)."""
-    dx, dy = x - np.mean(x), y - np.mean(y)
+    mx, my = _mean(x), _mean(y)
+    dx, dy = x - mx, y - my
     slope = float(dx @ dy / (dx @ dx))
-    return slope, float(np.mean(y) - slope * np.mean(x))
+    return slope, my - slope * mx
+
+
+def _mean(x: np.ndarray) -> float:
+    """np.mean of a 1D array, the same sum and division, without its Python layers."""
+    return float(np.add.reduce(x)) / x.size

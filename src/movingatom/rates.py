@@ -55,7 +55,7 @@ def with_variant(model: CouplingModel, variant: str) -> CouplingModel:
     standard model keeps none either way."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return replace(model, apply_momentum_shift=variant == "shifted")
+    return CouplingModel(model.kind, model.include_recoil_term, variant == "shifted")
 
 
 def _rate(delta, x_star, gsq, epsilon: float):
@@ -93,14 +93,15 @@ def golden_rule_mean_rate(proj: ProjectedDistribution, n, e_d, params: Dimension
     `converged` = False when order 64 misses it. One field per direction: scalars for
     one direction, arrays of the stack's shape for a stack of directions (..., 3) and
     `proj` projected along it; `evaluations` counts the delta nodes."""
+    n, e_d = check_unit(n, "n", stacked=True), check_unit(e_d, "e_d")
 
     def evaluate(rows, rules):
         x_star = resonance_root(rows.nodes, params.epsilon)
         q0, q1, q2 = conditional_polarization_sum(model, x_star, n, e_d, params.epsilon, rows)
         u = rows.nodes - np.asarray(rows.mean)[..., None]
         rates = _rate(rows.nodes, x_star, q0 + u * (q1 + u * q2), params.epsilon)
-        values = np.stack([rates[..., block] @ w for w, block in rules])[..., None]
-        return (values, np.zeros_like(values), np.ones(values.shape[:-1], dtype=int),
+        values = np.array([rates[..., block] @ w for w, block in rules])[..., None]
+        return (values, np.zeros(values.shape), np.ones(values.shape[:-1], dtype=int),
                 np.ones(values.shape[:-1], dtype=bool))
 
     value, error, evaluations, converged, _ = delta_average(proj, evaluate, tol)

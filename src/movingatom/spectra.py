@@ -116,7 +116,9 @@ class Formfactor:
         """(phi(x) - phi(z)) / (x - z), written without that difference."""
         if self.kind == "exponential":
             return -1.0 / self.cutoff
-        return -(x + z) / self.cutoff / self.cutoff  # cutoff**2 overflows past 1.3e154
+        # -(x + z) / cutoff / cutoff, as numpy divides by a real: a product with 1 / cutoff
+        # (cutoff**2 overflows past 1.3e154)
+        return (x + z) * (-1.0 / self.cutoff) * (1.0 / self.cutoff)
 
     def suggested_upper_limit(self) -> float:
         """Frequency beyond which the damped tail is negligible."""
@@ -147,6 +149,7 @@ _ZA_A, _ZA_C = 0.518321480430085929872, 0.329973702884629072537
 _ZA_AN2 = (_ZA_A * np.arange(1.0, 14.0)) ** 2  # (a n)^2, n = 1..13
 _ZA_EXP = np.exp(-_ZA_AN2)
 _ZA_WINDOW = _ZA_A * np.arange(-13.0, 14.0)  # a (n - round(x / a))
+_ERFC = np.frompyfunc(math.erfc, 1, 1)  # math.erfc over an array, without a Python loop
 
 
 def faddeeva(z):
@@ -169,11 +172,12 @@ def faddeeva(z):
     scalar code; vectorized, one pass over the strip is cheaper, and its centred sums
     match 40-digit values to 4e-15 out to |x| = 28 (tests/test_spectra.py).
     """
-    shape, z = np.shape(z), np.ravel(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(z) & (z.imag > 0.0)):
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
+    if not np.logical_and.reduce(np.isfinite(z) & (z.imag > 0.0)):
         raise ValueError("faddeeva needs finite z with Im z > 0")
-    fraction = (z.imag > 7.0) | (np.abs(z.real) > 28.0)
-    if not fraction.any():
+    fraction = (z.imag > 7.0) | (abs(z.real) > 28.0)
+    if not np.logical_or.reduce(fraction):
         return _faddeeva_916(z.real, z.imag).reshape(shape)
     w = np.empty_like(z)
     zf = z[fraction]
@@ -190,15 +194,16 @@ def faddeeva(z):
 def _faddeeva_916(x, y):
     """w(x + iy) by Algorithm 916 (see `faddeeva`), for 1D x and y > 0, x of either sign."""
     y2 = y * y
-    g = (np.exp(y2) * np.array([math.erfc(v) for v in y.tolist()])
-         - _ZA_C * y * (_ZA_EXP / (_ZA_AN2 + y2[:, None])).sum(axis=1))
+    g = (np.exp(y2) * _ERFC(y).astype(float)
+         - _ZA_C * y * np.add.reduce(_ZA_EXP / (_ZA_AN2 + y2[:, None]), axis=1))
     an = (_ZA_A * np.floor(x / _ZA_A + 0.5))[:, None] + _ZA_WINDOW  # a n, 0 exactly at n = 0
     d = an - x[:, None]
     terms = np.exp(d * -d) / (an * an + y2[:, None])  # exp(-d^2) / (y - i a n) = terms (y + i a n)
     terms[an == 0.0] = 0.0
     em = np.expm1(-2j * (x * y))  # e^{-2ixy} - 1
     return (np.exp(x * -x) * (g * (1.0 + em) - em * (0.5 * _ZA_C / y))
-            + 0.5 * _ZA_C * (y * terms.sum(axis=1) + 1j * (an * terms).sum(axis=1)))
+            + 0.5 * _ZA_C * (y * np.add.reduce(terms, axis=1)
+                             + 1j * np.add.reduce(an * terms, axis=1)))
 
 
 def _doppler_w(scenario: EmissionScenario, n: np.ndarray, proj: ProjectedDistribution,
@@ -222,24 +227,19 @@ def _doppler_w(scenario: EmissionScenario, n: np.ndarray, proj: ProjectedDistrib
     x = np.asarray(x_values, dtype=float)
     q0, q1, q2 = conditional_polarization_sum(scenario.coupling, x, n, scenario.dipole_axis,
                                               eps, proj)
-    w = np.empty_like(x)
-    wing = np.ones(x.shape, dtype=bool)
-    if proj.kind == "gaussian":
-        r = math.sqrt(2.0) * proj.sigma
-        near = np.flatnonzero(x > 0.0)
-        xn = x[near]
-        u0 = -detuning(xn, proj.mean, eps) / xn
-        h = 0.5 * params.gamma_tilde / xn
+    w, wing = np.empty_like(x), np.ones(x.shape, dtype=bool)
+    if proj.kind == "gaussian":  # every point at once; the wing's values are replaced below
+        r, xs = math.sqrt(2.0) * proj.sigma, np.where(x > 0.0, x, 1.0)
+        u0 = -detuning(xs, proj.mean, eps) / xs
+        h = 0.5 * params.gamma_tilde / xs
         zeta = (u0 + 1j * h) / r
-        keep = np.abs(zeta) <= _FAR_WING
-        near, xn, u0, h, zeta = near[keep], xn[keep], u0[keep], h[keep], zeta[keep]
-        a0, a1, a2 = q0[near], q1[near], q2[near]
-        fad = faddeeva(zeta)
-        w[near] = xn * (a2 + math.sqrt(math.pi) * (
-            (a0 + u0 * (a1 + u0 * a2) - a2 * h * h) * fad.real / (h * r)
-            - (a1 + 2.0 * a2 * u0) * fad.imag / r))
-        wing[near] = False
-    if wing.any():
+        wing = (x <= 0.0) | ~(abs(zeta) <= _FAR_WING)
+        fad = faddeeva(np.where(wing, 1j, zeta))
+        with np.errstate(over="ignore", invalid="ignore"):  # only where x is tiny, in the wing
+            w = xs * (q2 + math.sqrt(math.pi) * (
+                (q0 + u0 * (q1 + u0 * q2) - q2 * h * h) * fad.real / (h * r)
+                - (q1 + 2.0 * q2 * u0) * fad.imag / r))
+    if np.logical_or.reduce(wing):
         u, xw = (proj.nodes - proj.mean)[:, None], x[wing]
         w[wing] = proj.weights @ (xw**3 * (q0[wing] + u * (q1[wing] + u * q2[wing]))
                                   / lorentzian_denominator(xw, proj.nodes[:, None], params))
@@ -290,16 +290,16 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0:
         raise ValueError("x_grid must be a nonempty 1D array")
-    if np.any(np.diff(x_grid) <= 0):
+    if np.logical_or.reduce(x_grid[1:] - x_grid[:-1] <= 0):  # np.diff(x_grid) <= 0
         raise ValueError("x_grid must be strictly increasing")
-    if np.any(x_grid < 0):
+    if np.logical_or.reduce(x_grid < 0):
         raise ValueError("reduced frequencies must be non-negative")
 
     proj = project(scenario.distribution, n, order=order)
     if method == "auto":
         method = "exact"
         w = _doppler_w(scenario, n, proj, x_grid)
-        err = np.zeros_like(w)
+        err = np.zeros(w.shape)
     elif method == "full3d":
         w, err = _full_w(scenario, n, x_grid, order=order)
         bad = np.flatnonzero(err > tol * np.abs(w))
@@ -313,7 +313,7 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     doppler_width = (x_star**2) * proj.sigma
     window = 10.0 * max(scenario.params.gamma_tilde, doppler_width)
     warnings = []
-    if not np.any(np.abs(x_grid - x_star) <= window):
+    if not np.logical_or.reduce(abs(x_grid - x_star) <= window):
         warnings.append(
             f"x grid has no point within {window:.3g} of the resonance at x = {x_star:.9g}")
 
@@ -356,7 +356,7 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
-    slopes = []
+    slopes, kappa = [], scenario.kappa
 
     def evaluate(rows, rules):
         lines = line_fractions(models, n, scenario.dipole_axis, rows, scenario.params)
@@ -364,27 +364,26 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
 
         def sums(a):  # each rule's weighted sum over the node axis (second last), rules first
             parts = [w @ a[..., block, :] for w, block in rules]
-            return parts[0][None] if len(parts) == 1 else np.stack(parts)  # one rule: a view
+            return parts[0][None] if len(parts) == 1 else np.array(parts)  # one rule: a view
 
         if formfactor.kind in ("none", "sharp"):
-            values = scenario.kappa * sums(lines.integral(uppers))
-            return (values, np.zeros_like(values), np.full(values.shape[:-1], uppers.size),
+            values = kappa * sums(lines.integral(uppers))
+            return (values, np.zeros(values.shape), np.full(values.shape[:-1], uppers.size),
                     np.ones(values.shape[:-1], dtype=bool))
         z = lines.near[..., None]
-        f_near = np.exp(formfactor._exponent(z))
+        f_near, residue = np.exp(formfactor._exponent(z)), lines.near_residue[..., None]
 
         def rest(x):
             # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
-            quotient = f_near * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
-            return sums(formfactor(x) * lines.smooth(x)
-                        + 2.0 * np.real(lines.near_residue[..., None] * quotient))
+            gap = x - z
+            quotient = f_near * np.expm1(formfactor._slope(x, z) * gap) / gap
+            return sums(formfactor(x) * lines.smooth(x) + 2.0 * (residue * quotient).real)
 
         # integrate_adaptive's levels as arrays: movbench/tracer.py wraps that function
         # and reads its evaluations and convergence as one number each, not per direction
         value, error, count, done = quadrature._levels(rest, 0.0, uppers.item(), tol, max_panels)
-        values = scenario.kappa * (sums(lines.near_integral(uppers, f_near[..., 0]))
-                                   + value[..., None])
-        return values, scenario.kappa * error[..., None], 1 + count, done
+        values = kappa * (sums(lines.near_integral(uppers, f_near[..., 0])) + value[..., None])
+        return values, kappa * error[..., None], 1 + count, done
 
     value, error, evaluations, converged, _ = delta_average(proj, evaluate, tol)
     return value, error, evaluations, converged, slopes[0]
@@ -421,7 +420,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     """
     n = check_unit(n, "n", stacked=True)
     proj = project(scenario.distribution, n, order=HERMITE_LADDER[0])
-    x_star = float(np.max(resonance_root(proj.mean, scenario.params.epsilon)))
+    x_star = float(np.maximum.reduce(resonance_root(proj.mean, scenario.params.epsilon), axis=None))
     if not (math.isfinite(upper_limit) and upper_limit > x_star):
         reach = math.inf if formfactor.kind == "none" else formfactor.suggested_upper_limit()
         if reach <= upper_limit < math.inf:  # the integral would stop at the reach
@@ -618,9 +617,9 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
         meta = {"mode": mode, "formfactor": formfactor.kind, "cutoff": formfactor.cutoff,
                 "upper_limit": upper, "phi": phi,
                 "normalization": "kappa-scaled probability per steradian"}
-    bad = np.flatnonzero(~res.converged)
-    if bad.size:
-        raise NumericalError(f"angular pattern did not converge at theta = {theta[bad[0]]:.6g} "
-                             f"(error {res.error_estimate[bad[0]]:.3g}); loosen tol or, for "
+    if not np.logical_and.reduce(res.converged, axis=None):
+        bad = np.flatnonzero(~res.converged)[0]
+        raise NumericalError(f"angular pattern did not converge at theta = {theta[bad]:.6g} "
+                             f"(error {res.error_estimate[bad]:.3g}); loosen tol or, for "
                              "an integrated pattern, raise max_panels")
     return PatternResult(theta=theta, values=values, mode=mode, metadata=meta)

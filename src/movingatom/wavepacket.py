@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .geometry import check_unit, dot3
+from .geometry import check_unit, cross3, elementwise, unstack
 from .quadrature import NumericalError, gauss_rule
 from .units import ParameterError
 
@@ -76,10 +76,6 @@ class PointMass:
         object.__setattr__(self, "beta", arr)
 
 
-def _cross(u, w) -> tuple:
-    return u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]
-
-
 def _eigenvalues(a: np.ndarray) -> list[float]:
     """The eigenvalues, ascending, of a symmetric 3x3 matrix, in closed form and without
     LAPACK. With a = q I + p B, tr B = 0 and |B|^2 = 6 (Frobenius), B's eigenvalues are
@@ -101,7 +97,7 @@ def _eigenvalues(a: np.ndarray) -> list[float]:
     det = xx * (yy * zz - yz * yz) + xy * (yz * xz - xy * zz) + xz * (xy * yz - yy * xz)
     beta = 2.0 * math.cos((math.acos(min(max(det / 2.0, -1.0), 1.0)) + math.tau * (det < 0)) / 3.0)
     rows = (xx - beta, xy, xz), (xy, yy - beta, yz), (xz, yz, zz - beta)
-    v = max(map(_cross, rows, rows[1:] + rows[:1]), key=lambda c: math.hypot(*c))
+    v = max(map(cross3, rows, rows[1:] + rows[:1]), key=lambda c: math.hypot(*c))
     s = 1.5 * beta / math.hypot(*v) ** 2
     g = math.sqrt(sum((row[j] + 1.5 * beta * (i == j) - s * v[i] * v[j]) ** 2
                       for i, row in enumerate(rows) for j in range(3)) / 2.0)
@@ -120,7 +116,10 @@ class GaussianPacket:
             raise ValueError("GaussianPacket.mean must be a finite 3-vector")
         if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
             raise ValueError("GaussianPacket.covariance must be a finite 3x3 matrix")
-        if not np.allclose(cov, cov.T, atol=1e-14, rtol=1e-10):
+        # np.allclose(cov, cov.T, atol=1e-14, rtol=1e-10) on the off-diagonal pairs, as floats
+        (_, xy, xz), (yx, _, yz), (zx, zy, _) = cov.tolist()
+        if not all(abs(a - b) <= 1e-14 + 1e-10 * abs(b) and abs(b - a) <= 1e-14 + 1e-10 * abs(a)
+                   for a, b in ((xy, yx), (xz, zx), (yz, zy))):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
         eigvals = _eigenvalues(cov)
@@ -195,7 +194,7 @@ class ProjectedDistribution:
     perp_var: float
 
     def __post_init__(self) -> None:
-        total = float(np.sum(self.weights))
+        total = float(np.add.reduce(self.weights))  # np.sum's pairwise sum
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"projected weights must sum to 1 within {_WEIGHT_TOL:g}; got {total!r}")
 
@@ -227,19 +226,23 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
     (cached per order, read-only).
 
     n is one unit vector (3,) or a stack of them (..., 3); a stack gives every
-    field but the shared weights its leading shape (see ProjectedDistribution).
+    field but the shared weights its leading shape (see ProjectedDistribution),
+    and one direction gives mean, sigma and perp_var as Python floats.
     Given delta, a Gaussian N(m, S) is N(m + u g, S - s^2 g g^T) with
     s^2 = n.S.n and gain g = S n / s^2, so its transverse variance is
     tr S - |S n|^2 / s^2. A direction with s^2 <= eps_mach tr S (zero to
     rounding) has the point law, g = 0: it moves the average by at most
     eps_mach relative, where |g|^2 ~ tr S / s^2 would overflow as s -> 0. In a
     stack with other rows its Hermite nodes all sit at the mean. A point mass
-    is the case S = 0. Tabulated rows lie along n: they have no transverse part.
+    has the point law with no covariance arithmetic. Tabulated rows lie along n:
+    they have no transverse part. The scalars of one direction are products of its
+    components (`unstack`) as Python floats, with `dot3`'s arithmetic, as a stack's are
+    of its arrays.
     """
     n = check_unit(n, "n", stacked=True)
     batch = n.shape[:-1]
     if isinstance(dist, TabulatedProjection):
-        if not np.allclose(dist.direction, n, atol=1e-12, rtol=0.0):
+        if not np.abs(n - dist.direction).max() <= 1e-12:
             raise ParameterError("a tabulated distribution gives delta = n.beta only along "
                                  "its own direction")
         mean = weighted_sum(dist.weights, dist.delta)
@@ -250,35 +253,43 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
                                      nodes=np.broadcast_to(dist.delta, batch + dist.delta.shape),
                                      weights=dist.weights, perp_mean=zeros, perp_gain=zeros,
                                      perp_var=np.zeros(batch)[()])
-    if isinstance(dist, PointMass):
-        center, cov = dist.beta, np.zeros((3, 3))
-    elif isinstance(dist, GaussianPacket):
-        center, cov = dist.mean, dist.covariance
-    else:
+    if not isinstance(dist, (PointMass, GaussianPacket)):
         raise TypeError(f"unknown distribution type {type(dist).__name__}")
-    mean = dot3(n, center)
-    sn = n @ cov
-    var = np.maximum(dot3(n, sn), 0.0)
-    live = var > np.finfo(float).eps * np.trace(cov)
-    gain = np.where(live[..., None], sn / np.where(live, var, 1.0)[..., None], 0.0)
-    moments = dict(mean=mean, perp_mean=center - mean[..., None] * n,
-                   perp_gain=gain - dot3(n, gain)[..., None] * n,
-                   perp_var=np.maximum(np.trace(cov) - dot3(sn, gain), 0.0))
-    if not np.any(live):
-        return ProjectedDistribution(kind="point", sigma=np.zeros(batch)[()], nodes=mean[..., None],
-                                     weights=np.ones(1), **moments)
-    sigma = np.where(live, np.sqrt(var), 0.0)
-    nodes, weights = hermite_nodes(mean, sigma, order)
-    return ProjectedDistribution(kind="gaussian", sigma=sigma, nodes=nodes, weights=weights,
-                                 **moments)
+    nx, ny, nz = unstack(n)
+    center = dist.beta if isinstance(dist, PointMass) else dist.mean
+    cx, cy, cz = center.tolist()
+    mean = nx * cx + ny * cy + nz * cz
+    column = np.asarray(mean)[..., None]  # one direction's float as an array (1,) too
+    perp_mean = center - column * n
+    if isinstance(dist, PointMass):
+        zero = np.zeros(batch)[()]
+        return ProjectedDistribution("point", mean, zero, column, np.ones(1), perp_mean,
+                                     np.zeros(n.shape), zero)
+    where, maximum, sqrt = elementwise(mean)
+    sn = n @ dist.covariance  # S n
+    sx, sy, sz = unstack(sn)
+    var, trace = nx * sx + ny * sy + nz * sz, float(dist.covariance.trace())
+    live = var > math.ulp(1.0) * trace  # eps_mach tr S
+    var = where(live, var, 1.0)
+    gain = where(np.asarray(live)[..., None], sn / np.asarray(var)[..., None], np.zeros(n.shape))
+    gx, gy, gz = unstack(gain)
+    along, perp_var = nx * gx + ny * gy + nz * gz, trace - (sx * gx + sy * gy + sz * gz)
+    moments = gain - np.asarray(along)[..., None] * n, maximum(perp_var, 0.0)
+    sigma = where(live, sqrt(var), 0.0)
+    if not np.logical_or.reduce(live, axis=None):
+        return ProjectedDistribution("point", mean, sigma, column, np.ones(1), perp_mean, *moments)
+    nodes, (weights,) = hermite_nodes(mean, sigma, (order,))
+    return ProjectedDistribution("gaussian", mean, sigma, nodes, weights, perp_mean, *moments)
 
 
-def hermite_nodes(mean, sigma, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `order`-point Gauss-Hermite nodes (a new last axis) and weights of
-    delta ~ N(mean, sigma^2), mean and sigma shaped like a stack of directions: a
-    Gaussian's rule in `project`, and the same law at another order."""
-    t, w = _hermite_rule(order)
-    return mean[..., None] + np.sqrt(2.0) * sigma[..., None] * t, w / np.sqrt(np.pi)
+def hermite_nodes(mean, sigma, orders) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The Gauss-Hermite nodes of delta ~ N(mean, sigma^2) of each order in `orders`, side
+    by side on a new last axis, and each order's weights; mean and sigma are floats or
+    shaped like a stack of directions: a Gaussian's rule in `project`, and the same law
+    at the orders of `delta_average`."""
+    t, w = zip(*map(_hermite_rule, orders))
+    scale, t = np.asarray(math.sqrt(2.0) * sigma)[..., None], np.concatenate(t)
+    return np.asarray(mean)[..., None] + scale * t, [v / math.sqrt(math.pi) for v in w]
 
 
 HERMITE_LADDER = (8, 16, 32, 64)  # the Gauss-Hermite orders of `delta_average`
@@ -310,24 +321,28 @@ def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
     if proj.kind != "gaussian":
         v, e, c, ok = evaluate(proj, [(proj.weights, slice(None))])
         return v[0], e[0], proj.weights.size * c[0], ok[0], np.full(c[0].shape, proj.weights.size)
-    rule_orders, done = HERMITE_LADDER[:2], None
-    while rule_orders[-1] <= HERMITE_LADDER[-1] and (done is None or not done.all()):
-        built = [hermite_nodes(proj.mean, proj.sigma, k) for k in rule_orders]
+    rule_orders, fields, done = HERMITE_LADDER[:2], vars(proj), None
+    while True:
+        nodes, weights = hermite_nodes(proj.mean, proj.sigma, rule_orders)
         blocks = (slice(rule_orders[0]), slice(rule_orders[0], None))
-        v, e, c, ok = evaluate(replace(proj, nodes=np.concatenate([t for t, _ in built], axis=-1)),
-                               [(w, block) for (_, w), block in zip(built, blocks)])
+        v, e, c, ok = evaluate(ProjectedDistribution(**{**fields, "nodes": nodes}),
+                               list(zip(weights, blocks)))
+        gap = np.abs(v[-1] - (v[0] if done is None else value))
+        met = np.logical_and.reduce(gap <= tol * np.maximum(1.0, np.abs(v[-1])), axis=-1)
+        work = rule_orders[-1] * c[-1] + (rule_orders[0] * c[0] if done is None else 0)
         if done is None:  # order 8 stands for the order before 16
-            value, error, evaluations, rest_ok, orders = v[0], e[0], 0 * c[0], ok[0], 0 * c[0]
-            done = converged = np.zeros(ok.shape[1:], dtype=bool)
-        gap = np.abs(v[-1] - value)
-        met = np.all(gap <= tol * np.maximum(1.0, np.abs(v[-1])), axis=-1)
-        value = np.where(done[..., None], value, v[-1])
-        error = np.where(done[..., None], error, e[-1] + gap)
-        evaluations = evaluations + np.where(done, 0, sum(k * ck for k, ck in zip(rule_orders, c)))
-        converged = np.where(done, converged, met & ok[-1] & rest_ok)
-        orders = np.where(done, orders, rule_orders[-1])
-        rest_ok, done, rule_orders = ok[-1], done | met, (2 * rule_orders[-1],)
-    return value, error, evaluations, converged, orders
+            value, error, evaluations = v[-1], e[-1] + gap, work
+            converged, orders = met & ok[-1] & ok[0], np.zeros(met.shape, int) + rule_orders[-1]
+        else:  # the open columns take this order
+            value = np.where(done[..., None], value, v[-1])
+            error = np.where(done[..., None], error, e[-1] + gap)
+            evaluations = evaluations + np.where(done, 0, work)
+            converged = np.where(done, converged, met & ok[-1] & rest_ok)
+            orders = np.where(done, orders, rule_orders[-1])
+            met = done | met
+        rest_ok, done, rule_orders = ok[-1], met, (2 * rule_orders[-1],)
+        if rule_orders[-1] > HERMITE_LADDER[-1] or np.logical_and.reduce(done, axis=None):
+            return value, error, evaluations, converged, orders
 
 
 def gaussian_nodes(dist: GaussianPacket, order: int = 40) -> tuple[np.ndarray, np.ndarray]:

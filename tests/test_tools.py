@@ -78,6 +78,27 @@ def test_bench_cli_entries_split_each_pass_and_repeat_their_exit_codes(tmp_path)
         [runs[0]["cli_cutoff"]["change"]["hermite_orders"]] * 2
 
 
+def test_bench_doppler_entry_times_each_call_and_repeats_its_call_events(tmp_path):
+    # the seven library calls of the committed doppler scenarios, one timed pass each, twice:
+    # each call has its time, and the Python and C call events of a warm run repeat exactly
+    bench = _load("bench")
+    names = [op["name"] for op in json.loads((TOOLS / "scenarios" / "doppler" / "ops.json")
+                                              .read_text())]
+    runs = []
+    for name in ("a.json", "b.json"):
+        args = ["bench.py", "--repeat", "1", "--out", str(tmp_path / name), "doppler"]
+        assert bench.main(args) == 0
+        runs.append(json.loads((tmp_path / name).read_text())["entries"]["doppler"]["change"])
+    for entry in runs:
+        assert len(names) == 7 and list(entry["parts"]) == names == list(entry["events"])
+        assert min(entry["parts"].values()) > 0.0
+        assert sum(entry["parts"].values()) == pytest.approx(entry["best_s"])
+        assert all(set(e) == {"python", "c"} and min(e.values()) > 0
+                   for e in entry["events"].values())
+    assert runs[0]["events"] == runs[1]["events"]
+    assert runs[0]["hermite_orders"] == runs[1]["hermite_orders"]
+
+
 def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
     # the oracle scenarios in a fresh interpreter, and the oracle's phases at K = 201,
     # one timed run each, twice: the exit codes, the modules loaded and the root search's

@@ -11,10 +11,15 @@ from `wavepacket.delta_average` in one untimed run. The library entries are one 
 - divergence_doppler, probability_doppler: `divergence_comparison` and
   `directional_probability` (gaussian formfactor at cutoff 10) on the packet of the
   movbench doppler workload at seed 5, perpendicular to the dipole, tol 1e-9;
-- pattern_golden: that workload's 37-angle golden-rule pattern (shifted), tol 1e-9.
+- pattern_golden: that workload's 37-angle golden-rule pattern (shifted), tol 1e-9;
+- doppler: one pass of the movbench doppler workload at seed 5 (the scenario files of
+  tools/scenarios/doppler, written by `movbench/workloads.py --seed 5`): its seven library
+  calls in the order of its ops.json, each made by movbench/worker.py's `_library_call`. It
+  records the median of each call's time and, as its work count ("events"), the Python and
+  C call events of each call that `sys.setprofile` sees on one warm run.
 
 The CLI entries run `cli.main` in process, as movbench's worker does, on every scenario
-of a directory under tools/scenarios (written by `movbench/workloads.py --seed 5`), in
+of a CLI directory under tools/scenarios (written by `movbench/workloads.py --seed 5`), in
 the order of its ops.json, and time only those calls:
 
 - cli_cutoff: the ten runs of the movbench cutoff workload (probability, divergence,
@@ -27,7 +32,7 @@ subcommand) and encode_write (`_csv`, `_json` and `_write`, which hashes and wri
 files), with csv, the `_csv` share of encode_write; and, as its work count, the exit
 codes of the untimed run.
 
-A cold-start entry, cold_<directory>, runs the same scenarios of each directory in one
+A cold-start entry, cold_<directory>, runs the same scenarios of each CLI directory in one
 fresh interpreter that imports the package from the tree's src/: its time is that
 process's wall time from start to exit, and it also records the median of the process's
 peak resident set (VmHWM, in MB) and, as its work counts, the exit codes and which of
@@ -82,6 +87,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "tools" / "scenarios"
+CLI_SCENARIOS = ("cutoff", "oracle")  # the directories of CLI runs; doppler's are library calls
 # part -> the names of `cli` timed as that part of a CLI entry
 CLI_PARTS = {
     "config": ("read_raw", "build_config"),
@@ -158,12 +164,71 @@ def entries(pkg, angles: int = 73, modes=ORACLE_MODES, golden_angles: int = 37) 
             doppler, perp, cutoff_10, cutoff_10.suggested_upper_limit(), tol=1e-9),
         "pattern_golden": lambda: spectra.angular_pattern(golden, golden_theta,
                                                           variant="shifted", tol=1e-9),
+        "doppler": DopplerPass(pkg, SCENARIOS / "doppler"),
         "cli_cutoff": CliPass(pkg, SCENARIOS / "cutoff"),
         "cli_oracle": CliPass(pkg, SCENARIOS / "oracle"),
-        **{f"cold_{d.name}": ColdStart(Path(pkg.__file__).resolve().parents[2], d)
-           for d in sorted(SCENARIOS.iterdir()) if d.is_dir()},
+        **{f"cold_{name}": ColdStart(Path(pkg.__file__).resolve().parents[2], SCENARIOS / name)
+           for name in CLI_SCENARIOS},
         **{f"oracle_{k}": OraclePhases(pkg, k) for k in modes},
     }
+
+
+def call_events(call) -> dict:
+    """The Python and C call events ("python", "c") that `sys.setprofile` sees while `call`
+    runs once."""
+    counts = Counter()
+
+    def count(frame, event, arg):
+        counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return {"python": counts["call"], "c": counts["c_call"]}
+
+
+class DopplerPass:
+    """The library calls of the doppler scenario directory, each made by movbench/worker.py's
+    `_library_call` with `pkg` imported as movingatom: calling it runs them in the order of
+    ops.json and returns {"total", "parts", "work"}: the seconds of the pass and of each call,
+    and each call's `call_events` on one warm run (counted on the first call, after the
+    pass has run once)."""
+
+    def __init__(self, pkg, directory: Path):
+        self.pkg, self.directory, self.calls, self.events = pkg, directory, None, None
+
+    def _make_calls(self) -> dict:
+        spec = importlib.util.spec_from_file_location("bench_worker",
+                                                      REPO / "movbench" / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        config = importlib.import_module(f"{self.pkg.__name__}.config")
+        saved, sys.modules["movingatom"] = sys.modules.get("movingatom"), self.pkg
+        try:  # worker binds `movingatom.spectra` when it makes each call
+            calls = {}
+            for op in json.loads((self.directory / "ops.json").read_text()):
+                op["cfg"] = config.load_config(self.directory / op["config"])
+                calls[op["name"]] = worker._library_call(op)[0]
+            return calls
+        finally:
+            if saved is None:
+                del sys.modules["movingatom"]
+            else:
+                sys.modules["movingatom"] = saved
+
+    def __call__(self) -> dict:
+        if self.calls is None:  # made on the first run
+            self.calls = self._make_calls()
+        parts = {}
+        for name, call in self.calls.items():
+            start = time.perf_counter()
+            call()
+            parts[name] = time.perf_counter() - start
+        if self.events is None:
+            self.events = {name: call_events(call) for name, call in self.calls.items()}
+        return {"total": sum(parts.values()), "parts": parts, "work": {"events": self.events}}
 
 
 class CliPass:
