@@ -503,18 +503,19 @@ def _lowner(sums: CauchySums, sigma: np.ndarray, nu: np.ndarray, fp: np.ndarray)
     zhat = np.ones(n) if far is None else np.exp(
         sums.interpolate(far, np.arange(n) // BOX, d, 0.0)[:, 0])
     shift = np.zeros(n + 1)  # f' with the weights z_hat less f' with z
+    before = np.tri(BOX, k=-1, dtype=bool)  # j < p in a box's diagonal block
     for b, (l, r) in enumerate(sums.near):
         lo, hi = b * BOX, min(b * BOX + BOX, n)
         dp = d[lo:hi, None]
         m = (dp - sigma[l:r + 1]) - nu[l:r + 1]  # roots l..r
         ratio = dp - d[l:r]  # d_p - d_j
-        a, e = lo - l, hi - l
+        a, e, p = lo - l, hi - l, np.arange(hi - lo)
         np.divide(m[:, :a], ratio[:, :a], out=ratio[:, :a])
         np.divide(m[:, e + 1:], ratio[:, e:], out=ratio[:, e:])
-        side = np.sign(np.arange(hi - lo) - np.arange(hi - lo)[:, None])  # sign of j - p
-        mp, mq = m[:, a:e], m[:, a + 1:e + 1]
-        block = np.where(side < 0, mp, np.where(side > 0, mq, -mp * mq))
-        ratio[:, a:e] = block / np.where(side == 0, 1.0, ratio[:, a:e])
+        block = ratio[:, a:e]
+        block[p, p] = 1.0
+        np.divide(np.where(before[p, :p.size], m[:, a:e], m[:, a + 1:e + 1]), block, out=block)
+        block[p, p] = -m[p, a + p] * m[p, a + p + 1]
         zhat[lo:hi] *= np.prod(ratio, axis=1)
         np.reciprocal(m, out=m)
         shift[l:r + 1] += (zhat[lo:hi] - z[lo:hi]) @ np.square(m, out=m)
@@ -540,19 +541,22 @@ def _reconstruct(d, sigma, nu, w, times):
     The n times before T lie on a uniform grid t_j = j h, so with j = _FINE c + f,
     e^{-i mu t_j} = e^{-i mu t_{_FINE c}} e^{-i mu t_f}: a fine block F_kf = w_k e^{-i
     mu_k t_f} and _FINE coarse rows at a time give _FINE**2 amplitudes by one complex
-    matrix product, and only about n/_FINE + _FINE rows of phases are exponentiated.
-    T, which also feeds S_p, is done directly.
+    matrix product. The coarse rows split the same way, c = _FINE a + b: each block of
+    them is one outer row e^{-i mu t_{_FINE^2 a}} times the inner rows e^{-i mu t_{_FINE
+    b}}, so only about n/_FINE**2 + 2 _FINE rows of phases are exponentiated. T, which
+    also feeds S_p, is done directly.
     """
     mu = sigma + nu
     n = times.size - 1
+    last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
+    s = _mode_sums(d, sigma, nu, last)  # first: its work buffers and the phases never meet
     fine = min(_FINE, n)
     f = np.exp(np.multiply.outer(-1j * mu, times[:fine])) * w[:, None]
     coarse = times[:n:fine]
-    blocks = [np.exp(np.multiply.outer(coarse[c0:c0 + fine], -1j * mu)) @ f
+    inner = np.exp(np.multiply.outer(coarse[:fine], -1j * mu))
+    blocks = [(np.exp(-1j * mu * coarse[c0]) * inner[:coarse.size - c0]) @ f
               for c0 in range(0, coarse.size, fine)]
-    last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
-    amp = np.append(np.concatenate(blocks).ravel()[:n], last.sum(axis=0).view(complex))
-    return amp, _mode_sums(d, sigma, nu, last)
+    return np.append(np.concatenate(blocks).ravel()[:n], last.sum(axis=0).view(complex)), s
 
 
 def discrete_mode_evolution(system: DiscreteModeSystem, t_final: float,

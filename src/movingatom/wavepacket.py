@@ -46,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import check_unit, cross3, elementwise, unstack
+from .geometry import check_unit, cross3, dot, elementwise
 from .quadrature import NumericalError, gauss_rule
 from .units import ParameterError
 
@@ -235,9 +235,8 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
     eps_mach relative, where |g|^2 ~ tr S / s^2 would overflow as s -> 0. In a
     stack with other rows its Hermite nodes all sit at the mean. A point mass
     has the point law with no covariance arithmetic. Tabulated rows lie along n:
-    they have no transverse part. The scalars of one direction are products of its
-    components (`unstack`) as Python floats, with `dot3`'s arithmetic, as a stack's are
-    of its arrays.
+    they have no transverse part. The dot products are `geometry.dot`'s, with `dot3`'s
+    arithmetic: Python floats for one direction, two numpy calls for a stack.
     """
     n = check_unit(n, "n", stacked=True)
     batch = n.shape[:-1]
@@ -255,10 +254,8 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
                                      perp_var=np.zeros(batch)[()])
     if not isinstance(dist, (PointMass, GaussianPacket)):
         raise TypeError(f"unknown distribution type {type(dist).__name__}")
-    nx, ny, nz = unstack(n)
     center = dist.beta if isinstance(dist, PointMass) else dist.mean
-    cx, cy, cz = center.tolist()
-    mean = nx * cx + ny * cy + nz * cz
+    mean = dot(n, center)
     column = np.asarray(mean)[..., None]  # one direction's float as an array (1,) too
     perp_mean = center - column * n
     if isinstance(dist, PointMass):
@@ -267,13 +264,11 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
                                      np.zeros(n.shape), zero)
     where, maximum, sqrt = elementwise(mean)
     sn = n @ dist.covariance  # S n
-    sx, sy, sz = unstack(sn)
-    var, trace = nx * sx + ny * sy + nz * sz, float(dist.covariance.trace())
+    var, trace = dot(n, sn), float(dist.covariance.trace())
     live = var > math.ulp(1.0) * trace  # eps_mach tr S
     var = where(live, var, 1.0)
     gain = where(np.asarray(live)[..., None], sn / np.asarray(var)[..., None], np.zeros(n.shape))
-    gx, gy, gz = unstack(gain)
-    along, perp_var = nx * gx + ny * gy + nz * gz, trace - (sx * gx + sy * gy + sz * gz)
+    along, perp_var = dot(n, gain), trace - dot(sn, gain)
     moments = gain - np.asarray(along)[..., None] * n, maximum(perp_var, 0.0)
     sigma = where(live, sqrt(var), 0.0)
     if not np.logical_or.reduce(live, axis=None):

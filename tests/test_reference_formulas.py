@@ -6,6 +6,10 @@ direction's scalars on Python floats and makes fewer numpy calls, in the same or
 of arithmetic, so every comparison here asks for equal bits. The unit-vector check is
 compared away from its bound, where the order of a norm's sum cannot move the decision;
 the covariance's symmetry check decides as np.allclose does, at its bound too.
+
+The oracle's far set-up keeps its earlier form here too, `ref_far`: each box summed every
+far source at its Chebyshev points. The tree that replaced it rounds differently, so its
+coefficients are compared within a bound fixed from its error budget.
 """
 
 import math
@@ -14,13 +18,14 @@ import re
 import numpy as np
 import pytest
 
-from movingatom import amplitudes, coupling, quadrature, spectra, wavepacket
+from movingatom import amplitudes, cauchy, coupling, quadrature, spectra, wavepacket
 from movingatom.coupling import CouplingModel
 from movingatom.geometry import check_unit, direction_from_angles, dot3
 from movingatom.quadrature import CutoffScan, NumericalError
 from movingatom.units import DimensionlessParams, ParameterError
 from movingatom.wavepacket import (HERMITE_LADDER, GaussianPacket, PointMass,
                                    ProjectedDistribution, TabulatedProjection, project)
+from test_amplitudes import POLE_SETS, band_poles
 
 E_D = np.array([0.0, 0.0, 1.0])
 N_ONE = direction_from_angles(1.1, 0.3, axis=E_D)
@@ -496,3 +501,77 @@ def test_covariance_symmetry_decides_as_allclose_on_both_sides_of_its_bound(tran
         assert not np.allclose(cov, cov.T, atol=1e-14, rtol=1e-10)
         with pytest.raises(ValueError, match="symmetric"):
             GaussianPacket(np.zeros(3), cov.T if transpose else cov)
+
+
+def ref_far(sums, kernel):
+    """The dense far set-up: Chebyshev coefficients (box, coefficient, column) of each box's
+    far sums, every far source summed at the box's points x as kernel(s - x, l, r): the
+    differences to the l sources left of the box, then to those from r on."""
+    points = cauchy.chebyshev_points()[:, None]
+    coef = []
+    for b, (l, r) in enumerate(sums.near):
+        far = np.concatenate(((sums.base[:l] - sums.centre[b]) + sums.offset[:l],
+                              (sums.base[r:] - sums.centre[b]) + sums.offset[r:]))
+        x = sums.half[b] * points
+        coef.append(cauchy.chebyshev_fit(np.vstack([kernel(far - x[i:i + 4], l, r)
+                                                    for i in range(0, x.size, 4)])))
+    return np.array(coef)
+
+
+def ref_kernels(sums, left, right):
+    """The far sums' kernels of `sums` and of its log sums (`CauchySums.far_logs`, with the
+    numerators `left` and `right`), for `ref_far`: each gives its sums, then, in as many
+    more columns, the sums of the terms' magnitudes."""
+    q = sums.weights
+
+    def cauchy_sums(diff, l, r):
+        inv = 1.0 / diff
+        sides = [inv[:, :l] @ q[:l], inv[:, l:] @ q[r:]]
+        size = np.abs(inv) @ np.abs(np.concatenate((q[:l], q[r:])))
+        if not sums.derivative:
+            return np.hstack((sides[0] + sides[1], size))
+        square = (inv[:, :l] ** 2) @ q[:l] + (inv[:, l:] ** 2) @ q[r:]  # q > 0: its own size
+        return np.hstack((sides[0] + sides[1], sides[1] - sides[0], square, size, size, square))
+
+    def logs(diff, l, r):
+        terms = np.log1p(-np.concatenate((left[:l], right[r:])) / diff)
+        return np.column_stack((terms.sum(axis=1), np.abs(terms).sum(axis=1)))
+
+    return cauchy_sums, logs
+
+
+def _far_cases(d, z):
+    """(name, sums, tree coefficients, kernels) of the root search's sums, its log sums and
+    the mode sums of the poles d with weights z, as the oracle sets them up."""
+    sigma, nu, fp, sums, _ = amplitudes._secular_roots(d, z)
+    _, w = amplitudes._lowner(sums, sigma, nu, fp)
+    mu = sigma + nu
+    last = np.column_stack((w * np.cos(mu * 1.4e4), -w * np.sin(mu * 1.4e4)))
+    left, right = (d - sigma[:-1]) - nu[:-1], (d - sigma[1:]) - nu[1:]
+    modes = cauchy.CauchySums(d, sigma, nu, last)
+    roots, logs = ref_kernels(sums, left, right)
+    return [("roots", sums, sums.coef, roots), ("logs", sums, sums.far_logs(left, right), logs),
+            ("modes", modes, modes.coef, ref_kernels(modes, None, None)[0])]
+
+
+FAR_SETS = {**POLE_SETS,
+            "band_16001": lambda: band_poles(16001, 0.05 * 16001 / 2001, 1e-3),
+            # cubic grading: boxes 100 times narrower at 0 than at the ends, 8 tree levels
+            "graded_8000": lambda: (0.05 * np.linspace(-1.0, 1.0, 8000) ** 3,
+                                    np.random.default_rng(8).uniform(0.5, 1.5, 8000) * 1e-8)}
+
+
+@pytest.mark.parametrize("name", FAR_SETS)
+def test_far_tree_matches_the_dense_far_set_up(name):
+    # Fixed before the comparison: each coefficient within 32 eps of the box's magnitude
+    # sum (the far terms' |values| summed, at the point where it is largest). The budget:
+    # every source is summed once, on one level, and each level's share is fitted and
+    # evaluated once (a Lebesgue constant of about 3, some 3 eps of |share|, and the shares'
+    # magnitudes add up to the box's); the leaves' fit adds 2 eps and the dense fit as many.
+    d, z = FAR_SETS[name]()
+    for case, sums, coef, kernel in _far_cases(d, z):
+        assert len(sums._tree) >= (3 if d.size >= 8000 else 1), (name, case)
+        ref, scale = np.split(ref_far(sums, kernel), 2, axis=2)
+        scale = np.abs(cauchy.chebyshev(cauchy.chebyshev_points()) @ scale).max(axis=1)
+        err = np.abs(coef - ref).max(axis=1)  # a box with every source near has 0 and 0
+        assert np.all(err <= 32 * np.finfo(float).eps * scale), (name, case)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,16 +116,35 @@ def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
         assert cold["exit_codes"] == [0] * 3 and cold["modules"] == []
         assert cold["vm_hwm_mb"] > 1.0 and cold["best_s"] > 0.0
         parts = oracle["parts"]
-        assert set(parts) == {"roots", "far", "lowner", "modes", "amps"}
+        assert set(parts) == {"roots", "far_roots", "lowner", "far_logs", "far_modes", "modes",
+                              "amps"}
         assert min(parts.values()) >= 0.0
         assert parts["roots"] + parts["lowner"] + parts["modes"] + parts["amps"] == \
             pytest.approx(oracle["best_s"])
         assert oracle["iterations"] == 4 and oracle["near_terms"] > 0
     keys = {"cold_oracle": ("exit_codes", "modules"),
-            "oracle_201": ("iterations", "near_terms", "far_nodes")}
+            "oracle_201": ("iterations", "near_terms", "far_nodes", "far_pairs")}
     work = [{(name, key): entries[name]["change"][key] for name in keys for key in keys[name]}
             for entries in runs]
     assert work[0] == work[1]
+
+
+def test_bench_far_pairs_repeat_and_grow_as_k_log_k():
+    # the far set-ups' directly summed source-point pairs at 4001 and 16001 modes: the same
+    # on a rerun, and at most 3 NODES K per level of the tree (each level's boxes sum the
+    # sources near their parents but far from them: about 3 K in a flat band), so K log K
+    bench = _load("bench")
+    package = bench.load(bench.REPO, "movingatom_bench")
+    cauchy = sys.modules["movingatom_bench.cauchy"]
+    for k in (4001, 16001):
+        phases = bench.OraclePhases(package, k)
+        first, second = (phases()["work"] for _ in range(2))
+        assert first == second
+        levels = 1 + math.ceil(math.log2(math.ceil(k / cauchy.BOX)))
+        assert first["far_nodes"] == cauchy.NODES * sum(
+            math.ceil(k / cauchy.BOX / 2 ** i) for i in range(levels))
+        for name, pairs in first["far_pairs"].items():
+            assert 0 < pairs <= 3 * cauchy.NODES * (k + 1) * levels, (k, name)
 
 
 def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):

@@ -42,12 +42,14 @@ The oracle entries, oracle_<K> for each K of `--modes` (default 2001 and 16001),
 the phases of the discrete-mode oracle on a flat band of K modes,
 `flat_band_system(K, 0.05 K / 2001, 1e-3)`, the mode spacing of the 2001-mode ACC-06 band,
 for 14 lifetimes recorded every 100 steps of 0.25. Each phase is timed on its own and
-the entry records their medians: roots (`_secular_roots`, its far set-up included), far
-(that set-up alone, `cauchy.CauchySums` of the poles), lowner (`_lowner`: the weights,
-with the far set-up of its log sums), modes (`_mode_sums`, the final-state sums) and amps
-(`_reconstruct` less `_mode_sums`: the recorded amplitudes). Its time is roots + lowner +
-modes + amps, and its work counts are the root search's iterations, near_terms and
-far_nodes.
+the entry records their medians: roots (`_secular_roots`, its far set-up included), lowner
+(`_lowner`: the weights, with the far set-up of its log sums), modes (`_mode_sums`, the
+final-state sums, with theirs), amps (`_reconstruct` less `_mode_sums`: the recorded
+amplitudes), and the three far set-ups alone: far_roots (`cauchy.CauchySums` of the
+poles), far_logs (its `far_logs`) and far_modes (`cauchy.CauchySums` of the roots). Its
+time is roots + lowner + modes + amps, and its work counts are the root search's
+iterations, near_terms and far_nodes, and far_pairs: the source-point pairs that each far
+set-up sums directly (`CauchySums.far_pairs`; None for a package without it).
 
 With `--against DIR` the same entries also run from the package of the tree at DIR (for
 example a checkout of the parent commit), loaded beside this one under another name;
@@ -328,17 +330,22 @@ class OraclePhases:
             return out
 
         sigma, nu, fp, sums, work = timed("roots", a._secular_roots, d, z)
-        timed("far", self.cauchy.CauchySums, d, d, np.zeros(d.size), z, derivative=True)
+        roots = timed("far_roots", self.cauchy.CauchySums, d, d, np.zeros(d.size), z,
+                      derivative=True)
         _, w = timed("lowner", a._lowner, sums, sigma, nu, fp)
+        timed("far_logs", sums.far_logs, (d - sigma[:-1]) - nu[:-1], (d - sigma[1:]) - nu[1:])
         mu = sigma + nu
         last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
+        modes = timed("far_modes", self.cauchy.CauchySums, d, sigma, nu, last)
         timed("modes", a._mode_sums, d, sigma, nu, last)
         timed("amps", a._reconstruct, d, sigma, nu, w, times)
         spent["amps"] = max(spent["amps"] - spent["modes"], 0.0)
+        pairs = [getattr(s, "far_pairs", None) for s in (roots, sums, modes)]
         return {"total": sum(spent[part] for part in ("roots", "lowner", "modes", "amps")),
                 "parts": spent,
                 "work": {"iterations": work["secular_iterations"],
-                         "near_terms": work["near_terms"], "far_nodes": work["far_nodes"]}}
+                         "near_terms": work["near_terms"], "far_nodes": work["far_nodes"],
+                         "far_pairs": dict(zip(("far_roots", "far_logs", "far_modes"), pairs))}}
 
 
 def work_counts(pkg, call) -> dict:
