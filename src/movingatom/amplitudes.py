@@ -100,6 +100,11 @@ def _log_tail(t, log):
     return ts**3 * series if closed is None else np.where(small, ts**3 * series, closed)
 
 
+# elements (rows x points) of one block of `in_row_blocks`: of 2048, 4096 and 8192, the
+# fastest that kept the peak resident set down (8192 was faster and 0.4 MB higher)
+ROW_BLOCK = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class LineFractions:
     """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node, in partial fractions; nodes
@@ -129,12 +134,23 @@ class LineFractions:
     c: complex
     epsilon: float
 
-    def near_integral(self, upper, factor=1.0):
+    def rows(self, block=slice(None)):
+        """These fractions with their stack axes and nodes flattened into one row axis (a
+        model axis stays first), at the rows `block` of it."""
+        return LineFractions(*[v.reshape(v.shape[:v.ndim - self.near.ndim] + (-1,))[..., block]
+                               if isinstance(v, np.ndarray) else v for v in vars(self).values()])
+
+    def near_integral(self, upper, factor):
         """int_0^U 2 Re[factor r_near / (x - z_near)] = 2 Re[factor r_near log((z - U)/z)] per
-        node and U (a new last axis). z is rounded at ulp(x*), while |z - U| nears gt/2 inside
-        the line: there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)),
-        with U b split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
-        u, near, b = np.asarray(upper, dtype=float), self.near[..., None], self.b[..., None]
+        node and U (a new last axis), factor one number per node, in row blocks
+        (`in_row_blocks`). z is rounded at ulp(x*), while |z - U| nears gt/2 inside the line:
+        there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)), with U b
+        split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
+        u = np.asarray(upper, dtype=float)
+        return in_row_blocks(lambda part, f: part._near_integral(u, f), u.size, self, factor)
+
+    def _near_integral(self, u, factor):
+        near, b = self.near[..., None], self.b[..., None]
         close = np.abs(near - u) < 0.5 * np.abs(near)
         gap = near - u
         if close.any():
@@ -144,47 +160,80 @@ class LineFractions:
                            / (b + self.epsilon * (uc + near)), gap)
         return 2.0 * np.real((factor * self.near_residue)[..., None] * np.log(gap / near))
 
-    def smooth(self, x):
+    def taylor_only(self, x) -> bool:
+        """Whether the Taylor form of `smooth` serves every node at the real points x: each
+        rounded step of x / z_far grows with |x|, so the widest |x| decides for all."""
+        return self.far is None or bool(np.logical_and.reduce(
+            abs(np.maximum.reduce(abs(x), axis=None) / self.far) < 1.0, axis=None))
+
+    def smooth(self, x, all_inside=None):
         """s(x) per node at real points x (a new last axis): the Taylor form inside |x| <
-        |z_far|, the direct one outside, and only a form that some point takes."""
+        |z_far|, the direct one outside, and only a form that some point takes. `all_inside`
+        (default: `taylor_only` of these nodes) says whether the Taylor form serves all: a
+        row block takes it as decided once over all rows."""
         x = np.asarray(x, dtype=float)[None, :]
         if self.far is None:
             return self.s0[..., None] + self.s1[..., None] * x
-        far, rf = self.far[..., None], self.far_residue[..., None]
+        far, rf, gap = self.far[..., None], self.far_residue[..., None], x - self.far[..., None]
         taylor = (lambda: self.s0[..., None] + self.s1[..., None] * x
-                  + 2.0 * (rf / (far * far) * (x * x / (x - far))).real)
-        # each rounded step of x / z_far grows with |x|, so the widest |x| decides for all
-        if np.logical_and.reduce(abs(np.maximum.reduce(abs(x), axis=None) / far) < 1.0,
-                                 axis=None):
+                  + 2.0 * (rf / (far * far) * (x * x / gap)).real)
+        if self.taylor_only(x) if all_inside is None else all_inside:
             return taylor()
         inside = abs(x / far) < 1.0
-        direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * (rf / (x - far)).real
-        return (np.where(inside, taylor(), direct) if np.logical_or.reduce(inside, axis=None)
-                else direct)
+        direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * (rf / gap).real
+        if np.logical_or.reduce(inside, axis=None):
+            np.copyto(direct, taylor(), where=inside)
+        return direct
 
     def integral(self, upper):
         """int_0^U w per node and upper limit U (a new last axis), in closed form, per model
         first when built for several: one model is the case without that axis, through the
-        same code, and the logarithms are taken once for all. It runs under np.errstate,
-        since the quadratic term overflows as U grows and np.where evaluates both branches;
-        NumericalError names the first U whose value is not finite."""
+        same code, and the logarithms are taken once for all. It runs in row blocks
+        (`in_row_blocks`) under np.errstate, since the quadratic term overflows as U grows
+        and np.where evaluates both branches; NumericalError names the first U whose value
+        is not finite."""
         u = np.asarray(upper, dtype=float)[None, :]
         with np.errstate(all="ignore"):
-            taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
-            if self.far is not None:
-                far, rf = self.far[..., None], self.far_residue[..., None]
-                log, t = np.log((far - u) / far), u / far  # both forms take them
-                direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
-                          + 2.0 * (rf * log).real)
-                taylor = np.where(abs(t) < 1.0, taylor - 2.0 * (rf * _log_tail(t, log)).real,
-                                  direct)
-            values = taylor + self.near_integral(upper)
+            values = in_row_blocks(lambda part: part._integral(u), u.size, self)
         finite = np.isfinite(values)
         if not np.logical_and.reduce(finite, axis=None):
             bad = np.flatnonzero(~finite.reshape(-1, u.size).all(axis=0))
             raise NumericalError(f"the frequency integral up to x = {u[0, bad[0]]:.6g} is not "
                                  "finite; lower the cutoff or upper limit")
         return values
+
+    def _integral(self, u):
+        taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
+        if self.far is not None:
+            far, rf = self.far[..., None], self.far_residue[..., None]
+            log, t = np.log((far - u) / far), u / far  # both forms take them
+            direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
+                      + 2.0 * (rf * log).real)
+            taylor = np.where(abs(t) < 1.0, taylor - 2.0 * (rf * _log_tail(t, log)).real,
+                              direct)
+        return taylor + self._near_integral(u, 1.0)
+
+
+def in_row_blocks(evaluate, width: int, lines: LineFractions, *per_row):
+    """evaluate(part, *parts) -> (..., rows, width), real, over blocks of at most ROW_BLOCK //
+    width rows (one at least) of `lines`' stack axes and nodes flattened into one row axis
+    (`LineFractions.rows`; a model axis is whole in each), with the same rows of each array
+    of `per_row` (shaped as the nodes), assembled into (..., nodes' shape, width). A row is
+    computed by the same expressions in any block, and a build that fits in one block is
+    evaluated as it is. Only the assembled values outgrow a block: the temporaries of each
+    stay in cache, and under the 256 KiB (three models of complex values at most) from
+    which numpy elides a temporary, which may swap the operands of a complex product and
+    round it differently; so a row's bits do not depend on the blocks or on the build's
+    size."""
+    rows, step = lines.near.size, max(1, ROW_BLOCK // width)
+    if rows <= step:
+        return evaluate(lines, *per_row)
+    flat, per_row, out = lines.rows(), [a.reshape(-1) for a in per_row], None
+    for block in (slice(lo, lo + step) for lo in range(0, rows, step)):
+        value = evaluate(flat.rows(block), *[a[block] for a in per_row])
+        out = np.empty(value.shape[:-2] + (rows, width)) if out is None else out
+        out[..., block, :] = value
+    return out.reshape(out.shape[:-2] + lines.near.shape + (width,))
 
 
 def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
@@ -533,6 +582,15 @@ def _mode_sums(d, sigma, nu, last):
     return sums(np.arange(d.size) // BOX, d, np.zeros(d.size)).view(complex)[:, 0]
 
 
+def _unit_phases(phase):
+    """e^{-i phase} of a real array, its real part cos and its imaginary part -sin: the bits of
+    np.exp(-1j * phase), without a complex exponential."""
+    out = np.empty(phase.shape, complex)
+    np.cos(phase, out=out.real)
+    np.negative(np.sin(phase, out=out.imag), out=out.imag)
+    return out
+
+
 def _reconstruct(d, sigma, nu, w, times):
     """a(tau) = sum_k w_k e^{-i mu_k tau} at every recorded time and, at the last time T
     only, S_p = sum_k w_k e^{-i mu_k T} / (mu_k - d_p) (`_mode_sums`): every mode of pole
@@ -541,7 +599,8 @@ def _reconstruct(d, sigma, nu, w, times):
     The n times before T lie on a uniform grid t_j = j h, so with j = _FINE c + f,
     e^{-i mu t_j} = e^{-i mu t_{_FINE c}} e^{-i mu t_f}: a fine block F_kf = w_k e^{-i
     mu_k t_f} and _FINE coarse rows at a time give _FINE**2 amplitudes by one complex
-    matrix product. The coarse rows split the same way, c = _FINE a + b: each block of
+    matrix product; F and the inner rows below are cos and -sin of one real outer product
+    each (`_unit_phases`). The coarse rows split the same way, c = _FINE a + b: each block of
     them is one outer row e^{-i mu t_{_FINE^2 a}} times the inner rows e^{-i mu t_{_FINE
     b}}, so only about n/_FINE**2 + 2 _FINE rows of phases are exponentiated. T, which
     also feeds S_p, is done directly.
@@ -551,9 +610,9 @@ def _reconstruct(d, sigma, nu, w, times):
     last = np.column_stack((w * np.cos(mu * times[-1]), -w * np.sin(mu * times[-1])))
     s = _mode_sums(d, sigma, nu, last)  # first: its work buffers and the phases never meet
     fine = min(_FINE, n)
-    f = np.exp(np.multiply.outer(-1j * mu, times[:fine])) * w[:, None]
+    f = _unit_phases(np.multiply.outer(mu, times[:fine])) * w[:, None]
     coarse = times[:n:fine]
-    inner = np.exp(np.multiply.outer(coarse[:fine], -1j * mu))
+    inner = _unit_phases(np.multiply.outer(coarse[:fine], mu))
     blocks = [(np.exp(-1j * mu * coarse[c0]) * inner[:coarse.size - c0]) @ f
               for c0 in range(0, coarse.size, fine)]
     return np.append(np.concatenate(blocks).ravel()[:n], last.sum(axis=0).view(complex)), s

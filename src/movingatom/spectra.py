@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .amplitudes import (detuning, line_fractions, lorentzian_denominator, resonance_root,
-                         spectral_kernel)
+from .amplitudes import (detuning, in_row_blocks, line_fractions, lorentzian_denominator,
+                         resonance_root, spectral_kernel)
 from .coupling import (CouplingModel, conditional_polarization_sum, quotient_slope,
                        transverse_dipole)
 from .geometry import check_unit, direction_from_angles
@@ -348,7 +348,8 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled, to one run of integrate_adaptive's levels up to U per build (a column
+    unscaled and in row blocks (`amplitudes.in_row_blocks`, the form of s decided once
+    over all rows), to one run of integrate_adaptive's levels up to U per build (a column
     per rule, model and direction), which raises NumericalError when they or their
     integral are not finite: a smooth F takes one U, and a ladder of them raises
     ValueError. NumericalError (from LineFractions.integral) names the first U whose
@@ -370,19 +371,24 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
             values = kappa * sums(lines.integral(uppers))
             return (values, np.zeros(values.shape), np.full(values.shape[:-1], uppers.size),
                     np.ones(values.shape[:-1], dtype=bool))
-        z = lines.near[..., None]
-        f_near, residue = np.exp(formfactor._exponent(z)), lines.near_residue[..., None]
+        f_near = np.exp(formfactor._exponent(lines.near))
 
-        def rest(x):
-            # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
-            gap = x - z
-            quotient = f_near * np.expm1(formfactor._slope(x, z) * gap) / gap
-            return sums(formfactor(x) * lines.smooth(x) + 2.0 * (residue * quotient).real)
+        def rest(x):  # in row blocks, with s's form decided once over all rows
+            f_x, all_inside = formfactor(x), lines.taylor_only(x)
+
+            def block(part, f_near):
+                # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
+                z, gap = part.near[..., None], x - part.near[..., None]
+                quotient = f_near[..., None] * np.expm1(formfactor._slope(x, z) * gap) / gap
+                return (f_x * part.smooth(x, all_inside)
+                        + 2.0 * (part.near_residue[..., None] * quotient).real)
+
+            return sums(in_row_blocks(block, x.size, lines, f_near))
 
         # integrate_adaptive's levels as arrays: movbench/tracer.py wraps that function
         # and reads its evaluations and convergence as one number each, not per direction
         value, error, count, done = quadrature._levels(rest, 0.0, uppers.item(), tol, max_panels)
-        values = kappa * (sums(lines.near_integral(uppers, f_near[..., 0])) + value[..., None])
+        values = kappa * (sums(lines.near_integral(uppers, f_near)) + value[..., None])
         return values, kappa * error[..., None], 1 + count, done
 
     value, error, evaluations, converged, _ = delta_average(proj, evaluate, tol)

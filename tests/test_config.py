@@ -172,6 +172,15 @@ def test_tabulated_missing_file(tmp_path):
                      base_dir=tmp_path)
 
 
+@pytest.mark.parametrize("text", ["delta,weight\n0.0,1.0\n0.1,heavy\n", "0.0,1.0\n0.1,0.5,2.0\n"],
+                         ids=["word", "ragged"])
+def test_tabulated_unreadable_file(tmp_path, text):
+    # a row that is not numbers, or not as long as the others: ConfigError naming the file
+    (tmp_path / "bad.csv").write_text(text)
+    with pytest.raises(ConfigError, match="could not read table bad.csv"):
+        build_config({"distribution": {"kind": "tabulated", "file": "bad.csv"}},
+                     base_dir=tmp_path)
+
 def test_tabulated_negative_weights(tmp_path):
     (tmp_path / "bad.csv").write_text("0.0,1.0\n0.1,-0.5\n")
     with pytest.raises(ConfigError, match="negative"):

@@ -700,6 +700,71 @@ def test_one_pass_equals_a_pass_per_model_and_order(packet, stacked, formfactor,
             assert np.array_equal(one, np.broadcast_to(want, np.shape(one))), model.label
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# rows flattened from the stack axes and nodes (`amplitudes.in_row_blocks`): a table of 3.5
+# blocks at the 32 points of a one-panel rule (and at 32 cutoffs), seen along its own
+# direction; and a Gaussian packet's 24 nodes (orders 8 and 16) along 16 directions, 3
+# blocks. Their far poles, near -(1 - delta)/eps - 1, lie on both sides of U = 100. Their
+# (rows x 32) complex arrays stay under the 256 KiB from which numpy elides temporaries: an
+# elided `t * (1 + t/2)` (`amplitudes._log_tail`) becomes a product with its operands
+# swapped, which rounds differently, so one block above that size is no reference.
+BLOCK_TABLE_ROWS = 7 * amplitudes.ROW_BLOCK // 64
+ROW_BLOCK_CASES = {
+    "table": (TabulatedProjection(direction=N_TABLE,
+                                  delta=np.linspace(-1e-2, 3e-2, BLOCK_TABLE_ROWS),
+                                  weights=np.full(BLOCK_TABLE_ROWS, 1.0 / BLOCK_TABLE_ROWS)),
+              N_TABLE),
+    "stack": (GaussianPacket.isotropic([1e-2, 0.0, 2e-2], 1e-3),
+              direction_from_angles(np.linspace(0.1, 3.0, 16), 0.3, axis=E_D)),
+}
+
+
+@pytest.mark.parametrize("models", ["one", "three"])
+@pytest.mark.parametrize("formfactor", [Formfactor("gaussian", 12.5),
+                                        Formfactor("exponential", 100.0 / 60.0),
+                                        Formfactor.none()], ids=lambda f: f.kind)
+@pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
+def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case, formfactor, models):
+    # the smooth rest up to the reach U = 100 of a gaussian or exponential formfactor, or the
+    # closed forms on a ladder of 32 cutoffs, in row blocks and with every row in one block:
+    # the same bits in every field. Some rows' far poles lie beyond the rule's widest point
+    # and some inside it, so a block of sorted rows may see only one side of the Taylor form's
+    # decision, which is taken once over all rows.
+    dist, n = ROW_BLOCK_CASES[case]
+    scenario = make_scenario(eps=0.01, gt=1e-3, dist=dist)
+    proj = project(dist, n, order=8)
+    model = CouplingModel.roentgen() if models == "one" else DIVERGENCE_MODELS
+    uppers = np.geomspace(1e2, 1e4, 32) if formfactor.kind == "none" else [100.0]
+    lines = amplitudes.line_fractions(model, n, E_D, proj, scenario.params)
+    far = np.abs(lines.far)
+    assert far.min() < 0.998 * 100.0 < 100.0 < far.max()
+    blocks, rows = [], amplitudes.LineFractions.rows
+
+    def spy(self, block=slice(None)):
+        blocks.append(block)
+        return rows(self, block)
+
+    def run():
+        return (*spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
+                                             1e-10, 4096),
+                lines.near_integral(np.geomspace(1e2, 1e4, 32), np.exp(-lines.near)))
+
+    monkeypatch.setattr(amplitudes.LineFractions, "rows", spy)
+    blocked = run()
+    assert sum(block != slice(None) for block in blocks) >= 3
+    monkeypatch.setattr(amplitudes, "ROW_BLOCK", 1 << 62)  # every row in one block
+    blocks.clear()
+    whole = run()
+    assert blocks == []
+    for got, want in zip(blocked, whole):
+        assert_same_bits(got, want)
+
+
 def spy_hermite_orders(monkeypatch):
     """The Hermite order each column kept (`wavepacket.delta_average`'s last field), one array
     per `_frequency_integral` call, recorded while the test runs."""

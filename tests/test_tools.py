@@ -129,6 +129,31 @@ def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
     assert work[0] == work[1]
 
 
+def test_bench_table_entry_times_both_calls_and_repeats_its_work_counts(tmp_path):
+    # probability and divergence on a seeded 64-row table, one timed run each, twice: each
+    # call has its time and its VmHWM rise in a fresh interpreter, and the rows and
+    # evaluations repeat exactly
+    bench = _load("bench")
+    runs = []
+    for name in ("a.json", "b.json"):
+        args = ["bench.py", "--repeat", "1", "--rows", "64", "--out", str(tmp_path / name),
+                "table_64"]
+        assert bench.main(args) == 0
+        runs.append(json.loads((tmp_path / name).read_text()))
+    for run in runs:
+        assert run["settings"]["rows"] == [64]
+        entry = run["entries"]["table_64"]["change"]
+        assert list(entry["parts"]) == ["probability", "divergence"] == list(entry["rise_mb"])
+        assert min(entry["parts"].values()) > 0.0 and min(entry["rise_mb"].values()) >= 0.0
+        assert sum(entry["parts"].values()) == pytest.approx(entry["best_s"])
+        assert entry["rows"] == 64 and entry["hermite_orders"] == {"64": 4}
+        evaluations = entry["evaluations"]
+        assert evaluations["probability"] > 64 and set(evaluations["divergence"]) == {
+            "roentgen", "standard", "roentgen_no_recoil_term"}
+    work = [{key: run["entries"]["table_64"]["change"][key]
+             for key in ("rows", "evaluations", "hermite_orders")} for run in runs]
+    assert work[0] == work[1]
+
 def test_bench_far_pairs_repeat_and_grow_as_k_log_k():
     # the far set-ups' directly summed source-point pairs at 4001 and 16001 modes: the same
     # on a rerun, and at most 3 NODES K per level of the tree (each level's boxes sum the

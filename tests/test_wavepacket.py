@@ -101,6 +101,14 @@ def test_tabulated_weights_must_be_normalized():
                                 direction=np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("delta, weights", [([0.0, 0.1], [1.0]), ([], []),
+                                            ([[0.0, 0.1]], [[0.5, 0.5]])],
+                         ids=["mismatched", "empty", "two-dimensional"])
+def test_tabulated_delta_and_weights_must_be_matching_nonempty_vectors(delta, weights):
+    with pytest.raises(ValueError, match="matching nonempty 1D arrays"):
+        TabulatedProjection(delta=np.array(delta), weights=np.array(weights),
+                            direction=np.array([1.0, 0.0, 0.0]))
+
 def test_expectation_point_mass_is_exact():
     beta = np.array([0.01, 0.0, -0.02])
     res = expectation(PointMass(beta), lambda b: b[:, 0] + 2 * b[:, 2])

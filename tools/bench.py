@@ -32,6 +32,16 @@ subcommand) and encode_write (`_csv`, `_json` and `_write`, which hashes and wri
 files), with csv, the `_csv` share of encode_write; and, as its work count, the exit
 codes of the untimed run.
 
+The table entries, table_<N> for each N of `--rows` (default 20000), make two library
+calls on a seeded N-row table (`table_scenario`: one Gaussian quantile of width 2e-3 per
+stratum, jittered, with weights uniform on [0.5, 1.5]; eps = 1e-2, gamma_tilde = 1e-3,
+roentgen, seen along (1, 0, 0)): probability, `directional_probability` under an
+exponential formfactor at cutoff 5 up to its reach U = 300, and divergence,
+`divergence_comparison` on its default ladder, both at tol 1e-10. The entry records the
+median of each call's time and of each call's VmHWM rise in a fresh interpreter
+(TABLE_RISE: the table is built and a 16-row call warms the path before the peak is
+read), and, as its work counts, the rows and each call's evaluations.
+
 A cold-start entry, cold_<directory>, runs the same scenarios of each CLI directory in one
 fresh interpreter that imports the package from the tree's src/: its time is that
 process's wall time from start to exit, and it also records the median of the process's
@@ -58,7 +68,7 @@ records in how many of those pairs this tree was faster. A tree without
 `delta_average` records no work count. The output (stdout, or `--out FILE`) is JSON with
 the machine, both trees' `tools/src_lines.py` code lines and the entries.
 
-    python tools/bench.py [--repeat K] [--angles N] [--modes K]...
+    python tools/bench.py [--repeat K] [--angles N] [--modes K]... [--rows N]...
                           [--against DIR [--label TEXT]] [--out FILE] [ENTRY ...]
 """
 
@@ -84,6 +94,7 @@ import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -120,6 +131,28 @@ print(json.dumps({"vm_hwm_mb": kb / 1024.0, "exit_codes": codes,
                   "modules": [name for name in %r if name in sys.modules]}))
 """ % (WATCHED,)
 
+TABLE_ROWS = (20000,)
+# one table call's VmHWM rise: argv is the tree's src, this file, the row count and the call
+TABLE_RISE = """
+import importlib.util, json, sys
+src, bench_file, rows, name = sys.argv[1:]
+sys.path.insert(0, src)
+import movingatom
+spec = importlib.util.spec_from_file_location("bench", bench_file)
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+def hwm():
+    status = open("/proc/self/status").read().splitlines()
+    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
+
+call = bench.table_calls(movingatom, int(rows))[name]
+bench.table_calls(movingatom, 16)[name]()  # rules built, modules paged in
+before = hwm()
+call()
+print(json.dumps(hwm() - before))
+"""
+
 # the movbench doppler workload's packet and golden-pattern width at seed 5
 DOPPLER_MEAN = [0.000183001754, 0.000184764474, 9.195337e-06]
 DOPPLER_GOLDEN_SIGMA = 0.0009287020701322124
@@ -138,7 +171,36 @@ def load(tree: Path, name: str):
     return package
 
 
-def entries(pkg, angles: int = 73, modes=ORACLE_MODES, golden_angles: int = 37) -> dict:
+def table_scenario(pkg, rows: int):
+    """The EmissionScenario of the table entries on `rows` rows (the module docstring),
+    seeded by the row count."""
+    spectra = importlib.import_module(f"{pkg.__name__}.spectra")
+    units = importlib.import_module(f"{pkg.__name__}.units")
+    coupling = importlib.import_module(f"{pkg.__name__}.coupling")
+    wavepacket = importlib.import_module(f"{pkg.__name__}.wavepacket")
+    rng, law = np.random.default_rng(rows), NormalDist(0.0, 2e-3)
+    quantiles = (np.arange(rows) + rng.uniform(0.2, 0.8, rows)) / rows
+    delta = np.array([law.inv_cdf(float(q)) for q in quantiles])
+    weights = rng.uniform(0.5, 1.5, rows)
+    table = wavepacket.TabulatedProjection(delta, weights / weights.sum(), [1.0, 0.0, 0.0])
+    return spectra.EmissionScenario(units.DimensionlessParams(1e-2, 1e-3),
+                                    coupling.CouplingModel.roentgen(), table)
+
+
+def table_calls(pkg, rows: int) -> dict:
+    """{"probability", "divergence"} -> the calls of a table entry on `rows` rows."""
+    spectra = importlib.import_module(f"{pkg.__name__}.spectra")
+    scenario, n = table_scenario(pkg, rows), np.array([1.0, 0.0, 0.0])
+    exponential = spectra.Formfactor("exponential", 5.0)
+    return {
+        "probability": lambda: spectra.directional_probability(
+            scenario, n, exponential, exponential.suggested_upper_limit(), tol=1e-10),
+        "divergence": lambda: spectra.divergence_comparison(scenario, n, tol=1e-10),
+    }
+
+
+def entries(pkg, angles: int = 73, modes=ORACLE_MODES, golden_angles: int = 37,
+            rows=TABLE_ROWS) -> dict:
     """name -> a call of `pkg` with no arguments, for each entry of the module docstring."""
     spectra = importlib.import_module(f"{pkg.__name__}.spectra")
     units = importlib.import_module(f"{pkg.__name__}.units")
@@ -172,6 +234,7 @@ def entries(pkg, angles: int = 73, modes=ORACLE_MODES, golden_angles: int = 37) 
         **{f"cold_{name}": ColdStart(Path(pkg.__file__).resolve().parents[2], SCENARIOS / name)
            for name in CLI_SCENARIOS},
         **{f"oracle_{k}": OraclePhases(pkg, k) for k in modes},
+        **{f"table_{n}": TablePass(pkg, n) for n in rows},
     }
 
 
@@ -348,6 +411,35 @@ class OraclePhases:
                          "far_pairs": dict(zip(("far_roots", "far_logs", "far_modes"), pairs))}}
 
 
+class TablePass:
+    """The calls of the table entry on `rows` rows (see the module docstring): calling it
+    runs each once and returns {"total", "parts", "rise_mb", "work"}: the seconds of the
+    pass and of each call, each call's VmHWM rise in a fresh interpreter, and the rows and
+    each call's evaluations (a model's at divergence)."""
+
+    def __init__(self, pkg, rows: int):
+        self.pkg, self.rows, self.calls = pkg, rows, None
+
+    def __call__(self) -> dict:
+        if self.calls is None:  # the table is made on the first run
+            self.calls = table_calls(self.pkg, self.rows)
+        parts, results = {}, {}
+        for name, call in self.calls.items():
+            start = time.perf_counter()
+            results[name] = call()
+            parts[name] = time.perf_counter() - start
+        tree = Path(self.pkg.__file__).resolve().parents[2]
+        rise = {name: json.loads(subprocess.run(
+            [sys.executable, "-c", TABLE_RISE, str(tree / "src"), __file__, str(self.rows), name],
+            capture_output=True, text=True, check=True, env={**os.environ, **ONE_THREAD}).stdout)
+            for name in self.calls}
+        evaluations = {"probability": int(results["probability"].evaluations),
+                       "divergence": {label: entry.scan.evaluations for label, entry
+                                      in results["divergence"].entries.items()}}
+        return {"total": sum(parts.values()), "parts": parts, "rise_mb": rise,
+                "work": {"rows": self.rows, "evaluations": evaluations}}
+
+
 def work_counts(pkg, call) -> dict:
     """The work counts of one untimed run of `call`: "hermite_orders", the {order: columns}
     that it kept over its `delta_average` runs (None for a package without it), and those
@@ -380,11 +472,12 @@ def _stats(times: list[float]) -> dict:
             "runs": len(times)}
 
 
-def measure(sides: dict, names, repeat: int, angles: int, modes=ORACLE_MODES) -> dict:
+def measure(sides: dict, names, repeat: int, angles: int, modes=ORACLE_MODES,
+            rows=TABLE_ROWS) -> dict:
     """Each entry of `names` on each side ({label: package}), `repeat` interleaved runs.
     An entry that returns a dict times its own runs ("total"), and adds the median of each
     of its other measurements: of each part ("parts"), or of the peak resident set."""
-    calls = {label: entries(pkg, angles, modes) for label, pkg in sides.items()}
+    calls = {label: entries(pkg, angles, modes, rows=rows) for label, pkg in sides.items()}
     out = {}
     for name in names:
         times, extra = ({label: [] for label in sides} for _ in range(2))
@@ -434,15 +527,18 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--modes", type=int, action="append",
                         help="a mode count K of the oracle entries, once per K "
                              f"(default: {' and '.join(map(str, ORACLE_MODES))})")
+    parser.add_argument("--rows", type=int, action="append",
+                        help="a row count N of the table entries, once per N "
+                             f"(default: {' and '.join(map(str, TABLE_ROWS))})")
     parser.add_argument("--against", type=Path, help="another tree to run the entries from")
     parser.add_argument("--label", help="the other tree's name in the output (default: DIR)")
     parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
     args = parser.parse_args(argv[1:])
-    args.modes = args.modes or list(ORACLE_MODES)
+    args.modes, args.rows = args.modes or list(ORACLE_MODES), args.rows or list(TABLE_ROWS)
     sides = {"change": load(REPO, "movingatom_bench")}
     if args.against is not None:
         sides["against"] = load(args.against, "movingatom_against")
-    known = list(entries(sides["change"], args.angles, args.modes))
+    known = list(entries(sides["change"], args.angles, args.modes, rows=args.rows))
     names = args.entries or known
     unknown = set(names) - set(known)
     if unknown:
@@ -451,9 +547,10 @@ def main(argv: list[str]) -> int:
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "machine": platform.machine(),
                     "blas_threads": 1},
-        "settings": {"repeat": args.repeat, "angles": args.angles, "modes": args.modes},
+        "settings": {"repeat": args.repeat, "angles": args.angles, "modes": args.modes,
+                     "rows": args.rows},
         "src_lines": {"change": src_lines(REPO)},
-        "entries": measure(sides, names, args.repeat, args.angles, args.modes),
+        "entries": measure(sides, names, args.repeat, args.angles, args.modes, args.rows),
     }
     if args.against is not None:
         result["against"] = args.label or str(args.against)
