@@ -25,8 +25,7 @@ from .spectra import (DivergenceReport, EmissionScenario, Formfactor, PatternRes
                       PhysicsRejection, SpectralResult, angular_pattern,
                       directional_probability, directional_spectrum,
                       divergence_comparison)
-from .units import (DimensionlessParams, Normalization, ParameterError,
-                    PhysicalInput, to_dimensionless)
+from .units import DimensionlessParams, ParameterError, PhysicalInput, to_dimensionless
 from .wavepacket import (GaussianPacket, PointMass, TabulatedProjection,
                          expectation, project)
 
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CouplingModel", "CutoffScan", "DimensionlessParams", "DiscreteModeSystem",
     "DivergenceReport", "EmissionScenario", "Formfactor", "GaussianPacket",
-    "Normalization", "NumericalError", "ParameterError", "PatternResult",
+    "NumericalError", "ParameterError", "PatternResult",
     "PhysicalInput", "PhysicsRejection", "PointMass", "PolarizationBasis",
     "QuadratureResult", "SpectralResult", "TabulatedProjection",
     "TailClassification", "angular_pattern",

@@ -718,17 +718,3 @@ def compare_to_pole(system: DiscreteModeSystem, result: EvolutionResult,
         "n_modes": int(system.x.size),
         "duration": float(result.times[-1]),
     }
-
-
-def evolution_matrix(system: DiscreteModeSystem) -> np.ndarray:
-    """Dense generator M of the linear system dy/dtau = M y, y = [a, b].
-
-    Exposed so small systems can be cross-checked against a dense
-    matrix-exponential solution computed by an entirely different method.
-    """
-    n = system.x.size
-    m = np.zeros((n + 1, n + 1), dtype=complex)
-    m[0, 1:] = -system.g
-    m[1:, 0] = system.g
-    m[np.arange(1, n + 1), np.arange(1, n + 1)] = 1j * system.detunings
-    return m

@@ -112,8 +112,7 @@ _POSITIVE, _NONNEGATIVE = _number("positive"), _number("non-negative")
 # the key optional; an explicit null is accepted only for such keys.
 _KEYS = {
     "atom": {"mass": (_POSITIVE, None), "omega0": (_POSITIVE, None),
-             "gamma0": (_POSITIVE, None), "dipole_moment": (_POSITIVE, None),
-             "infinite_mass": (_FLAG, False),
+             "gamma0": (_POSITIVE, None), "infinite_mass": (_FLAG, False),
              "epsilon": (_NONNEGATIVE, 0.01), "gamma_tilde": (_POSITIVE, 0.01)},
     "coupling": {"model": (_choice("roentgen", "standard"), "roentgen"),
                  "recoil_term": (_FLAG, True), "momentum_shift": (_FLAG, True)},
@@ -263,7 +262,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 def _build_params(atom: dict, given: set) -> DimensionlessParams:
-    physical = given & {"mass", "omega0", "gamma0", "dipole_moment", "infinite_mass"}
+    physical = given & {"mass", "omega0", "gamma0", "infinite_mass"}
     if physical and given & {"epsilon", "gamma_tilde"}:
         raise ConfigError("'atom' must give either (epsilon, gamma_tilde) or "
                           "physical inputs (mass, omega0, gamma0), not both")
@@ -271,8 +270,7 @@ def _build_params(atom: dict, given: set) -> DimensionlessParams:
         if physical:
             return to_dimensionless(PhysicalInput(
                 mass=_need(atom, "atom", "mass"), omega0=_need(atom, "atom", "omega0"),
-                gamma0=_need(atom, "atom", "gamma0"), dipole_moment=atom["dipole_moment"],
-                infinite_mass=atom["infinite_mass"]))
+                gamma0=_need(atom, "atom", "gamma0"), infinite_mass=atom["infinite_mass"]))
         return DimensionlessParams(epsilon=atom["epsilon"], gamma_tilde=atom["gamma_tilde"])
     except ParameterError as exc:
         raise ConfigError(f"'atom': {exc}") from None

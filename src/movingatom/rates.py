@@ -44,7 +44,7 @@ from .amplitudes import line_fractions, resonance_root
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        polarization_sum)
 from .geometry import check_unit
-from .units import DimensionlessParams, Normalization
+from .units import DimensionlessParams
 from .wavepacket import PointMass, ProjectedDistribution, delta_average, project
 
 VARIANTS = ("unshifted", "shifted")  # apply_momentum_shift False, True
@@ -190,7 +190,7 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         rel = abs(r_shifted - r_unshifted) / r_unshifted
 
         lam_window = np.geomspace(window[0] / eps, window[1] / eps, window_points)
-        cumulative = Normalization.reference(params).kappa * line_fractions(
+        cumulative = params.kappa * line_fractions(
             model, n, e_d, at_rest, params).integral(np.concatenate((lam_window, fixed)))[0]
         scan = quadrature.CutoffScan(lambdas=lam_window, values=cumulative[:window_points],
                                      errors=np.zeros(window_points))

@@ -7,13 +7,13 @@ averaged over the atomic momentum wavepacket:
     dP/(dOmega dx) = kappa * w(x),      w(x) = x^2 * < rho(x, n, beta) >
 
 with rho the spectral kernel (pole solution), x^2 the mode density, and
-kappa the normalization constant (units module; the reference convention
-makes the rest-atom, infinite-mass, velocity-independent case integrate to 1
-over the sphere). The average < . > is exact in every direction: a Faddeeva
-closed form for Gaussian packets, its w(z) from `faddeeva` (numpy only:
-Algorithm 916 of Zaghloul & Ali, ACM TOMS 38, 2011, and the Laplace continued
-fraction of Gautschi 1970 and Poppe & Wijers, ACM TOMS 16, 1990), and weighted
-sums over delta = n.beta for point masses and tables;
+kappa = 3 gamma_tilde / (16 pi^2) the normalization constant
+(`DimensionlessParams.kappa`: the rest-atom, infinite-mass, velocity-independent
+case integrates to 1 over the sphere). The average < . > is exact in every
+direction: a Faddeeva closed form for Gaussian packets, its w(z) from `faddeeva`
+(numpy only: Algorithm 916 of Zaghloul & Ali, ACM TOMS 38, 2011, and the Laplace
+continued fraction of Gautschi 1970 and Poppe & Wijers, ACM TOMS 16, 1990), and
+weighted sums over delta = n.beta for point masses and tables;
 `directional_spectrum(method="full3d")` keeps a tensor Gauss-Hermite rule over
 the full velocity as the independent oracle.
 
@@ -43,7 +43,7 @@ from .coupling import (CouplingModel, conditional_polarization_sum, quotient_slo
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
-from .units import DimensionlessParams, Normalization, ParameterError
+from .units import DimensionlessParams, ParameterError
 from .wavepacket import (HERMITE_LADDER, MomentumDistribution, ProjectedDistribution,
                          delta_average, expectation, project)
 
@@ -70,7 +70,7 @@ class EmissionScenario:
 
     @property
     def kappa(self) -> float:
-        return Normalization.reference(self.params).kappa
+        return self.params.kappa
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     direction, or the rows of a stack), per model (one CouplingModel, or a sequence of
     them: a leading model axis), direction and U (last axis): values and errors, per
     model and direction evaluations (line integrals plus rule points, per node) and
-    convergence, and the first build's quotient slope q1 (k^2 |e_perp|^2 for eps > 0).
+    convergence.
 
     `wavepacket.delta_average` takes the average: a point mass's or a table's own nodes
     in one `line_fractions` build for every model; a Gaussian's Gauss-Hermite orders 8
@@ -357,11 +357,10 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
-    slopes, kappa = [], scenario.kappa
+    kappa = scenario.kappa
 
     def evaluate(rows, rules):
         lines = line_fractions(models, n, scenario.dipole_axis, rows, scenario.params)
-        slopes.append(lines.q1[..., 0])
 
         def sums(a):  # each rule's weighted sum over the node axis (second last), rules first
             parts = [w @ a[..., block, :] for w, block in rules]
@@ -391,8 +390,7 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
         values = kappa * (sums(lines.near_integral(uppers, f_near)) + value[..., None])
         return values, kappa * error[..., None], 1 + count, done
 
-    value, error, evaluations, converged, _ = delta_average(proj, evaluate, tol)
-    return value, error, evaluations, converged, slopes[0]
+    return delta_average(proj, evaluate, tol)[:4]
 
 
 def directional_probability(scenario: EmissionScenario, n, formfactor: Formfactor,
@@ -435,7 +433,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
                                  f"exceed the resonance at x = {x_star:.6g}")
         raise ParameterError(f"upper_limit {upper_limit!r} must be finite and exceed the "
                              f"resonance at x = {x_star:.6g}")
-    values, errors, evaluations, converged, _ = _frequency_integral(
+    values, errors, evaluations, converged = _frequency_integral(
         scenario, scenario.coupling, n, proj, formfactor, [float(upper_limit)], tol, max_panels)
     return QuadratureResult(values[..., 0], errors[..., 0], evaluations, converged)
 
@@ -498,8 +496,8 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     only the coupling differs.
 
     The verdict rests on the leading term: kappa^-1 I(Lambda) ~ A Lambda^2 with
-    A = k^2 |e_perp|^2 / 2, half the slope q1 of every node's quotient, read from the
-    scans' own line fractions (`coupling.quotient_slope`), for every wavepacket:
+    A = k^2 |e_perp|^2 / 2, half the slope q1 of every node's quotient
+    (`coupling.quotient_slope`, as `line_fractions` takes it), for every wavepacket:
     |e_perp|^2/2 for (a), 0 for (b), 2 |e_perp|^2 for (c). Roentgen is strictly more
     divergent than standard when its A is larger, which holds in every direction but
     the dipole axis. Along the axis both A are 0 and the standard scan is 0
@@ -525,16 +523,16 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     lambdas = np.asarray(quadrature.geometric_cutoffs() if lambdas is None else lambdas, dtype=float)
     if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
         raise ValueError("cutoffs must be finite and positive")
-    values, errors, evaluations, converged, slopes = _frequency_integral(
+    values, errors, evaluations, converged = _frequency_integral(
         scenario, _DIVERGENCE_MODELS, n, project(scenario.distribution, n, order=HERMITE_LADDER[0]),
         Formfactor.none(), lambdas, tol, max_panels)
 
-    entries = {}
+    entries, perp_sq = {}, transverse_dipole(n, scenario.dipole_axis)[2]
     for i, model in enumerate(_DIVERGENCE_MODELS):
         scan = CutoffScan(lambdas=lambdas, values=values[i], errors=errors[i],
                           evaluations=int(evaluations[i]), converged=bool(converged[i]))
         entries[model.label] = ModelDivergence(scan, quadrature.classify_tail(scan),
-                                               {"A": 0.5 * float(slopes[i])})
+                                               {"A": 0.5 * float(quotient_slope(model, perp_sq))})
 
     a_r, a_s = (entries[label].exact_law["A"] for label in ("roentgen", "standard"))
     notes, verdict = [], None

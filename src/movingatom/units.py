@@ -23,7 +23,6 @@ from dataclasses import dataclass
 # CODATA 2018 exact / recommended values.
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s (exact)
-EPSILON_0 = 8.8541878128e-12  # F / m
 
 
 class ParameterError(ValueError):
@@ -34,8 +33,6 @@ class ParameterError(ValueError):
 class PhysicalInput:
     """Laboratory-unit description of the emitter.
 
-    dipole_moment is optional; it is only needed for the absolute
-    normalization constant (see :meth:`Normalization.absolute`).
     Set ``infinite_mass=True`` to request the recoil-free limit explicitly
     (the stored mass is then ignored for the recoil parameter).
     """
@@ -43,7 +40,6 @@ class PhysicalInput:
     mass: float  # kg
     omega0: float  # rad/s
     gamma0: float  # rad/s
-    dipole_moment: float | None = None  # C m
     infinite_mass: bool = False
 
     def __post_init__(self) -> None:
@@ -51,8 +47,6 @@ class PhysicalInput:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ParameterError(f"PhysicalInput.{name} must be a positive finite number, got {value!r}")
-        if self.dipole_moment is not None and not (math.isfinite(self.dipole_moment) and self.dipole_moment > 0):
-            raise ParameterError(f"PhysicalInput.dipole_moment must be positive if given, got {self.dipole_moment!r}")
         if self.gamma0 >= self.omega0:
             # Not fatal -- the formulas stay meaningful -- but every narrow-line
             # approximation made downstream is suspect in this regime.
@@ -76,48 +70,20 @@ class DimensionlessParams:
         if not (math.isfinite(self.gamma_tilde) and self.gamma_tilde > 0):
             raise ParameterError(f"gamma_tilde must be finite and > 0, got {self.gamma_tilde!r}")
 
+    @property
+    def kappa(self) -> float:
+        """The constant of the directional emission density dP/(dOmega dx) = kappa * w(x),
+        w(x) = x^2 <rho(x)>, with rho the spectral kernel (amplitudes module) and the mode
+        density V omega^2/(2 pi c)^3 folded in (V cancels between the per-mode
+        probability and the mode count): kappa = 3 gamma_tilde / (16 pi^2). On this scale
+        the rest-atom, infinite-mass, velocity-independent case integrates to emission
+        probability 1 over frequency and the full sphere (narrow-line evaluation). It
+        equals the SI prefactor d^2 omega0^2 / (16 pi^3 eps0 hbar c^3) when gamma0 is the
+        rest-atom rate d^2 omega0^3 / (3 pi eps0 hbar c^3)."""
+        return 3.0 * self.gamma_tilde / (16.0 * math.pi**2)
+
 
 def to_dimensionless(inp: PhysicalInput) -> DimensionlessParams:
     """Reduce a :class:`PhysicalInput` to (epsilon, gamma_tilde)."""
     eps = 0.0 if inp.infinite_mass else HBAR * inp.omega0 / (2.0 * inp.mass * C_LIGHT**2)
     return DimensionlessParams(epsilon=eps, gamma_tilde=inp.gamma0 / inp.omega0)
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Multiplicative constant attached to spectral outputs.
-
-    The dimensionless directional emission density is
-
-        dP/(dOmega dx) = kappa * w(x),    w(x) = x^2 <rho(x)>,
-
-    where rho is the spectral kernel (amplitudes module) and the mode-density
-    factor V omega^2/(2 pi c)^3 has been folded in; the quantization volume V
-    cancels between the per-mode probability and the mode count.
-
-    Two conventions are offered:
-
-    * reference(params): kappa = 3 gamma_tilde / (16 pi^2). In this scale the
-      rest-atom, infinite-mass, velocity-independent-coupling case integrates
-      to total emission probability 1 over frequency and the full sphere
-      (narrow-line evaluation of the frequency integral).
-    * absolute(physical): kappa = d^2 omega0^2 / (16 pi^3 eps0 hbar c^3),
-      the literal prefactor in SI units. When gamma0 equals the standard
-      rest-atom rate d^2 omega0^3/(3 pi eps0 hbar c^3) the two agree.
-    """
-
-    kappa: float
-    convention: str
-
-    @classmethod
-    def reference(cls, params: DimensionlessParams) -> "Normalization":
-        return cls(kappa=3.0 * params.gamma_tilde / (16.0 * math.pi**2), convention="reference")
-
-    @classmethod
-    def absolute(cls, inp: PhysicalInput) -> "Normalization":
-        if inp.dipole_moment is None:
-            raise ParameterError("absolute normalization requires dipole_moment")
-        kappa = inp.dipole_moment**2 * inp.omega0**2 / (
-            16.0 * math.pi**3 * EPSILON_0 * HBAR * C_LIGHT**3)
-        return cls(kappa=kappa, convention="absolute")
-

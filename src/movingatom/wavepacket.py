@@ -302,22 +302,23 @@ def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
     the points of each (such as upper limits).
 
     A point mass or a table takes its own nodes, once. A Gaussian climbs the Gauss-Hermite
-    orders of HERMITE_LADDER: 8 and 16 in one evaluation, then 32 and 64 while a column is
-    open. Gauss rules on analytic integrands converge geometrically (Trefethen & Weideman,
-    SIAM Review 56, 2014), so, as `quadrature._levels` does per column, each column keeps
-    the first order whose change from the order before meets tol * max(1, |value|) at
-    every X: the change joins its error, and the work of every order up to it its
-    evaluations. So a column equals a call on it alone. A column open at 64 reports
-    converged = False, as does one whose evaluation missed its own target at either of the
-    two orders compared. `orders` is the order each column kept (a point mass's or a
-    table's node count). The projection's own nodes are not read for a Gaussian:
-    `project` it at HERMITE_LADDER[0] to build no other order.
+    orders of HERMITE_LADDER: the first two (8 and 16) in one evaluation, then each later
+    one (32, 64) in one evaluation while a column is open. Gauss rules on analytic
+    integrands converge geometrically (Trefethen & Weideman, SIAM Review 56, 2014), so, as
+    `quadrature._levels` does per column, each column keeps the first order whose change
+    from the order before meets tol * max(1, |value|) at every X: the change joins its
+    error, and the work of every order up to it its evaluations. So a column equals a call
+    on it alone. A column open at the last order (64) reports converged = False, as does
+    one whose evaluation missed its own target at either of the two orders compared.
+    `orders` is the order each column kept (a point mass's or a table's node count). The
+    projection's own nodes are not read for a Gaussian: `project` it at HERMITE_LADDER[0]
+    to build no other order.
     """
     if proj.kind != "gaussian":
         v, e, c, ok = evaluate(proj, [(proj.weights, slice(None))])
         return v[0], e[0], proj.weights.size * c[0], ok[0], np.full(c[0].shape, proj.weights.size)
-    rule_orders, fields, done = HERMITE_LADDER[:2], vars(proj), None
-    while True:
+    fields, done = vars(proj), None
+    for rule_orders in (HERMITE_LADDER[:2], *((order,) for order in HERMITE_LADDER[2:])):
         nodes, weights = hermite_nodes(proj.mean, proj.sigma, rule_orders)
         blocks = (slice(rule_orders[0]), slice(rule_orders[0], None))
         v, e, c, ok = evaluate(ProjectedDistribution(**{**fields, "nodes": nodes}),
@@ -335,9 +336,10 @@ def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
             converged = np.where(done, converged, met & ok[-1] & rest_ok)
             orders = np.where(done, orders, rule_orders[-1])
             met = done | met
-        rest_ok, done, rule_orders = ok[-1], met, (2 * rule_orders[-1],)
-        if rule_orders[-1] > HERMITE_LADDER[-1] or np.logical_and.reduce(done, axis=None):
-            return value, error, evaluations, converged, orders
+        rest_ok, done = ok[-1], met
+        if np.logical_and.reduce(done, axis=None):
+            break
+    return value, error, evaluations, converged, orders
 
 
 def gaussian_nodes(dist: GaussianPacket, order: int = 40) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,7 @@ from scipy.linalg import expm
 
 from movingatom import amplitudes, cauchy
 from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
-                                   detuning, discrete_mode_evolution,
-                                   evolution_matrix, fit_decay_rate,
+                                   detuning, discrete_mode_evolution, fit_decay_rate,
                                    flat_band_system, lorentzian_denominator,
                                    perpendicular_kernel, pole_mode_populations,
                                    spectral_kernel)
@@ -103,11 +102,37 @@ def test_mode_grid_must_increase():
                            g=np.full(3, 0.01))
 
 
+@pytest.mark.parametrize("x, g, match", [
+    ([[1.0, 1.1]], [[0.01, 0.01]], "nonempty 1D"), ([], [], "nonempty 1D"),
+    ([1.0, 1.1], [0.01, 0.01, 0.01], "couplings must match")],
+    ids=["two-dimensional", "empty", "mismatched"])
+def test_mode_grid_and_couplings_must_be_matching_nonempty_vectors(x, g, match):
+    with pytest.raises(ValueError, match=match):
+        DiscreteModeSystem(x=np.array(x), g=np.array(g))
+
+
+def test_flat_band_needs_two_modes():
+    with pytest.raises(ValueError, match="at least two modes"):
+        flat_band_system(1, 0.05, 1e-3)
+
+
 def test_mode_grid_must_be_finite():
     # np.diff(x) <= 0 is False next to a NaN, so the ordering check alone lets it through
     with pytest.raises(ValueError, match="finite"):
         DiscreteModeSystem(x=np.array([1.0, np.nan, 1.2]),
                            g=np.full(3, 0.1))
+
+
+def evolution_matrix(system):
+    """Dense generator M of the linear system dy/dtau = M y, y = [a, b]: da/dtau = -g.b,
+    db/dtau = i D b + g a, for a solution by a method that shares nothing with the
+    secular equation's."""
+    n = system.x.size
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m[0, 1:] = -system.g
+    m[1:, 0] = system.g
+    m[np.arange(1, n + 1), np.arange(1, n + 1)] = 1j * system.detunings
+    return m
 
 
 def expm_state(system, tau):
@@ -117,10 +142,25 @@ def expm_state(system, tau):
     return expm(evolution_matrix(system) * tau) @ state0
 
 
-def test_exact_evolution_matches_matrix_exponential():
-    # a detuned, recoiling band small enough for expm
+SECULAR_SOLUTION = ("_secular_roots", "_lowner", "CauchySums")
+
+
+def test_exact_evolution_matches_matrix_exponential(monkeypatch):
+    # a detuned, recoiling band small enough for expm; the secular solution first, then
+    # the reference with every SECULAR_SOLUTION binding stubbed: it may use only the
+    # system's detunings (`detuning`)
     sys = flat_band_system(101, 0.05, 1e-2, delta=0.007, epsilon=0.003)
     res = discrete_mode_evolution(sys, 1000.0, dt=0.25, record_every=400)
+
+    def stub(*args, **kwargs):
+        raise AssertionError("the reference reached the secular solution")
+
+    for module in (amplitudes, cauchy):
+        for name in SECULAR_SOLUTION:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stub)
+    with pytest.raises(AssertionError, match="secular solution"):
+        discrete_mode_evolution(sys, 1000.0, dt=0.25, record_every=400)
     assert np.max(np.abs(res.final_state - expm_state(sys, res.steps * res.dt))) <= 1e-12
     pops = [abs(expm_state(sys, t)[0]) ** 2 for t in res.times]
     assert np.max(np.abs(res.atom_population - pops)) <= 1e-12

@@ -83,6 +83,13 @@ def test_atom_mixed_forms_rejected():
                                "omega0": 1e15, "gamma0": 1e7}})
 
 
+def test_atom_dipole_moment_is_an_unknown_key():
+    # no output reads a dipole moment: kappa is 3 gamma_tilde / (16 pi^2)
+    with pytest.raises(ConfigError, match=r"unknown 'atom' keys \['dipole_moment'\]"):
+        build_config({"atom": {"mass": 1e-27, "omega0": 1e15, "gamma0": 1e7,
+                               "dipole_moment": 8.5e-30}})
+
+
 def test_atom_bad_value():
     with pytest.raises(ConfigError, match="gamma_tilde"):
         build_config({"atom": {"gamma_tilde": -0.5}})

@@ -135,3 +135,5 @@ def test_as_unit_normalizes():
     assert np.allclose(v, [0.6, 0.8, 0.0], atol=1e-15)
     with pytest.raises(ValueError):
         as_unit(np.zeros(3))
+    with pytest.raises(ValueError, match="3-vector"):
+        as_unit(np.ones(2))

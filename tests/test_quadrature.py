@@ -220,6 +220,12 @@ def test_scan_validation():
         CutoffScan(lambdas=np.array([1.0, 2.0]), values=np.array([1.0]),
                    errors=np.array([0.0, 0.0]), evaluations=10,
                    converged=True)
+    for lo, hi, n in ((0.0, 1e4, 16), (1e4, 1e2, 16), (1e2, 1e4, 1)):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            geometric_cutoffs(lo, hi, n)
+    for lambdas in ([1e2], [[1e2, 1e3]]):
+        with pytest.raises(ValueError, match="at least two cutoffs"):
+            cutoff_scan(np.cos, lambdas)
 
 
 def test_fit_line_matches_polyfit_on_seeded_windows():

@@ -102,6 +102,12 @@ def test_grid_validation():
         directional_spectrum(sc, N_PERP, np.array([1.0, 0.9]))
     with pytest.raises(ValueError):
         directional_spectrum(sc, N_PERP, np.array([-0.1, 1.0]))
+    for lambdas in ([], [1e2, math.nan], [-1e2, 1e3]):
+        with pytest.raises(ValueError, match="cutoffs must be finite and positive"):
+            divergence_comparison(sc, N_PERP, lambdas=lambdas)
+    for theta in ([], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="nonempty 1D"):
+            angular_pattern(sc, theta)
 
 
 def test_doppler_peak_shift():
@@ -336,21 +342,23 @@ def test_full3d_reports_unresolved_narrow_line():
         directional_spectrum(sc, N_PERP, x, method="full3d")
 
 
-# The coupling algebra of the production paths; the references must run without it.
+# The coupling algebra and the averaging of the production paths; the references must run
+# without either.
 PRODUCTION_ALGEBRA = ("bracket", "recoil_coefficient", "transverse_dipole", "quotient_slope",
                       "polarization_geometry", "conditional_polarization_sum", "line_fractions")
+PRODUCTION_AVERAGING = ("delta_average", "faddeeva", "_doppler_w", "_levels", "in_row_blocks")
 
 
-def _stub_production_algebra(monkeypatch):
-    """Replace every PRODUCTION_ALGEBRA name, in every movingatom module that binds it,
-    by a stub that raises; returns the number of bindings replaced."""
+def _stub_production(monkeypatch, names, what):
+    """Replace every name of `names`, in every movingatom module that binds it, by a stub
+    that raises, naming `what`; returns the number of bindings replaced."""
     def stub(*args, **kwargs):
-        raise AssertionError("a reference reached the production coupling algebra")
+        raise AssertionError(f"a reference reached the production {what}")
 
     count = 0
     for info in pkgutil.iter_modules(movingatom.__path__):
         module = importlib.import_module(f"movingatom.{info.name}")
-        for name in PRODUCTION_ALGEBRA:
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, stub)
                 count += 1
@@ -358,6 +366,12 @@ def _stub_production_algebra(monkeypatch):
 
 
 def test_references_share_no_coupling_algebra_with_production(monkeypatch):
+    """The references (the `full3d` oracle, `golden_rule_rates` over `expectation`, the
+    kernels and the basis sum) match the production values, taken first, with production's
+    coupling algebra and averaging stubbed. A reference may use of production code only the
+    Gauss rules (`gauss_rule`, `_hermite_rule`), `project` (for the spectrum's metadata),
+    `resonance_root`, `detuning`, `lorentzian_denominator`, `doppler_projection` and the
+    basis sum (`polarization_sum`, `reduced_coupling`, `shifted_velocity`)."""
     model, eps = CouplingModel.roentgen(), 0.01
     n = np.array([0.48, 0.6, 0.64]) / np.linalg.norm([0.48, 0.6, 0.64])
     beta = np.array([0.02, 0.015, -0.01])
@@ -376,9 +390,19 @@ def test_references_share_no_coupling_algebra_with_production(monkeypatch):
                                                           model=m), N_PERP, x).w
               for m in (model, NO_RECOIL_TERM, CouplingModel.standard())}
 
-    assert _stub_production_algebra(monkeypatch) >= len(PRODUCTION_ALGEBRA)
+    algebra = _stub_production(monkeypatch, PRODUCTION_ALGEBRA, "coupling algebra")
+    assert algebra >= len(PRODUCTION_ALGEBRA)
     with pytest.raises(AssertionError, match="production coupling algebra"):
         directional_spectrum(scenarios[0], n, x)
+    averaging = _stub_production(monkeypatch, PRODUCTION_AVERAGING, "averaging")
+    assert averaging >= len(PRODUCTION_AVERAGING)
+    for production in (lambda: directional_spectrum(scenarios[1], n, x),
+                       lambda: golden_rule_mean_rate(project(packet, n), n, E_D,
+                                                     scenarios[0].params, model),
+                       lambda: directional_probability(scenarios[2], n,
+                                                       Formfactor("gaussian", 5.0), 40.0)):
+        with pytest.raises(AssertionError, match="production averaging"):
+            production()
     for sc, want in zip(scenarios, exact):
         got = directional_spectrum(sc, n, x, method="full3d", order=20).w
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
@@ -891,7 +915,7 @@ def test_point_mass_under_a_smooth_formfactor_runs_the_levels_once_per_model(mon
     monkeypatch.setattr(quadrature, "_levels", spy)
     scenario = make_scenario(eps=0.05, dist=PointMass(np.array([1e-3, 0.0, 2e-3])))
     proj = project(scenario.distribution, N_45)
-    values, errors, evaluations, converged, _ = spectra._frequency_integral(
+    values, errors, evaluations, converged = spectra._frequency_integral(
         scenario, DIVERGENCE_MODELS, N_45, proj, Formfactor("exponential", 3.0), [180.0],
         1e-12, 4096)
     assert {shape[:-1] for shape in shapes} == {(1, 3)} and converged.all()

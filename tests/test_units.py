@@ -1,11 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
-from movingatom.units import (C_LIGHT, EPSILON_0, HBAR, DimensionlessParams,
-                              Normalization, ParameterError, PhysicalInput,
-                              to_dimensionless)
+from movingatom.units import (C_LIGHT, HBAR, DimensionlessParams, ParameterError,
+                              PhysicalInput, to_dimensionless)
+
+EPSILON_0 = 8.8541878128e-12  # F / m, CODATA 2018
 
 
 def test_dimensionless_from_physical_hydrogen_like():
@@ -58,24 +58,14 @@ def test_dimensionless_validation():
 
 def test_reference_normalization_value():
     params = DimensionlessParams(epsilon=0.0, gamma_tilde=0.01)
-    norm = Normalization.reference(params)
-    assert norm.kappa == pytest.approx(3.0 * 0.01 / (16.0 * math.pi**2), rel=1e-15)
-    assert norm.convention == "reference"
+    assert params.kappa == pytest.approx(3.0 * 0.01 / (16.0 * math.pi**2), rel=1e-15)
 
 
 def test_absolute_normalization_consistent_with_decay_rate():
-    # The absolute per-mode scale and the rest-frame decay rate both carry
-    # d^2/(epsilon_0 hbar c^3); their ratio must reduce to the reference kappa.
+    # The SI per-mode scale d^2 omega0^2 / (16 pi^3 eps0 hbar c^3) and the rest-frame decay
+    # rate both carry d^2/(epsilon_0 hbar c^3); their ratio must reduce to kappa.
     d, omega0 = 8.5e-30, 2.2e15
     gamma0 = d * d * omega0**3 / (3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3)
-    inp = PhysicalInput(mass=1.7e-27, omega0=omega0, gamma0=gamma0, dipole_moment=d)
-    params = to_dimensionless(inp)
-    kappa_abs = Normalization.absolute(inp).kappa
-    kappa_ref = Normalization.reference(params).kappa
-    assert kappa_abs == pytest.approx(kappa_ref, rel=1e-12)
-
-
-def test_absolute_normalization_needs_dipole_moment():
-    inp = PhysicalInput(mass=1.7e-27, omega0=2.2e15, gamma0=1e7)
-    with pytest.raises(ParameterError):
-        Normalization.absolute(inp)
+    params = to_dimensionless(PhysicalInput(mass=1.7e-27, omega0=omega0, gamma0=gamma0))
+    kappa_si = d * d * omega0**2 / (16.0 * math.pi**3 * EPSILON_0 * HBAR * C_LIGHT**3)
+    assert kappa_si == pytest.approx(params.kappa, rel=1e-12)

@@ -6,7 +6,8 @@ from movingatom.coupling import CouplingModel
 from movingatom.geometry import direction_from_angles
 from movingatom.quadrature import NumericalError, gauss_rule
 from movingatom.rates import golden_rule_mean_rate
-from movingatom.spectra import EmissionScenario, angular_pattern, divergence_comparison
+from movingatom.spectra import (EmissionScenario, Formfactor, angular_pattern,
+                               directional_probability, divergence_comparison)
 from movingatom.units import DimensionlessParams
 from movingatom.wavepacket import (GaussianPacket, PointMass,
                                    TabulatedProjection, _hermite_rule, expectation,
@@ -108,6 +109,22 @@ def test_tabulated_delta_and_weights_must_be_matching_nonempty_vectors(delta, we
     with pytest.raises(ValueError, match="matching nonempty 1D arrays"):
         TabulatedProjection(delta=np.array(delta), weights=np.array(weights),
                             direction=np.array([1.0, 0.0, 0.0]))
+
+
+def test_point_mass_must_be_a_finite_3_vector():
+    for beta in ([0.0, 0.1], [0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            PointMass(np.array(beta))
+
+
+def test_expectation_checks_its_distribution_and_integrand():
+    with pytest.raises(TypeError, match="needs a GaussianPacket"):
+        gaussian_nodes(PointMass(np.zeros(3)))
+    with pytest.raises(TypeError, match="unknown distribution type"):
+        expectation(object(), lambda b: b[:, 0])
+    with pytest.raises(ValueError, match="integrand must map"):
+        expectation(PointMass(np.zeros(3)), lambda b: b)
+
 
 def test_expectation_point_mass_is_exact():
     beta = np.array([0.01, 0.0, -0.02])
@@ -284,3 +301,22 @@ def test_covariance_check_decides_as_eigvalsh(scale):
         if accepted:
             assert np.allclose(wavepacket._eigenvalues(packet.covariance), eigvals,
                                rtol=0.0, atol=4e-15 * np.abs(eigvals).max())
+
+
+def test_delta_average_climbs_the_rungs_of_the_ladder(monkeypatch):
+    # a ladder that does not double: an upper limit inside the Doppler profile keeps the
+    # column open, so it climbs every rung, and builds no order off the ladder
+    ladder, built, nodes = (8, 16, 24, 40), [], wavepacket.hermite_nodes
+
+    def spy(mean, sigma, orders):
+        built.extend(orders)
+        return nodes(mean, sigma, orders)
+
+    monkeypatch.setattr(wavepacket, "HERMITE_LADDER", ladder)
+    monkeypatch.setattr(wavepacket, "hermite_nodes", spy)
+    scenario = EmissionScenario(params=DimensionlessParams(epsilon=0.01, gamma_tilde=1e-4),
+                                coupling=CouplingModel.roentgen(),
+                                distribution=GaussianPacket.isotropic(np.zeros(3), 1e-2))
+    res = directional_probability(scenario, np.array([1.0, 0.0, 0.0]), Formfactor.none(), 1.0)
+    assert not res.converged and set(built) == set(ladder)
+    assert res.evaluations == sum(ladder)

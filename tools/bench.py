@@ -414,8 +414,9 @@ class OraclePhases:
 class TablePass:
     """The calls of the table entry on `rows` rows (see the module docstring): calling it
     runs each once and returns {"total", "parts", "rise_mb", "work"}: the seconds of the
-    pass and of each call, each call's VmHWM rise in a fresh interpreter, and the rows and
-    each call's evaluations (a model's at divergence)."""
+    pass and of each call, a function that measures each call's VmHWM rise in a fresh
+    interpreter (`measure` calls it on timed runs only), and the rows and each call's
+    evaluations (a model's at divergence)."""
 
     def __init__(self, pkg, rows: int):
         self.pkg, self.rows, self.calls = pkg, rows, None
@@ -429,10 +430,17 @@ class TablePass:
             results[name] = call()
             parts[name] = time.perf_counter() - start
         tree = Path(self.pkg.__file__).resolve().parents[2]
-        rise = {name: json.loads(subprocess.run(
-            [sys.executable, "-c", TABLE_RISE, str(tree / "src"), __file__, str(self.rows), name],
-            capture_output=True, text=True, check=True, env={**os.environ, **ONE_THREAD}).stdout)
-            for name in self.calls}
+
+        def rise():  # one interpreter per call, side by side
+            runs = {name: subprocess.Popen(
+                [sys.executable, "-c", TABLE_RISE, str(tree / "src"), __file__, str(self.rows),
+                 name], stdout=subprocess.PIPE, text=True, env={**os.environ, **ONE_THREAD})
+                for name in self.calls}
+            out = {name: run.communicate()[0] for name, run in runs.items()}
+            if any(run.returncode for run in runs.values()):
+                raise RuntimeError(f"a VmHWM run failed: {out}")
+            return {name: json.loads(text) for name, text in out.items()}
+
         evaluations = {"probability": int(results["probability"].evaluations),
                        "divergence": {label: entry.scan.evaluations for label, entry
                                       in results["divergence"].entries.items()}}
@@ -476,7 +484,8 @@ def measure(sides: dict, names, repeat: int, angles: int, modes=ORACLE_MODES,
             rows=TABLE_ROWS) -> dict:
     """Each entry of `names` on each side ({label: package}), `repeat` interleaved runs.
     An entry that returns a dict times its own runs ("total"), and adds the median of each
-    of its other measurements: of each part ("parts"), or of the peak resident set."""
+    of its other measurements: of each part ("parts"), or of the peak resident set. A
+    measurement that it returns as a function is taken on the timed runs only."""
     calls = {label: entries(pkg, angles, modes, rows=rows) for label, pkg in sides.items()}
     out = {}
     for name in names:
@@ -492,7 +501,8 @@ def measure(sides: dict, names, repeat: int, angles: int, modes=ORACLE_MODES,
                 if isinstance(result, dict):
                     elapsed = result.pop("total")
                     result.pop("work")
-                    extra[label].append(result)
+                    extra[label].append({key: value() if callable(value) else value
+                                         for key, value in result.items()})
                 times[label].append(elapsed)
         entry = {}
         for label in sides:
