@@ -28,17 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "NumericalError",
-    "QuadratureResult",
-    "CutoffScan",
-    "TailClassification",
-    "integrate_adaptive",
-    "cutoff_scan",
-    "classify_tail",
-]
-
-
 class NumericalError(RuntimeError):
     """A numerical procedure failed to meet its convergence contract."""
 
@@ -240,6 +229,7 @@ LOG_R2_MIN = 0.999
 CONVERGENT_SLOPE_MAX = -0.1
 CAUCHY_TOL = 1e-9
 FIT_POINTS = 5  # the default window: the last five cutoffs
+MIN_FIT_POINTS = 5  # the fewest cutoffs a fit takes: four increments
 
 
 def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClassification:
@@ -259,8 +249,9 @@ def classify_tail(scan: CutoffScan, *, fit_points: int = FIT_POINTS) -> TailClas
 
     Both lines (up to two per scan) are least-squares fits in closed form, `fit_line`.
     """
-    if fit_points < 5:
-        raise ValueError("fit_points must be at least 5 (four increments)")
+    if fit_points < MIN_FIT_POINTS:
+        raise ValueError(f"fit_points must be at least {MIN_FIT_POINTS} "
+                         f"({MIN_FIT_POINTS - 1} increments)")
     n = scan.lambdas.size
     if n < fit_points:
         raise ValueError(f"scan has {n} points; classification needs at least {fit_points}")

@@ -88,9 +88,9 @@ def golden_rule_mean_rate(proj: ProjectedDistribution, n, e_d, params: Dimension
     `model` and its own momentum shift: exact given delta
     (coupling.conditional_polarization_sum), then summed over delta nodes by
     `wavepacket.delta_average`. A point mass or a table is exact on its own nodes (error
-    0); a Gaussian climbs the Gauss-Hermite orders 8, 16, 32 and 64 until an order's
-    change from the one before, its error estimate, meets tol * max(1, rate), and is
-    `converged` = False when order 64 misses it. One field per direction: scalars for
+    0); a Gaussian climbs the rungs of `wavepacket.HERMITE_LADDER` until a rung's change
+    from the one before, its error estimate, meets tol * max(1, rate), and is
+    `converged` = False when the last rung misses it. One field per direction: scalars for
     one direction, arrays of the stack's shape for a stack of directions (..., 3) and
     `proj` projected along it; `evaluations` counts the delta nodes."""
     n, e_d = check_unit(n, "n", stacked=True), check_unit(e_d, "e_d")

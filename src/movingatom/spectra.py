@@ -44,8 +44,8 @@ from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
 from .units import DimensionlessParams, ParameterError
-from .wavepacket import (HERMITE_LADDER, MomentumDistribution, ProjectedDistribution,
-                         delta_average, expectation, project)
+from .wavepacket import (MomentumDistribution, ProjectedDistribution, delta_average,
+                         expectation, project)
 
 # Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
 # ~ |zeta|^2 eps_mach); there no Gauss-Hermite delta node nears the pole.
@@ -336,12 +336,12 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     convergence.
 
     `wavepacket.delta_average` takes the average: a point mass's or a table's own nodes
-    in one `line_fractions` build for every model; a Gaussian's Gauss-Hermite orders 8
-    and 16 in the first build, then 32 and 64 in one build each while some model and
-    direction (a column) is open. Each column keeps the first order whose change from
-    the one before meets tol * max(1, |I|) at every U, and that change joins its error.
-    A U inside the Doppler profile (the line integral jumps there) stays open at 64 and
-    reports converged = False.
+    in one `line_fractions` build for every model; a Gaussian's first two rungs of
+    `wavepacket.HERMITE_LADDER` in the first build, then each later rung in one build while
+    some model and direction (a column) is open. Each column keeps the first rung whose
+    change from the one before meets tol * max(1, |I|) at every U, and that change joins
+    its error. A U inside the Doppler profile (the line integral jumps there) stays open
+    at the last rung and reports converged = False.
 
     Under a formfactor every U is clamped to its reach (suggested_upper_limit),
     past which F < e^-60: the dropped tail, and any line lying there, is damped
@@ -401,9 +401,10 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     n is one direction (3,) or a stack of them (..., 3), computed together (one
     projection, one closed form per node, one run of the quadrature levels); a stack
     gives every field of the result per direction, each as a call on that direction
-    alone would. A Gaussian climbs the Gauss-Hermite orders 8 and 16 (one pass: both
-    orders' nodes join the closed form, and their rests are two columns of the same
-    levels), then 32 and 64 while a direction is open (`_frequency_integral`).
+    alone would. A Gaussian climbs the rungs of `wavepacket.HERMITE_LADDER`, the first
+    two in one pass (both rungs' nodes join the closed form, and their rests are two
+    columns of the same levels), then each later one while a direction is open
+    (`_frequency_integral`).
 
     The formfactor multiplies the squared coupling, hence w exactly once. At
     each delta node (point mass, table row, or Gauss-Hermite node) the integral
@@ -413,7 +414,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     masses and tables under "none" or "sharp", else the rule's last level
     difference plus a Gaussian's change from the Hermite order before the one it
     kept; `evaluations` adds up every order it took. `converged` is False when
-    that change still misses tol * max(1, |value|) at order 64, e.g. for a
+    that change still misses tol * max(1, |value|) at the last rung, e.g. for a
     Gaussian whose upper limit lies inside its Doppler profile. Under "none"
     the value grows with upper_limit (see `divergence_comparison`); under a
     formfactor an upper_limit past its suggested_upper_limit integrates to that.
@@ -423,7 +424,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     when the value is not finite (it overflowed).
     """
     n = check_unit(n, "n", stacked=True)
-    proj = project(scenario.distribution, n, order=HERMITE_LADDER[0])
+    proj = project(scenario.distribution, n)
     x_star = float(np.maximum.reduce(resonance_root(proj.mean, scenario.params.epsilon), axis=None))
     if not (math.isfinite(upper_limit) and upper_limit > x_star):
         reach = math.inf if formfactor.kind == "none" else formfactor.suggested_upper_limit()
@@ -511,8 +512,8 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
 
     Each cutoff is closed form per delta node (see `directional_probability`):
     point masses and tables scan exactly, with errors 0. The three models share
-    each pass of `_frequency_integral` (a Gaussian's orders 8 and 16 are one pass,
-    32 and 64 one each if a model needs them): the poles and logarithms, which the
+    each pass of `_frequency_integral` (a Gaussian's first two Hermite rungs are one
+    pass, each later rung one if a model needs it): the poles and logarithms, which the
     models share, are evaluated once, and each model's scan, its Hermite order
     included, equals, bit for bit, one computed alone. `max_panels` has no
     effect here; it stays because movbench/worker.py passes it.
@@ -524,8 +525,8 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     if not (np.all(np.isfinite(lambdas)) and lambdas.size and lambdas[0] > 0):
         raise ValueError("cutoffs must be finite and positive")
     values, errors, evaluations, converged = _frequency_integral(
-        scenario, _DIVERGENCE_MODELS, n, project(scenario.distribution, n, order=HERMITE_LADDER[0]),
-        Formfactor.none(), lambdas, tol, max_panels)
+        scenario, _DIVERGENCE_MODELS, n, project(scenario.distribution, n), Formfactor.none(),
+        lambdas, tol, max_panels)
 
     entries, perp_sq = {}, transverse_dipole(n, scenario.dipole_axis)[2]
     for i, model in enumerate(_DIVERGENCE_MODELS):
@@ -575,9 +576,9 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     (rates.VARIANTS), if given, sets the scenario coupling's momentum shift
     (the standard model has none either way); metadata "variant" names the
     shift in force. The average over the wavepacket is exact given
-    delta = n.beta, and for a Gaussian climbs the Gauss-Hermite orders 8, 16, 32
-    and 64 over delta (`rates.golden_rule_mean_rate`, with `tol`): NumericalError
-    names the first angle still open at order 64.
+    delta = n.beta, and for a Gaussian climbs the rungs of `wavepacket.HERMITE_LADDER`
+    over delta (`rates.golden_rule_mean_rate`, with `tol`): NumericalError names the
+    first angle still open at the last rung.
     Every angle is evaluated in one array pass per order: one projection of the
     packet onto the stack of directions, one golden-rule sum over its nodes.
 
@@ -596,7 +597,7 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
 
     if mode == "golden_rule":
         model = scenario.coupling if variant is None else with_variant(scenario.coupling, variant)
-        proj = project(scenario.distribution, directions, order=HERMITE_LADDER[0])
+        proj = project(scenario.distribution, directions)
         res = golden_rule_mean_rate(proj, directions, e_d, scenario.params, model, tol)
         values = sphere_pattern_value(res.value)
         meta = {"mode": mode, "variant": VARIANTS[model.apply_momentum_shift], "phi": phi,

@@ -33,8 +33,8 @@ mixed-state averaging coincide identically, not just approximately. Other
 averages need no such identity and reduce with a matrix product of weights and
 values: the golden-rule rates, the Doppler spectrum and the frequency
 integrals of the spectra module. Those over a Gaussian's delta take the order
-their tolerance needs: `delta_average` climbs the Gauss-Hermite orders of
-HERMITE_LADDER, 8 to 64, until two orders agree.
+their tolerance needs: `delta_average` climbs the rungs of HERMITE_LADDER until two
+agree. HERMITE_LADDER is the one place that writes those orders.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .quadrature import NumericalError, gauss_rule
 from .units import ParameterError
 
 _WEIGHT_TOL = 1e-10
+HERMITE_LADDER = (8, 16, 32, 64)  # the Gauss-Hermite orders of `delta_average`
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray):
@@ -220,10 +221,12 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribution:
+def project(dist: MomentumDistribution, n, order: int | None = None) -> ProjectedDistribution:
     """Exact law of delta = n . beta for `dist`, with its conditional transverse
     moments; a Gaussian's delta nodes are an `order`-point Gauss-Hermite rule
-    (cached per order, read-only).
+    (cached per order, read-only). `order` defaults to the first rung of HERMITE_LADDER,
+    read at each call: a rule that `delta_average`, which replaces a Gaussian's nodes by
+    its rungs', builds anyway.
 
     n is one unit vector (3,) or a stack of them (..., 3); a stack gives every
     field but the shared weights its leading shape (see ProjectedDistribution),
@@ -273,6 +276,7 @@ def project(dist: MomentumDistribution, n, order: int = 40) -> ProjectedDistribu
     sigma = where(live, sqrt(var), 0.0)
     if not np.logical_or.reduce(live, axis=None):
         return ProjectedDistribution("point", mean, sigma, column, np.ones(1), perp_mean, *moments)
+    order = HERMITE_LADDER[0] if order is None else order
     nodes, (weights,) = hermite_nodes(mean, sigma, (order,))
     return ProjectedDistribution("gaussian", mean, sigma, nodes, weights, perp_mean, *moments)
 
@@ -287,9 +291,6 @@ def hermite_nodes(mean, sigma, orders) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.asarray(mean)[..., None] + scale * t, [v / math.sqrt(math.pi) for v in w]
 
 
-HERMITE_LADDER = (8, 16, 32, 64)  # the Gauss-Hermite orders of `delta_average`
-
-
 def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
     """An average over the law of delta = n.beta that `proj` holds (projected along n, one
     direction (3,) or a stack (..., 3)): (value, error, evaluations, converged, orders).
@@ -301,18 +302,17 @@ def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
     shaped (R, ...), where ... holds the columns (such as models and directions) and X
     the points of each (such as upper limits).
 
-    A point mass or a table takes its own nodes, once. A Gaussian climbs the Gauss-Hermite
-    orders of HERMITE_LADDER: the first two (8 and 16) in one evaluation, then each later
-    one (32, 64) in one evaluation while a column is open. Gauss rules on analytic
-    integrands converge geometrically (Trefethen & Weideman, SIAM Review 56, 2014), so, as
-    `quadrature._levels` does per column, each column keeps the first order whose change
-    from the order before meets tol * max(1, |value|) at every X: the change joins its
-    error, and the work of every order up to it its evaluations. So a column equals a call
-    on it alone. A column open at the last order (64) reports converged = False, as does
-    one whose evaluation missed its own target at either of the two orders compared.
-    `orders` is the order each column kept (a point mass's or a table's node count). The
-    projection's own nodes are not read for a Gaussian: `project` it at HERMITE_LADDER[0]
-    to build no other order.
+    A point mass or a table takes its own nodes, once. A Gaussian climbs the rungs of
+    HERMITE_LADDER: the first two in one evaluation, then each later one in one evaluation
+    while a column is open. Gauss rules on analytic integrands converge geometrically
+    (Trefethen & Weideman, SIAM Review 56, 2014), so, as `quadrature._levels` does per
+    column, each column keeps the first rung whose change from the rung before meets
+    tol * max(1, |value|) at every X: the change joins its error, and the work of every
+    rung up to it its evaluations. So a column equals a call on it alone. A column open at
+    the last rung reports converged = False, as does one whose evaluation missed its own
+    target at either of the two rungs compared. `orders` is the order each column kept (a
+    point mass's or a table's node count). The projection's own nodes are not read for a
+    Gaussian: `project`'s default order, the first rung, builds no other.
     """
     if proj.kind != "gaussian":
         v, e, c, ok = evaluate(proj, [(proj.weights, slice(None))])
@@ -326,7 +326,7 @@ def delta_average(proj: ProjectedDistribution, evaluate, tol: float):
         gap = np.abs(v[-1] - (v[0] if done is None else value))
         met = np.logical_and.reduce(gap <= tol * np.maximum(1.0, np.abs(v[-1])), axis=-1)
         work = rule_orders[-1] * c[-1] + (rule_orders[0] * c[0] if done is None else 0)
-        if done is None:  # order 8 stands for the order before 16
+        if done is None:  # the first rung stands for the rung before the second
             value, error, evaluations = v[-1], e[-1] + gap, work
             converged, orders = met & ok[-1] & ok[0], np.zeros(met.shape, int) + rule_orders[-1]
         else:  # the open columns take this order

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from movingatom import config
+from movingatom import config, quadrature
 from movingatom.config import (ConfigError, build_config, load_config,
                                load_raw)
 from movingatom.spectra import Formfactor
@@ -36,6 +36,17 @@ def test_empty_config_gets_defaults(tmp_path):
     assert cfg.lambdas.size == 16
     # default geometry: perpendicular to the default z dipole axis
     assert abs(float(np.dot(cfg.direction, cfg.scenario.dipole_axis))) < 1e-14
+
+
+def test_fit_windows_are_bounded_as_the_tail_fit_needs():
+    # a scan shorter than classify_tail's default window, or a limit-ordering window shorter
+    # than the fewest points it fits, is a configuration error (exit 2), not a ValueError
+    # raised by the fit
+    for section, key, least in (("scan", "points", quadrature.FIT_POINTS),
+                                ("limit_ordering", "window_points", quadrature.MIN_FIT_POINTS)):
+        build_config({section: {key: least}})
+        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be an integer >= {least}"):
+            build_config({section: {key: least - 1}})
 
 
 def test_yaml_and_json_are_interchangeable(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from movingatom.quadrature import (CutoffScan, NumericalError, _legendre, classify_tail,
-                                   fit_line, cutoff_scan, geometric_cutoffs,
+                                   fit_line, cutoff_scan, gauss_rule, geometric_cutoffs,
                                    integrate_adaptive)
 from movingatom.wavepacket import _hermite_rule
 
@@ -328,6 +328,14 @@ def test_gauss_rules_match_40_digit_values(kind, order):
         else:
             exact = 2.0 / (k + 1) if kind == "L" else math.gamma((k + 1) / 2)
             assert terms.sum() == pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_rule_that_does_not_converge_raises():
+    # Halley's steps from a NaN guess never meet their bound: after the last step the rule
+    # raises, where it would return NaN nodes and weights
+    b = np.sqrt(np.arange(1, 5) / 2)  # the 4-point Gauss-Hermite recurrence
+    with pytest.raises(NumericalError, match="the 4-point Gauss rule did not converge"):
+        gauss_rule(b, math.sqrt(math.pi), np.array([np.nan, 0.5]))
 
 
 def test_gauss_rules_are_built_fast_in_a_fresh_process():

@@ -26,6 +26,7 @@ from movingatom.units import DimensionlessParams, ParameterError
 from movingatom.wavepacket import (HERMITE_LADDER, GaussianPacket, PointMass,
                                    ProjectedDistribution, TabulatedProjection, project)
 from test_amplitudes import POLE_SETS, band_poles
+from test_spectra import assert_mixed_orders
 
 E_D = np.array([0.0, 0.0, 1.0])
 N_ONE = direction_from_angles(1.1, 0.3, axis=E_D)
@@ -62,7 +63,7 @@ def ref_hermite_nodes(mean, sigma, order):
     return mean[..., None] + np.sqrt(2.0) * sigma[..., None] * t, w / np.sqrt(np.pi)
 
 
-def ref_project(dist, n, order=40):
+def ref_project(dist, n, order):
     n = ref_check_unit(n, "n", stacked=True)
     batch = n.shape[:-1]
     if isinstance(dist, TabulatedProjection):
@@ -321,7 +322,7 @@ def test_doppler_spectrum_is_the_numpy_formula_bit_for_bit(packet):
     for model in MODELS:
         scenario = spectra.EmissionScenario(DimensionlessParams(0.01, 1e-3), model,
                                             PACKETS[packet], E_D)
-        proj = project(PACKETS[packet], N_ONE)
+        proj = project(PACKETS[packet], N_ONE, order=40)  # `directional_spectrum`'s order
         for x in grids:
             assert same(spectra._doppler_w(scenario, N_ONE, proj, x),
                         ref_doppler_w(scenario, N_ONE, proj, x)), (model.label, x)
@@ -379,8 +380,8 @@ def test_check_unit_decides_as_the_numpy_norm(values, scale):
 def _rates():
     """An evaluate callback of `delta_average` in the form of the golden rule's: the rate
     at each node, its weighted sum per rule, and a line near the nodes that makes some
-    columns climb past order 16; each rule's own convergence flag and work per node vary
-    from column to column."""
+    columns climb past the ladder's second rung; each rule's own convergence flag and work
+    per node vary from column to column."""
     def evaluate(rows, rules):
         values = 1.0 / ((rows.nodes - 0.01) ** 2 + 4e-6)
         sums = np.array([values[..., block] @ w for w, block in rules])[..., None]
@@ -393,17 +394,16 @@ def _rates():
 @pytest.mark.parametrize("packet", sorted(PACKETS))
 def test_delta_average_is_the_numpy_ladder_bit_for_bit(packet):
     for n in directions(packet):
-        proj = project(PACKETS[packet], n, order=HERMITE_LADDER[0])
-        for tol in (1e-3, 1e-9, 1e-14):  # columns keep 16, climb, or stay open at 64
+        proj = project(PACKETS[packet], n)
+        for tol in (1e-3, 1e-9, 1e-14):  # columns keep the second rung, climb, or stay open
             got = wavepacket.delta_average(proj, _rates(), tol)
             want = ref_delta_average(proj, _rates(), tol)
             assert all(same(g, w) for g, w in zip(got, want)), (packet, n.shape, tol)
 
 
 def test_ladder_reaches_every_order_in_one_stack():
-    proj = project(GaussianPacket.isotropic([0.01, 0.0, 0.0], 1e-3), N_STACK, order=8)
-    orders = set(wavepacket.delta_average(proj, _rates(), 1e-9)[-1].ravel().tolist())
-    assert orders == {16, 32, 64}
+    proj = project(GaussianPacket.isotropic([0.01, 0.0, 0.0], 1e-3), N_STACK)
+    assert_mixed_orders(wavepacket.delta_average(proj, _rates(), 1e-9)[-1])
 
 
 @pytest.mark.parametrize("f, a, b, tol", [

@@ -12,7 +12,7 @@ from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile, wofz
 
 import movingatom
-from movingatom import amplitudes, quadrature, spectra
+from movingatom import amplitudes, quadrature, rates, spectra, wavepacket
 from movingatom.amplitudes import perpendicular_kernel, resonance_root, spectral_kernel
 from movingatom.coupling import CouplingModel, conditional_polarization_sum, polarization_sum
 from movingatom.geometry import direction_from_angles
@@ -24,6 +24,7 @@ from movingatom.spectra import (EmissionScenario, Formfactor, PhysicsRejection,
 from movingatom.units import DimensionlessParams, ParameterError
 from movingatom.wavepacket import (GaussianPacket, PointMass, TabulatedProjection, expectation,
                                    project)
+from test_wavepacket import each_ladder
 
 N_PERP = np.array([1.0, 0.0, 0.0])
 N_45 = direction_from_angles(math.pi / 4, 0.0, axis=np.array([0.0, 0.0, 1.0]))
@@ -657,19 +658,20 @@ def fixed_order_reference(scenario, model, row, proj, formfactor, uppers, tol=1e
 def per_model_reference(scenario, model, n, formfactor, uppers, tol=1e-9, max_panels=4096):
     """`spectra._frequency_integral` computed one model, one direction and one Hermite order
     at a time (`fixed_order_reference`), each order on its own projection. A Gaussian takes
-    orders 8 and 16, then 32 and 64 until an order's change from the one before meets
-    tol * max(1, |I|) at every U; the last change joins the error."""
-    fields = []
+    the first two rungs of `wavepacket.HERMITE_LADDER`, then each later one until a rung's
+    change from the one before meets tol * max(1, |I|) at every U; the last change joins
+    the error."""
+    fields, ladder = [], wavepacket.HERMITE_LADDER
     for row in np.reshape(n, (-1, 3)):
         def one(order):
             proj = project(scenario.distribution, row, order=order)
             return proj.kind, fixed_order_reference(scenario, model, row, proj, formfactor,
                                                     uppers, tol, max_panels)
 
-        kind, (value, error, evaluations, converged) = one(8)
+        kind, (value, error, evaluations, converged) = one(ladder[0])
         if kind == "gaussian":
             rest_ok = converged
-            for order in (16, 32, 64):
+            for order in ladder[1:]:
                 fine, fine_error, more, ok = one(order)[1]
                 gap = np.abs(fine - value)
                 met = np.all(gap <= tol * np.maximum(1.0, np.abs(fine)))
@@ -698,9 +700,10 @@ EQUIVALENCE_PACKETS = {
                                         Formfactor("exponential", 2.0)], ids=lambda f: f.kind)
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
 @pytest.mark.parametrize("packet", sorted(EQUIVALENCE_PACKETS))
-def test_one_pass_equals_a_pass_per_model_and_order(packet, stacked, formfactor, eps):
+def test_one_pass_equals_a_pass_per_model_and_order(monkeypatch, packet, stacked, formfactor,
+                                                    eps):
     # one line_fractions build for three models and both Hermite orders gives, bit for bit,
-    # every field that a build per model and per order gives
+    # every field that a build per model and per order gives; a Gaussian on each ladder
     dist = EQUIVALENCE_PACKETS[packet]
     n = N_TABLE if packet == "table" else direction_from_angles(1.1, 0.3, axis=E_D)
     if stacked:  # a table is seen along its own direction only: seven copies of it
@@ -708,20 +711,23 @@ def test_one_pass_equals_a_pass_per_model_and_order(packet, stacked, formfactor,
              else direction_from_angles(np.linspace(0.2, 3.0, 7), 0.3, axis=E_D))
     scenario = make_scenario(eps=eps, dist=dist)
     uppers = [40.0] if formfactor.kind in ("gaussian", "exponential") else [2.0, 30.0, 400.0]
-    proj = project(dist, n)
-    shared = spectra._frequency_integral(scenario, DIVERGENCE_MODELS, n, proj, formfactor,
-                                         uppers, 1e-9, 4096)
-    for i, model in enumerate(DIVERGENCE_MODELS):
-        ref = per_model_reference(scenario, model, n, formfactor, uppers)
-        alone = spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
-                                            1e-9, 4096)
-        # values, errors, evaluations, converged; the reference's converged=True of a closed
-        # form stands for every direction, and a count that the models share has no model axis
-        for got, one, want in zip(shared, alone, ref):
-            got = np.asarray(got)[i] if np.ndim(got) > np.ndim(one) else got
-            assert np.shape(got) == np.shape(one), model.label
-            assert np.array_equal(got, np.broadcast_to(want, np.shape(one))), model.label
-            assert np.array_equal(one, np.broadcast_to(want, np.shape(one))), model.label
+    for ladder in each_ladder(monkeypatch) if packet == "gaussian" else [None]:
+        proj = project(dist, n)
+        shared = spectra._frequency_integral(scenario, DIVERGENCE_MODELS, n, proj, formfactor,
+                                             uppers, 1e-9, 4096)
+        for i, model in enumerate(DIVERGENCE_MODELS):
+            ref = per_model_reference(scenario, model, n, formfactor, uppers)
+            alone = spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
+                                                1e-9, 4096)
+            # values, errors, evaluations, converged; the reference's converged=True of a
+            # closed form stands for every direction, and a count that the models share has
+            # no model axis
+            case = model.label, ladder
+            for got, one, want in zip(shared, alone, ref):
+                got = np.asarray(got)[i] if np.ndim(got) > np.ndim(one) else got
+                assert np.shape(got) == np.shape(one), case
+                assert np.array_equal(got, np.broadcast_to(want, np.shape(one))), case
+                assert np.array_equal(one, np.broadcast_to(want, np.shape(one))), case
 
 
 def assert_same_bits(got, want):
@@ -732,74 +738,84 @@ def assert_same_bits(got, want):
 
 # rows flattened from the stack axes and nodes (`amplitudes.in_row_blocks`): a table of 3.5
 # blocks at the 32 points of a one-panel rule (and at 32 cutoffs), seen along its own
-# direction; and a Gaussian packet's 24 nodes (orders 8 and 16) along 16 directions, 3
-# blocks. Their far poles, near -(1 - delta)/eps - 1, lie on both sides of U = 100. Their
-# (rows x 32) complex arrays stay under the 256 KiB from which numpy elides temporaries: an
-# elided `t * (1 + t/2)` (`amplitudes._log_tail`) becomes a product with its operands
-# swapped, which rounds differently, so one block above that size is no reference.
+# direction; and a Gaussian packet's nodes of the ladder's first two rungs along enough
+# directions for 3 blocks (16 directions of 24 nodes on the package's ladder). Their far
+# poles, near -(1 - delta)/eps - 1, lie on both sides of U = 100. Their (rows x 32) complex
+# arrays stay under the 256 KiB from which numpy elides temporaries: an elided
+# `t * (1 + t/2)` (`amplitudes._log_tail`) becomes a product with its operands swapped,
+# which rounds differently, so one block above that size is no reference.
 BLOCK_TABLE_ROWS = 7 * amplitudes.ROW_BLOCK // 64
-ROW_BLOCK_CASES = {
-    "table": (TabulatedProjection(direction=N_TABLE,
+BLOCK_TABLE = TabulatedProjection(direction=N_TABLE,
                                   delta=np.linspace(-1e-2, 3e-2, BLOCK_TABLE_ROWS),
-                                  weights=np.full(BLOCK_TABLE_ROWS, 1.0 / BLOCK_TABLE_ROWS)),
-              N_TABLE),
-    "stack": (GaussianPacket.isotropic([1e-2, 0.0, 2e-2], 1e-3),
-              direction_from_angles(np.linspace(0.1, 3.0, 16), 0.3, axis=E_D)),
-}
+                                  weights=np.full(BLOCK_TABLE_ROWS, 1.0 / BLOCK_TABLE_ROWS))
+
+
+def row_block_case(case):
+    """(distribution, directions) of a row-block case, a stack sized by the ladder in force."""
+    if case == "table":
+        return BLOCK_TABLE, N_TABLE
+    count = -(-3 * (amplitudes.ROW_BLOCK // 32) // sum(wavepacket.HERMITE_LADDER[:2]))
+    return (GaussianPacket.isotropic([1e-2, 0.0, 2e-2], 1e-3),
+            direction_from_angles(np.linspace(0.1, 3.0, count), 0.3, axis=E_D))
 
 
 @pytest.mark.parametrize("models", ["one", "three"])
 @pytest.mark.parametrize("formfactor", [Formfactor("gaussian", 12.5),
                                         Formfactor("exponential", 100.0 / 60.0),
                                         Formfactor.none()], ids=lambda f: f.kind)
-@pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
+@pytest.mark.parametrize("case", ["stack", "table"])
 def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case, formfactor, models):
     # the smooth rest up to the reach U = 100 of a gaussian or exponential formfactor, or the
     # closed forms on a ladder of 32 cutoffs, in row blocks and with every row in one block:
-    # the same bits in every field. Some rows' far poles lie beyond the rule's widest point
-    # and some inside it, so a block of sorted rows may see only one side of the Taylor form's
-    # decision, which is taken once over all rows.
-    dist, n = ROW_BLOCK_CASES[case]
-    scenario = make_scenario(eps=0.01, gt=1e-3, dist=dist)
-    proj = project(dist, n, order=8)
+    # the same bits in every field, the stack's on each Hermite ladder. Some rows' far poles
+    # lie beyond the rule's widest point and some inside it, so a block of sorted rows may
+    # see only one side of the Taylor form's decision, which is taken once over all rows.
     model = CouplingModel.roentgen() if models == "one" else DIVERGENCE_MODELS
     uppers = np.geomspace(1e2, 1e4, 32) if formfactor.kind == "none" else [100.0]
-    lines = amplitudes.line_fractions(model, n, E_D, proj, scenario.params)
-    far = np.abs(lines.far)
-    assert far.min() < 0.998 * 100.0 < 100.0 < far.max()
-    blocks, rows = [], amplitudes.LineFractions.rows
+    blocks, rows, row_block = [], amplitudes.LineFractions.rows, amplitudes.ROW_BLOCK
 
     def spy(self, block=slice(None)):
         blocks.append(block)
         return rows(self, block)
 
-    def run():
-        return (*spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
-                                             1e-10, 4096),
-                lines.near_integral(np.geomspace(1e2, 1e4, 32), np.exp(-lines.near)))
-
     monkeypatch.setattr(amplitudes.LineFractions, "rows", spy)
-    blocked = run()
-    assert sum(block != slice(None) for block in blocks) >= 3
-    monkeypatch.setattr(amplitudes, "ROW_BLOCK", 1 << 62)  # every row in one block
-    blocks.clear()
-    whole = run()
-    assert blocks == []
-    for got, want in zip(blocked, whole):
-        assert_same_bits(got, want)
+    for ladder in each_ladder(monkeypatch) if case == "stack" else [None]:
+        monkeypatch.setattr(amplitudes, "ROW_BLOCK", row_block)
+        dist, n = row_block_case(case)
+        scenario = make_scenario(eps=0.01, gt=1e-3, dist=dist)
+        proj = project(dist, n)
+        lines = amplitudes.line_fractions(model, n, E_D, proj, scenario.params)
+        far = np.abs(lines.far)
+        assert far.min() < 0.998 * 100.0 < 100.0 < far.max()
+
+        def run():
+            return (*spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
+                                                 1e-10, 4096),
+                    lines.near_integral(np.geomspace(1e2, 1e4, 32), np.exp(-lines.near)))
+
+        blocks.clear()
+        blocked = run()
+        assert sum(block != slice(None) for block in blocks) >= 3, ladder
+        monkeypatch.setattr(amplitudes, "ROW_BLOCK", 1 << 62)  # every row in one block
+        blocks.clear()
+        whole = run()
+        assert blocks == []
+        for got, want in zip(blocked, whole):
+            assert_same_bits(got, want)
 
 
-def spy_hermite_orders(monkeypatch):
+def spy_hermite_orders(monkeypatch, module=spectra):
     """The Hermite order each column kept (`wavepacket.delta_average`'s last field), one array
-    per `_frequency_integral` call, recorded while the test runs."""
-    orders, delta_average = [], spectra.delta_average
+    per call of it from `module` (`_frequency_integral`'s, or the golden rate's in `rates`),
+    recorded while the test runs."""
+    orders, delta_average = [], module.delta_average
 
     def spy(*args):
         out = delta_average(*args)
         orders.append(out[-1])
         return out
 
-    monkeypatch.setattr(spectra, "delta_average", spy)
+    monkeypatch.setattr(module, "delta_average", spy)
     return orders
 
 
@@ -808,43 +824,58 @@ STACKS = [
     # computed b * T as T *= b: 24 values and 44 error estimates differed in the last bits
     ([0.0, 0.0, 0.0], 1e-3, 1e-2, Formfactor("gaussian", 50.0), 400.0, 120),
     # U = 1.103 lies at 1 to 7 Doppler widths from the line, by direction: the directions
-    # keep orders 16, 32 and 64, and the closest miss tol at 64
+    # keep three rungs of the ladder or more, its last among them (`assert_mixed_orders`),
+    # and the closest miss tol there
     ([0.05, 0.0, 0.0], 1e-2, 1e-3, Formfactor.none(), 1.103, 24),
     ([0.05, 0.0, 0.0], 1e-2, 1e-3, Formfactor("exponential", 3.0), 1.103, 24),
 ]
 
 
+def assert_mixed_orders(kept):
+    """The columns of one stack kept three rungs of the ladder in force or more, past its
+    first and up to its last: on the package's ladder, every rung but the first."""
+    ladder, kept = wavepacket.HERMITE_LADDER, set(np.ravel(kept).tolist())
+    assert kept <= set(ladder[1:]) and len(kept) >= 3 and ladder[-1] in kept, (ladder, kept)
+
+
 def test_large_gaussian_stack_equals_each_direction_alone(monkeypatch):
+    # on each ladder
     kept = spy_hermite_orders(monkeypatch)
-    for mean, sigma, gt, formfactor, upper, count in STACKS:
-        first = len(kept)
-        scenario = make_scenario(gt=gt, dist=GaussianPacket.isotropic(mean, sigma))
-        n = direction_from_angles(np.linspace(0.0, np.pi, count), 0.0, axis=E_D)
-        stacked = directional_probability(scenario, n, formfactor, upper)
-        alone = [directional_probability(scenario, row, formfactor, upper) for row in n]
-        for name in ("value", "error_estimate", "evaluations", "converged"):
-            assert np.array_equal(getattr(stacked, name), [getattr(a, name) for a in alone]), name
-        orders = kept[first:]  # the stack's, then each direction's
-        assert np.array_equal(orders[0], [int(o) for o in orders[1:]])
-        if count == 24:
-            assert set(orders[0]) == {16, 32, 64} and not stacked.converged.all()
+    for ladder in each_ladder(monkeypatch):
+        for mean, sigma, gt, formfactor, upper, count in STACKS:
+            first = len(kept)
+            scenario = make_scenario(gt=gt, dist=GaussianPacket.isotropic(mean, sigma))
+            n = direction_from_angles(np.linspace(0.0, np.pi, count), 0.0, axis=E_D)
+            stacked = directional_probability(scenario, n, formfactor, upper)
+            alone = [directional_probability(scenario, row, formfactor, upper) for row in n]
+            for name in ("value", "error_estimate", "evaluations", "converged"):
+                assert np.array_equal(getattr(stacked, name),
+                                      [getattr(a, name) for a in alone]), (name, ladder)
+            orders = kept[first:]  # the stack's, then each direction's
+            assert np.array_equal(orders[0], [int(o) for o in orders[1:]])
+            if count == 24:
+                assert_mixed_orders(orders[0])
+                assert not stacked.converged.all()
 
 
 def test_climbing_directions_equal_an_order_at_a_time(monkeypatch):
     # the mixed-order stack above, three models in one pass: every model and direction
-    # keeps the order it would keep alone, one build per order
+    # keeps the order it would keep alone, one build per order, on each ladder
     orders = spy_hermite_orders(monkeypatch)
     scenario = make_scenario(gt=1e-3, dist=GaussianPacket.isotropic([0.05, 0.0, 0.0], 1e-2))
     n = direction_from_angles(np.linspace(0.0, np.pi, 24), 0.0, axis=E_D)
     uppers = [1.103, 2.0]
-    proj = project(scenario.distribution, n, order=8)
-    shared = spectra._frequency_integral(scenario, DIVERGENCE_MODELS, n, proj,
-                                         Formfactor.none(), uppers, 1e-9, 4096)
-    assert set(orders[0].ravel()) == {16, 32, 64}
-    for i, model in enumerate(DIVERGENCE_MODELS):
-        ref = per_model_reference(scenario, model, n, Formfactor.none(), uppers)
-        for got, want in zip(shared, ref):
-            assert np.array_equal(got[i], np.broadcast_to(want, np.shape(got[i]))), model.label
+    for ladder in each_ladder(monkeypatch):
+        orders.clear()
+        shared = spectra._frequency_integral(scenario, DIVERGENCE_MODELS, n,
+                                             project(scenario.distribution, n),
+                                             Formfactor.none(), uppers, 1e-9, 4096)
+        assert_mixed_orders(orders[0])
+        for i, model in enumerate(DIVERGENCE_MODELS):
+            ref = per_model_reference(scenario, model, n, Formfactor.none(), uppers)
+            for got, want in zip(shared, ref):
+                assert np.array_equal(got[i], np.broadcast_to(want, np.shape(got[i]))), \
+                    (model.label, ladder)
 
 
 def test_ladder_sweep_is_within_tol_of_order_64_where_converged():
@@ -1031,15 +1062,19 @@ def test_golden_pattern_matches_tensor_rule(variant):
     assert np.max(np.abs(pat.values - ref)) <= 1e-12 * max(ref)
 
 
-def test_golden_pattern_of_a_packet_reports_its_hermite_error():
+def test_golden_pattern_of_a_packet_reports_its_hermite_error(monkeypatch):
     # the golden rate at the order each direction kept, with that order's change from the
-    # one before as its error; a packet whose rate needs more than order 64 raises
+    # one before as its error and the nodes of every rung up to it as its evaluations (8 +
+    # 16 on the package's ladder); a packet whose rate needs more than the last rung raises
+    kept = spy_hermite_orders(monkeypatch, rates)
     dist = GaussianPacket.isotropic([1e-3, 0.0, 2e-3], 1e-2)
     theta = np.linspace(0.0, np.pi, 7)
     n = direction_from_angles(theta, 0.0, axis=E_D)
-    rate = golden_rule_mean_rate(project(dist, n, order=8), n, E_D,
+    rate = golden_rule_mean_rate(project(dist, n), n, E_D,
                                  DimensionlessParams(0.01, 0.01), CouplingModel.roentgen())
-    assert rate.converged.all() and np.all(rate.evaluations == 8 + 16)
+    ladder = wavepacket.HERMITE_LADDER
+    climbed = [sum(ladder[:ladder.index(order) + 1]) for order in kept[0].tolist()]
+    assert rate.converged.all() and np.array_equal(rate.evaluations, climbed)
     assert np.all(rate.error_estimate <= 1e-9 * rate.value)
     wide = make_scenario(eps=0.01, dist=GaussianPacket.isotropic(np.zeros(3), 0.2))
     with pytest.raises(NumericalError, match="angular pattern did not converge at theta = 0 "):

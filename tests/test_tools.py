@@ -1,5 +1,6 @@
 """The scripts in tools/, loaded from their files (tools/ is not a package)."""
 
+import functools
 import importlib.util
 import json
 import math
@@ -11,7 +12,10 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
+@functools.cache
 def _load(name="src_lines"):
+    """tools/`name`.py as a module, loaded once per session: what a tool keeps for its
+    process (bench's count of src/ lines) is kept across the tests, as in one run."""
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True

@@ -14,6 +14,17 @@ from movingatom.wavepacket import (GaussianPacket, PointMass,
                                    gaussian_nodes, project, weighted_sum)
 
 rng = np.random.default_rng(431)
+# the package's Gauss-Hermite ladder and one that starts at 2 nodes: a relation that holds
+# on any ladder is checked on both
+LADDERS = (wavepacket.HERMITE_LADDER, (2, 4, 8, 16, 32, 64))
+
+
+def each_ladder(monkeypatch):
+    """Each of LADDERS, set as `wavepacket.HERMITE_LADDER` (the one name every Doppler
+    average reads) while the caller's loop body runs."""
+    for ladder in LADDERS:
+        monkeypatch.setattr(wavepacket, "HERMITE_LADDER", ladder)
+        yield ladder
 
 
 def test_point_mass_projection():
@@ -248,8 +259,8 @@ def test_rounding_level_spread_has_the_point_law(nx):
 
 def test_hermite_rules_are_built_once_per_order(monkeypatch):
     """A 37-angle golden-rule pattern and a Gaussian divergence comparison build the
-    rules of the Hermite ladder's first two orders, 8 and 16, once each (every direction
-    stops at 16), and no order-40 rule."""
+    rules of the Hermite ladder's first two rungs once each (every direction stops at the
+    second), and no other rule: `project`'s default order is the first rung."""
     _hermite_rule.cache_clear()
     built = []
 
@@ -264,7 +275,7 @@ def test_hermite_rules_are_built_once_per_order(monkeypatch):
     angular_pattern(scenario, np.linspace(0.0, np.pi, 37))
     divergence_comparison(scenario, np.array([1.0, 0.0, 0.0]))
     angular_pattern(scenario, np.linspace(0.0, np.pi, 37), phi=0.5)
-    assert sorted(built) == [8, 16]
+    assert sorted(built) == sorted(wavepacket.HERMITE_LADDER[:2])
     t, w = _hermite_rule(40)
     with pytest.raises(ValueError):
         t[0] = 0.0
@@ -304,19 +315,23 @@ def test_covariance_check_decides_as_eigvalsh(scale):
 
 
 def test_delta_average_climbs_the_rungs_of_the_ladder(monkeypatch):
-    # a ladder that does not double: an upper limit inside the Doppler profile keeps the
-    # column open, so it climbs every rung, and builds no order off the ladder
-    ladder, built, nodes = (8, 16, 24, 40), [], wavepacket.hermite_nodes
+    # a ladder that neither doubles nor starts at 8, then LADDERS: an upper limit inside
+    # the Doppler profile keeps the column open, so it climbs every rung, and builds no
+    # order off the ladder, the projection's included
+    built, nodes = [], wavepacket.hermite_nodes
 
     def spy(mean, sigma, orders):
         built.extend(orders)
         return nodes(mean, sigma, orders)
 
-    monkeypatch.setattr(wavepacket, "HERMITE_LADDER", ladder)
     monkeypatch.setattr(wavepacket, "hermite_nodes", spy)
     scenario = EmissionScenario(params=DimensionlessParams(epsilon=0.01, gamma_tilde=1e-4),
                                 coupling=CouplingModel.roentgen(),
                                 distribution=GaussianPacket.isotropic(np.zeros(3), 1e-2))
-    res = directional_probability(scenario, np.array([1.0, 0.0, 0.0]), Formfactor.none(), 1.0)
-    assert not res.converged and set(built) == set(ladder)
-    assert res.evaluations == sum(ladder)
+    for ladder in ((4, 12, 24, 40), *LADDERS):
+        monkeypatch.setattr(wavepacket, "HERMITE_LADDER", ladder)
+        built.clear()
+        res = directional_probability(scenario, np.array([1.0, 0.0, 0.0]), Formfactor.none(),
+                                      1.0)
+        assert not res.converged and set(built) == set(ladder), ladder
+        assert res.evaluations == sum(ladder)

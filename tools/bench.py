@@ -82,6 +82,8 @@ if __name__ == "__main__":  # one BLAS thread, set before numpy loads its BLAS
 
 import argparse
 import contextlib
+import functools
+import gc
 import importlib
 import importlib.util
 import io
@@ -246,6 +248,7 @@ def call_events(call) -> dict:
     def count(frame, event, arg):
         counts[event] += 1
 
+    gc.collect()
     sys.setprofile(count)
     try:
         call()
@@ -520,6 +523,7 @@ def measure(sides: dict, names, repeat: int, angles: int, modes=ORACLE_MODES,
     return out
 
 
+@functools.cache  # once per tree in a process: tokenizing all of src/ is slow
 def src_lines(tree: Path) -> int:
     spec = importlib.util.spec_from_file_location("src_lines", REPO / "tools" / "src_lines.py")
     module = importlib.util.module_from_spec(spec)
