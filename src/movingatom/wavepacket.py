@@ -226,7 +226,9 @@ def project(dist: MomentumDistribution, n, order: int | None = None) -> Projecte
     moments; a Gaussian's delta nodes are an `order`-point Gauss-Hermite rule
     (cached per order, read-only). `order` defaults to the first rung of HERMITE_LADDER,
     read at each call: a rule that `delta_average`, which replaces a Gaussian's nodes by
-    its rungs', builds anyway.
+    its rungs', builds anyway. That default is sized for `delta_average` and is exact
+    only for polynomials of delta up to degree 2 * order - 1: to average an integrand of
+    your own over the nodes, pass `order`, or use `expectation`.
 
     n is one unit vector (3,) or a stack of them (..., 3); a stack gives every
     field but the shared weights its leading shape (see ProjectedDistribution),

@@ -1063,18 +1063,17 @@ def test_golden_pattern_matches_tensor_rule(variant):
 
 
 def test_golden_pattern_of_a_packet_reports_its_hermite_error(monkeypatch):
-    # the golden rate at the order each direction kept, with that order's change from the
-    # one before as its error and the nodes of every rung up to it as its evaluations (8 +
-    # 16 on the package's ladder); a packet whose rate needs more than the last rung raises
+    # every direction keeps the ladder's second rung: the golden rate there, with its change
+    # from the first rung as its error and the nodes of both as its evaluations; a packet
+    # whose rate needs more than the last rung raises
     kept = spy_hermite_orders(monkeypatch, rates)
     dist = GaussianPacket.isotropic([1e-3, 0.0, 2e-3], 1e-2)
     theta = np.linspace(0.0, np.pi, 7)
     n = direction_from_angles(theta, 0.0, axis=E_D)
     rate = golden_rule_mean_rate(project(dist, n), n, E_D,
                                  DimensionlessParams(0.01, 0.01), CouplingModel.roentgen())
-    ladder = wavepacket.HERMITE_LADDER
-    climbed = [sum(ladder[:ladder.index(order) + 1]) for order in kept[0].tolist()]
-    assert rate.converged.all() and np.array_equal(rate.evaluations, climbed)
+    assert rate.converged.all() and np.all(kept[0] == wavepacket.HERMITE_LADDER[1])
+    assert np.all(rate.evaluations == sum(wavepacket.HERMITE_LADDER[:2]))
     assert np.all(rate.error_estimate <= 1e-9 * rate.value)
     wide = make_scenario(eps=0.01, dist=GaussianPacket.isotropic(np.zeros(3), 0.2))
     with pytest.raises(NumericalError, match="angular pattern did not converge at theta = 0 "):
