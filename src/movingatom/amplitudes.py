@@ -108,10 +108,10 @@ ROW_BLOCK = 4096
 @dataclass(frozen=True, eq=False)
 class LineFractions:
     """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node, in partial fractions; nodes
-    are the last axis, (N,) for one direction or (..., N) for a stack of them. Built for
-    several coupling models, the residues, s0, s1, q0 and q1 carry a leading model axis,
-    and so does every value below: the poles, and with them every logarithm, belong to
-    the kinematics alone and are evaluated once for all models.
+    are the last axis, (N,) for one direction or (..., N) for a stack of them. The
+    residues, s0, s1, q0 and q1 carry a leading model axis, one entry per coupling model
+    of the build, and so does every value below: the poles, and with them every
+    logarithm, belong to the kinematics alone and are evaluated once for all models.
 
     The poles are the roots z of D(z) = i gt/2 (conjugates carry conjugate
     residues), with residues r = z^3 P(z) / (i gt D'(z)): the near pole over
@@ -135,7 +135,7 @@ class LineFractions:
     epsilon: float
 
     def rows(self, block=slice(None)):
-        """These fractions with their stack axes and nodes flattened into one row axis (a
+        """These fractions with their stack axes and nodes flattened into one row axis (the
         model axis stays first), at the rows `block` of it."""
         return LineFractions(*[v.reshape(v.shape[:v.ndim - self.near.ndim] + (-1,))[..., block]
                                if isinstance(v, np.ndarray) else v for v in vars(self).values()])
@@ -147,10 +147,14 @@ class LineFractions:
         there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)), with U b
         split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
         u = np.asarray(upper, dtype=float)
-        return in_row_blocks(lambda part, f: part._near_integral(u, f), u.size, self, factor)
+        return in_row_blocks(lambda part, f: part._near_integral(u, f[None]), u.size, self, factor)
 
     def _near_integral(self, u, factor):
-        near, b = self.near[..., None], self.b[..., None]
+        # the kinematics (and factor) take a model axis of 1 here, in `_integral` and in
+        # `smooth`: for a complex product of one value whose operands differ in rank, numpy
+        # takes its scalar loop, which rounds otherwise than its vector loop, and a build for
+        # one model would differ from a build for several
+        near, b = self.near[None, ..., None], self.b[None, ..., None]
         close = np.abs(near - u) < 0.5 * np.abs(near)
         gap = near - u
         if close.any():
@@ -160,24 +164,24 @@ class LineFractions:
                            / (b + self.epsilon * (uc + near)), gap)
         return 2.0 * np.real((factor * self.near_residue)[..., None] * np.log(gap / near))
 
-    def taylor_only(self, x) -> bool:
-        """Whether the Taylor form of `smooth` serves every node at the real points x: each
-        rounded step of x / z_far grows with |x|, so the widest |x| decides for all."""
-        return self.far is None or bool(np.logical_and.reduce(
-            abs(np.maximum.reduce(abs(x), axis=None) / self.far) < 1.0, axis=None))
-
-    def smooth(self, x, all_inside=None):
-        """s(x) per node at real points x (a new last axis): the Taylor form inside |x| <
-        |z_far|, the direct one outside, and only a form that some point takes. `all_inside`
-        (default: `taylor_only` of these nodes) says whether the Taylor form serves all: a
-        row block takes it as decided once over all rows."""
+    def smooth(self, x):
+        """s(x) per model and node at real points x (a new last axis): the Taylor form inside
+        |x| < |z_far|, the direct one outside, and only a form that some point takes. Each
+        rounded step of x / z_far grows with |x|, so the widest |x| over each node's far
+        pole says whether the Taylor form serves every point of these nodes (a row block
+        decides for its own rows), and a point takes the same form in any block. The last
+        point, with |Re(x / z_far)| >= 1 at the first node, rules that out before the pass
+        over the nodes: a row block that mixes the forms mostly stops there, while one that
+        takes the Taylor form alone pays the pass."""
         x = np.asarray(x, dtype=float)[None, :]
         if self.far is None:
             return self.s0[..., None] + self.s1[..., None] * x
-        far, rf, gap = self.far[..., None], self.far_residue[..., None], x - self.far[..., None]
+        far, rf = self.far[None, ..., None], self.far_residue[..., None]  # see _near_integral
+        gap = x - far
         taylor = (lambda: self.s0[..., None] + self.s1[..., None] * x
                   + 2.0 * (rf / (far * far) * (x * x / gap)).real)
-        if self.taylor_only(x) if all_inside is None else all_inside:
+        if -1.0 < (x[0, -1] / self.far.flat[0]).real < 1.0 and np.logical_and.reduce(
+                abs(np.maximum.reduce(abs(x), axis=None) / self.far) < 1.0, axis=None):
             return taylor()
         inside = abs(x / far) < 1.0
         direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * (rf / gap).real
@@ -186,9 +190,8 @@ class LineFractions:
         return direct
 
     def integral(self, upper):
-        """int_0^U w per node and upper limit U (a new last axis), in closed form, per model
-        first when built for several: one model is the case without that axis, through the
-        same code, and the logarithms are taken once for all. It runs in row blocks
+        """int_0^U w per model, node and upper limit U (a new last axis), in closed form, with
+        the logarithms taken once for all models. It runs in row blocks
         (`in_row_blocks`) under np.errstate, since the quadratic term overflows as U grows
         and np.where evaluates both branches; NumericalError names the first U whose value
         is not finite."""
@@ -205,7 +208,7 @@ class LineFractions:
     def _integral(self, u):
         taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
         if self.far is not None:
-            far, rf = self.far[..., None], self.far_residue[..., None]
+            far, rf = self.far[None, ..., None], self.far_residue[..., None]  # see _near_integral
             log, t = np.log((far - u) / far), u / far  # both forms take them
             direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
                       + 2.0 * (rf * log).real)
@@ -217,14 +220,15 @@ class LineFractions:
 def in_row_blocks(evaluate, width: int, lines: LineFractions, *per_row):
     """evaluate(part, *parts) -> (..., rows, width), real, over blocks of at most ROW_BLOCK //
     width rows (one at least) of `lines`' stack axes and nodes flattened into one row axis
-    (`LineFractions.rows`; a model axis is whole in each), with the same rows of each array
-    of `per_row` (shaped as the nodes), assembled into (..., nodes' shape, width). A row is
-    computed by the same expressions in any block, and a build that fits in one block is
-    evaluated as it is. Only the assembled values outgrow a block: the temporaries of each
-    stay in cache, and under the 256 KiB (three models of complex values at most) from
-    which numpy elides a temporary, which may swap the operands of a complex product and
-    round it differently; so a row's bits do not depend on the blocks or on the build's
-    size."""
+    (`LineFractions.rows`; the model axis is whole in each), with the same rows of each
+    array of `per_row` (shaped as the nodes), assembled into (..., nodes' shape, width). A
+    row is computed by the same expressions in any block (a block decides which far forms
+    of `LineFractions.smooth` its own rows take, and a point takes the same one in any
+    block), and a build that fits in one block is evaluated as it is. Only the assembled
+    values outgrow a block: the temporaries of each stay in cache, and under the 256 KiB
+    (three models of complex values at most) from which numpy elides a temporary, which
+    may swap the operands of a complex product and round it differently; so a row's bits
+    do not depend on the blocks or on the build's size."""
     rows, step = lines.near.size, max(1, ROW_BLOCK // width)
     if rows <= step:
         return evaluate(lines, *per_row)
@@ -238,8 +242,8 @@ def in_row_blocks(evaluate, width: int, lines: LineFractions, *per_row):
 
 def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
     """Partial fractions of w at every delta node of `proj` (wavepacket.project, along one
-    direction n or a stack of them), for one CouplingModel or a sequence of them, which
-    share the poles and stack their own fields on a leading axis (see LineFractions).
+    direction n or a stack of them), for a sequence of CouplingModels, which share the
+    poles and stack their own fields on a leading model axis (see LineFractions).
     P = coupling.conditional_polarization_sum is evaluated once per model, from one
     `polarization_geometry`, on the points stacked on a new leading axis: the near pole
     and, for eps > 0, the far pole and +-1/eps, whose real values give q0. The quotient's
@@ -258,8 +262,6 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
     near2, twice_b = near * near, 2.0 * b
 
     geometry = polarization_geometry(n, e_d, proj)  # shared by the models
-    one = isinstance(models, CouplingModel)
-    models = (models,) if one else tuple(models)
     # each coefficient shaped (model, point, ..., node): every model's fields in one pass
     a0, a1, a2 = np.array([conditional_polarization_sum(model, z, n, e_d, eps, proj, geometry)
                            for model in models]).swapaxes(0, 1)
@@ -272,8 +274,6 @@ def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFra
         perp_sq = np.broadcast_to(geometry[1], delta.shape)
         q1 = np.array([quotient_slope(model, perp_sq) for model in models])
         q0 = (0.5 * (p[:, 2] - p[:, 3]).real - twice_b * q1) / eps
-    if one:  # no model axis
-        rn, rf, s0, s1, q0, q1 = [None if f is None else f[0] for f in (rn, rf, s0, s1, q0, q1)]
     return LineFractions(near, rn, far, rf, s0, s1, q0, q1, b, c, eps)
 
 

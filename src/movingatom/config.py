@@ -212,11 +212,6 @@ class ScenarioConfig:
     resolved: dict
 
 
-# PyYAML's loader for YAML text; None takes libyaml's CSafeLoader where PyYAML was built
-# with it (the same documents, several times faster), else SafeLoader
-_YAML_LOADER = None
-
-
 def _not_json(constant):
     raise ValueError(f"{constant} is not a JSON number")
 
@@ -234,8 +229,9 @@ def _parse(content: bytes, name: str, suffix: str):
                 raise ConfigError(f"could not parse {name}: {exc}") from None
     import yaml
     try:
-        loader = _YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        return yaml.load(content, Loader=loader)
+        # libyaml's CSafeLoader where PyYAML was built with it (the same documents, several
+        # times faster), else SafeLoader
+        return yaml.load(content, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"could not parse {name}: {exc}") from None
 

@@ -160,7 +160,6 @@ def reduced_coupling(model: CouplingModel, beta, x, n, e_lambda, e_d, epsilon):
 
 
 def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
-                     method: str = "basis_sum",
                      basis: PolarizationBasis | None = None):
     """Sum of G^2 over the two transverse polarizations: the reference.
 
@@ -170,10 +169,8 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
     `recoil_coefficient`, `transverse_dipole` or `conditional_polarization_sum`,
     the closed form every production path uses, so it checks that form (ACC-01)
     and serves the references built on it (`amplitudes.spectral_kernel`,
-    `rates.golden_rule_rates`). "basis_sum" is the one `method`.
+    `rates.golden_rule_rates`).
     """
-    if method != "basis_sum":
-        raise ValueError(f"unknown polarization_sum method {method!r}; expected 'basis_sum'")
     n = check_unit(n, "n")
     if basis is None:
         basis = polarization_basis(n)

@@ -191,7 +191,7 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
 
         lam_window = np.geomspace(window[0] / eps, window[1] / eps, window_points)
         cumulative = params.kappa * line_fractions(
-            model, n, e_d, at_rest, params).integral(np.concatenate((lam_window, fixed)))[0]
+            (model,), n, e_d, at_rest, params).integral(np.concatenate((lam_window, fixed)))[0, 0]
         scan = quadrature.CutoffScan(lambdas=lam_window, values=cumulative[:window_points],
                                      errors=np.zeros(window_points))
         cls = quadrature.classify_tail(scan, fit_points=window_points)

@@ -330,10 +330,9 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
 def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDistribution,
                         formfactor: Formfactor, uppers, tol: float, max_panels: int):
     """kappa * E[int_0^U F w] over the delta law of proj (the packet seen along n: one
-    direction, or the rows of a stack), per model (one CouplingModel, or a sequence of
-    them: a leading model axis), direction and U (last axis): values and errors, per
-    model and direction evaluations (line integrals plus rule points, per node) and
-    convergence.
+    direction, or the rows of a stack), per model (a sequence of CouplingModels: the
+    leading axis), direction and U (last axis): values and errors, per model and
+    direction evaluations (line integrals plus rule points, per node) and convergence.
 
     `wavepacket.delta_average` takes the average: a point mass's or a table's own nodes
     in one `line_fractions` build for every model; a Gaussian's first two rungs of
@@ -348,12 +347,12 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled and in row blocks (`amplitudes.in_row_blocks`, the form of s decided once
-    over all rows), to one run of integrate_adaptive's levels up to U per build (a column
-    per rule, model and direction), which raises NumericalError when they or their
-    integral are not finite: a smooth F takes one U, and a ladder of them raises
-    ValueError. NumericalError (from LineFractions.integral) names the first U whose
-    value is not finite."""
+    unscaled and in row blocks (`amplitudes.in_row_blocks`: each block takes only the
+    forms of s that its own rows need), to one run of integrate_adaptive's levels up to
+    U per build (a column per rule, model and direction), which raises NumericalError
+    when they or their integral are not finite: a smooth F takes one U, and a ladder of
+    them raises ValueError. NumericalError (from LineFractions.integral) names the first
+    U whose value is not finite."""
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
@@ -372,14 +371,14 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
                     np.ones(values.shape[:-1], dtype=bool))
         f_near = np.exp(formfactor._exponent(lines.near))
 
-        def rest(x):  # in row blocks, with s's form decided once over all rows
-            f_x, all_inside = formfactor(x), lines.taylor_only(x)
+        def rest(x):  # in row blocks
+            f_x = formfactor(x)
 
             def block(part, f_near):
                 # (F(x) - F(z)) / (x - z); x - z never vanishes, since Im z != 0
                 z, gap = part.near[..., None], x - part.near[..., None]
                 quotient = f_near[..., None] * np.expm1(formfactor._slope(x, z) * gap) / gap
-                return (f_x * part.smooth(x, all_inside)
+                return (f_x * part.smooth(x)
                         + 2.0 * (part.near_residue[..., None] * quotient).real)
 
             return sums(in_row_blocks(block, x.size, lines, f_near))
@@ -399,12 +398,12 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
     """Emission probability per steradian along n: kappa * int_0^upper w * f.
 
     n is one direction (3,) or a stack of them (..., 3), computed together (one
-    projection, one closed form per node, one run of the quadrature levels); a stack
-    gives every field of the result per direction, each as a call on that direction
-    alone would. A Gaussian climbs the rungs of `wavepacket.HERMITE_LADDER`, the first
-    two in one pass (both rungs' nodes join the closed form, and their rests are two
-    columns of the same levels), then each later one while a direction is open
-    (`_frequency_integral`).
+    projection, one closed form per node, one run of the quadrature levels), as the one
+    model of a `_frequency_integral` pass on the scenario's coupling; a stack gives every
+    field of the result per direction, each as a call on that direction alone would. A
+    Gaussian climbs the rungs of `wavepacket.HERMITE_LADDER`, the first two in one pass
+    (both rungs' nodes join the closed form, and their rests are two columns of the same
+    levels), then each later one while a direction is open.
 
     The formfactor multiplies the squared coupling, hence w exactly once. At
     each delta node (point mass, table row, or Gauss-Hermite node) the integral
@@ -435,8 +434,9 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
         raise ParameterError(f"upper_limit {upper_limit!r} must be finite and exceed the "
                              f"resonance at x = {x_star:.6g}")
     values, errors, evaluations, converged = _frequency_integral(
-        scenario, scenario.coupling, n, proj, formfactor, [float(upper_limit)], tol, max_panels)
-    return QuadratureResult(values[..., 0], errors[..., 0], evaluations, converged)
+        scenario, (scenario.coupling,), n, proj, formfactor, [float(upper_limit)], tol,
+        max_panels)
+    return QuadratureResult(values[0, ..., 0], errors[0, ..., 0], evaluations[0], converged[0])
 
 
 @dataclass(frozen=True)

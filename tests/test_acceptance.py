@@ -89,8 +89,7 @@ def test_acceptance_01_structural_identity():
 
         params = DimensionlessParams(epsilon=eps, gamma_tilde=gt)
         basis = rotate_basis(polarization_basis(n), float(rng.uniform(0, 2 * np.pi)))
-        gsq = float(polarization_sum(model, beta, x, n, e_d, eps,
-                                     method="basis_sum", basis=basis))
+        gsq = float(polarization_sum(model, beta, x, n, e_d, eps, basis=basis))
         engine = x * gsq / float(lorentzian_denominator(np.array([x]), delta_eng, params)[0])
         closed = float(perpendicular_kernel(np.array([x]), delta_eng, params)[0])
         worst = max(worst, abs(engine - closed) / abs(closed))

@@ -507,7 +507,7 @@ def test_line_integral_overflow_names_the_upper_limit(model):
     # U^2/2 overflows at U = 1e200: the quadratic term is inf (roentgen) or 0 * inf = nan
     # (standard); an error naming U, not a numpy warning
     n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    lines = amplitudes.line_fractions(model, n, e_d, project(PointMass(np.zeros(3)), n),
+    lines = amplitudes.line_fractions((model,), n, e_d, project(PointMass(np.zeros(3)), n),
                                       DimensionlessParams(epsilon=0.01, gamma_tilde=0.01))
     assert np.all(np.isfinite(lines.integral([1e2, 1e3])))
     with pytest.raises(NumericalError, match=r"up to x = 1e\+200 is not finite"):
@@ -527,7 +527,7 @@ def test_line_fractions_evaluate_the_polarization_sum_once(monkeypatch, eps):
     monkeypatch.setattr(amplitudes, "conditional_polarization_sum", counted)
     n, e_d = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])
     proj = project(GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3), n)
-    amplitudes.line_fractions(CouplingModel.roentgen(), n, e_d, proj,
+    amplitudes.line_fractions((CouplingModel.roentgen(),), n, e_d, proj,
                               DimensionlessParams(epsilon=eps, gamma_tilde=0.01))
     assert seen == [(4 if eps else 1, proj.nodes.size)]
 
@@ -549,16 +549,35 @@ def _far_forms(lines, x):
 def test_smooth_evaluates_only_the_far_forms_it_uses(x, unused):
     n, e_d = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0]]), np.array([0.0, 0.0, 1.0])
     proj = project(GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3), n)
-    lines = amplitudes.line_fractions(CouplingModel.roentgen(), n, e_d, proj,
+    lines = amplitudes.line_fractions((CouplingModel.roentgen(),), n, e_d, proj,
                                       DimensionlessParams(0.01, 0.01))
-    assert np.array_equal(lines.smooth(x), _far_forms(lines, x))
+    assert np.array_equal(lines.smooth(x)[0], _far_forms(lines, x)[0])
     if unused:  # a form that no point takes is not evaluated: its coefficient may be absent
-        assert np.array_equal(dataclasses.replace(lines, **{unused: None}).smooth(x),
-                              _far_forms(lines, x))
+        assert np.array_equal(dataclasses.replace(lines, **{unused: None}).smooth(x)[0],
+                              _far_forms(lines, x)[0])
 
 
 _FUZZ_MODELS = {"roentgen": CouplingModel.roentgen(), "standard": CouplingModel.standard(),
                 "roentgen_no_recoil_term": CouplingModel(kind="roentgen", include_recoil_term=False)}
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.2])
+def test_a_one_model_build_has_the_bits_of_a_build_of_several(eps):
+    # a point mass at one upper limit or point: a complex product of residue and kinematics
+    # holds one value per model, which numpy's scalar loop (operands of unequal rank) put an
+    # ulp off the vector loop of a build for several models
+    n, e_d = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])
+    proj = project(PointMass(np.array([2e-3, -1e-3, 5e-4])), n)
+    models, params = tuple(_FUZZ_MODELS.values()), DimensionlessParams(eps, 0.01)
+    several = amplitudes.line_fractions(models, n, e_d, proj, params)
+    factor = np.exp(-several.near)
+    for i, model in enumerate(models):
+        one = amplitudes.line_fractions((model,), n, e_d, proj, params)
+        for upper in (0.5, 2.0, 40.0, 900.0):
+            assert np.array_equal(one.near_integral([upper], factor),
+                                  several.near_integral([upper], factor)[i:i + 1])
+            assert np.array_equal(one.integral([upper]), several.integral([upper])[i:i + 1])
+            assert np.array_equal(one.smooth([upper]), several.smooth([upper])[i:i + 1])
 
 
 def mp_line_integral(mp, model, theta, beta, eps, gt, upper):
@@ -653,7 +672,7 @@ def test_line_integral_inside_a_narrow_line_matches_40_digits():
     mp = pytest.importorskip("mpmath")
     eps, gt = 1e-5, 1e-4
     n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    lines = amplitudes.line_fractions(CouplingModel.roentgen(), n, e_d,
+    lines = amplitudes.line_fractions((CouplingModel.roentgen(),), n, e_d,
                                       project(PointMass(np.zeros(3)), n),
                                       DimensionlessParams(epsilon=eps, gamma_tilde=gt))
     mp.mp.dps = 40
@@ -666,7 +685,7 @@ def test_line_integral_inside_a_narrow_line_matches_40_digits():
         return x**3 * (1 - eps_m * x) ** 2 / (d * d + gt_m * gt_m / 4)
 
     uppers = [1.0, float(x_star - half), float(x_star + 0.3 * half), float(x_star + 10 * half)]
-    got = lines.integral(uppers)[0]
+    got = lines.integral(uppers)[0, 0]
     for upper, value in zip(uppers, got):
         pts = sorted({x_star + s * half * m for s in (-1, 1) for m in (1, 30)} | {x_star})
         ref = mp.quad(w, [0] + [p for p in pts if p < upper] + [mp.mpf(upper)])

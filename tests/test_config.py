@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from movingatom import config, quadrature
+from movingatom import quadrature
 from movingatom.config import (ConfigError, build_config, load_config,
                                load_raw)
 from movingatom.spectra import Formfactor
@@ -304,10 +304,15 @@ YAML_FEATURES = """
 
 @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
 def test_yaml_loaders_read_the_same_dict(tmp_path, monkeypatch, loader):
+    # CSafeLoader where PyYAML was built with libyaml; SafeLoader as an install without it
     if not hasattr(yaml, loader):
         pytest.skip(f"PyYAML built without {loader}")
     path = write(tmp_path, "s.yaml", YAML_FEATURES)
-    monkeypatch.setattr(config, "_YAML_LOADER", getattr(yaml, loader))
+    if loader == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used, load = set(), yaml.load
+    monkeypatch.setattr(yaml, "load", lambda content, Loader: used.add(Loader)
+                        or load(content, Loader=Loader))
     assert load_raw(path) == {
         "atom": {"epsilon": 1e-3, "gamma_tilde": "1e-3"},
         "grid": {"start": 0.9, "count": 21},
@@ -317,6 +322,7 @@ def test_yaml_loaders_read_the_same_dict(tmp_path, monkeypatch, loader):
     bad = write(tmp_path, "bad.yaml", "atom: {epsilon: [0.01}\n")
     with pytest.raises(ConfigError, match="parse"):
         load_raw(bad)
+    assert used == {getattr(yaml, loader)}
 
 
 def _workload_inputs(directory):

@@ -147,15 +147,11 @@ def test_polarization_sum_gauge_invariance():
     e_d = random_direction()
     beta = rng.normal(scale=0.03, size=3)
     base = polarization_basis(n)
-    ref = float(polarization_sum(model, beta, 1.3, n, e_d, 0.01,
-                                 method="basis_sum", basis=base))
+    ref = float(polarization_sum(model, beta, 1.3, n, e_d, 0.01, basis=base))
     for angle in rng.uniform(0, 2 * np.pi, size=12):
         rot = rotate_basis(base, float(angle))
-        val = float(polarization_sum(model, beta, 1.3, n, e_d, 0.01,
-                                     method="basis_sum", basis=rot))
+        val = float(polarization_sum(model, beta, 1.3, n, e_d, 0.01, basis=rot))
         assert val == pytest.approx(ref, rel=1e-13)
-    with pytest.raises(ValueError, match="basis_sum"):  # the closed form is not a method
-        polarization_sum(model, beta, 1.3, n, e_d, 0.01, method="closed_form")
 
 
 def test_perpendicular_momentum_shift_flips_and_doubles():
@@ -229,7 +225,7 @@ def test_conditional_polarization_sum_matches_full_average(model):
         q0, q1, q2 = conditional_polarization_sum(model, x, n, e_d, eps, proj)
         for k in range(3):
             full = expectation(dist, lambda b: (b @ n) ** k * polarization_sum(
-                model, b, x, n, e_d, eps, method="basis_sum"), order=8).value
+                model, b, x, n, e_d, eps), order=8).value
             mixed = float(np.sum(proj.weights * proj.nodes**k * (q0 + u * (q1 + u * q2))))
             assert mixed == pytest.approx(full, rel=1e-11, abs=1e-15)
 

@@ -174,7 +174,7 @@ def quad_reference_w(model, dist, n, eps, gt, x_values):
 
     def point_w(x, delta):
         betas = dist.mean + (delta - mu) * gain + np.array(spread)
-        gsq = np.mean(polarization_sum(model, betas, x, n, E_D, eps, method="basis_sum"))
+        gsq = np.mean(polarization_sum(model, betas, x, n, E_D, eps))
         d = 1.0 - x * (1.0 - delta) - eps * x * x
         return x**3 * gsq / (d * d + 0.25 * gt * gt)
 
@@ -535,7 +535,7 @@ def test_smooth_formfactor_matches_quad(ff, eps):
     x_star = float(resonance_root(delta, eps))
 
     def f(x):
-        gsq = float(polarization_sum(sc.coupling, beta, x, N_45, E_D, eps, method="basis_sum"))
+        gsq = float(polarization_sum(sc.coupling, beta, x, N_45, E_D, eps))
         d = 1.0 - x * (1.0 - delta) - eps * x * x
         return sc.kappa * float(ff(x)) * x**3 * gsq / (d * d + 0.25 * gt * gt)
 
@@ -621,7 +621,7 @@ def test_smooth_formfactor_takes_one_upper_limit():
     scenario, gauss = make_scenario(), Formfactor(kind="gaussian", cutoff=10.0)
     proj = project(scenario.distribution, N_PERP)
     with pytest.raises(ValueError):
-        spectra._frequency_integral(scenario, scenario.coupling, N_PERP, proj, gauss,
+        spectra._frequency_integral(scenario, (scenario.coupling,), N_PERP, proj, gauss,
                                     [20.0, 40.0], 1e-9, 4096)
 
 
@@ -631,27 +631,29 @@ DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(), NO_RECO
 def fixed_order_reference(scenario, model, row, proj, formfactor, uppers, tol=1e-9,
                           max_panels=4096):
     """`spectra._frequency_integral` on the nodes of `proj` alone, one model and one
-    direction `row`: a `line_fractions(model, ...)` build and its `integral` (or a `_levels`
-    run of the smooth rest); (values, errors, evaluations, converged)."""
+    direction `row`: a `line_fractions((model,), ...)` build and its `integral` (or a
+    `_levels` run of the smooth rest); (values, errors, evaluations, converged)."""
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
-    lines = amplitudes.line_fractions(model, row, scenario.dipole_axis, proj, scenario.params)
+    lines = amplitudes.line_fractions((model,), row, scenario.dipole_axis, proj,
+                                      scenario.params)
     kappa, weights = scenario.kappa, proj.weights
     if formfactor.kind in ("none", "sharp"):
-        values = kappa * (weights @ lines.integral(uppers))
+        values = kappa * (weights @ lines.integral(uppers)[0])
         return values, np.zeros_like(values), weights.size * uppers.size, True
     z = lines.near[..., None]
     f_near = np.exp(formfactor._exponent(z))
 
     def rest(x):
         quotient = f_near * np.expm1(formfactor._slope(x, z) * (x - z)) / (x - z)
-        return weights @ (formfactor(x) * lines.smooth(x)
-                          + 2.0 * np.real(lines.near_residue[..., None] * quotient))
+        return weights @ (formfactor(x) * lines.smooth(x)[0]
+                          + 2.0 * np.real(lines.near_residue[0, ..., None] * quotient))
 
     value, error, count, converged = quadrature._levels(rest, 0.0, uppers.item(), tol,
                                                         max_panels)
-    values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0]) + value[..., None])
+    values = kappa * (weights @ lines.near_integral(uppers, f_near[..., 0])[0]
+                      + value[..., None])
     return values, kappa * error[..., None], weights.size * (1 + count), converged
 
 
@@ -717,8 +719,8 @@ def test_one_pass_equals_a_pass_per_model_and_order(monkeypatch, packet, stacked
                                              uppers, 1e-9, 4096)
         for i, model in enumerate(DIVERGENCE_MODELS):
             ref = per_model_reference(scenario, model, n, formfactor, uppers)
-            alone = spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
-                                                1e-9, 4096)
+            alone = [field[0] for field in spectra._frequency_integral(
+                scenario, (model,), n, proj, formfactor, uppers, 1e-9, 4096)]
             # values, errors, evaluations, converged; the reference's converged=True of a
             # closed form stands for every direction, and a count that the models share has
             # no model axis
@@ -768,38 +770,54 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case, formfactor, mo
     # the smooth rest up to the reach U = 100 of a gaussian or exponential formfactor, or the
     # closed forms on a ladder of 32 cutoffs, in row blocks and with every row in one block:
     # the same bits in every field, the stack's on each Hermite ladder. Some rows' far poles
-    # lie beyond the rule's widest point and some inside it, so a block of sorted rows may
-    # see only one side of the Taylor form's decision, which is taken once over all rows.
-    model = CouplingModel.roentgen() if models == "one" else DIVERGENCE_MODELS
+    # lie beyond the rule's widest point and some inside it, and each block picks the far
+    # forms of `smooth` for its own rows: under a smooth formfactor some blocks take the
+    # Taylor form alone (without the direct form's coefficients) and some mix the forms,
+    # while one block of every row mixes them.
+    models = (CouplingModel.roentgen(),) if models == "one" else DIVERGENCE_MODELS
     uppers = np.geomspace(1e2, 1e4, 32) if formfactor.kind == "none" else [100.0]
     blocks, rows, row_block = [], amplitudes.LineFractions.rows, amplitudes.ROW_BLOCK
+    forms, smooth = set(), amplitudes.LineFractions.smooth
 
     def spy(self, block=slice(None)):
         blocks.append(block)
         return rows(self, block)
 
+    def smooth_spy(self, x):  # the far forms this block's points take
+        inside = np.abs(np.asarray(x)[None, :] / self.far[..., None]) < 1.0
+        value = smooth(self, x)
+        if inside.all():
+            assert_same_bits(smooth(dataclasses.replace(self, q0=None, q1=None), x), value)
+        forms.add("taylor" if inside.all() else "mixed" if inside.any() else "direct")
+        return value
+
     monkeypatch.setattr(amplitudes.LineFractions, "rows", spy)
+    monkeypatch.setattr(amplitudes.LineFractions, "smooth", smooth_spy)
     for ladder in each_ladder(monkeypatch) if case == "stack" else [None]:
         monkeypatch.setattr(amplitudes, "ROW_BLOCK", row_block)
         dist, n = row_block_case(case)
         scenario = make_scenario(eps=0.01, gt=1e-3, dist=dist)
         proj = project(dist, n)
-        lines = amplitudes.line_fractions(model, n, E_D, proj, scenario.params)
+        lines = amplitudes.line_fractions(models, n, E_D, proj, scenario.params)
         far = np.abs(lines.far)
         assert far.min() < 0.998 * 100.0 < 100.0 < far.max()
 
         def run():
-            return (*spectra._frequency_integral(scenario, model, n, proj, formfactor, uppers,
+            return (*spectra._frequency_integral(scenario, models, n, proj, formfactor, uppers,
                                                  1e-10, 4096),
                     lines.near_integral(np.geomspace(1e2, 1e4, 32), np.exp(-lines.near)))
 
         blocks.clear()
+        forms.clear()
         blocked = run()
         assert sum(block != slice(None) for block in blocks) >= 3, ladder
+        assert forms == (set() if formfactor.kind == "none" else {"taylor", "mixed"}), ladder
         monkeypatch.setattr(amplitudes, "ROW_BLOCK", 1 << 62)  # every row in one block
         blocks.clear()
+        forms.clear()
         whole = run()
         assert blocks == []
+        assert forms == (set() if formfactor.kind == "none" else {"mixed"}), ladder
         for got, want in zip(blocked, whole):
             assert_same_bits(got, want)
 
@@ -851,7 +869,7 @@ def test_large_gaussian_stack_equals_each_direction_alone(monkeypatch):
             for name in ("value", "error_estimate", "evaluations", "converged"):
                 assert np.array_equal(getattr(stacked, name),
                                       [getattr(a, name) for a in alone]), (name, ladder)
-            orders = kept[first:]  # the stack's, then each direction's
+            orders = [o[0] for o in kept[first:]]  # the stack's, then each direction's
             assert np.array_equal(orders[0], [int(o) for o in orders[1:]])
             if count == 24:
                 assert_mixed_orders(orders[0])
@@ -901,9 +919,9 @@ def test_ladder_sweep_is_within_tol_of_order_64_where_converged():
         upper = x_star + gt * 10 ** rng.uniform(0.0, np.log10(1e4 / gt))
         formfactor = (Formfactor.none() if kind == "none"
                       else Formfactor(kind, float(rng.uniform(2.0, 50.0))))
-        res = spectra._frequency_integral(scenario, model, n, project(dist, n, order=8),
+        res = spectra._frequency_integral(scenario, (model,), n, project(dist, n, order=8),
                                           formfactor, [upper], tol, 2 ** 16)
-        value, converged = float(res[0][0]), bool(res[3])
+        value, converged = float(res[0][0, 0]), bool(res[3][0])
         ref_proj = project(dist, n, order=64)
         ref = float(fixed_order_reference(scenario, model, n, ref_proj, formfactor, [upper],
                                           1e-3 * tol, 2 ** 16)[0][0])
