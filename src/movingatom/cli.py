@@ -107,7 +107,7 @@ def _write(out_dir: Path, outputs, manifest: dict) -> list[str]:
 
 
 def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
-    result = directional_spectrum(cfg.scenario, cfg.direction, cfg.x_grid, tol=cfg.tol)
+    result = directional_spectrum(cfg.scenario, cfg.direction, cfg.x_grid)
     for warning in result.metadata["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     kappa = result.metadata["kappa"]

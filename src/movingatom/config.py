@@ -24,7 +24,7 @@ import numpy as np
 
 from .coupling import CouplingModel
 from .geometry import as_unit, direction_from_angles, polarization_basis
-from .quadrature import FIT_POINTS, MIN_FIT_POINTS
+from .quadrature import FIT_POINTS, MIN_FIT_POINTS, geometric_cutoffs
 from .rates import VARIANTS, with_variant
 from .spectra import EmissionScenario, Formfactor
 from .units import (DimensionlessParams, ParameterError, PhysicalInput,
@@ -377,7 +377,7 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     scan = s["scan"]
     if not scan["lambda_max"] > scan["lambda_min"]:
         raise ConfigError("'scan': lambda_max must exceed lambda_min")
-    lambdas = np.geomspace(scan["lambda_min"], scan["lambda_max"], scan["points"])
+    lambdas = geometric_cutoffs(scan["lambda_min"], scan["lambda_max"], scan["points"])
 
     try:
         formfactor = Formfactor(**s["formfactor"])

@@ -180,7 +180,8 @@ class CutoffScan:
 
 
 def geometric_cutoffs(lo: float = 1e2, hi: float = 1e4, n: int = 16) -> np.ndarray:
-    """Default cutoff ladder: n geometrically spaced points on [lo, hi]."""
+    """Every cutoff ladder (the default scan, a configured scan, a limit-ordering window):
+    n geometrically spaced points on [lo, hi]."""
     if not (0 < lo < hi) or n < 2:
         raise ValueError("need 0 < lo < hi and n >= 2")
     return np.geomspace(lo, hi, n)

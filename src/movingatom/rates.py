@@ -189,7 +189,7 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         r_unshifted, r_shifted = rate(unshifted, params), rate(model, params)
         rel = abs(r_shifted - r_unshifted) / r_unshifted
 
-        lam_window = np.geomspace(window[0] / eps, window[1] / eps, window_points)
+        lam_window = quadrature.geometric_cutoffs(window[0] / eps, window[1] / eps, window_points)
         cumulative = params.kappa * line_fractions(
             (model,), n, e_d, at_rest, params).integral(np.concatenate((lam_window, fixed)))[0, 0]
         scan = quadrature.CutoffScan(lambdas=lam_window, values=cumulative[:window_points],

@@ -13,9 +13,7 @@ case integrates to 1 over the sphere). The average < . > is exact in every
 direction: a Faddeeva closed form for Gaussian packets, its w(z) from `faddeeva`
 (numpy only: Algorithm 916 of Zaghloul & Ali, ACM TOMS 38, 2011, and the Laplace
 continued fraction of Gautschi 1970 and Poppe & Wijers, ACM TOMS 16, 1990), and
-weighted sums over delta = n.beta for point masses and tables;
-`directional_spectrum(method="full3d")` keeps a tensor Gauss-Hermite rule over
-the full velocity as the independent oracle.
+weighted sums over delta = n.beta for point masses and tables.
 
 The frequency integral of w decides everything interesting: with the
 velocity-dependent coupling at the recoil-shifted momentum it grows like
@@ -37,19 +35,20 @@ import numpy as np
 
 from . import quadrature
 from .amplitudes import (detuning, in_row_blocks, line_fractions, lorentzian_denominator,
-                         resonance_root, spectral_kernel)
+                         resonance_root)
 from .coupling import (CouplingModel, conditional_polarization_sum, quotient_slope,
                        transverse_dipole)
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
 from .units import DimensionlessParams, ParameterError
-from .wavepacket import (MomentumDistribution, ProjectedDistribution, delta_average,
-                         expectation, project)
+from .wavepacket import MomentumDistribution, ProjectedDistribution, delta_average, project
 
 # Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
 # ~ |zeta|^2 eps_mach); there no Gauss-Hermite delta node nears the pole.
 _FAR_WING = 20.0
+# Gauss-Hermite nodes of a Gaussian's weighted sums in that wing
+_WING_ORDER = 40
 
 
 class PhysicsRejection(RuntimeError):
@@ -219,8 +218,8 @@ def _doppler_w(scenario: EmissionScenario, n: np.ndarray, proj: ProjectedDistrib
 
     with W the Faddeeva function (`faddeeva`: Algorithm 916 of Zaghloul & Ali, ACM
     TOMS 38, 2011, and the Laplace continued fraction of Poppe & Wijers, ACM TOMS 16,
-    1990). Point masses, tables and a Gaussian's far wing (x = 0 or |zeta| > _FAR_WING)
-    are weighted sums over the delta nodes, formed only there.
+    1990). Point masses, tables and a Gaussian's far wing (x = 0 or |zeta| > _FAR_WING,
+    on its _WING_ORDER nodes) are weighted sums over the delta nodes, formed only there.
     """
     params = scenario.params
     eps = params.epsilon
@@ -246,44 +245,14 @@ def _doppler_w(scenario: EmissionScenario, n: np.ndarray, proj: ProjectedDistrib
     return w
 
 
-def _full_w(scenario: EmissionScenario, n: np.ndarray, x_values: np.ndarray,
-            order: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """w(x) by direct 3D expectation of the general-geometry kernel.
-
-    The x^2 mode-density factor is placed inside the per-node integrand, so
-    the average over nodes is a weighted sum of complete point-mass spectra:
-    that makes the pure-state average and the point-mass mixture identical
-    floating-point reductions (see the wavepacket module).
-    """
-    params = scenario.params
-    model = scenario.coupling
-    e_d = scenario.dipole_axis
-    x_values = np.asarray(x_values, dtype=float)
-    w = np.empty(x_values.size)
-    err = np.empty(x_values.size)
-    for j, x in enumerate(x_values):
-        x = float(x)
-
-        def integrand(beta, _x=x):
-            return (_x * _x) * spectral_kernel(model, _x, n, beta, params, e_d)
-
-        res = expectation(scenario.distribution, integrand, order=order)
-        w[j] = res.value
-        err[j] = res.error
-    return w, err
-
-
 def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
-                         method: str = "auto", order: int = 40,
                          tol: float = 1e-10) -> SpectralResult:
     """Momentum-averaged emission density w(x) along direction n.
 
-    method: "auto" averages exactly over the wavepacket in every direction
-    (a Faddeeva closed form for Gaussians, weighted sums over delta for
-    point masses and tables; metadata method "exact", error 0). "full3d"
-    is the independent oracle path: a tensor Gauss-Hermite rule of `order`
-    over the full velocity, with an order-doubling error that must stay
-    within tol*|w| (NumericalError otherwise). Multiply w by scenario.kappa
+    The average over the wavepacket is exact in every direction (`_doppler_w`: a
+    Faddeeva closed form for Gaussians, weighted sums over delta for point masses and
+    tables), so the metadata method is "exact" and the error is 0. `tol` has no effect
+    here; it stays because movbench/worker.py passes it. Multiply w by scenario.kappa
     (in the metadata) for probability per steradian per unit x.
     """
     n = check_unit(n, "n")
@@ -295,19 +264,8 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
     if np.logical_or.reduce(x_grid < 0):
         raise ValueError("reduced frequencies must be non-negative")
 
-    proj = project(scenario.distribution, n, order=order)
-    if method == "auto":
-        method = "exact"
-        w = _doppler_w(scenario, n, proj, x_grid)
-        err = np.zeros(w.shape)
-    elif method == "full3d":
-        w, err = _full_w(scenario, n, x_grid, order=order)
-        bad = np.flatnonzero(err > tol * np.abs(w))
-        if bad.size:
-            raise NumericalError(f"full3d Gauss-Hermite rule of order {order} misses tol {tol:g} "
-                                 f"at x = {x_grid[bad[0]]:.9g} (error {err[bad[0]]:.3g})")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    proj = project(scenario.distribution, n, order=_WING_ORDER)
+    w = _doppler_w(scenario, n, proj, x_grid)
 
     x_star = float(resonance_root(proj.mean, scenario.params.epsilon))
     doppler_width = (x_star**2) * proj.sigma
@@ -319,12 +277,12 @@ def directional_spectrum(scenario: EmissionScenario, n, x_grid, *,
 
     metadata = {
         "kappa": scenario.kappa,
-        "method": method,
+        "method": "exact",
         "model": scenario.coupling.label,
         "resonance_x": x_star,
         "warnings": warnings,
     }
-    return SpectralResult(direction=n, x=x_grid, w=w, error=err, metadata=metadata)
+    return SpectralResult(direction=n, x=x_grid, w=w, error=np.zeros(w.shape), metadata=metadata)
 
 
 def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDistribution,

@@ -25,7 +25,7 @@ per order, on first use, and shared as read-only arrays.
 `expectation` averages any function of the full velocity, with tensorized
 Gauss-Hermite quadrature for Gaussians (exact for polynomial integrands,
 spectrally accurate for smooth kernels) and an error estimate obtained by
-doubling the order; it backs the spectra module's `full3d` oracle path.
+doubling the order; the tests' `full3d` oracle of the spectrum averages with it.
 `expectation` reduces with `weighted_sum`, i.e. np.sum(weights * values),
 so a mixture of point-mass results over the same nodes with the same
 weights is *bitwise* equal to it: on that path (ACC-08) pure-state and

@@ -1,11 +1,12 @@
 """The names movbench reaches into must keep resolving.
 
 movbench/tracer.py wraps the functions listed in its WRAPPED table by name,
-and movbench/worker.py passes `max_panels=` to two library calls and reads
+and movbench/worker.py passes keyword arguments to the `spectra` calls and reads
 fields of the loaded `ScenarioConfig`. The tracer is loaded read-only from
 its file (no bytecode written next to it); the worker is only read as text.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -18,6 +19,7 @@ from movingatom import spectra
 from movingatom.config import ScenarioConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "movbench" / "tracer.py"
+WORKER = TRACER.parent / "worker.py"
 
 
 def _load_tracer():
@@ -40,13 +42,21 @@ def test_every_wrapped_name_resolves():
 
 
 def test_worker_keyword_arguments_are_accepted():
-    for fn in (spectra.directional_probability, spectra.divergence_comparison):
-        assert "max_panels" in inspect.signature(fn).parameters, fn.__name__
+    # read as text: every keyword of every spectra.<name>(...) call in movbench/worker.py
+    passed = {(node.func.attr, keyword.arg)
+              for node in ast.walk(ast.parse(WORKER.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "spectra"
+              for keyword in node.keywords}
+    assert passed, "movbench/worker.py no longer passes a keyword to any spectra call"
+    missing = sorted((name, arg) for name, arg in passed
+                     if arg not in inspect.signature(getattr(spectra, name)).parameters)
+    assert not missing, f"spectra functions no longer accept {missing}"
 
 
 def test_scenario_config_has_every_field_the_worker_reads():
     # read as text: nothing is imported from, or written next to, movbench/worker.py
-    source = (TRACER.parent / "worker.py").read_text()
+    source = WORKER.read_text()
     read = set(re.findall(r"\bcfg\.(\w+)", source))
     fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
     assert read, "movbench/worker.py no longer reads any cfg.<field>"

@@ -325,7 +325,7 @@ def test_doppler_spectrum_is_the_numpy_formula_bit_for_bit(packet):
     for model in MODELS:
         scenario = spectra.EmissionScenario(DimensionlessParams(0.01, 1e-3), model,
                                             PACKETS[packet], E_D)
-        proj = project(PACKETS[packet], N_ONE, order=40)  # `directional_spectrum`'s order
+        proj = project(PACKETS[packet], N_ONE, order=spectra._WING_ORDER)
         for x in grids:
             assert same(spectra._doppler_w(scenario, N_ONE, proj, x),
                         ref_doppler_w(scenario, N_ONE, proj, x)), (model.label, x)

@@ -41,6 +41,20 @@ def make_scenario(eps=0.01, gt=0.01, dist=None, model=None):
     )
 
 
+def full3d_w(scenario, n, x_grid, order=40):
+    """The `full3d` oracle: w(x) and its order-doubling error by `expectation` of the
+    basis-sum kernel over the full velocity (a tensor Gauss-Hermite rule for a Gaussian).
+    The x^2 mode density sits inside each node's integrand, so the average is a weighted
+    sum of complete point-mass spectra (ACC-08)."""
+    w, err = np.empty(len(x_grid)), np.empty(len(x_grid))
+    for j, x in enumerate(x_grid):
+        x = float(x)
+        res = expectation(scenario.distribution, lambda beta: (x * x) * spectral_kernel(
+            scenario.coupling, x, n, beta, scenario.params, scenario.dipole_axis), order)
+        w[j], err[j] = res.value, res.error
+    return w, err
+
+
 # ---------------------------------------------------------------------------
 # formfactor
 # ---------------------------------------------------------------------------
@@ -79,10 +93,9 @@ def test_projected_and_full3d_agree_for_point_mass():
     sc = make_scenario(dist=PointMass(np.array([0.02, 0.015, 0.0])))
     x = np.linspace(0.9, 1.15, 41)
     fast = directional_spectrum(sc, N_PERP, x)
-    slow = directional_spectrum(sc, N_PERP, x, method="full3d")
-    assert np.max(np.abs(fast.w - slow.w) / np.abs(slow.w)) < 1e-8
+    slow = full3d_w(sc, N_PERP, x)[0]
+    assert np.max(np.abs(fast.w - slow) / np.abs(slow)) < 1e-8
     assert fast.metadata["method"] == "exact"
-    assert slow.metadata["method"] == "full3d"
 
 
 def test_auto_method_selection():
@@ -93,8 +106,6 @@ def test_auto_method_selection():
     tilted = np.array([0.6, 0.0, 0.8])
     res2 = directional_spectrum(sc, tilted, x)
     assert res2.metadata["method"] == "exact"
-    with pytest.raises(ValueError):
-        directional_spectrum(sc, tilted, x, method="projected")
 
 
 def test_grid_validation():
@@ -142,8 +153,8 @@ def test_tabulated_spectrum_is_weighted_mixture():
              for d in deltas]
     expected = weights[0] * parts[0] + weights[1] * parts[1] + weights[2] * parts[2]
     assert np.allclose(mixed.w, expected, rtol=1e-12)
-    slow = directional_spectrum(sc, N_PERP, x, method="full3d")  # the table's velocity nodes
-    assert np.max(np.abs(mixed.w - slow.w) / np.abs(slow.w)) < 1e-8
+    slow = full3d_w(sc, N_PERP, x)[0]  # the table's velocity nodes
+    assert np.max(np.abs(mixed.w - slow) / np.abs(slow)) < 1e-8
 
 
 def test_gaussian_doppler_average_converges():
@@ -339,15 +350,16 @@ def test_full3d_reports_unresolved_narrow_line():
     dist = GaussianPacket.along_direction(np.zeros(3), sigma, N_PERP)
     sc = make_scenario(eps=0.0, gt=gt, dist=dist)
     x = 1.0 + np.linspace(-2.5 * sigma, 2.5 * sigma, 11)
-    with pytest.raises(NumericalError, match="full3d"):
-        directional_spectrum(sc, N_PERP, x, method="full3d")
+    w, err = full3d_w(sc, N_PERP, x)
+    assert np.any(err > 1e-10 * np.abs(w))
 
 
 # The coupling algebra and the averaging of the production paths; the references must run
 # without either.
 PRODUCTION_ALGEBRA = ("bracket", "recoil_coefficient", "transverse_dipole", "quotient_slope",
                       "polarization_geometry", "conditional_polarization_sum", "line_fractions")
-PRODUCTION_AVERAGING = ("delta_average", "faddeeva", "_doppler_w", "_levels", "in_row_blocks")
+PRODUCTION_AVERAGING = ("delta_average", "faddeeva", "_doppler_w", "_levels", "in_row_blocks",
+                        "project")
 
 
 def _stub_production(monkeypatch, names, what):
@@ -370,9 +382,9 @@ def test_references_share_no_coupling_algebra_with_production(monkeypatch):
     """The references (the `full3d` oracle, `golden_rule_rates` over `expectation`, the
     kernels and the basis sum) match the production values, taken first, with production's
     coupling algebra and averaging stubbed. A reference may use of production code only the
-    Gauss rules (`gauss_rule`, `_hermite_rule`), `project` (for the spectrum's metadata),
-    `resonance_root`, `detuning`, `lorentzian_denominator`, `doppler_projection` and the
-    basis sum (`polarization_sum`, `reduced_coupling`, `shifted_velocity`)."""
+    Gauss rules (`gauss_rule`, `_hermite_rule`), `resonance_root`, `detuning`,
+    `lorentzian_denominator`, `doppler_projection` and the basis sum (`polarization_sum`,
+    `reduced_coupling`, `shifted_velocity`)."""
     model, eps = CouplingModel.roentgen(), 0.01
     n = np.array([0.48, 0.6, 0.64]) / np.linalg.norm([0.48, 0.6, 0.64])
     beta = np.array([0.02, 0.015, -0.01])
@@ -405,7 +417,7 @@ def test_references_share_no_coupling_algebra_with_production(monkeypatch):
         with pytest.raises(AssertionError, match="production averaging"):
             production()
     for sc, want in zip(scenarios, exact):
-        got = directional_spectrum(sc, n, x, method="full3d", order=20).w
+        got = full3d_w(sc, n, x, order=20)[0]
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
     rates = expectation(packet, lambda b: golden_rule_rates(b, n, E_D, scenarios[0].params,
                                                             model), order=40).value
