@@ -24,7 +24,7 @@ import numpy as np
 
 from .coupling import CouplingModel
 from .geometry import as_unit, direction_from_angles, polarization_basis
-from .quadrature import FIT_POINTS, MIN_FIT_POINTS, geometric_cutoffs
+from .quadrature import geometric_cutoffs
 from .rates import VARIANTS, with_variant
 from .spectra import EmissionScenario, Formfactor
 from .units import (DimensionlessParams, ParameterError, PhysicalInput,
@@ -128,7 +128,7 @@ _KEYS = {
     "grid": {"start": (_NONNEGATIVE, 0.8), "stop": (_POSITIVE, 1.2),
              "count": (_integer(2), 241), "spacing": (_choice("linear", "log"), "linear")},
     "scan": {"lambda_min": (_POSITIVE, 1e2), "lambda_max": (_POSITIVE, 1e4),
-             "points": (_integer(FIT_POINTS), 16)},  # classify_tail fits the last FIT_POINTS
+             "points": (_integer(2), 16)},  # the fewest that geometric_cutoffs takes
     "formfactor": {"kind": (_choice(*Formfactor._KINDS), "none"), "cutoff": (_number(), None)},
     "probability": {"upper_limit": (_POSITIVE, None)},
     "pattern": {"mode": (_choice("golden_rule", "integrated"), "golden_rule"),
@@ -136,7 +136,7 @@ _KEYS = {
                 "theta_points": (_integer(2), 73), "phi": (_number(), 0.0)},
     "limit_ordering": {"epsilons": (_list(_POSITIVE), [1e-2, 1e-3, 1e-4]),
                        "window": (_list(_number(), 2), [30.0, 100.0]),
-                       "window_points": (_integer(MIN_FIT_POINTS), 6),
+                       "window_points": (_integer(2), 6),
                        "fixed_cutoffs": (_list(_POSITIVE), [1e2, 1e3, 1e4])},
     # time_step and record_every set only the recording grid: the evolution is exact
     "oracle": {"modes": (_integer(3), 2001), "half_width": (_POSITIVE, 0.05),

@@ -33,10 +33,11 @@ the recoil term, -2 from the momentum shift). Sum G^2 has one closed form,
 the production `conditional_polarization_sum` (exact given delta over a
 wavepacket's projection), which uses the bracket; its x^2 coefficient over
 eps^2, k^2 |e_perp|^2, is `quotient_slope`, the growth the divergence verdict
-reads. The reference is `polarization_sum`, the explicit sum over a
-polarization basis of `reduced_coupling`, which writes the shifted velocity
-out and shares none of that algebra. The references `amplitudes.spectral_kernel`
-(the `full3d` oracle) and `rates.golden_rule_rates` are built on it, and
+reads, and `growth_kind` names the growth law it implies. The reference is
+`polarization_sum`, the explicit sum over a polarization basis of
+`reduced_coupling`, which writes the shifted velocity out and shares none of
+that algebra. The references `amplitudes.spectral_kernel` (the `full3d` oracle)
+and `rates.golden_rule_rates` are built on it, and
 `amplitudes.perpendicular_kernel` writes the shifted velocity out the same way.
 
 Shapes: `beta` is (3,) or (..., 3); `x` is a scalar or an array whose shape
@@ -198,6 +199,17 @@ def quotient_slope(model: CouplingModel, perp_sq):
     A = k^2 |e_perp|^2 / 2 for every wavepacket: 0 for the standard dipole, for k = 0, and
     along the dipole axis."""
     return recoil_coefficient(model) ** 2 * perp_sq
+
+
+def growth_kind(a: float, last: float) -> str:
+    """The growth law of kappa^-1 int_0^Lambda w for eps > 0, from its Lambda^2 coefficient
+    a (half a `quotient_slope`) and its value `last` at a scan's last cutoff: "power" where
+    a > 0, else "logarithmic" where last > 0, else "convergent" (the integral is 0 at every
+    cutoff). a = 0 only where k = 0 or |e_perp|^2 = 0, and then
+    `conditional_polarization_sum` holds no x: the standard model's is |e_perp|^2, and
+    along the axis the bracket multiplies only |e_perp|^2 and e_perp.beta, both 0. So
+    kappa^-1 w ~ sum G^2 / (eps^2 x) at large x, which integrates to a logarithm or to 0."""
+    return "power" if a > 0 else "logarithmic" if last > 0 else "convergent"
 
 
 def polarization_geometry(n, e_d, proj):

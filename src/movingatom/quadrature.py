@@ -1,4 +1,4 @@
-"""Frequency-axis integration: Gauss-Legendre panels, cutoff scans, tail fits.
+"""Frequency-axis integration: Gauss-Legendre panels, cutoff scans, and a tail fit.
 
 The library's frequency integrals are closed forms over each line's partial
 fractions (amplitudes.line_fractions); quadrature is left for the smooth
@@ -12,6 +12,9 @@ remainders of formfactor-damped integrands. Three tools:
 * classify_tail: the growth law of a scan (convergent, logarithmic, power
   Lambda^p) from a log-log fit of its increments, with its residual; its
   lines, like every least-squares line of the package, come from `fit_line`.
+  No production path fits a tail: the growth law a run reports is exact
+  (coupling.growth_kind). The fit is the reference that the tests and the
+  benchmark's tracer apply to the scans a run reports.
 
 Its 32-point Gauss-Legendre rule and the Gauss-Hermite rules of the wavepacket
 module come from `gauss_rule`, which needs no eigen-solver and so no LAPACK.
@@ -205,7 +208,8 @@ def cutoff_scan(f, lambdas, *, tol: float = 1e-9, max_panels: int = 2048) -> Cut
 
 @dataclass(frozen=True)
 class TailClassification:
-    """Measured growth law of a cutoff-regulated integral.
+    """Growth law of a cutoff-regulated integral: `classify_tail`'s measurement, or,
+    with only `kind` set, the exact law that `spectra.divergence_comparison` reports.
 
     kind: "convergent", "logarithmic", "power", or "ambiguous" (no hypothesis
         passed its threshold; never a silent guess).

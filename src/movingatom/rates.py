@@ -42,7 +42,7 @@ import numpy as np
 from . import quadrature
 from .amplitudes import line_fractions, resonance_root
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
-                       polarization_sum)
+                       growth_kind, polarization_sum, quotient_slope)
 from .geometry import check_unit
 from .units import DimensionlessParams
 from .wavepacket import PointMass, ProjectedDistribution, delta_average, project
@@ -123,7 +123,6 @@ class LimitOrderingRow:
     rel_difference: float
     window_lambdas: np.ndarray
     window_cumulative: np.ndarray
-    growth_exponent: float | None
     growth_kind: str
     fixed_cumulative: np.ndarray
     converged: bool
@@ -154,8 +153,8 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
       formfactor -- the mode sum taken first -- on a cutoff ladder spanning
       `window` in units of 1/eps (the integrand turns over at x ~ 1/eps, so
       a fixed window in eps*x probes the true asymptotic growth at every
-      eps; growth exponent fitted per ladder), and at the `fixed_cutoffs`
-      (positive and finite).
+      eps), and at the `fixed_cutoffs` (positive and finite). Its `growth_kind` is
+      `coupling.growth_kind` of the exact A = 1/2 (k = -1, and |e_perp|^2 = 1).
       Both are closed forms (amplitudes.line_fractions): every row is exact,
       and a cutoff whose value overflows raises NumericalError.
 
@@ -177,6 +176,7 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
     model = CouplingModel.roentgen()
     unshifted = replace(model, apply_momentum_shift=False)
     at_rest = project(PointMass(np.zeros(3)), n)
+    a = 0.5 * quotient_slope(model, 1.0)  # n is perpendicular to e_d
 
     def rate(rate_model: CouplingModel, params: DimensionlessParams) -> float:
         return golden_rule_mean_rate(at_rest, n, e_d, params, rate_model).value
@@ -192,14 +192,13 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
         lam_window = quadrature.geometric_cutoffs(window[0] / eps, window[1] / eps, window_points)
         cumulative = params.kappa * line_fractions(
             (model,), n, e_d, at_rest, params).integral(np.concatenate((lam_window, fixed)))[0, 0]
-        scan = quadrature.CutoffScan(lambdas=lam_window, values=cumulative[:window_points],
-                                     errors=np.zeros(window_points))
-        cls = quadrature.classify_tail(scan, fit_points=window_points)
+        window_cumulative = cumulative[:window_points]
 
         rows.append(LimitOrderingRow(
             epsilon=eps, x_star=float(resonance_root(0.0, eps)), rate_unshifted=r_unshifted,
-            rate_shifted=r_shifted, rel_difference=rel, window_lambdas=scan.lambdas,
-            window_cumulative=scan.values, growth_exponent=cls.exponent, growth_kind=cls.kind,
+            rate_shifted=r_shifted, rel_difference=rel, window_lambdas=lam_window,
+            window_cumulative=window_cumulative,
+            growth_kind=growth_kind(a, window_cumulative[-1]),
             fixed_cumulative=cumulative[window_points:], converged=True))
 
     return LimitOrderingTable(

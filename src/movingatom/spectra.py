@@ -21,7 +21,8 @@ Lambda^2 (dropping the explicit recoil term does not cure this), with the
 velocity-independent one only logarithmically. At each delta node it is a
 closed form (amplitudes.line_fractions), and its Lambda^2 coefficient is
 exact: A = k^2 |e_perp|^2 / 2 (coupling.quotient_slope). `divergence_comparison`
-decides its verdict from A and reports fitted growth laws beside it;
+decides its verdict from A and reads each model's growth law from it
+(coupling.growth_kind); nothing here fits a tail;
 `directional_probability` accepts a formfactor that restores integrability,
 and with it formfactor dependence.
 """
@@ -36,8 +37,8 @@ import numpy as np
 from . import quadrature
 from .amplitudes import (detuning, in_row_blocks, line_fractions, lorentzian_denominator,
                          resonance_root)
-from .coupling import (CouplingModel, conditional_polarization_sum, quotient_slope,
-                       transverse_dipole)
+from .coupling import (CouplingModel, conditional_polarization_sum, growth_kind,
+                       quotient_slope, transverse_dipole)
 from .geometry import check_unit, direction_from_angles
 from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
 from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
@@ -399,8 +400,9 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
 
 @dataclass(frozen=True)
 class ModelDivergence:
-    """One model's cutoff scan, its fitted growth law (a check), and its exact law:
-    {"A": a}, kappa^-1 I(Lambda) ~ a Lambda^2."""
+    """One model's cutoff scan, its exact law {"A": a}, kappa^-1 I(Lambda) ~ a Lambda^2,
+    and the growth law that a and the scan's last value imply (`coupling.growth_kind`),
+    carried as `classification.kind`; the classification holds no fitted number."""
 
     scan: CutoffScan
     classification: TailClassification
@@ -410,8 +412,8 @@ class ModelDivergence:
 @dataclass(frozen=True)
 class DivergenceReport:
     """Growth laws of the direction-resolved emission integral per coupling model: per
-    model the scan, the fit of its last cutoffs (`kind`, `exponent`, `fit_reason`) and
-    the exact Lambda^2 coefficient (`exact_law`), and the verdict that A decides."""
+    model the scan, the exact Lambda^2 coefficient (`exact_law`) and the growth law it
+    implies (`kind`), and the verdict that A decides."""
 
     entries: dict[str, ModelDivergence]
     verdict: str | None
@@ -420,14 +422,9 @@ class DivergenceReport:
     def as_json_dict(self) -> dict:
         out: dict = {"models": {}, "verdict": self.verdict, "note": self.note}
         for label, entry in self.entries.items():
-            cls = entry.classification
             out["models"][label] = {
-                "kind": cls.kind,
-                "exponent": cls.exponent,
-                "fit_reason": cls.details.get("reason"),
+                "kind": entry.classification.kind,
                 "exact_law": entry.exact_law,
-                "fit_residual": cls.fit_residual,
-                "log_r_squared": cls.log_r_squared,
                 "lambdas": entry.scan.lambdas.tolist(),
                 "cumulative": entry.scan.values.tolist(),
                 "errors": entry.scan.errors.tolist(),
@@ -444,7 +441,7 @@ _DIVERGENCE_MODELS = (CouplingModel.roentgen(), CouplingModel.standard(),
 
 def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
                           tol: float = 1e-9, max_panels: int = 4096) -> DivergenceReport:
-    """Cutoff scans, exact Lambda^2 coefficients and growth-law fits for three couplings.
+    """Cutoff scans, exact Lambda^2 coefficients and growth laws for three couplings.
 
     (a) the full velocity-dependent model (momentum shift and recoil term),
     (b) the velocity-independent model with identical kinematics in the
@@ -462,11 +459,12 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     the dipole axis. Along the axis both A are 0 and the standard scan is 0
     (e_d . e_lambda = 0), so roentgen is strictly more divergent when its scan ends
     above 0 (a packet with transverse velocity), and otherwise there is no strict
-    ordering. The verdict is withheld (None) when a scan
-    missed its tolerance. The fits (`quadrature.classify_tail` on the last
-    FIT_POINTS cutoffs) are reported as checks; when their window starts below
-    10/epsilon, short of the Lambda^2 regime (the Roentgen bracket vanishes near
-    x = 1/epsilon), the note says they are pre-asymptotic.
+    ordering. The verdict is withheld (None) when a scan missed its tolerance. Each
+    model's `kind` is `coupling.growth_kind` of its A and its scan's last value: exact
+    for epsilon > 0, whatever the ladder. When the last cutoff lies below 10/epsilon,
+    short of the Lambda^2 regime (the Roentgen bracket vanishes near x = 1/epsilon), the
+    note says the scan is pre-asymptotic: at its cutoffs the roentgen values may still
+    lie below the standard ones.
 
     Each cutoff is closed form per delta node (see `directional_probability`):
     point masses and tables scan exactly, with errors 0. The three models share
@@ -490,8 +488,9 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
     for i, model in enumerate(_DIVERGENCE_MODELS):
         scan = CutoffScan(lambdas=lambdas, values=values[i], errors=errors[i],
                           evaluations=int(evaluations[i]), converged=bool(converged[i]))
-        entries[model.label] = ModelDivergence(scan, quadrature.classify_tail(scan),
-                                               {"A": 0.5 * float(quotient_slope(model, perp_sq))})
+        a = 0.5 * float(quotient_slope(model, perp_sq))
+        entries[model.label] = ModelDivergence(
+            scan, TailClassification(growth_kind(a, scan.values[-1]), None, None), {"A": a})
 
     a_r, a_s = (entries[label].exact_law["A"] for label in ("roentgen", "standard"))
     notes, verdict = [], None
@@ -504,10 +503,10 @@ def divergence_comparison(scenario: EmissionScenario, n, *, lambdas=None,
                     else "no strict divergence ordering")
                    + f": kappa^-1 I ~ A Lambda^2 with A = {a_r:.6g} against {a_s:.6g}"
                    + ("" if a_r > a_s else ", along the dipole axis (the standard scan is 0)"))
-    start, regime = lambdas[-quadrature.FIT_POINTS], 10.0 / scenario.params.epsilon
-    if start < regime:
-        notes.append(f"the fitted growth laws are pre-asymptotic: their window starts at "
-                     f"Lambda = {start:.6g}, below 10/epsilon = {regime:.6g}")
+    last, regime = lambdas[-1], 10.0 / scenario.params.epsilon
+    if last < regime:
+        notes.append(f"the scan is pre-asymptotic: its last cutoff Lambda = {last:.6g} "
+                     f"lies below 10/epsilon = {regime:.6g}")
     return DivergenceReport(entries=entries, verdict=verdict, note="; ".join(notes))
 
 

@@ -27,6 +27,7 @@ from movingatom.amplitudes import (compare_to_pole, detuning,
 from movingatom.cli import main as cli_main
 from movingatom.coupling import CouplingModel, polarization_sum
 from movingatom.geometry import polarization_basis, rotate_basis
+from movingatom.quadrature import CutoffScan, classify_tail
 from movingatom.rates import limit_ordering_demo
 from movingatom.spectra import (EmissionScenario, Formfactor, angular_pattern,
                                 directional_probability, directional_spectrum,
@@ -101,10 +102,11 @@ def test_acceptance_01_structural_identity():
 def test_acceptance_02_divergence_ordering():
     """Velocity-dependent coupling: power Lambda^2; standard: logarithmic."""
     rep = _divergence_report()
-    r = rep.entries["roentgen"].classification
-    s = rep.entries["standard"].classification
+    r, s = (classify_tail(rep.entries[label].scan) for label in ("roentgen", "standard"))
     ok = (r.kind == "power" and abs(r.exponent - 2.0) <= 0.10
           and s.kind == "logarithmic" and s.log_r_squared > 0.999
+          and (r.kind, s.kind) == tuple(rep.entries[label].classification.kind
+                                        for label in ("roentgen", "standard"))
           and rep.verdict is not None and "strictly more divergent" in rep.verdict)
     report("ACC-02", ok,
            f"roentgen {r.kind} exponent {r.exponent:.3f} (2.00+/-0.10); "
@@ -114,8 +116,9 @@ def test_acceptance_02_divergence_ordering():
 
 def test_acceptance_03_no_recoil_cure_fails():
     """Deleting the explicit recoil term does not tame the growth."""
-    c = _divergence_report().entries["roentgen_no_recoil_term"].classification
-    ok = c.kind == "power" and abs(c.exponent - 2.0) <= 0.10
+    entry = _divergence_report().entries["roentgen_no_recoil_term"]
+    c = classify_tail(entry.scan)
+    ok = c.kind == "power" and abs(c.exponent - 2.0) <= 0.10 and c.kind == entry.classification.kind
     report("ACC-03", ok,
            f"no-recoil-term variant: {c.kind} exponent {c.exponent:.3f} "
            f"(target 2.0+/-0.1) - the momentum shift reinstates the recoil")
@@ -150,14 +153,17 @@ def test_acceptance_05_limit_ordering():
     gaps = [max(abs(row.rate_unshifted - table.rate_eps0),
                 abs(row.rate_shifted - table.rate_eps0)) for row in table.rows]
     converging = gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-3 * table.rate_eps0
-    growth_ok = all(row.growth_kind == "power" and abs(row.growth_exponent - 2.0) <= 0.15
-                    for row in table.rows)
+    fits = [classify_tail(CutoffScan(row.window_lambdas, row.window_cumulative,
+                                     np.zeros(row.window_lambdas.size)),
+                          fit_points=row.window_lambdas.size) for row in table.rows]
+    growth_ok = all(fit.kind == row.growth_kind == "power" and abs(fit.exponent - 2.0) <= 0.15
+                    for fit, row in zip(fits, table.rows))
     ok = all(abs(r - 10.0) <= 2.0 for r in ratios) and converging and growth_ok
     report("ACC-05", ok,
            f"variant-split ratios per eps decade {ratios[0]:.2f}, {ratios[1]:.2f} "
            f"(10+/-2); rate gap to eps=0 value shrinks to {gaps[2]:.1e}; "
            f"mode-sum growth exponents "
-           f"{[f'{row.growth_exponent:.2f}' for row in table.rows]} (2.0+/-0.15 each)")
+           f"{[f'{fit.exponent:.2f}' for fit in fits]} (2.0+/-0.15 each)")
 
 
 def test_acceptance_06_discrete_mode_oracle():

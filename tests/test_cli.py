@@ -336,12 +336,17 @@ def test_divergence_at_infinite_mass_exits_2(tmp_path, capsys):
 
 
 def test_divergence_on_a_short_cutoff_ladder_exits_2(tmp_path, capsys):
-    # four cutoffs loaded, then the growth-law fit (five points) exited 1 with a traceback
-    cfg = write_config(tmp_path, "scan: {lambda_min: 1.0e+2, lambda_max: 1.0e+4, points: 4}\n")
+    # one cutoff is no ladder: a configuration error, not a traceback; three are a ladder
+    cfg = write_config(tmp_path, "scan: {lambda_min: 1.0e+2, lambda_max: 1.0e+4, points: 1}\n")
     assert run(["divergence", "--config", cfg, "--out", tmp_path / "x"]) == 2
     (line,) = capsys.readouterr().err.splitlines()  # one line, no traceback
     assert line.startswith("configuration error: ") and "scan.points" in line
     assert not (tmp_path / "x").exists()
+    cfg = write_config(tmp_path, "scan: {lambda_min: 1.0e+2, lambda_max: 1.0e+4, points: 3}\n")
+    assert run(["divergence", "--config", cfg, "--out", tmp_path / "y"]) == 0
+    payload = json.loads((tmp_path / "y" / "divergence.json").read_text())
+    assert {label: m["kind"] for label, m in payload["models"].items()} == {
+        "roentgen": "power", "standard": "logarithmic", "roentgen_no_recoil_term": "power"}
 
 
 SUPERLUMINAL = """
@@ -487,8 +492,7 @@ def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         report = exact(*args, **kwargs)
         return dataclasses.replace(report, entries={
-            label: dataclasses.replace(entry, classification=dataclasses.replace(
-                entry.classification, exponent=math.inf))
+            label: dataclasses.replace(entry, exact_law={"A": math.inf})
             for label, entry in report.entries.items()})
 
     monkeypatch.setattr(cli, "divergence_comparison", broken)
@@ -530,7 +534,8 @@ def test_unregularized_pattern_without_recoil_growth_exits_4_as_cutoff_dependent
 
 
 def test_divergence_at_small_epsilon_rests_on_the_exact_law(tmp_path):
-    # the default ladder ends short of 1/eps = 1e4: the fits read roentgen "convergent"
+    # the default ladder ends short of 1/eps = 1e4, where a tail fit reads roentgen
+    # "convergent"; its kind is the exact law's
     cfg = write_config(tmp_path, "atom: {epsilon: 1.0e-4, gamma_tilde: 0.01}\n")
     out = tmp_path / "d"
     assert run(["divergence", "--config", cfg, "--out", out]) == 0
@@ -538,7 +543,7 @@ def test_divergence_at_small_epsilon_rests_on_the_exact_law(tmp_path):
     assert "strictly more divergent" in payload["verdict"]
     assert "pre-asymptotic" in payload["note"] and "10/epsilon = 100000" in payload["note"]
     assert payload["models"]["roentgen"]["exact_law"] == {"A": 0.5}
-    assert payload["models"]["roentgen"]["kind"] == "convergent"
+    assert payload["models"]["roentgen"]["kind"] == "power"
 
 
 @pytest.mark.parametrize("table, message", [

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import yaml
 
-from movingatom import quadrature
 from movingatom.config import (ConfigError, build_config, load_config,
                                load_raw)
 from movingatom.spectra import Formfactor
@@ -38,15 +37,13 @@ def test_empty_config_gets_defaults(tmp_path):
     assert abs(float(np.dot(cfg.direction, cfg.scenario.dipole_axis))) < 1e-14
 
 
-def test_fit_windows_are_bounded_as_the_tail_fit_needs():
-    # a scan shorter than classify_tail's default window, or a limit-ordering window shorter
-    # than the fewest points it fits, is a configuration error (exit 2), not a ValueError
-    # raised by the fit
-    for section, key, least in (("scan", "points", quadrature.FIT_POINTS),
-                                ("limit_ordering", "window_points", quadrature.MIN_FIT_POINTS)):
-        build_config({section: {key: least}})
-        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be an integer >= {least}"):
-            build_config({section: {key: least - 1}})
+def test_cutoff_ladders_are_bounded_as_geometric_cutoffs_needs():
+    # a scan or a limit-ordering window of fewer cutoffs than geometric_cutoffs takes is a
+    # configuration error (exit 2), not a ValueError raised by the ladder
+    for section, key in (("scan", "points"), ("limit_ordering", "window_points")):
+        build_config({section: {key: 2}})
+        with pytest.raises(ConfigError, match=f"'{section}.{key}' must be an integer >= 2"):
+            build_config({section: {key: 1}})
 
 
 def test_yaml_and_json_are_interchangeable(tmp_path):

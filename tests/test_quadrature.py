@@ -251,7 +251,8 @@ def _polyfit_line(x, y):
 
 
 def test_acceptance_fits_read_the_same_kinds_and_exponents(monkeypatch):
-    # ACC-02, ACC-03 and ACC-05 read classify_tail's kind and exponent: the same with np.polyfit
+    # ACC-02, ACC-03 and ACC-05 fit the report's scans and the table's windows with
+    # classify_tail: the same kinds and exponents with np.polyfit
     from movingatom import amplitudes, quadrature, rates, spectra
     from movingatom.coupling import CouplingModel
     from movingatom.units import DimensionlessParams
@@ -262,9 +263,11 @@ def test_acceptance_fits_read_the_same_kinds_and_exponents(monkeypatch):
                                             CouplingModel.roentgen(), PointMass(np.zeros(3)))
         report = spectra.divergence_comparison(scenario, np.array([1.0, 0.0, 0.0]))
         table = rates.limit_ordering_demo([1e-2, 1e-3, 1e-4], gamma_tilde=0.01)
-        return ([(e.classification.kind, e.classification.exponent,
-                  e.classification.log_r_squared) for e in report.entries.values()]
-                + [(row.growth_kind, row.growth_exponent, None) for row in table.rows])
+        windows = [CutoffScan(row.window_lambdas, row.window_cumulative,
+                              np.zeros(row.window_lambdas.size)) for row in table.rows]
+        fits = ([quadrature.classify_tail(e.scan) for e in report.entries.values()]
+                + [quadrature.classify_tail(w, fit_points=w.lambdas.size) for w in windows])
+        return [(fit.kind, fit.exponent, fit.log_r_squared) for fit in fits]
 
     closed = run()
     monkeypatch.setattr(quadrature, "fit_line", _polyfit_line)

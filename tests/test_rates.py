@@ -5,6 +5,7 @@ import pytest
 
 from movingatom.amplitudes import resonance_root
 from movingatom.coupling import CouplingModel
+from movingatom.quadrature import CutoffScan, classify_tail
 from movingatom.rates import (VARIANTS, golden_rule_mean_rate, golden_rule_rates,
                               limit_ordering_demo, sphere_pattern_value)
 from movingatom.spectra import EmissionScenario, angular_pattern
@@ -172,8 +173,10 @@ def test_limit_ordering_table_structure():
     assert table.rate_eps0 == 1.0
     for row in table.rows:
         assert row.rate_unshifted > 0 and row.rate_shifted > 0
-        assert row.growth_kind == "power"
-        assert row.growth_exponent == pytest.approx(2.0, abs=0.15)
+        # the exact law, and the tail fit of the window as its witness
+        fit = classify_tail(CutoffScan(row.window_lambdas, row.window_cumulative, np.zeros(5)))
+        assert row.growth_kind == fit.kind == "power"
+        assert fit.exponent == pytest.approx(2.0, abs=0.15)
         assert row.window_cumulative.size == 5
         assert np.all(np.diff(row.window_cumulative) > 0)
         assert row.fixed_cumulative.size == 3
@@ -188,7 +191,7 @@ def test_limit_ordering_input_validation():
     with pytest.raises(ValueError):
         limit_ordering_demo([0.0, -1.0])
     with pytest.raises(ValueError):
-        limit_ordering_demo([1e-2], window_points=3)
+        limit_ordering_demo([1e-2], window_points=1)
 
 
 @pytest.mark.parametrize("cutoffs", [(-1.0, 0.0), (1e2, 0.0), (1e2, math.inf), (math.nan,)])

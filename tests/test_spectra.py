@@ -12,7 +12,7 @@ from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile, wofz
 
 import movingatom
-from movingatom import amplitudes, quadrature, rates, spectra, wavepacket
+from movingatom import amplitudes, cli, quadrature, rates, spectra, wavepacket
 from movingatom.amplitudes import perpendicular_kernel, resonance_root, spectral_kernel
 from movingatom.coupling import CouplingModel, conditional_polarization_sum, polarization_sum
 from movingatom.geometry import direction_from_angles
@@ -1005,15 +1005,18 @@ def test_divergence_comparison_report():
 @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 6], ids=["90deg", "30deg"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_divergence_verdict_follows_the_lambda_squared_coefficient(eps, theta, dist):
-    # the default ladder 1e2..1e4: at eps = 1e-4 the fits read roentgen "convergent" and
-    # standard "power", yet roentgen grows as Lambda^2 past 1/eps
+    # the default ladder 1e2..1e4: at eps = 1e-4 a tail fit reads roentgen "convergent" and
+    # standard "power", yet roentgen grows as Lambda^2 past 1/eps; the ladder ends below
+    # 10/eps only there (at eps = 1e-3 it ends at 10/eps)
     report = divergence_comparison(make_scenario(eps=eps, dist=dist),
                                    direction_from_angles(theta, 0.0, axis=E_D))
     assert "strictly more divergent" in report.verdict
     assert report.entries["roentgen"].exact_law["A"] == pytest.approx(
         0.5 * math.sin(theta) ** 2, rel=1e-14)
-    assert (f"below 10/epsilon = {10 / eps:.6g}" in report.note) == (eps < 1e-2)
-    assert ("pre-asymptotic" in report.note) == (eps < 1e-2)
+    assert [e.classification.kind for e in report.entries.values()] == [
+        "power", "logarithmic", "power"]
+    assert (f"below 10/epsilon = {10 / eps:.6g}" in report.note) == (eps < 1e-3)
+    assert ("pre-asymptotic" in report.note) == (eps < 1e-3)
 
 
 @pytest.mark.parametrize("dist, ordered", [(PointMass(np.zeros(3)), False),
@@ -1021,10 +1024,12 @@ def test_divergence_verdict_follows_the_lambda_squared_coefficient(eps, theta, d
                          ids=["rest", "transverse"])
 def test_divergence_verdict_along_the_dipole_axis(dist, ordered):
     # |e_perp|^2 = 0: A = 0 for every model and the standard scan is 0; a transverse
-    # velocity gives the roentgen scan a logarithm (the fits read it so at eps = 1e-2)
+    # velocity gives the roentgen scan a logarithm
     report = divergence_comparison(make_scenario(dist=dist), E_D)
     assert [e.exact_law["A"] for e in report.entries.values()] == [0.0, 0.0, 0.0]
     assert not np.any(report.entries["standard"].scan.values)
+    assert [e.classification.kind for e in report.entries.values()] == (
+        ["logarithmic", "convergent", "logarithmic"] if ordered else ["convergent"] * 3)
     assert (report.entries["roentgen"].scan.values[-1] > 0.0) == ordered
     assert report.verdict.startswith("roentgen strictly more divergent" if ordered
                                      else "no strict divergence ordering")
@@ -1048,14 +1053,77 @@ def test_exact_law_is_half_the_quotient_slope_of_every_node():
 
 
 def test_divergence_json_reports_the_exact_law_and_the_fit_reason():
+    # the exact law and the kind it implies; no fit's exponent, residual or reason
     report = divergence_comparison(make_scenario(eps=1e-4), N_PERP)
     models = report.as_json_dict()["models"]
     assert {label: m["exact_law"] for label, m in models.items()} == {
         "roentgen": {"A": 0.5}, "standard": {"A": 0.0}, "roentgen_no_recoil_term": {"A": 2.0}}
     for label, m in models.items():
-        assert m["fit_reason"] == report.entries[label].classification.details.get("reason")
-    assert models["roentgen"]["fit_reason"] == "increments shrink as a power"
-    assert models["standard"]["fit_reason"] is None  # a power fit that passed
+        assert m["kind"] == report.entries[label].classification.kind
+        assert set(m) == {"kind", "exact_law", "lambdas", "cumulative", "errors", "converged",
+                          "evaluations"}
+    assert {e.classification.exponent for e in report.entries.values()} == {None}
+
+
+_SWEEP_DISTS = (PointMass(np.zeros(3)), PointMass(np.array([1e-3, 2e-3, 0.0])),
+                GaussianPacket.isotropic(np.zeros(3), 1e-3))
+
+
+@pytest.mark.parametrize("eps, gt", [(1e-3, 1e-2), (1e-4, 1e-2), (5.4e-9, 4e-8)],
+                         ids=["1e-3", "1e-4", "paper-scale"])
+def test_tail_fit_reads_the_exact_kinds_on_asymptotic_ladders(eps, gt):
+    # 16 cutoffs from 1e3/eps to 1e5/eps, far past the bracket's zero near x = 1/eps: the
+    # reference fit of each scan reads the kind the exact law reports, for a point at rest,
+    # a moving point and a packet, on the dipole axis, at 30 degrees and perpendicular
+    lambdas = quadrature.geometric_cutoffs(1e3 / eps, 1e5 / eps, 16)
+    pairs = []
+    for dist in _SWEEP_DISTS:
+        for theta in (0.0, math.pi / 6, math.pi / 2):
+            report = divergence_comparison(make_scenario(eps, gt, dist),
+                                           direction_from_angles(theta, 0.0, axis=E_D),
+                                           lambdas=lambdas)
+            assert report.verdict is not None  # every scan converged
+            pairs += [(quadrature.classify_tail(e.scan).kind, e.classification.kind)
+                      for e in report.entries.values()]
+    assert len(pairs) == 27 and {law for _, law in pairs} == {"power", "logarithmic",
+                                                              "convergent"}
+    assert all(fit == law for fit, law in pairs), pairs
+
+
+@pytest.mark.parametrize("eps, gt, dist, theta, label, kind", [
+    (5.4e-9, 4e-8, PointMass(np.zeros(3)), math.pi / 2, "standard", "logarithmic"),
+    (1e-4, 1e-2, PointMass(np.zeros(3)), math.pi / 2, "roentgen", "power"),
+    (1e-3, 1e-2, PointMass(np.array([1e-3, 2e-3, 0.0])), 0.0, "roentgen", "logarithmic"),
+], ids=["paper-scale-standard", "1e-4-roentgen", "axis-transverse-roentgen"])
+def test_default_ladder_reports_the_exact_kind_where_a_tail_fit_does_not(eps, gt, dist, theta,
+                                                                         label, kind):
+    # the default ladder 1e2..1e4 is pre-asymptotic here, and a fit of its last five cutoffs
+    # reads another law; the report's kind is the exact one
+    report = divergence_comparison(make_scenario(eps, gt, dist),
+                                   direction_from_angles(theta, 0.0, axis=E_D))
+    entry = report.entries[label]
+    assert entry.classification.kind == kind
+    assert quadrature.classify_tail(entry.scan).kind != kind
+
+
+def test_production_fits_no_tail(monkeypatch, tmp_path):
+    # every kind comes from the exact law: the divergence report, the limit-ordering table
+    # and the CLI runs that write them call neither the tail fit nor its lines
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path fitted a tail")
+
+    monkeypatch.setattr(quadrature, "classify_tail", refuse)
+    monkeypatch.setattr(quadrature, "fit_line", refuse)
+    report = divergence_comparison(make_scenario(), N_PERP)
+    table = rates.limit_ordering_demo([1e-2, 1e-3])
+    assert [e.classification.kind for e in report.entries.values()] == [
+        "power", "logarithmic", "power"]
+    assert [row.growth_kind for row in table.rows] == ["power", "power"]
+    config = tmp_path / "scenario.yaml"
+    config.write_text("atom: {epsilon: 0.01, gamma_tilde: 0.01}\n")
+    for subcommand in ("divergence", "rates"):
+        assert cli.main([subcommand, "--config", str(config), "--out",
+                         str(tmp_path / subcommand)]) == 0
 
 
 def test_divergence_requires_finite_mass():

@@ -179,7 +179,7 @@ def test_bench_far_pairs_repeat_and_grow_as_k_log_k():
 def test_cli_digest_prints_one_line_per_file_and_subcommand(tmp_path, capsys):
     (tmp_path / "a.yaml").write_text("atom: {epsilon: 0.01, gamma_tilde: 0.01}\n"
                                      "grid: {count: 5}\n")
-    (tmp_path / "b.yaml").write_text("scan: {points: 4}\n")  # fails to load: exit 2
+    (tmp_path / "b.yaml").write_text("scan: {points: 1}\n")  # fails to load: exit 2
     digest = _load("cli_digest")
     args = ["cli_digest.py", str(tmp_path), "spectrum", "divergence"]
     assert digest.main(args) == 0
