@@ -11,39 +11,37 @@ only by an explicit formfactor) from the velocity-independent one
 (logarithmic growth).
 """
 
-from . import rates
-from .amplitudes import (DiscreteModeSystem, compare_to_pole, detuning,
-                         discrete_mode_evolution, flat_band_system,
-                         perpendicular_kernel, spectral_kernel)
-from .coupling import CouplingModel, polarization_sum, reduced_coupling, shifted_velocity
-from .geometry import PolarizationBasis, direction_from_angles, polarization_basis, rotate_basis
-from .quadrature import (CutoffScan, NumericalError, QuadratureResult,
-                         TailClassification, classify_tail, cutoff_scan,
-                         geometric_cutoffs, integrate_adaptive)
-from .rates import golden_rule_mean_rate, golden_rule_rates, limit_ordering_demo
-from .spectra import (DivergenceReport, EmissionScenario, Formfactor, PatternResult,
-                      PhysicsRejection, SpectralResult, angular_pattern,
-                      directional_probability, directional_spectrum,
-                      divergence_comparison)
-from .units import DimensionlessParams, ParameterError, PhysicalInput, to_dimensionless
-from .wavepacket import (GaussianPacket, PointMass, TabulatedProjection,
-                         expectation, project)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CouplingModel", "CutoffScan", "DimensionlessParams", "DiscreteModeSystem",
-    "DivergenceReport", "EmissionScenario", "Formfactor", "GaussianPacket",
-    "NumericalError", "ParameterError", "PatternResult",
-    "PhysicalInput", "PhysicsRejection", "PointMass", "PolarizationBasis",
-    "QuadratureResult", "SpectralResult", "TabulatedProjection",
-    "TailClassification", "angular_pattern",
-    "classify_tail", "compare_to_pole", "cutoff_scan", "detuning",
-    "direction_from_angles", "directional_probability", "directional_spectrum",
-    "discrete_mode_evolution", "divergence_comparison", "expectation",
-    "flat_band_system", "geometric_cutoffs",
-    "golden_rule_mean_rate", "golden_rule_rates", "integrate_adaptive",
-    "limit_ordering_demo", "perpendicular_kernel", "polarization_basis",
-    "polarization_sum", "project", "rates", "reduced_coupling",
-    "rotate_basis", "shifted_velocity", "spectral_kernel", "to_dimensionless",
-]
+# module -> the public names it defines (a module's own name: the module); each resolves on
+# first access (PEP 562), so that a run imports only the modules it uses
+_EXPORTS = {
+    "amplitudes": "DiscreteModeSystem compare_to_pole discrete_mode_evolution flat_band_system",
+    "coupling": "CouplingModel polarization_sum reduced_coupling shifted_velocity",
+    "geometry": "PolarizationBasis direction_from_angles polarization_basis rotate_basis",
+    "lineshape": "perpendicular_kernel spectral_kernel",
+    "quadrature": ("CutoffScan NumericalError PhysicsRejection QuadratureResult "
+                   "TailClassification classify_tail cutoff_scan geometric_cutoffs "
+                   "integrate_adaptive"),
+    "rates": "rates golden_rule_mean_rate golden_rule_rates limit_ordering_demo",
+    "spectra": ("DivergenceReport EmissionScenario Formfactor PatternResult SpectralResult "
+                "angular_pattern directional_probability directional_spectrum "
+                "divergence_comparison"),
+    "units": "DimensionlessParams ParameterError PhysicalInput detuning to_dimensionless",
+    "wavepacket": "GaussianPacket PointMass TabulatedProjection expectation project",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    """A public name of `_EXPORTS`, from its module; AttributeError for any other name, so
+    that `from movingatom import <submodule>` imports the submodule."""
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SOURCE[name]}", __name__)
+    value = module if name == _SOURCE[name] else getattr(module, name)
+    globals()[name] = value
+    return value

@@ -12,17 +12,18 @@ where G is the reduced coupling and
 
     D(x, delta, eps) = 1 - x*(1 - delta) - eps*x^2
 
-is the dimensionless pole detuning: the energy mismatch between the initial
-state and "photon x emitted, atom recoiled", with delta = n.beta the Doppler
-projection and eps the recoil parameter. (The quadratic eps*x^2 term is the
+is the dimensionless pole detuning (`units.detuning`): the energy mismatch between
+the initial state and "photon x emitted, atom recoiled", with delta = n.beta the
+Doppler projection and eps the recoil parameter. (The quadratic eps*x^2 term is the
 photon recoil energy; D is written hbar-consistently, i.e. with the photon
 momentum hbar*k, which the energy balance requires.) Radiative level shifts
 are taken as absorbed into the transition frequency.
 
-This module provides the kernels built from that solution, their frequency
-integrals in closed form (`line_fractions`), and, independently, the exact
-solution of the same linear system for a finite bath of modes, used to
-validate the pole approximation end to end.
+This module solves the same linear system exactly for a finite bath of modes, used
+to validate the pole approximation end to end. The kernels built from the pole
+solution and their frequency integrals in closed form live in `lineshape`; the
+references `lorentzian_denominator`, `spectral_kernel` and `perpendicular_kernel`
+are resolved from there on first access, so that an oracle run loads none of them.
 """
 
 from __future__ import annotations
@@ -33,306 +34,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchy import BOX, CauchySums
-from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
-                       polarization_geometry, polarization_sum, quotient_slope)
-from .geometry import elementwise
-from .quadrature import NumericalError, fit_line
-from .units import DimensionlessParams, ParameterError
+from .quadrature import fit_line
+from .units import ParameterError, detuning, resonance_root
 
 
-def detuning(x, delta, epsilon):
-    """Pole detuning D = 1 - x*(1 - delta) - eps*x^2 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    return 1.0 - x * (1.0 - delta) - epsilon * (x * x)
-
-
-def _quadratic_roots(b, eps, c):
-    """Roots (near, far) of eps z^2 + b z + c = 0 for c = -1 or c = i gt/2 - 1 (vectorized
-    over b, or on Python floats for a float b and c = -1), in the cancellation-free form
-    q = -(b + sign(b) sqrt(b^2 - 4 eps c))/2, roots c/q and q/eps: near is the one over the
-    positive axis, far (None at eps = 0) the one near -b/eps. ParameterError at eps = 0
-    unless every b > 0."""
-    where, _, sqrt = elementwise(b)
-    if eps == 0.0:
-        if not np.logical_and.reduce(b > 0.0, axis=None):
-            raise ParameterError("no emission line for delta >= 1 at epsilon = 0")
-        return -c / b, None
-    root, up = sqrt(b * b - 4.0 * eps * c), b >= 0.0
-    q = -0.5 * (b + where(up, root, -root))
-    return where(up, c / q, q / eps), where(up, q / eps, c / q)
-
-
-def resonance_root(delta, epsilon):
-    """Positive root x* of D(x, delta) = 0, i.e. eps*x^2 + (1 - delta)*x - 1 = 0 (vectorized),
-    by `_quadratic_roots`: 2 / ((1-delta) + sqrt((1-delta)^2 + 4 eps)) for delta <= 1, exact
-    as eps -> 0, and ((delta-1) + sqrt(...)) / (2 eps) beyond. Requires eps >= 0, and eps > 0
-    or a sub-luminal delta < 1; ParameterError unless every root is positive and finite (NaN
-    included). A float delta gives a float, on Python floats."""
-    if not epsilon >= 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
-    b = 1.0 - (delta if isinstance(delta, float) else np.asarray(delta, dtype=float))
-    root = _quadratic_roots(b, epsilon, -1.0)[0]
-    if not np.logical_and.reduce((root > 0.0) & np.isfinite(root), axis=None):
-        raise ParameterError(f"no positive emission frequency for delta={delta!r}, eps={epsilon!r}")
-    return root
-
-
-def _two_product(a, b):
-    """(p, e) with p + e = a b exactly (Dekker's split; finite |a|, |b| below 1e300)."""
-    p, a1, b1 = a * b, a * 134217729.0, b * 134217729.0
-    ah, bh = a1 - (a1 - a), b1 - (b1 - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _log_tail(t, log):
-    """sum_{k>=3} t^k/k = -log(1 - t) - t - t^2/2 with t = u/z (its series below |t| = 1/4,
-    where the closed form cancels), given log = log(1 - u/z) = log((z - u)/z), which is
-    int_0^u dx/(x - z). A form that no t takes is not evaluated."""
-    small = abs(t) < 0.25
-    closed = None if np.logical_and.reduce(small, axis=None) else -log - t * (1.0 + 0.5 * t)
-    if not np.logical_or.reduce(small, axis=None):
-        return closed
-    ts = np.where(small, t, 0.0)
-    series = np.full_like(ts, 1.0 / 30.0)
-    for k in range(29, 2, -1):
-        series = 1.0 / k + ts * series
-    return ts**3 * series if closed is None else np.where(small, ts**3 * series, closed)
-
-
-# elements (rows x points) of one block of `in_row_blocks`: of 2048, 4096 and 8192, the
-# fastest that kept the peak resident set down (8192 was faster and 0.4 MB higher)
-ROW_BLOCK = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class LineFractions:
-    """w(x) = x^3 P(x) / (D^2 + gt^2/4) at each delta node, in partial fractions; nodes
-    are the last axis, (N,) for one direction or (..., N) for a stack of them. The
-    residues, s0, s1, q0 and q1 carry a leading model axis, one entry per coupling model
-    of the build, and so does every value below: the poles, and with them every
-    logarithm, belong to the kinematics alone and are evaluated once for all models.
-
-    The poles are the roots z of D(z) = i gt/2 (conjugates carry conjugate
-    residues), with residues r = z^3 P(z) / (i gt D'(z)): the near pole over
-    the positive axis and, for eps > 0, the far one near -(1 - delta)/eps.
-    w = s + 2 Re[r_near / (x - z_near)], s = q0 + q1 x + 2 Re[r_far / (x - z_far)]
-    = s0 + s1 x + 2 Re[r_far x^2 / (z_far^2 (x - z_far))]: this Taylor form (s0,
-    s1 from the near pole) serves |x| < |z_far|, where the quotient q0 + q1 x
-    and the far pair cancel to O(1/(eps x)). The poles solve eps z^2 + b z + c = 0,
-    with b = 1 - delta and c = i gt/2 - 1."""
-
-    near: np.ndarray
-    near_residue: np.ndarray
-    far: np.ndarray | None
-    far_residue: np.ndarray | None
-    s0: np.ndarray
-    s1: np.ndarray
-    q0: np.ndarray
-    q1: np.ndarray
-    b: np.ndarray
-    c: complex
-    epsilon: float
-
-    def rows(self, block=slice(None)):
-        """These fractions with their stack axes and nodes flattened into one row axis (the
-        model axis stays first), at the rows `block` of it."""
-        return LineFractions(*[v.reshape(v.shape[:v.ndim - self.near.ndim] + (-1,))[..., block]
-                               if isinstance(v, np.ndarray) else v for v in vars(self).values()])
-
-    def near_integral(self, upper, factor):
-        """int_0^U 2 Re[factor r_near / (x - z_near)] = 2 Re[factor r_near log((z - U)/z)] per
-        node and U (a new last axis), factor one number per node, in row blocks
-        (`in_row_blocks`). z is rounded at ulp(x*), while |z - U| nears gt/2 inside the line:
-        there (|z - U| < |z|/2) z - U = -(eps U^2 + b U + c) / (b + eps (U + z)), with U b
-        split exactly (`_two_product`), so that U b - 1 cancels without rounding."""
-        u = np.asarray(upper, dtype=float)
-        return in_row_blocks(lambda part, f: part._near_integral(u, f[None]), u.size, self, factor)
-
-    def _near_integral(self, u, factor):
-        # the kinematics (and factor) take a model axis of 1 here, in `_integral` and in
-        # `smooth`: for a complex product of one value whose operands differ in rank, numpy
-        # takes its scalar loop, which rounds otherwise than its vector loop, and a build for
-        # one model would differ from a build for several
-        near, b = self.near[None, ..., None], self.b[None, ..., None]
-        close = np.abs(near - u) < 0.5 * np.abs(near)
-        gap = near - u
-        if close.any():
-            uc = np.where(close, u, 0.0)  # 0 away from the line: nothing there overflows
-            p, e = _two_product(uc, b)
-            gap = np.where(close, -((p + self.c) + e + self.epsilon * uc * uc)
-                           / (b + self.epsilon * (uc + near)), gap)
-        return 2.0 * np.real((factor * self.near_residue)[..., None] * np.log(gap / near))
-
-    def smooth(self, x):
-        """s(x) per model and node at real points x (a new last axis): the Taylor form inside
-        |x| < |z_far|, the direct one outside, and only a form that some point takes. Each
-        rounded step of x / z_far grows with |x|, so the widest |x| over each node's far
-        pole says whether the Taylor form serves every point of these nodes (a row block
-        decides for its own rows), and a point takes the same form in any block. The last
-        point, with |Re(x / z_far)| >= 1 at the first node, rules that out before the pass
-        over the nodes: a row block that mixes the forms mostly stops there, while one that
-        takes the Taylor form alone pays the pass."""
-        x = np.asarray(x, dtype=float)[None, :]
-        if self.far is None:
-            return self.s0[..., None] + self.s1[..., None] * x
-        far, rf = self.far[None, ..., None], self.far_residue[..., None]  # see _near_integral
-        gap = x - far
-        taylor = (lambda: self.s0[..., None] + self.s1[..., None] * x
-                  + 2.0 * (rf / (far * far) * (x * x / gap)).real)
-        if -1.0 < (x[0, -1] / self.far.flat[0]).real < 1.0 and np.logical_and.reduce(
-                abs(np.maximum.reduce(abs(x), axis=None) / self.far) < 1.0, axis=None):
-            return taylor()
-        inside = abs(x / far) < 1.0
-        direct = self.q0[..., None] + self.q1[..., None] * x + 2.0 * (rf / gap).real
-        if np.logical_or.reduce(inside, axis=None):
-            np.copyto(direct, taylor(), where=inside)
-        return direct
-
-    def integral(self, upper):
-        """int_0^U w per model, node and upper limit U (a new last axis), in closed form, with
-        the logarithms taken once for all models. It runs in row blocks
-        (`in_row_blocks`) under np.errstate, since the quadratic term overflows as U grows
-        and np.where evaluates both branches; NumericalError names the first U whose value
-        is not finite."""
-        u = np.asarray(upper, dtype=float)[None, :]
-        with np.errstate(all="ignore"):
-            values = in_row_blocks(lambda part: part._integral(u), u.size, self)
-        finite = np.isfinite(values)
-        if not np.logical_and.reduce(finite, axis=None):
-            bad = np.flatnonzero(~finite.reshape(-1, u.size).all(axis=0))
-            raise NumericalError(f"the frequency integral up to x = {u[0, bad[0]]:.6g} is not "
-                                 "finite; lower the cutoff or upper limit")
-        return values
-
-    def _integral(self, u):
-        taylor = self.s0[..., None] * u + self.s1[..., None] * (0.5 * u * u)
-        if self.far is not None:
-            far, rf = self.far[None, ..., None], self.far_residue[..., None]  # see _near_integral
-            log, t = np.log((far - u) / far), u / far  # both forms take them
-            direct = (self.q0[..., None] * u + self.q1[..., None] * (0.5 * u * u)
-                      + 2.0 * (rf * log).real)
-            taylor = np.where(abs(t) < 1.0, taylor - 2.0 * (rf * _log_tail(t, log)).real,
-                              direct)
-        return taylor + self._near_integral(u, 1.0)
-
-
-def in_row_blocks(evaluate, width: int, lines: LineFractions, *per_row):
-    """evaluate(part, *parts) -> (..., rows, width), real, over blocks of at most ROW_BLOCK //
-    width rows (one at least) of `lines`' stack axes and nodes flattened into one row axis
-    (`LineFractions.rows`; the model axis is whole in each), with the same rows of each
-    array of `per_row` (shaped as the nodes), assembled into (..., nodes' shape, width). A
-    row is computed by the same expressions in any block (a block decides which far forms
-    of `LineFractions.smooth` its own rows take, and a point takes the same one in any
-    block), and a build that fits in one block is evaluated as it is. Only the assembled
-    values outgrow a block: the temporaries of each stay in cache, and under the 256 KiB
-    (three models of complex values at most) from which numpy elides a temporary, which
-    may swap the operands of a complex product and round it differently; so a row's bits
-    do not depend on the blocks or on the build's size."""
-    rows, step = lines.near.size, max(1, ROW_BLOCK // width)
-    if rows <= step:
-        return evaluate(lines, *per_row)
-    flat, per_row, out = lines.rows(), [a.reshape(-1) for a in per_row], None
-    for block in (slice(lo, lo + step) for lo in range(0, rows, step)):
-        value = evaluate(flat.rows(block), *[a[block] for a in per_row])
-        out = np.empty(value.shape[:-2] + (rows, width)) if out is None else out
-        out[..., block, :] = value
-    return out.reshape(out.shape[:-2] + lines.near.shape + (width,))
-
-
-def line_fractions(models, n, e_d, proj, params: DimensionlessParams) -> LineFractions:
-    """Partial fractions of w at every delta node of `proj` (wavepacket.project, along one
-    direction n or a stack of them), for a sequence of CouplingModels, which share the
-    poles and stack their own fields on a leading model axis (see LineFractions).
-    P = coupling.conditional_polarization_sum is evaluated once per model, from one
-    `polarization_geometry`, on the points stacked on a new leading axis: the near pole
-    and, for eps > 0, the far pole and +-1/eps, whose real values give q0. The quotient's
-    slope q1, the x^2 coefficient of P over eps^2, is k^2 |e_perp|^2 exactly
-    (`coupling.quotient_slope` of the geometry's |e_perp|^2): a difference of P's values
-    would cancel near the dipole axis."""
-    delta = np.asarray(proj.nodes, dtype=float)
-    u = delta - np.asarray(proj.mean)[..., None]
-    eps, gt = params.epsilon, params.gamma_tilde
-    b = 1.0 - delta
-    c = 0.5j * gt - 1.0  # D(z) = i gt/2  <=>  eps z^2 + b z + c = 0
-    near, far = _quadratic_roots(b, eps, c)
-    zero = near - near  # 0 + 0j at every node
-    z = near[None] if far is None else np.array([near, far, zero + 1 / eps, zero - 1 / eps])
-    cube, slope = z[:2] ** 3, -1j * gt * (b + 2.0 * eps * z[:2])  # r = z^3 P(z) / slope
-    near2, twice_b = near * near, 2.0 * b
-
-    geometry = polarization_geometry(n, e_d, proj)  # shared by the models
-    # each coefficient shaped (model, point, ..., node): every model's fields in one pass
-    a0, a1, a2 = np.array([conditional_polarization_sum(model, z, n, e_d, eps, proj, geometry)
-                           for model in models]).swapaxes(0, 1)
-    p = a0 + u * (a1 + u * a2)  # P at each stacked point
-    residues = cube * p[:, :2] / slope
-    rn, rf = residues[:, 0], None if far is None else residues[:, 1]
-    s0, s1 = 2.0 * (rn / near).real, 2.0 * (rn / near2).real
-    q0, q1 = s0, s1
-    if far is not None:
-        perp_sq = np.broadcast_to(geometry[1], delta.shape)
-        q1 = np.array([quotient_slope(model, perp_sq) for model in models])
-        q0 = (0.5 * (p[:, 2] - p[:, 3]).real - twice_b * q1) / eps
-    return LineFractions(near, rn, far, rf, s0, s1, q0, q1, b, c, eps)
-
-
-def lorentzian_denominator(x, delta, params: DimensionlessParams):
-    """D^2 + gamma_tilde^2/4, the squared distance to the complex pole."""
-    d = detuning(x, delta, params.epsilon)
-    return d * d + 0.25 * params.gamma_tilde * params.gamma_tilde
-
-
-def spectral_kernel(model: CouplingModel, x, n, beta, params: DimensionlessParams, e_d):
-    """Long-time photon density in (x, n) for one atomic velocity beta:
-
-        rho = x * sum_lambda G_lambda^2 / (D^2 + gamma_tilde^2/4).
-
-    The factor x is the per-photon field strength squared (proportional to
-    omega); the mode-count factor x^2 is *not* included here -- emission
-    integrands are x^2 * rho (see the spectra module). sum G^2 is the basis sum
-    coupling.polarization_sum, so this reference (the `full3d` oracle) shares no
-    coupling algebra with `line_fractions` or the production spectra.
-
-    Broadcasts over beta (..., 3) and x like the coupling module.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    delta = doppler_projection(beta, n)
-    x = np.asarray(x, dtype=float)
-    gsq = polarization_sum(model, beta, x, n, e_d, params.epsilon)
-    return x * gsq / lorentzian_denominator(x, delta, params)
-
-
-def perpendicular_kernel(x, delta, params: DimensionlessParams,
-                         model: CouplingModel | None = None):
-    """rho for emission perpendicular to the dipole axis.
-
-    The cross term vanishes (e_d . n = 0), so sum G^2 is the squared bracket
-    1 - n.beta' (+ eps*x with the recoil term), beta' = beta + 2*eps*x*n when the
-    momentum is shifted (1 for the standard dipole): written out, as in
-    `coupling.reduced_coupling`, so this reference shares no algebra with
-    `coupling.bracket`. For the full velocity-dependent model (momentum shift and
-    recoil term on, the default) this is
-
-        rho = x * (1 - delta - eps*x)^2 / ((1 - x(1-delta) - eps*x^2)^2 + gt^2/4),
-
-    which the general-geometry engine must reproduce exactly; the agreement
-    of the two routes is the central structural identity of the pole solution.
-    """
-    if model is None:
-        model = CouplingModel.roentgen()
-    x, eps, b = np.asarray(x, dtype=float), params.epsilon, 1.0  # b = 1: the standard dipole
-    if model.kind == "roentgen":
-        b = (1.0 - (delta + 2.0 * eps * x if model.apply_momentum_shift else delta)
-             + (eps * x if model.include_recoil_term else 0.0))
-    return x * (b * b) / lorentzian_denominator(x, delta, params)
+def __getattr__(name):
+    """The references that live beside the line fractions, from `lineshape` (PEP 562)."""
+    if name in ("lorentzian_denominator", "spectral_kernel", "perpendicular_kernel"):
+        from . import lineshape
+        return getattr(lineshape, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Discrete-mode oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DiscreteModeSystem:
     """A finite bath of field modes coupled to the two-level atom.
 
@@ -352,13 +69,10 @@ class DiscreteModeSystem:
     delta, epsilon: kinematics entering D_j.
     """
 
-    x: np.ndarray
-    g: np.ndarray
-    delta: float = 0.0
-    epsilon: float = 0.0
+    __slots__ = ("x", "g", "delta", "epsilon")
 
-    def __post_init__(self) -> None:
-        x, g = np.asarray(self.x, dtype=float), np.asarray(self.g, dtype=float)
+    def __init__(self, x, g, delta: float = 0.0, epsilon: float = 0.0) -> None:
+        x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("mode grid must be a nonempty 1D array")
         if g.shape != x.shape:
@@ -367,8 +81,7 @@ class DiscreteModeSystem:
             raise ValueError("mode frequencies and couplings must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("mode grid must be strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "g", g)
+        self.x, self.g, self.delta, self.epsilon = x, g, delta, epsilon
 
     @property
     def detunings(self) -> np.ndarray:

@@ -42,13 +42,8 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .amplitudes import (compare_to_pole, discrete_mode_evolution,
-                         flat_band_system, pole_mode_populations)
 from .config import ConfigError, ScenarioConfig, _section, build_config, read_raw
-from .quadrature import NumericalError
-from .rates import limit_ordering_demo
-from .spectra import (PhysicsRejection, angular_pattern, directional_probability,
-                      directional_spectrum, divergence_comparison)
+from .quadrature import NumericalError, PhysicsRejection
 from .units import ParameterError
 
 
@@ -106,7 +101,10 @@ def _write(out_dir: Path, outputs, manifest: dict) -> list[str]:
     return list(blobs)
 
 
+# Each subcommand imports the library it runs, and nothing else: an oracle run loads only
+# the oracle.
 def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
+    from .spectra import directional_spectrum
     result = directional_spectrum(cfg.scenario, cfg.direction, cfg.x_grid)
     for warning in result.metadata["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
@@ -116,6 +114,7 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
 
 
 def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
+    from .spectra import directional_probability
     upper = (cfg.formfactor.suggested_upper_limit() if cfg.upper_limit is None
              else cfg.upper_limit)
     res = directional_probability(cfg.scenario, cfg.direction, cfg.formfactor,
@@ -140,6 +139,7 @@ def _cmd_probability(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
 
 
 def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
+    from .spectra import divergence_comparison
     report = divergence_comparison(cfg.scenario, cfg.direction, lambdas=cfg.lambdas,
                                    tol=cfg.tol, max_panels=cfg.max_panels)
     rows = [(label, lam, value, err) for label, entry in report.entries.items()
@@ -155,6 +155,7 @@ def _cmd_divergence(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
 
 
 def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
+    from .rates import limit_ordering_demo
     lo = cfg.limit_ordering
     table = limit_ordering_demo(
         lo["epsilons"], gamma_tilde=cfg.scenario.params.gamma_tilde,
@@ -172,6 +173,7 @@ def _cmd_rates(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
 
 
 def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
+    from .spectra import angular_pattern
     pat = cfg.pattern
     theta = np.linspace(0.0, math.pi, pat["theta_points"])
     formfactor = cfg.formfactor if pat["mode"] == "integrated" else None
@@ -184,6 +186,8 @@ def _cmd_pattern(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
 
 
 def _cmd_oracle(cfg: ScenarioConfig) -> list[tuple[str, bytes]]:
+    from .amplitudes import (compare_to_pole, discrete_mode_evolution, flat_band_system,
+                             pole_mode_populations)
     o = cfg.oracle
     system = flat_band_system(o["modes"], o["half_width"], o["gamma_eff"],
                               delta=o["delta"], epsilon=o["epsilon"])
@@ -266,7 +270,9 @@ def main(argv=None) -> int:
             "subcommand": args.command,
             "config_file": Path(args.config).name,
             "config_sha256": sha256(data).hexdigest(),
-            "resolved": {key: cfg.resolved[key] for key in (*_COMMANDS[args.command][2], "seed")},
+            # the settings sections answer without building the physics (an oracle run's)
+            "resolved": {key: cfg.settings[key] if key in cfg.settings else cfg.resolved[key]
+                         for key in (*_COMMANDS[args.command][2], "seed")},
             "options": {"tol": cfg.tol, "seed": cfg.seed},
         }
         print(f"wrote {', '.join(_write(out_dir, outputs, manifest))} in {out_dir}")

@@ -11,25 +11,29 @@ section's chosen kind or mode never reads (`_READS`): typos should fail
 loudly, not silently fall back to defaults. It takes only real true/false for
 flags and only finite numbers, and converts everything into the package's
 own dataclasses, so a `ScenarioConfig` that loads at all is ready to run.
+
+A file that gives a section read by the physics objects (`_PHYSICS`) has them
+built at load. A file that gives none of them (an oracle file) has them built
+from the defaults, which always build, when one of them is first read: loading
+it imports none of the physics modules.
 """
 
 from __future__ import annotations
 
+import codecs
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coupling import CouplingModel
-from .geometry import as_unit, direction_from_angles, polarization_basis
-from .quadrature import geometric_cutoffs
-from .rates import VARIANTS, with_variant
-from .spectra import EmissionScenario, Formfactor
-from .units import (DimensionlessParams, ParameterError, PhysicalInput,
-                    to_dimensionless)
-from .wavepacket import GaussianPacket, PointMass, TabulatedProjection
+from .units import FORMFACTOR_KINDS, VARIANTS
+
+if TYPE_CHECKING:  # the physics types: a run loads them only where it builds the physics
+    from .spectra import EmissionScenario, Formfactor
 
 
 class ConfigError(ValueError):
@@ -100,6 +104,7 @@ _VECTOR = _list(_number(), 3)
 
 
 def _unit(value, where):
+    from .geometry import as_unit
     vector = _VECTOR(value, where)
     try:
         return as_unit(vector)
@@ -129,7 +134,7 @@ _KEYS = {
              "count": (_integer(2), 241), "spacing": (_choice("linear", "log"), "linear")},
     "scan": {"lambda_min": (_POSITIVE, 1e2), "lambda_max": (_POSITIVE, 1e4),
              "points": (_integer(2), 16)},  # the fewest that geometric_cutoffs takes
-    "formfactor": {"kind": (_choice(*Formfactor._KINDS), "none"), "cutoff": (_number(), None)},
+    "formfactor": {"kind": (_choice(*FORMFACTOR_KINDS), "none"), "cutoff": (_number(), None)},
     "probability": {"upper_limit": (_POSITIVE, None)},
     "pattern": {"mode": (_choice("golden_rule", "integrated"), "golden_rule"),
                 "variant": (_choice(*VARIANTS), None),
@@ -155,6 +160,9 @@ _READS = {"distribution": ("kind", {"point": ("beta",), "tabulated": ("file", "d
           "geometry": ("mode", {"perpendicular": (), "angles": ("theta", "phi"),
                                 "direction": ("direction",)}),
           "formfactor": ("kind", {"none": ()})}
+# the sections and top-level keys that the physics objects read (see ScenarioConfig)
+_PHYSICS = ("atom", "coupling", "distribution", "geometry", "grid", "scan", "formfactor",
+            "pattern", "dipole_axis")
 
 
 def _check_keys(mapping: dict, allowed, what: str) -> None:
@@ -194,22 +202,34 @@ def _need(values: dict, name: str, key: str):
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """A fully resolved scenario: physics objects plus numerical settings."""
+    """A fully resolved scenario: numerical settings plus physics objects. `settings` holds
+    the resolved entries that no physics object reads (those of the sections probability,
+    limit_ordering, oracle and tolerances, and the seed). `physics` returns the fields from
+    `scenario` on, which are set when any of them is first read."""
 
-    scenario: EmissionScenario
-    direction: np.ndarray
-    x_grid: np.ndarray
-    lambdas: np.ndarray
-    formfactor: Formfactor
     upper_limit: float | None
-    pattern: dict
     limit_ordering: dict
     oracle: dict
     tol: float
     max_panels: int
     seed: int | None
     output_dir: str | None
-    resolved: dict
+    settings: dict
+    physics: object = field(repr=False)  # () -> {field: value} of the fields below
+    scenario: EmissionScenario = field(init=False)
+    direction: np.ndarray = field(init=False)
+    x_grid: np.ndarray = field(init=False)
+    lambdas: np.ndarray = field(init=False)
+    formfactor: Formfactor = field(init=False)
+    pattern: dict = field(init=False)
+    resolved: dict = field(init=False)
+
+    def __getattr__(self, name):  # only for an attribute not set: a physics field, first read
+        spec = self.__dataclass_fields__.get(name)
+        if spec is None or spec.init:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(self.physics())  # past the frozen __setattr__
+        return self.__dict__[name]
 
 
 def _not_json(constant):
@@ -218,10 +238,10 @@ def _not_json(constant):
 
 def _parse(content: bytes, name: str, suffix: str):
     """The document of a scenario file. A .json file is JSON. Other text that starts with
-    '{' is read as JSON too if it parses without NaN or Infinity (YAML 1.1 reads those as
-    strings): YAML would give the same mapping, and PyYAML stays unloaded. The rest is
-    YAML."""
-    if suffix == ".json" or content.startswith(b"{"):
+    '{', after a UTF-8 byte-order mark and whitespace, is read as JSON too if it parses
+    without NaN or Infinity (YAML 1.1 reads those as strings): YAML would give the same
+    mapping, and PyYAML stays unloaded. The rest is YAML."""
+    if suffix == ".json" or content.removeprefix(codecs.BOM_UTF8).lstrip().startswith(b"{"):
         try:
             return json.loads(content, parse_constant=None if suffix == ".json" else _not_json)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, NaN
@@ -258,140 +278,17 @@ def load_config(path) -> ScenarioConfig:
     return build_config(load_raw(path), base_dir=Path(path).parent)
 
 
-def _build_params(atom: dict, given: set) -> DimensionlessParams:
-    physical = given & {"mass", "omega0", "gamma0", "infinite_mass"}
-    if physical and given & {"epsilon", "gamma_tilde"}:
-        raise ConfigError("'atom' must give either (epsilon, gamma_tilde) or "
-                          "physical inputs (mass, omega0, gamma0), not both")
-    try:
-        if physical:
-            return to_dimensionless(PhysicalInput(
-                mass=_need(atom, "atom", "mass"), omega0=_need(atom, "atom", "omega0"),
-                gamma0=_need(atom, "atom", "gamma0"), infinite_mass=atom["infinite_mass"]))
-        return DimensionlessParams(epsilon=atom["epsilon"], gamma_tilde=atom["gamma_tilde"])
-    except ParameterError as exc:
-        raise ConfigError(f"'atom': {exc}") from None
-
-
-def _build_coupling(coupling: dict, given: set) -> CouplingModel:
-    if coupling["model"] == "standard":
-        if any(coupling[k] for k in given & {"recoil_term", "momentum_shift"}):
-            raise ConfigError("'coupling': the standard model has no recoil term "
-                              "or momentum shift to switch on")
-        return CouplingModel.standard()
-    return CouplingModel(kind="roentgen", include_recoil_term=coupling["recoil_term"],
-                         apply_momentum_shift=coupling["momentum_shift"])
-
-
-def _load_table(path: Path) -> np.ndarray:
-    """The (delta, weight) columns of a table file, read once."""
-    if not path.is_file():
-        raise ConfigError(f"tabulated distribution file not found: {path}")
-    lines, skip = path.read_text().splitlines(), 0
-    for number, line in enumerate(lines, start=1):
-        text = line.split("#")[0].strip()  # a header: the first line with data, after comments
-        if text:
-            try:
-                float(text.split(",")[0])
-            except ValueError:
-                skip = number  # every line through the header row
-            break
-    try:
-        arr = np.loadtxt(lines, delimiter=",", comments="#", skiprows=skip, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"could not read table {path.name}: {exc}") from None
-    if arr.shape[1] < 2:
-        raise ConfigError(f"table {path.name} needs two columns: delta, weight")
-    return arr[:, :2]
-
-
-def _build_distribution(d: dict, base_dir: Path):
-    try:
-        if d["kind"] == "point":
-            return PointMass(beta=d["beta"])
-        if d["kind"] == "gaussian":
-            if sum(d[k] is not None for k in ("sigma", "sigma_along", "covariance")) != 1:
-                raise ConfigError("'distribution': a gaussian needs exactly one of "
-                                  "'sigma' (isotropic), 'sigma_along' (+ 'direction'), "
-                                  "or 'covariance'")
-            if d["sigma"] is not None:
-                return GaussianPacket.isotropic(d["mean"], d["sigma"])
-            if d["sigma_along"] is not None:
-                return GaussianPacket.along_direction(d["mean"], d["sigma_along"],
-                                                      _need(d, "distribution", "direction"))
-            return GaussianPacket(mean=d["mean"], covariance=d["covariance"])
-        fpath = base_dir / _need(d, "distribution", "file")
-        table = _load_table(fpath)
-        order = np.argsort(table[:, 0])
-        delta, weights = table[order, 0], table[order, 1]
-        if np.any(weights < 0):
-            raise ConfigError(f"table {fpath.name} has negative weights")
-        total = weights.sum()
-        if not total > 0:
-            raise ConfigError(f"table {fpath.name} has zero total weight")
-        axis = [1.0, 0.0, 0.0] if d["direction"] is None else d["direction"]
-        return TabulatedProjection(delta=delta, weights=weights / total, direction=axis)
-    except ConfigError:
-        raise
-    except (ValueError, ParameterError) as exc:
-        raise ConfigError(f"'distribution': {exc}") from None
-
-
-def _build_direction(geometry: dict, e_d: np.ndarray) -> tuple[np.ndarray, dict]:
-    mode, angles = geometry["mode"], {}
-    if mode == "perpendicular":
-        n = polarization_basis(e_d).e1
-    elif mode == "angles":
-        angles = {"theta_deg": geometry["theta"], "phi_deg": geometry["phi"]}
-        n = direction_from_angles(math.radians(geometry["theta"]),
-                                  math.radians(geometry["phi"]), axis=e_d)
-    else:
-        n = _need(geometry, "geometry", "direction")
-    return n, {"mode": mode, **angles, "direction": n.tolist()}
-
-
 def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     _check_keys(raw, [*_KEYS, *_TOP_LEVEL], "top-level")
-    s = {name: _read(raw, name) for name in _KEYS}
-    e_d, seed = (_value(raw, key, spec, key) for key, spec in _TOP_LEVEL.items())
+    now = not raw.keys().isdisjoint(_PHYSICS)  # the file gives a physics section
+    s = {name: _read(raw, name) for name in _KEYS if now or name not in _PHYSICS}
+    seed = _value(raw, "seed", _TOP_LEVEL["seed"], "seed")
+    settings = {**{name: s[name] for name in ("probability", "limit_ordering", "oracle",
+                                              "tolerances")}, "seed": seed}
+    physics = functools.partial(_physics, raw, Path(base_dir), s, settings)
+    if now:  # its physics sections raise their ConfigError at load
+        physics = functools.partial(dict, physics())
 
-    params = _build_params(s["atom"], set(_section(raw, "atom")))
-    model = _build_coupling(s["coupling"], set(_section(raw, "coupling")))
-    distribution = _build_distribution(s["distribution"], Path(base_dir))
-    scenario = EmissionScenario(params=params, coupling=model, distribution=distribution,
-                                dipole_axis=e_d)  # `_unit` has normalized the axis
-    direction, geometry_resolved = _build_direction(s["geometry"], e_d)
-    if isinstance(distribution, TabulatedProjection) and not np.allclose(
-            distribution.direction, direction, atol=1e-12, rtol=0.0):
-        raise ConfigError("'distribution': a tabulated delta = n.beta holds only for its own "
-                          "'direction', which must equal the geometry's emission direction")
-
-    grid = s["grid"]
-    if not grid["stop"] > grid["start"]:
-        raise ConfigError(f"'grid': stop ({grid['stop']}) must exceed start ({grid['start']})")
-    if grid["spacing"] == "log" and not grid["start"] > 0:
-        raise ConfigError("'grid': log spacing needs start > 0")
-    x_grid = (np.geomspace if grid["spacing"] == "log" else np.linspace)(
-        grid["start"], grid["stop"], grid["count"])
-
-    scan = s["scan"]
-    if not scan["lambda_max"] > scan["lambda_min"]:
-        raise ConfigError("'scan': lambda_max must exceed lambda_min")
-    lambdas = geometric_cutoffs(scan["lambda_min"], scan["lambda_max"], scan["points"])
-
-    try:
-        formfactor = Formfactor(**s["formfactor"])
-    except ValueError as exc:
-        raise ConfigError(f"'formfactor': {exc}") from None
-
-    s["pattern"]["phi_deg"] = s["pattern"].pop("phi")
-    given = s["pattern"]["variant"]
-    shift = "shifted" if model.apply_momentum_shift else "unshifted"
-    if given not in (None, shift) and "momentum_shift" in _section(raw, "coupling"):
-        raise ConfigError(f"'pattern.variant' {given!r} contradicts "
-                          f"'coupling.momentum_shift' {model.apply_momentum_shift}")
-    # default: the coupling's own momentum shift; the standard model has none either way
-    s["pattern"]["variant"] = VARIANTS[with_variant(model, given or shift).apply_momentum_shift]
     lo = s["limit_ordering"]
     eps = lo["epsilons"]
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -399,34 +296,16 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                           "decreasing list")
     if not 0 < lo["window"][0] < lo["window"][1]:
         raise ConfigError("'limit_ordering.window' must be [lo, hi] with 0 < lo < hi")
-
-    if isinstance(distribution, PointMass):
-        dist_resolved = {"kind": "point", "beta": distribution.beta.tolist()}
-    elif isinstance(distribution, GaussianPacket):
-        dist_resolved = {"kind": "gaussian", "mean": distribution.mean.tolist(),
-                         "covariance": distribution.covariance.tolist()}
-    else:
-        dist_resolved = {"kind": "tabulated", "nodes": int(distribution.delta.size),
-                         "direction": distribution.direction.tolist(),
-                         "mean_delta": float(np.dot(distribution.weights, distribution.delta))}
-
-    resolved = {
-        "atom": {"epsilon": params.epsilon, "gamma_tilde": params.gamma_tilde},
-        "normalization": {"kappa": scenario.kappa, "convention": "reference"},
-        "coupling": {"model": model.kind, "recoil_term": model.include_recoil_term,
-                     "momentum_shift": model.apply_momentum_shift, "label": model.label},
-        "dipole_axis": e_d.tolist(),
-        "geometry": geometry_resolved,
-        "distribution": dist_resolved,
-        **{name: s[name] for name in ("grid", "scan", "formfactor", "probability", "pattern",
-                                      "limit_ordering", "oracle", "tolerances")},
-        "seed": seed,
-    }
-
     return ScenarioConfig(
-        scenario=scenario, direction=direction, x_grid=x_grid, lambdas=lambdas,
-        formfactor=formfactor, upper_limit=s["probability"]["upper_limit"],
-        pattern=s["pattern"], limit_ordering=lo, oracle=s["oracle"],
+        upper_limit=s["probability"]["upper_limit"], limit_ordering=lo, oracle=s["oracle"],
         tol=s["tolerances"]["quadrature"], max_panels=s["tolerances"]["max_panels"],
-        seed=seed, output_dir=s["output"]["directory"], resolved=resolved,
-    )
+        seed=seed, output_dir=s["output"]["directory"], settings=settings, physics=physics)
+
+
+def _physics(raw: dict, base_dir: Path, s: dict, settings: dict) -> dict:
+    """`scenario.build` of the sections `s` read at load, the physics sections (read here
+    where the file gives none of them) and the dipole axis."""
+    from .scenario import build
+    s = {name: s[name] if name in s else _read(raw, name) for name in _KEYS}
+    e_d = _value(raw, "dipole_axis", _TOP_LEVEL["dipole_axis"], "dipole_axis")
+    return build(raw, base_dir, s, e_d, settings)

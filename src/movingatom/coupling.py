@@ -36,9 +36,9 @@ eps^2, k^2 |e_perp|^2, is `quotient_slope`, the growth the divergence verdict
 reads, and `growth_kind` names the growth law it implies. The reference is
 `polarization_sum`, the explicit sum over a polarization basis of
 `reduced_coupling`, which writes the shifted velocity out and shares none of
-that algebra. The references `amplitudes.spectral_kernel` (the `full3d` oracle)
+that algebra. The references `lineshape.spectral_kernel` (the `full3d` oracle)
 and `rates.golden_rule_rates` are built on it, and
-`amplitudes.perpendicular_kernel` writes the shifted velocity out the same way.
+`lineshape.perpendicular_kernel` writes the shifted velocity out the same way.
 
 Shapes: `beta` is (3,) or (..., 3); `x` is a scalar or an array whose shape
 broadcasts against the leading beta dimensions. Dot products are written
@@ -169,7 +169,7 @@ def polarization_sum(model: CouplingModel, beta, x, n, e_d, epsilon,
     the shifted velocity written out. It calls none of `bracket`,
     `recoil_coefficient`, `transverse_dipole` or `conditional_polarization_sum`,
     the closed form every production path uses, so it checks that form (ACC-01)
-    and serves the references built on it (`amplitudes.spectral_kernel`,
+    and serves the references built on it (`lineshape.spectral_kernel`,
     `rates.golden_rule_rates`).
     """
     n = check_unit(n, "n")
@@ -195,7 +195,7 @@ def quotient_slope(model: CouplingModel, perp_sq):
     """k^2 |e_perp|^2 for |e_perp|^2 = perp_sq of any shape (from `transverse_dipole` or
     `polarization_geometry`), with k = `recoil_coefficient(model)`: the x^2 coefficient of
     sum G^2 over eps^2, for every delta. So it is the slope q1 of w's quotient at every node
-    (`amplitudes.line_fractions`), and for eps > 0 kappa^-1 int_0^Lambda w ~ A Lambda^2 with
+    (`lineshape.line_fractions`), and for eps > 0 kappa^-1 int_0^Lambda w ~ A Lambda^2 with
     A = k^2 |e_perp|^2 / 2 for every wavepacket: 0 for the standard dipole, for k = 0, and
     along the dipole axis."""
     return recoil_coefficient(model) ** 2 * perp_sq

@@ -40,17 +40,6 @@ def unstack(v):
     return v.tolist() if v.ndim == 1 else (v[..., 0], v[..., 1], v[..., 2])
 
 
-# where, maximum and sqrt: Python's on floats, numpy's on arrays; the same IEEE results
-_FLOAT_OPS = (lambda c, a, b: a if c else b, max, math.sqrt)
-_ARRAY_OPS = (np.where, np.maximum, np.sqrt)
-
-
-def elementwise(x) -> tuple:
-    """(where, maximum, sqrt) for values like x: Python's for a float (such as one vector's
-    `unstack` components), numpy's for an array."""
-    return _FLOAT_OPS if isinstance(x, float) else _ARRAY_OPS
-
-
 def cross3(a, b) -> tuple:
     """a x b for one pair of 3-sequences (Python floats), componentwise like `dot3`."""
     return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]

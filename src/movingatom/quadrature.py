@@ -1,7 +1,7 @@
 """Frequency-axis integration: Gauss-Legendre panels, cutoff scans, and a tail fit.
 
 The library's frequency integrals are closed forms over each line's partial
-fractions (amplitudes.line_fractions); quadrature is left for the smooth
+fractions (lineshape.line_fractions); quadrature is left for the smooth
 remainders of formfactor-damped integrands. Three tools:
 
 * integrate_adaptive: a composite 32-point Gauss-Legendre rule on one interval,
@@ -21,18 +21,27 @@ module come from `gauss_rule`, which needs no eigen-solver and so no LAPACK.
 
 Everything is deterministic. Integrands must be vectorized (a 1D array in,
 the same shape out, or a stack of integrands: (..., X) out for X points in).
+
+The two failures a computation reports live here too: NumericalError (a result that
+misses its contract) and PhysicsRejection (a quantity with no finite value without
+regularization), so that the CLI maps them to its exit codes without loading the
+physics modules.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+
 class NumericalError(RuntimeError):
     """A numerical procedure failed to meet its convergence contract."""
+
+
+class PhysicsRejection(RuntimeError):
+    """The requested computation is ill-defined without regularization."""
 
 
 _ORDER = 32  # Gauss-Legendre points per panel: exact for polynomials of degree 63
@@ -76,22 +85,18 @@ def _legendre() -> tuple[np.ndarray, np.ndarray]:
     return gauss_rule(j / np.sqrt(4 * j * j - 1), 2.0, guess)
 
 
-@dataclass(frozen=True)
 class QuadratureResult:
     """One integral, as Python scalars, or a stack of them: then every field is an
     array of the value's shape."""
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
+    __slots__ = ("value", "error_estimate", "evaluations", "converged")
 
-    def __post_init__(self) -> None:
-        shape = np.asarray(self.value).shape
-        for name in ("value", "error_estimate", "evaluations", "converged"):
-            v = np.asarray(getattr(self, name))
+    def __init__(self, value, error_estimate, evaluations, converged) -> None:
+        shape = np.asarray(value).shape
+        for name, v in zip(self.__slots__, (value, error_estimate, evaluations, converged)):
+            v = np.asarray(v)
             v = v if v.shape == shape else np.broadcast_to(v, shape)  # a view costs 5 us
-            object.__setattr__(self, name, v if shape else v.item())
+            setattr(self, name, v if shape else v.item())
 
 
 def _rule(f, a: float, h: float, panels: int) -> np.ndarray:
@@ -156,30 +161,25 @@ def _levels(f, a: float, b: float, tol: float, max_panels: int):
             panels *= 2
 
 
-@dataclass(frozen=True)
 class CutoffScan:
     """Cumulative integrals I(Lambda) = int_0^Lambda f on a cutoff ladder, with their
     error estimates: from `cutoff_scan`, or closed forms per cutoff."""
 
-    lambdas: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray
-    evaluations: int = 0
-    converged: bool = True
+    __slots__ = ("lambdas", "values", "errors", "evaluations", "converged")
 
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
+    def __init__(self, lambdas, values, errors, evaluations: int = 0,
+                 converged: bool = True) -> None:
+        lam = np.asarray(lambdas, dtype=float)
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("a cutoff scan needs at least two cutoffs")
         if np.logical_or.reduce(lam[1:] - lam[:-1] <= 0):  # np.diff(lam) <= 0
             raise ValueError("cutoffs must be strictly increasing")
-        object.__setattr__(self, "lambdas", lam)
-        values = np.asarray(self.values, dtype=float)
-        errors = np.asarray(self.errors, dtype=float)
+        values = np.asarray(values, dtype=float)
+        errors = np.asarray(errors, dtype=float)
         if values.shape != lam.shape or errors.shape != lam.shape:
             raise ValueError("values and errors must match the cutoffs in length")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "errors", errors)
+        self.lambdas, self.values, self.errors = lam, values, errors
+        self.evaluations, self.converged = evaluations, converged
 
 
 def geometric_cutoffs(lo: float = 1e2, hi: float = 1e4, n: int = 16) -> np.ndarray:
@@ -206,7 +206,6 @@ def cutoff_scan(f, lambdas, *, tol: float = 1e-9, max_panels: int = 2048) -> Cut
                       converged=all(seg.converged for seg in segments))
 
 
-@dataclass(frozen=True)
 class TailClassification:
     """Growth law of a cutoff-regulated integral: `classify_tail`'s measurement, or,
     with only `kind` set, the exact law that `spectra.divergence_comparison` reports.
@@ -220,11 +219,12 @@ class TailClassification:
     log_r_squared: R^2 of the cumulative-vs-ln(Lambda) fit, when evaluated.
     """
 
-    kind: str
-    exponent: float | None
-    fit_residual: float | None
-    log_r_squared: float | None = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ("kind", "exponent", "fit_residual", "log_r_squared", "details")
+
+    def __init__(self, kind: str, exponent: float | None, fit_residual: float | None,
+                 log_r_squared: float | None = None, details: dict | None = None) -> None:
+        self.kind, self.exponent, self.fit_residual = kind, exponent, fit_residual
+        self.log_r_squared, self.details = log_r_squared, {} if details is None else details
 
 
 # classify_tail's decision thresholds (see its docstring)

@@ -40,15 +40,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature
-from .amplitudes import line_fractions, resonance_root
+from .lineshape import line_fractions
 from .coupling import (CouplingModel, conditional_polarization_sum, doppler_projection,
                        growth_kind, polarization_sum, quotient_slope)
 from .geometry import check_unit
-from .units import DimensionlessParams
+from .units import VARIANTS, DimensionlessParams, resonance_root
 from .wavepacket import PointMass, ProjectedDistribution, delta_average, project
-
-VARIANTS = ("unshifted", "shifted")  # apply_momentum_shift False, True
-
 
 def with_variant(model: CouplingModel, variant: str) -> CouplingModel:
     """`model` with the momentum shift that `variant` (one of VARIANTS) names; the
@@ -155,7 +152,7 @@ def limit_ordering_demo(epsilons, *, gamma_tilde: float = 0.01,
       a fixed window in eps*x probes the true asymptotic growth at every
       eps), and at the `fixed_cutoffs` (positive and finite). Its `growth_kind` is
       `coupling.growth_kind` of the exact A = 1/2 (k = -1, and |e_perp|^2 = 1).
-      Both are closed forms (amplitudes.line_fractions): every row is exact,
+      Both are closed forms (lineshape.line_fractions): every row is exact,
       and a cutoff whose value overflows raises NumericalError.
 
     The normalization of column (ii) is the reference emission-probability

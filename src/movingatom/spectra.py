@@ -19,7 +19,7 @@ The frequency integral of w decides everything interesting: with the
 velocity-dependent coupling at the recoil-shifted momentum it grows like
 Lambda^2 (dropping the explicit recoil term does not cure this), with the
 velocity-independent one only logarithmically. At each delta node it is a
-closed form (amplitudes.line_fractions), and its Lambda^2 coefficient is
+closed form (lineshape.line_fractions), and its Lambda^2 coefficient is
 exact: A = k^2 |e_perp|^2 / 2 (coupling.quotient_slope). `divergence_comparison`
 decides its verdict from A and reads each model's growth law from it
 (coupling.growth_kind); nothing here fits a tail;
@@ -35,14 +35,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .amplitudes import (detuning, in_row_blocks, line_fractions, lorentzian_denominator,
-                         resonance_root)
+from .lineshape import in_row_blocks, line_fractions, lorentzian_denominator
 from .coupling import (CouplingModel, conditional_polarization_sum, growth_kind,
                        quotient_slope, transverse_dipole)
 from .geometry import check_unit, direction_from_angles
-from .quadrature import CutoffScan, NumericalError, QuadratureResult, TailClassification
-from .rates import VARIANTS, golden_rule_mean_rate, sphere_pattern_value, with_variant
-from .units import DimensionlessParams, ParameterError
+from .quadrature import (CutoffScan, NumericalError, PhysicsRejection, QuadratureResult,
+                         TailClassification)
+from .rates import golden_rule_mean_rate, sphere_pattern_value, with_variant
+from .units import (FORMFACTOR_KINDS, VARIANTS, DimensionlessParams, ParameterError,
+                    detuning, resonance_root)
 from .wavepacket import MomentumDistribution, ProjectedDistribution, delta_average, project
 
 # Beyond |zeta| = 20 the closed form's partial fractions cancel (rounding
@@ -50,10 +51,6 @@ from .wavepacket import MomentumDistribution, ProjectedDistribution, delta_avera
 _FAR_WING = 20.0
 # Gauss-Hermite nodes of a Gaussian's weighted sums in that wing
 _WING_ORDER = 40
-
-
-class PhysicsRejection(RuntimeError):
-    """The requested computation is ill-defined without regularization."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +84,7 @@ class Formfactor:
     kind: str = "none"
     cutoff: float | None = None
 
-    _KINDS = ("none", "sharp", "gaussian", "exponential")
+    _KINDS = FORMFACTOR_KINDS
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -306,7 +303,7 @@ def _frequency_integral(scenario: EmissionScenario, models, n, proj: ProjectedDi
     by that factor. "none" and "sharp" are closed forms. A smooth F takes the
     near pole pair in closed form with F at the pole, F w = F s + 2 Re[r F(z)/(x -
     z)] + 2 Re[r (F - F(z))/(x - z)], and its smooth first and last terms go,
-    unscaled and in row blocks (`amplitudes.in_row_blocks`: each block takes only the
+    unscaled and in row blocks (`lineshape.in_row_blocks`: each block takes only the
     forms of s that its own rows need), to one run of integrate_adaptive's levels up to
     U per build (a column per rule, model and direction), which raises NumericalError
     when they or their integral are not finite: a smooth F takes one U, and a ladder of
@@ -366,7 +363,7 @@ def directional_probability(scenario: EmissionScenario, n, formfactor: Formfacto
 
     The formfactor multiplies the squared coupling, hence w exactly once. At
     each delta node (point mass, table row, or Gauss-Hermite node) the integral
-    is closed form (amplitudes.line_fractions); a gaussian or exponential
+    is closed form (lineshape.line_fractions); a gaussian or exponential
     formfactor leaves a smooth rest for integrate_adaptive, the one place
     `max_panels` applies. `error_estimate` (kappa-scaled) is 0 for point
     masses and tables under "none" or "sharp", else the rule's last level
@@ -530,7 +527,7 @@ def angular_pattern(scenario: EmissionScenario, theta_grid, formfactor: Formfact
     mode "golden_rule": the energy constraint is applied before the mode sum
     (finite for every epsilon); values are (3/8pi) times the normalized rate,
     so the reference configuration integrates to 1 over the sphere. `variant`
-    (rates.VARIANTS), if given, sets the scenario coupling's momentum shift
+    (units.VARIANTS), if given, sets the scenario coupling's momentum shift
     (the standard model has none either way); metadata "variant" names the
     shift in force. The average over the wavepacket is exact given
     delta = n.beta, and for a Gaussian climbs the rungs of `wavepacket.HERMITE_LADDER`

@@ -46,9 +46,9 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import check_unit, cross3, dot, elementwise
+from .geometry import check_unit, cross3, dot
 from .quadrature import NumericalError, gauss_rule
-from .units import ParameterError
+from .units import ParameterError, elementwise
 
 _WEIGHT_TOL = 1e-10
 HERMITE_LADDER = (8, 16, 32, 64)  # the Gauss-Hermite orders of `delta_average`

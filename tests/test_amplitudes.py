@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from movingatom import amplitudes, cauchy
+from movingatom import amplitudes, cauchy, lineshape
 from movingatom.amplitudes import (DiscreteModeSystem, compare_to_pole,
                                    detuning, discrete_mode_evolution, fit_decay_rate,
                                    flat_band_system, lorentzian_denominator,
@@ -507,7 +507,7 @@ def test_line_integral_overflow_names_the_upper_limit(model):
     # U^2/2 overflows at U = 1e200: the quadratic term is inf (roentgen) or 0 * inf = nan
     # (standard); an error naming U, not a numpy warning
     n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    lines = amplitudes.line_fractions((model,), n, e_d, project(PointMass(np.zeros(3)), n),
+    lines = lineshape.line_fractions((model,), n, e_d, project(PointMass(np.zeros(3)), n),
                                       DimensionlessParams(epsilon=0.01, gamma_tilde=0.01))
     assert np.all(np.isfinite(lines.integral([1e2, 1e3])))
     with pytest.raises(NumericalError, match=r"up to x = 1e\+200 is not finite"):
@@ -524,10 +524,10 @@ def test_line_fractions_evaluate_the_polarization_sum_once(monkeypatch, eps):
         seen.append(np.shape(args[1]))
         return conditional_polarization_sum(*args)
 
-    monkeypatch.setattr(amplitudes, "conditional_polarization_sum", counted)
+    monkeypatch.setattr(lineshape, "conditional_polarization_sum", counted)
     n, e_d = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])
     proj = project(GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3), n)
-    amplitudes.line_fractions((CouplingModel.roentgen(),), n, e_d, proj,
+    lineshape.line_fractions((CouplingModel.roentgen(),), n, e_d, proj,
                               DimensionlessParams(epsilon=eps, gamma_tilde=0.01))
     assert seen == [(4 if eps else 1, proj.nodes.size)]
 
@@ -549,7 +549,7 @@ def _far_forms(lines, x):
 def test_smooth_evaluates_only_the_far_forms_it_uses(x, unused):
     n, e_d = np.array([[0.6, 0.0, 0.8], [1.0, 0.0, 0.0]]), np.array([0.0, 0.0, 1.0])
     proj = project(GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3), n)
-    lines = amplitudes.line_fractions((CouplingModel.roentgen(),), n, e_d, proj,
+    lines = lineshape.line_fractions((CouplingModel.roentgen(),), n, e_d, proj,
                                       DimensionlessParams(0.01, 0.01))
     assert np.array_equal(lines.smooth(x)[0], _far_forms(lines, x)[0])
     if unused:  # a form that no point takes is not evaluated: its coefficient may be absent
@@ -569,10 +569,10 @@ def test_a_one_model_build_has_the_bits_of_a_build_of_several(eps):
     n, e_d = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])
     proj = project(PointMass(np.array([2e-3, -1e-3, 5e-4])), n)
     models, params = tuple(_FUZZ_MODELS.values()), DimensionlessParams(eps, 0.01)
-    several = amplitudes.line_fractions(models, n, e_d, proj, params)
+    several = lineshape.line_fractions(models, n, e_d, proj, params)
     factor = np.exp(-several.near)
     for i, model in enumerate(models):
-        one = amplitudes.line_fractions((model,), n, e_d, proj, params)
+        one = lineshape.line_fractions((model,), n, e_d, proj, params)
         for upper in (0.5, 2.0, 40.0, 900.0):
             assert np.array_equal(one.near_integral([upper], factor),
                                   several.near_integral([upper], factor)[i:i + 1])
@@ -595,7 +595,7 @@ def mp_line_integral(mp, model, theta, beta, eps, gt, upper):
     n, e_d = np.array([np.sin(theta), 0.0, np.cos(theta)]), np.array([0.0, 0.0, 1.0])
     proj = project(PointMass(beta), n)
     models = tuple(_FUZZ_MODELS.values())  # built together, as divergence_comparison does
-    got = float(amplitudes.line_fractions(models, n, e_d, proj, DimensionlessParams(eps, gt))
+    got = float(lineshape.line_fractions(models, n, e_d, proj, DimensionlessParams(eps, gt))
                 .integral([upper])[models.index(model), 0, 0])
     mp.mp.dps = 40
     nv, bv = [mp.mpf(v) for v in n], [mp.mpf(v) for v in beta]
@@ -672,7 +672,7 @@ def test_line_integral_inside_a_narrow_line_matches_40_digits():
     mp = pytest.importorskip("mpmath")
     eps, gt = 1e-5, 1e-4
     n, e_d = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    lines = amplitudes.line_fractions((CouplingModel.roentgen(),), n, e_d,
+    lines = lineshape.line_fractions((CouplingModel.roentgen(),), n, e_d,
                                       project(PointMass(np.zeros(3)), n),
                                       DimensionlessParams(epsilon=eps, gamma_tilde=gt))
     mp.mp.dps = 40

@@ -13,8 +13,11 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +149,41 @@ def test_worker_reads_attributes_that_the_results_have():
                 except AttributeError:
                     missing.add(f"{call}: {'.'.join([root, *attributes])}")
     assert not missing, f"results lack what movbench/worker.py reads: {sorted(missing)}"
+
+
+def test_the_tracer_sees_the_oracle_and_the_spectra(tmp_path):
+    # as movbench/worker.py traces a run: an untimed run loads what the subcommand imports,
+    # then the tracer, installed, wraps it; in a fresh process, with nothing else loaded
+    (tmp_path / "oracle.yaml").write_text('{"oracle": {"modes": 201, "lifetimes": 2.0}}\n')
+    (tmp_path / "probability.yaml").write_text(
+        '{"distribution": {"kind": "point", "beta": [2e-4, 0.0, 1e-4]},'
+        ' "formfactor": {"kind": "sharp", "cutoff": 40.0}}\n')
+    code = textwrap.dedent("""
+        import contextlib, importlib.util, io, json, sys
+        from pathlib import Path
+        from movingatom.cli import main
+        tracer_file, root = sys.argv[1], Path(sys.argv[2])
+        spec = importlib.util.spec_from_file_location("movbench_tracer", tracer_file)
+        tracer = importlib.util.module_from_spec(spec)
+        sys.dont_write_bytecode = True
+        spec.loader.exec_module(tracer)
+        spent = {}
+        for sub in ("oracle", "probability"):
+            argv = [sub, "--config", str(root / f"{sub}.yaml"), "--out", str(root / sub)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+                tr = tracer.Tracer()
+                tr.install()
+                try:
+                    assert main(argv) == 0
+                finally:
+                    tr.uninstall()
+            spent[sub] = dict(tr.inclusive)
+        print(json.dumps(spent))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(TRACER), str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    spent = json.loads(out.stdout.splitlines()[-1])
+    assert spent["oracle"]["amplitudes.discrete_mode_evolution"] > 0.0
+    assert spent["oracle"]["amplitudes.compare_to_pole"] > 0.0
+    assert spent["probability"]["spectra.directional_probability"] > 0.0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import movingatom.cli as cli
+from movingatom import amplitudes, spectra
 from movingatom.cli import main
 from movingatom.quadrature import NumericalError
 
@@ -249,12 +250,12 @@ def test_oracle_rerun_is_byte_identical(tmp_path):
 
 
 def test_oracle_norm_failure_exits_3(tmp_path, monkeypatch, capsys):
-    exact = cli.discrete_mode_evolution
+    exact = amplitudes.discrete_mode_evolution
 
     def drifting(*args, **kwargs):
         return dataclasses.replace(exact(*args, **kwargs), max_norm_drift=2e-6, norm_ok=False)
 
-    monkeypatch.setattr(cli, "discrete_mode_evolution", drifting)
+    monkeypatch.setattr(amplitudes, "discrete_mode_evolution", drifting)
     cfg = write_config(tmp_path, """
         oracle: {modes: 101, half_width: 0.05, gamma_eff: 1.0e-2, lifetimes: 4}
     """)
@@ -487,7 +488,7 @@ def test_writer_formats():
 
 def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):
     # the CSV rows are finite, the report's JSON is not: divergence.csv was left behind
-    exact = cli.divergence_comparison
+    exact = spectra.divergence_comparison
 
     def broken(*args, **kwargs):
         report = exact(*args, **kwargs)
@@ -495,7 +496,7 @@ def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):
             label: dataclasses.replace(entry, exact_law={"A": math.inf})
             for label, entry in report.entries.items()})
 
-    monkeypatch.setattr(cli, "divergence_comparison", broken)
+    monkeypatch.setattr(spectra, "divergence_comparison", broken)
     cfg = write_config(tmp_path)
     assert run(["divergence", "--config", cfg, "--out", tmp_path / "x"]) == 3
     assert "divergence.json would hold a non-finite number" in capsys.readouterr().err

@@ -37,6 +37,16 @@ def test_empty_config_gets_defaults(tmp_path):
     assert abs(float(np.dot(cfg.direction, cfg.scenario.dipole_axis))) < 1e-14
 
 
+def test_a_file_without_physics_sections_builds_them_on_first_read():
+    # an oracle file's physics objects are the defaults, built when first read: the same as
+    # those of a file that gives an empty physics section, built at load
+    lazy = build_config({"oracle": {"modes": 201}})
+    eager = build_config({"oracle": {"modes": 201}, "atom": {}})
+    assert lazy.settings == eager.settings and not hasattr(lazy, "no_such_field")
+    assert json.dumps(lazy.resolved, sort_keys=True) == json.dumps(eager.resolved, sort_keys=True)
+    assert np.array_equal(lazy.direction, eager.direction) and lazy.pattern == eager.pattern
+
+
 def test_cutoff_ladders_are_bounded_as_geometric_cutoffs_needs():
     # a scan or a limit-ordering window of fewer cutoffs than geometric_cutoffs takes is a
     # configuration error (exit 2), not a ValueError raised by the ladder
@@ -170,10 +180,10 @@ def test_table_file_is_opened_once(tmp_path):
     code = textwrap.dedent(f"""
         import sys
         from pathlib import Path
-        from movingatom import config
+        from movingatom import scenario
         opened = []
         sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
-        rows = config._load_table(Path({str(table)!r})).tolist()
+        rows = scenario._load_table(Path({str(table)!r})).tolist()
         print(opened.count({str(table)!r}), rows)
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import yaml
+
 import movingatom
+from movingatom.config import load_raw
 
 
 def test_every_public_name_resolves_once():
@@ -94,13 +98,19 @@ def test_regulated_integrals_leave_numpy_polynomial_unloaded():
 def test_cli_on_json_text_maps_neither_openssl_nor_pyyaml(tmp_path):
     # a scenario file whose text is JSON is read by json, whatever its suffix, and the
     # manifest hashes with CPython's builtin SHA-256: neither hashlib's OpenSSL (_hashlib)
-    # nor PyYAML is loaded. Its YAML-text twin loads PyYAML and resolves to the same settings.
+    # nor PyYAML is loaded. So is JSON text after a UTF-8 byte-order mark and whitespace,
+    # whose value is its YAML parse. Its YAML-text twin loads PyYAML and resolves to the
+    # same settings.
     probability = {"atom": {"epsilon": 1e-3, "gamma_tilde": 1e-4},
                    "distribution": {"kind": "point", "beta": [2e-4, 0.0, 1e-4]},
                    "formfactor": {"kind": "sharp", "cutoff": 40.0},
                    "tolerances": {"quadrature": 1e-10}}
     (tmp_path / "probability.yaml").write_text(json.dumps(probability, indent=1) + "\n")
     (tmp_path / "oracle.yaml").write_text('{"oracle": {"modes": 201, "lifetimes": 2.0}}\n')
+    (tmp_path / "padded.yaml").write_bytes(codecs.BOM_UTF8 + b"\n\n  " + (
+        '{"atom": {"epsilon": 1.0e-3, "gamma_tilde": 1.0e-4},\n "distribution": {"kind": '
+        '"point", "beta": [2.0e-4, 0, 1.0e-4]},\n "formfactor": {"kind": "sharp", "cutoff": '
+        '40}, "tolerances": {"quadrature": 1.0e-10}}\n').encode())
     (tmp_path / "twin.yaml").write_text(
         "# the probability scenario in YAML\natom: {epsilon: 1.0e-3, gamma_tilde: 1e-4}\n"
         "distribution:\n  kind: point\n  beta: [2.0e-4, 0, 1.0e-4]\n"
@@ -111,7 +121,7 @@ def test_cli_on_json_text_maps_neither_openssl_nor_pyyaml(tmp_path):
         from movingatom.cli import main
         root, loaded = Path(sys.argv[1]), []
         for sub, name in (("oracle", "oracle"), ("probability", "probability"),
-                          ("probability", "twin")):
+                          ("probability", "padded"), ("probability", "twin")):
             assert main([sub, "--config", str(root / f"{name}.yaml"),
                          "--out", str(root / name)]) == 0
             loaded.append([name, "_hashlib" in sys.modules, "yaml" in sys.modules])
@@ -121,9 +131,12 @@ def test_cli_on_json_text_maps_neither_openssl_nor_pyyaml(tmp_path):
                          text=True, check=True)
     assert out.stdout.splitlines()[-1] == str([["oracle", False, False],
                                                ["probability", False, False],
+                                               ["padded", False, False],
                                                ["twin", False, True]])
+    padded = (tmp_path / "padded.yaml").read_bytes()
+    assert load_raw(tmp_path / "padded.yaml") == yaml.safe_load(padded)
     manifests = {}
-    for name in ("oracle", "probability", "twin"):
+    for name in ("oracle", "probability", "padded", "twin"):
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["config_sha256"] == \
             hashlib.sha256((tmp_path / f"{name}.yaml").read_bytes()).hexdigest()
@@ -132,6 +145,38 @@ def test_cli_on_json_text_maps_neither_openssl_nor_pyyaml(tmp_path):
             for file in manifest["outputs"]}
         assert len(manifest["outputs"]) == (2 if name == "oracle" else 1)
         manifests[name] = manifest
-    assert manifests["twin"]["resolved"] == manifests["probability"]["resolved"]
-    assert (tmp_path / "twin" / "probability.json").read_bytes() == \
-        (tmp_path / "probability" / "probability.json").read_bytes()
+    for name in ("padded", "twin"):
+        assert manifests[name]["resolved"] == manifests["probability"]["resolved"]
+        assert (tmp_path / name / "probability.json").read_bytes() == \
+            (tmp_path / "probability" / "probability.json").read_bytes()
+
+
+def _modules_after(code: str, *argv) -> set[str]:
+    """The movingatom.* modules that a fresh interpreter has loaded after running `code`."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('movingatom.')))"
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True,
+                         text=True, check=True)
+    return set(eval(out.stdout.splitlines()[-1]))
+
+
+def test_a_run_loads_only_the_modules_it_runs(tmp_path):
+    # an oracle run, and the loading of an oracle file, leave out the line fractions and
+    # the modules that only the physics objects need; a probability run leaves out the oracle
+    # and its Cauchy sums
+    (tmp_path / "oracle.yaml").write_text('{"oracle": {"modes": 201, "lifetimes": 2.0}}\n')
+    (tmp_path / "probability.yaml").write_text(
+        '{"distribution": {"kind": "point", "beta": [2e-4, 0.0, 1e-4]},'
+        ' "formfactor": {"kind": "sharp", "cutoff": 40.0}}\n')
+    run = ("import sys\nfrom movingatom.cli import main\n"
+           "assert main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]) == 0")
+    physics = {f"movingatom.{name}" for name in ("spectra", "rates", "wavepacket", "coupling",
+                                                 "lineshape")}
+    oracle = _modules_after(run, "oracle", tmp_path / "oracle.yaml", tmp_path / "o")
+    assert "movingatom.amplitudes" in oracle and not oracle & physics
+    loaded = _modules_after("import sys\nfrom movingatom import config\n"
+                            "config.load_config(sys.argv[1])", tmp_path / "oracle.yaml")
+    assert "movingatom.config" in loaded and not loaded & physics
+    probability = _modules_after(run, "probability", tmp_path / "probability.yaml",
+                                 tmp_path / "p")
+    assert physics <= probability
+    assert not {"movingatom.amplitudes", "movingatom.cauchy"} & probability

@@ -18,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from movingatom import amplitudes, cauchy, coupling, quadrature, spectra, wavepacket
+from movingatom import amplitudes, cauchy, coupling, quadrature, spectra, units, wavepacket
 from movingatom.coupling import CouplingModel
 from movingatom.geometry import check_unit, direction_from_angles, dot3
 from movingatom.quadrature import CutoffScan, NumericalError
@@ -432,7 +432,7 @@ def test_roots_are_the_numpy_formula_bit_for_bit():
     b = 1.0 - np.array([-0.3, 0.0, 0.2, 0.999, 1.0, 1.5])
     for eps in (1e-8, 0.01, 0.5):
         for c in (-1.0, 0.5j * 1e-3 - 1.0):
-            assert all(same(g, w) for g, w in zip(amplitudes._quadratic_roots(b, eps, c),
+            assert all(same(g, w) for g, w in zip(units._quadratic_roots(b, eps, c),
                                                   ref_roots(b, eps, c)))
         for delta in (0.0, -0.3, 0.2):  # a float takes Python floats
             want = ref_roots(np.asarray(1.0 - delta), eps, -1.0)[0]
@@ -462,7 +462,7 @@ def test_arguments_checks_of_the_rewritten_bodies_still_raise():
     with pytest.raises(ValueError, match="scan has 4 points; classification needs at least 5"):
         quadrature.classify_tail(_scan([1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(ParameterError, match="no emission line for delta >= 1"):
-        amplitudes._quadratic_roots(np.array([0.5, -0.1]), 0.0, -1.0)
+        units._quadratic_roots(np.array([0.5, -0.1]), 0.0, -1.0)
     with pytest.raises(ParameterError, match="no positive emission frequency"):
         amplitudes.resonance_root(math.nan, 0.01)
     with pytest.raises(ParameterError, match="epsilon must be >= 0"):

@@ -12,7 +12,7 @@ from scipy.special import erfinv as erfinv_
 from scipy.special import voigt_profile, wofz
 
 import movingatom
-from movingatom import amplitudes, cli, quadrature, rates, spectra, wavepacket
+from movingatom import amplitudes, cli, lineshape, quadrature, rates, spectra, wavepacket
 from movingatom.amplitudes import perpendicular_kernel, resonance_root, spectral_kernel
 from movingatom.coupling import CouplingModel, conditional_polarization_sum, polarization_sum
 from movingatom.geometry import direction_from_angles
@@ -648,7 +648,7 @@ def fixed_order_reference(scenario, model, row, proj, formfactor, uppers, tol=1e
     uppers = np.asarray(uppers, dtype=float)
     if formfactor.kind != "none":
         uppers = np.minimum(uppers, formfactor.suggested_upper_limit())
-    lines = amplitudes.line_fractions((model,), row, scenario.dipole_axis, proj,
+    lines = lineshape.line_fractions((model,), row, scenario.dipole_axis, proj,
                                       scenario.params)
     kappa, weights = scenario.kappa, proj.weights
     if formfactor.kind in ("none", "sharp"):
@@ -750,15 +750,15 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-# rows flattened from the stack axes and nodes (`amplitudes.in_row_blocks`): a table of 3.5
+# rows flattened from the stack axes and nodes (`lineshape.in_row_blocks`): a table of 3.5
 # blocks at the 32 points of a one-panel rule (and at 32 cutoffs), seen along its own
 # direction; and a Gaussian packet's nodes of the ladder's first two rungs along enough
 # directions for 3 blocks (16 directions of 24 nodes on the package's ladder). Their far
 # poles, near -(1 - delta)/eps - 1, lie on both sides of U = 100. Their (rows x 32) complex
 # arrays stay under the 256 KiB from which numpy elides temporaries: an elided
-# `t * (1 + t/2)` (`amplitudes._log_tail`) becomes a product with its operands swapped,
+# `t * (1 + t/2)` (`lineshape._log_tail`) becomes a product with its operands swapped,
 # which rounds differently, so one block above that size is no reference.
-BLOCK_TABLE_ROWS = 7 * amplitudes.ROW_BLOCK // 64
+BLOCK_TABLE_ROWS = 7 * lineshape.ROW_BLOCK // 64
 BLOCK_TABLE = TabulatedProjection(direction=N_TABLE,
                                   delta=np.linspace(-1e-2, 3e-2, BLOCK_TABLE_ROWS),
                                   weights=np.full(BLOCK_TABLE_ROWS, 1.0 / BLOCK_TABLE_ROWS))
@@ -768,7 +768,7 @@ def row_block_case(case):
     """(distribution, directions) of a row-block case, a stack sized by the ladder in force."""
     if case == "table":
         return BLOCK_TABLE, N_TABLE
-    count = -(-3 * (amplitudes.ROW_BLOCK // 32) // sum(wavepacket.HERMITE_LADDER[:2]))
+    count = -(-3 * (lineshape.ROW_BLOCK // 32) // sum(wavepacket.HERMITE_LADDER[:2]))
     return (GaussianPacket.isotropic([1e-2, 0.0, 2e-2], 1e-3),
             direction_from_angles(np.linspace(0.1, 3.0, count), 0.3, axis=E_D))
 
@@ -788,8 +788,8 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case, formfactor, mo
     # while one block of every row mixes them.
     models = (CouplingModel.roentgen(),) if models == "one" else DIVERGENCE_MODELS
     uppers = np.geomspace(1e2, 1e4, 32) if formfactor.kind == "none" else [100.0]
-    blocks, rows, row_block = [], amplitudes.LineFractions.rows, amplitudes.ROW_BLOCK
-    forms, smooth = set(), amplitudes.LineFractions.smooth
+    blocks, rows, row_block = [], lineshape.LineFractions.rows, lineshape.ROW_BLOCK
+    forms, smooth = set(), lineshape.LineFractions.smooth
 
     def spy(self, block=slice(None)):
         blocks.append(block)
@@ -803,14 +803,14 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case, formfactor, mo
         forms.add("taylor" if inside.all() else "mixed" if inside.any() else "direct")
         return value
 
-    monkeypatch.setattr(amplitudes.LineFractions, "rows", spy)
-    monkeypatch.setattr(amplitudes.LineFractions, "smooth", smooth_spy)
+    monkeypatch.setattr(lineshape.LineFractions, "rows", spy)
+    monkeypatch.setattr(lineshape.LineFractions, "smooth", smooth_spy)
     for ladder in each_ladder(monkeypatch) if case == "stack" else [None]:
-        monkeypatch.setattr(amplitudes, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(lineshape, "ROW_BLOCK", row_block)
         dist, n = row_block_case(case)
         scenario = make_scenario(eps=0.01, gt=1e-3, dist=dist)
         proj = project(dist, n)
-        lines = amplitudes.line_fractions(models, n, E_D, proj, scenario.params)
+        lines = lineshape.line_fractions(models, n, E_D, proj, scenario.params)
         far = np.abs(lines.far)
         assert far.min() < 0.998 * 100.0 < 100.0 < far.max()
 
@@ -824,7 +824,7 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case, formfactor, mo
         blocked = run()
         assert sum(block != slice(None) for block in blocks) >= 3, ladder
         assert forms == (set() if formfactor.kind == "none" else {"taylor", "mixed"}), ladder
-        monkeypatch.setattr(amplitudes, "ROW_BLOCK", 1 << 62)  # every row in one block
+        monkeypatch.setattr(lineshape, "ROW_BLOCK", 1 << 62)  # every row in one block
         blocks.clear()
         forms.clear()
         whole = run()
@@ -946,8 +946,8 @@ def test_ladder_sweep_is_within_tol_of_order_64_where_converged():
 def test_divergence_comparison_takes_the_far_logarithms_once(monkeypatch):
     # one shared closed form for the three models and both Hermite orders (it took six)
     calls = []
-    log_tail = amplitudes._log_tail
-    monkeypatch.setattr(amplitudes, "_log_tail", lambda *a: calls.append(1) or log_tail(*a))
+    log_tail = lineshape._log_tail
+    monkeypatch.setattr(lineshape, "_log_tail", lambda *a: calls.append(1) or log_tail(*a))
     dist = GaussianPacket.isotropic([1e-3, 2e-3, 0.0], 1e-3)
     report = divergence_comparison(make_scenario(dist=dist), N_PERP)
     assert len(calls) == 1 and "strictly more divergent" in report.verdict
@@ -1044,7 +1044,7 @@ def test_exact_law_is_half_the_quotient_slope_of_every_node():
         n = direction_from_angles(theta, 0.0, axis=E_D)
         report = divergence_comparison(sc, n)
         proj = project(dist, n)
-        lines = amplitudes.line_fractions(spectra._DIVERGENCE_MODELS, n, E_D, proj, sc.params)
+        lines = lineshape.line_fractions(spectra._DIVERGENCE_MODELS, n, E_D, proj, sc.params)
         for model, q1 in zip(spectra._DIVERGENCE_MODELS, lines.q1):
             a = report.entries[model.label].exact_law["A"]
             assert a == pytest.approx(per_sin_sq[model.label] * math.sin(theta) ** 2,

@@ -105,7 +105,7 @@ def test_bench_doppler_entry_times_each_call_and_repeats_its_call_events(tmp_pat
 
 
 def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
-    # the oracle scenarios in a fresh interpreter, and the oracle's phases at K = 201,
+    # each oracle scenario in a fresh interpreter, and the oracle's phases at K = 201,
     # one timed run each, twice: the exit codes, the modules loaded and the root search's
     # work repeat exactly
     bench = _load("bench")
@@ -117,8 +117,9 @@ def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
         runs.append(json.loads((tmp_path / name).read_text())["entries"])
     for entries in runs:
         cold, oracle = entries["cold_oracle"]["change"], entries["oracle_201"]["change"]
-        assert cold["exit_codes"] == [0] * 3 and cold["modules"] == []
-        assert cold["vm_hwm_mb"] > 1.0 and cold["best_s"] > 0.0
+        assert cold["exit_codes"] == [0] * 3 and cold["watched"] == [[]] * 3
+        assert len(cold["modules"]) == 3 and "movingatom.amplitudes" in cold["modules"][0]
+        assert cold["vm_hwm_mb"] > 1.0 and cold["best_s"] > 0.0 and cold["import_ms"] > 0.0
         parts = oracle["parts"]
         assert set(parts) == {"roots", "far_roots", "lowner", "far_logs", "far_modes", "modes",
                               "amps"}
@@ -126,7 +127,7 @@ def test_bench_cold_start_and_oracle_entries_repeat_their_work_counts(tmp_path):
         assert parts["roots"] + parts["lowner"] + parts["modes"] + parts["amps"] == \
             pytest.approx(oracle["best_s"])
         assert oracle["iterations"] == 4 and oracle["near_terms"] > 0
-    keys = {"cold_oracle": ("exit_codes", "modules"),
+    keys = {"cold_oracle": ("exit_codes", "modules", "watched"),
             "oracle_201": ("iterations", "near_terms", "far_nodes", "far_pairs")}
     work = [{(name, key): entries[name]["change"][key] for name in keys for key in keys[name]}
             for entries in runs]

@@ -27,7 +27,7 @@ the order of its ops.json, and time only those calls:
 - cli_oracle: the three flat-band runs of the movbench oracle workload.
 
 A CLI entry also records the medians of its parts, timed by wrapping the names that
-`cli` calls: config (`read_raw`, `build_config`), library (the physics calls of each
+`cli` calls, in every loaded module of the package that binds them: config (`read_raw`, `build_config`), library (the physics calls of each
 subcommand) and encode_write (`_csv`, `_json` and `_write`, which hashes and writes the
 files), with csv, the `_csv` share of encode_write; and, as its work count, the exit
 codes of the untimed run.
@@ -42,11 +42,16 @@ median of each call's time and of each call's VmHWM rise in a fresh interpreter
 (TABLE_RISE: the table is built and a 16-row call warms the path before the peak is
 read), and, as its work counts, the rows and each call's evaluations.
 
-A cold-start entry, cold_<directory>, runs the same scenarios of each CLI directory in one
-fresh interpreter that imports the package from the tree's src/: its time is that
-process's wall time from start to exit, and it also records the median of the process's
-peak resident set (VmHWM, in MB) and, as its work counts, the exit codes and which of
-_hashlib (OpenSSL), yaml, numpy.polynomial and scipy the process loaded.
+A cold-start entry, cold_<subcommand>, runs each scenario of that subcommand in the CLI
+directories in a fresh interpreter of its own (`python -X importtime`), which imports the
+package from the tree's src/: its time is the sum of those processes' wall times from
+start to exit. It also records, as medians over the repeats, their largest peak resident
+set (VmHWM, in MB) and the package's import time ("import_ms": the self times that -X
+importtime reports for the package's modules, summed per process, median over the
+processes; uncached where no __pycache__ exists, as under PYTHONDONTWRITEBYTECODE=1),
+and, as its work counts, each
+process's exit code, the sorted movingatom.* modules it loaded ("modules") and which of
+_hashlib (OpenSSL), yaml, numpy.polynomial and scipy it loaded ("watched").
 
 The oracle entries, oracle_<K> for each K of `--modes` (default 2001 and 16001), run
 the phases of the discrete-mode oracle on a flat band of K modes,
@@ -115,22 +120,21 @@ CLI_PARTS = {
 ORACLE_MODES = (2001, 16001)
 # the modules whose loading a cold start records: each maps megabytes that a run may not need
 WATCHED = ("_hashlib", "yaml", "numpy.polynomial", "scipy")
-# one cold start: argv is the tree's src, the scenario directory and the output directory
+# one cold start: argv is the tree's src, then the argv of one `cli.main` run
 COLD_START = """
 import contextlib, io, json, sys
 from pathlib import Path
-src, directory, out = map(Path, sys.argv[1:])
+src = Path(sys.argv[1])
 sys.path.insert(0, str(src))
 from movingatom import cli
 assert Path(cli.__file__).is_relative_to(src), cli.__file__
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [cli.main([op["sub"], "--config", str(directory / op["config"]),
-                       "--out", str(out / op["name"])])
-             for op in json.loads((directory / "ops.json").read_text())]
+    code = cli.main(sys.argv[2:])
 status = Path("/proc/self/status").read_text().splitlines()
 kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(json.dumps({"vm_hwm_mb": kb / 1024.0, "exit_codes": codes,
-                  "modules": [name for name in %r if name in sys.modules]}))
+print(json.dumps({"vm_hwm_mb": kb / 1024.0, "exit_code": code,
+                  "modules": sorted(name for name in sys.modules if name.startswith("movingatom")),
+                  "watched": [name for name in %r if name in sys.modules]}))
 """ % (WATCHED,)
 
 TABLE_ROWS = (20000,)
@@ -171,6 +175,17 @@ def load(tree: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
+
+
+def cli_ops() -> list[tuple[Path, dict]]:
+    """(directory, operation) for every operation of the CLI directories, in order."""
+    return [(SCENARIOS / name, op) for name in CLI_SCENARIOS
+            for op in json.loads((SCENARIOS / name / "ops.json").read_text())]
+
+
+def cli_subcommands() -> list[str]:
+    """The subcommands that the CLI directories run, in their first order."""
+    return list(dict.fromkeys(op["sub"] for _, op in cli_ops()))
 
 
 def table_scenario(pkg, rows: int):
@@ -233,8 +248,8 @@ def entries(pkg, angles: int = 73, modes=ORACLE_MODES, golden_angles: int = 37,
         "doppler": DopplerPass(pkg, SCENARIOS / "doppler"),
         "cli_cutoff": CliPass(pkg, SCENARIOS / "cutoff"),
         "cli_oracle": CliPass(pkg, SCENARIOS / "oracle"),
-        **{f"cold_{name}": ColdStart(Path(pkg.__file__).resolve().parents[2], SCENARIOS / name)
-           for name in CLI_SCENARIOS},
+        **{f"cold_{sub}": ColdStart(Path(pkg.__file__).resolve().parents[2], sub)
+           for sub in cli_subcommands()},
         **{f"oracle_{k}": OraclePhases(pkg, k) for k in modes},
         **{f"table_{n}": TablePass(pkg, n) for n in rows},
     }
@@ -332,11 +347,15 @@ class CliPass:
 
         names = {name: (part, "csv") if name == "_csv" else (part,)
                  for part, group in CLI_PARTS.items() for name in group}
-        original = {name: getattr(self.cli, name) for name in names}
+        # each binding of a name in a loaded module of the package: a subcommand may import
+        # its library when it runs, so the first (untimed) run loads what later runs wrap
+        package = self.cli.__name__.rpartition(".")[0] + "."
+        original = [(module, name, vars(module)[name]) for key, module in list(sys.modules.items())
+                    if key.startswith(package) for name in names if name in vars(module)]
         total, codes = 0.0, []
         try:
-            for name, parts in names.items():
-                setattr(self.cli, name, timed(parts, original[name]))
+            for module, name, function in original:
+                setattr(module, name, timed(names[name], function))
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 for argv in self.argv:
@@ -344,30 +363,46 @@ class CliPass:
                     codes.append(self.cli.main(argv))
                     total += time.perf_counter() - start
         finally:
-            for name, function in original.items():
-                setattr(self.cli, name, function)
+            for module, name, function in original:
+                setattr(module, name, function)
         return {"total": total, "parts": spent, "work": {"exit_codes": codes}}
 
 
 class ColdStart:
-    """The CLI runs of one scenario directory in a fresh interpreter (COLD_START) that
-    imports the package of `tree`: calling it returns {"total", "vm_hwm_mb", "work"}, the
-    process's wall time, its peak resident set and its exit codes and WATCHED modules."""
+    """The CLI runs of one subcommand on its scenarios in the CLI directories, each in a fresh
+    interpreter (COLD_START) that imports the package of `tree`: calling it returns {"total",
+    "vm_hwm_mb", "import_ms", "work"}: the summed wall times, the largest peak resident set,
+    the median package import time, and each process's exit code, movingatom.* modules and
+    WATCHED modules."""
 
-    def __init__(self, tree: Path, directory: Path):
-        self.tree, self.directory, self._out = tree, directory, None
+    def __init__(self, tree: Path, subcommand: str):
+        self.tree, self.subcommand, self._out = tree, subcommand, None
 
     def __call__(self) -> dict:
         if self._out is None:  # made on the first run, removed with this object
             self._out = tempfile.TemporaryDirectory(prefix="bench-cold-")
-        argv = [sys.executable, "-c", COLD_START, str(self.tree / "src"), str(self.directory),
-                self._out.name]
-        start = time.perf_counter()
-        run = subprocess.run(argv, capture_output=True, text=True, check=True,
-                             env={**os.environ, **ONE_THREAD})
-        wall = time.perf_counter() - start
-        child = json.loads(run.stdout)
-        return {"total": wall, "vm_hwm_mb": child.pop("vm_hwm_mb"), "work": child}
+        total, peak, imports = 0.0, 0.0, []
+        work = {"exit_codes": [], "modules": [], "watched": []}
+        for directory, op in cli_ops():
+            if op["sub"] != self.subcommand:
+                continue
+            argv = [sys.executable, "-X", "importtime", "-c", COLD_START, str(self.tree / "src"),
+                    op["sub"], "--config", str(directory / op["config"]),
+                    "--out", str(Path(self._out.name) / op["name"])]
+            start = time.perf_counter()
+            run = subprocess.run(argv, capture_output=True, text=True, check=True,
+                                 env={**os.environ, **ONE_THREAD})
+            total += time.perf_counter() - start
+            child = json.loads(run.stdout)
+            peak = max(peak, child.pop("vm_hwm_mb"))
+            imports.append(sum(int(line.split(":")[1].split("|")[0]) for line in
+                               run.stderr.splitlines()
+                               if line.split("|")[-1].strip().startswith("movingatom")) / 1e3)
+            work["exit_codes"].append(child["exit_code"])
+            work["modules"].append(child["modules"])
+            work["watched"].append(child["watched"])
+        return {"total": total, "vm_hwm_mb": peak, "import_ms": float(np.median(imports)),
+                "work": work}
 
 
 class OraclePhases:
